@@ -14,7 +14,7 @@ Subpackages:
   classification, batch suites and the command line.
 """
 
-from .grassmann import GrassmannElement, gr_body_soul, gr_left_derive, gr_mul, gr_parity
+from .grassmann import GrassmannElement
 from .superfield import (
     FlatTargetJ,
     PolyFn,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComponentMap, FieldError, Gravitino, gzeros, max_abs
+from .fields import ComponentMap, FieldError, Gravitino, gcontract, gzeros, max_abs
 from .patch import ReducedPatch
 from .spin import EPS_LOWER, EPS_UPPER, GAMMA, IFRAME, ISPIN, PMAT, QMAT
 from .targets import AlmostKahlerModel
@@ -28,33 +28,6 @@ from .targets import AlmostKahlerModel
 
 class PreconditionError(ValueError):
     pass
-
-
-# -- Grassmann-valued contractions ------------------------------------------
-
-
-def gcontract(a: np.ndarray, b: np.ndarray, spec: str, L: int) -> np.ndarray:
-    """Mask-convolved einsum: Grassmann product with index contraction.
-
-    ``spec`` is an einsum signature for the per-mask blocks (without the
-    leading mask axis).
-    """
-    from .fields import _mul_table
-
-    out = None
-    for ma, mb, mo, s in _mul_table(L):
-        av, bv = a[ma], b[mb]
-        if not av.any() or not bv.any():
-            continue
-        piece = np.einsum(spec, av, bv)
-        if out is None:
-            size = a.shape[0]
-            out = np.zeros((size,) + piece.shape, dtype=complex)
-        out[mo] += s * piece
-    if out is None:
-        probe = np.einsum(spec, a[0], b[0])
-        out = np.zeros((a.shape[0],) + probe.shape, dtype=complex)
-    return out
 
 
 # -- basic geometric data along the map ---------------------------------------

@@ -36,6 +36,28 @@ def _mul_table(L: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _mul_index(L: int, odd_a: bool, odd_b: bool) -> tuple[np.ndarray, ...]:
+    """The rows of ``_mul_table(L)`` for bodiless factors of fixed parities.
+
+    Keeps the rows whose factor masks are nonzero with the given parities
+    and returns them as index arrays ``(ma, mb, sign, starts, mo)``, sorted
+    by product mask: rows ``starts[i]:starts[i + 1]`` all produce mask
+    ``mo[i]``, ready for ``np.add.reduceat``.  There are at most 3^L rows.
+    """
+    rows = sorted(
+        (mo, ma, mb, s)
+        for ma, mb, mo, s in _mul_table(L)
+        if ma and mb and bin(ma).count("1") % 2 == odd_a and bin(mb).count("1") % 2 == odd_b
+    )
+    mo, ma, mb, sign = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    masks, starts = np.unique(mo, return_index=True)
+    out = (ma, mb, sign.astype(float), starts, masks)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def gmul(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
     """Graded product of Grassmann-valued arrays (leading axis = basis mask).
 
@@ -53,6 +75,28 @@ def gmul(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
         if not av.any() or not bv.any():
             continue
         out[mo] += s * av * bv
+    return out
+
+
+def gcontract(a: np.ndarray, b: np.ndarray, spec: str, L: int) -> np.ndarray:
+    """Mask-convolved einsum: Grassmann product with index contraction.
+
+    ``spec`` is an einsum signature for the per-mask blocks (without the
+    leading mask axis).
+    """
+    out = None
+    for ma, mb, mo, s in _mul_table(L):
+        av, bv = a[ma], b[mb]
+        if not av.any() or not bv.any():
+            continue
+        piece = np.einsum(spec, av, bv)
+        if out is None:
+            size = a.shape[0]
+            out = np.zeros((size,) + piece.shape, dtype=complex)
+        out[mo] += s * piece
+    if out is None:
+        probe = np.einsum(spec, a[0], b[0])
+        out = np.zeros((a.shape[0],) + probe.shape, dtype=complex)
     return out
 
 

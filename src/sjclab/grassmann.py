@@ -213,9 +213,6 @@ class GrassmannElement:
     def coefficient(self, mask: int) -> complex:
         return self.terms.get(mask, 0j)
 
-    def max_degree(self) -> int:
-        return max((bin(m).count("1") for m in self.terms), default=0)
-
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -281,20 +278,3 @@ def split_sum(text: str) -> list[str]:
         chunks.append("".join(current))
     return [c for c in (c.strip() for c in chunks) if c]
 
-
-# operation-style aliases used in batch suites
-
-def gr_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    return a * b
-
-
-def gr_parity(a: GrassmannElement) -> str:
-    return a.parity()
-
-
-def gr_body_soul(a: GrassmannElement) -> tuple[complex, GrassmannElement]:
-    return a.body_soul()
-
-
-def gr_left_derive(a: GrassmannElement, index: int) -> GrassmannElement:
-    return a.left_derive(index)

@@ -29,8 +29,6 @@ GAMMA_EPS = np.array([GAMMA[0] @ EPS_LOWER, GAMMA[1] @ EPS_LOWER])
 # Gamma symbols of the odd frames: Gamma[t][mu, nu] coincides with GAMMA[t].
 GAMMA_SYM = GAMMA
 
-GBAR_S = np.eye(2)  # auxiliary positive spinor pairing
-
 # P/Q projector tensors on one-forms with spinor values:
 # (P chi)_a = (1/2) gamma^a gamma^b chi_b,  (Q chi)_a = (1/2) gamma^b gamma^a chi_b.
 PMAT = np.zeros((2, 2, 2, 2))
