@@ -34,7 +34,7 @@ class PreconditionError(ValueError):
 
 
 def model_grids(model: AlmostKahlerModel, cmap: ComponentMap, patch: ReducedPatch):
-    """Chart tensors along the body of phi.
+    """Chart tensors along the body of phi, each evaluated once on the grid.
 
     Position-dependent models require phi to have no nilpotent (soul)
     corrections; constant-chart models accept any even phi.
@@ -42,37 +42,18 @@ def model_grids(model: AlmostKahlerModel, cmap: ComponentMap, patch: ReducedPatc
     dim = model.dim
     if cmap.dim != dim:
         raise FieldError(f"map has {cmap.dim} target components, model needs {dim}")
-    M = cmap.M
-    body = cmap.phi_body(patch.x1, patch.x2)
     constant_chart = model.kind in ("flat", "constant-hsc") or model.kind.startswith(
         ("flat+", "constant-hsc+")
     )
-    if not constant_chart:
-        soul = cmap.phi_periodic.copy()
-        soul[0] = 0
-        if max_abs(soul) > 0:
-            raise FieldError(
-                "position-dependent chart tensors need a soul-free phi"
-            )
-    J = np.empty((M, M, dim, dim))
-    Gamma = np.empty((M, M, dim, dim, dim))
-    nablaJ = np.empty((M, M, dim, dim, dim))
-    Rop = np.empty((M, M, dim, dim, dim, dim))
-    if constant_chart:
-        y0 = np.zeros(dim)
-        J[:] = model.J_at(y0)
-        Gamma[:] = model.christoffel_at(y0)
-        nablaJ[:] = model.nablaJ_at(y0)
-        Rop[:] = model.curvature_op_at(y0)
-    else:
-        for i in range(M):
-            for j in range(M):
-                y = body[i, j]
-                J[i, j] = model.J_at(y)
-                Gamma[i, j] = model.christoffel_at(y)
-                nablaJ[i, j] = model.nablaJ_at(y)
-                Rop[i, j] = model.curvature_op_at(y)
-    return J, Gamma, nablaJ, Rop
+    if not constant_chart and max_abs(cmap.phi_periodic[1:]) > 0:
+        raise FieldError("position-dependent chart tensors need a soul-free phi")
+    body = cmap.phi_body(patch.x1, patch.x2)
+    return (
+        model.J_at(body),
+        model.christoffel_at(body),
+        model.nablaJ_at(body),
+        model.curvature_op_at(body),
+    )
 
 
 def dphi_frame(cmap: ComponentMap, patch: ReducedPatch) -> np.ndarray:
@@ -82,7 +63,8 @@ def dphi_frame(cmap: ComponentMap, patch: ReducedPatch) -> np.ndarray:
     d = np.stack([d1, d2], axis=3)  # (S, M, M, 2, dim)
     d[0, :, :, 0, :] += cmap.phi_linear[:, 0]
     d[0, :, :, 1, :] += cmap.phi_linear[:, 1]
-    return d * patch.frame_factor()[None, :, :, None, None]
+    d *= patch.frame_factor()[None, :, :, None, None]
+    return d
 
 
 def project_PQ(grav: Gravitino) -> tuple[np.ndarray, np.ndarray]:
@@ -120,10 +102,20 @@ def j_endomorphism(psi: np.ndarray, nablaJ: np.ndarray, L: int) -> np.ndarray:
 
 
 def sr_contraction(psi: np.ndarray, Rop: np.ndarray, L: int) -> np.ndarray:
-    """Cubic curvature contraction SR(psi)_alpha = eps^{kl} R(psi_alpha, psi_k) psi_l."""
+    """Cubic curvature contraction SR(psi)_alpha = eps^{kl} R(psi_alpha, psi_k) psi_l.
+
+    eps (entries 0, +-1) folds exactly into the third factor.  The body-valued
+    Rop is contracted once, after the Grassmann products, so coefficients
+    that cancel in the odd cubic Z cancel exactly.  Z keeps the spinor index
+    n of eps^{no}: the final sum then runs term by term in the order of the
+    full triple product eps^{no} psi psi psi Rop, and rounds as it does.
+    """
     pair = gcontract(psi, psi, "xyma,xynb->xymanb", L)  # (S,M,M,2,dim,2,dim)
-    tri = gcontract(pair, psi, "xymanb,xyoc->xymanboc", L)
-    return np.einsum("sxymanboc,no,xyabce->sxyme", tri, EPS_UPPER, Rop)
+    eps_psi = np.einsum("no,sxyoc->sxync", EPS_UPPER, psi)
+    Z = gcontract(pair, eps_psi, "xymanb,xync->xymanbc", L)
+    if not Z.any():  # e.g. fewer than three generators: no contraction to do
+        return np.zeros(psi.shape, dtype=complex)
+    return np.einsum("sxymanbc,xyabce->sxyme", Z, Rop)
 
 
 def twisted_dirac(
@@ -152,7 +144,8 @@ def twisted_dirac(
             patch.diff(psi, 2, grid_axes=(1, 2)),
         ],
         axis=3,
-    ) * ff  # (S, M, M, k, alpha, dim)
+    )  # (S, M, M, k, alpha, dim)
+    dpsi *= ff
     dphi = dphi_frame(cmap, patch)
     if np.abs(Gamma).max() > 0:
         conn = np.einsum("xyecd,sxykc->sxyked", Gamma, dphi)  # Gamma(dphi_k, .)
@@ -262,7 +255,7 @@ def residual_components(
     # block 3: perturbed Cauchy-Riemann equation
     dphi = dphi_frame(cmap, patch)
     dbar_phi = oneform_antiholomorphic_part(dphi, J)
-    _, qchi = project_PQ(grav)
+    qchi = project_PQ(grav)[1]
     r3 = dbar_phi + gravitino_psi_pairing(qchi, cmap.psi, L)
     if np.abs(nablaJ).max() > 0:
         jend = j_endomorphism(cmap.psi, nablaJ, L)
@@ -317,7 +310,7 @@ def operator_components(
     pairing = gravitino_psi_pairing(grav.chi, cmap.psi, L)
     c3 = -oneform_antiholomorphic_part(dphi + pairing, J)
 
-    _, qchi = project_PQ(grav)
+    qchi = project_PQ(grav)[1]
     inner = twisted_dirac(cmap.psi, patch, model, cmap, grids=grids)
     inner = inner - 2.0 * vee_q_pairing(qchi, dphi, L)
     nq = q_norm_squared(qchi, L)

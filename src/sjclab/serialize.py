@@ -5,7 +5,8 @@ A flat-map file (for ``sjc verify-flat``) is JSON:
     {"schema": 1, "L": 2, "n": 1,
      "components_z": ["x1 + (0+1j) * x2 + e3 * l1", ...]}
 
-listing the complex target components as superfield literals.
+listing the complex target components as superfield literals; ``n`` must
+equal the number of components, which must be at least one.
 
 A field bundle (for ``sjc verify-components``) is a JSON header line
 followed by one text record per grid point:
@@ -14,16 +15,20 @@ followed by one text record per grid point:
 
 where each field block lists, for every base-monomial mask in increasing
 order, the real and imaginary parts of every component.  phi carries an
-affine part in the header.
+affine part in the header.  A bundle holds exactly M^2 records, all of the
+same length; (i, j) are integers in [0, M), each pair occurring once, in
+any order; every value is finite and lam is positive.  Any other input
+raises ValueError naming the defect.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 
-from .fields import ComponentMap, Gravitino, gzeros
+from .fields import ComponentMap, Gravitino
 from .patch import ReducedPatch
 from .superfield import SuperField
 
@@ -46,8 +51,14 @@ def read_flat_map(path) -> tuple[int, list[SuperField]]:
     if payload.get("schema") != 1:
         raise ValueError("unsupported flat-map schema")
     L = int(payload["L"])
-    comps = [SuperField.from_text(L, text) for text in payload["components_z"]]
-    return L, comps
+    texts = payload["components_z"]
+    n = payload.get("n")
+    if not isinstance(texts, list) or not texts or n != len(texts):
+        raise ValueError(
+            f"flat map needs n == len(components_z) >= 1, got n={n!r} "
+            f"and {len(texts) if isinstance(texts, list) else 'no'} components"
+        )
+    return L, [SuperField.from_text(L, text) for text in texts]
 
 
 def _field_values(arr: np.ndarray, i: int, j: int) -> list[float]:
@@ -95,32 +106,46 @@ def read_field_bundle(path):
         M = int(header["M"])
         L = int(header["L"])
         dim = int(header["dim"])
-        S = 1 << L
-        lam = np.ones((M, M))
-        phi = gzeros(L, (M, M, dim))
-        psi = gzeros(L, (M, M, 2, dim))
-        F = gzeros(L, (M, M, dim))
-        chi = gzeros(L, (M, M, 2, 2))
-        sizes = [S * dim, S * 2 * dim, S * dim, S * 2 * 2]
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            i, j = int(parts[0]), int(parts[1])
-            lam[i, j] = float(parts[2])
-            vals = np.array([float(t) for t in parts[3:]])
-            if vals.size != 2 * sum(sizes):
-                raise ValueError(f"malformed record at ({i}, {j})")
-            cvals = vals[0::2] + 1j * vals[1::2]
-            off = 0
-            for arr, size, shape in (
-                (phi, sizes[0], (S, dim)),
-                (psi, sizes[1], (S, 2, dim)),
-                (F, sizes[2], (S, dim)),
-                (chi, sizes[3], (S, 2, 2)),
-            ):
-                arr[:, i, j] = cvals[off : off + size].reshape(shape)
-                off += size
+        try:
+            with warnings.catch_warnings():  # an empty body is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"malformed field bundle record: {exc}") from None
+    S = 1 << L
+    shapes = ((dim,), (2, dim), (dim,), (2, 2))  # phi, psi, F, chi per mask
+    width = 3 + 2 * S * sum(int(np.prod(shape)) for shape in shapes)
+    if data.size and data.shape[1] != width:
+        raise ValueError(f"field bundle records have {data.shape[1]} values, expected {width}")
+    if data.size and not np.isfinite([data.min(), data.max()]).all():  # NaN propagates
+        bad = ~np.isfinite(data).all(axis=1)
+        raise ValueError(f"non-finite value in record {int(np.argmax(bad)) + 1}")
+    ij = data[:, :2]
+    bad = (ij != np.round(ij)).any(axis=1) | (ij < 0).any(axis=1) | (ij >= M).any(axis=1)
+    if bad.any():
+        i, j = ij[np.argmax(bad)]
+        raise ValueError(f"grid index ({i:g}, {j:g}) is not a pair of integers in [0, {M})")
+    order = (ij[:, 0] * M + ij[:, 1]).astype(np.intp)
+    counts = np.bincount(order, minlength=M * M)
+    if counts.max(initial=0) > 1:
+        raise ValueError(f"duplicate records for grid point {divmod(int(np.argmax(counts)), M)}")
+    if len(order) != M * M:
+        raise ValueError(f"field bundle has {len(order)} of the M^2 = {M * M} grid records")
+    if not np.array_equal(order, np.arange(M * M)):
+        data = data[np.argsort(order)]
+    if (data[:, 2] <= 0).any():
+        raise ValueError("the conformal factor lam must be positive")
+    lam = data[:, 2].reshape(M, M).copy()
+    # the interleaved (re, im) columns seen as complex; the field blocks are
+    # strided views into data, so the bundle is held in memory once
+    cvals = data[:, 3:].view(complex)
+    blocks, off = [], 0
+    for shape in shapes:
+        size = S * int(np.prod(shape))
+        per_point = cvals[:, off : off + size].reshape((M, M, S) + shape)
+        blocks.append(np.moveaxis(per_point, 2, 0))
+        off += size
+    phi, psi, F, chi = blocks
     patch = ReducedPatch(M, lam=None if np.all(lam == 1.0) else lam)
     cmap = ComponentMap(
         L=L,

@@ -34,7 +34,7 @@ from .superfield import (
     flat_sjc_residual,
     holomorphy_equivalence_check,
 )
-from .targets import hsc_curvature_lowered, make_const_hsc, make_flat, make_model, standard_J, validate_model
+from .targets import hsc_curvature_lowered, make_const_hsc, make_flat, make_model, standard_J
 
 
 def _check(name: str, passed: bool, value, tol, kind: str) -> dict:
@@ -105,7 +105,7 @@ def random_flat_z_component(rng, L: int, holomorphic: bool) -> SuperField:
 def suite_flat(seed: int = 7, trials: int = 100, L: int = 2) -> dict:
     rng = np.random.default_rng(seed)
     checks = []
-    J = FlatTargetJ.standard(1)
+    J = FlatTargetJ(standard_J(1))
 
     zero_res = flat_sjc_residual(
         [SuperField.const(L, 1.0), SuperField.const(L, -2.0)], J
@@ -222,7 +222,7 @@ def suite_identities(seed: int = 7, trials: int = 50, energy_trials: int = 20) -
     energy_ok = True
     for t in range(energy_trials):
         n = n_targets[t % 2]
-        J = FlatTargetJ.standard(n)
+        J = FlatTargetJ(standard_J(n))
         comps = []
         for _ in range(n):
             comps.append(random_flat_z_component(rng, 2, holomorphic=bool(rng.random() < 0.3)))
@@ -242,31 +242,6 @@ def suite_identities(seed: int = 7, trials: int = 50, energy_trials: int = 20) -
     return _report(
         "identities", {"seed": seed, "trials": trials, "energy_trials": energy_trials}, checks
     )
-
-
-def run_suite(name: str, **config):
-    """Programmatic dispatcher mirroring the command-line verbs.
-
-    Returns (report, extra_files); extra_files maps CSV names to rows.
-    """
-    table = {
-        "flat": (suite_flat, False),
-        "identities": (suite_identities, False),
-        "index": (suite_index, True),
-        "bochner": (suite_bochner, True),
-        "moduli": (suite_moduli, False),
-        "linearize": (suite_linearize, False),
-        "verify-flat": (suite_verify_flat, False),
-        "verify-components": (suite_verify_components, True),
-        "models": (suite_models, False),
-    }
-    if name not in table:
-        raise ValueError(f"unknown suite {name!r}")
-    fn, has_files = table[name]
-    out = fn(**config)
-    if has_files:
-        return out
-    return out, {}
 
 
 def suite_index(
@@ -572,7 +547,7 @@ def suite_verify_flat(path: str) -> dict:
     from .serialize import read_flat_map
 
     L, comps = read_flat_map(path)
-    J = FlatTargetJ.standard(len(comps))
+    J = FlatTargetJ(standard_J(len(comps)))
     ys = components_from_complex(comps)
     residuals = flat_sjc_residual(ys, J)
     res_zero = all(r.is_zero() for r in residuals)
@@ -601,33 +576,16 @@ def suite_verify_components(path: str, tol: float = 1e-8) -> tuple[dict, dict]:
         _check(f"residual block {name}", value <= tol, value, tol, "oracle")
         for name, value in norms.items()
     ]
-    rows = ["i,j,chirality,auxiliary,cauchy_riemann,dirac"]
-    blocks = res.blocks()
-    M = patch.M
-    for i in range(M):
-        for j in range(M):
-            vals = [
-                float(np.abs(blocks[name][:, i, j]).max())
-                for name in ("chirality", "auxiliary", "cauchy_riemann", "dirac")
-            ]
+    # per grid point, the largest modulus over masks and components of each block
+    point_max = [
+        np.abs(block).max(axis=(0, *range(3, block.ndim))).tolist()
+        for block in res.blocks().values()
+    ]
+    rows = ["i,j," + ",".join(res.blocks())]
+    for i, row in enumerate(zip(*point_max)):
+        for j, vals in enumerate(zip(*row)):
             rows.append(f"{i},{j}," + ",".join(repr(v) for v in vals))
     report = _report(
         "verify-components", {"path": str(path), "tol": tol, "model": model_desc}, checks
     )
     return report, {"residual_field.csv": rows}
-
-
-def suite_models(seed: int = 7) -> dict:
-    """Model invariant sweep; not exposed as a CLI verb but used by tests."""
-    rng = np.random.default_rng(seed)
-    checks = []
-    for model, tol in [
-        (make_flat(2), 1e-12),
-        (make_const_hsc(4.0, 2), 1e-12),
-        (make_const_hsc(-4.0, 1), 1e-12),
-        (make_model({"kind": "fubini-study-CP1"}), 1e-9),
-    ]:
-        pts = rng.uniform(-0.8, 0.8, size=(100, model.dim))
-        rep = validate_model(model, pts, tol=tol)
-        checks.append(_check(f"invariants: {model.kind}", rep.passed, None, tol, "identity"))
-    return _report("models", {"seed": seed}, checks)

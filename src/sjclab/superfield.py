@@ -588,14 +588,6 @@ class FlatTargetJ:
         self.matrix = m
         self.dim = m.shape[0]
 
-    @classmethod
-    def standard(cls, n: int) -> "FlatTargetJ":
-        m = np.zeros((2 * n, 2 * n))
-        for b in range(n):
-            m[2 * b, 2 * b + 1] = 1.0
-            m[2 * b + 1, 2 * b] = -1.0
-        return cls(m)
-
 
 def flat_sjc_residual(components: list[SuperField], J: FlatTargetJ) -> list[SuperField]:
     """Residuals D3(Y^b) + D4(Y^c) J_c^b of the flat-model first-order system."""

@@ -10,7 +10,9 @@ Three kinds are provided:
   metric of holomorphic sectional curvature 4, with closed-form
   Christoffels and curvature.
 
-All evaluators return plain numpy arrays at a chart point.  Index
+All evaluators take a chart point y, or a stack of points y[..., :], and
+return plain numpy arrays with the same leading axes; constant tensors come
+back as read-only broadcast views.  Index
 conventions: J e_b = sum_c J[b, c] e_c, curvature_lowered[a, b, c, d] =
 n(R(e_a, e_b) e_c, e_d), christoffel[k][i, j] = Gamma^k_{ij}.
 """
@@ -62,7 +64,7 @@ class AlmostKahlerModel:
         """R(e_a, e_b) e_c = sum_d Rop[a, b, c, d] e_d."""
         R = self.curvature_at(y)
         ninv = np.linalg.inv(self.metric_at(y))
-        return np.einsum("abce,ed->abcd", R, ninv)
+        return R @ ninv[..., None, None, :, :]
 
     def is_kahler(self) -> bool:
         return self.kind in ("flat", "constant-hsc", "fubini-study-CP1")
@@ -78,7 +80,7 @@ def _const(arr: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     arr = np.asarray(arr, dtype=float)
 
     def ev(y: np.ndarray) -> np.ndarray:
-        return arr
+        return np.broadcast_to(arr, np.shape(y)[:-1] + arr.shape)
 
     return ev
 
@@ -148,65 +150,49 @@ def make_fs_cp1() -> AlmostKahlerModel:
     Chart metric E(y) delta with E = (1 + |y|^2)^(-2); Gauss curvature 4.
     """
     J = standard_J(1)
+    # Powers go through np.float_power, which rounds like libm pow (Python's
+    # float **); the SIMD loops of np.power can differ in the last bit.
+    pw = np.float_power
 
-    def E(y):
-        r2 = float(y[0]) ** 2 + float(y[1]) ** 2
-        return (1.0 + r2) ** -2
+    def r2(y):
+        return pw(y[..., 0], 2) + pw(y[..., 1], 2)
 
     def metric_at(y):
-        return E(y) * np.eye(2)
+        E = pw(1.0 + r2(y), -2)
+        return E[..., None, None] * np.eye(2)
 
-    def rho_grad(y):
-        # rho = log E / 2 = -log(1 + |y|^2)
-        r2 = float(y[0]) ** 2 + float(y[1]) ** 2
-        return np.array([-2.0 * y[0] / (1.0 + r2), -2.0 * y[1] / (1.0 + r2)])
+    def conformal_gamma(d1, d2):
+        # Gamma^k_{ij} of the conformal metric e^{2 rho} delta from grad rho = (d1, d2);
+        # linear in (d1, d2), so the same pattern carries the jet
+        g = np.empty(np.shape(d1) + (2, 2, 2))
+        g[..., 0, 0, 0] = g[..., 1, 0, 1] = g[..., 1, 1, 0] = d1
+        g[..., 0, 0, 1] = g[..., 0, 1, 0] = g[..., 1, 1, 1] = d2
+        g[..., 0, 1, 1] = -d1
+        g[..., 1, 0, 0] = -d2
+        return g
 
     def christoffel_at(y):
-        g = np.zeros((2, 2, 2))
-        r1, r2_ = rho_grad(y)
-        # conformal metric e^{2 rho} delta
-        g[0, 0, 0] = r1
-        g[0, 0, 1] = r2_
-        g[0, 1, 0] = r2_
-        g[0, 1, 1] = -r1
-        g[1, 1, 1] = r2_
-        g[1, 0, 1] = r1
-        g[1, 1, 0] = r1
-        g[1, 0, 0] = -r2_
-        return g  # g[k, i, j] = Gamma^k_{ij}
+        # rho = log E / 2 = -log(1 + |y|^2)
+        s = 1.0 + r2(y)
+        return conformal_gamma(-2.0 * y[..., 0] / s, -2.0 * y[..., 1] / s)
 
     def dchristoffel_at(y):
-        # dGamma[l, k, i, j] = d/dy^l Gamma^k_{ij}, from the Hessian of rho
-        r2 = float(y[0]) ** 2 + float(y[1]) ** 2
-        denom = (1.0 + r2) ** 2
-        h11 = -2.0 * (1.0 + r2 - 2.0 * y[0] ** 2) / denom
-        h22 = -2.0 * (1.0 + r2 - 2.0 * y[1] ** 2) / denom
-        h12 = 4.0 * y[0] * y[1] / denom
-        hess = np.array([[h11, h12], [h12, h22]])
-        out = np.zeros((2, 2, 2, 2))
-        for l in range(2):
-            d1, d2 = hess[l, 0], hess[l, 1]
-            g = np.zeros((2, 2, 2))
-            g[0, 0, 0] = d1
-            g[0, 0, 1] = d2
-            g[0, 1, 0] = d2
-            g[0, 1, 1] = -d1
-            g[1, 1, 1] = d2
-            g[1, 0, 1] = d1
-            g[1, 1, 0] = d1
-            g[1, 0, 0] = -d2
-            out[l] = g
-        return out
+        # dGamma[..., l, k, i, j] = d/dy^l Gamma^k_{ij}, from the Hessian of rho
+        s = 1.0 + r2(y)
+        denom = pw(s, 2)
+        h11 = -2.0 * (s - 2.0 * pw(y[..., 0], 2)) / denom
+        h22 = -2.0 * (s - 2.0 * pw(y[..., 1], 2)) / denom
+        h12 = 4.0 * y[..., 0] * y[..., 1] / denom
+        return np.stack([conformal_gamma(h11, h12), conformal_gamma(h12, h22)], axis=-4)
 
     def curvature_at(y):
         # constant Gauss curvature 4: R(X,Y)Z = K (n(Y,Z) X - n(X,Z) Y)
         K = 4.0
         n_mat = metric_at(y)
-        R = K * (
-            np.einsum("bc,ad->abcd", n_mat, n_mat)
-            - np.einsum("ac,bd->abcd", n_mat, n_mat)
+        return K * (
+            np.einsum("...bc,...ad->...abcd", n_mat, n_mat)
+            - np.einsum("...ac,...bd->...abcd", n_mat, n_mat)
         )
-        return R
 
     zeros3 = np.zeros((2, 2, 2))
     zeros5 = np.zeros((2, 2, 2, 2, 2))
@@ -247,13 +233,11 @@ def with_synthetic_nablaJ(model: AlmostKahlerModel, seeds: np.ndarray) -> Almost
     if seeds.shape != (dim, dim, dim):
         raise ModelError("seeds must have shape (dim, dim, dim)")
 
+    B = 0.5 * (seeds - seeds.transpose(0, 2, 1))
+
     def nablaJ_at(y):
-        J = model.J_at(y)
-        out = np.zeros((dim, dim, dim))
-        for a in range(dim):
-            B = 0.5 * (seeds[a] - seeds[a].T)
-            out[a] = B @ J - J @ B
-        return out
+        J = model.J_at(y)[..., None, :, :]
+        return B @ J - J @ B
 
     return AlmostKahlerModel(
         kind=model.kind + "+synthetic-nablaJ",

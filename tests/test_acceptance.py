@@ -31,7 +31,7 @@ from sjclab.superfield import (
     flat_sjc_residual,
     holomorphy_equivalence_check,
 )
-from sjclab.targets import make_const_hsc, make_flat
+from sjclab.targets import make_const_hsc, make_flat, standard_J
 
 
 def report(number: int, passed: bool, detail: str):
@@ -43,7 +43,7 @@ def report(number: int, passed: bool, detail: str):
 def test_criterion_1_flat_model_equivalence():
     t0 = time.monotonic()
     rng = np.random.default_rng(101)
-    J = FlatTargetJ.standard(1)
+    J = FlatTargetJ(standard_J(1))
     trials = 100
     agree = 0
     for t in range(trials):
@@ -88,7 +88,7 @@ def test_criterion_3_energy_identity():
     failures = 0
     for t in range(20):
         n = 1 + t % 2
-        J = FlatTargetJ.standard(n)
+        J = FlatTargetJ(standard_J(n))
         comps = [
             random_flat_z_component(rng, 2, holomorphic=bool(rng.random() < 0.4))
             for _ in range(n)

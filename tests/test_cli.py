@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from sjclab.cli import main
-from sjclab.fields import ComponentMap, Gravitino
+from sjclab.fields import ComponentMap, Gravitino, gzeros
 from sjclab.patch import ReducedPatch
 from sjclab.serialize import (
     read_field_bundle,
@@ -149,3 +150,90 @@ class TestVerifyComponents:
         _, _, patch2, _ = read_field_bundle(path)
         assert not patch2.flat_gauge
         assert np.abs(patch2.lam - lam).max() <= 1e-15
+
+
+def _edit_records(path, edit):
+    header, *records = path.read_text().splitlines()
+    rows = edit([r.split() for r in records])
+    path.write_text("\n".join([header] + [" ".join(r) for r in rows] + [""]))
+
+
+def _set(rec, k, token):
+    rec = list(rec)
+    rec[k] = token
+    return rec
+
+
+# record edits on an 8x8 bundle, and a fragment the error message must contain
+BAD_RECORDS = {
+    "ragged": (lambda rs: rs[:5] + [rs[5][:-1]] + rs[6:], "malformed field bundle record"),
+    "short": (lambda rs: [r[:-2] for r in rs], "values, expected"),
+    "missing": (lambda rs: rs[:-1], "63 of the M^2 = 64 grid records"),
+    "half-missing": (lambda rs: rs[::2], "32 of the M^2 = 64 grid records"),
+    "duplicate": (lambda rs: rs[:-1] + [rs[9]], "duplicate records for grid point (1, 1)"),
+    "out-of-range": (lambda rs: rs[:-1] + [_set(rs[-1], 0, "8")], "grid index (8, 7)"),
+    "negative": (lambda rs: rs[:-1] + [_set(rs[-1], 1, "-1")], "grid index (7, -1)"),
+    "non-integer": (lambda rs: rs[:-1] + [_set(rs[-1], 1, "6.5")], "grid index (7, 6.5)"),
+    "nan": (lambda rs: rs[:3] + [_set(rs[3], 20, "nan")] + rs[4:], "non-finite value in record 4"),
+    "inf": (lambda rs: rs[:3] + [_set(rs[3], 2, "inf")] + rs[4:], "non-finite value in record 4"),
+    "lam": (lambda rs: [_set(rs[0], 2, "0.0")] + rs[1:], "lam must be positive"),
+}
+
+
+class TestBundleValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+    def test_bad_records_exit_2(self, case, tmp_path, capsys):
+        path, *_ = TestVerifyComponents()._solution_bundle(tmp_path)
+        edit, message = BAD_RECORDS[case]
+        _edit_records(path, edit)
+        assert run(["verify-components", str(path)], tmp_path) == 2
+        assert message in capsys.readouterr().err
+
+    def test_reader_matches_token_loop(self, tmp_path):
+        # generic doubles on a curved gauge, against a per-token float() parse
+        rng = np.random.default_rng(5)
+        L, M = 2, 8
+        cmap = ComponentMap.zero(L, M, 2)
+        cmap.phi_periodic[0] = rng.standard_normal((M, M, 2))
+        cmap.phi_periodic[3] = rng.standard_normal((M, M, 2))
+        cmap.psi[1:3] = rng.standard_normal((2, M, M, 2, 2)) + 1j * rng.standard_normal((2, M, M, 2, 2))
+        cmap.F[0] = rng.standard_normal((M, M, 2)) + 1j * rng.standard_normal((M, M, 2))
+        grav = Gravitino(L=L, chi=gzeros(L, (M, M, 2, 2)))
+        grav.chi[2] = rng.standard_normal((M, M, 2, 2)) * 1e-300
+        patch = ReducedPatch(M, lam=np.exp(rng.uniform(-0.1, 0.1, size=(M, M))))
+        path = tmp_path / "generic.txt"
+        write_field_bundle(path, cmap, grav, patch, {"kind": "flat", "n": 1})
+        cmap2, grav2, patch2, _ = read_field_bundle(path)
+        for record in path.read_text().splitlines()[1:]:
+            tokens = record.split()
+            i, j = int(tokens[0]), int(tokens[1])
+            assert patch2.lam[i, j] == float(tokens[2])
+            vals = [float(t) for t in tokens[3:]]
+            expected = [complex(re, im) for re, im in zip(vals[0::2], vals[1::2])]
+            got = np.concatenate(
+                [a[:, i, j].ravel() for a in (cmap2.phi_periodic, cmap2.psi, cmap2.F, grav2.chi)]
+            )
+            assert got.tolist() == expected
+
+    def test_records_in_any_order(self, tmp_path):
+        path, cmap, *_ = TestVerifyComponents()._solution_bundle(tmp_path)
+        _edit_records(path, lambda rs: rs[::-1])
+        cmap2, *_ = read_field_bundle(path)
+        assert np.array_equal(cmap2.psi, cmap.psi)
+        assert run(["verify-components", str(path)], tmp_path) == 0
+
+
+class TestFlatMapValidation:
+    @pytest.mark.parametrize(
+        "n,texts",
+        [(2, ["1.0 * x1 + (0+1j) * x2"]), (0, []), (None, ["1.0 * x1 + (0+1j) * x2"])],
+        ids=["n-mismatch", "empty", "n-missing"],
+    )
+    def test_bad_header_exit_2(self, n, texts, tmp_path, capsys):
+        payload = {"schema": 1, "L": 2, "components_z": texts}
+        if n is not None:
+            payload["n"] = n
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(payload))
+        assert run(["verify-flat", str(path)], tmp_path) == 2
+        assert "n == len(components_z) >= 1" in capsys.readouterr().err

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from sjclab import components as C
-from sjclab.fields import ComponentMap, FieldError, Gravitino, gzeros, odd_masks
+from sjclab.cli import main
+from sjclab.fields import ComponentMap, FieldError, Gravitino, gcontract, gzeros, odd_masks
 from sjclab.patch import ReducedPatch
-from sjclab.spin import GAMMA
+from sjclab.serialize import write_field_bundle
+from sjclab.spin import EPS_UPPER, GAMMA
 from sjclab.suites import holomorphic_base_map, random_direction_fields
 from sjclab.targets import make_const_hsc, make_flat, make_fs_cp1, with_synthetic_nablaJ
 
@@ -12,6 +14,13 @@ from sjclab.targets import make_const_hsc, make_flat, make_fs_cp1, with_syntheti
 def grid_waves(M):
     xs = np.arange(M) / M
     return np.meshgrid(xs, xs, indexing="ij")
+
+
+def triple_product_sr(psi, Rop, L):
+    """Reference SR: the full triple product psi psi psi, then eps and Rop in one einsum."""
+    pair = gcontract(psi, psi, "xyma,xynb->xymanb", L)
+    tri = gcontract(pair, psi, "xymanb,xyoc->xymanboc", L)
+    return np.einsum("sxymanboc,no,xyabce->sxyme", tri, EPS_UPPER, Rop)
 
 
 def constrained_constant_psi(L, M, model, rng):
@@ -257,6 +266,78 @@ class TestResiduals:
         psi2[4, :, :, 1, :] = np.array([1.0, -1.0])
         assert np.abs(C.sr_contraction(psi2, Rop, L)).max() > 0.0
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_sr_matches_triple_product_on_generic_data(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        L, M = 4, 4
+        psi = gzeros(L, (M, M, 2, dim))
+        for m in odd_masks(L):
+            psi[m] = rng.standard_normal((M, M, 2, dim)) + 1j * rng.standard_normal((M, M, 2, dim))
+        Rop = rng.standard_normal((M, M) + (dim,) * 4)
+        ref = triple_product_sr(psi, Rop, L)
+        sr = C.sr_contraction(psi, Rop, L)
+        assert np.abs(ref).max() > 1.0
+        assert np.abs(sr - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "model",
+        [make_const_hsc(4.0, 1), make_const_hsc(-4.0, 2), make_fs_cp1()],
+        ids=["hsc+4", "hsc-4-n2", "fs-cp1"],
+    )
+    def test_sr_exact_zero_on_constrained_gaussian_spinors(self, model):
+        # psi_4 = psi_3 J with Gaussian-integer coefficients: the reference
+        # cancels to exactly zero, and so must the curvature-last contraction
+        rng = np.random.default_rng(31)
+        L, M, dim = 4, 4, model.dim
+        J0 = model.J_at(np.zeros(dim))
+        for _ in range(5):
+            psi = gzeros(L, (M, M, 2, dim))
+            for m in odd_masks(L):
+                v = rng.integers(-2, 3, size=dim) + 1j * rng.integers(-2, 3, size=dim)
+                psi[m, :, :, 0, :] = v
+                psi[m, :, :, 1, :] = v @ J0
+            Rop = model.curvature_op_at(rng.uniform(-1.0, 1.0, size=(M, M, dim)))
+            assert np.all(triple_product_sr(psi, Rop, L) == 0)
+            assert np.all(C.sr_contraction(psi, Rop, L) == 0)
+
+    def test_sr_vanishes_below_three_generators(self):
+        rng = np.random.default_rng(32)
+        L, M = 2, 4
+        psi = gzeros(L, (M, M, 2, 2))
+        for m in odd_masks(L):
+            psi[m] = rng.standard_normal((M, M, 2, 2))
+        sr = C.sr_contraction(psi, rng.standard_normal((M, M, 2, 2, 2, 2)), L)
+        assert sr.shape == psi.shape and np.all(sr == 0)
+
+
+class TestModelGrids:
+    def test_fubini_study_grids_match_pointwise_charts(self):
+        L, M = 2, 8
+        model = make_fs_cp1()
+        patch = ReducedPatch(M)
+        cmap = ComponentMap.zero(L, M, 2)
+        x1, x2 = grid_waves(M)
+        cmap.phi_periodic[0, :, :, 0] = 0.3 * np.sin(2 * np.pi * x1)
+        cmap.phi_periodic[0, :, :, 1] = 0.2 * np.cos(2 * np.pi * x2) - 0.1
+        body = cmap.phi_body(patch.x1, patch.x2)
+        grids = C.model_grids(model, cmap, patch)
+        evaluators = (model.J_at, model.christoffel_at, model.nablaJ_at, model.curvature_op_at)
+        for grid, ev in zip(grids, evaluators):
+            pointwise = np.array([[ev(body[i, j]) for j in range(M)] for i in range(M)])
+            assert np.array_equal(grid, pointwise)
+
+    def test_constant_chart_grids_broadcast(self):
+        L, M = 2, 8
+        model = make_const_hsc(-4.0, 2)
+        cmap = ComponentMap.zero(L, M, 4)
+        cmap.phi_periodic[3] = 0.5  # a soul is fine for constant charts
+        J, Gamma, nablaJ, Rop = C.model_grids(model, cmap, ReducedPatch(M))
+        y0 = np.zeros(4)
+        assert J.shape == (M, M, 4, 4) and np.array_equal(J[3, 5], model.J_at(y0))
+        assert Gamma.shape == (M, M, 4, 4, 4) and not Gamma.any()
+        assert nablaJ.shape == (M, M, 4, 4, 4) and not nablaJ.any()
+        assert np.array_equal(Rop, np.broadcast_to(model.curvature_op_at(y0), Rop.shape))
+
 
 class TestChiralReduction:
     def test_holomorphic_half_is_clifford_contraction_of_dbar(self):
@@ -412,3 +493,31 @@ class TestWeylCovariance:
         sol2, grav2 = C.weyl_rescale_fields(sol, grav, u)
         res = C.residual_components(sol2, grav2, ReducedPatch(M, lam=u), model)
         assert res.max_norm() <= 1e-4
+
+
+class TestResidualFieldCsv:
+    def test_rows_match_pointwise_maxima(self, tmp_path):
+        # a perturbed FS-CP1 bundle: every block is nonzero somewhere
+        rng = np.random.default_rng(33)
+        L, M = 4, 8
+        model = make_fs_cp1()
+        cmap = ComponentMap.zero(L, M, 2)
+        x1, x2 = grid_waves(M)
+        cmap.phi_periodic[0, :, :, 0] = 0.2 + 0.1 * np.sin(2 * np.pi * x1)
+        cmap.psi = constrained_constant_psi(L, M, model, rng)
+        cmap.psi[1, :, :, 1, :] += 0.1 * (1 + 0.5j) * np.cos(2 * np.pi * x2)[..., None]
+        cmap.F[0, :, :, 1] = 0.1 * np.cos(2 * np.pi * x1)
+        grav = Gravitino.zero(L, M)
+        patch = ReducedPatch(M)
+        path = tmp_path / "bundle.txt"
+        write_field_bundle(path, cmap, grav, patch, model.descriptor())
+        assert main(["--out-dir", str(tmp_path), "verify-components", str(path)]) == 1
+        rows = (tmp_path / "residual_field.csv").read_text().splitlines()
+        res = C.residual_components(cmap, grav, patch, model)
+        expected = ["i,j,chirality,auxiliary,cauchy_riemann,dirac"]
+        for i in range(M):
+            for j in range(M):
+                vals = [float(np.abs(b[:, i, j]).max()) for b in res.blocks().values()]
+                expected.append(f"{i},{j}," + ",".join(repr(v) for v in vals))
+        assert rows == expected
+        assert all(float(v) > 0 for v in rows[1].split(",")[2:])

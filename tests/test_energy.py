@@ -10,6 +10,7 @@ from sjclab.superfield import (
     components_from_complex,
 )
 from sjclab.suites import random_flat_z_component
+from sjclab.targets import standard_J
 
 
 def numeric_oracle(components, J, x1, x2):
@@ -50,13 +51,13 @@ def numeric_oracle(components, J, x1, x2):
 
 
 def test_zero_map():
-    J = FlatTargetJ.standard(1)
+    J = FlatTargetJ(standard_J(1))
     res = energy_identity_residual([SuperField.zero(2), SuperField.zero(2)], J)
     assert res.is_zero()
 
 
 def test_linear_coordinate_map():
-    J = FlatTargetJ.standard(1)
+    J = FlatTargetJ(standard_J(1))
     res = energy_identity_residual(
         [SuperField.coordinate_x1(2), SuperField.zero(2)], J
     )
@@ -67,7 +68,7 @@ def test_twenty_random_maps_exact():
     rng = np.random.default_rng(0)
     for t in range(20):
         n = 1 + t % 2
-        J = FlatTargetJ.standard(n)
+        J = FlatTargetJ(standard_J(n))
         comps = [
             random_flat_z_component(rng, 2, holomorphic=bool(rng.random() < 0.4))
             for _ in range(n)
@@ -78,7 +79,7 @@ def test_twenty_random_maps_exact():
 
 def test_numeric_point_oracle():
     rng = np.random.default_rng(1)
-    J = FlatTargetJ.standard(1)
+    J = FlatTargetJ(standard_J(1))
     for _ in range(5):
         comps = [random_flat_z_component(rng, 2, holomorphic=False)]
         ys = components_from_complex(comps)

@@ -15,6 +15,7 @@ from sjclab.superfield import (
     holomorphy_equivalence_check,
 )
 from sjclab.suites import random_flat_z_component
+from sjclab.targets import standard_J
 
 
 L = 2
@@ -93,30 +94,30 @@ class TestDerivations:
 
 class TestFlatResidual:
     def test_constant_map(self):
-        J = FlatTargetJ.standard(1)
+        J = FlatTargetJ(standard_J(1))
         res = flat_sjc_residual([SuperField.const(L, 2.0), SuperField.const(L, 0.0)], J)
         assert all(r.is_zero() for r in res)
 
     def test_holomorphic_coordinate_map(self):
-        J = FlatTargetJ.standard(1)
+        J = FlatTargetJ(standard_J(1))
         ys = components_from_complex([SuperField.coordinate_z(L)])
         assert ys[0] == SuperField.coordinate_x1(L)
         assert ys[1] == SuperField.coordinate_x2(L)
         assert all(r.is_zero() for r in flat_sjc_residual(ys, J))
 
     def test_antiholomorphic_map_fails(self):
-        J = FlatTargetJ.standard(1)
+        J = FlatTargetJ(standard_J(1))
         ys = [SuperField.coordinate_x1(L), -SuperField.coordinate_x2(L)]
         res = flat_sjc_residual(ys, J)
         assert not all(r.is_zero() for r in res)
 
     def test_component_count_mismatch(self):
-        J = FlatTargetJ.standard(2)
+        J = FlatTargetJ(standard_J(2))
         with pytest.raises(ValueError):
             flat_sjc_residual([SuperField.const(L, 1.0)], J)
 
     def test_odd_component_rejected(self):
-        J = FlatTargetJ.standard(1)
+        J = FlatTargetJ(standard_J(1))
         with pytest.raises(ValueError):
             flat_sjc_residual([SuperField.eta(L, 3), SuperField.const(L, 0.0)], J)
 
@@ -136,7 +137,7 @@ class TestHolomorphyEquivalence:
 
     def test_cross_validation_random(self):
         rng = np.random.default_rng(2)
-        J = FlatTargetJ.standard(1)
+        J = FlatTargetJ(standard_J(1))
         for t in range(60):
             holo = t % 2 == 0
             zc = random_flat_z_component(rng, L, holo)

@@ -210,3 +210,48 @@ class TestSyntheticNablaJ:
             assert np.abs(A + A.T).max() <= 1e-12
         rep = validate_model(model, np.zeros((2, 4)), tol=1e-12)
         assert rep.checks["nabla_bar_J"]["passed"]
+
+
+CHART_FIELDS = (
+    "J_at",
+    "metric_at",
+    "christoffel_at",
+    "dchristoffel_at",
+    "nablaJ_at",
+    "curvature_at",
+    "curvature_op_at",
+    "nabla_curvature_at",
+)
+
+
+def pointwise(ev, ys):
+    return np.array([[ev(y) for y in row] for row in ys])
+
+
+class TestBatchedEvaluators:
+    def test_fubini_study_batch_equals_pointwise(self):
+        fs = make_fs_cp1()
+        ys = np.random.default_rng(9).uniform(-1.5, 1.5, size=(12, 9, 2))
+        for name in CHART_FIELDS:
+            ev = getattr(fs, name)
+            batch = ev(ys)
+            assert batch.shape[:2] == ys.shape[:2], name
+            assert np.array_equal(batch, pointwise(ev, ys)), name
+
+    def test_synthetic_nablaJ_batch_equals_pointwise(self):
+        rng = np.random.default_rng(10)
+        for base in (make_flat(2), make_fs_cp1()):
+            dim = base.dim
+            model = with_synthetic_nablaJ(base, rng.standard_normal((dim, dim, dim)))
+            ys = rng.uniform(-1.0, 1.0, size=(7, 5, dim))
+            batch = model.nablaJ_at(ys)
+            assert batch.shape == (7, 5, dim, dim, dim)
+            assert np.array_equal(batch, pointwise(model.nablaJ_at, ys))
+
+    def test_constant_charts_broadcast_read_only(self):
+        m = make_const_hsc(4.0, 2)
+        ys = np.zeros((3, 4, 4))
+        R = m.curvature_at(ys)
+        assert R.shape == (3, 4, 4, 4, 4, 4)
+        assert np.array_equal(R, np.broadcast_to(m.curvature_at(np.zeros(4)), R.shape))
+        assert not R.flags.writeable
