@@ -124,12 +124,15 @@ def twisted_dirac(
     model: AlmostKahlerModel,
     cmap: ComponentMap,
     grids=None,
+    dphi=None,
 ) -> np.ndarray:
     """Twisted Dirac operator on the spinor-valued field psi.
 
     (D psi)_beta = (1/2) omega_k (gamma^k I)[beta, alpha] psi_alpha
                    - gamma^k[beta, alpha] nabla_k psi_alpha
     with the pullback connection nabla_k psi = f_k psi + Gamma(dphi_k, psi).
+    ``grids`` and ``dphi`` are computed here when not passed; dphi is only
+    needed when Gamma is nonzero.
     """
     if patch.M < 4:
         raise PreconditionError("resolution too small")
@@ -146,8 +149,9 @@ def twisted_dirac(
         axis=3,
     )  # (S, M, M, k, alpha, dim)
     dpsi *= ff
-    dphi = dphi_frame(cmap, patch)
     if np.abs(Gamma).max() > 0:
+        if dphi is None:
+            dphi = dphi_frame(cmap, patch)
         conn = np.einsum("xyecd,sxykc->sxyked", Gamma, dphi)  # Gamma(dphi_k, .)
         gterm = gcontract(conn, psi, "xyked,xyad->xykae", L)
         nabla = dpsi + gterm
@@ -262,7 +266,7 @@ def residual_components(
         r3 = r3 + j_trace_block3(jend, cmap.psi, J, L)
 
     # block 4: Dirac-type equation
-    r4 = twisted_dirac(cmap.psi, patch, model, cmap, grids=grids)
+    r4 = twisted_dirac(cmap.psi, patch, model, cmap, grids=grids, dphi=dphi)
     r4 = r4 - 2.0 * vee_q_pairing(qchi, dphi, L)
     nq = q_norm_squared(qchi, L)
     r4 = r4 + gcontract(nq, cmap.psi, "xy,xyab->xyab", L)
@@ -311,7 +315,7 @@ def operator_components(
     c3 = -oneform_antiholomorphic_part(dphi + pairing, J)
 
     qchi = project_PQ(grav)[1]
-    inner = twisted_dirac(cmap.psi, patch, model, cmap, grids=grids)
+    inner = twisted_dirac(cmap.psi, patch, model, cmap, grids=grids, dphi=dphi)
     inner = inner - 2.0 * vee_q_pairing(qchi, dphi, L)
     nq = q_norm_squared(qchi, L)
     inner = inner + gcontract(nq, cmap.psi, "xy,xyab->xyab", L)
@@ -419,12 +423,14 @@ def d_phi_operator(
         [patch.diff(xi, 1, grid_axes=(1, 2)), patch.diff(xi, 2, grid_axes=(1, 2))],
         axis=3,
     ) * ff
-    if np.abs(Gamma).max() > 0:
+    has_gamma = np.abs(Gamma).max() > 0
+    has_nablaJ = np.abs(nablaJ).max() > 0
+    if has_gamma or has_nablaJ:
         dphi = dphi_frame(cmap, patch)
+    if has_gamma:
         conn = np.einsum("xyecd,sxykc->sxyked", Gamma, dphi)
         dxi = dxi + gcontract(conn, xi, "xyked,xyd->xyke", L)
-    if np.abs(nablaJ).max() > 0:
-        dphi = dphi_frame(cmap, patch)
+    if has_nablaJ:
         jxi = gcontract(
             np.einsum("xyabc,sxya->sxybc", nablaJ, xi), dphi, "xybc,xykc->xykb", L
         )

@@ -18,10 +18,30 @@ pattern times the level weight), all radial integrals in closed form.
 
 Torus operators are Fourier-diagonal on the flat square torus with the
 periodic spin structure.
+
+Every operator here is block-diagonal and is stored only as its blocks:
+
+* sphere: dbar preserves the U(1) charge, mapping the domain sector of
+  charge q = a - b into the codomain sector of charge q + 1.  Both Gram
+  matrices are block-diagonal by charge; the sector block of monomials
+  with second exponents b, d is the Hankel matrix of radial integrals
+  R(b + d + q) (codomain: R(b + d + q + 1)), read from one table of
+  R(p) per basis.  Blocks are labelled by the domain charge of dbar.
+* torus: the Dirac operator is diagonal in the Fourier modes k, with
+  block -2 pi i (k1 gamma^1 + k2 gamma^2) (x) I per mode; the chiral
+  halves split mode by mode too.
+
+Gram checks, whitened SVDs and adjoints run block by block, with blocks of
+one shape stacked on a leading axis (all torus modes go through LAPACK in
+one batched call).  For a block-diagonal matrix the union of the block
+spectra is the global spectrum, so kernel, cokernel and the Gram gate are
+the global ones.  The dense global matrices (``OperatorMatrix.matrix``,
+``gram_domain``, ``gram_codomain``) are assembled only on request.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +49,9 @@ import numpy as np
 
 from .spin import GAMMA, ISPIN
 from .targets import standard_J
+
+# Largest accepted condition number of a unit-diagonal Gram matrix.
+GRAM_CONDITION_LIMIT = 1e14
 
 
 class IndexLabError(ValueError):
@@ -65,6 +88,158 @@ def dirac10_index(c1A: int) -> int:
     return 2 * c1A
 
 
+# -- block storage ----------------------------------------------------------------
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+@dataclass
+class BlockStack:
+    """Diagonal blocks of one shape, stacked on a leading axis.
+
+    ``matrix[i]`` maps the domain coordinates ``dom[i]`` to the codomain
+    coordinates ``cod[i]`` (positions in the operator's global bases);
+    ``gram_domain[i]`` and ``gram_codomain[i]`` are the two inner products
+    restricted to those coordinates.  A Gram matrix shared by every block
+    (the torus modes) is stored once, with leading axis 1, and broadcasts.
+    """
+
+    matrix: np.ndarray         # (n, rows, cols)
+    gram_domain: np.ndarray    # (n or 1, cols, cols)
+    gram_codomain: np.ndarray  # (n or 1, rows, rows)
+    dom: np.ndarray            # (n, cols) int
+    cod: np.ndarray            # (n, rows) int
+    labels: list[str]
+
+    def adjoint(self) -> BlockStack:
+        """Gram adjoint of every block: Gd^-1 A^H Gc."""
+        return BlockStack(
+            matrix=np.linalg.solve(self.gram_domain, _herm(self.matrix) @ self.gram_codomain),
+            gram_domain=self.gram_codomain,
+            gram_codomain=self.gram_domain,
+            dom=self.cod,
+            cod=self.dom,
+            labels=self.labels,
+        )
+
+    def normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Diagonal rescale to unit-norm basis vectors (spectrum unchanged)."""
+        sd = np.sqrt(np.diagonal(self.gram_domain, axis1=-2, axis2=-1).real)
+        sc = np.sqrt(np.diagonal(self.gram_codomain, axis1=-2, axis2=-1).real)
+        sd = np.where(sd == 0, 1.0, sd)
+        sc = np.where(sc == 0, 1.0, sc)
+        gd = self.gram_domain / (sd[:, :, None] * sd[:, None, :])
+        gc = self.gram_codomain / (sc[:, :, None] * sc[:, None, :])
+        a = self.matrix * sc[:, :, None] / sd[:, None, :]
+        return a, gd, gc
+
+
+def _stacks_by_shape(blocks: list[tuple]) -> list[BlockStack]:
+    """Stack blocks (matrix, gram_domain, gram_codomain, dom, cod, label) of equal shape."""
+    groups: dict[tuple[int, int], list[tuple]] = {}
+    for blk in blocks:
+        groups.setdefault(blk[0].shape, []).append(blk)
+    stacks = []
+    for group in groups.values():
+        *arrays, labels = zip(*group)
+        stacks.append(BlockStack(*map(np.stack, arrays), labels=list(labels)))
+    return stacks
+
+
+class OperatorMatrix:
+    """A block-diagonal operator between two Gram-weighted coordinate spaces.
+
+    Built operators pass ``stacks``.  A dense ``matrix`` with its two Gram
+    matrices is taken as a single block.  The dense global arrays are
+    assembled on request by the properties of the same names.
+    """
+
+    def __init__(
+        self,
+        matrix: np.ndarray | None = None,
+        gram_domain: np.ndarray | None = None,
+        gram_codomain: np.ndarray | None = None,
+        *,
+        tag: str,
+        is_complex_linear: bool,
+        meta: dict | None = None,
+        stacks: list[BlockStack] | None = None,
+    ):
+        if stacks is None:
+            rows, cols = matrix.shape
+            stacks = [
+                BlockStack(
+                    matrix[None],
+                    np.asarray(gram_domain)[None],
+                    np.asarray(gram_codomain)[None],
+                    np.arange(cols)[None],
+                    np.arange(rows)[None],
+                    ["whole operator"],
+                )
+            ]
+        self.stacks = stacks
+        self.tag = tag
+        self.is_complex_linear = is_complex_linear
+        self.meta = {} if meta is None else meta
+        self.shape = (sum(s.cod.size for s in stacks), sum(s.dom.size for s in stacks))
+
+    def _dense(self, part: str, rows: str, cols: str) -> np.ndarray:
+        size = {"cod": self.shape[0], "dom": self.shape[1]}
+        blocks = [getattr(s, part) for s in self.stacks]
+        out = np.zeros((size[rows], size[cols]), dtype=np.result_type(*blocks))
+        for s, blk in zip(self.stacks, blocks):
+            out[getattr(s, rows)[:, :, None], getattr(s, cols)[:, None, :]] = blk
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._dense("matrix", "cod", "dom")
+
+    @property
+    def gram_domain(self) -> np.ndarray:
+        return self._dense("gram_domain", "dom", "dom")
+
+    @property
+    def gram_codomain(self) -> np.ndarray:
+        return self._dense("gram_codomain", "cod", "cod")
+
+    def adjoint(self) -> OperatorMatrix:
+        """Adjoint with respect to the two Gram inner products, block by block."""
+        return OperatorMatrix(
+            tag=f"({self.tag})*",
+            is_complex_linear=self.is_complex_linear,
+            meta=dict(self.meta, adjoint_of=self.tag),
+            stacks=[s.adjoint() for s in self.stacks],
+        )
+
+    def gram_adjoint(self) -> np.ndarray:
+        """Dense matrix of the Gram adjoint."""
+        return self.adjoint().matrix
+
+    def singular_values(self) -> np.ndarray:
+        return _singular_values(self, [s.normalized() for s in self.stacks])
+
+
+def adjoint_deviation(op: OperatorMatrix, other: OperatorMatrix) -> float:
+    """Largest entry of |op* + other|, op* the Gram adjoint, block by block.
+
+    Zero when ``other`` is minus the adjoint of ``op`` (``op`` itself when it
+    is anti-self-adjoint).  Both must have the same block layout.
+    """
+    adj = op.adjoint().stacks
+    if len(adj) != len(other.stacks) or not all(
+        np.array_equal(s.dom, t.dom) and np.array_equal(s.cod, t.cod)
+        for s, t in zip(adj, other.stacks)
+    ):
+        raise IndexLabError(f"{op.tag} and {other.tag} have different block layouts")
+    return max(
+        (float(np.abs(s.matrix + t.matrix).max()) for s, t in zip(adj, other.stacks) if s.matrix.size),
+        default=0.0,
+    )
+
+
 # -- sphere line-bundle bases ---------------------------------------------------
 
 
@@ -72,19 +247,28 @@ def _radial_integral(p: int, s: int) -> float:
     """integral over the plane of r^{2p} (1+r^2)^(-s), equal to pi p! (s-p-2)!/(s-1)!."""
     if p > s - 2:
         raise IndexLabError("divergent weight integral: cutoff exceeds the weight")
-    return math.pi * math.factorial(p) * math.factorial(s - p - 2) / math.factorial(s - 1)
+    try:
+        return math.pi * math.factorial(p) * math.factorial(s - p - 2) / math.factorial(s - 1)
+    except OverflowError:
+        raise IndexLabError(
+            f"sphere Gram entries overflow double precision: the weight integral of "
+            f"r^{2 * p} (1+r^2)^-{s} is not representable; lower the cutoff"
+        ) from None
 
 
-def _gram(monomials: list[tuple[int, int]], s: int, scale: float) -> np.ndarray:
-    size = len(monomials)
-    g = np.zeros((size, size))
-    for i, (a, b) in enumerate(monomials):
-        for j, (c, d) in enumerate(monomials):
-            if a - b != c - d:
-                continue
-            p = (a + b + c + d) // 2
-            g[i, j] = scale * _radial_integral(p, s)
-    return g
+def _radial_table(monomials: list[tuple[int, int]], s: int, scale: float) -> np.ndarray:
+    """Gram entries of equal-charge monomial pairs, indexed by p = (a + b + c + d) / 2."""
+    pmax = max(a + b for a, b in monomials)
+    return np.array([scale * _radial_integral(p, s) for p in range(pmax + 1)])
+
+
+def _charge_sectors(monomials: list[tuple[int, int]]) -> dict[int, np.ndarray]:
+    """Positions of the monomials (a, b) of each charge a - b, in basis order."""
+    mons = np.array(monomials)
+    charge = mons[:, 0] - mons[:, 1]
+    order = np.argsort(charge, kind="stable")
+    charges, starts = np.unique(charge[order], return_index=True)
+    return dict(zip(charges.tolist(), np.split(order, starts[1:])))
 
 
 @dataclass
@@ -108,11 +292,11 @@ class LineBundleBasis:
     def size(self) -> int:
         return len(self.monomials)
 
-    def gram(self) -> np.ndarray:
+    def gram_table(self) -> np.ndarray:
         # weight 2^{k/2} (1+r^2)^{-k} for the bundle metric, (1+r^2)^{-2m}
         # for the level weight, 4 (1+r^2)^{-2} for the round area form
         k, m = self.degree, self.level
-        return _gram(self.monomials, 2 * m + k + 2, scale=4.0 * 2.0 ** (k / 2.0))
+        return _radial_table(self.monomials, 2 * m + k + 2, scale=4.0 * 2.0 ** (k / 2.0))
 
     def holomorphic_kernel_vectors(self) -> np.ndarray:
         """Coefficient vectors of the exact kernel representatives.
@@ -150,52 +334,14 @@ class AntiholFormBasis:
     def size(self) -> int:
         return len(self.monomials)
 
-    def gram(self) -> np.ndarray:
+    def gram_table(self) -> np.ndarray:
         k, m = self.degree, self.level
         # bundle weight times the pointwise norm of dzbar and the area form
-        return _gram(self.monomials, 2 * m + k + 2, scale=2.0 * 2.0 ** (k / 2.0))
-
-
-@dataclass
-class OperatorMatrix:
-    matrix: np.ndarray
-    gram_domain: np.ndarray
-    gram_codomain: np.ndarray
-    tag: str
-    is_complex_linear: bool
-    meta: dict = field(default_factory=dict)
-
-    def _normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Diagonal rescale to unit-norm basis vectors (spectrum unchanged)."""
-        sd = np.sqrt(np.diag(self.gram_domain).real)
-        sc = np.sqrt(np.diag(self.gram_codomain).real)
-        sd[sd == 0] = 1.0
-        sc[sc == 0] = 1.0
-        gd = self.gram_domain / np.outer(sd, sd)
-        gc = self.gram_codomain / np.outer(sc, sc)
-        a = self.matrix * sc[:, None] / sd[None, :]
-        return a, gd, gc
-
-    def whitened(self) -> np.ndarray:
-        a, gd, gc = self._normalized()
-        ld = np.linalg.cholesky(gd)
-        lc = np.linalg.cholesky(gc)
-        return lc.conj().T @ a @ np.linalg.inv(ld.conj().T)
-
-    def gram_adjoint(self) -> np.ndarray:
-        """Adjoint with respect to the two Gram inner products."""
-        return np.linalg.solve(
-            self.gram_domain, self.matrix.conj().T @ self.gram_codomain
-        )
-
-    def singular_values(self) -> np.ndarray:
-        if self.matrix.size == 0:
-            return np.zeros(0)
-        return np.linalg.svd(self.whitened(), compute_uv=False)
+        return _radial_table(self.monomials, 2 * m + k + 2, scale=2.0 * 2.0 ** (k / 2.0))
 
 
 def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
-    """Matrix of dbar on the degree-k bundle at level cutoff M.
+    """Matrix of dbar on the degree-k bundle at level cutoff M, by charge sector.
 
     M >= |k| + 2 is required so both boxes are nonempty and resolved.
     """
@@ -203,21 +349,29 @@ def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
         raise IndexLabError(f"cutoff {M} too small for degree {k}")
     dom = LineBundleBasis(degree=k, level=M)
     cod = AntiholFormBasis(degree=k, level=M)
-    cod_index = {mon: i for i, mon in enumerate(cod.monomials)}
-    A = np.zeros((cod.size, dom.size), dtype=complex)
-    m = M
-    for j, (a, b) in enumerate(dom.monomials):
-        if b > 0:
-            A[cod_index[(a, b - 1)], j] += b
-        if b - m != 0:
-            A[cod_index[(a + 1, b)], j] += b - m
+    table_dom, table_cod = dom.gram_table(), cod.gram_table()
+    b_of = np.array(dom.monomials)[:, 1]
+    d_of = np.array(cod.monomials)[:, 1]
+    cod_sectors = _charge_sectors(cod.monomials)
+    blocks = []
+    for q, di in _charge_sectors(dom.monomials).items():
+        ci = cod_sectors[q + 1]
+        b, d = b_of[di], d_of[ci]
+        # e_ab -> b e'_{a, b-1} + (b - m) e'_{a+1, b}; both images have charge q + 1
+        A = np.where(d[:, None] == b - 1, b, 0) + np.where(d[:, None] == b, b - M, 0)
+        blocks.append((
+            A.astype(complex),
+            table_dom[b[:, None] + b[None, :] + q],
+            table_cod[d[:, None] + d[None, :] + q + 1],
+            di,
+            ci,
+            f"sector q={q}",
+        ))
     return OperatorMatrix(
-        matrix=A,
-        gram_domain=dom.gram(),
-        gram_codomain=cod.gram(),
         tag=f"dbar O({k})",
         is_complex_linear=True,
         meta={"degree": k, "level": M, "surface": "sphere"},
+        stacks=_stacks_by_shape(blocks),
     )
 
 
@@ -237,21 +391,33 @@ def build_dirac01_sphere(k: int, M: int) -> OperatorMatrix:
     """Antiholomorphic Dirac half: minus the Gram adjoint of the dbar matrix."""
     op = build_dbar_sphere(k, M)
     return OperatorMatrix(
-        matrix=-op.gram_adjoint(),
-        gram_domain=op.gram_codomain,
-        gram_codomain=op.gram_domain,
         tag=f"D01 O({k})",
         is_complex_linear=True,
         meta=dict(op.meta, adjoint_of=op.tag),
+        stacks=[dataclasses.replace(s, matrix=-s.matrix) for s in op.adjoint().stacks],
     )
 
 
 # -- torus operators -------------------------------------------------------------
 
 
-def _torus_modes(M: int) -> list[tuple[int, int]]:
+def _torus_modes(M: int) -> np.ndarray:
+    """(M^2, 2) Fourier modes (k1, k2), k1 outer."""
     freqs = np.fft.fftfreq(M, d=1.0 / M).astype(int)
-    return [(int(k1), int(k2)) for k1 in freqs for k2 in freqs]
+    return np.stack(np.meshgrid(freqs, freqs, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _mode_stack(matrix: np.ndarray, labels: list[str]) -> BlockStack:
+    """One block per Fourier mode, in mode order, with orthonormal bases."""
+    n, rows, cols = matrix.shape
+    return BlockStack(
+        matrix=matrix,
+        gram_domain=np.eye(cols)[None],
+        gram_codomain=np.eye(rows)[None],
+        dom=np.arange(n * cols).reshape(n, cols),
+        cod=np.arange(n * rows).reshape(n, rows),
+        labels=labels,
+    )
 
 
 def build_dirac_torus(n_target: int, M: int) -> OperatorMatrix:
@@ -264,21 +430,18 @@ def build_dirac_torus(n_target: int, M: int) -> OperatorMatrix:
     if M < 4:
         raise IndexLabError("resolution too small")
     modes = _torus_modes(M)
+    k1, k2 = modes[:, 0, None, None], modes[:, 1, None, None]
+    block = -2j * np.pi * (k1 * GAMMA[0] + k2 * GAMMA[1])
     dim_t = 2 * n_target
-    size = len(modes) * 2 * dim_t
-    A = np.zeros((size, size), dtype=complex)
-    for i, (k1, k2) in enumerate(modes):
-        block = -2j * np.pi * (k1 * GAMMA[0] + k2 * GAMMA[1])
-        full = np.kron(block, np.eye(dim_t))
-        s = i * 2 * dim_t
-        A[s : s + 2 * dim_t, s : s + 2 * dim_t] = full
+    # np.kron(block, eye) for every mode at once
+    full = (block[:, :, None, :, None] * np.eye(dim_t)[None, None, :, None, :]).reshape(
+        len(modes), 2 * dim_t, 2 * dim_t
+    )
     return OperatorMatrix(
-        matrix=A,
-        gram_domain=np.eye(size),
-        gram_codomain=np.eye(size),
         tag=f"Dirac torus n={n_target}",
         is_complex_linear=False,
         meta={"surface": "torus", "modes": len(modes), "n_target": n_target, "M": M},
+        stacks=[_mode_stack(full, [f"mode ({a},{b})" for a, b in modes.tolist()])],
     )
 
 
@@ -311,25 +474,19 @@ def build_dirac_torus_chiral(n_target: int, M: int, part: str) -> OperatorMatrix
     opposite basis on the codomain.
     """
     full = build_dirac_torus(n_target, M)
+    (modes,) = full.stacks
     b10, b01 = _chirality_bases(n_target)
-    modes = full.meta["modes"]
-    big10 = np.kron(np.eye(modes), b10)
-    big01 = np.kron(np.eye(modes), b01)
     if part == "10":
-        A = big01.conj().T @ full.matrix @ big10
-        dom, cod = big10.shape[1], big01.shape[1]
+        blocks = b01.conj().T @ modes.matrix @ b10
     elif part == "01":
-        A = big10.conj().T @ full.matrix @ big01
-        dom, cod = big01.shape[1], big10.shape[1]
+        blocks = b10.conj().T @ modes.matrix @ b01
     else:
         raise IndexLabError("part must be '10' or '01'")
     return OperatorMatrix(
-        matrix=A,
-        gram_domain=np.eye(A.shape[1]),
-        gram_codomain=np.eye(A.shape[0]),
         tag=f"D{part} torus n={n_target}",
         is_complex_linear=False,
         meta=dict(full.meta, part=part),
+        stacks=[_mode_stack(blocks, modes.labels)],
     )
 
 
@@ -348,6 +505,11 @@ class IndexReport:
     conclusive: bool
     is_complex_linear: bool
     singular_values: np.ndarray
+    gram_domain_condition: float
+    gram_codomain_condition: float
+    gram_worst_block: str
+    gram_worst_condition: float
+    kept_margin: float | None  # smallest kept singular value / cut
 
     @property
     def kernel_dim_real(self) -> int:
@@ -377,7 +539,63 @@ class IndexReport:
             "threshold": self.threshold,
             "conclusive": self.conclusive,
             "is_complex_linear": self.is_complex_linear,
+            "gram_domain_condition": self.gram_domain_condition,
+            "gram_codomain_condition": self.gram_codomain_condition,
+            "gram_worst_block": self.gram_worst_block,
+            "gram_worst_condition": self.gram_worst_condition,
+            "kept_margin": self.kept_margin,
         }
+
+
+def _condition(eigs: np.ndarray) -> np.ndarray:
+    """max / min eigenvalue along the last axis; inf where the minimum is not positive."""
+    lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
+    return np.where(lo > 0, hi / np.where(lo > 0, lo, 1.0), np.inf)
+
+
+def _gram_gate(op: OperatorMatrix, normalized: list[tuple]) -> tuple[float, float, str, float]:
+    """Condition numbers of both unit-diagonal Gram matrices, checked against the limit.
+
+    The global condition number is taken over the union of the block
+    eigenvalues.  Returns (domain, codomain, worst block, its condition),
+    the worst block being the one with the largest condition of its own.
+    """
+    worst, worst_cond = "", 0.0
+    conds = {}
+    for side, which in (("domain", 1), ("codomain", 2)):
+        eigs = []
+        for st, parts in zip(op.stacks, normalized):
+            g = parts[which]
+            if g.shape[-1] == 0:
+                continue
+            e = np.linalg.eigvalsh(g)
+            eigs.append(e.ravel())
+            block_cond = _condition(e)
+            i = int(np.argmax(block_cond))
+            if block_cond[i] > worst_cond:
+                worst, worst_cond = f"{side} Gram of {st.labels[i]}", float(block_cond[i])
+        conds[side] = float(_condition(np.concatenate(eigs))) if eigs else 1.0
+    for side, cond in conds.items():
+        if cond > GRAM_CONDITION_LIMIT:
+            raise IndexLabError(
+                f"ill-conditioned Gram matrix: {side} condition {cond:.4g} exceeds "
+                f"{GRAM_CONDITION_LIMIT:.0e}; worst block: {worst} (condition {worst_cond:.4g})"
+            )
+    return conds["domain"], conds["codomain"], worst, worst_cond
+
+
+def _singular_values(op: OperatorMatrix, normalized: list[tuple]) -> np.ndarray:
+    """Whitened singular values of all blocks, descending, zero-padded to min(shape)."""
+    pieces = [np.zeros(0)]
+    for a, gd, gc in normalized:
+        if a.shape[-1] == 0 or a.shape[-2] == 0:
+            continue
+        ld = np.linalg.cholesky(gd)
+        lc = np.linalg.cholesky(gc)
+        w = _herm(lc) @ a @ np.linalg.inv(_herm(ld))
+        pieces.append(np.linalg.svd(w, compute_uv=False).ravel())
+    sv = np.sort(np.concatenate(pieces))[::-1]
+    return np.concatenate([sv, np.zeros(min(op.shape) - sv.size)])
 
 
 def numeric_index(
@@ -387,13 +605,11 @@ def numeric_index(
     gap_requirement: float = 1e3,
 ) -> IndexReport:
     """Kernel/cokernel dimensions from singular values below a relative threshold."""
-    _, ngd, ngc = op._normalized()
-    gd = np.linalg.eigvalsh(ngd)
-    gc = np.linalg.eigvalsh(ngc)
-    if gd.min() <= 0 or gc.min() <= 0 or gd.max() / gd.min() > 1e14 or gc.max() / gc.min() > 1e14:
-        raise IndexLabError("ill-conditioned Gram matrix")
-    sv = op.singular_values()
-    ncod, ndom = op.matrix.shape
+    normalized = [s.normalized() for s in op.stacks]
+    cond_dom, cond_cod, worst, worst_cond = _gram_gate(op, normalized)
+    sv = _singular_values(op, normalized)
+    ncod, ndom = op.shape
+    kept_margin = None
     if sv.size == 0:
         rank = 0
         gap = np.inf
@@ -403,6 +619,8 @@ def numeric_index(
         nonzero = sv[sv > cut]
         zero = sv[sv <= cut]
         rank = nonzero.size
+        if nonzero.size:
+            kept_margin = float(nonzero.min() / cut)
         if zero.size and nonzero.size:
             gap = float(nonzero.min() / max(zero.max(), 1e-300))
         else:
@@ -421,23 +639,22 @@ def numeric_index(
         conclusive=conclusive,
         is_complex_linear=op.is_complex_linear,
         singular_values=sv,
+        gram_domain_condition=cond_dom,
+        gram_codomain_condition=cond_cod,
+        gram_worst_block=worst,
+        gram_worst_condition=worst_cond,
+        kept_margin=kept_margin,
     )
 
 
 def direct_sum(op1: OperatorMatrix, op2: OperatorMatrix) -> OperatorMatrix:
-    def blockdiag(a, b):
-        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-        out[: a.shape[0], : a.shape[1]] = a
-        out[a.shape[0] :, a.shape[1] :] = b
-        return out
-
+    rows, cols = op1.shape
+    shifted = [dataclasses.replace(s, dom=s.dom + cols, cod=s.cod + rows) for s in op2.stacks]
     return OperatorMatrix(
-        matrix=blockdiag(op1.matrix, op2.matrix),
-        gram_domain=blockdiag(op1.gram_domain, op2.gram_domain).real,
-        gram_codomain=blockdiag(op1.gram_codomain, op2.gram_codomain).real,
         tag=f"{op1.tag} (+) {op2.tag}",
         is_complex_linear=op1.is_complex_linear and op2.is_complex_linear,
         meta={"summands": [op1.tag, op2.tag]},
+        stacks=op1.stacks + shifted,
     )
 
 
@@ -451,7 +668,7 @@ def adjoint_relation_check(M_cutoff: int, n_target: int = 1, sphere_degrees=(0, 
     report: dict = {"checks": []}
     d10 = build_dirac_torus_chiral(n_target, M_cutoff, "10")
     d01 = build_dirac_torus_chiral(n_target, M_cutoff, "01")
-    dev = float(np.abs(d10.gram_adjoint() + d01.matrix).max())
+    dev = adjoint_deviation(d10, d01)
     r10 = numeric_index(d10)
     r01 = numeric_index(d01)
     report["checks"].append(

@@ -244,6 +244,10 @@ def suite_identities(seed: int = 7, trials: int = 50, energy_trials: int = 20) -
     )
 
 
+def _sigma_rows(sv: np.ndarray) -> list[str]:
+    return ["index,sigma"] + [f"{i},{s!r}" for i, s in enumerate(sv.tolist())]
+
+
 def suite_index(
     surface: str = "sphere",
     degree: int = 1,
@@ -252,7 +256,6 @@ def suite_index(
     threshold: float = 1e-8,
 ) -> tuple[dict, dict]:
     checks = []
-    csvs: dict[str, list[str]] = {}
     if surface == "sphere":
         op = il.build_dbar_sphere(degree, cutoff)
         h0, h1 = il.h_oracle(degree)
@@ -298,13 +301,9 @@ def suite_index(
                     "formula",
                 )
             )
-        csvs["singular_values.csv"] = ["index,sigma"] + [
-            f"{i},{s!r}" for i, s in enumerate(rep.singular_values)
-        ]
-        extra_report = rep.as_dict()
     elif surface == "torus":
         op = il.build_dirac_torus(target_rank, cutoff)
-        asa = float(np.abs(op.matrix + op.matrix.conj().T).max())
+        asa = il.adjoint_deviation(op, op)
         checks.append(_check("torus Dirac anti-self-adjointness", asa <= 1e-12, asa, 1e-12, "identity"))
         rep = il.numeric_index(op, threshold=threshold, formula_index=0)
         checks.append(
@@ -322,12 +321,9 @@ def suite_index(
         adj = il.adjoint_relation_check(min(cutoff, 6), n_target=target_rank)
         for c in adj["checks"]:
             checks.append(_check(c["name"], c["passed"], c["value"], c["tol"], "identity"))
-        csvs["singular_values.csv"] = ["index,sigma"] + [
-            f"{i},{s!r}" for i, s in enumerate(rep.singular_values)
-        ]
-        extra_report = rep.as_dict()
     else:
         raise ValueError("surface must be 'sphere' or 'torus'")
+    csvs = {"singular_values.csv": _sigma_rows(rep.singular_values)}
     cfg = {
         "surface": surface,
         "degree": degree,
@@ -336,7 +332,7 @@ def suite_index(
         "threshold": threshold,
     }
     report = _report("index", cfg, checks)
-    report["index_report"] = extra_report
+    report["index_report"] = rep.as_dict()
     return report, csvs
 
 
@@ -381,7 +377,8 @@ def suite_bochner(cutoff: int = 10, seed: int = 7) -> tuple[dict, dict]:
             swap_ok = False
     checks.append(_check("verdict swap under sigma negation", swap_ok, None, None, "identity"))
 
-    gap_sphere = il.bochner_gap(il.build_dirac01_sphere(-1, cutoff), scalar_curvature=2.0)
+    d01_sphere = il.build_dirac01_sphere(-1, cutoff)
+    gap_sphere = il.bochner_gap(d01_sphere, scalar_curvature=2.0)
     checks.append(
         _check(
             "sphere antiholomorphic-half spectral gap (flat target)",
@@ -414,13 +411,7 @@ def suite_bochner(cutoff: int = 10, seed: int = 7) -> tuple[dict, dict]:
             "spectral",
         )
     )
-    csvs = {
-        "singular_values.csv": ["index,sigma"]
-        + [
-            f"{i},{s!r}"
-            for i, s in enumerate(il.build_dirac01_sphere(-1, cutoff).singular_values())
-        ]
-    }
+    csvs = {"singular_values.csv": _sigma_rows(d01_sphere.singular_values())}
     return _report("bochner", {"cutoff": cutoff, "seed": seed}, checks), csvs
 
 

@@ -158,6 +158,47 @@ def _edit_records(path, edit):
     path.write_text("\n".join([header] + [" ".join(r) for r in rows] + [""]))
 
 
+class TestIndexLimits:
+    @pytest.mark.parametrize(
+        "degree,cutoff,message",
+        [
+            (1, 24, "ill-conditioned Gram matrix: domain condition"),
+            (0, 60, "ill-conditioned Gram matrix: domain condition"),
+            (0, 84, "ill-conditioned Gram matrix: domain condition"),
+            (0, 90, "sphere Gram entries overflow double precision"),
+            (0, 200, "sphere Gram entries overflow double precision"),
+        ],
+    )
+    def test_large_sphere_cutoff_exit_2(self, degree, cutoff, message, tmp_path, capsys):
+        argv = ["index", "--surface", "sphere", "--degree", str(degree), "--cutoff", str(cutoff)]
+        assert run(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if "ill-conditioned" in message:
+            assert "worst block: domain Gram of sector q=" in err
+
+    def test_torus_cutoff_64(self, tmp_path):
+        argv = ["index", "--surface", "torus", "--target-rank", "1", "--cutoff", "64"]
+        assert run(argv, tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["index_report"]["kernel_dim"] == 4
+        assert report["index_report"]["numeric_index"] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["index", "--surface", "sphere", "--cutoff", "8"], ["index", "--surface", "torus", "--cutoff", "6"],
+         ["bochner", "--cutoff", "8"]],
+        ids=["sphere", "torus", "bochner"],
+    )
+    def test_singular_values_csv_holds_numbers(self, argv, tmp_path):
+        assert run(argv, tmp_path) == 0
+        header, *rows = (tmp_path / "singular_values.csv").read_text().splitlines()
+        assert header == "index,sigma" and rows
+        for i, row in enumerate(rows):
+            index, sigma = row.split(",")
+            assert int(index) == i and float(sigma) >= 0.0
+
+
 def _set(rec, k, token):
     rec = list(rec)
     rec[k] = token

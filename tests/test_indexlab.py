@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sjclab import indexlab as il
+from sjclab.spin import GAMMA
 
 
 class TestOracles:
@@ -183,3 +184,251 @@ class TestReports:
         d = rep.as_dict()
         assert d["formula_index"] == 4
         assert d["numeric_index_real"] == 4
+
+
+# -- dense global oracle -----------------------------------------------------------
+#
+# The operators as one dense global matrix each, the reference the block
+# engine is compared against: a Python double loop for the Gram matrices,
+# a global loop for dbar, np.kron per torus mode, and one normalized,
+# whitened global SVD.
+
+
+def dense_gram(monomials, s, scale):
+    size = len(monomials)
+    g = np.zeros((size, size))
+    for i, (a, b) in enumerate(monomials):
+        for j, (c, d) in enumerate(monomials):
+            if a - b != c - d:
+                continue
+            p = (a + b + c + d) // 2
+            g[i, j] = scale * il._radial_integral(p, s)
+    return g
+
+
+def dense_dbar(k, M):
+    dom = il.LineBundleBasis(degree=k, level=M)
+    cod = il.AntiholFormBasis(degree=k, level=M)
+    cod_index = {mon: i for i, mon in enumerate(cod.monomials)}
+    A = np.zeros((cod.size, dom.size), dtype=complex)
+    for j, (a, b) in enumerate(dom.monomials):
+        if b > 0:
+            A[cod_index[(a, b - 1)], j] += b
+        if b - M != 0:
+            A[cod_index[(a + 1, b)], j] += b - M
+    s = 2 * M + k + 2
+    gd = dense_gram(dom.monomials, s, 4.0 * 2.0 ** (k / 2.0))
+    gc = dense_gram(cod.monomials, s, 2.0 * 2.0 ** (k / 2.0))
+    return A, gd, gc
+
+
+def dense_dirac01(k, M):
+    A, gd, gc = dense_dbar(k, M)
+    return -np.linalg.solve(gd, A.conj().T @ gc), gc, gd
+
+
+def dense_torus(n, M):
+    freqs = np.fft.fftfreq(M, d=1.0 / M).astype(int)
+    modes = [(int(k1), int(k2)) for k1 in freqs for k2 in freqs]
+    w = 4 * n
+    A = np.zeros((len(modes) * w, len(modes) * w), dtype=complex)
+    for i, (k1, k2) in enumerate(modes):
+        block = -2j * np.pi * (k1 * GAMMA[0] + k2 * GAMMA[1])
+        A[i * w : (i + 1) * w, i * w : (i + 1) * w] = np.kron(block, np.eye(2 * n))
+    return A, np.eye(A.shape[1]), np.eye(A.shape[0])
+
+
+def dense_torus_chiral(n, M, part):
+    A, _, _ = dense_torus(n, M)
+    b10, b01 = il._chirality_bases(n)
+    modes = M * M
+    big10, big01 = np.kron(np.eye(modes), b10), np.kron(np.eye(modes), b01)
+    if part == "10":
+        A = big01.conj().T @ A @ big10
+    else:
+        A = big10.conj().T @ A @ big01
+    return A, np.eye(A.shape[1]), np.eye(A.shape[0])
+
+
+def dense_direct_sum(x, y):
+    def blockdiag(a, b):
+        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=a.dtype)
+        out[: a.shape[0], : a.shape[1]] = a
+        out[a.shape[0] :, a.shape[1] :] = b
+        return out
+
+    return tuple(blockdiag(a, b) for a, b in zip(x, y))
+
+
+def dense_gate(gd, gc):
+    """True when the global normalized Gram matrices pass the 1e14 gate."""
+    sd, sc = np.sqrt(np.diag(gd)), np.sqrt(np.diag(gc))
+    ed = np.linalg.eigvalsh(gd / np.outer(sd, sd))
+    ec = np.linalg.eigvalsh(gc / np.outer(sc, sc))
+    return not (ed.min() <= 0 or ec.min() <= 0 or ed.max() / ed.min() > 1e14 or ec.max() / ec.min() > 1e14)
+
+
+def dense_index(A, gd, gc, threshold=1e-8):
+    """(kernel, cokernel, descending singular values) from one global SVD."""
+    sd, sc = np.sqrt(np.diag(gd)), np.sqrt(np.diag(gc))
+    a = A * sc[:, None] / sd[None, :]
+    ld = np.linalg.cholesky(gd / np.outer(sd, sd))
+    lc = np.linalg.cholesky(gc / np.outer(sc, sc))
+    sv = np.linalg.svd(lc.conj().T @ a @ np.linalg.inv(ld.conj().T), compute_uv=False)
+    rank = int((sv > threshold * max(sv.max(), 1.0)).sum()) if sv.size else 0
+    return A.shape[1] - rank, A.shape[0] - rank, sv
+
+
+# (name, block operator, dense oracle) constructors per case
+SPHERE_CASES = [(k, M) for k in range(-4, 7) for M in sorted({abs(k) + 2, abs(k) + 5, 12})]
+ORACLE_CASES = (
+    [(f"dbar O({k}) M={M}", lambda k=k, M=M: il.build_dbar_sphere(k, M), lambda k=k, M=M: dense_dbar(k, M))
+     for k, M in SPHERE_CASES]
+    + [(f"D01 O({k}) M={M}", lambda k=k, M=M: il.build_dirac01_sphere(k, M), lambda k=k, M=M: dense_dirac01(k, M))
+       for k, M in [(-3, 6), (-1, 8), (0, 10), (2, 8)]]
+    + [(f"D10 d={d} M={M}", lambda d=d, M=M: il.build_dirac10_sphere(d, M),
+        lambda d=d, M=M: dense_dbar(2 * d - 1, M)) for d, M in [(1, 10), (2, 12), (3, 14)]]
+    + [(f"torus n={n} M={M}", lambda n=n, M=M: il.build_dirac_torus(n, M), lambda n=n, M=M: dense_torus(n, M))
+       for n in (1, 2) for M in (4, 6, 8)]
+    + [(f"D{p} torus n={n} M={M}", lambda n=n, M=M, p=p: il.build_dirac_torus_chiral(n, M, p),
+        lambda n=n, M=M, p=p: dense_torus_chiral(n, M, p))
+       for n in (1, 2) for M in (4, 6, 8) for p in ("10", "01")]
+    + [("dbar O(2) (+) dbar O(-3)",
+        lambda: il.direct_sum(il.build_dbar_sphere(2, 6), il.build_dbar_sphere(-3, 7)),
+        lambda: dense_direct_sum(dense_dbar(2, 6), dense_dbar(-3, 7))),
+       ("torus (+) dbar O(1)",
+        lambda: il.direct_sum(il.build_dirac_torus(1, 4), il.build_dbar_sphere(1, 5)),
+        lambda: dense_direct_sum(dense_torus(1, 4), dense_dbar(1, 5)))]
+)
+
+# The sphere requests of the benchmark's index workload (degree, cutoff); a
+# request of degree d >= 1 also builds the holomorphic Dirac half at cutoff + 2d.
+BENCH_SPHERE = [
+    (-2, 8), (-1, 16), (0, 12), (0, 20), (1, 8), (1, 16), (2, 8), (2, 12), (3, 8),
+    (4, 8), (5, 8), (-2, 20), (-1, 8), (0, 8), (1, 12), (-2, 12), (0, 16), (-1, 12), (1, 10), (-2, 10), (0, 10), (-1, 10),
+    (1, 24), (-1, 28), (3, 24), (-2, 26),
+]
+
+
+def _bench_sphere_operators(degree, cutoff):
+    """(k, M) of the dbar operators one sphere index request builds."""
+    return [(degree, cutoff)] + ([(2 * degree - 1, cutoff + 2 * degree)] if degree >= 1 else [])
+
+
+class TestBlockEngineAgainstDenseOracle:
+    @pytest.mark.parametrize("name,build,oracle", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_index_and_singular_values(self, name, build, oracle):
+        op = build()
+        A, gd, gc = oracle()
+        rep = il.numeric_index(op)
+        kernel, coker, sv = dense_index(A, gd, gc)
+        assert (rep.kernel_dim, rep.cokernel_dim) == (kernel, coker)
+        assert rep.numeric_index == kernel - coker
+        assert rep.singular_values.shape == sv.shape
+        # Whitening amplifies roundoff by the Gram condition number in both
+        # computations (each is off from the exact sqrt-of-half-integer sphere
+        # values by ~eps * cond), so the agreement is 1e-12 * smax only while
+        # eps * cond stays below 1e-12.
+        cond = max(rep.gram_domain_condition, rep.gram_codomain_condition)
+        tol = max(1e-12, np.finfo(float).eps * cond) * sv.max()
+        assert np.abs(rep.singular_values - np.sort(sv)[::-1]).max() <= tol
+        assert np.array_equal(rep.singular_values, op.singular_values())
+
+    @pytest.mark.parametrize("name,build,oracle", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_assembled_dense_arrays(self, name, build, oracle):
+        op = build()
+        A, gd, gc = oracle()
+        assert op.shape == A.shape
+        # the Gram matrices come from the same radial integrals: bit for bit
+        assert np.array_equal(op.gram_domain, gd)
+        assert np.array_equal(op.gram_codomain, gc)
+        # D01 is a solve with the raw Gram matrix, whose roundoff scales with
+        # its condition (the dense solve leaks it into cross-sector entries
+        # that the per-sector solve keeps at exactly 0)
+        cond = max(np.linalg.cond(gd), np.linalg.cond(gc))
+        tol = max(1e-12, np.finfo(float).eps * cond) * np.abs(A).max()
+        assert np.abs(op.matrix - A).max() <= tol
+
+    @pytest.mark.parametrize("k,M", SPHERE_CASES)
+    def test_dbar_matrix_exact(self, k, M):
+        assert np.array_equal(il.build_dbar_sphere(k, M).matrix, dense_dbar(k, M)[0])
+
+    @pytest.mark.parametrize("k,M", [(-4, 6), (0, 3), (1, 16), (3, 24), (-1, 28), (5, 30)])
+    def test_table_gram_equals_double_loop(self, k, M):
+        op = il.build_dbar_sphere(k, M)
+        _, gd, gc = dense_dbar(k, M)
+        assert np.array_equal(op.gram_domain, gd)
+        assert np.array_equal(op.gram_codomain, gc)
+
+    def test_gate_decision_on_benchmark_sphere_operators(self):
+        rejected = []
+        for degree, cutoff in BENCH_SPHERE:
+            for k, M in _bench_sphere_operators(degree, cutoff):
+                _, gd, gc = dense_dbar(k, M)
+                try:
+                    il.numeric_index(il.build_dbar_sphere(k, M))
+                    passed = True
+                except il.IndexLabError:
+                    passed = False
+                assert passed == dense_gate(gd, gc), (k, M)
+                if not passed:
+                    rejected.append((degree, cutoff))
+        # exactly the four large-cutoff requests are rejected
+        assert sorted(set(rejected)) == [(-2, 26), (-1, 28), (1, 24), (3, 24)]
+
+    def test_closest_configuration_to_the_gate(self):
+        # dbar O(1) at cutoff 24: domain condition 1.097e14 against the 1e14 gate
+        with pytest.raises(il.IndexLabError, match=r"domain condition 1\.09\d*e\+14"):
+            il.numeric_index(il.build_dbar_sphere(1, 24))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("M", [4, 6, 8])
+    def test_torus_mode_singular_values_closed_form(self, n, M):
+        for op, mult in ((il.build_dirac_torus(n, M), 4 * n),
+                         (il.build_dirac_torus_chiral(n, M, "10"), 2 * n),
+                         (il.build_dirac_torus_chiral(n, M, "01"), 2 * n)):
+            (stack,) = op.stacks
+            sv = np.linalg.svd(stack.matrix, compute_uv=False)
+            modes = il._torus_modes(M)
+            expected = 2 * np.pi * np.hypot(modes[:, 0], modes[:, 1])
+            assert sv.shape == (M * M, mult)
+            assert np.abs(sv - expected[:, None]).max() <= 1e-14 * expected.max()
+
+    def test_adjoint_layout_mismatch_rejected(self):
+        with pytest.raises(il.IndexLabError, match="block layouts"):
+            il.adjoint_deviation(il.build_dbar_sphere(1, 6), il.build_dbar_sphere(1, 6))
+
+
+class TestObservability:
+    def test_sphere_report_conditioning(self):
+        rep = il.numeric_index(il.build_dbar_sphere(1, 16))
+        _, gd, gc = dense_dbar(1, 16)
+        for cond, g in ((rep.gram_domain_condition, gd), (rep.gram_codomain_condition, gc)):
+            s = np.sqrt(np.diag(g))
+            assert abs(cond - np.linalg.cond(g / np.outer(s, s))) <= 1e-3 * cond
+        assert rep.gram_worst_block.startswith(("domain Gram of sector q=", "codomain Gram of sector q="))
+        assert 1.0 <= rep.gram_worst_condition <= max(rep.gram_domain_condition, rep.gram_codomain_condition)
+        d = rep.as_dict()
+        for key in ("gram_domain_condition", "gram_codomain_condition", "gram_worst_block",
+                    "gram_worst_condition", "kept_margin"):
+            assert key in d
+
+    def test_kept_margin_finite_with_exact_zero_modes(self):
+        rep = il.numeric_index(il.build_dirac_torus(1, 6))
+        sv = rep.singular_values
+        assert (sv == 0.0).sum() == 4  # the k = 0 block is exactly zero
+        cut = 1e-8 * sv.max()
+        assert rep.kept_margin == sv[sv > cut].min() / cut
+        assert np.isfinite(rep.kept_margin) and rep.kept_margin > 1.0
+        assert rep.gram_worst_block == "domain Gram of mode (0,0)" and rep.gram_worst_condition == 1.0
+
+    def test_gram_error_names_worst_sector(self):
+        with pytest.raises(il.IndexLabError) as err:
+            il.numeric_index(il.build_dbar_sphere(-1, 28))
+        msg = str(err.value)
+        assert msg.startswith("ill-conditioned Gram matrix: ")
+        assert "worst block: " in msg and "Gram of sector q=" in msg and "(condition " in msg
+
+    def test_radial_integral_overflow_is_an_index_error(self):
+        with pytest.raises(il.IndexLabError, match="overflow double precision"):
+            il.build_dbar_sphere(0, 90)
