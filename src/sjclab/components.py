@@ -22,7 +22,18 @@ import numpy as np
 
 from .fields import ComponentMap, FieldError, Gravitino, gcontract, gzeros, max_abs
 from .patch import ReducedPatch
-from .spin import EPS_LOWER, EPS_UPPER, GAMMA, IFRAME, ISPIN, PMAT, QMAT
+from .spin import (
+    EPS_GAMMA_MAP,
+    EPS_LOWER_MAP,
+    EPS_LOWER_PAIRING,
+    EPS_UPPER_MAP,
+    GAMMA_I_MAP,
+    GAMMA_MAP,
+    IFRAME_MAP,
+    ISPIN_MAP,
+    delta_gamma,
+    project_q,
+)
 from .targets import AlmostKahlerModel
 
 
@@ -42,10 +53,7 @@ def model_grids(model: AlmostKahlerModel, cmap: ComponentMap, patch: ReducedPatc
     dim = model.dim
     if cmap.dim != dim:
         raise FieldError(f"map has {cmap.dim} target components, model needs {dim}")
-    constant_chart = model.kind in ("flat", "constant-hsc") or model.kind.startswith(
-        ("flat+", "constant-hsc+")
-    )
-    if not constant_chart and max_abs(cmap.phi_periodic[1:]) > 0:
+    if not model.constant_chart and max_abs(cmap.phi_periodic[1:]) > 0:
         raise FieldError("position-dependent chart tensors need a soul-free phi")
     body = cmap.phi_body(patch.x1, patch.x2)
     return (
@@ -67,28 +75,21 @@ def dphi_frame(cmap: ComponentMap, patch: ReducedPatch) -> np.ndarray:
     return d
 
 
-def project_PQ(grav: Gravitino) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise spin-1/2 / spin-3/2 split of the gravitino."""
-    p = np.einsum("aibj,sxybj->sxyai", PMAT, grav.chi)
-    q = np.einsum("aibj,sxybj->sxyai", QMAT, grav.chi)
-    return p, q
-
-
 def oneform_antiholomorphic_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
     """(1/2)(1 + I (x) J) on a one-form-valued field T[..., k, b]."""
-    rot = np.einsum("kl,sxylb->sxykb", IFRAME, T)
+    rot = IFRAME_MAP.apply(T, -2)
     return 0.5 * (T + np.einsum("sxykb,xybc->sxykc", rot, J))
 
 
 def spinor_antiholomorphic_part(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
     """(1/2)(1 + I (x) J) on a spinor-valued field psi[..., alpha, b]."""
-    rot = np.einsum("ab,sxybc->sxyac", ISPIN, psi)
+    rot = ISPIN_MAP.apply(psi, -2)
     return 0.5 * (psi + np.einsum("sxyac,xycd->sxyad", rot, J))
 
 
 def spinor_holomorphic_part(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
     """(1/2)(1 - I (x) J) on a spinor-valued field."""
-    rot = np.einsum("ab,sxybc->sxyac", ISPIN, psi)
+    rot = ISPIN_MAP.apply(psi, -2)
     return 0.5 * (psi - np.einsum("sxyac,xycd->sxyad", rot, J))
 
 
@@ -111,7 +112,7 @@ def sr_contraction(psi: np.ndarray, Rop: np.ndarray, L: int) -> np.ndarray:
     full triple product eps^{no} psi psi psi Rop, and rounds as it does.
     """
     pair = gcontract(psi, psi, "xyma,xynb->xymanb", L)  # (S,M,M,2,dim,2,dim)
-    eps_psi = np.einsum("no,sxyoc->sxync", EPS_UPPER, psi)
+    eps_psi = EPS_UPPER_MAP.apply(psi, -2)
     Z = gcontract(pair, eps_psi, "xymanb,xync->xymanbc", L)
     if not Z.any():  # e.g. fewer than three generators: no contraction to do
         return np.zeros(psi.shape, dtype=complex)
@@ -157,13 +158,13 @@ def twisted_dirac(
         nabla = dpsi + gterm
     else:
         nabla = dpsi
-    gamma_i = np.einsum("kab,bc->kac", GAMMA, ISPIN)
     omega = patch.spin_connection()
-    out = -np.einsum("kba,sxykae->sxybe", GAMMA, nabla)
+    out = GAMMA_MAP.apply(nabla, -3)
+    np.negative(out, out=out)
     if np.abs(omega).max() > 0:
-        out = out + 0.5 * np.einsum(
-            "kxy,kba,sxyae->sxybe", omega, gamma_i, psi
-        )
+        # omega_k psi_a, then (gamma^k I)[b, a] summed over (k, a)
+        opsi = np.moveaxis(omega, 0, -1)[None, :, :, :, None, None] * psi[:, :, :, None]
+        out = out + 0.5 * GAMMA_I_MAP.apply(opsi, -3)
     return out
 
 
@@ -175,13 +176,13 @@ def vee_q_pairing(qchi: np.ndarray, oneform: np.ndarray, L: int) -> np.ndarray:
     with eps.
     """
     paired = gcontract(qchi, oneform, "xykc,xykb->xycb", L)  # sum over k
-    return np.einsum("ac,sxycb->sxyab", EPS_LOWER, paired)
+    return EPS_LOWER_MAP.apply(paired, -2)
 
 
 def q_norm_squared(qchi: np.ndarray, L: int) -> np.ndarray:
     """|Q chi|^2 with the eps pairing on spinor indices, g on form indices."""
     sq = gcontract(qchi, qchi, "xykc,xykt->xyct", L)
-    return np.einsum("ct,sxyct->sxy", EPS_LOWER, sq)
+    return EPS_LOWER_PAIRING.apply(sq, -2)
 
 
 def gravitino_psi_pairing(chi_part: np.ndarray, psi: np.ndarray, L: int) -> np.ndarray:
@@ -191,26 +192,15 @@ def gravitino_psi_pairing(chi_part: np.ndarray, psi: np.ndarray, L: int) -> np.n
 
 def delta_gamma_tensor_F(chi: np.ndarray, F: np.ndarray, L: int) -> np.ndarray:
     """delta_gamma(chi) (x) F with the spinor index lowered by eps."""
-    dg = np.einsum("kct,sxykt->sxyc", GAMMA, chi)  # spinor-valued, upper index
-    lowered = np.einsum("ac,sxyc->sxya", EPS_LOWER, dg)
+    lowered = EPS_LOWER_MAP.apply(delta_gamma(chi), -1)
     return gcontract(lowered, F, "xya,xyb->xyab", L)
-
-
-def j_trace_block2(jend: np.ndarray, psi: np.ndarray, J: np.ndarray, L: int) -> np.ndarray:
-    """(1/8) Tr(id (x) jJ + I (x) j) psi: the auxiliary-field correction."""
-    jJ = np.einsum("sxymbc,xycd->sxymbd", jend, J)
-    t1 = gcontract(jJ, psi, "xymbc,xyab->xymac", L)  # (psi_alpha) acted by j_mu J
-    term1 = np.einsum("ma,sxymac->sxyc", EPS_UPPER, t1)
-    t2 = gcontract(jend, psi, "xymbc,xyab->xymac", L)
-    term2 = np.einsum("mn,na,sxymac->sxyc", EPS_UPPER, ISPIN, t2)
-    return 0.125 * (term1 + term2)
 
 
 def j_trace_block3(jend: np.ndarray, psi: np.ndarray, J: np.ndarray, L: int) -> np.ndarray:
     """(1/4) Tr(gamma (x) jJ) psi: one-form-valued correction in block 3."""
     jJ = np.einsum("sxymbc,xycd->sxymbd", jend, J)
     t = gcontract(jJ, psi, "xymbc,xyab->xymac", L)
-    return 0.25 * np.einsum("mn,kna,sxymac->sxykc", EPS_UPPER, GAMMA, t)
+    return 0.25 * EPS_GAMMA_MAP.apply(t, -3)
 
 
 @dataclass
@@ -250,7 +240,7 @@ def residual_components(
     J, Gamma, nablaJ, Rop = grids = model_grids(model, cmap, patch)
 
     # block 1: chirality constraint
-    rot = np.einsum("ab,sxybc->sxyac", ISPIN, cmap.psi)
+    rot = ISPIN_MAP.apply(cmap.psi, -2)
     r1 = cmap.psi + np.einsum("sxyac,xycd->sxyad", rot, J)
 
     # block 2: auxiliary field
@@ -259,7 +249,7 @@ def residual_components(
     # block 3: perturbed Cauchy-Riemann equation
     dphi = dphi_frame(cmap, patch)
     dbar_phi = oneform_antiholomorphic_part(dphi, J)
-    qchi = project_PQ(grav)[1]
+    qchi = project_q(grav.chi)
     r3 = dbar_phi + gravitino_psi_pairing(qchi, cmap.psi, L)
     if np.abs(nablaJ).max() > 0:
         jend = j_endomorphism(cmap.psi, nablaJ, L)
@@ -314,7 +304,7 @@ def operator_components(
     pairing = gravitino_psi_pairing(grav.chi, cmap.psi, L)
     c3 = -oneform_antiholomorphic_part(dphi + pairing, J)
 
-    qchi = project_PQ(grav)[1]
+    qchi = project_q(grav.chi)
     inner = twisted_dirac(cmap.psi, patch, model, cmap, grids=grids, dphi=dphi)
     inner = inner - 2.0 * vee_q_pairing(qchi, dphi, L)
     nq = q_norm_squared(qchi, L)
@@ -465,10 +455,8 @@ def analytic_linearization_blocks(
     if dirs.xi is not None:
         b3 = -d_phi_operator(dirs.xi, cmap, patch, model)
     if dirs.rho is not None:
-        grav_dir = Gravitino(L=L, chi=dirs.rho)
-        _, qrho = project_PQ(grav_dir)
         dphi = dphi_frame(cmap, patch)
-        b4 = b4 + 2.0 * vee_q_pairing(qrho, dphi, L)
+        b4 = b4 + 2.0 * vee_q_pairing(project_q(dirs.rho), dphi, L)
     return b1, b2, b3, b4
 
 
@@ -487,15 +475,46 @@ def linearization_fd_check(
     auxiliary data; the step is Richardson-halved and both approximations
     are compared against the analytic blocks.
     """
-    L = cmap.L
-    M = patch.M
-    dim = cmap.dim
-    grav0 = Gravitino.zero(L, M)
-    base = residual_components(cmap, grav0, patch, model)
+    return linearization_fd_checks(
+        cmap, patch, model, {"": dirs}, h=h, rel_tol=rel_tol, precondition_tol=precondition_tol
+    )[""]
+
+
+def linearization_fd_checks(
+    cmap: ComponentMap,
+    patch: ReducedPatch,
+    model: AlmostKahlerModel,
+    named_dirs: dict[str, Directions],
+    h: float = 1e-3,
+    rel_tol: float = 1e-6,
+    precondition_tol: float = 1e-8,
+) -> dict[str, dict]:
+    """:func:`linearization_fd_check` along several directions, by name.
+
+    The base point is checked once for all of them.
+    """
+    base = residual_components(cmap, Gravitino.zero(cmap.L, patch.M), patch, model)
     if base.max_norm() > precondition_tol:
         raise PreconditionError(
             f"base map is not holomorphic: residual {base.max_norm():.3e}"
         )
+    return {
+        name: _fd_report(cmap, patch, model, dirs, h, rel_tol)
+        for name, dirs in named_dirs.items()
+    }
+
+
+def _fd_report(
+    cmap: ComponentMap,
+    patch: ReducedPatch,
+    model: AlmostKahlerModel,
+    dirs: Directions,
+    h: float,
+    rel_tol: float,
+) -> dict:
+    L = cmap.L
+    M = patch.M
+    grav0 = Gravitino.zero(L, M)
 
     def at(t: float) -> tuple[np.ndarray, ...]:
         pert = cmap.copy()

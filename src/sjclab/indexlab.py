@@ -52,6 +52,9 @@ from .targets import standard_J
 
 # Largest accepted condition number of a unit-diagonal Gram matrix.
 GRAM_CONDITION_LIMIT = 1e14
+# Largest torus mode array (modes x block entries), checked before allocation:
+# cutoff 256 at target rank 1, 128 at rank 2.
+TORUS_ENTRY_LIMIT = 1 << 20
 
 
 class IndexLabError(ValueError):
@@ -429,13 +432,21 @@ def build_dirac_torus(n_target: int, M: int) -> OperatorMatrix:
     """
     if M < 4:
         raise IndexLabError("resolution too small")
+    dim_t = 2 * n_target
+    width = 2 * dim_t
+    entries = M * M * width * width
+    if entries > TORUS_ENTRY_LIMIT:
+        raise IndexLabError(
+            f"torus cutoff {M} at target rank {n_target} needs {M * M} modes of "
+            f"{width}x{width} blocks ({entries} entries), above the limit of "
+            f"{TORUS_ENTRY_LIMIT} entries; lower the cutoff"
+        )
     modes = _torus_modes(M)
     k1, k2 = modes[:, 0, None, None], modes[:, 1, None, None]
     block = -2j * np.pi * (k1 * GAMMA[0] + k2 * GAMMA[1])
-    dim_t = 2 * n_target
     # np.kron(block, eye) for every mode at once
     full = (block[:, :, None, :, None] * np.eye(dim_t)[None, None, :, None, :]).reshape(
-        len(modes), 2 * dim_t, 2 * dim_t
+        len(modes), width, width
     )
     return OperatorMatrix(
         tag=f"Dirac torus n={n_target}",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spin import IFRAME
+from .spin import IFRAME_MAP
 
 
 class PatchError(ValueError):
@@ -96,7 +96,7 @@ class ReducedPatch:
             self._diff_fd4(u, 1, (-2, -1)).real,
             self._diff_fd4(u, 2, (-2, -1)).real,
         ])
-        out = -np.einsum("kl,lxy->kxy", IFRAME, du)
+        out = -IFRAME_MAP.apply(du, 0)
         return out / u[None, :, :] ** 2
 
     def dvol(self) -> np.ndarray:

@@ -514,15 +514,16 @@ def suite_linearize(
     patch = ReducedPatch(M)
     cmap = holomorphic_base_map(L, M, model.dim)
     rho, xi, zeta, sigma = random_direction_fields(rng, L, M, model.dim)
+    named_dirs = {
+        "xi": comp.Directions(xi=xi),
+        "sigma": comp.Directions(sigma=sigma),
+        "zeta": comp.Directions(zeta=zeta),
+        "rho": comp.Directions(rho=rho),
+        "combined": comp.Directions(rho=rho, xi=xi, zeta=zeta, sigma=sigma),
+    }
+    reports = comp.linearization_fd_checks(cmap, patch, model, named_dirs, h=h, rel_tol=rel_tol)
     checks = []
-    for name, dirs in [
-        ("xi", comp.Directions(xi=xi)),
-        ("sigma", comp.Directions(sigma=sigma)),
-        ("zeta", comp.Directions(zeta=zeta)),
-        ("rho", comp.Directions(rho=rho)),
-        ("combined", comp.Directions(rho=rho, xi=xi, zeta=zeta, sigma=sigma)),
-    ]:
-        rep = comp.linearization_fd_check(cmap, patch, model, dirs, h=h, rel_tol=rel_tol)
+    for name, rep in reports.items():
         worst = max(b["rel_error_h2"] for b in rep["blocks"].values())
         checks.append(
             _check(f"linearization blocks along {name}", rep["passed"], worst, rel_tol, "oracle")

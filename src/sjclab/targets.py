@@ -60,11 +60,23 @@ class AlmostKahlerModel:
         n = self.metric_at(y)
         return -J @ n
 
+    @property
+    def constant_chart(self) -> bool:
+        """Whether every chart tensor is the same at all chart points."""
+        return self.kind.split("+")[0] in ("flat", "constant-hsc")
+
     def curvature_op_at(self, y: np.ndarray) -> np.ndarray:
-        """R(e_a, e_b) e_c = sum_d Rop[a, b, c, d] e_d."""
-        R = self.curvature_at(y)
-        ninv = np.linalg.inv(self.metric_at(y))
-        return R @ ninv[..., None, None, :, :]
+        """R(e_a, e_b) e_c = sum_d Rop[a, b, c, d] e_d.
+
+        Constant charts evaluate it once and return a read-only broadcast view.
+        """
+        point = np.zeros(self.dim) if self.constant_chart else y
+        R = self.curvature_at(point)
+        ninv = np.linalg.inv(self.metric_at(point))
+        op = R @ ninv[..., None, None, :, :]
+        if self.constant_chart:
+            return np.broadcast_to(op, np.shape(y)[:-1] + op.shape)
+        return op
 
     def is_kahler(self) -> bool:
         return self.kind in ("flat", "constant-hsc", "fubini-study-CP1")

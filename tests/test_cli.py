@@ -184,6 +184,21 @@ class TestIndexLimits:
         assert report["index_report"]["kernel_dim"] == 4
         assert report["index_report"]["numeric_index"] == 0
 
+    @pytest.mark.parametrize("rank,cutoff", [(1, 100000), (1, 257), (2, 129)])
+    def test_torus_cutoff_over_limit_exit_2(self, rank, cutoff, tmp_path, capsys, monkeypatch):
+        from sjclab import indexlab
+
+        def no_modes(M):
+            raise AssertionError("mode arrays allocated before the limit check")
+
+        monkeypatch.setattr(indexlab, "_torus_modes", no_modes)
+        argv = ["index", "--surface", "torus", "--target-rank", str(rank), "--cutoff", str(cutoff)]
+        assert run(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"above the limit of {indexlab.TORUS_ENTRY_LIMIT} entries" in err
+        assert f"torus cutoff {cutoff} at target rank {rank}" in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [["index", "--surface", "sphere", "--cutoff", "8"], ["index", "--surface", "torus", "--cutoff", "6"],

@@ -6,7 +6,7 @@ from sjclab.cli import main
 from sjclab.fields import ComponentMap, FieldError, Gravitino, gcontract, gzeros, odd_masks
 from sjclab.patch import ReducedPatch
 from sjclab.serialize import write_field_bundle
-from sjclab.spin import EPS_UPPER, GAMMA
+from sjclab.spin import EPS_LOWER, EPS_UPPER, GAMMA, IFRAME, ISPIN, QMAT, project_q
 from sjclab.suites import holomorphic_base_map, random_direction_fields
 from sjclab.targets import make_const_hsc, make_flat, make_fs_cp1, with_synthetic_nablaJ
 
@@ -32,6 +32,156 @@ def constrained_constant_psi(L, M, model, rng):
         psi[m, :, :, 0, :] = v
         psi[m, :, :, 1, :] = v @ J0
     return psi
+
+
+# -- einsum oracle: every constant spin/frame matrix contracted with np.einsum --
+
+
+def _einsum_antihol_form(T, J):
+    rot = np.einsum("kl,sxylb->sxykb", IFRAME, T)
+    return 0.5 * (T + np.einsum("sxykb,xybc->sxykc", rot, J))
+
+
+def _einsum_antihol_spinor(psi, J):
+    rot = np.einsum("ab,sxybc->sxyac", ISPIN, psi)
+    return 0.5 * (psi + np.einsum("sxyac,xycd->sxyad", rot, J))
+
+
+def _einsum_q(chi):
+    return np.einsum("aibj,sxybj->sxyai", QMAT, chi)
+
+
+def _einsum_sr(psi, Rop, L):
+    pair = gcontract(psi, psi, "xyma,xynb->xymanb", L)
+    Z = gcontract(pair, np.einsum("no,sxyoc->sxync", EPS_UPPER, psi), "xymanb,xync->xymanbc", L)
+    if not Z.any():
+        return np.zeros(psi.shape, dtype=complex)
+    return np.einsum("sxymanbc,xyabce->sxyme", Z, Rop)
+
+
+def _einsum_dirac(psi, patch, Gamma, dphi, L):
+    ff = patch.frame_factor()[None, :, :, None, None, None]
+    nabla = np.stack(
+        [patch.diff(psi, 1, grid_axes=(1, 2)), patch.diff(psi, 2, grid_axes=(1, 2))], axis=3
+    )
+    nabla *= ff
+    if np.abs(Gamma).max() > 0:
+        conn = np.einsum("xyecd,sxykc->sxyked", Gamma, dphi)
+        nabla = nabla + gcontract(conn, psi, "xyked,xyad->xykae", L)
+    gamma_i = np.einsum("kab,bc->kac", GAMMA, ISPIN)
+    omega = patch.spin_connection()
+    out = -np.einsum("kba,sxykae->sxybe", GAMMA, nabla)
+    if np.abs(omega).max() > 0:
+        out = out + 0.5 * np.einsum("kxy,kba,sxyae->sxybe", omega, gamma_i, psi)
+    return out
+
+
+def _einsum_dirac_terms(cmap, qchi, patch, Gamma, dphi, L):
+    out = _einsum_dirac(cmap.psi, patch, Gamma, dphi, L)
+    paired = gcontract(qchi, dphi, "xykc,xykb->xycb", L)
+    out = out - 2.0 * np.einsum("ac,sxycb->sxyab", EPS_LOWER, paired)
+    sq = gcontract(qchi, qchi, "xykc,xykt->xyct", L)
+    nq = np.einsum("ct,sxyct->sxy", EPS_LOWER, sq)
+    return out + gcontract(nq, cmap.psi, "xy,xyab->xyab", L)
+
+
+def einsum_residual_components(cmap, grav, patch, model):
+    L = cmap.L
+    J, Gamma, nablaJ, Rop = C.model_grids(model, cmap, patch)
+    r1 = cmap.psi + np.einsum(
+        "sxyac,xycd->sxyad", np.einsum("ab,sxybc->sxyac", ISPIN, cmap.psi), J
+    )
+    dphi = C.dphi_frame(cmap, patch)
+    qchi = _einsum_q(grav.chi)
+    r3 = _einsum_antihol_form(dphi, J) + gcontract(qchi, cmap.psi, "xykc,xycb->xykb", L)
+    if np.abs(nablaJ).max() > 0:
+        jJ = np.einsum("sxymbc,xycd->sxymbd", C.j_endomorphism(cmap.psi, nablaJ, L), J)
+        t = gcontract(jJ, cmap.psi, "xymbc,xyab->xymac", L)
+        r3 = r3 + 0.25 * np.einsum("mn,kna,sxymac->sxykc", EPS_UPPER, GAMMA, t)
+    r4 = _einsum_dirac_terms(cmap, qchi, patch, Gamma, dphi, L)
+    if np.abs(Rop).max() > 0:
+        r4 = r4 - _einsum_sr(cmap.psi, Rop, L) / 3.0
+    return (r1, cmap.F, r3, r4)
+
+
+def einsum_operator_components(cmap, grav, patch, model):
+    L = cmap.L
+    J, Gamma, _, Rop = C.model_grids(model, cmap, patch)
+    c1 = _einsum_antihol_spinor(cmap.psi, J)
+    dphi = C.dphi_frame(cmap, patch)
+    pairing = gcontract(grav.chi, cmap.psi, "xykc,xycb->xykb", L)
+    c3 = -_einsum_antihol_form(dphi + pairing, J)
+    inner = _einsum_dirac_terms(cmap, _einsum_q(grav.chi), patch, Gamma, dphi, L)
+    dg = np.einsum("kct,sxykt->sxyc", GAMMA, grav.chi)
+    lowered = np.einsum("ac,sxyc->sxya", EPS_LOWER, dg)
+    inner = inner + gcontract(lowered, cmap.F, "xya,xyb->xyab", L)
+    if np.abs(Rop).max() > 0:
+        inner = inner - _einsum_sr(cmap.psi, Rop, L) / 6.0
+    return (c1, 0.25 * cmap.F, c3, -_einsum_antihol_spinor(inner, J))
+
+
+def generic_fields(rng, L, M, model):
+    """Generic complex psi, F, gravitino and (chart-admissible) phi on the patch."""
+    rho, xi, zeta, sigma = random_direction_fields(rng, L, M, model.dim)
+    cmap = holomorphic_base_map(L, M, model.dim)
+    if model.constant_chart:
+        cmap.phi_periodic = xi
+    else:  # soul-free body near the chart origin
+        cmap.phi_linear[:] = 0.0
+        cmap.phi_periodic[0] = 0.1 * xi[0]
+    cmap.psi = zeta
+    cmap.F = sigma
+    return cmap, Gravitino(L=L, chi=rho)
+
+
+class TestEinsumOracle:
+    MODELS = {
+        "flat": make_flat(1),
+        "constant-hsc": make_const_hsc(4.0, 1),
+        "fs-cp1": make_fs_cp1(),
+    }
+
+    @staticmethod
+    def _patch(M, gauge):
+        if gauge == "unit":
+            return ReducedPatch(M)
+        x1, x2 = grid_waves(M)
+        lam = np.exp(0.1 * np.sin(2 * np.pi * x1) + 0.05 * np.cos(2 * np.pi * x2))
+        return ReducedPatch(M, lam=lam)
+
+    @pytest.mark.parametrize("gauge", ["unit", "curved"])
+    @pytest.mark.parametrize("model_name", list(MODELS))
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_residual_and_operator_match_einsum(self, L, model_name, gauge):
+        rng = np.random.default_rng(40 + L)
+        M = 8
+        model = self.MODELS[model_name]
+        patch = self._patch(M, gauge)
+        cmap, grav = generic_fields(rng, L, M, model)
+        assert np.abs(grav.chi).max() > 0
+        assert (np.abs(patch.spin_connection()).max() > 0) == (gauge == "curved")
+        res = C.residual_components(cmap, grav, patch, model)
+        ref = einsum_residual_components(cmap, grav, patch, model)
+        for (name, new), old in zip(res.blocks().items(), ref):
+            assert np.abs(old).max() > 0, name
+            assert np.array_equal(new, old), name
+        ops = C.operator_components(cmap, grav, patch, model)
+        ref = einsum_operator_components(cmap, grav, patch, model)
+        for k, (new, old) in enumerate(zip(ops.stack_like(), ref)):
+            assert np.abs(old).max() > 0, k
+            assert np.array_equal(new, old), k
+
+    def test_j_trace_block_matches_einsum(self):
+        rng = np.random.default_rng(44)
+        L, M = 4, 4
+        model = with_synthetic_nablaJ(make_flat(2), rng.standard_normal((4, 4, 4)))
+        cmap, grav = generic_fields(rng, L, M, model)
+        res = C.residual_components(cmap, grav, ReducedPatch(M), model)
+        ref = einsum_residual_components(cmap, grav, ReducedPatch(M), model)
+        for new, old in zip(res.blocks().values(), ref):
+            assert np.array_equal(new, old)
+        # the j-term is in play
+        assert np.abs(C.model_grids(model, cmap, ReducedPatch(M))[2]).max() > 0
 
 
 class TestTwistedDirac:
@@ -357,8 +507,6 @@ class TestChiralReduction:
             [patch.diff(z10, 1, grid_axes=(1, 2)), patch.diff(z10, 2, grid_axes=(1, 2))],
             axis=3,
         )
-        from sjclab.spin import IFRAME
-
         rot = np.einsum("kl,sxylae->sxykae", IFRAME, dz)
         antihol_form = 0.5 * (dz + np.einsum("sxykae,xyef->sxykaf", rot, J))
         rhs = -np.einsum("kba,sxykae->sxybe", GAMMA, antihol_form)
@@ -374,8 +522,7 @@ class TestGravitinoTerms:
         cmap = holomorphic_base_map(L, M, 2, slope=1.0 + 0.5j)
         J, _, _, _ = C.model_grids(model, cmap, patch)
         rho, _, _, _ = random_direction_fields(rng, L, M, 2)
-        _, qrho = C.project_PQ(Gravitino(L=L, chi=rho))
-        T = C.vee_q_pairing(qrho, C.dphi_frame(cmap, patch), L)
+        T = C.vee_q_pairing(project_q(rho), C.dphi_frame(cmap, patch), L)
         assert np.abs(2 * C.spinor_antiholomorphic_part(T, J) - 2 * T).max() <= 1e-12
 
     def test_pure_gauge_gravitino_drops_out(self):
@@ -395,8 +542,7 @@ class TestGravitinoTerms:
         rng = np.random.default_rng(8)
         L, M = 2, 8
         rho, _, _, _ = random_direction_fields(rng, L, M, 2)
-        _, q = C.project_PQ(Gravitino(L=L, chi=rho))
-        nq = C.q_norm_squared(q, L)
+        nq = C.q_norm_squared(project_q(rho), L)
         assert np.abs(nq[0]).max() == 0.0  # no body: quadratic in odd values
         assert np.abs(nq[1]).max() == 0.0 and np.abs(nq[2]).max() == 0.0
 

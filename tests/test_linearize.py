@@ -4,6 +4,7 @@ import pytest
 from sjclab import components as C
 from sjclab.fields import ComponentMap, Gravitino
 from sjclab.patch import ReducedPatch
+from sjclab.spin import project_q
 from sjclab.suites import holomorphic_base_map, random_direction_fields
 from sjclab.targets import make_const_hsc, make_flat
 
@@ -53,7 +54,7 @@ def test_rho_block_responds_only_in_dirac_slot(setup):
     cp = C.operator_components(cmap, chi_plus, patch, model)
     cm = C.operator_components(cmap, chi_minus, patch, model)
     d4 = (cp.c4 - cm.c4) / (2 * h)
-    _, qrho = C.project_PQ(Gravitino(L=L, chi=rho))
+    qrho = project_q(rho)
     expected = 2.0 * C.vee_q_pairing(qrho, C.dphi_frame(cmap, patch), L)
     assert np.abs(d4 - expected).max() <= 1e-9
     for block in ((cp.c1 - cm.c1), (cp.c2 - cm.c2), (cp.c3 - cm.c3)):
@@ -111,3 +112,25 @@ def test_operator_components_rejects_non_kahler():
     cmap = ComponentMap.zero(L, M, 4)
     with pytest.raises(C.PreconditionError):
         C.operator_components(cmap, Gravitino.zero(L, M), ReducedPatch(M), model)
+
+
+def test_named_directions_share_one_base_check(setup, monkeypatch):
+    L, M, model, patch, cmap, (rho, xi, zeta, sigma) = setup
+    named = {"xi": C.Directions(xi=xi), "rho": C.Directions(rho=rho)}
+    singles = {name: C.linearization_fd_check(cmap, patch, model, d) for name, d in named.items()}
+    calls = []
+    residual = C.residual_components
+    monkeypatch.setattr(C, "residual_components", lambda *a: calls.append(1) or residual(*a))
+    assert C.linearization_fd_checks(cmap, patch, model, named) == singles
+    assert len(calls) == 1
+
+
+def test_named_directions_reject_nonholomorphic_base():
+    L, M = 2, 16
+    cmap = ComponentMap.zero(L, M, 2)
+    cmap.phi_linear = np.array([[1.0, 0.0], [0.0, -1.0]])
+    dirs = random_direction_fields(np.random.default_rng(2), L, M, 2)
+    with pytest.raises(C.PreconditionError):
+        C.linearization_fd_checks(
+            cmap, ReducedPatch(M), make_flat(1), {"xi": C.Directions(xi=dirs[1])}
+        )

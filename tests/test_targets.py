@@ -255,3 +255,23 @@ class TestBatchedEvaluators:
         assert R.shape == (3, 4, 4, 4, 4, 4)
         assert np.array_equal(R, np.broadcast_to(m.curvature_at(np.zeros(4)), R.shape))
         assert not R.flags.writeable
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            make_flat(1),
+            make_const_hsc(-4.0, 2),
+            with_synthetic_nablaJ(make_const_hsc(4.0, 1), np.ones((2, 2, 2))),
+        ],
+        ids=["flat", "hsc-n2", "hsc+synthetic"],
+    )
+    def test_constant_chart_curvature_op_broadcast_read_only(self, model):
+        # evaluated once, yet equal to R n^-1 formed at every point
+        assert model.constant_chart
+        ys = np.random.default_rng(11).uniform(-1.0, 1.0, size=(3, 4, model.dim))
+        Rop = model.curvature_op_at(ys)
+        assert Rop.shape == (3, 4) + (model.dim,) * 4 and not Rop.flags.writeable
+        per_point = model.curvature_at(ys) @ np.linalg.inv(model.metric_at(ys))[..., None, None, :, :]
+        assert np.array_equal(Rop, per_point)
+        assert np.array_equal(Rop, pointwise(model.curvature_op_at, ys))
+        assert not make_fs_cp1().constant_chart
