@@ -1,13 +1,15 @@
 """Command-line entry point: ``sjc <suite> [flags]``.
 
-Writes ``report.json`` (and suite-specific CSV files) into ``--out-dir``
-and exits nonzero when any check fails.  Bad configuration exits with
-status 2.
+The suites, their flags, defaults and allowed ranges come from
+``suites.SUITES``.  Writes ``report.json`` (and suite-specific CSV files)
+into ``--out-dir`` and exits nonzero when any check fails.  Bad
+configuration exits with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,7 +35,9 @@ def _print_report(report: dict) -> None:
     print(f"suite {report['suite']}: {'PASS' if report['passed'] else 'FAIL'}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sjc`` parser, built once per process from the suite table."""
     ap = argparse.ArgumentParser(
         prog="sjc",
         description="Verification suites for the super J-holomorphic curve laboratory",
@@ -42,84 +46,19 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=argparse.SUPPRESS, dest="out_dir")
     sub = ap.add_subparsers(dest="suite", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
-
-    p = sub.add_parser("flat", help="flat-model first-order system checks")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--trials", type=int, default=100)
-
-    p = sub.add_parser("identities", help="exact algebraic identity checks")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--energy-trials", type=int, default=20)
-
-    p = sub.add_parser("index", help="kernel/cokernel/index numerics")
-    p.add_argument("--surface", choices=["sphere", "torus"], default="sphere")
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--cutoff", type=int, default=8)
-    p.add_argument("--target-rank", type=int, default=1)
-    p.add_argument("--threshold", type=float, default=1e-8)
-
-    p = sub.add_parser("bochner", help="curvature-positivity classification and gaps")
-    p.add_argument("--cutoff", type=int, default=10)
-    p.add_argument("--seed", type=int, default=7)
-
-    p = sub.add_parser("moduli", help="moduli dimension calculator")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--c1a", type=int, default=3)
-    p.add_argument("--dimx", type=int, default=0)
-
-    p = sub.add_parser("linearize", help="finite-difference linearization blocks")
-    p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--model", choices=["flat", "constant-hsc"], default="flat")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--step", type=float, default=1e-3)
-
-    p = sub.add_parser("verify-flat", help="check a superfield literal file")
-    p.add_argument("path")
-
-    p = sub.add_parser("verify-components", help="check a component-field bundle")
-    p.add_argument("path")
-    p.add_argument("--tol", type=float, default=1e-8)
-
+    for name, suite in suites.SUITES.items():
+        p = sub.add_parser(name, help=suite.help)
+        for param in suite.params:
+            help_line = f"{param.help} ({param.allowed})" if param.allowed else param.help
+            p.add_argument(param.flag, type=param.type, default=param.default, choices=param.choices, help=help_line)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    out_dir = args.out_dir or "."
-    csvs: dict[str, list[str]] = {}
+    params = vars(build_parser().parse_args(argv))
+    out_dir = params.pop("out_dir") or "."
     try:
-        if args.suite == "flat":
-            report = suites.suite_flat(seed=args.seed, trials=args.trials)
-        elif args.suite == "identities":
-            report = suites.suite_identities(
-                seed=args.seed, trials=args.trials, energy_trials=args.energy_trials
-            )
-        elif args.suite == "index":
-            report, csvs = suites.suite_index(
-                surface=args.surface,
-                degree=args.degree,
-                cutoff=args.cutoff,
-                target_rank=args.target_rank,
-                threshold=args.threshold,
-            )
-        elif args.suite == "bochner":
-            report, csvs = suites.suite_bochner(cutoff=args.cutoff, seed=args.seed)
-        elif args.suite == "moduli":
-            report = suites.suite_moduli(
-                n=args.n, genus=args.genus, c1a=args.c1a, dimx=args.dimx
-            )
-        elif args.suite == "linearize":
-            report = suites.suite_linearize(
-                M=args.grid, model_kind=args.model, seed=args.seed, h=args.step
-            )
-        elif args.suite == "verify-flat":
-            report = suites.suite_verify_flat(args.path)
-        elif args.suite == "verify-components":
-            report, csvs = suites.suite_verify_components(args.path, tol=args.tol)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown suite {args.suite}")
+        report, csvs = suites.run(params.pop("suite"), params)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,8 +7,8 @@ lifted spin connection has frame components
     <f_k, omega> = lambda^{-4} C[k, l] d/dx^l (lambda^2),   C = [[0,1],[-1,0]],
 
 obtained from the Cartan structure equations for the coframe lambda^2 dx^a.
-Differentiation is Fourier-spectral in the flat gauge (lambda == 1) and
-4th-order central differences otherwise.
+Differentiation is Fourier-spectral for every conformal factor: exact for
+trigonometric polynomials below the Nyquist wavenumber.
 """
 
 from __future__ import annotations
@@ -40,13 +40,8 @@ class ReducedPatch:
         if lam_arr.min() <= 0:
             raise PatchError("conformal factor must be bounded away from zero")
         self.lam = lam_arr
-        # a constant conformal factor keeps the gauge translation-invariant:
-        # spectral differentiation stays exact and the spin connection vanishes
         self.uniform_gauge = bool(np.all(lam_arr == lam_arr.flat[0]))
         self.flat_gauge = self.uniform_gauge and lam_arr.flat[0] == 1.0
-        k = np.fft.fftfreq(M, d=1.0 / M)
-        self._ik1 = (2j * np.pi * k)[:, None] * np.ones((1, M))
-        self._ik2 = np.ones((M, 1)) * (2j * np.pi * k)[None, :]
 
     # -- differentiation -------------------------------------------------
 
@@ -54,27 +49,12 @@ class ReducedPatch:
         """d/dx^axis (axis is 1 or 2) applied to grid data along grid_axes."""
         if axis not in (1, 2):
             raise PatchError("axis must be 1 or 2")
-        if self.uniform_gauge:
-            return self._diff_spectral(field, axis, grid_axes)
-        return self._diff_fd4(field, axis, grid_axes)
-
-    def _diff_spectral(self, field: np.ndarray, axis: int, grid_axes: tuple[int, int]) -> np.ndarray:
         data = np.asarray(field, dtype=complex)
         ft = np.fft.fft2(data, axes=grid_axes)
         k = 2j * np.pi * np.fft.fftfreq(self.M, d=1.0 / self.M)
         shape = [1] * data.ndim
-        shape[grid_axes[0] if axis == 1 else grid_axes[1]] = self.M
+        shape[grid_axes[axis - 1]] = self.M
         return np.fft.ifft2(ft * k.reshape(shape), axes=grid_axes)
-
-    def _diff_fd4(self, field: np.ndarray, axis: int, grid_axes: tuple[int, int]) -> np.ndarray:
-        data = np.asarray(field, dtype=complex)
-        ax = grid_axes[0] if axis == 1 else grid_axes[1]
-        h = 1.0 / self.M
-
-        def shift(n):
-            return np.roll(data, -n, axis=ax)
-
-        return (-shift(2) + 8 * shift(1) - 8 * shift(-1) + shift(-2)) / (12 * h)
 
     # -- geometry ----------------------------------------------------------
 
@@ -89,13 +69,11 @@ class ReducedPatch:
         operator built on this patch is formally anti-self-adjoint with
         respect to the positive spinor pairing and the volume lambda^4.
         """
+        # the spectral derivative of a constant is not exactly zero at every M
         if self.uniform_gauge:
             return np.zeros((2, self.M, self.M))
         u = self.lam ** 2
-        du = np.stack([
-            self._diff_fd4(u, 1, (-2, -1)).real,
-            self._diff_fd4(u, 2, (-2, -1)).real,
-        ])
+        du = np.stack([self.diff(u, 1).real, self.diff(u, 2).real])
         out = -IFRAME_MAP.apply(du, 0)
         return out / u[None, :, :] ** 2
 

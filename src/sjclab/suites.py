@@ -1,14 +1,22 @@
 """Batch verification suites behind the command-line interface.
 
-Every suite returns a report dict with ``schema`` 1, a list of checks
-(each carrying its tolerance and the kind of evidence backing the
-expected value: ``identity`` for exact-arithmetic zeros, ``oracle`` for
-independently counted/derived values, ``formula`` for closed-form
-arithmetic, ``spectral`` for singular-value assertions), and a global
-``passed`` flag.  Reports are deterministic for a fixed seed and config.
+``SUITES`` maps each suite name to its runner, help line and parameters;
+the command line is generated from it and ``run`` checks every parameter
+against it before any work.  Every runner returns ``(report, csvs)``: a
+report dict with ``schema`` 1, a list of checks (each carrying its
+tolerance and the kind of evidence backing the expected value:
+``identity`` for exact-arithmetic zeros, ``oracle`` for independently
+counted/derived values, ``formula`` for closed-form arithmetic,
+``spectral`` for singular-value assertions) and a global ``passed`` flag,
+and the CSV files to write next to it, by name, as lists of rows.
+Reports are deterministic for a fixed seed and config.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,6 +53,10 @@ def _check(name: str, passed: bool, value, tol, kind: str) -> dict:
         "tol": tol,
         "kind": kind,
     }
+
+
+def _exact_zero(name: str, deviation: float) -> dict:
+    return _check(name, deviation == 0.0, deviation, 0.0, "identity")
 
 
 def _report(suite: str, config: dict, checks: list[dict]) -> dict:
@@ -88,6 +100,10 @@ def _random_odd_fn(rng, L: int, holomorphic: bool) -> SuperField:
     return out
 
 
+def _residual_vanishes(ys: list[SuperField], J: FlatTargetJ) -> bool:
+    return all(r.is_zero() for r in flat_sjc_residual(ys, J))
+
+
 def random_flat_z_component(rng, L: int, holomorphic: bool) -> SuperField:
     f = SuperField.from_poly(L, _random_poly(rng, holomorphic))
     g = _random_odd_fn(rng, L, holomorphic)
@@ -102,44 +118,29 @@ def random_flat_z_component(rng, L: int, holomorphic: bool) -> SuperField:
     return z
 
 
-def suite_flat(seed: int = 7, trials: int = 100, L: int = 2) -> dict:
+FLAT_L = 2  # odd base generators of the random flat-model superfields
+
+
+def suite_flat(seed: int, trials: int) -> tuple[dict, dict]:
     rng = np.random.default_rng(seed)
+    L = FLAT_L
     checks = []
     J = FlatTargetJ(standard_J(1))
 
-    zero_res = flat_sjc_residual(
-        [SuperField.const(L, 1.0), SuperField.const(L, -2.0)], J
-    )
-    checks.append(
-        _check("constant map residual", all(r.is_zero() for r in zero_res), 0.0, 0.0, "identity")
-    )
+    const = [SuperField.const(L, 1.0), SuperField.const(L, -2.0)]
+    checks.append(_check("constant map residual", _residual_vanishes(const, J), 0.0, 0.0, "identity"))
     hol = components_from_complex([SuperField.coordinate_z(L)])
-    checks.append(
-        _check(
-            "holomorphic coordinate map residual",
-            all(r.is_zero() for r in flat_sjc_residual(hol, J)),
-            0.0,
-            0.0,
-            "identity",
-        )
-    )
+    ok = _residual_vanishes(hol, J)
+    checks.append(_check("holomorphic coordinate map residual", ok, 0.0, 0.0, "identity"))
     anti = [SuperField.coordinate_x1(L), -SuperField.coordinate_x2(L)]
-    checks.append(
-        _check(
-            "antiholomorphic map fails",
-            not all(r.is_zero() for r in flat_sjc_residual(anti, J)),
-            1.0,
-            0.0,
-            "identity",
-        )
-    )
+    ok = not _residual_vanishes(anti, J)
+    checks.append(_check("antiholomorphic map fails", ok, 1.0, 0.0, "identity"))
 
     agreements = 0
     for t in range(trials):
         holo = t % 2 == 0
         z = random_flat_z_component(rng, L, holo)
-        ys = components_from_complex([z])
-        res_zero = all(r.is_zero() for r in flat_sjc_residual(ys, J))
+        res_zero = _residual_vanishes(components_from_complex([z]), J)
         equiv = holomorphy_equivalence_check([z])
         if res_zero == equiv == holo:
             agreements += 1
@@ -152,26 +153,16 @@ def suite_flat(seed: int = 7, trials: int = 100, L: int = 2) -> dict:
             "identity",
         )
     )
-    return _report("flat", {"seed": seed, "trials": trials, "L": L}, checks)
+    return _report("flat", {"seed": seed, "trials": trials, "L": L}, checks), {}
 
 
-def suite_identities(seed: int = 7, trials: int = 50, energy_trials: int = 20) -> dict:
+def suite_identities(seed: int, trials: int, energy_trials: int) -> tuple[dict, dict]:
     rng = np.random.default_rng(seed)
-    checks = []
-    checks.append(
-        _check("Clifford relation", clifford_deviation() == 0.0, clifford_deviation(), 0.0, "identity")
-    )
-    checks.append(
-        _check(
-            "two-dimensional gamma sandwich",
-            gamma_sandwich_deviation() == 0.0,
-            gamma_sandwich_deviation(),
-            0.0,
-            "identity",
-        )
-    )
-    ispin_dev = float(np.abs(GAMMA[0] @ GAMMA[1] - ISPIN).max())
-    checks.append(_check("spinor complex structure", ispin_dev == 0.0, ispin_dev, 0.0, "identity"))
+    checks = [
+        _exact_zero("Clifford relation", clifford_deviation()),
+        _exact_zero("two-dimensional gamma sandwich", gamma_sandwich_deviation()),
+        _exact_zero("spinor complex structure", float(np.abs(GAMMA[0] @ GAMMA[1] - ISPIN).max())),
+    ]
 
     chi = rng.standard_normal((5, 2, 2))
     p, q = project_pq_pointwise(chi)
@@ -199,23 +190,9 @@ def suite_identities(seed: int = 7, trials: int = 50, energy_trials: int = 20) -
         derivative_worst = max(
             derivative_worst, rep["chain_a_derivative"], rep["chain_b_derivative"]
         )
+    checks.append(_exact_zero(f"cubic curvature identity chains ({trials} tensors)", worst))
     checks.append(
-        _check(
-            f"cubic curvature identity chains ({trials} tensors)",
-            worst == 0.0,
-            worst,
-            0.0,
-            "identity",
-        )
-    )
-    checks.append(
-        _check(
-            f"derivative-tensor identity chains ({trials} tensors)",
-            derivative_worst == 0.0,
-            derivative_worst,
-            0.0,
-            "identity",
-        )
+        _exact_zero(f"derivative-tensor identity chains ({trials} tensors)", derivative_worst)
     )
 
     n_targets = [1, 2]
@@ -239,9 +216,8 @@ def suite_identities(seed: int = 7, trials: int = 50, energy_trials: int = 20) -
             "identity",
         )
     )
-    return _report(
-        "identities", {"seed": seed, "trials": trials, "energy_trials": energy_trials}, checks
-    )
+    cfg = {"seed": seed, "trials": trials, "energy_trials": energy_trials}
+    return _report("identities", cfg, checks), {}
 
 
 def _sigma_rows(sv: np.ndarray) -> list[str]:
@@ -249,11 +225,7 @@ def _sigma_rows(sv: np.ndarray) -> list[str]:
 
 
 def suite_index(
-    surface: str = "sphere",
-    degree: int = 1,
-    cutoff: int = 8,
-    target_rank: int = 1,
-    threshold: float = 1e-8,
+    surface: str, degree: int, cutoff: int, target_rank: int, threshold: float
 ) -> tuple[dict, dict]:
     checks = []
     if surface == "sphere":
@@ -301,7 +273,7 @@ def suite_index(
                     "formula",
                 )
             )
-    elif surface == "torus":
+    else:
         op = il.build_dirac_torus(target_rank, cutoff)
         asa = il.adjoint_deviation(op, op)
         checks.append(_check("torus Dirac anti-self-adjointness", asa <= 1e-12, asa, 1e-12, "identity"))
@@ -321,8 +293,6 @@ def suite_index(
         adj = il.adjoint_relation_check(min(cutoff, 6), n_target=target_rank)
         for c in adj["checks"]:
             checks.append(_check(c["name"], c["passed"], c["value"], c["tol"], "identity"))
-    else:
-        raise ValueError("surface must be 'sphere' or 'torus'")
     csvs = {"singular_values.csv": _sigma_rows(rep.singular_values)}
     cfg = {
         "surface": surface,
@@ -353,7 +323,7 @@ _BOCHNER_TABLE = [
 ]
 
 
-def suite_bochner(cutoff: int = 10, seed: int = 7) -> tuple[dict, dict]:
+def suite_bochner(cutoff: int, seed: int) -> tuple[dict, dict]:
     rng = np.random.default_rng(seed)
     checks = []
     table_ok = True
@@ -415,7 +385,7 @@ def suite_bochner(cutoff: int = 10, seed: int = 7) -> tuple[dict, dict]:
     return _report("bochner", {"cutoff": cutoff, "seed": seed}, checks), csvs
 
 
-def suite_moduli(n: int = 2, genus: int = 0, c1a: int = 3, dimx: int = 0) -> dict:
+def suite_moduli(n: int, genus: int, c1a: int, dimx: int) -> tuple[dict, dict]:
     checks = []
     dims = clf.moduli_dimension(clf.ModuliDimQuery(n=n, genus=genus, c1A=c1a, dimX=dimx))
     checks.append(
@@ -456,7 +426,7 @@ def suite_moduli(n: int = 2, genus: int = 0, c1a: int = 3, dimx: int = 0) -> dic
     checks.append(
         _check("even-minus-odd equals 2n(1-p)", euler_ok, None, None, "identity")
     )
-    return _report("moduli", {"n": n, "genus": genus, "c1a": c1a, "dimx": dimx}, checks)
+    return _report("moduli", {"n": n, "genus": genus, "c1a": c1a, "dimx": dimx}, checks), {}
 
 
 def holomorphic_base_map(L: int, M: int, dim: int, slope: complex = 1.0 + 0.5j) -> ComponentMap:
@@ -496,24 +466,20 @@ def random_direction_fields(rng, L: int, M: int, dim: int, modes: int = 2):
     return rho, xi, zeta, sigma
 
 
-def suite_linearize(
-    M: int = 32,
-    model_kind: str = "flat",
-    seed: int = 7,
-    h: float = 1e-3,
-    rel_tol: float = 1e-6,
-) -> dict:
+LINEARIZE_REL_TOL = 1e-6
+# A linearize run peaks at about 7.8 kB per grid point (tracemalloc, M = 16..48);
+# a 1 GiB budget at 8 KiB per point caps the grid at M = 362.
+LINEARIZE_GRID_LIMIT = math.isqrt((1 << 30) // (8 << 10))
+
+
+def suite_linearize(grid: int, model: str, seed: int, step: float) -> tuple[dict, dict]:
     rng = np.random.default_rng(seed)
     L = 2
-    if model_kind == "flat":
-        model = make_flat(1)
-    elif model_kind == "constant-hsc":
-        model = make_const_hsc(4.0, 1)
-    else:
-        raise ValueError("model_kind must be 'flat' or 'constant-hsc'")
+    M, h, rel_tol = grid, step, LINEARIZE_REL_TOL
+    target = make_flat(1) if model == "flat" else make_const_hsc(4.0, 1)
     patch = ReducedPatch(M)
-    cmap = holomorphic_base_map(L, M, model.dim)
-    rho, xi, zeta, sigma = random_direction_fields(rng, L, M, model.dim)
+    cmap = holomorphic_base_map(L, M, target.dim)
+    rho, xi, zeta, sigma = random_direction_fields(rng, L, M, target.dim)
     named_dirs = {
         "xi": comp.Directions(xi=xi),
         "sigma": comp.Directions(sigma=sigma),
@@ -521,28 +487,23 @@ def suite_linearize(
         "rho": comp.Directions(rho=rho),
         "combined": comp.Directions(rho=rho, xi=xi, zeta=zeta, sigma=sigma),
     }
-    reports = comp.linearization_fd_checks(cmap, patch, model, named_dirs, h=h, rel_tol=rel_tol)
+    reports = comp.linearization_fd_checks(cmap, patch, target, named_dirs, h=h, rel_tol=rel_tol)
     checks = []
     for name, rep in reports.items():
         worst = max(b["rel_error_h2"] for b in rep["blocks"].values())
         checks.append(
             _check(f"linearization blocks along {name}", rep["passed"], worst, rel_tol, "oracle")
         )
-    return _report(
-        "linearize",
-        {"M": M, "model": model_kind, "seed": seed, "h": h, "rel_tol": rel_tol},
-        checks,
-    )
+    cfg = {"M": M, "model": model, "seed": seed, "h": h, "rel_tol": rel_tol}
+    return _report("linearize", cfg, checks), {}
 
 
-def suite_verify_flat(path: str) -> dict:
+def suite_verify_flat(path: str) -> tuple[dict, dict]:
     from .serialize import read_flat_map
 
     L, comps = read_flat_map(path)
     J = FlatTargetJ(standard_J(len(comps)))
-    ys = components_from_complex(comps)
-    residuals = flat_sjc_residual(ys, J)
-    res_zero = all(r.is_zero() for r in residuals)
+    res_zero = _residual_vanishes(components_from_complex(comps), J)
     equivalent = holomorphy_equivalence_check(comps)
     checks = [
         _check("first-order residual vanishes", res_zero, None, 0.0, "identity"),
@@ -554,10 +515,10 @@ def suite_verify_flat(path: str) -> dict:
             "identity",
         ),
     ]
-    return _report("verify-flat", {"path": str(path), "L": L, "n": len(comps)}, checks)
+    return _report("verify-flat", {"path": str(path), "L": L, "n": len(comps)}, checks), {}
 
 
-def suite_verify_components(path: str, tol: float = 1e-8) -> tuple[dict, dict]:
+def suite_verify_components(path: str, tol: float) -> tuple[dict, dict]:
     from .serialize import read_field_bundle
 
     cmap, grav, patch, model_desc = read_field_bundle(path)
@@ -581,3 +542,119 @@ def suite_verify_components(path: str, tol: float = 1e-8) -> tuple[dict, dict]:
         "verify-components", {"path": str(path), "tol": tol, "model": model_desc}, checks
     )
     return report, {"residual_field.csv": rows}
+
+
+# -- the suite table ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """One suite parameter: its flag, type, default, allowed values and help.
+
+    A flag without leading dashes is positional and required.  Floats must be
+    finite; ``at_least``/``above``/``at_most`` bound the value inclusively,
+    strictly and inclusively.
+    """
+
+    flag: str
+    type: type
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+    at_least: float | None = None
+    above: float | None = None
+    at_most: float | None = None
+
+    @property
+    def name(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+    @property
+    def allowed(self) -> str:
+        """The allowed range in words; empty when the type alone decides."""
+        words = ["finite"] if self.type is float else []
+        if self.at_most is not None:
+            words.append(f"between {self.at_least} and {self.at_most}")
+        elif self.at_least is not None:
+            words.append(f">= {self.at_least}")
+        elif self.above is not None:
+            words.append(f"> {self.above}")
+        return " and ".join(words)
+
+    def check(self, value) -> None:
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"{self.flag} must be one of {', '.join(self.choices)}, got {value}")
+        ok = (
+            (self.type is not float or math.isfinite(value))
+            and (self.at_least is None or value >= self.at_least)
+            and (self.above is None or value > self.above)
+            and (self.at_most is None or value <= self.at_most)
+        )
+        if not ok:
+            raise ValueError(f"{self.flag} must be {self.allowed}, got {value}")
+
+
+@dataclass(frozen=True)
+class Suite:
+    runner: Callable[..., tuple[dict, dict]]
+    help: str
+    params: tuple[Param, ...]
+
+
+_SEED = Param("--seed", int, 7, "random seed", at_least=0)
+
+
+SUITES: dict[str, Suite] = {
+    "flat": Suite(suite_flat, "flat-model first-order system checks", (
+        _SEED,
+        Param("--trials", int, 100, "random superfields checked", at_least=1),
+    )),
+    "identities": Suite(suite_identities, "exact algebraic identity checks", (
+        _SEED,
+        Param("--trials", int, 50, "random curvature tensors checked", at_least=1),
+        Param("--energy-trials", int, 20, "random maps for the energy identity", at_least=1),
+    )),
+    "index": Suite(suite_index, "kernel/cokernel/index numerics", (
+        Param("--surface", str, "sphere", "base surface", choices=("sphere", "torus")),
+        Param("--degree", int, 1, "line-bundle degree (sphere)"),
+        Param("--cutoff", int, 8, "basis cutoff"),
+        Param("--target-rank", int, 1, "complex target rank (torus)", at_least=1),
+        Param("--threshold", float, 1e-8, "relative singular-value rank cut", above=0.0),
+    )),
+    "bochner": Suite(suite_bochner, "curvature-positivity classification and gaps", (
+        Param("--cutoff", int, 10, "sphere basis cutoff"),
+        _SEED,
+    )),
+    "moduli": Suite(suite_moduli, "moduli dimension calculator", (
+        Param("--n", int, 2, "complex dimension of the target", at_least=1),
+        Param("--genus", int, 0, "genus of the source surface", at_least=0),
+        Param("--c1a", int, 3, "first Chern class paired with the curve class"),
+        Param("--dimx", int, 0, "gravitino parameters added to the odd total", at_least=0),
+    )),
+    "linearize": Suite(suite_linearize, "finite-difference linearization blocks", (
+        Param("--grid", int, 32, "grid points per side", at_least=4, at_most=LINEARIZE_GRID_LIMIT),
+        Param("--model", str, "flat", "target model", choices=("flat", "constant-hsc")),
+        _SEED,
+        Param("--step", float, 1e-3, "finite-difference step", above=0.0),
+    )),
+    "verify-flat": Suite(suite_verify_flat, "check a superfield literal file", (
+        Param("path", str, None, "superfield literal JSON file"),
+    )),
+    "verify-components": Suite(suite_verify_components, "check a component-field bundle", (
+        Param("path", str, None, "field bundle file"),
+        Param("--tol", float, 1e-8, "residual tolerance", at_least=0.0),
+    )),
+}
+
+
+def run(name: str, params: dict) -> tuple[dict, dict]:
+    """Run suite ``name``; parameters left out take their table defaults.
+
+    Every value is checked against its choices and range before any work, and
+    a breach raises ValueError naming the flag.
+    """
+    suite = SUITES[name]
+    params = {**{p.name: p.default for p in suite.params}, **params}
+    for p in suite.params:
+        p.check(params[p.name])
+    return suite.runner(**params)

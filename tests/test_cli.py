@@ -1,8 +1,14 @@
+import dataclasses
+import inspect
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from sjclab import suites
 from sjclab.cli import main
 from sjclab.fields import ComponentMap, Gravitino, gzeros
 from sjclab.patch import ReducedPatch
@@ -71,6 +77,78 @@ class TestSuitesViaCli:
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         assert run(["verify-flat", str(tmp_path / "missing.json")], tmp_path) == 2
+
+    def test_suites_back_to_back_match_fresh_processes(self, tmp_path):
+        argvs = [["flat", "--seed", "3", "--trials", "5"], ["index", "--surface", "torus", "--cutoff", "6"]]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(suites.__file__))}
+        for k, argv in enumerate(argvs):
+            out = tmp_path / f"alone{k}"
+            cmd = [sys.executable, "-m", "sjclab.cli", "--out-dir", str(out)] + argv
+            assert subprocess.run(cmd, env=env, capture_output=True).returncode == 0
+        for k, argv in enumerate(argvs):
+            assert main(["--out-dir", str(tmp_path / f"same{k}")] + argv) == 0
+        for k in range(len(argvs)):
+            alone, same = tmp_path / f"alone{k}", tmp_path / f"same{k}"
+            assert (same / "report.json").read_bytes() == (alone / "report.json").read_bytes()
+
+
+class TestSuiteTable:
+    def test_runner_signatures_match_params(self):
+        for name, suite in suites.SUITES.items():
+            assert list(inspect.signature(suite.runner).parameters) == [p.name for p in suite.params], name
+
+    def test_defaults_in_range(self):
+        for suite in suites.SUITES.values():
+            for p in suite.params:
+                if p.default is not None:
+                    p.check(p.default)
+
+    def test_run_fills_defaults(self):
+        report, csvs = suites.run("moduli", {"c1a": 0})
+        assert report["config"] == {"n": 2, "genus": 0, "c1a": 0, "dimx": 0} and csvs == {}
+
+    def test_run_checks_choices(self):
+        with pytest.raises(ValueError, match="--surface must be one of sphere, torus, got plane"):
+            suites.run("index", {"surface": "plane"})
+
+
+# each flag out of its declared range or choices, with the flag the error must name
+BAD_FLAGS = [
+    (["index", "--surface", "torus", "--cutoff", "6", "--target-rank", "0"], "--target-rank"),
+    (["index", "--surface", "torus", "--cutoff", "6", "--target-rank", "-1"], "--target-rank"),
+    (["index", "--threshold", "-1"], "--threshold"),
+    (["index", "--threshold", "nan"], "--threshold"),
+    (["flat", "--trials", "0"], "--trials"),
+    (["flat", "--trials", "-5"], "--trials"),
+    (["identities", "--trials", "0", "--energy-trials", "0"], "--trials"),
+    (["identities", "--energy-trials", "0"], "--energy-trials"),
+    (["verify-components", "BUNDLE", "--tol", "inf"], "--tol"),
+    (["verify-components", "BUNDLE", "--tol", "nan"], "--tol"),
+    (["verify-components", "BUNDLE", "--tol", "-1"], "--tol"),
+    (["linearize", "--step", "0"], "--step"),
+    (["linearize", "--step", "nan"], "--step"),
+    (["linearize", "--grid", "4000"], "--grid"),
+    (["linearize", "--grid", "3"], "--grid"),
+    (["flat", "--seed", "-1"], "--seed"),
+    (["moduli", "--n", "0"], "--n"),
+    (["moduli", "--genus", "-1"], "--genus"),
+    (["moduli", "--dimx", "-1"], "--dimx"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
+def test_out_of_range_flag_exit_2(argv, flag, tmp_path, capsys, monkeypatch):
+    def no_work(**kwargs):
+        raise AssertionError("suite ran before its parameters were checked")
+
+    for name, suite in suites.SUITES.items():
+        monkeypatch.setitem(suites.SUITES, name, dataclasses.replace(suite, runner=no_work))
+    if "BUNDLE" in argv:
+        bundle, *_ = TestVerifyComponents()._solution_bundle(tmp_path)
+        argv = [str(bundle) if a == "BUNDLE" else a for a in argv]
+    assert run(argv, tmp_path) == 2
+    assert f"error: {flag} must be " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 class TestVerifyFlat:
