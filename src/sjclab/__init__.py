@@ -17,7 +17,6 @@ Subpackages:
 from .grassmann import GrassmannElement
 from .superfield import (
     FlatTargetJ,
-    PolyFn,
     SuperField,
     apply_D,
     apply_D3,

@@ -20,18 +20,6 @@ def _frame_derivatives(components: list[SuperField]) -> tuple[list[SuperField], 
     return [apply_D3(y) for y in components], [apply_D4(y) for y in components]
 
 
-def _apply_J(vec: list[SuperField], J: FlatTargetJ) -> list[SuperField]:
-    out = []
-    for b in range(J.dim):
-        acc = SuperField.zero(vec[0].L)
-        for c in range(J.dim):
-            jcb = J.matrix[c, b]
-            if jcb:
-                acc = acc + vec[c] * jcb
-        out.append(acc)
-    return out
-
-
 def _pair(u: list[SuperField], v: list[SuperField]) -> SuperField:
     """Flat metric pairing sum_b u^b v^b (order matters: odd entries)."""
     acc = SuperField.zero(u[0].L)
@@ -48,8 +36,8 @@ def energy_identity_residual(
         raise ValueError(f"expected {J.dim} components, got {len(components)}")
     d3, d4 = _frame_derivatives(components)
     # I D_3 = D_4, I D_4 = -D_3 on the odd frame index
-    jid3 = _apply_J(d4, J)                      # J I_3^m D_m
-    jid4 = _apply_J([-y for y in d3], J)        # J I_4^m D_m
+    jid3 = J.apply(d4)                  # J I_3^m D_m
+    jid4 = J.apply([-y for y in d3])    # J I_4^m D_m
     a3 = [x + y for x, y in zip(d3, jid3)]
     a4 = [x + y for x, y in zip(d4, jid4)]
     # eps^{34} = +1 = -eps^{43}

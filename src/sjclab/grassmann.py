@@ -210,9 +210,6 @@ class GrassmannElement:
         diff = self - self.conjugate()
         return all(abs(c) <= tol for c in diff.terms.values())
 
-    def coefficient(self, mask: int) -> complex:
-        return self.terms.get(mask, 0j)
-
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -227,24 +224,6 @@ class GrassmannElement:
             parts.append(f"{coeff} * {gens}" if gens else coeff)
         return " + ".join(parts)
 
-    @classmethod
-    def from_text(cls, L: int, text: str) -> "GrassmannElement":
-        text = text.strip()
-        if text == "0":
-            return cls.zero(L)
-        out = cls.zero(L)
-        for chunk in split_sum(text):
-            factors = [f.strip() for f in chunk.split("*")]
-            coeff = parse_complex(factors[0])
-            indices = []
-            for f in factors[1:]:
-                for tok in f.split():
-                    if not tok.startswith("l"):
-                        raise GrassmannError(f"bad generator token {tok!r}")
-                    indices.append(int(tok[1:]))
-            out = out + cls.monomial(L, indices, coeff)
-        return out
-
     def __repr__(self):
         return f"GrassmannElement(L={self.L}, {self.to_text()})"
 
@@ -253,28 +232,3 @@ def format_complex(c: complex) -> str:
     if c.imag == 0:
         return repr(c.real)
     return f"({c.real!r}{c.imag:+}j)"
-
-
-def parse_complex(token: str) -> complex:
-    return complex(token.strip().replace(" ", ""))
-
-
-def split_sum(text: str) -> list[str]:
-    """Split a sum on top-level '+' (not inside parentheses)."""
-    chunks = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            chunks.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        chunks.append("".join(current))
-    return [c for c in (c.strip() for c in chunks) if c]
-

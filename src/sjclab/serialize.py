@@ -5,8 +5,9 @@ A flat-map file (for ``sjc verify-flat``) is JSON:
     {"schema": 1, "L": 2, "n": 1,
      "components_z": ["x1 + (0+1j) * x2 + e3 * l1", ...]}
 
-listing the complex target components as superfield literals; ``n`` must
-equal the number of components, which must be at least one.
+listing the complex target components as superfield literal strings
+(grammar in ``sjclab.superfield``); ``n`` must equal the number of
+components, which must be at least one.
 
 A field bundle (for ``sjc verify-components``) is a JSON header line
 followed by one text record per grid point:
@@ -48,7 +49,7 @@ def write_flat_map(path, L: int, components_z: list[SuperField]) -> None:
 def read_flat_map(path) -> tuple[int, list[SuperField]]:
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("schema") != 1:
+    if not isinstance(payload, dict) or payload.get("schema") != 1:
         raise ValueError("unsupported flat-map schema")
     L = int(payload["L"])
     texts = payload["components_z"]
@@ -58,6 +59,8 @@ def read_flat_map(path) -> tuple[int, list[SuperField]]:
             f"flat map needs n == len(components_z) >= 1, got n={n!r} "
             f"and {len(texts) if isinstance(texts, list) else 'no'} components"
         )
+    if not all(isinstance(text, str) for text in texts):
+        raise ValueError("flat-map components_z must be superfield literal strings")
     return L, [SuperField.from_text(L, text) for text in texts]
 
 

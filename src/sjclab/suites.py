@@ -35,7 +35,6 @@ from .patch import ReducedPatch
 from .spin import GAMMA, ISPIN, clifford_deviation, gamma_sandwich_deviation, project_pq_pointwise, delta_gamma
 from .superfield import (
     FlatTargetJ,
-    PolyFn,
     SuperField,
     apply_Dbar,
     components_from_complex,
@@ -79,24 +78,32 @@ def _gauss_int(rng, scale=2) -> complex:
     return complex(int(rng.integers(-scale, scale + 1)), int(rng.integers(-scale, scale + 1)))
 
 
-def _random_poly(rng, holomorphic: bool, max_deg=2) -> PolyFn:
-    coeffs = {}
+_I_POWERS = (1, 1j, -1, -1j)
+
+
+def _random_poly(rng, L: int, holomorphic: bool, max_deg=2) -> SuperField:
+    """Random sum of c z^a zbar^b (Gaussian-integer c), expanded in x1, x2."""
+    terms: dict[tuple[int, int, int], complex] = {}
     for a in range(max_deg + 1):
         for b in range(0, (0 if holomorphic else max_deg - a) + 1):
             if a == 0 and b == 0 and rng.random() < 0.5:
                 continue
             if rng.random() < 0.6:
                 c = _gauss_int(rng)
-                if c:
-                    coeffs[(a, b)] = c
-    return PolyFn.from_z_poly(coeffs)
+                # z^a zbar^b = sum_{j,k} C(a,j) C(b,k) i^j (-i)^k x1^(a+b-j-k) x2^(j+k)
+                for j in range(a + 1):
+                    for k in range(b + 1):
+                        key = (0, a + b - j - k, j + k)
+                        term = c * math.comb(a, j) * math.comb(b, k) * _I_POWERS[(j - k) % 4]
+                        terms[key] = terms.get(key, 0) + term
+    return SuperField(L, terms)
 
 
 def _random_odd_fn(rng, L: int, holomorphic: bool) -> SuperField:
     out = SuperField.zero(L)
     for gen in range(1, L + 1):
         if rng.random() < 0.7:
-            out = out + SuperField.base_generator(L, gen) * _random_poly(rng, holomorphic, max_deg=1)
+            out = out + SuperField.base_generator(L, gen) * _random_poly(rng, L, holomorphic, max_deg=1)
     return out
 
 
@@ -105,12 +112,12 @@ def _residual_vanishes(ys: list[SuperField], J: FlatTargetJ) -> bool:
 
 
 def random_flat_z_component(rng, L: int, holomorphic: bool) -> SuperField:
-    f = SuperField.from_poly(L, _random_poly(rng, holomorphic))
+    f = _random_poly(rng, L, holomorphic)
     g = _random_odd_fn(rng, L, holomorphic)
     z = f + SuperField.theta(L) * g
     if not holomorphic:
         h = _random_odd_fn(rng, L, False)
-        k = SuperField.from_poly(L, _random_poly(rng, False, max_deg=1))
+        k = _random_poly(rng, L, False, max_deg=1)
         z = z + SuperField.theta_bar(L) * h + SuperField.theta(L) * SuperField.theta_bar(L) * k
         if apply_Dbar(z).is_zero():
             # force a violation so the negative branch is genuinely negative

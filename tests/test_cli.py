@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,3 +372,95 @@ class TestFlatMapValidation:
         path.write_text(json.dumps(payload))
         assert run(["verify-flat", str(path)], tmp_path) == 2
         assert "n == len(components_z) >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ([1], "unsupported flat-map schema"),
+            ({"schema": 1, "L": 2, "n": 1, "components_z": [3]}, "literal strings"),
+        ],
+        ids=["not-an-object", "non-string-component"],
+    )
+    def test_malformed_payload_exit_2(self, payload, message, tmp_path, capsys):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(payload))
+        assert run(["verify-flat", str(path)], tmp_path) == 2
+        assert message in capsys.readouterr().err
+
+
+Z = "1.0 * x1 + (0+1j) * x2"  # the holomorphic coordinate z
+
+
+class TestLiteralParsing:
+    """A term is the product of its factors in the written order; anything else exits 2."""
+
+    def _verify(self, text, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"schema": 1, "L": 2, "n": 1, "components_z": [text]}))
+        return run(["verify-flat", str(path)], tmp_path)
+
+    @pytest.mark.parametrize(
+        "text,code",
+        [
+            # e4 e3 = -e3 e4, so this is 4i e3 e4: a theta theta_bar term
+            ("(0+2j) * e3 e4 + (0-2j) * e4 e3", 1),
+            # l1 e3 = -e3 l1, so this is z + theta l1
+            (Z + " + -1.0 * l1 * e3 + (0+1j) * e4 * l1", 0),
+            # e3 e3 = 0, so this is z
+            (Z + " + 1.0 * e3 e3 l1", 0),
+            # an exponent sign is not read as a term separator
+            ("1e+20 * x1 + (0+1e+20j) * x2", 0),
+        ],
+        ids=["e4-e3", "l1-e3", "e3-e3", "exponent-plus"],
+    )
+    def test_written_order(self, text, code, tmp_path):
+        assert self._verify(text, tmp_path) == code
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["checks"][0]["passed"] == (code == 0)
+
+    @pytest.mark.parametrize(
+        "text,token",
+        [
+            ("1.0 * x1^-1", "'x1^-1'"),
+            ("1.0 * x12", "'x12'"),
+            ("1.0 * x1^", "'x1^'"),
+            ("nan * x1", "'nan'"),
+            ("inf", "'inf'"),
+        ],
+    )
+    def test_bad_literal_exit_2(self, text, token, tmp_path, capsys):
+        assert self._verify(text, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and token in err
+        assert not (tmp_path / "report.json").exists()
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def readme_suite_examples() -> list[list[str]]:
+    """The argument lists of the ``sjc`` lines in the README "Suites:" block."""
+    text = (REPO / "README.md").read_text()
+    block = text.split("Suites:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("sjc ")]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize(
+        "argv",
+        [a for a in readme_suite_examples() if a[0] != "verify-components"],  # needs a bundle
+        ids=" ".join,
+    )
+    def test_example_passes(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(REPO)
+        assert run(argv, tmp_path) == 0
+
+    def test_examples_cover_every_suite(self):
+        assert {a[0] for a in readme_suite_examples()} == set(suites.SUITES)
+
+    def test_sample_map_is_written_by_write_flat_map(self, tmp_path):
+        L = 2
+        z_plus_theta_l1 = SuperField.coordinate_z(L) + SuperField.theta(L) * SuperField.base_generator(L, 1)
+        write_flat_map(tmp_path / "map.json", L, [z_plus_theta_l1])
+        sample = REPO / "samples" / "holomorphic_map.json"
+        assert (tmp_path / "map.json").read_bytes() == sample.read_bytes()

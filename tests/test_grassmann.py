@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sjclab.grassmann import GrassmannElement, GrassmannError, merge_sign
+from sjclab.superfield import SuperField
 
 
 def brute_force_product(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
@@ -165,10 +166,12 @@ class TestProperties:
         assert not (l1 * 1j).is_real()
 
     def test_serialization_roundtrip(self):
+        # the text form is a superfield literal; l_k sits at bit k+1 there
         rng = np.random.default_rng(5)
         for _ in range(30):
             a = random_element(rng, 3)
-            assert GrassmannElement.from_text(3, a.to_text()) == a
+            expected = SuperField(3, {(m << 2, 0, 0): c for m, c in a.terms.items()})
+            assert SuperField.from_text(3, a.to_text()) == expected
 
     def test_serialization_deterministic(self):
         a = GrassmannElement(2, {0b11: 2.0, 0: 1.0})

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from sjclab.grassmann import GrassmannElement
 from sjclab.superfield import (
     FlatTargetJ,
-    PolyFn,
     SuperField,
     apply_D,
     apply_D3,
@@ -46,15 +46,14 @@ class TestDerivations:
         assert apply_Dbar(sf_theta() * sf_theta_bar()) == -sf_theta()
 
     def test_dbar_matches_displayed_expansion(self):
-        f = PolyFn.from_z_poly({(1, 1): 2.0, (2, 0): 1.0})
-        gp = PolyFn.from_z_poly({(0, 1): 1.0})
-        hp = PolyFn.from_z_poly({(1, 0): 3.0})
-        kp = PolyFn.from_z_poly({(2, 0): 1.0})
+        z, zb = SuperField.coordinate_z(L), SuperField.coordinate_zbar(L)
+        f = z * zb * 2.0 + z * z
+        gp = zb
         g = SuperField.base_generator(L, 1) * gp
-        h = SuperField.base_generator(L, 2) * hp
-        k = SuperField.from_poly(L, kp)
+        h = SuperField.base_generator(L, 2) * (z * 3.0)
+        k = z * z
         phi = (
-            SuperField.from_poly(L, f)
+            f
             + sf_theta() * g
             + sf_theta_bar() * h
             + sf_theta() * sf_theta_bar() * k
@@ -62,7 +61,7 @@ class TestDerivations:
         expected = (
             h
             - sf_theta() * k
-            + sf_theta_bar() * SuperField.from_poly(L, f.dzbar())
+            + sf_theta_bar() * f.dzbar()
             - sf_theta() * sf_theta_bar() * (SuperField.base_generator(L, 1) * gp.dzbar())
         )
         assert apply_Dbar(phi) == expected
@@ -125,11 +124,11 @@ class TestFlatResidual:
 class TestHolomorphyEquivalence:
     def test_holomorphic_pair(self):
         z = SuperField.coordinate_z(L)
-        comp = z * z + sf_theta() * (SuperField.base_generator(L, 1) * PolyFn.z())
+        comp = z * z + sf_theta() * (SuperField.base_generator(L, 1) * z)
         assert holomorphy_equivalence_check([comp])
 
     def test_modulus_squared_fails(self):
-        comp = SuperField.from_poly(L, PolyFn.from_z_poly({(1, 1): 1.0}))
+        comp = SuperField.coordinate_z(L) * SuperField.coordinate_zbar(L)
         assert not holomorphy_equivalence_check([comp])
 
     def test_zero_map(self):
@@ -149,17 +148,17 @@ class TestHolomorphyEquivalence:
 class TestBerezin:
     def test_top_coefficient_examples(self):
         th, tb = sf_theta(), sf_theta_bar()
-        assert berezin_top(th * tb * SuperField.coordinate_x1(L)) == {0: PolyFn.x1()}
-        assert berezin_top(th * SuperField.base_generator(L, 1)) == {}
+        assert berezin_top(th * tb * SuperField.coordinate_x1(L)) == SuperField.coordinate_x1(L)
+        assert berezin_top(th * SuperField.base_generator(L, 1)) == SuperField.zero(L)
         z = SuperField.coordinate_z(L)
-        assert berezin_top(z + th * tb * (z * z)) == {0: PolyFn.z() * PolyFn.z()}
+        assert berezin_top(z + th * tb * (z * z)) == z * z
 
     def test_linear(self):
         th, tb = sf_theta(), sf_theta_bar()
         a = th * tb * SuperField.coordinate_x1(L)
         b = th * tb * SuperField.coordinate_x2(L)
         top = berezin_top(a * 2 + b * (1j))
-        assert top == {0: PolyFn.x1() * 2 + PolyFn.x2() * 1j}
+        assert top == SuperField.coordinate_x1(L) * 2 + SuperField.coordinate_x2(L) * 1j
 
 
 class TestLiterals:
@@ -174,7 +173,7 @@ class TestLiterals:
         x = SuperField.coordinate_x1(2)
         y = SuperField.coordinate_x2(2)
         expected = (
-            SuperField.eta(2, 3) * SuperField.base_generator(2, 1) * (PolyFn.x1() ** 2 * PolyFn.x2() * 2.0)
+            SuperField.eta(2, 3) * SuperField.base_generator(2, 1) * (x * x * y * 2.0)
             + SuperField.eta(2, 3) * SuperField.eta(2, 4) * 1j
         )
         assert F == expected
@@ -182,6 +181,51 @@ class TestLiterals:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             SuperField.from_text(2, "1.0 * x1^9")
+
+    def test_text_term_order(self):
+        # eta bits, then base bits, then the x1 and x2 exponents
+        F = SuperField.from_text(2, "1.0 * e4 + 2.0 * l1 + 3.0 * e3 l1 + 4.0 * x1 + 5.0 * x2")
+        assert F.to_text() == "5.0 * x2^1 + 4.0 * x1^1 + 2.0 * l1 + 3.0 * e3 * l1 + 1.0 * e4"
+
+    def test_written_order_gives_the_sign(self):
+        e3, e4 = SuperField.eta(2, 3), SuperField.eta(2, 4)
+        l1, l2 = SuperField.base_generator(2, 1), SuperField.base_generator(2, 2)
+        assert SuperField.from_text(2, "1.0 * e4 e3") == -(e3 * e4)
+        assert SuperField.from_text(2, "1.0 * l1 * e3") == l1 * e3 == -(e3 * l1)
+        assert SuperField.from_text(2, "2.0 * l2 e4 * x1 * l1 e3") == l2 * e4 * l1 * e3 * 2 * SuperField.coordinate_x1(2)
+        assert SuperField.from_text(2, "(0+2j) * e3 e4 + (0-2j) * e4 e3") == e3 * e4 * 4j
+
+    def test_repeated_odd_symbol_is_zero(self):
+        for text in ("1.0 * e3 e3", "1.0 * l1 * x1 l1", "1.0 * e4 l2 e4"):
+            assert SuperField.from_text(2, text).is_zero()
+        assert SuperField.from_text(2, "1.0 * e3 e3 + 2.0 * x2") == SuperField.coordinate_x2(2) * 2
+
+    def test_exponents_and_coefficient_position(self):
+        x = SuperField.coordinate_x1(2)
+        assert SuperField.from_text(2, "x1 x1^2 * 3.0") == x * x * x * 3
+        assert SuperField.from_text(2, "1.5 * x1^0") == SuperField.const(2, 1.5)
+        assert SuperField.from_text(2, "1e+20 * x1 + 1e-20") == x * 1e20 + 1e-20
+        F = SuperField(2, {(0, 0, 0): 1e20, (0b110, 1, 2): -2.5e-30})
+        assert SuperField.from_text(2, F.to_text()) == F
+
+    @pytest.mark.parametrize(
+        "text,token",
+        [
+            ("1.0 * x3", "'x3'"),
+            ("1.0 * l3", "'l3'"),
+            ("1.0 * l0", "'l0'"),
+            ("1.0 * l", "'l'"),
+            ("1.0 * e5", "'e5'"),
+            ("(1+infj) * e3 e4", "'(1+infj)'"),
+            ("-x1", "'-x1'"),
+            ("2.0 * x1 * 3.0", "'3.0'"),
+            ("1.0 * x1^5 x2^4", "degree 9"),
+        ],
+    )
+    def test_bad_literal_names_token(self, text, token):
+        with pytest.raises(ValueError) as info:
+            SuperField.from_text(2, text)
+        assert token in str(info.value)
 
 
 class TestRingLaws:
@@ -224,3 +268,52 @@ class TestConjugation:
             a = random_flat_z_component(rng, L, holomorphic=False)
             b = random_flat_z_component(rng, L, holomorphic=True)
             assert (a * b).conjugate() == b.conjugate() * a.conjugate()
+
+
+def random_field(rng, L: int) -> SuperField:
+    """Gaussian-integer coefficients on random odd monomials and x-powers up to 2."""
+    terms = {}
+    for _ in range(int(rng.integers(1, 9))):
+        key = (int(rng.integers(0, 4 << L)), int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+        terms[key] = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+    return SuperField(L, terms)
+
+
+class TestGrassmannOracle:
+    """Evaluation at a point is a ring map into GrassmannElement on L + 2 generators."""
+
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_product_and_conjugate_commute_with_evaluation(self, L):
+        rng = np.random.default_rng(10 + L)
+        for _ in range(40):
+            F, G = random_field(rng, L), random_field(rng, L)
+            x1, x2 = (int(v) for v in rng.integers(-3, 4, size=2))
+            Fp, Gp = F.evaluate(x1, x2), G.evaluate(x1, x2)
+            assert Fp.L == L + 2
+            assert (F * G).evaluate(x1, x2) == Fp * Gp
+            assert F.conjugate().evaluate(x1, x2) == Fp.conjugate()
+            assert (F + G).evaluate(x1, x2) == Fp + Gp
+
+    def test_generator_layout(self):
+        # bit 0 e3, bit 1 e4, bit k+1 lk, as in evaluate
+        for field, mask in (
+            (SuperField.eta(3, 3), 0b1),
+            (SuperField.eta(3, 4), 0b10),
+            (SuperField.base_generator(3, 1), 0b100),
+            (SuperField.base_generator(3, 3), 0b10000),
+        ):
+            assert field.evaluate(0, 0) == GrassmannElement.generator(5, mask.bit_length())
+
+    def test_evaluate_values(self):
+        assert SuperField.coordinate_z(3).evaluate(2, 5) == GrassmannElement.scalar(5, 2 + 5j)
+        F = SuperField(3, {(0b101, 2, 1): 3.0, (0, 0, 3): 1j})
+        assert F.evaluate(2, -1) == GrassmannElement(5, {0b101: -12.0, 0: -1j})
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError, match="beyond L=1"):
+            SuperField(1, {(0b1000, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="negative exponents"):
+            SuperField(2, {(0, -1, 0): 1.0})
+        with pytest.raises(ValueError, match=">= 0"):
+            SuperField(-1)
+        assert SuperField(2, {(0b11, 1, 0): 0.0}).is_zero()
