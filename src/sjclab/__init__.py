@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* :mod:`sjclab.grassmann` -- exact finitely generated Grassmann algebra;
+* :mod:`sjclab.grassmann` -- sign conventions of the Grassmann algebra;
 * :mod:`sjclab.superfield` -- symbolic superfields on the flat patch and
   the flat-model first-order system;
 * :mod:`sjclab.targets` -- almost Kahler target models;
@@ -12,9 +12,12 @@ Subpackages:
 * :mod:`sjclab.indexlab` -- discretized operators with index bookkeeping;
 * :mod:`sjclab.classify`, :mod:`sjclab.suites`, :mod:`sjclab.cli` --
   classification, batch suites and the command line.
+
+The references the tests compare these engines against (the sparse
+Grassmann algebra, superfield evaluation at a point, the dense global
+index matrices) live under ``tests/``, not in the package.
 """
 
-from .grassmann import GrassmannElement
 from .superfield import (
     FlatTargetJ,
     SuperField,

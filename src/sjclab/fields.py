@@ -58,26 +58,6 @@ def _mul_index(L: int, odd_a: bool, odd_b: bool) -> tuple[np.ndarray, ...]:
     return out
 
 
-def gmul(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
-    """Graded product of Grassmann-valued arrays (leading axis = basis mask).
-
-    Broadcasting applies to the trailing axes, so pointwise field products,
-    matrix actions and scalar multiples all route through here.
-    """
-    size = 1 << L
-    if a.shape[0] != size or b.shape[0] != size:
-        raise FieldError("leading axis must enumerate the 2^L basis masks")
-    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    out = np.zeros((size,) + shape, dtype=complex)
-    for ma, mb, mo, s in _mul_table(L):
-        av = a[ma]
-        bv = b[mb]
-        if not av.any() or not bv.any():
-            continue
-        out[mo] += s * av * bv
-    return out
-
-
 def gcontract(a: np.ndarray, b: np.ndarray, spec: str, L: int) -> np.ndarray:
     """Mask-convolved einsum: Grassmann product with index contraction.
 
@@ -102,14 +82,6 @@ def gcontract(a: np.ndarray, b: np.ndarray, spec: str, L: int) -> np.ndarray:
 
 def gzeros(L: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros((1 << L,) + tuple(shape), dtype=complex)
-
-
-def gscalar(L: int, value: np.ndarray) -> np.ndarray:
-    """Embed an ordinary (body) array as a Grassmann-valued one."""
-    value = np.asarray(value)
-    out = gzeros(L, value.shape)
-    out[0] = value
-    return out
 
 
 def even_masks(L: int) -> list[int]:

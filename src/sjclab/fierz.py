@@ -28,19 +28,18 @@ contracted over (a, b) on the pair products psi_mu^a psi_nu^b before the
 remaining factors are multiplied in.
 
 Exactness: a check is exact, and agrees coefficient by coefficient with
-the sparse :class:`GrassmannElement` engine, when every partial sum is an
-integer below 2^53 in magnitude, because then floating-point addition is
-exact in any order.  Gaussian-integer psi and integer-valued R and nabla R
-of the sizes used here satisfy this, so deviations of identically-zero
-quantities are exactly 0.0.
+the sparse reference algebra of the tests (``tests/grassmann_oracle.py``),
+when every partial sum is an integer below 2^53 in magnitude, because then
+floating-point addition is exact in any order.  Gaussian-integer psi and
+integer-valued R and nabla R of the sizes used here satisfy this, so
+deviations of identically-zero quantities are exactly 0.0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import _mul_index
-from .grassmann import GrassmannElement
+from .fields import _mul_index, even_masks, odd_masks
 from .spin import EPS_UPPER, GAMMA_EPS, GAMMA_SYM, ISPIN
 
 
@@ -101,48 +100,45 @@ def random_admissible_nabla_curvature(
     )
 
 
-def random_odd_spinor(
-    rng: np.random.Generator, L: int, dim: int, scale: int = 2
-) -> list[list[GrassmannElement]]:
-    """psi[mu][a]: odd Gaussian-integer Grassmann elements over L generators."""
-    odd = [m for m in range(1 << L) if bin(m).count("1") % 2 == 1]
-    out = []
-    for _ in range(2):
-        row = []
-        for _ in range(dim):
-            terms = {}
+def random_odd_spinor(rng: np.random.Generator, L: int, dim: int, scale: int = 2) -> np.ndarray:
+    """psi[mu, a, mask]: odd Gaussian-integer Grassmann coefficients over L generators."""
+    psi = np.zeros((2, dim, 1 << L), dtype=complex)
+    odd = odd_masks(L)
+    for mu in range(2):
+        for a in range(dim):
             for m in odd:
-                re = int(rng.integers(-scale, scale + 1))
-                im = int(rng.integers(-scale, scale + 1))
-                if re or im:
-                    terms[m] = complex(re, im)
-            row.append(GrassmannElement(L, terms))
-        out.append(row)
-    return out
+                re, im = rng.integers(-scale, scale + 1), rng.integers(-scale, scale + 1)
+                psi[mu, a, m] = complex(re, im)
+    return psi
 
 
-def _dense_spinor(psi: list[list[GrassmannElement]], dim: int) -> tuple[np.ndarray, int]:
-    """psi[mu][a] as a (2, dim, 2^L) array, after checking its shape and parity."""
-    if len(psi) != 2:
-        raise ValueError(f"psi must have 2 rows (mu = 3, 4), got {len(psi)}")
-    for mu, row in enumerate(psi):
-        if len(row) != dim:
-            raise ValueError(f"psi row {mu} has {len(row)} entries but R has dimension {dim}")
-        for a, g in enumerate(row):
-            if not isinstance(g, GrassmannElement):
-                raise ValueError(f"psi[{mu}][{a}] is not a GrassmannElement")
-    gens = {g.L for row in psi for g in row}
-    if len(gens) > 1:
-        raise ValueError(f"psi mixes generator counts {sorted(gens)}")
-    L = gens.pop() if gens else 0
-    out = np.zeros((2, dim, 1 << L), dtype=complex)
-    for mu, row in enumerate(psi):
-        for a, g in enumerate(row):
-            for mask, c in g.terms.items():
-                if bin(mask).count("1") % 2 == 0:
-                    raise ValueError(f"psi[{mu}][{a}] is not odd: it has the even monomial {mask:#b}")
-                out[mu, a, mask] = c
-    return out, L
+def _as_spinor(psi) -> np.ndarray:
+    """psi as a complex array; nested rows of per-entry coefficient vectors must share one length."""
+    try:
+        return np.asarray(psi, dtype=complex)
+    except ValueError:
+        sizes = sorted({np.shape(entry)[-1] for row in psi for entry in row if np.ndim(entry)})
+        if len(sizes) > 1:
+            raise ValueError(f"psi mixes generator counts: its entries have {sizes} coefficients") from None
+        raise
+
+
+def _check_spinor(psi: np.ndarray, dim: int) -> int:
+    """Check psi[mu, a, mask] against R's dimension and for oddness; returns L."""
+    if psi.ndim != 3 or len(psi) != 2:
+        raise ValueError(f"psi must have 2 rows (mu = 3, 4) of shape (dim, 2^L), got shape {psi.shape}")
+    if psi.shape[1] != dim:
+        raise ValueError(f"psi rows have {psi.shape[1]} entries but R has dimension {dim}")
+    size = psi.shape[2]
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"psi mask axis has length {size}, not a power of two")
+    L = size.bit_length() - 1
+    even = even_masks(L)
+    bad = np.argwhere(psi[..., even])
+    if bad.size:
+        mu, a, i = bad[0]
+        raise ValueError(f"psi[{mu}][{a}] is not odd: it has the even monomial {even[i]:#b}")
+    return L
 
 
 def _gprod(spec: str, a: np.ndarray, b: np.ndarray, L: int, odd_a: bool, odd_b: bool) -> np.ndarray:
@@ -170,12 +166,12 @@ def _cubic(P: np.ndarray, psi: np.ndarray, R: np.ndarray, L: int) -> np.ndarray:
     return _gprod("mncek,sck->mnsek", Q, psi, L, False, True)
 
 
-def sr_vector(psi: list[list[GrassmannElement]], R: np.ndarray) -> list[list[GrassmannElement]]:
-    """SR_alpha^e = eps^{kappa lambda} (R(psi_alpha, psi_kappa) psi_lambda)^e."""
+def sr_vector(psi: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """SR[alpha, e, mask] = eps^{kappa lambda} (R(psi_alpha, psi_kappa) psi_lambda)^e."""
     R = np.asarray(R, dtype=float)
-    dense, L = _dense_spinor(psi, R.shape[0])
-    sr = np.einsum("kl,aklex->aex", EPS_UPPER, _cubic(_pairs(dense, L), dense, R, L))
-    return [[GrassmannElement(L, dict(enumerate(g))) for g in row] for row in sr]
+    psi = _as_spinor(psi)
+    L = _check_spinor(psi, R.shape[0])
+    return np.einsum("kl,aklex->aex", EPS_UPPER, _cubic(_pairs(psi, L), psi, R, L))
 
 
 def _chain_operators() -> np.ndarray:
@@ -209,13 +205,13 @@ def _chain_deviations(V: np.ndarray) -> tuple[float, float]:
 
 def fierz_check(
     R: np.ndarray,
-    psi: list[list[GrassmannElement]],
+    psi: np.ndarray,
     nablaR: np.ndarray | None = None,
     with_derivative: bool = False,
 ) -> dict:
     """Evaluate both identity chains; returns per-chain max coefficient deviation.
 
-    ``psi`` must be two rows of ``R.shape[0]`` odd elements over one L.
+    ``psi`` is the (2, R.shape[0], 2^L) array of odd coefficients psi[mu, a, mask].
     With ``with_derivative`` the same chains are evaluated for the
     derivative tensor contracted against each psi_rho; this needs at least
     four base generators for a nonvacuous quartic test.
@@ -225,7 +221,8 @@ def fierz_check(
     if R.shape != (dim,) * 4:
         raise ValueError(f"R must have shape (dim,)*4, got {R.shape}")
     check_curvature_symmetries(R)
-    dense, L = _dense_spinor(psi, dim)
+    psi = _as_spinor(psi)
+    L = _check_spinor(psi, dim)
     if with_derivative:
         if nablaR is None:
             raise ValueError("with_derivative requires a derivative tensor")
@@ -235,8 +232,8 @@ def fierz_check(
         if nablaR.shape != (dim,) * 5:
             raise ValueError(f"nablaR must have shape {(dim,) * 5}, got {nablaR.shape}")
         check_nabla_curvature_symmetries(nablaR)
-    P = _pairs(dense, L)
-    dev_a, dev_b = _chain_deviations(_cubic(P, dense, R, L))
+    P = _pairs(psi, L)
+    dev_a, dev_b = _chain_deviations(_cubic(P, psi, R, L))
     report = {"chain_a": dev_a, "chain_b": dev_b, "max_deviation": max(dev_a, dev_b)}
     if with_derivative:
         # psi_rho^p (nabla_p R)(psi_mu, psi_nu) psi_sigma; the even pair

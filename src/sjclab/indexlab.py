@@ -35,8 +35,7 @@ Gram checks, whitened SVDs and adjoints run block by block, with blocks of
 one shape stacked on a leading axis (all torus modes go through LAPACK in
 one batched call).  For a block-diagonal matrix the union of the block
 spectra is the global spectrum, so kernel, cokernel and the Gram gate are
-the global ones.  The dense global matrices (``OperatorMatrix.matrix``,
-``gram_domain``, ``gram_codomain``) are assembled only on request.
+the global ones.  No dense global matrix is assembled.
 """
 
 from __future__ import annotations
@@ -154,59 +153,23 @@ def _stacks_by_shape(blocks: list[tuple]) -> list[BlockStack]:
 class OperatorMatrix:
     """A block-diagonal operator between two Gram-weighted coordinate spaces.
 
-    Built operators pass ``stacks``.  A dense ``matrix`` with its two Gram
-    matrices is taken as a single block.  The dense global arrays are
-    assembled on request by the properties of the same names.
+    It is stored only as its ``stacks`` of diagonal blocks; ``shape`` is
+    (codomain dimension, domain dimension).
     """
 
     def __init__(
         self,
-        matrix: np.ndarray | None = None,
-        gram_domain: np.ndarray | None = None,
-        gram_codomain: np.ndarray | None = None,
         *,
+        stacks: list[BlockStack],
         tag: str,
         is_complex_linear: bool,
         meta: dict | None = None,
-        stacks: list[BlockStack] | None = None,
     ):
-        if stacks is None:
-            rows, cols = matrix.shape
-            stacks = [
-                BlockStack(
-                    matrix[None],
-                    np.asarray(gram_domain)[None],
-                    np.asarray(gram_codomain)[None],
-                    np.arange(cols)[None],
-                    np.arange(rows)[None],
-                    ["whole operator"],
-                )
-            ]
         self.stacks = stacks
         self.tag = tag
         self.is_complex_linear = is_complex_linear
         self.meta = {} if meta is None else meta
         self.shape = (sum(s.cod.size for s in stacks), sum(s.dom.size for s in stacks))
-
-    def _dense(self, part: str, rows: str, cols: str) -> np.ndarray:
-        size = {"cod": self.shape[0], "dom": self.shape[1]}
-        blocks = [getattr(s, part) for s in self.stacks]
-        out = np.zeros((size[rows], size[cols]), dtype=np.result_type(*blocks))
-        for s, blk in zip(self.stacks, blocks):
-            out[getattr(s, rows)[:, :, None], getattr(s, cols)[:, None, :]] = blk
-        return out
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._dense("matrix", "cod", "dom")
-
-    @property
-    def gram_domain(self) -> np.ndarray:
-        return self._dense("gram_domain", "dom", "dom")
-
-    @property
-    def gram_codomain(self) -> np.ndarray:
-        return self._dense("gram_codomain", "cod", "cod")
 
     def adjoint(self) -> OperatorMatrix:
         """Adjoint with respect to the two Gram inner products, block by block."""
@@ -216,10 +179,6 @@ class OperatorMatrix:
             meta=dict(self.meta, adjoint_of=self.tag),
             stacks=[s.adjoint() for s in self.stacks],
         )
-
-    def gram_adjoint(self) -> np.ndarray:
-        """Dense matrix of the Gram adjoint."""
-        return self.adjoint().matrix
 
     def singular_values(self) -> np.ndarray:
         return _singular_values(self, [s.normalized() for s in self.stacks])
@@ -410,8 +369,8 @@ def _torus_modes(M: int) -> np.ndarray:
     return np.stack(np.meshgrid(freqs, freqs, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _mode_stack(matrix: np.ndarray, labels: list[str]) -> BlockStack:
-    """One block per Fourier mode, in mode order, with orthonormal bases."""
+def _orthonormal_stack(matrix: np.ndarray, labels: list[str]) -> BlockStack:
+    """Blocks in order along the diagonal (the torus modes), with orthonormal bases."""
     n, rows, cols = matrix.shape
     return BlockStack(
         matrix=matrix,
@@ -452,7 +411,7 @@ def build_dirac_torus(n_target: int, M: int) -> OperatorMatrix:
         tag=f"Dirac torus n={n_target}",
         is_complex_linear=False,
         meta={"surface": "torus", "modes": len(modes), "n_target": n_target, "M": M},
-        stacks=[_mode_stack(full, [f"mode ({a},{b})" for a, b in modes.tolist()])],
+        stacks=[_orthonormal_stack(full, [f"mode ({a},{b})" for a, b in modes.tolist()])],
     )
 
 
@@ -497,7 +456,7 @@ def build_dirac_torus_chiral(n_target: int, M: int, part: str) -> OperatorMatrix
         tag=f"D{part} torus n={n_target}",
         is_complex_linear=False,
         meta=dict(full.meta, part=part),
-        stacks=[_mode_stack(blocks, modes.labels)],
+        stacks=[_orthonormal_stack(blocks, modes.labels)],
     )
 
 
@@ -713,13 +672,11 @@ def adjoint_relation_check(M_cutoff: int, n_target: int = 1, sphere_degrees=(0, 
             }
         )
     zero_op = OperatorMatrix(
-        matrix=np.zeros((3, 3), dtype=complex),
-        gram_domain=np.eye(3),
-        gram_codomain=np.eye(3),
+        stacks=[_orthonormal_stack(np.zeros((1, 3, 3), dtype=complex), ["zero"])],
         tag="zero",
         is_complex_linear=True,
     )
-    zdev = float(np.abs(zero_op.gram_adjoint()).max())
+    zdev = max(float(np.abs(st.matrix).max()) for st in zero_op.adjoint().stacks)
     report["checks"].append(
         {"name": "zero operator adjoint", "value": zdev, "tol": 0.0, "passed": zdev == 0.0}
     )

@@ -6,8 +6,9 @@ A flat-map file (for ``sjc verify-flat``) is JSON:
      "components_z": ["x1 + (0+1j) * x2 + e3 * l1", ...]}
 
 listing the complex target components as superfield literal strings
-(grammar in ``sjclab.superfield``); ``n`` must equal the number of
-components, which must be at least one.
+(grammar in ``sjclab.superfield``); ``L`` is a JSON integer in
+0..``FLAT_MAP_MAX_L``, and ``n`` must equal the number of components, which
+must be at least one.
 
 A field bundle (for ``sjc verify-components``) is a JSON header line
 followed by one text record per grid point:
@@ -33,6 +34,12 @@ from .fields import ComponentMap, Gravitino
 from .patch import ReducedPatch
 from .superfield import SuperField
 
+# Largest base generator count a flat-map file may declare.  The suites use
+# 2 and 4.  Each odd monomial is an (L + 2)-bit mask and ``to_text`` walks
+# l1..lL for every term, so with no bound one token such as l10000000 builds
+# a 10^7-bit mask; 64 leaves ample room above the suites.
+FLAT_MAP_MAX_L = 64
+
 
 def write_flat_map(path, L: int, components_z: list[SuperField]) -> None:
     payload = {
@@ -51,7 +58,13 @@ def read_flat_map(path) -> tuple[int, list[SuperField]]:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("schema") != 1:
         raise ValueError("unsupported flat-map schema")
-    L = int(payload["L"])
+    if "L" not in payload:
+        raise ValueError("flat map has no generator count L")
+    L = payload["L"]
+    if type(L) is not int or not 0 <= L <= FLAT_MAP_MAX_L:
+        raise ValueError(
+            f"flat-map generator count L must be a JSON integer in 0..{FLAT_MAP_MAX_L}, got {json.dumps(L)}"
+        )
     texts = payload["components_z"]
     n = payload.get("n")
     if not isinstance(texts, list) or not texts or n != len(texts):

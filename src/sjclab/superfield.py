@@ -33,7 +33,7 @@ import re
 
 import numpy as np
 
-from .grassmann import GrassmannElement, GrassmannError, format_complex, merge_sign, reversal_sign
+from .grassmann import GrassmannError, format_complex, merge_sign, reversal_sign
 
 MAX_DEGREE = 8  # highest (x1, x2) degree of a literal term
 
@@ -247,13 +247,6 @@ class SuperField:
         h = (c3 + c4 * 1j) * 0.5
         k = c34 * (0.5j)  # theta theta_bar = -2i e3 e4
         return c0, g, h, k
-
-    def evaluate(self, x1: float, x2: float) -> GrassmannElement:
-        """Collapse to a Grassmann number over generators (e3, e4, l1..lL)."""
-        terms: dict[int, complex] = {}
-        for (m, a, b), c in self.terms.items():
-            terms[m] = terms.get(m, 0) + c * x1**a * x2**b
-        return GrassmannElement(self.L + 2, terms)
 
     # -- serialization ------------------------------------------------------
 

@@ -32,6 +32,7 @@ from sjclab.superfield import (
     holomorphy_equivalence_check,
 )
 from sjclab.targets import make_const_hsc, make_flat, standard_J
+from test_indexlab import assemble
 
 
 def report(number: int, passed: bool, detail: str):
@@ -165,7 +166,8 @@ def test_criterion_6_index_formulas():
             ok = False
             details.append(f"degree-{d} index {rep.numeric_index_real} != {4 * d}")
     top = il.build_dirac_torus(1, 8)
-    asa = float(np.abs(top.matrix + top.matrix.conj().T).max())
+    A = assemble(top)
+    asa = float(np.abs(A + A.conj().T).max())
     trep = il.numeric_index(top)
     if trep.numeric_index != 0 or asa > 1e-10:
         ok = False

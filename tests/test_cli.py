@@ -14,6 +14,7 @@ from sjclab.cli import main
 from sjclab.fields import ComponentMap, Gravitino, gzeros
 from sjclab.patch import ReducedPatch
 from sjclab.serialize import (
+    FLAT_MAP_MAX_L,
     read_field_bundle,
     read_flat_map,
     write_field_bundle,
@@ -386,6 +387,21 @@ class TestFlatMapValidation:
         path.write_text(json.dumps(payload))
         assert run(["verify-flat", str(path)], tmp_path) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "L,code",
+        [(None, 2), (2.7, 2), ("2", 2), (True, 2), (-1, 2), (FLAT_MAP_MAX_L + 1, 2), (0, 0), (FLAT_MAP_MAX_L, 0)],
+        ids=["missing", "float", "string", "bool", "negative", "above-bound", "zero", "at-bound"],
+    )
+    def test_generator_count_checked(self, L, code, tmp_path, capsys):
+        payload = {"schema": 1, "n": 1, "components_z": ["1.0 * x1 + (0+1j) * x2"]}
+        if L is not None:
+            payload["L"] = L
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(payload))
+        assert run(["verify-flat", str(path)], tmp_path) == code
+        err = capsys.readouterr().err
+        assert ("error: flat" in err and "generator count L" in err) if code else err == ""
 
 
 Z = "1.0 * x1 + (0+1j) * x2"  # the holomorphic coordinate z

@@ -1,7 +1,7 @@
 import numpy as np
 
+from grassmann_oracle import GrassmannElement, evaluate
 from sjclab.energy import energy_identity_residual
-from sjclab.grassmann import GrassmannElement
 from sjclab.superfield import (
     FlatTargetJ,
     SuperField,
@@ -20,8 +20,8 @@ def numeric_oracle(components, J, x1, x2):
     derivative combinatorics on plain Grassmann elements.
     """
     L = components[0].L
-    d3 = [apply_D3(y).evaluate(x1, x2) for y in components]
-    d4 = [apply_D4(y).evaluate(x1, x2) for y in components]
+    d3 = [evaluate(apply_D3(y), x1, x2) for y in components]
+    d4 = [evaluate(apply_D4(y), x1, x2) for y in components]
     dim = J.dim
 
     def apply_j(vec):

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
+from grassmann_oracle import GrassmannElement, elements
 from sjclab.fields import (
     ComponentMap,
     FieldError,
     Gravitino,
     even_masks,
-    gmul,
-    gscalar,
+    gcontract,
     gzeros,
     odd_masks,
 )
-from sjclab.grassmann import GrassmannElement
 
 
 def test_mask_parities():
@@ -20,40 +19,42 @@ def test_mask_parities():
     assert len(even_masks(4)) == 8
 
 
-def test_gmul_matches_scalar_engine():
-    # the vectorized mask convolution must agree with the exact algebra
-    rng = np.random.default_rng(0)
-    L = 3
+def gaussian_integers(rng, shape):
+    return rng.integers(-3, 4, size=shape) + 1j * rng.integers(-3, 4, size=shape)
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_gcontract_matches_scalar_engine(L):
+    # the mask convolution must agree with the exact algebra, entry by entry
+    # and under an index contraction, on factors with a nonzero body
+    rng = np.random.default_rng(L)
     size = 1 << L
-    for _ in range(20):
-        a = rng.integers(-3, 4, size=size).astype(complex)
-        b = rng.integers(-3, 4, size=size).astype(complex)
-        ga = GrassmannElement(L, {m: a[m] for m in range(size)})
-        gb = GrassmannElement(L, {m: b[m] for m in range(size)})
-        prod = gmul(a.reshape(size, 1), b.reshape(size, 1), L)[:, 0]
-        expected = ga * gb
-        for m in range(size):
-            assert prod[m] == expected.terms.get(m, 0)
+    for _ in range(10):
+        a = gaussian_integers(rng, (size, 2, 3))
+        b = gaussian_integers(rng, (size, 2, 3))
+        a[0] = rng.integers(1, 4, size=(2, 3))
+        b[0] = rng.integers(1, 4, size=(2, 3)) * 1j
+        ga, gb = elements(np.moveaxis(a, 0, -1)), elements(np.moveaxis(b, 0, -1))
+        prod = elements(np.moveaxis(gcontract(a, b, "ij,ij->ij", L), 0, -1))
+        assert prod == [[x * y for x, y in zip(u, v)] for u, v in zip(ga, gb)]
+        contracted = elements(np.moveaxis(gcontract(a, b, "ij,kj->ik", L), 0, -1))
+        assert contracted == [
+            [sum((x * y for x, y in zip(u, v)), GrassmannElement.zero(L)) for v in gb] for u in ga
+        ]
 
 
-def test_gmul_broadcasts_over_grids():
+def test_gcontract_anticommutes_on_grids():
     L = 2
     a = gzeros(L, (4, 4))
     b = gzeros(L, (4, 4))
     a[1] = 2.0
     b[2] = 3.0
-    out = gmul(a, b, L)
+    out = gcontract(a, b, "xy,xy->xy", L)
     assert np.all(out[3] == 6.0)
     assert np.abs(out[[0, 1, 2]]).max() == 0.0
     # anticommutation: swapping the odd factors flips the sign
-    out2 = gmul(b, a, L)
+    out2 = gcontract(b, a, "xy,xy->xy", L)
     assert np.all(out2[3] == -6.0)
-
-
-def test_gscalar_embeds_bodies():
-    v = gscalar(2, np.ones((3, 3)))
-    assert v.shape == (4, 3, 3)
-    assert np.all(v[0] == 1.0) and np.abs(v[1:]).max() == 0.0
 
 
 def test_component_map_parity_enforced():

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from grassmann_oracle import GrassmannElement, elements
 from sjclab import fierz
 from sjclab.fierz import (
     CurvatureSymmetryError,
@@ -14,12 +15,14 @@ from sjclab.fierz import (
     random_odd_spinor,
     sr_vector,
 )
-from sjclab.grassmann import GrassmannElement
 from sjclab.spin import EPS_UPPER, GAMMA_EPS, GAMMA_SYM, ISPIN
 from sjclab.targets import hsc_curvature_lowered, standard_J
 
 
 # -- sparse brute-force reference, term by term on GrassmannElements ----------
+#
+# brute_force_sr and sparse_fierz_report take the dense psi array, as the
+# engine does; the helpers below them take its entries as GrassmannElements.
 
 
 def cubic_monomials(psi):
@@ -52,6 +55,7 @@ def sparse_sr(V):
 
 
 def brute_force_sr(psi, R):
+    psi = elements(psi)
     return sparse_sr(sparse_cubic(cubic_monomials(psi), R, psi[0][0].L))
 
 
@@ -83,6 +87,7 @@ def sparse_chains(V, L, completion=3.0):
 
 def sparse_fierz_report(R, psi, nablaR=None, completion=3.0):
     """The fierz_check report, computed on sparse GrassmannElements."""
+    psi = elements(psi)
     L = psi[0][0].L
     monos = cubic_monomials(psi)
     dev_a, dev_b = sparse_chains(sparse_cubic(monos, R, L), L, completion)
@@ -113,16 +118,16 @@ class TestSRContraction:
         rng = np.random.default_rng(0)
         psi = random_odd_spinor(rng, L=4, dim=2)
         sr = sr_vector(psi, np.zeros((2, 2, 2, 2)))
-        assert all(g == GrassmannElement.zero(4) for row in sr for g in row)
+        assert sr.shape == (2, 2, 16) and np.abs(sr).max() == 0.0
 
     def test_vanishes_when_one_spinor_component_vanishes(self):
         # every monomial of the contraction contains a factor from each row
         rng = np.random.default_rng(1)
         psi = random_odd_spinor(rng, L=4, dim=2)
-        psi[1] = [GrassmannElement.zero(4) for _ in range(2)]
+        psi[1] = 0.0
         R = random_admissible_curvature(rng, 2)
         sr = sr_vector(psi, R)
-        assert all(g == GrassmannElement.zero(4) for row in sr for g in row)
+        assert np.abs(sr).max() == 0.0
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(2)
@@ -130,14 +135,14 @@ class TestSRContraction:
             dim = 2 if t % 2 else 4
             psi = random_odd_spinor(rng, L=4, dim=dim)
             R = random_admissible_curvature(rng, dim)
-            assert sr_vector(psi, R) == brute_force_sr(psi, R)
+            assert elements(sr_vector(psi, R)) == brute_force_sr(psi, R)
 
     def test_cubic_vanishes_below_three_generators(self):
         rng = np.random.default_rng(3)
         psi = random_odd_spinor(rng, L=2, dim=2)
         R = random_admissible_curvature(rng, 2)
         sr = sr_vector(psi, R)
-        assert all(g == GrassmannElement.zero(2) for row in sr for g in row)
+        assert sr.shape == (2, 2, 4) and np.abs(sr).max() == 0.0
 
 
 class TestIdentityChains:
@@ -174,7 +179,7 @@ class TestIdentityChains:
         rng = np.random.default_rng(7)
         psi = random_odd_spinor(rng, L=4, dim=2)
         R = random_admissible_curvature(rng, 2)
-        V = sparse_cubic(cubic_monomials(psi), R, 4)
+        V = sparse_cubic(cubic_monomials(elements(psi)), R, 4)
         assert sparse_chains(V, 4) == (0.0, 0.0)
         _, bad = sparse_chains(V, 4, completion=0.0)
         assert bad > 0.0
@@ -301,11 +306,14 @@ class TestInputValidation:
         if name == "one psi row":
             return dict(R=R2, psi=psi2[:1])
         if name == "even entry":
-            psi2[1][0] = psi2[1][0] + GrassmannElement.monomial(4, [1, 2])
+            psi2[1, 0, 0b11] += 1.0
             return dict(R=R2, psi=psi2)
         if name == "mixed generator counts":
-            psi2[0][1] = random_odd_spinor(rng, L=5, dim=1)[0][0]
-            return dict(R=R2, psi=psi2)
+            rows = [list(row) for row in psi2]
+            rows[0][1] = random_odd_spinor(rng, L=5, dim=1)[0][0]
+            return dict(R=R2, psi=rows)
+        if name == "mask axis of length 12":
+            return dict(R=R2, psi=psi2[:, :, :12])
         if name == "nablaR shape":
             dR = random_admissible_nabla_curvature(rng, 2)[:1]
             return dict(R=R2, psi=psi2, nablaR=dR, with_derivative=True)
@@ -319,6 +327,7 @@ class TestInputValidation:
             ("one psi row", "2 rows"),
             ("even entry", "not odd"),
             ("mixed generator counts", "mixes generator counts"),
+            ("mask axis of length 12", "not a power of two"),
             ("nablaR shape", "nablaR must have shape"),
         ],
     )

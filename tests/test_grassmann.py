@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sjclab.grassmann import GrassmannElement, GrassmannError, merge_sign
+from grassmann_oracle import GrassmannElement
+from sjclab.grassmann import GrassmannError
 from sjclab.superfield import SuperField
 
 

@@ -5,6 +5,26 @@ from sjclab import indexlab as il
 from sjclab.spin import GAMMA
 
 
+def assemble(op, part="matrix"):
+    """One dense global array of an operator from its blocks: the matrix or a Gram matrix."""
+    rows, cols = {"matrix": ("cod", "dom"), "gram_domain": ("dom", "dom"), "gram_codomain": ("cod", "cod")}[part]
+    size = {"cod": op.shape[0], "dom": op.shape[1]}
+    blocks = [getattr(s, part) for s in op.stacks]
+    out = np.zeros((size[rows], size[cols]), dtype=np.result_type(*blocks))
+    for s, blk in zip(op.stacks, blocks):
+        out[getattr(s, rows)[:, :, None], getattr(s, cols)[:, None, :]] = blk
+    return out
+
+
+def single_block(matrix, gram_domain, gram_codomain, tag):
+    """An operator stored as one block covering both whole bases."""
+    rows, cols = matrix.shape
+    stack = il.BlockStack(
+        matrix[None], gram_domain[None], gram_codomain[None], np.arange(cols)[None], np.arange(rows)[None], [tag]
+    )
+    return il.OperatorMatrix(stacks=[stack], tag=tag, is_complex_linear=True)
+
+
 class TestOracles:
     def test_h_oracle_examples(self):
         assert il.h_oracle(3) == (4, 0)
@@ -45,7 +65,7 @@ class TestSphereOperators:
             dom = il.LineBundleBasis(degree=k, level=M)
             vecs = dom.holomorphic_kernel_vectors()
             assert vecs.shape[0] == k + 1
-            assert np.abs(op.matrix @ vecs.T).max() == 0.0
+            assert np.abs(assemble(op) @ vecs.T).max() == 0.0
 
     def test_cutoff_stability_of_index(self):
         for k in (-3, -1, 0, 2, 4):
@@ -79,8 +99,8 @@ class TestSphereOperators:
 
 class TestTorusOperators:
     def test_anti_self_adjoint(self):
-        op = il.build_dirac_torus(1, 8)
-        assert np.abs(op.matrix + op.matrix.conj().T).max() <= 1e-12
+        A = assemble(il.build_dirac_torus(1, 8))
+        assert np.abs(A + A.conj().T).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_kernel_and_index(self, n):
@@ -111,12 +131,13 @@ class TestAdjointRelation:
         # <A v, w>_cod = <v, A* w>_dom for random vectors
         rng = np.random.default_rng(0)
         op = il.build_dbar_sphere(1, 6)
-        a_star = op.gram_adjoint()
+        A, gd, gc = (assemble(op, part) for part in ("matrix", "gram_domain", "gram_codomain"))
+        a_star = assemble(op.adjoint())
         for _ in range(5):
-            v = rng.standard_normal(op.matrix.shape[1])
-            w = rng.standard_normal(op.matrix.shape[0])
-            lhs = (op.matrix @ v).conj() @ op.gram_codomain @ w
-            rhs = v.conj() @ op.gram_domain @ (a_star @ w)
+            v = rng.standard_normal(A.shape[1])
+            w = rng.standard_normal(A.shape[0])
+            lhs = (A @ v).conj() @ gc @ w
+            rhs = v.conj() @ gd @ (a_star @ w)
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
 
 
@@ -150,13 +171,7 @@ class TestReports:
         # a singular value just below threshold with one barely above trips
         # the gap sanity requirement
         mat = np.diag([1.0, 5e-9, 1e-9])
-        op = il.OperatorMatrix(
-            matrix=mat.astype(complex),
-            gram_domain=np.eye(3),
-            gram_codomain=np.eye(3),
-            tag="synthetic",
-            is_complex_linear=True,
-        )
+        op = single_block(mat.astype(complex), np.eye(3), np.eye(3), "synthetic")
         rep = il.numeric_index(op, threshold=2e-9)
         assert not rep.conclusive
 
@@ -169,13 +184,7 @@ class TestReports:
 
     def test_ill_conditioned_gram_rejected(self):
         g = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
-        op = il.OperatorMatrix(
-            matrix=np.eye(2, dtype=complex),
-            gram_domain=g,
-            gram_codomain=np.eye(2),
-            tag="bad",
-            is_complex_linear=True,
-        )
+        op = single_block(np.eye(2, dtype=complex), g, np.eye(2), "bad")
         with pytest.raises(il.IndexLabError):
             il.numeric_index(op)
 
@@ -340,25 +349,25 @@ class TestBlockEngineAgainstDenseOracle:
         A, gd, gc = oracle()
         assert op.shape == A.shape
         # the Gram matrices come from the same radial integrals: bit for bit
-        assert np.array_equal(op.gram_domain, gd)
-        assert np.array_equal(op.gram_codomain, gc)
+        assert np.array_equal(assemble(op, "gram_domain"), gd)
+        assert np.array_equal(assemble(op, "gram_codomain"), gc)
         # D01 is a solve with the raw Gram matrix, whose roundoff scales with
         # its condition (the dense solve leaks it into cross-sector entries
         # that the per-sector solve keeps at exactly 0)
         cond = max(np.linalg.cond(gd), np.linalg.cond(gc))
         tol = max(1e-12, np.finfo(float).eps * cond) * np.abs(A).max()
-        assert np.abs(op.matrix - A).max() <= tol
+        assert np.abs(assemble(op) - A).max() <= tol
 
     @pytest.mark.parametrize("k,M", SPHERE_CASES)
     def test_dbar_matrix_exact(self, k, M):
-        assert np.array_equal(il.build_dbar_sphere(k, M).matrix, dense_dbar(k, M)[0])
+        assert np.array_equal(assemble(il.build_dbar_sphere(k, M)), dense_dbar(k, M)[0])
 
     @pytest.mark.parametrize("k,M", [(-4, 6), (0, 3), (1, 16), (3, 24), (-1, 28), (5, 30)])
     def test_table_gram_equals_double_loop(self, k, M):
         op = il.build_dbar_sphere(k, M)
         _, gd, gc = dense_dbar(k, M)
-        assert np.array_equal(op.gram_domain, gd)
-        assert np.array_equal(op.gram_codomain, gc)
+        assert np.array_equal(assemble(op, "gram_domain"), gd)
+        assert np.array_equal(assemble(op, "gram_codomain"), gc)
 
     def test_gate_decision_on_benchmark_sphere_operators(self):
         rejected = []
