@@ -52,7 +52,6 @@ from .indexlab import (
     IndexReport,
     OperatorMatrix,
     adjoint_relation_check,
-    bochner_gap,
     build_dbar_sphere,
     build_dirac10_sphere,
     build_dirac_torus,

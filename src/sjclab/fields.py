@@ -65,11 +65,13 @@ def gcontract(a: np.ndarray, b: np.ndarray, spec: str, L: int) -> np.ndarray:
     leading mask axis).
     """
     out = None
+    # which mask blocks of each factor hold a nonzero entry, scanned once
+    nz_a = a.any(axis=tuple(range(1, a.ndim)))
+    nz_b = b.any(axis=tuple(range(1, b.ndim)))
     for ma, mb, mo, s in _mul_table(L):
-        av, bv = a[ma], b[mb]
-        if not av.any() or not bv.any():
+        if not nz_a[ma] or not nz_b[mb]:
             continue
-        piece = np.einsum(spec, av, bv)
+        piece = np.einsum(spec, a[ma], b[mb])
         if out is None:
             size = a.shape[0]
             out = np.zeros((size,) + piece.shape, dtype=complex)

@@ -26,7 +26,10 @@ Every operator here is block-diagonal and is stored only as its blocks:
   matrices are block-diagonal by charge; the sector block of monomials
   with second exponents b, d is the Hankel matrix of radial integrals
   R(b + d + q) (codomain: R(b + d + q + 1)), read from one table of
-  R(p) per basis.  Blocks are labelled by the domain charge of dbar.
+  R(p) per operator.  Each sector is built straight from its charge:
+  there is no global monomial basis, only the positions of the sector's
+  monomials in the two boxes.  Blocks are labelled by the domain charge
+  of dbar.
 * torus: the Dirac operator is diagonal in the Fourier modes k, with
   block -2 pi i (k1 gamma^1 + k2 gamma^2) (x) I per mode; the chiral
   halves split mode by mode too.
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +54,9 @@ from .targets import standard_J
 
 # Largest accepted condition number of a unit-diagonal Gram matrix.
 GRAM_CONDITION_LIMIT = 1e14
+# Smallest ratio of the smallest kept to the largest dropped singular value
+# for which an index report is conclusive.
+GAP_REQUIREMENT = 1e3
 # Largest torus mode array (modes x block entries), checked before allocation:
 # cutoff 256 at target rank 1, 128 at rank 2.
 TORUS_ENTRY_LIMIT = 1 << 20
@@ -64,20 +70,12 @@ class IndexLabError(ValueError):
 
 
 def h_oracle(k: int) -> tuple[int, int]:
-    """(h0, h1) for the degree-k line bundle by two-chart monomial counting."""
-    h0 = 0
-    if k >= 0:
-        for a in range(k + 1):
-            # z^a is a global section iff the second chart sees w^(k-a)
-            if k - a >= 0:
-                h0 += 1
-    h1 = 0
-    dual = -k - 2
-    if dual >= 0:
-        for a in range(dual + 1):
-            if dual - a >= 0:
-                h1 += 1
-    return h0, h1
+    """(h0, h1) for the degree-k line bundle by two-chart monomial counting.
+
+    z^a is a global section iff the second chart sees w^(k-a), that is
+    0 <= a <= k; by Serre duality h1 counts the sections of degree -k-2.
+    """
+    return max(k + 1, 0), max(-k - 1, 0)
 
 
 def riemann_roch(n: int, p: int, c1A: int) -> int:
@@ -157,18 +155,10 @@ class OperatorMatrix:
     (codomain dimension, domain dimension).
     """
 
-    def __init__(
-        self,
-        *,
-        stacks: list[BlockStack],
-        tag: str,
-        is_complex_linear: bool,
-        meta: dict | None = None,
-    ):
+    def __init__(self, *, stacks: list[BlockStack], tag: str, is_complex_linear: bool):
         self.stacks = stacks
         self.tag = tag
         self.is_complex_linear = is_complex_linear
-        self.meta = {} if meta is None else meta
         self.shape = (sum(s.cod.size for s in stacks), sum(s.dom.size for s in stacks))
 
     def adjoint(self) -> OperatorMatrix:
@@ -176,7 +166,6 @@ class OperatorMatrix:
         return OperatorMatrix(
             tag=f"({self.tag})*",
             is_complex_linear=self.is_complex_linear,
-            meta=dict(self.meta, adjoint_of=self.tag),
             stacks=[s.adjoint() for s in self.stacks],
         )
 
@@ -202,13 +191,11 @@ def adjoint_deviation(op: OperatorMatrix, other: OperatorMatrix) -> float:
     )
 
 
-# -- sphere line-bundle bases ---------------------------------------------------
+# -- sphere operators -------------------------------------------------------------
 
 
 def _radial_integral(p: int, s: int) -> float:
-    """integral over the plane of r^{2p} (1+r^2)^(-s), equal to pi p! (s-p-2)!/(s-1)!."""
-    if p > s - 2:
-        raise IndexLabError("divergent weight integral: cutoff exceeds the weight")
+    """integral over the plane of r^{2p} (1+r^2)^(-s), p <= s - 2, equal to pi p! (s-p-2)!/(s-1)!."""
     try:
         return math.pi * math.factorial(p) * math.factorial(s - p - 2) / math.factorial(s - 1)
     except OverflowError:
@@ -218,123 +205,38 @@ def _radial_integral(p: int, s: int) -> float:
         ) from None
 
 
-def _radial_table(monomials: list[tuple[int, int]], s: int, scale: float) -> np.ndarray:
-    """Gram entries of equal-charge monomial pairs, indexed by p = (a + b + c + d) / 2."""
-    pmax = max(a + b for a, b in monomials)
-    return np.array([scale * _radial_integral(p, s) for p in range(pmax + 1)])
-
-
-def _charge_sectors(monomials: list[tuple[int, int]]) -> dict[int, np.ndarray]:
-    """Positions of the monomials (a, b) of each charge a - b, in basis order."""
-    mons = np.array(monomials)
-    charge = mons[:, 0] - mons[:, 1]
-    order = np.argsort(charge, kind="stable")
-    charges, starts = np.unique(charge[order], return_index=True)
-    return dict(zip(charges.tolist(), np.split(order, starts[1:])))
-
-
-@dataclass
-class LineBundleBasis:
-    """Level-m weighted monomial basis for the degree-k bundle over the sphere."""
-
-    degree: int
-    level: int
-    monomials: list[tuple[int, int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        k, m = self.degree, self.level
-        if k + m < 0 or m < 0:
-            raise IndexLabError("level cutoff too small for this degree")
-        if not self.monomials:
-            self.monomials = [
-                (a, b) for a in range(k + m + 1) for b in range(m + 1)
-            ]
-
-    @property
-    def size(self) -> int:
-        return len(self.monomials)
-
-    def gram_table(self) -> np.ndarray:
-        # weight 2^{k/2} (1+r^2)^{-k} for the bundle metric, (1+r^2)^{-2m}
-        # for the level weight, 4 (1+r^2)^{-2} for the round area form
-        k, m = self.degree, self.level
-        return _radial_table(self.monomials, 2 * m + k + 2, scale=4.0 * 2.0 ** (k / 2.0))
-
-    def holomorphic_kernel_vectors(self) -> np.ndarray:
-        """Coefficient vectors of the exact kernel representatives.
-
-        The section z^a0 expands as sum_j binom(m, j) e_{a0+j, j}; these
-        vectors span the kernel for a0 <= k and are annihilated exactly.
-        """
-        k, m = self.degree, self.level
-        index = {mon: i for i, mon in enumerate(self.monomials)}
-        vecs = []
-        for a0 in range(k + 1):
-            v = np.zeros(self.size)
-            for j in range(m + 1):
-                v[index[(a0 + j, j)]] = math.comb(m, j)
-            vecs.append(v)
-        return np.array(vecs) if vecs else np.zeros((0, self.size))
-
-
-@dataclass
-class AntiholFormBasis:
-    """Codomain basis: (0,1)-forms valued in the degree-k bundle, level m+1."""
-
-    degree: int
-    level: int
-    monomials: list[tuple[int, int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        k, m = self.degree, self.level
-        if not self.monomials:
-            self.monomials = [
-                (c, d) for c in range(k + m + 2) for d in range(m)
-            ]
-
-    @property
-    def size(self) -> int:
-        return len(self.monomials)
-
-    def gram_table(self) -> np.ndarray:
-        k, m = self.degree, self.level
-        # bundle weight times the pointwise norm of dzbar and the area form
-        return _radial_table(self.monomials, 2 * m + k + 2, scale=2.0 * 2.0 ** (k / 2.0))
-
-
 def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
     """Matrix of dbar on the degree-k bundle at level cutoff M, by charge sector.
 
-    M >= |k| + 2 is required so both boxes are nonempty and resolved.
+    M >= |k| + 2 is required so both boxes are nonempty and resolved.  The
+    domain sector of charge q holds the e_ab with a = b + q, at position
+    a (M + 1) + b; its image, codomain sector q + 1, holds the e'_cd with
+    c = d + q + 1, at position c M + d.
     """
     if M < abs(k) + 2:
         raise IndexLabError(f"cutoff {M} too small for degree {k}")
-    dom = LineBundleBasis(degree=k, level=M)
-    cod = AntiholFormBasis(degree=k, level=M)
-    table_dom, table_cod = dom.gram_table(), cod.gram_table()
-    b_of = np.array(dom.monomials)[:, 1]
-    d_of = np.array(cod.monomials)[:, 1]
-    cod_sectors = _charge_sectors(cod.monomials)
+    # every equal-charge pair has (a + b + c + d) / 2 in 0..k + 2M
+    radial = np.array([_radial_integral(p, 2 * M + k + 2) for p in range(k + 2 * M + 1)])
+    # weight 2^{k/2} (1+r^2)^{-k} for the bundle metric and (1+r^2)^{-2M} for
+    # the level weight, times 4 (1+r^2)^{-2} for the round area form on the
+    # domain, times the pointwise norm of dzbar and the area form on the codomain
+    table_dom = 4.0 * 2.0 ** (k / 2.0) * radial
+    table_cod = 2.0 * 2.0 ** (k / 2.0) * radial
     blocks = []
-    for q, di in _charge_sectors(dom.monomials).items():
-        ci = cod_sectors[q + 1]
-        b, d = b_of[di], d_of[ci]
-        # e_ab -> b e'_{a, b-1} + (b - m) e'_{a+1, b}; both images have charge q + 1
+    for q in range(-M, k + M + 1):
+        b = np.arange(max(0, -q), min(M, k + M - q) + 1)
+        d = np.arange(max(0, -q - 1), min(M - 1, k + M - q) + 1)
+        # e_ab -> b e'_{a, b-1} + (b - M) e'_{a+1, b}; both images have charge q + 1
         A = np.where(d[:, None] == b - 1, b, 0) + np.where(d[:, None] == b, b - M, 0)
         blocks.append((
             A.astype(complex),
             table_dom[b[:, None] + b[None, :] + q],
             table_cod[d[:, None] + d[None, :] + q + 1],
-            di,
-            ci,
+            (b + q) * (M + 1) + b,
+            (d + q + 1) * M + d,
             f"sector q={q}",
         ))
-    return OperatorMatrix(
-        tag=f"dbar O({k})",
-        is_complex_linear=True,
-        meta={"degree": k, "level": M, "surface": "sphere"},
-        stacks=_stacks_by_shape(blocks),
-    )
+    return OperatorMatrix(tag=f"dbar O({k})", is_complex_linear=True, stacks=_stacks_by_shape(blocks))
 
 
 def build_dirac10_sphere(target_degree_d: int, M: int) -> OperatorMatrix:
@@ -345,7 +247,6 @@ def build_dirac10_sphere(target_degree_d: int, M: int) -> OperatorMatrix:
     """
     op = build_dbar_sphere(2 * target_degree_d - 1, M)
     op.tag = f"D10 degree-{target_degree_d} sphere map"
-    op.meta["target_degree"] = target_degree_d
     return op
 
 
@@ -355,7 +256,6 @@ def build_dirac01_sphere(k: int, M: int) -> OperatorMatrix:
     return OperatorMatrix(
         tag=f"D01 O({k})",
         is_complex_linear=True,
-        meta=dict(op.meta, adjoint_of=op.tag),
         stacks=[dataclasses.replace(s, matrix=-s.matrix) for s in op.adjoint().stacks],
     )
 
@@ -410,7 +310,6 @@ def build_dirac_torus(n_target: int, M: int) -> OperatorMatrix:
     return OperatorMatrix(
         tag=f"Dirac torus n={n_target}",
         is_complex_linear=False,
-        meta={"surface": "torus", "modes": len(modes), "n_target": n_target, "M": M},
         stacks=[_orthonormal_stack(full, [f"mode ({a},{b})" for a, b in modes.tolist()])],
     )
 
@@ -455,7 +354,6 @@ def build_dirac_torus_chiral(n_target: int, M: int, part: str) -> OperatorMatrix
     return OperatorMatrix(
         tag=f"D{part} torus n={n_target}",
         is_complex_linear=False,
-        meta=dict(full.meta, part=part),
         stacks=[_orthonormal_stack(blocks, modes.labels)],
     )
 
@@ -572,7 +470,6 @@ def numeric_index(
     op: OperatorMatrix,
     threshold: float = 1e-8,
     formula_index: int | None = None,
-    gap_requirement: float = 1e3,
 ) -> IndexReport:
     """Kernel/cokernel dimensions from singular values below a relative threshold."""
     normalized = [s.normalized() for s in op.stacks]
@@ -597,7 +494,7 @@ def numeric_index(
             gap = np.inf
     kernel = ndom - rank
     coker = ncod - rank
-    conclusive = bool(gap >= gap_requirement)
+    conclusive = bool(gap >= GAP_REQUIREMENT)
     return IndexReport(
         tag=op.tag,
         kernel_dim=kernel,
@@ -614,17 +511,6 @@ def numeric_index(
         gram_worst_block=worst,
         gram_worst_condition=worst_cond,
         kept_margin=kept_margin,
-    )
-
-
-def direct_sum(op1: OperatorMatrix, op2: OperatorMatrix) -> OperatorMatrix:
-    rows, cols = op1.shape
-    shifted = [dataclasses.replace(s, dom=s.dom + cols, cod=s.cod + rows) for s in op2.stacks]
-    return OperatorMatrix(
-        tag=f"{op1.tag} (+) {op2.tag}",
-        is_complex_linear=op1.is_complex_linear and op2.is_complex_linear,
-        meta={"summands": [op1.tag, op2.tag]},
-        stacks=op1.stacks + shifted,
     )
 
 
@@ -682,42 +568,3 @@ def adjoint_relation_check(M_cutoff: int, n_target: int = 1, sphere_degrees=(0, 
     )
     report["passed"] = all(c["passed"] for c in report["checks"])
     return report
-
-
-@dataclass
-class GapReport:
-    tag: str
-    sigma_min: float
-    kernel_dim: int
-    scalar_curvature: float
-    bochner_bound: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "tag": self.tag,
-            "sigma_min": self.sigma_min,
-            "kernel_dim": self.kernel_dim,
-            "scalar_curvature": self.scalar_curvature,
-            "bochner_bound": self.bochner_bound,
-        }
-
-
-def bochner_gap(op: OperatorMatrix, scalar_curvature: float, threshold: float = 1e-8) -> GapReport:
-    """Smallest singular value of an antiholomorphic-half realization.
-
-    A strictly positive value certifies the trivial kernel predicted by
-    positive curvature; sqrt(s/4) is reported as the flat-target curvature
-    bound for orientation (the chart realization normalization may differ
-    from it by a bounded factor).
-    """
-    rep = numeric_index(op, threshold=threshold)
-    sv = rep.singular_values
-    sigma_min = float(sv.min()) if sv.size else 0.0
-    bound = math.sqrt(scalar_curvature / 4.0) if scalar_curvature > 0 else None
-    return GapReport(
-        tag=op.tag,
-        sigma_min=sigma_min,
-        kernel_dim=rep.kernel_dim,
-        scalar_curvature=scalar_curvature,
-        bochner_bound=bound,
-    )

@@ -16,8 +16,11 @@ followed by one text record per grid point:
     i j lam  phi...  psi...  F...  chi...
 
 where each field block lists, for every base-monomial mask in increasing
-order, the real and imaginary parts of every component.  phi carries an
-affine part in the header.  A bundle holds exactly M^2 records, all of the
+order, the real and imaginary parts of every component.  The header is a
+JSON object with ``"schema": 1``, integers M >= 1, L in
+0..``FLAT_MAP_MAX_L`` and dim >= 1, the affine part of phi as a dim x 2
+``phi_linear`` of finite numbers, and a ``model`` object with a string
+``kind``.  A bundle holds exactly M^2 records, all of the
 same length; (i, j) are integers in [0, M), each pair occurring once, in
 any order; every value is finite and lam is positive.  Any other input
 raises ValueError naming the defect.
@@ -65,6 +68,8 @@ def read_flat_map(path) -> tuple[int, list[SuperField]]:
         raise ValueError(
             f"flat-map generator count L must be a JSON integer in 0..{FLAT_MAP_MAX_L}, got {json.dumps(L)}"
         )
+    if "components_z" not in payload:
+        raise ValueError("flat map has no components_z list")
     texts = payload["components_z"]
     n = payload.get("n")
     if not isinstance(texts, list) or not texts or n != len(texts):
@@ -114,26 +119,50 @@ def write_field_bundle(
                 fh.write(" ".join(rec) + "\n")
 
 
+def _header_int(header: dict, key: str, low: int, high: int | None = None) -> int:
+    value = header.get(key)
+    if type(value) is not int or value < low or (high is not None and value > high):
+        span = f"{low}..{high}" if high is not None else f">= {low}"
+        raise ValueError(f"field bundle header needs {key} as a JSON integer {span}, got {json.dumps(value)}")
+    return value
+
+
 def read_field_bundle(path):
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as exc:
+            raise ValueError(f"field bundle header is not a JSON line: {exc}") from None
+        if not isinstance(header, dict):
+            raise ValueError("field bundle header must be a JSON object")
         if header.get("schema") != 1:
             raise ValueError("unsupported field bundle schema")
-        M = int(header["M"])
-        L = int(header["L"])
-        dim = int(header["dim"])
+        M = _header_int(header, "M", 1)
+        L = _header_int(header, "L", 0, FLAT_MAP_MAX_L)
+        dim = _header_int(header, "dim", 1)
+        try:
+            phi_linear = np.array(header["phi_linear"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            phi_linear = None
+        if phi_linear is None or phi_linear.shape != (dim, 2) or not np.isfinite(phi_linear).all():
+            raise ValueError(f"field bundle header needs phi_linear as a {dim}x2 array of finite numbers")
+        model = header.get("model")
+        if not isinstance(model, dict) or not isinstance(model.get("kind"), str):
+            raise ValueError("field bundle header needs model as a JSON object with a string kind")
         try:
             with warnings.catch_warnings():  # an empty body is reported below
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, ndmin=2, comments=None)
         except ValueError as exc:
             raise ValueError(f"malformed field bundle record: {exc}") from None
+    if not data.size:
+        raise ValueError(f"field bundle has 0 of the M^2 = {M * M} grid records")
     S = 1 << L
     shapes = ((dim,), (2, dim), (dim,), (2, 2))  # phi, psi, F, chi per mask
     width = 3 + 2 * S * sum(int(np.prod(shape)) for shape in shapes)
-    if data.size and data.shape[1] != width:
+    if data.shape[1] != width:
         raise ValueError(f"field bundle records have {data.shape[1]} values, expected {width}")
-    if data.size and not np.isfinite([data.min(), data.max()]).all():  # NaN propagates
+    if not np.isfinite([data.min(), data.max()]).all():  # NaN propagates
         bad = ~np.isfinite(data).all(axis=1)
         raise ValueError(f"non-finite value in record {int(np.argmax(bad)) + 1}")
     ij = data[:, :2]
@@ -142,11 +171,12 @@ def read_field_bundle(path):
         i, j = ij[np.argmax(bad)]
         raise ValueError(f"grid index ({i:g}, {j:g}) is not a pair of integers in [0, {M})")
     order = (ij[:, 0] * M + ij[:, 1]).astype(np.intp)
-    counts = np.bincount(order, minlength=M * M)
-    if counts.max(initial=0) > 1:
-        raise ValueError(f"duplicate records for grid point {divmod(int(np.argmax(counts)), M)}")
+    # the record count first: it bounds the M^2 counters below by the file size
     if len(order) != M * M:
         raise ValueError(f"field bundle has {len(order)} of the M^2 = {M * M} grid records")
+    counts = np.bincount(order, minlength=M * M)
+    if counts.max() > 1:
+        raise ValueError(f"duplicate records for grid point {divmod(int(np.argmax(counts)), M)}")
     if not np.array_equal(order, np.arange(M * M)):
         data = data[np.argsort(order)]
     if (data[:, 2] <= 0).any():
@@ -165,10 +195,10 @@ def read_field_bundle(path):
     patch = ReducedPatch(M, lam=None if np.all(lam == 1.0) else lam)
     cmap = ComponentMap(
         L=L,
-        phi_linear=np.array(header["phi_linear"], dtype=float),
+        phi_linear=phi_linear,
         phi_periodic=phi,
         psi=psi,
         F=F,
     )
     grav = Gravitino(L=L, chi=chi)
-    return cmap, grav, patch, header["model"]
+    return cmap, grav, patch, model

@@ -354,24 +354,24 @@ def suite_bochner(cutoff: int, seed: int) -> tuple[dict, dict]:
             swap_ok = False
     checks.append(_check("verdict swap under sigma negation", swap_ok, None, None, "identity"))
 
-    d01_sphere = il.build_dirac01_sphere(-1, cutoff)
-    gap_sphere = il.bochner_gap(d01_sphere, scalar_curvature=2.0)
+    gap_sphere = il.numeric_index(il.build_dirac01_sphere(-1, cutoff))
+    sigma_sphere = float(gap_sphere.singular_values.min())
     checks.append(
         _check(
             "sphere antiholomorphic-half spectral gap (flat target)",
-            gap_sphere.sigma_min > 0.1 and gap_sphere.kernel_dim == 0,
-            gap_sphere.sigma_min,
+            sigma_sphere > 0.1 and gap_sphere.kernel_dim == 0,
+            sigma_sphere,
             0.1,
             "spectral",
         )
     )
-    d01_torus = il.build_dirac_torus_chiral(1, 8, "01")
-    gap_torus = il.bochner_gap(d01_torus, scalar_curvature=0.0)
+    gap_torus = il.numeric_index(il.build_dirac_torus_chiral(1, 8, "01"))
+    sigma_torus = float(gap_torus.singular_values.min())
     checks.append(
         _check(
             "flat torus has zero modes and no gap",
-            gap_torus.sigma_min <= 1e-12 and gap_torus.kernel_dim > 0,
-            gap_torus.sigma_min,
+            sigma_torus <= 1e-12 and gap_torus.kernel_dim > 0,
+            sigma_torus,
             1e-12,
             "oracle",
         )
@@ -388,7 +388,7 @@ def suite_bochner(cutoff: int, seed: int) -> tuple[dict, dict]:
             "spectral",
         )
     )
-    csvs = {"singular_values.csv": _sigma_rows(d01_sphere.singular_values())}
+    csvs = {"singular_values.csv": _sigma_rows(gap_sphere.singular_values)}
     return _report("bochner", {"cutoff": cutoff, "seed": seed}, checks), csvs
 
 

@@ -78,9 +78,6 @@ class AlmostKahlerModel:
             return np.broadcast_to(op, np.shape(y)[:-1] + op.shape)
         return op
 
-    def is_kahler(self) -> bool:
-        return self.kind in ("flat", "constant-hsc", "fubini-study-CP1")
-
     def descriptor(self) -> dict:
         d = {"kind": self.kind, "n": self.n}
         if self.sigma is not None:
@@ -224,10 +221,13 @@ def make_fs_cp1() -> AlmostKahlerModel:
 
 def make_model(descriptor: dict) -> AlmostKahlerModel:
     kind = descriptor["kind"]
-    if kind == "flat":
-        return make_flat(int(descriptor["n"]))
-    if kind == "constant-hsc":
-        return make_const_hsc(float(descriptor["sigma"]), int(descriptor["n"]))
+    try:
+        if kind == "flat":
+            return make_flat(int(descriptor["n"]))
+        if kind == "constant-hsc":
+            return make_const_hsc(float(descriptor["sigma"]), int(descriptor["n"]))
+    except KeyError as exc:
+        raise ModelError(f"model {kind!r} has no {exc.args[0]!r}") from None
     if kind == "fubini-study-CP1":
         return make_fs_cp1()
     raise ModelError(f"unknown model kind {kind!r}")

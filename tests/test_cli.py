@@ -316,7 +316,39 @@ BAD_RECORDS = {
 }
 
 
+def _without(header, key):
+    return {k: v for k, v in header.items() if k != key}
+
+
+# header edits (records kept unless the edit returns a replacement body), and
+# a fragment the error message must contain
+BAD_HEADERS = {
+    "no-records": (lambda h: (h, ""), "error: field bundle has 0 of the M^2 = 64 grid records"),
+    "huge-M": (lambda h: (dict(h, M=1 << 20), None), "error: field bundle has 64 of the M^2 = 1099511627776 grid"),
+    "list": (lambda h: ([h], None), "error: field bundle header must be a JSON object"),
+    "no-M": (lambda h: (_without(h, "M"), None), "header needs M as a JSON integer >= 1, got null"),
+    "string-M": (lambda h: (dict(h, M="8"), None), 'header needs M as a JSON integer >= 1, got "8"'),
+    "no-L": (lambda h: (_without(h, "L"), None), "header needs L as a JSON integer 0..64, got null"),
+    "no-dim": (lambda h: (_without(h, "dim"), None), "header needs dim as a JSON integer >= 1, got null"),
+    "no-phi-linear": (lambda h: (_without(h, "phi_linear"), None), "header needs phi_linear as a 2x2 array"),
+    "nan-phi-linear": (lambda h: (dict(h, phi_linear=[[1.0, None], [0.0, 1.0]]), None), "of finite numbers"),
+    "no-model": (lambda h: (_without(h, "model"), None), "header needs model as a JSON object with a string kind"),
+    "no-kind": (lambda h: (dict(h, model={"n": 1}), None), "header needs model as a JSON object with a string kind"),
+    "no-n": (lambda h: (dict(h, model={"kind": "flat"}), None), "error: model 'flat' has no 'n'"),
+}
+
+
 class TestBundleValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+    def test_bad_header_exit_2(self, case, tmp_path, capsys):
+        path, *_ = TestVerifyComponents()._solution_bundle(tmp_path)
+        header, body = path.read_text().split("\n", 1)
+        edit, message = BAD_HEADERS[case]
+        new_header, new_body = edit(json.loads(header))
+        path.write_text(json.dumps(new_header) + "\n" + (body if new_body is None else new_body))
+        assert run(["verify-components", str(path)], tmp_path) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
     def test_bad_records_exit_2(self, case, tmp_path, capsys):
         path, *_ = TestVerifyComponents()._solution_bundle(tmp_path)
@@ -379,8 +411,9 @@ class TestFlatMapValidation:
         [
             ([1], "unsupported flat-map schema"),
             ({"schema": 1, "L": 2, "n": 1, "components_z": [3]}, "literal strings"),
+            ({"schema": 1, "L": 2, "n": 1}, "flat map has no components_z list"),
         ],
-        ids=["not-an-object", "non-string-component"],
+        ids=["not-an-object", "non-string-component", "no-components"],
     )
     def test_malformed_payload_exit_2(self, payload, message, tmp_path, capsys):
         path = tmp_path / "map.json"
