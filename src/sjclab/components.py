@@ -1,10 +1,13 @@
 """Component-field form of the first-order operator on the periodic patch.
 
-Implements the gravitino projectors, the endomorphism built from the
-derivative of J, the cubic curvature contraction, the twisted Dirac
-operator, the four residual fields whose joint vanishing characterizes
-solutions, conformal covariance checks, and the finite-difference
-validation of the linearization blocks.
+Implements the antiholomorphic projector (1 + I (x) J)/2, the endomorphism
+built from the derivative of J, the cubic curvature contraction, the
+twisted Dirac operator, the four residual fields whose joint vanishing
+characterizes solutions, the component fields of the operator itself,
+conformal covariance checks, and the finite-difference validation of the
+linearization blocks.  Every grid derivative goes through
+:meth:`ReducedPatch.grad`, and the residual and the operator share one
+copy of each term they have in common.
 
 Field layout follows :mod:`sjclab.fields`; spinor-index conventions follow
 :mod:`sjclab.spin`.  The pairings written with a spinor-index lowering use
@@ -29,7 +32,6 @@ from .spin import (
     EPS_UPPER_MAP,
     GAMMA_I_MAP,
     GAMMA_MAP,
-    IFRAME_MAP,
     ISPIN_MAP,
     delta_gamma,
     project_q,
@@ -39,6 +41,10 @@ from .targets import AlmostKahlerModel
 
 class PreconditionError(ValueError):
     pass
+
+
+# Largest residual of a linearization base point that still counts as holomorphic.
+PRECONDITION_TOL = 1e-8
 
 
 # -- basic geometric data along the map ---------------------------------------
@@ -66,25 +72,20 @@ def model_grids(model: AlmostKahlerModel, cmap: ComponentMap, patch: ReducedPatc
 
 def dphi_frame(cmap: ComponentMap, patch: ReducedPatch) -> np.ndarray:
     """Frame derivative of phi: (2^L, M, M, 2, dim); index order (k, b)."""
-    d1 = patch.diff(cmap.phi_periodic, 1, grid_axes=(1, 2))
-    d2 = patch.diff(cmap.phi_periodic, 2, grid_axes=(1, 2))
-    d = np.stack([d1, d2], axis=3)  # (S, M, M, 2, dim)
+    d = patch.grad(cmap.phi_periodic)  # (S, M, M, 2, dim)
     d[0, :, :, 0, :] += cmap.phi_linear[:, 0]
     d[0, :, :, 1, :] += cmap.phi_linear[:, 1]
     d *= patch.frame_factor()[None, :, :, None, None]
     return d
 
 
-def oneform_antiholomorphic_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """(1/2)(1 + I (x) J) on a one-form-valued field T[..., k, b]."""
-    rot = IFRAME_MAP.apply(T, -2)
-    return 0.5 * (T + np.einsum("sxykb,xybc->sxykc", rot, J))
+def antiholomorphic_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """(1/2)(1 + I (x) J) on a one-form- or spinor-valued field T[..., a, b].
 
-
-def spinor_antiholomorphic_part(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """(1/2)(1 + I (x) J) on a spinor-valued field psi[..., alpha, b]."""
-    rot = ISPIN_MAP.apply(psi, -2)
-    return 0.5 * (psi + np.einsum("sxyac,xycd->sxyad", rot, J))
+    I is the same matrix [[0, 1], [-1, 0]] on frame and on spinor indices.
+    """
+    rot = ISPIN_MAP.apply(T, -2)
+    return 0.5 * (T + np.einsum("sxyac,xycd->sxyad", rot, J))
 
 
 def spinor_holomorphic_part(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -93,7 +94,7 @@ def spinor_holomorphic_part(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
     return 0.5 * (psi - np.einsum("sxyac,xycd->sxyad", rot, J))
 
 
-def j_endomorphism(psi: np.ndarray, nablaJ: np.ndarray, L: int) -> np.ndarray:
+def j_endomorphism(psi: np.ndarray, nablaJ: np.ndarray) -> np.ndarray:
     """j_mu = contraction of psi_mu with the derivative of J.
 
     Returns (2^L, M, M, 2, dim, dim): for each spinor index an odd
@@ -135,35 +136,23 @@ def twisted_dirac(
     ``grids`` and ``dphi`` are computed here when not passed; dphi is only
     needed when Gamma is nonzero.
     """
-    if patch.M < 4:
-        raise PreconditionError("resolution too small")
     if grids is None:
         grids = model_grids(model, cmap, patch)
     _, Gamma, _, _ = grids
     L = cmap.L
-    ff = patch.frame_factor()[None, :, :, None, None, None]
-    dpsi = np.stack(
-        [
-            patch.diff(psi, 1, grid_axes=(1, 2)),
-            patch.diff(psi, 2, grid_axes=(1, 2)),
-        ],
-        axis=3,
-    )  # (S, M, M, k, alpha, dim)
-    dpsi *= ff
+    nabla = patch.grad(psi)  # (S, M, M, k, alpha, dim)
+    nabla *= patch.frame_factor()[None, :, :, None, None, None]
     if np.abs(Gamma).max() > 0:
         if dphi is None:
             dphi = dphi_frame(cmap, patch)
         conn = np.einsum("xyecd,sxykc->sxyked", Gamma, dphi)  # Gamma(dphi_k, .)
-        gterm = gcontract(conn, psi, "xyked,xyad->xykae", L)
-        nabla = dpsi + gterm
-    else:
-        nabla = dpsi
+        nabla = nabla + gcontract(conn, psi, "xyked,xyad->xykae", L)
     omega = patch.spin_connection()
     out = GAMMA_MAP.apply(nabla, -3)
     np.negative(out, out=out)
     if np.abs(omega).max() > 0:
         # omega_k psi_a, then (gamma^k I)[b, a] summed over (k, a)
-        opsi = np.moveaxis(omega, 0, -1)[None, :, :, :, None, None] * psi[:, :, :, None]
+        opsi = omega[None, :, :, :, None, None] * psi[:, :, :, None]
         out = out + 0.5 * GAMMA_I_MAP.apply(opsi, -3)
     return out
 
@@ -227,6 +216,15 @@ class Residuals:
         return max(self.max_norms().values())
 
 
+def _dirac_terms(cmap, qchi, patch, model, grids, dphi) -> np.ndarray:
+    """D psi - 2 <vee Q chi, dphi> + |Q chi|^2 psi, shared by residual and operator."""
+    L = cmap.L
+    out = twisted_dirac(cmap.psi, patch, model, cmap, grids=grids, dphi=dphi)
+    out = out - 2.0 * vee_q_pairing(qchi, dphi, L)
+    nq = q_norm_squared(qchi, L)
+    return out + gcontract(nq, cmap.psi, "xy,xyab->xyab", L)
+
+
 def residual_components(
     cmap: ComponentMap,
     grav: Gravitino,
@@ -242,51 +240,29 @@ def residual_components(
     if cmap.M != patch.M or grav.M != patch.M:
         raise FieldError("grid size mismatch")
     L = cmap.L
-    J, Gamma, nablaJ, Rop = grids = model_grids(model, cmap, patch)
+    J, _, nablaJ, Rop = grids = model_grids(model, cmap, patch)
 
     # block 1: chirality constraint
-    rot = ISPIN_MAP.apply(cmap.psi, -2)
-    r1 = cmap.psi + np.einsum("sxyac,xycd->sxyad", rot, J)
+    r1 = 2.0 * antiholomorphic_part(cmap.psi, J)
 
     # block 2: auxiliary field
     r2 = cmap.F.copy()
 
     # block 3: perturbed Cauchy-Riemann equation
     dphi = dphi_frame(cmap, patch)
-    dbar_phi = oneform_antiholomorphic_part(dphi, J)
+    dbar_phi = antiholomorphic_part(dphi, J)
     qchi = project_q(grav.chi)
     r3 = dbar_phi + gravitino_psi_pairing(qchi, cmap.psi, L)
     if np.abs(nablaJ).max() > 0:
-        jend = j_endomorphism(cmap.psi, nablaJ, L)
+        jend = j_endomorphism(cmap.psi, nablaJ)
         r3 = r3 + j_trace_block3(jend, cmap.psi, J, L)
 
     # block 4: Dirac-type equation
-    r4 = twisted_dirac(cmap.psi, patch, model, cmap, grids=grids, dphi=dphi)
-    r4 = r4 - 2.0 * vee_q_pairing(qchi, dphi, L)
-    nq = q_norm_squared(qchi, L)
-    r4 = r4 + gcontract(nq, cmap.psi, "xy,xyab->xyab", L)
+    r4 = _dirac_terms(cmap, qchi, patch, model, grids, dphi)
     if np.abs(Rop).max() > 0:
         r4 = r4 - sr_contraction(cmap.psi, Rop, L) / 3.0
 
     return Residuals(chirality=r1, auxiliary=r2, cauchy_riemann=r3, dirac=r4)
-
-
-@dataclass
-class OperatorComponents:
-    """Component fields of the first-order operator itself (not the zero set).
-
-    These carry the normalization whose linearization at a holomorphic map
-    has the block form (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + ...).
-    Restricted to Kahler models, where the J-derivative terms vanish.
-    """
-
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    c4: np.ndarray
-
-    def stack_like(self) -> tuple[np.ndarray, ...]:
-        return (self.c1, self.c2, self.c3, self.c4)
 
 
 def operator_components(
@@ -294,31 +270,33 @@ def operator_components(
     grav: Gravitino,
     patch: ReducedPatch,
     model: AlmostKahlerModel,
-) -> OperatorComponents:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Component fields (c1, c2, c3, c4) of the first-order operator itself.
+
+    They carry the normalization whose linearization at a holomorphic map
+    has the block form (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + ...).
+    Restricted to Kahler models, where the J-derivative terms vanish.
+    """
     if np.abs(model.nablaJ_at(np.zeros(model.dim))).max() > 0:
         raise PreconditionError(
             "operator components are implemented for Kahler models only"
         )
     L = cmap.L
-    J, Gamma, nablaJ, Rop = grids = model_grids(model, cmap, patch)
+    J, _, _, Rop = grids = model_grids(model, cmap, patch)
 
-    c1 = spinor_antiholomorphic_part(cmap.psi, J)
-    c2 = 0.25 * cmap.F.copy()
+    c1 = antiholomorphic_part(cmap.psi, J)
+    c2 = 0.25 * cmap.F
 
     dphi = dphi_frame(cmap, patch)
     pairing = gravitino_psi_pairing(grav.chi, cmap.psi, L)
-    c3 = -oneform_antiholomorphic_part(dphi + pairing, J)
+    c3 = -antiholomorphic_part(dphi + pairing, J)
 
-    qchi = project_q(grav.chi)
-    inner = twisted_dirac(cmap.psi, patch, model, cmap, grids=grids, dphi=dphi)
-    inner = inner - 2.0 * vee_q_pairing(qchi, dphi, L)
-    nq = q_norm_squared(qchi, L)
-    inner = inner + gcontract(nq, cmap.psi, "xy,xyab->xyab", L)
+    inner = _dirac_terms(cmap, project_q(grav.chi), patch, model, grids, dphi)
     inner = inner + delta_gamma_tensor_F(grav.chi, cmap.F, L)
     if np.abs(Rop).max() > 0:
         inner = inner - sr_contraction(cmap.psi, Rop, L) / 6.0
-    c4 = -spinor_antiholomorphic_part(inner, J)
-    return OperatorComponents(c1=c1, c2=c2, c3=c3, c4=c4)
+    c4 = -antiholomorphic_part(inner, J)
+    return c1, c2, c3, c4
 
 
 # -- conformal covariance ------------------------------------------------------
@@ -362,20 +340,11 @@ def weyl_covariance_check(
     patch2 = ReducedPatch(M, lam=patch.lam * u)
     cmap2, grav2 = weyl_rescale_fields(cmap, grav, u)
     new = residual_components(cmap2, grav2, patch2, model)
-    weights = {
-        "chirality": -1,
-        "auxiliary": -2,
-        "cauchy_riemann": -2,
-        "dirac": -3,
-    }
-    abstract = {
-        "chirality": -1,
-        "auxiliary": -2,
-        "cauchy_riemann": 0,   # invariant once the frame factor is removed
-        "dirac": -3,
-    }
+    # (frame, abstract) weight exponents; cauchy_riemann is invariant once
+    # the frame factor is removed
+    weights = {"chirality": (-1, -1), "auxiliary": (-2, -2), "cauchy_riemann": (-2, 0), "dirac": (-3, -3)}
     report = {"blocks": {}, "passed": True}
-    for name, expected in weights.items():
+    for name, (expected, abstract) in weights.items():
         b = base.blocks()[name]
         nvals = new.blocks()[name]
         extra = (1,) * (b.ndim - 3)
@@ -384,7 +353,7 @@ def weyl_covariance_check(
         scale = 1.0 + max_abs(b)
         entry = {
             "frame_weight_exponent": expected,
-            "abstract_weight_exponent": abstract[name],
+            "abstract_weight_exponent": abstract,
             "max_deviation": dev,
             "relative_deviation": dev / scale,
             "passed": bool(dev / scale <= tol),
@@ -414,10 +383,8 @@ def d_phi_operator(
     L = cmap.L
     J, Gamma, nablaJ, _ = model_grids(model, cmap, patch)
     ff = patch.frame_factor()[None, :, :, None, None]
-    dxi = np.stack(
-        [patch.diff(xi, 1, grid_axes=(1, 2)), patch.diff(xi, 2, grid_axes=(1, 2))],
-        axis=3,
-    ) * ff
+    dxi = patch.grad(xi)
+    dxi *= ff
     has_gamma = np.abs(Gamma).max() > 0
     has_nablaJ = np.abs(nablaJ).max() > 0
     if has_gamma or has_nablaJ:
@@ -430,13 +397,12 @@ def d_phi_operator(
             np.einsum("xyabc,sxya->sxybc", nablaJ, xi), dphi, "xybc,xykc->xykb", L
         )
         dxi = dxi - 0.5 * np.einsum("sxykb,xybc->sxykc", jxi, J)
-    return oneform_antiholomorphic_part(dxi, J)
+    return antiholomorphic_part(dxi, J)
 
 
 def analytic_linearization_blocks(
     dirs: Directions,
     cmap: ComponentMap,
-    grav_zero: Gravitino,
     patch: ReducedPatch,
     model: AlmostKahlerModel,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -452,9 +418,9 @@ def analytic_linearization_blocks(
     b3 = gzeros(L, (M, M, 2, dim))
     b4 = gzeros(L, (M, M, 2, dim))
     if dirs.zeta is not None:
-        b1 = spinor_antiholomorphic_part(dirs.zeta, J)
+        b1 = antiholomorphic_part(dirs.zeta, J)
         dz = twisted_dirac(dirs.zeta, patch, model, cmap)
-        b4 = b4 - spinor_antiholomorphic_part(dz, J)
+        b4 = b4 - antiholomorphic_part(dz, J)
     if dirs.sigma is not None:
         b2 = 0.25 * dirs.sigma
     if dirs.xi is not None:
@@ -465,26 +431,6 @@ def analytic_linearization_blocks(
     return b1, b2, b3, b4
 
 
-def linearization_fd_check(
-    cmap: ComponentMap,
-    patch: ReducedPatch,
-    model: AlmostKahlerModel,
-    dirs: Directions,
-    h: float = 1e-3,
-    rel_tol: float = 1e-6,
-    precondition_tol: float = 1e-8,
-) -> dict:
-    """Central finite differences of the operator components versus the blocks.
-
-    The base point must be a holomorphic map with vanishing odd and
-    auxiliary data; the step is Richardson-halved and both approximations
-    are compared against the analytic blocks.
-    """
-    return linearization_fd_checks(
-        cmap, patch, model, {"": dirs}, h=h, rel_tol=rel_tol, precondition_tol=precondition_tol
-    )[""]
-
-
 def linearization_fd_checks(
     cmap: ComponentMap,
     patch: ReducedPatch,
@@ -492,14 +438,16 @@ def linearization_fd_checks(
     named_dirs: dict[str, Directions],
     h: float = 1e-3,
     rel_tol: float = 1e-6,
-    precondition_tol: float = 1e-8,
 ) -> dict[str, dict]:
-    """:func:`linearization_fd_check` along several directions, by name.
+    """Central finite differences of the operator components versus the blocks.
 
-    The base point is checked once for all of them.
+    One report per named direction.  The base point must be a holomorphic
+    map with vanishing odd and auxiliary data; it is checked once for all
+    directions.  The step is Richardson-halved and both approximations are
+    compared against the analytic blocks.
     """
     base = residual_components(cmap, Gravitino.zero(cmap.L, patch.M), patch, model)
-    if base.max_norm() > precondition_tol:
+    if base.max_norm() > PRECONDITION_TOL:
         raise PreconditionError(
             f"base map is not holomorphic: residual {base.max_norm():.3e}"
         )
@@ -519,7 +467,6 @@ def _fd_report(
 ) -> dict:
     L = cmap.L
     M = patch.M
-    grav0 = Gravitino.zero(L, M)
 
     def at(t: float) -> tuple[np.ndarray, ...]:
         pert = cmap.copy()
@@ -532,8 +479,7 @@ def _fd_report(
         chi = gzeros(L, (M, M, 2, 2))
         if dirs.rho is not None:
             chi = chi + t * dirs.rho
-        comps = operator_components(pert, Gravitino(L=L, chi=chi), patch, model)
-        return comps.stack_like()
+        return operator_components(pert, Gravitino(L=L, chi=chi), patch, model)
 
     def central(step: float) -> tuple[np.ndarray, ...]:
         plus = at(step)
@@ -542,7 +488,7 @@ def _fd_report(
 
     d_h = central(h)
     d_h2 = central(h / 2.0)
-    analytic = analytic_linearization_blocks(dirs, cmap, grav0, patch, model)
+    analytic = analytic_linearization_blocks(dirs, cmap, patch, model)
     names = ["chirality", "auxiliary", "cauchy_riemann", "dirac"]
     report = {"blocks": {}, "passed": True, "step": h}
     for name, fd_h, fd_h2, ref in zip(names, d_h, d_h2, analytic):

@@ -47,28 +47,28 @@ class CurvatureSymmetryError(ValueError):
     pass
 
 
-def check_curvature_symmetries(R: np.ndarray, tol: float = 0.0) -> None:
-    """Reject tensors without the full curvature symmetries, with diagnosis."""
+def check_curvature_symmetries(R: np.ndarray) -> None:
+    """Reject tensors without the full curvature symmetries (exactly), with diagnosis."""
     R = np.asarray(R)
     problems = []
-    if np.abs(R + np.einsum("bacd->abcd", R)).max() > tol:
+    if np.abs(R + np.einsum("bacd->abcd", R)).max() > 0:
         problems.append("not antisymmetric in the first index pair")
-    if np.abs(R + np.einsum("abdc->abcd", R)).max() > tol:
+    if np.abs(R + np.einsum("abdc->abcd", R)).max() > 0:
         problems.append("not antisymmetric in the second index pair")
-    if np.abs(R - np.einsum("cdab->abcd", R)).max() > tol:
+    if np.abs(R - np.einsum("cdab->abcd", R)).max() > 0:
         problems.append("pair symmetry fails")
     bianchi = R + np.einsum("acdb->abcd", R) + np.einsum("adbc->abcd", R)
-    if np.abs(bianchi).max() > tol:
+    if np.abs(bianchi).max() > 0:
         problems.append("first Bianchi identity fails")
     if problems:
         raise CurvatureSymmetryError("; ".join(problems))
 
 
-def check_nabla_curvature_symmetries(dR: np.ndarray, tol: float = 0.0) -> None:
+def check_nabla_curvature_symmetries(dR: np.ndarray) -> None:
     dR = np.asarray(dR)
     for p in range(dR.shape[0]):
         try:
-            check_curvature_symmetries(dR[p], tol)
+            check_curvature_symmetries(dR[p])
         except CurvatureSymmetryError as exc:
             raise CurvatureSymmetryError(f"slot {p}: {exc}") from None
 
@@ -207,12 +207,11 @@ def fierz_check(
     R: np.ndarray,
     psi: np.ndarray,
     nablaR: np.ndarray | None = None,
-    with_derivative: bool = False,
 ) -> dict:
     """Evaluate both identity chains; returns per-chain max coefficient deviation.
 
     ``psi`` is the (2, R.shape[0], 2^L) array of odd coefficients psi[mu, a, mask].
-    With ``with_derivative`` the same chains are evaluated for the
+    When ``nablaR`` is given the same chains are also evaluated for that
     derivative tensor contracted against each psi_rho; this needs at least
     four base generators for a nonvacuous quartic test.
     """
@@ -223,9 +222,7 @@ def fierz_check(
     check_curvature_symmetries(R)
     psi = _as_spinor(psi)
     L = _check_spinor(psi, dim)
-    if with_derivative:
-        if nablaR is None:
-            raise ValueError("with_derivative requires a derivative tensor")
+    if nablaR is not None:
         if L < 4:
             raise ValueError("the derivative identities need at least 4 generators")
         nablaR = np.asarray(nablaR, dtype=float)
@@ -235,7 +232,7 @@ def fierz_check(
     P = _pairs(psi, L)
     dev_a, dev_b = _chain_deviations(_cubic(P, psi, R, L))
     report = {"chain_a": dev_a, "chain_b": dev_b, "max_deviation": max(dev_a, dev_b)}
-    if with_derivative:
+    if nablaR is not None:
         # psi_rho^p (nabla_p R)(psi_mu, psi_nu) psi_sigma; the even pair
         # product commutes past psi_rho^p, leaving P[rho, p, sigma, c]
         Qd = np.einsum("manbx,pabce->pmncex", P, nablaR)

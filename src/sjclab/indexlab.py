@@ -169,9 +169,6 @@ class OperatorMatrix:
             stacks=[s.adjoint() for s in self.stacks],
         )
 
-    def singular_values(self) -> np.ndarray:
-        return _singular_values(self, [s.normalized() for s in self.stacks])
-
 
 def adjoint_deviation(op: OperatorMatrix, other: OperatorMatrix) -> float:
     """Largest entry of |op* + other|, op* the Gram adjoint, block by block.

@@ -7,8 +7,9 @@ lifted spin connection has frame components
     <f_k, omega> = lambda^{-4} C[k, l] d/dx^l (lambda^2),   C = [[0,1],[-1,0]],
 
 obtained from the Cartan structure equations for the coframe lambda^2 dx^a.
-Differentiation is Fourier-spectral for every conformal factor: exact for
-trigonometric polynomials below the Nyquist wavenumber.
+Every grid field is differentiated through one spectral gradient,
+:meth:`ReducedPatch.grad`: exact for trigonometric polynomials below the
+Nyquist wavenumber, for every conformal factor.
 """
 
 from __future__ import annotations
@@ -45,16 +46,24 @@ class ReducedPatch:
 
     # -- differentiation -------------------------------------------------
 
-    def diff(self, field: np.ndarray, axis: int, grid_axes: tuple[int, int] = (-2, -1)) -> np.ndarray:
-        """d/dx^axis (axis is 1 or 2) applied to grid data along grid_axes."""
-        if axis not in (1, 2):
-            raise PatchError("axis must be 1 or 2")
-        data = np.asarray(field, dtype=complex)
-        ft = np.fft.fft2(data, axes=grid_axes)
-        k = 2j * np.pi * np.fft.fftfreq(self.M, d=1.0 / self.M)
-        shape = [1] * data.ndim
-        shape[grid_axes[axis - 1]] = self.M
-        return np.fft.ifft2(ft * k.reshape(shape), axes=grid_axes)
+    def grad(self, field: np.ndarray) -> np.ndarray:
+        """(d/dx^1, d/dx^2) of grid data field[S, M, M, ...], stacked on a new axis 3.
+
+        One forward fft2 over the grid axes (1, 2); each derivative is
+        inverted in its own output slice by two in-place 1-D passes, in the
+        order of ``np.fft.ifft2`` (last grid axis first), so the values equal
+        ``ifft2`` bit for bit without a full-size temporary.
+        """
+        M = self.M
+        ft = np.fft.fft2(np.asarray(field, dtype=complex), axes=(1, 2))
+        k = 2j * np.pi * np.fft.fftfreq(M, d=1.0 / M)
+        tail = (1,) * (ft.ndim - 3)
+        out = np.empty(ft.shape[:3] + (2,) + ft.shape[3:], dtype=complex)
+        for a, shape in enumerate(((M, 1), (1, M))):
+            d = np.multiply(ft, k.reshape(shape + tail), out=out[:, :, :, a])
+            np.fft.ifft(d, axis=2, out=d)
+            np.fft.ifft(d, axis=1, out=d)
+        return out
 
     # -- geometry ----------------------------------------------------------
 
@@ -63,7 +72,7 @@ class ReducedPatch:
         return self.lam ** -2
 
     def spin_connection(self) -> np.ndarray:
-        """Frame components omega_k = <f_k, omega^LC>, shape (2, M, M).
+        """Frame components omega_k = <f_k, omega^LC>, shape (M, M, 2).
 
         Orientation: the sign is the one for which the twisted Dirac
         operator built on this patch is formally anti-self-adjoint with
@@ -71,15 +80,12 @@ class ReducedPatch:
         """
         # the spectral derivative of a constant is not exactly zero at every M
         if self.uniform_gauge:
-            return np.zeros((2, self.M, self.M))
+            return np.zeros((self.M, self.M, 2))
         u = self.lam ** 2
-        du = np.stack([self.diff(u, 1).real, self.diff(u, 2).real])
-        out = -IFRAME_MAP.apply(du, 0)
-        return out / u[None, :, :] ** 2
+        du = self.grad(u[None])[0].real
+        out = -IFRAME_MAP.apply(du, -1)
+        return out / u[:, :, None] ** 2
 
     def dvol(self) -> np.ndarray:
         """Volume weight per grid cell: lambda^4 / M^2."""
         return self.lam ** 4 / self.M**2
-
-    def descriptor(self) -> dict:
-        return {"M": self.M, "flat_gauge": self.flat_gauge}

@@ -192,7 +192,7 @@ def suite_identities(seed: int, trials: int, energy_trials: int) -> tuple[dict, 
             R = random_admissible_curvature(rng, dim)
         psi = random_odd_spinor(rng, L=4, dim=dim)
         dR = random_admissible_nabla_curvature(rng, dim)
-        rep = fierz_check(R, psi, nablaR=dR, with_derivative=True)
+        rep = fierz_check(R, psi, nablaR=dR)
         worst = max(worst, rep["chain_a"], rep["chain_b"])
         derivative_worst = max(
             derivative_worst, rep["chain_a_derivative"], rep["chain_b_derivative"]

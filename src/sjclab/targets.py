@@ -2,7 +2,8 @@
 
 Three kinds are provided:
 
-* ``flat``: R^{2n} with the standard structures and zero curvature.
+* ``flat``: R^{2n} with the standard structures and zero curvature, the
+  ``constant-hsc`` model at sigma = 0.
 * ``constant-hsc``: a pointwise algebraic model carrying the closed-form
   curvature tensor of constant holomorphic sectional curvature sigma in an
   orthonormal chart (metric delta, standard J, vanishing Christoffels).
@@ -12,13 +13,17 @@ Three kinds are provided:
 
 All evaluators take a chart point y, or a stack of points y[..., :], and
 return plain numpy arrays with the same leading axes; constant tensors come
-back as read-only broadcast views.  Index
+back as read-only broadcast views; ``constant_chart`` marks the models
+whose chart tensors are the same at every point.  Index
 conventions: J e_b = sum_c J[b, c] e_c, curvature_lowered[a, b, c, d] =
 n(R(e_a, e_b) e_c, e_d), christoffel[k][i, j] = Gamma^k_{ij}.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,9 +51,9 @@ class AlmostKahlerModel:
     christoffel_at: Callable[[np.ndarray], np.ndarray]
     nablaJ_at: Callable[[np.ndarray], np.ndarray]
     curvature_at: Callable[[np.ndarray], np.ndarray]
-    nabla_curvature_at: Callable[[np.ndarray], np.ndarray]
     sigma: float | None = None
     dchristoffel_at: Callable[[np.ndarray], np.ndarray] | None = None
+    constant_chart: bool = False  # every chart tensor is the same at all chart points
 
     @property
     def dim(self) -> int:
@@ -59,11 +64,6 @@ class AlmostKahlerModel:
         J = self.J_at(y)
         n = self.metric_at(y)
         return -J @ n
-
-    @property
-    def constant_chart(self) -> bool:
-        """Whether every chart tensor is the same at all chart points."""
-        return self.kind.split("+")[0] in ("flat", "constant-hsc")
 
     def curvature_op_at(self, y: np.ndarray) -> np.ndarray:
         """R(e_a, e_b) e_c = sum_d Rop[a, b, c, d] e_d.
@@ -113,32 +113,12 @@ def hsc_curvature_lowered(sigma: float, n_mat: np.ndarray, J: np.ndarray) -> np.
     return (sigma / 4.0) * R
 
 
-def make_flat(n: int) -> AlmostKahlerModel:
-    dim = 2 * n
-    zeros3 = np.zeros((dim, dim, dim))
-    zeros4 = np.zeros((dim, dim, dim, dim))
-    zeros5 = np.zeros((dim, dim, dim, dim, dim))
-    return AlmostKahlerModel(
-        kind="flat",
-        n=n,
-        J_at=_const(standard_J(n)),
-        metric_at=_const(np.eye(dim)),
-        christoffel_at=_const(zeros3),
-        nablaJ_at=_const(zeros3),
-        curvature_at=_const(zeros4),
-        nabla_curvature_at=_const(zeros5),
-        sigma=0.0,
-        dchristoffel_at=_const(np.zeros((dim, dim, dim, dim))),
-    )
-
-
 def make_const_hsc(sigma: float, n: int) -> AlmostKahlerModel:
     """Pointwise model with the constant-hsc curvature tensor in a flat chart."""
     dim = 2 * n
     J = standard_J(n)
     R = hsc_curvature_lowered(sigma, np.eye(dim), J)
     zeros3 = np.zeros((dim, dim, dim))
-    zeros5 = np.zeros((dim, dim, dim, dim, dim))
     return AlmostKahlerModel(
         kind="constant-hsc",
         n=n,
@@ -147,10 +127,15 @@ def make_const_hsc(sigma: float, n: int) -> AlmostKahlerModel:
         christoffel_at=_const(zeros3),
         nablaJ_at=_const(zeros3),
         curvature_at=_const(R),
-        nabla_curvature_at=_const(zeros5),
         sigma=float(sigma),
         dchristoffel_at=_const(np.zeros((dim, dim, dim, dim))),
+        constant_chart=True,
     )
+
+
+def make_flat(n: int) -> AlmostKahlerModel:
+    """R^{2n}: the constant-hsc model at sigma = 0, whose curvature is zero."""
+    return dataclasses.replace(make_const_hsc(0.0, n), kind="flat")
 
 
 def make_fs_cp1() -> AlmostKahlerModel:
@@ -203,34 +188,43 @@ def make_fs_cp1() -> AlmostKahlerModel:
             - np.einsum("...ac,...bd->...abcd", n_mat, n_mat)
         )
 
-    zeros3 = np.zeros((2, 2, 2))
-    zeros5 = np.zeros((2, 2, 2, 2, 2))
     return AlmostKahlerModel(
         kind="fubini-study-CP1",
         n=1,
         J_at=_const(J),
         metric_at=metric_at,
         christoffel_at=christoffel_at,
-        nablaJ_at=_const(zeros3),
+        nablaJ_at=_const(np.zeros((2, 2, 2))),
         curvature_at=curvature_at,
-        nabla_curvature_at=_const(zeros5),
         sigma=4.0,
         dchristoffel_at=dchristoffel_at,
     )
 
 
-def make_model(descriptor: dict) -> AlmostKahlerModel:
+def _header_value(descriptor: dict, key: str, ok: Callable[[object], bool], what: str):
+    """``descriptor[key]``, or a ModelError naming the key."""
     kind = descriptor["kind"]
-    try:
-        if kind == "flat":
-            return make_flat(int(descriptor["n"]))
-        if kind == "constant-hsc":
-            return make_const_hsc(float(descriptor["sigma"]), int(descriptor["n"]))
-    except KeyError as exc:
-        raise ModelError(f"model {kind!r} has no {exc.args[0]!r}") from None
+    if key not in descriptor:
+        raise ModelError(f"model {kind!r} has no {key!r}")
+    value = descriptor[key]
+    if not ok(value):
+        raise ModelError(f"model {kind!r} needs {key} as {what}, got {json.dumps(value)}")
+    return value
+
+
+def make_model(descriptor: dict) -> AlmostKahlerModel:
+    """The model a bundle header names: ``n`` a JSON integer >= 1, ``sigma`` a finite JSON number."""
+    kind = descriptor["kind"]
     if kind == "fubini-study-CP1":
         return make_fs_cp1()
-    raise ModelError(f"unknown model kind {kind!r}")
+    if kind not in ("flat", "constant-hsc"):
+        raise ModelError(f"unknown model kind {kind!r}")
+    sigma = 0.0
+    if kind == "constant-hsc":  # type() rejects bools; abs() rejects NaN, inf and huge integers
+        finite = lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max  # noqa: E731
+        sigma = float(_header_value(descriptor, "sigma", finite, "a finite JSON number"))
+    n = _header_value(descriptor, "n", lambda v: type(v) is int and v >= 1, "a JSON integer >= 1")
+    return make_flat(n) if kind == "flat" else make_const_hsc(sigma, n)
 
 
 def with_synthetic_nablaJ(model: AlmostKahlerModel, seeds: np.ndarray) -> AlmostKahlerModel:
@@ -251,18 +245,7 @@ def with_synthetic_nablaJ(model: AlmostKahlerModel, seeds: np.ndarray) -> Almost
         J = model.J_at(y)[..., None, :, :]
         return B @ J - J @ B
 
-    return AlmostKahlerModel(
-        kind=model.kind + "+synthetic-nablaJ",
-        n=model.n,
-        J_at=model.J_at,
-        metric_at=model.metric_at,
-        christoffel_at=model.christoffel_at,
-        nablaJ_at=nablaJ_at,
-        curvature_at=model.curvature_at,
-        nabla_curvature_at=model.nabla_curvature_at,
-        sigma=model.sigma,
-        dchristoffel_at=model.dchristoffel_at,
-    )
+    return dataclasses.replace(model, kind=model.kind + "+synthetic-nablaJ", nablaJ_at=nablaJ_at)
 
 
 def nabla_bar(

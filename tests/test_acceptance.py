@@ -73,7 +73,7 @@ def test_criterion_2_fierz_identities():
         R = random_admissible_curvature(rng, dim)
         dR = random_admissible_nabla_curvature(rng, dim)
         psi = random_odd_spinor(rng, L=4, dim=dim)
-        rep = fierz_check(R, psi, nablaR=dR, with_derivative=True)
+        rep = fierz_check(R, psi, nablaR=dR)
         worst = max(worst, rep["max_deviation"])
     elapsed = time.monotonic() - t0
     report(
@@ -132,14 +132,14 @@ def test_criterion_5_linearization_blocks():
     patch = ReducedPatch(M)
     cmap = holomorphic_base_map(2, M, 2)
     rho, xi, zeta, sigma = random_direction_fields(rng, 2, M, 2)
-    rep = C.linearization_fd_check(
+    rep = C.linearization_fd_checks(
         cmap,
         patch,
         model,
-        C.Directions(rho=rho, xi=xi, zeta=zeta, sigma=sigma),
+        {"combined": C.Directions(rho=rho, xi=xi, zeta=zeta, sigma=sigma)},
         h=1e-3,
         rel_tol=1e-6,
-    )
+    )["combined"]
     worst = max(
         max(b["rel_error_h2"], b["richardson_error"]) for b in rep["blocks"].values()
     )

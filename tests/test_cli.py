@@ -338,6 +338,45 @@ BAD_HEADERS = {
 }
 
 
+# model headers that must exit 2, and the message naming the bad key
+BAD_MODELS = {
+    "float-n": ({"kind": "flat", "n": 1.7}, "model 'flat' needs n as a JSON integer >= 1, got 1.7"),
+    "bool-n": ({"kind": "flat", "n": True}, "model 'flat' needs n as a JSON integer >= 1, got true"),
+    "string-n": ({"kind": "flat", "n": "x"}, 'model \'flat\' needs n as a JSON integer >= 1, got "x"'),
+    "zero-n": ({"kind": "flat", "n": 0}, "model 'flat' needs n as a JSON integer >= 1, got 0"),
+    "hsc-bool-n": (
+        {"kind": "constant-hsc", "n": True, "sigma": 4.0},
+        "model 'constant-hsc' needs n as a JSON integer >= 1, got true",
+    ),
+    "nan-sigma": (
+        {"kind": "constant-hsc", "n": 1, "sigma": float("nan")},
+        "model 'constant-hsc' needs sigma as a finite JSON number, got NaN",
+    ),
+    "string-sigma": (
+        {"kind": "constant-hsc", "n": 1, "sigma": "4.0"},
+        'model \'constant-hsc\' needs sigma as a finite JSON number, got "4.0"',
+    ),
+    "bool-sigma": (
+        {"kind": "constant-hsc", "n": 1, "sigma": False},
+        "model 'constant-hsc' needs sigma as a finite JSON number, got false",
+    ),
+    "huge-sigma": (
+        {"kind": "constant-hsc", "n": 1, "sigma": 10**400},
+        "model 'constant-hsc' needs sigma as a finite JSON number, got 1000",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_bad_model_header_exit_2(case, tmp_path, capsys):
+    model, message = BAD_MODELS[case]
+    L, M = 2, 8
+    path = tmp_path / "zero.txt"
+    write_field_bundle(path, ComponentMap.zero(L, M, 2), Gravitino.zero(L, M), ReducedPatch(M), model)
+    assert run(["verify-components", str(path)], tmp_path) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestBundleValidation:
     @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
     def test_bad_header_exit_2(self, case, tmp_path, capsys):

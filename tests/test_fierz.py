@@ -170,7 +170,7 @@ class TestIdentityChains:
             R = random_admissible_curvature(rng, 2)
             dR = random_admissible_nabla_curvature(rng, 2)
             psi = random_odd_spinor(rng, L=4, dim=2)
-            rep = fierz_check(R, psi, nablaR=dR, with_derivative=True)
+            rep = fierz_check(R, psi, nablaR=dR)
             assert rep["chain_a_derivative"] == 0.0
             assert rep["chain_b_derivative"] == 0.0
 
@@ -205,7 +205,7 @@ class TestIdentityChains:
             "chain_a_derivative": db,
             "chain_b_derivative": db,
         }
-        rep = fierz_check(R, psi, nablaR=dR, with_derivative=True)
+        rep = fierz_check(R, psi, nablaR=dR)
         assert rep == pytest.approx(expected, rel=1e-15)
 
     def test_matches_sparse_reference_exactly(self):
@@ -220,7 +220,7 @@ class TestIdentityChains:
                 R = random_admissible_curvature(rng, dim)
             psi = random_odd_spinor(rng, L=4, dim=dim)
             dR = random_admissible_nabla_curvature(rng, dim)
-            rep = fierz_check(R, psi, nablaR=dR, with_derivative=True)
+            rep = fierz_check(R, psi, nablaR=dR)
             assert rep == sparse_fierz_report(R, psi, dR)
 
     @pytest.mark.parametrize("L, dim", [(2, 2), (2, 4), (5, 2), (5, 4)])
@@ -232,7 +232,7 @@ class TestIdentityChains:
             assert fierz_check(R, psi) == sparse_fierz_report(R, psi)
         else:
             dR = random_admissible_nabla_curvature(rng, dim)
-            rep = fierz_check(R, psi, nablaR=dR, with_derivative=True)
+            rep = fierz_check(R, psi, nablaR=dR)
             assert rep == sparse_fierz_report(R, psi, dR)
 
     def test_no_large_temporaries(self):
@@ -244,11 +244,11 @@ class TestIdentityChains:
         R = random_admissible_curvature(rng, 4)
         dR = random_admissible_nabla_curvature(rng, 4)
         psi = random_odd_spinor(rng, L=4, dim=4)
-        fierz_check(R, psi, nablaR=dR, with_derivative=True)
+        fierz_check(R, psi, nablaR=dR)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            fierz_check(R, psi, nablaR=dR, with_derivative=True)
+            fierz_check(R, psi, nablaR=dR)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,7 +260,7 @@ class TestIdentityChains:
         R = random_admissible_curvature(rng, 2)
         dR = random_admissible_nabla_curvature(rng, 2)
         with pytest.raises(ValueError):
-            fierz_check(R, psi, nablaR=dR, with_derivative=True)
+            fierz_check(R, psi, nablaR=dR)
 
 
 class TestAdmissibility:
@@ -316,7 +316,7 @@ class TestInputValidation:
             return dict(R=R2, psi=psi2[:, :, :12])
         if name == "nablaR shape":
             dR = random_admissible_nabla_curvature(rng, 2)[:1]
-            return dict(R=R2, psi=psi2, nablaR=dR, with_derivative=True)
+            return dict(R=R2, psi=psi2, nablaR=dR)
         raise KeyError(name)
 
     @pytest.mark.parametrize(

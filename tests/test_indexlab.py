@@ -114,7 +114,7 @@ class TestTorusOperators:
     def test_kernel_matches_fourier_zero_modes(self):
         # the kernel is exactly the k = 0 Fourier block
         op = il.build_dirac_torus(1, 6)
-        sv = op.singular_values()
+        sv = il.numeric_index(op).singular_values
         zero = (sv <= 1e-12).sum()
         assert zero == 4
 
@@ -155,8 +155,8 @@ class TestBochnerGap:
         assert abs(sigma_min - np.sqrt(0.5)) <= 1e-9
 
     def test_adjoint_half_has_identical_singular_values(self):
-        a = np.sort(il.build_dbar_sphere(-1, 8).singular_values())
-        b = np.sort(il.build_dirac01_sphere(-1, 8).singular_values())
+        a = il.numeric_index(il.build_dbar_sphere(-1, 8)).singular_values
+        b = il.numeric_index(il.build_dirac01_sphere(-1, 8)).singular_values
         assert np.abs(a - b).max() <= 1e-10
 
     def test_torus_flat_target_zero_modes(self):
@@ -331,7 +331,6 @@ class TestBlockEngineAgainstDenseOracle:
         cond = max(rep.gram_domain_condition, rep.gram_codomain_condition)
         tol = max(1e-12, np.finfo(float).eps * cond) * sv.max()
         assert np.abs(rep.singular_values - np.sort(sv)[::-1]).max() <= tol
-        assert np.array_equal(rep.singular_values, op.singular_values())
 
     @pytest.mark.parametrize("name,build,oracle", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
     def test_assembled_dense_arrays(self, name, build, oracle):

@@ -22,7 +22,7 @@ def setup():
 
 def test_xi_block_is_linearized_cauchy_riemann(setup):
     L, M, model, patch, cmap, (rho, xi, zeta, sigma) = setup
-    rep = C.linearization_fd_check(cmap, patch, model, C.Directions(xi=xi))
+    rep = C.linearization_fd_checks(cmap, patch, model, {"xi": C.Directions(xi=xi)})["xi"]
     assert rep["passed"]
     # the only responding block is the third
     assert rep["blocks"]["cauchy_riemann"]["rel_error_h2"] <= 1e-6
@@ -30,7 +30,7 @@ def test_xi_block_is_linearized_cauchy_riemann(setup):
 
 def test_sigma_block_is_quarter(setup):
     L, M, model, patch, cmap, (rho, xi, zeta, sigma) = setup
-    rep = C.linearization_fd_check(cmap, patch, model, C.Directions(sigma=sigma))
+    rep = C.linearization_fd_checks(cmap, patch, model, {"sigma": C.Directions(sigma=sigma)})["sigma"]
     assert rep["passed"]
     # explicit quarter: the finite difference of the second component is sigma/4
     grav0 = Gravitino.zero(L, M)
@@ -39,8 +39,8 @@ def test_sigma_block_is_quarter(setup):
     plus.F = plus.F + h * sigma
     minus.F = minus.F - h * sigma
     d = (
-        C.operator_components(plus, grav0, patch, model).c2
-        - C.operator_components(minus, grav0, patch, model).c2
+        C.operator_components(plus, grav0, patch, model)[1]
+        - C.operator_components(minus, grav0, patch, model)[1]
     ) / (2 * h)
     assert np.abs(d - 0.25 * sigma).max() <= 1e-9
 
@@ -53,26 +53,25 @@ def test_rho_block_responds_only_in_dirac_slot(setup):
     chi_minus = Gravitino(L=L, chi=-h * rho)
     cp = C.operator_components(cmap, chi_plus, patch, model)
     cm = C.operator_components(cmap, chi_minus, patch, model)
-    d4 = (cp.c4 - cm.c4) / (2 * h)
+    d4 = (cp[3] - cm[3]) / (2 * h)
     qrho = project_q(rho)
     expected = 2.0 * C.vee_q_pairing(qrho, C.dphi_frame(cmap, patch), L)
     assert np.abs(d4 - expected).max() <= 1e-9
-    for block in ((cp.c1 - cm.c1), (cp.c2 - cm.c2), (cp.c3 - cm.c3)):
-        assert np.abs(block / (2 * h)).max() <= 1e-9
+    for p, m in zip(cp[:3], cm[:3]):
+        assert np.abs((p - m) / (2 * h)).max() <= 1e-9
 
 
 def test_zeta_block(setup):
     L, M, model, patch, cmap, (rho, xi, zeta, sigma) = setup
-    rep = C.linearization_fd_check(cmap, patch, model, C.Directions(zeta=zeta))
+    rep = C.linearization_fd_checks(cmap, patch, model, {"zeta": C.Directions(zeta=zeta)})["zeta"]
     assert rep["passed"]
 
 
 def test_combined_directions_with_richardson(setup):
     L, M, model, patch, cmap, dirs_tuple = setup
     rho, xi, zeta, sigma = dirs_tuple
-    rep = C.linearization_fd_check(
-        cmap, patch, model, C.Directions(rho=rho, xi=xi, zeta=zeta, sigma=sigma)
-    )
+    combined = C.Directions(rho=rho, xi=xi, zeta=zeta, sigma=sigma)
+    rep = C.linearization_fd_checks(cmap, patch, model, {"combined": combined})["combined"]
     assert rep["passed"]
     for block in rep["blocks"].values():
         assert block["richardson_error"] <= 1e-6
@@ -85,9 +84,8 @@ def test_constant_hsc_model():
     patch = ReducedPatch(M)
     cmap = holomorphic_base_map(L, M, model.dim)
     dirs = random_direction_fields(rng, L, M, model.dim)
-    rep = C.linearization_fd_check(
-        cmap, patch, model, C.Directions(rho=dirs[0], xi=dirs[1], zeta=dirs[2], sigma=dirs[3])
-    )
+    combined = C.Directions(rho=dirs[0], xi=dirs[1], zeta=dirs[2], sigma=dirs[3])
+    rep = C.linearization_fd_checks(cmap, patch, model, {"combined": combined})["combined"]
     assert rep["passed"]
 
 
@@ -100,7 +98,7 @@ def test_precondition_rejects_nonholomorphic_base():
     cmap.phi_linear = np.array([[1.0, 0.0], [0.0, -1.0]])  # antiholomorphic
     dirs = random_direction_fields(rng, L, M, 2)
     with pytest.raises(C.PreconditionError):
-        C.linearization_fd_check(cmap, patch, model, C.Directions(xi=dirs[1]))
+        C.linearization_fd_checks(cmap, patch, model, {"xi": C.Directions(xi=dirs[1])})
 
 
 def test_operator_components_rejects_non_kahler():
@@ -117,7 +115,10 @@ def test_operator_components_rejects_non_kahler():
 def test_named_directions_share_one_base_check(setup, monkeypatch):
     L, M, model, patch, cmap, (rho, xi, zeta, sigma) = setup
     named = {"xi": C.Directions(xi=xi), "rho": C.Directions(rho=rho)}
-    singles = {name: C.linearization_fd_check(cmap, patch, model, d) for name, d in named.items()}
+    singles = {
+        name: C.linearization_fd_checks(cmap, patch, model, {name: d})[name]
+        for name, d in named.items()
+    }
     calls = []
     residual = C.residual_components
     monkeypatch.setattr(C, "residual_components", lambda *a: calls.append(1) or residual(*a))

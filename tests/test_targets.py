@@ -64,7 +64,6 @@ class TestModelValidation:
             christoffel_at=model.christoffel_at,
             nablaJ_at=model.nablaJ_at,
             curvature_at=model.curvature_at,
-            nabla_curvature_at=model.nabla_curvature_at,
         )
         rep = validate_model(bad, np.zeros((1, 2)))
         assert not rep.checks["J_squared"]["passed"]
@@ -220,7 +219,6 @@ CHART_FIELDS = (
     "nablaJ_at",
     "curvature_at",
     "curvature_op_at",
-    "nabla_curvature_at",
 )
 
 
