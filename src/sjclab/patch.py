@@ -9,7 +9,8 @@ lifted spin connection has frame components
 obtained from the Cartan structure equations for the coframe lambda^2 dx^a.
 Every grid field is differentiated through one spectral gradient,
 :meth:`ReducedPatch.grad`: exact for trigonometric polynomials below the
-Nyquist wavenumber, for every conformal factor.
+Nyquist wavenumber, for every conformal factor; the Nyquist mode itself
+differentiates to zero.
 """
 
 from __future__ import annotations
@@ -52,11 +53,15 @@ class ReducedPatch:
         One forward fft2 over the grid axes (1, 2); each derivative is
         inverted in its own output slice by two in-place 1-D passes, in the
         order of ``np.fft.ifft2`` (last grid axis first), so the values equal
-        ``ifft2`` bit for bit without a full-size temporary.
+        ``ifft2`` bit for bit without a full-size temporary.  At even M the
+        Nyquist wavenumber -M/2 differentiates to 0, as the derivative of the
+        real trigonometric interpolant does, so real data has a real gradient.
         """
         M = self.M
         ft = np.fft.fft2(np.asarray(field, dtype=complex), axes=(1, 2))
         k = 2j * np.pi * np.fft.fftfreq(M, d=1.0 / M)
+        if M % 2 == 0:
+            k[M // 2] = 0.0
         tail = (1,) * (ft.ndim - 3)
         out = np.empty(ft.shape[:3] + (2,) + ft.shape[3:], dtype=complex)
         for a, shape in enumerate(((M, 1), (1, M))):

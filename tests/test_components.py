@@ -60,9 +60,14 @@ def _einsum_sr(psi, Rop, L):
 
 
 def per_axis_grad(field, M):
-    """(d/dx^1, d/dx^2) on axis 3, each through its own fft2/ifft2 pair."""
+    """(d/dx^1, d/dx^2) on axis 3, each through its own fft2/ifft2 pair.
+
+    The Nyquist wavenumber of an even M differentiates to zero.
+    """
     ft = np.fft.fft2(np.asarray(field, dtype=complex), axes=(1, 2))
     k = 2j * np.pi * np.fft.fftfreq(M, d=1.0 / M)
+    if M % 2 == 0:
+        k[M // 2] = 0.0
     tail = (1,) * (ft.ndim - 3)
     d1 = np.fft.ifft2(ft * k.reshape((M, 1) + tail), axes=(1, 2))
     d2 = np.fft.ifft2(ft * k.reshape((1, M) + tail), axes=(1, 2))
@@ -201,6 +206,16 @@ class TestGrad:
         out = ReducedPatch(M).grad(field)
         assert out.shape == dims[:3] + (2,) + dims[3:]
         assert np.array_equal(out, per_axis_grad(field, M))
+
+    def test_nyquist_mode_of_real_data_differentiates_to_zero(self):
+        # cos(8 pi x1) is the Nyquist mode at M = 8: its real interpolant has
+        # derivative 0, where keeping the -M/2 wavenumber gives +-25.1j
+        patch = ReducedPatch(8)
+        out = patch.grad(np.cos(8 * np.pi * patch.x1)[None])
+        assert np.abs(out).max() <= 1e-12
+        # and real data keeps a real gradient at every even M
+        field = np.random.default_rng(5).standard_normal((2, 16, 16))
+        assert np.abs(ReducedPatch(16).grad(field).imag).max() <= 1e-13
 
 
 class TestTwistedDirac:
