@@ -74,6 +74,13 @@ def per_axis_grad(field, M):
     return np.stack([d1, d2], axis=3)
 
 
+def _oracle_dphi(cmap, patch):
+    d = per_axis_grad(cmap.phi_periodic, patch.M)
+    d[0, :, :, 0, :] += cmap.phi_linear[:, 0]
+    d[0, :, :, 1, :] += cmap.phi_linear[:, 1]
+    return d * patch.frame_factor()[None, :, :, None, None]
+
+
 def _einsum_dirac(psi, patch, Gamma, dphi, L):
     ff = patch.frame_factor()[None, :, :, None, None, None]
     nabla = per_axis_grad(psi, patch.M) * ff
@@ -103,7 +110,7 @@ def einsum_residual_components(cmap, grav, patch, model):
     r1 = cmap.psi + np.einsum(
         "sxyac,xycd->sxyad", np.einsum("ab,sxybc->sxyac", ISPIN, cmap.psi), J
     )
-    dphi = C.dphi_frame(cmap, patch)
+    dphi = _oracle_dphi(cmap, patch)
     qchi = _einsum_q(grav.chi)
     r3 = _einsum_antihol_form(dphi, J) + gcontract(qchi, cmap.psi, "xykc,xycb->xykb", L)
     if np.abs(nablaJ).max() > 0:
@@ -120,7 +127,7 @@ def einsum_operator_components(cmap, grav, patch, model):
     L = cmap.L
     J, Gamma, _, Rop = C.model_grids(model, cmap, patch)
     c1 = _einsum_antihol_spinor(cmap.psi, J)
-    dphi = C.dphi_frame(cmap, patch)
+    dphi = _oracle_dphi(cmap, patch)
     pairing = gcontract(grav.chi, cmap.psi, "xykc,xycb->xykb", L)
     c3 = -_einsum_antihol_form(dphi + pairing, J)
     inner = _einsum_dirac_terms(cmap, _einsum_q(grav.chi), patch, Gamma, dphi, L)
