@@ -51,7 +51,6 @@ from .classify import (
 from .indexlab import (
     IndexReport,
     OperatorMatrix,
-    adjoint_relation_check,
     build_dbar_sphere,
     build_dirac10_sphere,
     build_dirac_torus,

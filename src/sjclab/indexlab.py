@@ -171,19 +171,25 @@ class OperatorMatrix:
 
 
 def adjoint_deviation(op: OperatorMatrix, other: OperatorMatrix) -> float:
-    """Largest entry of |op* + other|, op* the Gram adjoint, block by block.
+    """Largest entry of |A^H Gc + Gd B| = |Gd (op* + other)|, block by block.
 
-    Zero when ``other`` is minus the adjoint of ``op`` (``op`` itself when it
-    is anti-self-adjoint).  Both must have the same block layout.
+    A is a block of ``op`` and B the matching block of ``other``; op* is the
+    Gram adjoint Gd^-1 A^H Gc.  Zero when ``other`` is minus the adjoint of
+    ``op`` (``op`` itself when it is anti-self-adjoint), with no inverse
+    taken; with identity Grams (the torus) it is |op* + other| exactly.
+    ``other`` must map each codomain block of ``op`` back to its domain block.
     """
-    adj = op.adjoint().stacks
-    if len(adj) != len(other.stacks) or not all(
-        np.array_equal(s.dom, t.dom) and np.array_equal(s.cod, t.cod)
-        for s, t in zip(adj, other.stacks)
+    if len(op.stacks) != len(other.stacks) or not all(
+        np.array_equal(s.cod, t.dom) and np.array_equal(s.dom, t.cod)
+        for s, t in zip(op.stacks, other.stacks)
     ):
         raise IndexLabError(f"{op.tag} and {other.tag} have different block layouts")
     return max(
-        (float(np.abs(s.matrix + t.matrix).max()) for s, t in zip(adj, other.stacks) if s.matrix.size),
+        (
+            float(np.abs(_herm(s.matrix) @ s.gram_codomain + s.gram_domain @ t.matrix).max())
+            for s, t in zip(op.stacks, other.stacks)
+            if s.matrix.size
+        ),
         default=0.0,
     )
 
@@ -332,27 +338,24 @@ def _chirality_bases(n_target: int) -> tuple[np.ndarray, np.ndarray]:
     return image_basis(p10), image_basis(p01)
 
 
-def build_dirac_torus_chiral(n_target: int, M: int, part: str) -> OperatorMatrix:
-    """Chiral halves of the torus Dirac operator.
+def torus_chiral_halves(full: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """The chiral halves (D10, D01) of a ``build_dirac_torus`` operator.
 
-    ``part`` is "10" (holomorphic domain) or "01".  The operator swaps the
-    two chirality subspaces, so the matrix is rectangular square with the
-    opposite basis on the codomain.
+    The operator swaps the two chirality subspaces, so each half maps one
+    of them onto the other, mode by mode, in orthonormal bases.
     """
-    full = build_dirac_torus(n_target, M)
     (modes,) = full.stacks
+    n_target = modes.matrix.shape[-1] // 4
     b10, b01 = _chirality_bases(n_target)
-    if part == "10":
-        blocks = b01.conj().T @ modes.matrix @ b10
-    elif part == "01":
-        blocks = b10.conj().T @ modes.matrix @ b01
-    else:
-        raise IndexLabError("part must be '10' or '01'")
-    return OperatorMatrix(
-        tag=f"D{part} torus n={n_target}",
-        is_complex_linear=False,
-        stacks=[_orthonormal_stack(blocks, modes.labels)],
+    d10, d01 = (
+        OperatorMatrix(
+            tag=f"D{part} torus n={n_target}",
+            is_complex_linear=False,
+            stacks=[_orthonormal_stack(cod.conj().T @ modes.matrix @ dom, modes.labels)],
+        )
+        for part, dom, cod in (("10", b10, b01), ("01", b01, b10))
     )
+    return d10, d01
 
 
 # -- kernel / cokernel / index reports -------------------------------------------
@@ -509,59 +512,3 @@ def numeric_index(
         gram_worst_condition=worst_cond,
         kept_margin=kept_margin,
     )
-
-
-def adjoint_relation_check(M_cutoff: int, n_target: int = 1, sphere_degrees=(0, 1, 3)) -> dict:
-    """The antiholomorphic half is minus the adjoint of the holomorphic half.
-
-    On the torus both halves are built independently from the full Fourier
-    operator and compared; on the sphere the adjoint realization is used and
-    the index sum is checked against the kernel/cokernel counts.
-    """
-    report: dict = {"checks": []}
-    d10 = build_dirac_torus_chiral(n_target, M_cutoff, "10")
-    d01 = build_dirac_torus_chiral(n_target, M_cutoff, "01")
-    dev = adjoint_deviation(d10, d01)
-    r10 = numeric_index(d10)
-    r01 = numeric_index(d01)
-    report["checks"].append(
-        {
-            "name": "torus adjoint deviation",
-            "value": dev,
-            "tol": 1e-10,
-            "passed": bool(dev <= 1e-10),
-        }
-    )
-    report["checks"].append(
-        {
-            "name": "torus index sum",
-            "value": r10.numeric_index + r01.numeric_index,
-            "tol": 0,
-            "passed": r10.numeric_index + r01.numeric_index == 0,
-        }
-    )
-    for k in sphere_degrees:
-        op = build_dbar_sphere(k, M_cutoff + abs(k))
-        rep = numeric_index(op)
-        opa = build_dirac01_sphere(k, M_cutoff + abs(k))
-        repa = numeric_index(opa)
-        total = rep.numeric_index + repa.numeric_index
-        report["checks"].append(
-            {
-                "name": f"sphere index sum O({k})",
-                "value": total,
-                "tol": 0,
-                "passed": total == 0,
-            }
-        )
-    zero_op = OperatorMatrix(
-        stacks=[_orthonormal_stack(np.zeros((1, 3, 3), dtype=complex), ["zero"])],
-        tag="zero",
-        is_complex_linear=True,
-    )
-    zdev = max(float(np.abs(st.matrix).max()) for st in zero_op.adjoint().stacks)
-    report["checks"].append(
-        {"name": "zero operator adjoint", "value": zdev, "tol": 0.0, "passed": zdev == 0.0}
-    )
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report

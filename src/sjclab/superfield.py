@@ -41,6 +41,8 @@ MAX_DEGREE = 8  # highest (x1, x2) degree of a literal term
 _ETA_BITS = {"e3": 1, "e4": 2}
 _X_POWER = re.compile(r"x([12])(?:\^([0-9]+))?")
 _BASE_GEN = re.compile(r"l([1-9][0-9]*)")
+# parentheses, and every '+' but the sign of an exponent such as 1e+20
+_SUM_TOKENS = re.compile(r"[()]|(?<![0-9.][eE])\+")
 
 
 class SuperField:
@@ -328,21 +330,16 @@ def _parse_coeff(factor: str) -> complex:
 def _split_sum(text: str) -> list[str]:
     """Split a sum on '+' outside parentheses and outside exponents like 1e+20."""
     chunks = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
+    depth = start = 0
+    for token in _SUM_TOKENS.finditer(text):
+        if token[0] == "(":
             depth += 1
-        elif ch == ")":
+        elif token[0] == ")":
             depth -= 1
-        if ch == "+" and depth == 0 and not (
-            len(current) > 1 and current[-1] in "eE" and current[-2] in "0123456789."
-        ):
-            chunks.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    chunks.append("".join(current))
+        elif depth == 0:
+            chunks.append(text[start : token.start()])
+            start = token.end()
+    chunks.append(text[start:])
     return [c for c in (c.strip() for c in chunks) if c]
 
 

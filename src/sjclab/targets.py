@@ -212,8 +212,13 @@ def _header_value(descriptor: dict, key: str, ok: Callable[[object], bool], what
     return value
 
 
-def make_model(descriptor: dict) -> AlmostKahlerModel:
-    """The model a bundle header names: ``n`` a JSON integer >= 1, ``sigma`` a finite JSON number."""
+def make_model(descriptor: dict, dim: int) -> AlmostKahlerModel:
+    """The model a bundle header names, for a map with ``dim`` target components.
+
+    ``n`` must be a JSON integer >= 1 with 2n = ``dim``, checked before the
+    model is built (a constant-hsc model holds a (2n)^4 curvature tensor), and
+    ``sigma`` a finite JSON number.
+    """
     kind = descriptor["kind"]
     if kind == "fubini-study-CP1":
         return make_fs_cp1()
@@ -224,6 +229,8 @@ def make_model(descriptor: dict) -> AlmostKahlerModel:
         finite = lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max  # noqa: E731
         sigma = float(_header_value(descriptor, "sigma", finite, "a finite JSON number"))
     n = _header_value(descriptor, "n", lambda v: type(v) is int and v >= 1, "a JSON integer >= 1")
+    if 2 * n != dim:
+        raise ModelError(f"map has {dim} target components, model needs {2 * n}")
     return make_flat(n) if kind == "flat" else make_const_hsc(sigma, n)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,49 @@ class TestIndexLimits:
             assert int(index) == i and float(sigma) >= 0.0
 
 
+TORUS_CHECKS = [
+    "torus Dirac anti-self-adjointness",
+    "torus Dirac kernel (constant spinors)",
+    "torus Dirac index",
+    "torus adjoint deviation",
+    "torus index sum",
+]
+
+
+class TestTorusIndexChecks:
+    @pytest.mark.parametrize("rank,cutoff", [(1, 6), (1, 14), (2, 8)])
+    def test_check_list(self, rank, cutoff, tmp_path):
+        argv = ["index", "--surface", "torus", "--target-rank", str(rank), "--cutoff", str(cutoff)]
+        assert run(argv, tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [c["name"] for c in report["checks"]] == TORUS_CHECKS
+
+    def test_broken_adjoint_at_a_high_mode_fails(self, tmp_path, monkeypatch):
+        """The chiral checks see every mode of the request's own operator.
+
+        A Hermitian, chirality-swapping term on mode (4, 0), which exists only
+        at cutoff >= 8, breaks D01 = -D10*.  A relation checked on a separate
+        operator at cutoff 6 has no such mode and would still PASS.
+        """
+        from sjclab import indexlab
+
+        build = indexlab.build_dirac_torus
+
+        def broken(n_target, M):
+            op = build(n_target, M)
+            (stack,) = op.stacks
+            if "mode (4,0)" in stack.labels:
+                # adds 0.5i times the block: Hermitian, and chirality-swapping like the block
+                stack.matrix[stack.labels.index("mode (4,0)")] *= 1 + 0.5j
+            return op
+
+        monkeypatch.setattr(indexlab, "build_dirac_torus", broken)
+        assert run(["index", "--surface", "torus", "--cutoff", "10"], tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        failing = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert "torus adjoint deviation" in failing
+
+
 def _set(rec, k, token):
     rec = list(rec)
     rec[k] = token
@@ -375,6 +419,24 @@ def test_bad_model_header_exit_2(case, tmp_path, capsys):
     write_field_bundle(path, ComponentMap.zero(L, M, 2), Gravitino.zero(L, M), ReducedPatch(M), model)
     assert run(["verify-components", str(path)], tmp_path) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [24, 10**6])
+def test_model_dimension_checked_before_the_model_is_built(n, tmp_path, capsys):
+    # a constant-hsc model of rank n holds a (2n)^4 curvature tensor: 82 MiB at n = 24
+    L, M = 2, 8
+    path = tmp_path / "zero.txt"
+    model = {"kind": "constant-hsc", "n": n, "sigma": 4.0}
+    write_field_bundle(path, ComponentMap.zero(L, M, 2), Gravitino.zero(L, M), ReducedPatch(M), model)
+    tracemalloc.start()
+    try:
+        code = run(["verify-components", str(path)], tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"error: map has 2 target components, model needs {2 * n}" in capsys.readouterr().err
+    assert peak < 5 * 2**20
 
 
 class TestBundleValidation:

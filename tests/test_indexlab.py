@@ -27,6 +27,12 @@ def single_block(matrix, gram_domain, gram_codomain, tag):
     return il.OperatorMatrix(stacks=[stack], tag=tag, is_complex_linear=True)
 
 
+def torus_half(n, M, part):
+    """The chiral half "10" or "01" of the torus Dirac operator at target rank n, cutoff M."""
+    d10, d01 = il.torus_chiral_halves(il.build_dirac_torus(n, M))
+    return {"10": d10, "01": d01}[part]
+
+
 class TestOracles:
     def test_h_oracle_examples(self):
         assert il.h_oracle(3) == (4, 0)
@@ -119,17 +125,12 @@ class TestTorusOperators:
         assert zero == 4
 
     def test_chiral_halves_have_half_kernel(self):
-        d10 = il.build_dirac_torus_chiral(1, 6, "10")
-        d01 = il.build_dirac_torus_chiral(1, 6, "01")
+        d10, d01 = il.torus_chiral_halves(il.build_dirac_torus(1, 6))
         assert il.numeric_index(d10).kernel_dim == 2
         assert il.numeric_index(d01).kernel_dim == 2
 
 
 class TestAdjointRelation:
-    def test_full_report(self):
-        rep = il.adjoint_relation_check(6)
-        assert rep["passed"], rep["checks"]
-
     def test_gram_adjoint_is_honest(self):
         # <A v, w>_cod = <v, A* w>_dom for random vectors
         rng = np.random.default_rng(0)
@@ -142,6 +143,24 @@ class TestAdjointRelation:
             lhs = (A @ v).conj() @ gc @ w
             rhs = v.conj() @ gd @ (a_star @ w)
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("M", [4, 6, 8, 14])
+    def test_deviation_equals_solve_route_bit_for_bit(self, n, M):
+        # with identity Grams, A^H Gc + Gd B is Gd^-1 A^H Gc + B exactly
+        full = il.build_dirac_torus(n, M)
+        d10, d01 = il.torus_chiral_halves(full)
+        for op, other in ((full, full), (d10, d01), (d01, d10), (d10, d10)):
+            solved = max(float(np.abs(s.matrix + t.matrix).max()) for s, t in zip(op.adjoint().stacks, other.stacks))
+            assert il.adjoint_deviation(op, other) == solved
+
+    @pytest.mark.parametrize("k,M", [(-1, 6), (0, 8), (1, 6), (3, 12)])
+    def test_sphere_dirac01_is_minus_the_adjoint(self, k, M):
+        dbar, d01 = il.build_dbar_sphere(k, M), il.build_dirac01_sphere(k, M)
+        scale = max(np.abs(il._herm(s.matrix) @ s.gram_codomain).max() for s in dbar.stacks)
+        assert il.adjoint_deviation(dbar, d01) <= 1e-14 * scale
+        plus = il.OperatorMatrix(stacks=dbar.adjoint().stacks, tag="+dbar*", is_complex_linear=True)
+        assert il.adjoint_deviation(dbar, plus) == pytest.approx(2 * scale, rel=1e-12)
 
 
 class TestBochnerGap:
@@ -160,7 +179,7 @@ class TestBochnerGap:
         assert np.abs(a - b).max() <= 1e-10
 
     def test_torus_flat_target_zero_modes(self):
-        rep = il.numeric_index(il.build_dirac_torus_chiral(1, 8, "01"))
+        rep = il.numeric_index(torus_half(1, 8, "01"))
         assert rep.singular_values.min() <= 1e-12
         assert rep.kernel_dim > 0
 
@@ -295,7 +314,7 @@ ORACLE_CASES = (
         lambda d=d, M=M: dense_dbar(2 * d - 1, M)) for d, M in [(1, 10), (2, 12), (3, 14)]]
     + [(f"torus n={n} M={M}", lambda n=n, M=M: il.build_dirac_torus(n, M), lambda n=n, M=M: dense_torus(n, M))
        for n in (1, 2) for M in (4, 6, 8)]
-    + [(f"D{p} torus n={n} M={M}", lambda n=n, M=M, p=p: il.build_dirac_torus_chiral(n, M, p),
+    + [(f"D{p} torus n={n} M={M}", lambda n=n, M=M, p=p: torus_half(n, M, p),
         lambda n=n, M=M, p=p: dense_torus_chiral(n, M, p))
        for n in (1, 2) for M in (4, 6, 8) for p in ("10", "01")]
 )
@@ -383,8 +402,8 @@ class TestBlockEngineAgainstDenseOracle:
     @pytest.mark.parametrize("M", [4, 6, 8])
     def test_torus_mode_singular_values_closed_form(self, n, M):
         for op, mult in ((il.build_dirac_torus(n, M), 4 * n),
-                         (il.build_dirac_torus_chiral(n, M, "10"), 2 * n),
-                         (il.build_dirac_torus_chiral(n, M, "01"), 2 * n)):
+                         (torus_half(n, M, "10"), 2 * n),
+                         (torus_half(n, M, "01"), 2 * n)):
             (stack,) = op.stacks
             sv = np.linalg.svd(stack.matrix, compute_uv=False)
             modes = il._torus_modes(M)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grassmann_oracle import GrassmannElement, evaluate
 from sjclab.superfield import (
@@ -13,6 +14,7 @@ from sjclab.superfield import (
     components_from_complex,
     flat_sjc_residual,
     holomorphy_equivalence_check,
+    _split_sum,
 )
 from sjclab.suites import random_flat_z_component
 from sjclab.targets import standard_J
@@ -226,6 +228,46 @@ class TestLiterals:
         with pytest.raises(ValueError) as info:
             SuperField.from_text(2, text)
         assert token in str(info.value)
+
+
+def split_sum_per_character(text: str) -> list[str]:
+    """Reference splitter: one pass over the characters, tracking the parenthesis depth."""
+    chunks = []
+    depth = 0
+    current: list[str] = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "+" and depth == 0 and not (
+            len(current) > 1 and current[-1] in "eE" and current[-2] in "0123456789."
+        ):
+            chunks.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    chunks.append("".join(current))
+    return [c for c in (c.strip() for c in chunks) if c]
+
+
+class TestSplitSum:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="0123456789.eE+-()j x*", max_size=40))
+    def test_chunks_equal_per_character_splitter(self, text):
+        assert _split_sum(text) == split_sum_per_character(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e+20 + 2.0", "(1+2j) + x1", "+e+1", "1.e+5+E+2", "((1+2j)+3) + 4", ")+(", "1++2", " + "],
+    )
+    def test_chunks_on_edge_cases(self, text):
+        assert _split_sum(text) == split_sum_per_character(text)
+
+    @pytest.mark.parametrize("text", ["(1+2j * x1", "1.0 * x1 + (0+1j", "(1+2j)) * x1 + (2.0"])
+    def test_unbalanced_parentheses_rejected(self, text):
+        with pytest.raises(ValueError):
+            SuperField.from_text(2, text)
 
 
 class TestRingLaws:

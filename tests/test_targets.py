@@ -69,10 +69,10 @@ class TestModelValidation:
         assert not rep.checks["J_squared"]["passed"]
 
     def test_descriptor_roundtrip(self):
-        m = make_model({"kind": "constant-hsc", "n": 2, "sigma": -4.0})
+        m = make_model({"kind": "constant-hsc", "n": 2, "sigma": -4.0}, 4)
         assert m.sigma == -4.0 and m.n == 2
         with pytest.raises(ModelError):
-            make_model({"kind": "nope"})
+            make_model({"kind": "nope"}, 2)
 
 
 class TestConstantHsc:
