@@ -25,60 +25,58 @@ class FieldError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _mul_table(L: int) -> tuple[tuple[int, int, int, int], ...]:
-    size = 1 << L
-    table = []
-    for ma in range(size):
-        for mb in range(size):
-            s = merge_sign(ma, mb)
-            if s:
-                table.append((ma, mb, ma | mb, s))
-    return tuple(table)
+def _rows(L: int) -> np.ndarray:
+    """Every mask pair with a nonzero product sign, as rows (mo, ma, mb, sign).
 
-
-@lru_cache(maxsize=None)
-def _mul_index(L: int, odd_a: bool, odd_b: bool) -> tuple[np.ndarray, ...]:
-    """The rows of ``_mul_table(L)`` for bodiless factors of fixed parities.
-
-    Keeps the rows whose factor masks are nonzero with the given parities
-    and returns them as index arrays ``(ma, mb, sign, starts, mo)``, sorted
-    by product mask: rows ``starts[i]:starts[i + 1]`` all produce mask
-    ``mo[i]``, ready for ``np.add.reduceat``.  There are at most 3^L rows.
+    Sorted by product mask mo = ma | mb, then ma, then mb: at most 3^L rows.
     """
+    size = 1 << L
     rows = sorted(
-        (mo, ma, mb, s)
-        for ma, mb, mo, s in _mul_table(L)
-        if ma and mb and bin(ma).count("1") % 2 == odd_a and bin(mb).count("1") % 2 == odd_b
+        (ma | mb, ma, mb, merge_sign(ma, mb)) for ma in range(size) for mb in range(size) if not ma & mb
     )
-    mo, ma, mb, sign = np.array(rows, dtype=np.intp).reshape(-1, 4).T
-    masks, starts = np.unique(mo, return_index=True)
-    out = (ma, mb, sign.astype(float), starts, masks)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    return np.array(rows, dtype=np.intp).reshape(-1, 4)
+
+
+@lru_cache(maxsize=256)
+def _live_rows(L: int, nz_a: bytes, nz_b: bytes) -> tuple:
+    """The rows of ``_rows(L)`` whose factor blocks are both nonzero, laid out depth by depth.
+
+    Returns ``(ma, mb, sign, masks, widths)``.  The product masks ``masks``
+    are ordered by falling row count; depth k holds the k-th row (in
+    ``_rows`` order) of each of the first ``widths[k]`` masks.
+    """
+    rows = _rows(L)
+    rows = rows[np.frombuffer(nz_a, dtype=bool)[rows[:, 1]] & np.frombuffer(nz_b, dtype=bool)[rows[:, 2]]]
+    masks, starts, counts = np.unique(rows[:, 0], return_index=True, return_counts=True)
+    by_count = np.argsort(-counts, kind="stable")
+    masks, starts, counts = masks[by_count], starts[by_count], counts[by_count]
+    widths = [int(np.count_nonzero(counts > k)) for k in range(counts.max(initial=0))]
+    order = [start + k for k, width in enumerate(widths) for start in starts[:width]]
+    _, ma, mb, sign = rows[np.array(order, dtype=np.intp)].reshape(-1, 4).T
+    return ma, mb, sign, masks, widths
 
 
 def gcontract(a: np.ndarray, b: np.ndarray, spec: str, L: int) -> np.ndarray:
     """Mask-convolved einsum: Grassmann product with index contraction.
 
     ``spec`` is an einsum signature for the per-mask blocks (without the
-    leading mask axis).
+    leading mask axis).  One einsum contracts every pair of nonzero blocks
+    whose product sign is nonzero.  Each product mask then sums its pairs in
+    ``_rows`` order, one depth at a time, and adds the sum to zero: bit for
+    bit the sums of adding each pair in turn to a zeroed output.
     """
-    out = None
-    # which mask blocks of each factor hold a nonzero entry, scanned once
     nz_a = a.any(axis=tuple(range(1, a.ndim)))
     nz_b = b.any(axis=tuple(range(1, b.ndim)))
-    for ma, mb, mo, s in _mul_table(L):
-        if not nz_a[ma] or not nz_b[mb]:
-            continue
-        piece = np.einsum(spec, a[ma], b[mb])
-        if out is None:
-            size = a.shape[0]
-            out = np.zeros((size,) + piece.shape, dtype=complex)
-        out[mo] += s * piece
-    if out is None:
-        probe = np.einsum(spec, a[0], b[0])
-        out = np.zeros((a.shape[0],) + probe.shape, dtype=complex)
+    ma, mb, sign, masks, widths = _live_rows(L, nz_a.tobytes(), nz_b.tobytes())
+    rows = np.einsum("..." + spec.replace(",", ",...").replace("->", "->..."), a[ma], b[mb])
+    rows *= sign.reshape((-1,) + (1,) * (rows.ndim - 1))
+    # each mask's running sum is its row at depth 0
+    start = len(masks)
+    for width in widths[1:]:
+        rows[:width] += rows[start:start + width]
+        start += width
+    out = np.zeros((1 << L,) + rows.shape[1:], dtype=complex)
+    out[masks] += rows[:len(masks)]  # 0 + sum: a sum of -0.0 reads +0.0
     return out
 
 

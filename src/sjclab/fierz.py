@@ -21,11 +21,10 @@ tensor contracted with a fourth odd spinor coefficient.
 
 Dense layout: the coefficients psi_mu^a are one complex array of shape
 (2, dim, 2^L) whose last axis runs over the basis monomial masks of
-:mod:`sjclab.grassmann`.  A graded product gathers its two factors along
-the rows of ``fields._mul_index`` (at most 3^L rows, never a (2^L)^3 sign
-tensor) and sums each product mask's rows.  R, and each nabla_p R, is
-contracted over (a, b) on the pair products psi_mu^a psi_nu^b before the
-remaining factors are multiplied in.
+:mod:`sjclab.grassmann`.  Inside the module the mask axis is moved first,
+and every graded product is the dense engine ``fields.gcontract``.  R, and
+each nabla_p R, is contracted over (a, b) on the pair products
+psi_mu^a psi_nu^b before the remaining factors are multiplied in.
 
 Exactness: a check is exact, and agrees coefficient by coefficient with
 the sparse reference algebra of the tests (``tests/grassmann_oracle.py``),
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import _mul_index, even_masks, odd_masks
+from .fields import even_masks, gcontract, odd_masks
 from .spin import EPS_UPPER, GAMMA_EPS, GAMMA_SYM, ISPIN
 
 
@@ -123,8 +122,8 @@ def _as_spinor(psi) -> np.ndarray:
         raise
 
 
-def _check_spinor(psi: np.ndarray, dim: int) -> int:
-    """Check psi[mu, a, mask] against R's dimension and for oddness; returns L."""
+def _check_spinor(psi: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
+    """Check psi[mu, a, mask] against R's dimension and for oddness; returns psi[mask, mu, a] and L."""
     if psi.ndim != 3 or len(psi) != 2:
         raise ValueError(f"psi must have 2 rows (mu = 3, 4) of shape (dim, 2^L), got shape {psi.shape}")
     if psi.shape[1] != dim:
@@ -138,40 +137,24 @@ def _check_spinor(psi: np.ndarray, dim: int) -> int:
     if bad.size:
         mu, a, i = bad[0]
         raise ValueError(f"psi[{mu}][{a}] is not odd: it has the even monomial {even[i]:#b}")
-    return L
-
-
-def _gprod(spec: str, a: np.ndarray, b: np.ndarray, L: int, odd_a: bool, odd_b: bool) -> np.ndarray:
-    """Graded product a * b of bodiless factors, contracted by einsum ``spec``.
-
-    The mask axis is last on a, b and the result; in ``spec`` it is ``k``
-    and runs over the rows of ``_mul_index``.
-    """
-    ma, mb, sign, starts, masks = _mul_index(L, odd_a, odd_b)
-    rows = np.einsum(spec, a[..., ma], b[..., mb] * sign)
-    out = np.zeros(rows.shape[:-1] + (1 << L,), dtype=complex)
-    if starts.size:
-        out[..., masks] = np.add.reduceat(rows, starts, axis=-1)
-    return out
+    return np.moveaxis(psi, -1, 0), L
 
 
 def _pairs(psi: np.ndarray, L: int) -> np.ndarray:
-    """P[mu, a, nu, b] = psi_mu^a psi_nu^b."""
-    return _gprod("mak,nbk->manbk", psi, psi, L, True, True)
+    """P[mask, mu, nu, a, b] = psi_mu^a psi_nu^b."""
+    return gcontract(psi, psi, "ma,nb->mnab", L)
 
 
 def _cubic(P: np.ndarray, psi: np.ndarray, R: np.ndarray, L: int) -> np.ndarray:
-    """V[mu, nu, sigma, e] = (R(psi_mu, psi_nu) psi_sigma)^e, R contracted on P first."""
-    Q = np.einsum("manbx,abce->mncex", P, R)
-    return _gprod("mncek,sck->mnsek", Q, psi, L, False, True)
+    """V[mask, mu, nu, sigma, e] = (R(psi_mu, psi_nu) psi_sigma)^e, R contracted on P first."""
+    return gcontract(np.tensordot(P, R, 2), psi, "mnce,sc->mnse", L)
 
 
 def sr_vector(psi: np.ndarray, R: np.ndarray) -> np.ndarray:
     """SR[alpha, e, mask] = eps^{kappa lambda} (R(psi_alpha, psi_kappa) psi_lambda)^e."""
     R = np.asarray(R, dtype=float)
-    psi = _as_spinor(psi)
-    L = _check_spinor(psi, R.shape[0])
-    return np.einsum("kl,aklex->aex", EPS_UPPER, _cubic(_pairs(psi, L), psi, R, L))
+    psi, L = _check_spinor(_as_spinor(psi), R.shape[0])
+    return np.einsum("kl,xakle->aex", EPS_UPPER, _cubic(_pairs(psi, L), psi, R, L))
 
 
 def _chain_operators() -> np.ndarray:
@@ -198,8 +181,8 @@ _CHAINS = _chain_operators()
 
 
 def _chain_deviations(V: np.ndarray) -> tuple[float, float]:
-    """Max coefficient deviation of chains A and B for V[mu, nu, sigma, ...]."""
-    dev = np.abs(_CHAINS @ V.reshape(8, -1)).reshape(2, -1).max(axis=1, initial=0.0)
+    """Max coefficient deviation of chains A and B for V[mask, mu, nu, sigma, ...]."""
+    dev = np.abs(_CHAINS @ np.moveaxis(V, 0, -1).reshape(8, -1)).reshape(2, -1).max(axis=1, initial=0.0)
     return float(dev[0]), float(dev[1])
 
 
@@ -220,8 +203,7 @@ def fierz_check(
     if R.shape != (dim,) * 4:
         raise ValueError(f"R must have shape (dim,)*4, got {R.shape}")
     check_curvature_symmetries(R)
-    psi = _as_spinor(psi)
-    L = _check_spinor(psi, dim)
+    psi, L = _check_spinor(_as_spinor(psi), dim)
     if nablaR is not None:
         if L < 4:
             raise ValueError("the derivative identities need at least 4 generators")
@@ -234,9 +216,9 @@ def fierz_check(
     report = {"chain_a": dev_a, "chain_b": dev_b, "max_deviation": max(dev_a, dev_b)}
     if nablaR is not None:
         # psi_rho^p (nabla_p R)(psi_mu, psi_nu) psi_sigma; the even pair
-        # product commutes past psi_rho^p, leaving P[rho, p, sigma, c]
-        Qd = np.einsum("manbx,pabce->pmncex", P, nablaR)
-        dev_da, dev_db = _chain_deviations(_gprod("pmncek,rpsck->mnsrek", Qd, P, L, False, False))
+        # product commutes past psi_rho^p, leaving P[rho, sigma, p, c]
+        Qd = np.tensordot(P, np.moveaxis(nablaR, 0, 2), 2)
+        dev_da, dev_db = _chain_deviations(gcontract(Qd, P, "mnpce,rspc->mnsre", L))
         report["chain_a_derivative"] = dev_da
         report["chain_b_derivative"] = dev_db
         report["max_deviation"] = max(report["max_deviation"], dev_da, dev_db)

@@ -1,10 +1,11 @@
 """Sign conventions of the complex Grassmann algebra on generators l1, ..., lL.
 
 Basis monomials are encoded as bitmasks (bit i set means generator l(i+1) is
-present), always taken in increasing index order.  The dense engines
-(``fields``, ``fierz``) and the flat superfield dicts (``superfield``) take
-their product and conjugation signs from here; the exact sparse reference
-algebra they are tested against lives with the tests.
+present), always taken in increasing index order.  The one dense engine,
+``fields.gcontract`` (which ``fields``, ``components`` and ``fierz`` run
+on), and the flat superfield dicts (``superfield``) take their product and
+conjugation signs from here; the exact sparse reference algebra they are
+tested against lives with the tests.
 """
 
 from __future__ import annotations

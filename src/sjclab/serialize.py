@@ -7,8 +7,8 @@ A flat-map file (for ``sjc verify-flat``) is JSON:
 
 listing the complex target components as superfield literal strings
 (grammar in ``sjclab.superfield``); ``L`` is a JSON integer in
-0..``FLAT_MAP_MAX_L``, and ``n`` must equal the number of components, which
-must be at least one.
+0..``FLAT_MAP_MAX_L``, and ``n`` is a JSON integer equal to the number of
+components, which must be at least one.
 
 A field bundle (for ``sjc verify-components``) is a JSON header line
 followed by one text record per grid point:
@@ -19,11 +19,11 @@ where each field block lists, for every base-monomial mask in increasing
 order, the real and imaginary parts of every component.  The header is a
 JSON object with ``"schema": 1``, integers M >= 1, L in
 0..``FLAT_MAP_MAX_L`` and dim >= 1, the affine part of phi as a dim x 2
-``phi_linear`` of finite numbers, and a ``model`` object with a string
-``kind``.  A bundle holds exactly M^2 records, all of the
-same length; (i, j) are integers in [0, M), each pair occurring once, in
-any order; every value is finite and lam is positive.  Any other input
-raises ValueError naming the defect.
+``phi_linear`` of finite JSON numbers (not bools or strings), and a
+``model`` object with a string ``kind``.  A bundle holds exactly M^2
+records, all of the same length; (i, j) are integers in [0, M), each pair
+occurring once, in any order; every value is finite and lam is positive.
+Any other input raises ValueError naming the defect.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ def read_flat_map(path) -> tuple[int, list[SuperField]]:
         raise ValueError("flat map has no components_z list")
     texts = payload["components_z"]
     n = payload.get("n")
-    if not isinstance(texts, list) or not texts or n != len(texts):
+    if not isinstance(texts, list) or not texts or type(n) is not int or n != len(texts):
         raise ValueError(
-            f"flat map needs n == len(components_z) >= 1, got n={n!r} "
+            f"flat map needs n as a JSON integer, n == len(components_z) >= 1, got n={json.dumps(n)} "
             f"and {len(texts) if isinstance(texts, list) else 'no'} components"
         )
     if not all(isinstance(text, str) for text in texts):
@@ -140,9 +140,11 @@ def read_field_bundle(path):
         M = _header_int(header, "M", 1)
         L = _header_int(header, "L", 0, FLAT_MAP_MAX_L)
         dim = _header_int(header, "dim", 1)
+        rows = header.get("phi_linear")
         try:
-            phi_linear = np.array(header["phi_linear"], dtype=float)
-        except (KeyError, TypeError, ValueError):
+            numbers = all(type(v) in (int, float) for row in rows for v in row)  # no bools or strings
+            phi_linear = np.array(rows, dtype=float) if numbers else None
+        except (TypeError, ValueError, OverflowError):
             phi_linear = None
         if phi_linear is None or phi_linear.shape != (dim, 2) or not np.isfinite(phi_linear).all():
             raise ValueError(f"field bundle header needs phi_linear as a {dim}x2 array of finite numbers")

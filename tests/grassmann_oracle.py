@@ -4,8 +4,9 @@
 generators l1, ..., lL, stored as a dict from basis monomial masks (bit i set
 means generator l(i+1) is present, generators in increasing index order) to
 complex coefficients.  Zero coefficients are pruned, so structural equality
-is algebraic equality.  The tests compare the dense engines of ``sjclab``
-(``fields``, ``fierz``) and the flat superfield dicts against it with ``==``.
+is algebraic equality.  The tests compare the dense engine of ``sjclab``
+(``fields.gcontract``, and ``fierz`` built on it) and the flat superfield
+dicts against it with ``==``.
 It shares only ``merge_sign`` and ``reversal_sign`` with them, and
 ``tests/test_grassmann.py`` checks products against a bubble sort.
 """

@@ -376,6 +376,13 @@ BAD_HEADERS = {
     "no-dim": (lambda h: (_without(h, "dim"), None), "header needs dim as a JSON integer >= 1, got null"),
     "no-phi-linear": (lambda h: (_without(h, "phi_linear"), None), "header needs phi_linear as a 2x2 array"),
     "nan-phi-linear": (lambda h: (dict(h, phi_linear=[[1.0, None], [0.0, 1.0]]), None), "of finite numbers"),
+    "bool-phi-linear": (
+        lambda h: (dict(h, phi_linear=[[True, False], [False, True]]), None), "header needs phi_linear as a 2x2 array"
+    ),
+    "string-phi-linear": (
+        lambda h: (dict(h, phi_linear=[["1", "0"], ["0", "1"]]), None), "header needs phi_linear as a 2x2 array"
+    ),
+    "huge-phi-linear": (lambda h: (dict(h, phi_linear=[[10**400, 0], [0, 1]]), None), "of finite numbers"),
     "no-model": (lambda h: (_without(h, "model"), None), "header needs model as a JSON object with a string kind"),
     "no-kind": (lambda h: (dict(h, model={"n": 1}), None), "header needs model as a JSON object with a string kind"),
     "no-n": (lambda h: (dict(h, model={"kind": "flat"}), None), "error: model 'flat' has no 'n'"),
@@ -495,8 +502,14 @@ class TestBundleValidation:
 class TestFlatMapValidation:
     @pytest.mark.parametrize(
         "n,texts",
-        [(2, ["1.0 * x1 + (0+1j) * x2"]), (0, []), (None, ["1.0 * x1 + (0+1j) * x2"])],
-        ids=["n-mismatch", "empty", "n-missing"],
+        [
+            (2, ["1.0 * x1 + (0+1j) * x2"]),
+            (0, []),
+            (None, ["1.0 * x1 + (0+1j) * x2"]),
+            (True, ["1.0 * x1 + (0+1j) * x2"]),
+            (1.0, ["1.0 * x1 + (0+1j) * x2"]),
+        ],
+        ids=["n-mismatch", "empty", "n-missing", "bool-n", "float-n"],
     )
     def test_bad_header_exit_2(self, n, texts, tmp_path, capsys):
         payload = {"schema": 1, "L": 2, "components_z": texts}
@@ -505,7 +518,8 @@ class TestFlatMapValidation:
         path = tmp_path / "map.json"
         path.write_text(json.dumps(payload))
         assert run(["verify-flat", str(path)], tmp_path) == 2
-        assert "n == len(components_z) >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n as a JSON integer, n == len(components_z) >= 1" in err and f"got n={json.dumps(n)}" in err
 
     @pytest.mark.parametrize(
         "payload,message",

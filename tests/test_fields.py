@@ -11,6 +11,7 @@ from sjclab.fields import (
     gzeros,
     odd_masks,
 )
+from sjclab.grassmann import merge_sign
 
 
 def test_mask_parities():
@@ -23,24 +24,107 @@ def gaussian_integers(rng, shape):
     return rng.integers(-3, 4, size=shape) + 1j * rng.integers(-3, 4, size=shape)
 
 
+def gaussian_factor(rng, L, shape, masks):
+    """Gaussian-integer factor whose blocks outside ``masks`` are zero."""
+    out = np.zeros((1 << L,) + shape, dtype=complex)
+    out[masks] = gaussian_integers(rng, (len(masks),) + shape)
+    return out
+
+
 @pytest.mark.parametrize("L", [3, 4])
 def test_gcontract_matches_scalar_engine(L):
     # the mask convolution must agree with the exact algebra, entry by entry
-    # and under an index contraction, on factors with a nonzero body
+    # and under an index contraction: on factors with a nonzero body, on
+    # odd-only and bodiless even factors (as fierz passes them) and on
+    # factors with empty mask blocks
     rng = np.random.default_rng(L)
     size = 1 << L
+    odd, even = odd_masks(L), even_masks(L)
     for _ in range(10):
         a = gaussian_integers(rng, (size, 2, 3))
         b = gaussian_integers(rng, (size, 2, 3))
         a[0] = rng.integers(1, 4, size=(2, 3))
         b[0] = rng.integers(1, 4, size=(2, 3)) * 1j
-        ga, gb = elements(np.moveaxis(a, 0, -1)), elements(np.moveaxis(b, 0, -1))
-        prod = elements(np.moveaxis(gcontract(a, b, "ij,ij->ij", L), 0, -1))
-        assert prod == [[x * y for x, y in zip(u, v)] for u, v in zip(ga, gb)]
-        contracted = elements(np.moveaxis(gcontract(a, b, "ij,kj->ik", L), 0, -1))
-        assert contracted == [
-            [sum((x * y for x, y in zip(u, v)), GrassmannElement.zero(L)) for v in gb] for u in ga
+        sparse = sorted(rng.choice(size, size=size // 2, replace=False))
+        pairs = [
+            (a, b),
+            (gaussian_factor(rng, L, (2, 3), odd), gaussian_factor(rng, L, (2, 3), odd)),
+            (gaussian_factor(rng, L, (2, 3), even[1:]), gaussian_factor(rng, L, (2, 3), odd)),
+            (gaussian_factor(rng, L, (2, 3), sparse), b),
+            (gaussian_factor(rng, L, (2, 3), odd[:2]), gaussian_factor(rng, L, (2, 3), [])),
         ]
+        for a, b in pairs:
+            ga, gb = elements(np.moveaxis(a, 0, -1)), elements(np.moveaxis(b, 0, -1))
+            prod = elements(np.moveaxis(gcontract(a, b, "ij,ij->ij", L), 0, -1))
+            assert prod == [[x * y for x, y in zip(u, v)] for u, v in zip(ga, gb)]
+            contracted = elements(np.moveaxis(gcontract(a, b, "ij,kj->ik", L), 0, -1))
+            assert contracted == [
+                [sum((x * y for x, y in zip(u, v)), GrassmannElement.zero(L)) for v in gb] for u in ga
+            ]
+
+
+def looped_gcontract(a, b, spec, L):
+    """One einsum per pair of nonzero mask blocks, added in (ma, mb) order."""
+    size = 1 << L
+    nz_a = [bool(a[m].any()) for m in range(size)]
+    nz_b = [bool(b[m].any()) for m in range(size)]
+    out = np.zeros((size,) + np.einsum(spec, a[0], b[0]).shape, dtype=complex)
+    for ma in range(size):
+        for mb in range(size):
+            s = merge_sign(ma, mb)
+            if s and nz_a[ma] and nz_b[mb]:
+                out[ma | mb] += s * np.einsum(spec, a[ma], b[mb])
+    return out
+
+
+def generic_factor(rng, L, shape, masks):
+    """Non-integer complex factor whose blocks outside ``masks`` are zero.
+
+    A third of the entries in the blocks at ``masks`` are -0.0, so that
+    products and sums meet signed zeros.
+    """
+    out = np.zeros((1 << L,) + shape, dtype=complex)
+    values = rng.standard_normal((len(masks),) + shape) + 1j * rng.standard_normal((len(masks),) + shape)
+    values[rng.random(values.shape) < 1 / 3] = complex(-0.0, -0.0)
+    out[masks] = values
+    return out
+
+
+# (spec, shape of a's blocks, shape of b's blocks): the component products on
+# (M, M, 2, dim) grids, and tiny fierz-like operands
+ORDER_CASES = [
+    ("xyma,xynb->xymanb", (6, 6, 2, 4), (6, 6, 2, 4)),
+    ("xymanb,xync->xymanbc", (6, 6, 2, 4, 2, 4), (6, 6, 2, 4)),
+    ("xyked,xyad->xykae", (5, 5, 2, 4, 4), (5, 5, 2, 4)),
+    ("xykc,xykb->xycb", (5, 5, 2, 2), (5, 5, 2, 4)),
+    ("xy,xyab->xyab", (4, 4), (4, 4, 2, 4)),
+    ("ma,nb->mnab", (2, 3), (2, 3)),
+    ("mnce,sc->mnse", (2, 2, 3, 3), (2, 3)),
+    ("mnpce,rspc->mnsre", (2, 2, 3, 3, 3), (2, 2, 3, 3)),
+    ("ij,kj->ik", (2, 3), (3, 3)),
+]
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("spec, shape_a, shape_b", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
+def test_gcontract_sums_in_the_loop_order(L, spec, shape_a, shape_b):
+    # bit for bit, on data whose sums round: each product mask adds its
+    # pairs from zero in (ma, mb) order, so the residual CSVs keep their bytes
+    rng = np.random.default_rng([L, len(spec)])
+    size = 1 << L
+    odd, even = odd_masks(L), even_masks(L)
+    sparse = sorted(rng.choice(size, size=max(1, size // 2), replace=False))
+    factors = [
+        (generic_factor(rng, L, shape_a, range(size)), generic_factor(rng, L, shape_b, range(size))),
+        (generic_factor(rng, L, shape_a, odd), generic_factor(rng, L, shape_b, odd)),
+        (generic_factor(rng, L, shape_a, even[1:]), generic_factor(rng, L, shape_b, odd)),
+        (generic_factor(rng, L, shape_a, sparse), generic_factor(rng, L, shape_b, [0] + odd[1:])),
+        (generic_factor(rng, L, shape_a, []), generic_factor(rng, L, shape_b, odd)),
+    ]
+    for a, b in factors:
+        got, want = gcontract(a, b, spec, L), looped_gcontract(a, b, spec, L)
+        assert np.array_equal(got, want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()  # signed zeros too
 
 
 def test_gcontract_anticommutes_on_grids():
