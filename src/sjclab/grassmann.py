@@ -5,16 +5,21 @@ present), always taken in increasing index order.  The one dense engine,
 ``fields.gcontract`` (which ``fields``, ``components`` and ``fierz`` run
 on), and the flat superfield dicts (``superfield``) take their product and
 conjugation signs from here; the exact sparse reference algebra they are
-tested against lives with the tests.
+tested against lives with the tests.  ``merge_sign`` is cached, since the
+superfield products, the literal parser and ``fields`` ask for the same few
+mask pairs over and over.
 """
 
 from __future__ import annotations
+
+import functools
 
 
 class GrassmannError(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=4096)  # every mask pair of an L = 4 superfield
 def merge_sign(mask_a: int, mask_b: int) -> int:
     """Sign from sorting the concatenation of two ordered monomials.
 

@@ -12,6 +12,13 @@ signs of products come from ``grassmann.merge_sign``.  Zero coefficients are
 never stored, so structural equality is algebraic equality.  All operations
 are exact on exact data.
 
+The frames ``apply_D3`` and ``apply_D4`` are one index map each over the
+terms: the eta derivative, then the e3 part, then the e4 part, added with
+the rounding and zero dropping of the sum.  They give the keys, key order
+and coefficient bits of the product-built form ``deta + eta3 * dx + eta4 *
+dx`` (kept as a test oracle), so later products accumulate in the same
+order.
+
 Literal grammar (``SuperField.from_text``; ``to_text`` writes it back):
 
 * a literal is ``0`` or a sum of terms joined by ``+`` outside parentheses;
@@ -36,6 +43,7 @@ import numpy as np
 from .grassmann import GrassmannError, format_complex, merge_sign, reversal_sign
 
 MAX_DEGREE = 8  # highest (x1, x2) degree of a literal term
+_ONE = complex(1.0)  # the coefficient of a bare eta, as a product factor
 
 # odd symbol -> generator bit, before the base generators l1..lL at bits 2..
 _ETA_BITS = {"e3": 1, "e4": 2}
@@ -75,6 +83,14 @@ class SuperField:
         out = cls.__new__(cls)
         out.L = L
         out.terms = {k: c for k, c in terms.items() if c != 0}
+        return out
+
+    @classmethod
+    def _wrap(cls, L: int, terms: dict[tuple[int, int, int], complex]) -> "SuperField":
+        """Wrap terms that hold no zero coefficient, with no copy and no check."""
+        out = cls.__new__(cls)
+        out.L = L
+        out.terms = terms
         return out
 
     # -- constructors -------------------------------------------------
@@ -136,9 +152,8 @@ class SuperField:
             return NotImplemented
         self._check_compatible(other)
         terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return SuperField._derived(self.L, terms)
+        _accumulate(terms, other.terms.items())
+        return SuperField._wrap(self.L, terms)
 
     __radd__ = __add__
 
@@ -213,21 +228,6 @@ class SuperField:
 
     def dzbar(self) -> "SuperField":
         return (self.dx1() + self.dx2() * 1j) * 0.5
-
-    def _deta(self, bit: int) -> "SuperField":
-        """Left derivative with respect to e3 (bit=1) or e4 (bit=2)."""
-        terms = {}
-        for (m, a, b), c in self.terms.items():
-            if m & bit:
-                s = -1 if m & (bit - 1) else 1  # only e3 lies below e4
-                terms[(m ^ bit, a, b)] = c * s
-        return SuperField._derived(self.L, terms)
-
-    def deta3(self) -> "SuperField":
-        return self._deta(1)
-
-    def deta4(self) -> "SuperField":
-        return self._deta(2)
 
     def conjugate(self) -> "SuperField":
         """Graded star: fixes x, eta and base generators, reverses products."""
@@ -346,24 +346,58 @@ def _split_sum(text: str) -> list[str]:
 # -- the flat superconformal frames ------------------------------------------
 
 
+def _accumulate(terms: dict, items) -> None:
+    """Add each (key, coeff) of items to terms in order, dropping a key whose sum is 0."""
+    for k, c in items:
+        c = terms.get(k, 0) + c
+        if c != 0:
+            terms[k] = c
+        else:
+            terms.pop(k, None)
+
+
+def _eta_dx(terms: dict, bit: int, axis: int, sign: int) -> list:
+    """(key, coeff) of sign * eta * d/dx_axis for the eta at ``bit``, in ``terms`` order.
+
+    Each coefficient is rounded as the generic product forms it: the eta
+    factor's 1.0 times the derivative's, times the merge sign, added to 0.
+    A minus sign then negates the result, as ``SuperField.__sub__`` does.
+    """
+    out = []
+    for (m, a, b), c in terms.items():
+        p = a if axis == 1 else b
+        if p and not m & bit:
+            c = 0 + _ONE * (p * c) * (-1 if m & (bit - 1) else 1)
+            key = (m | bit, a - 1, b) if axis == 1 else (m | bit, a, b - 1)
+            out.append((key, c if sign > 0 else -c))
+    return out
+
+
+def _frame(field: SuperField, bit: int, e3_axis: int, e4_axis: int, e4_sign: int) -> SuperField:
+    """d/deta + e3 d/dx_(e3_axis) + e4_sign e4 d/dx_(e4_axis), eta at ``bit``, as one index map.
+
+    Same terms, key order and coefficient bits as the product form
+    ``deta + eta3 * dx + eta4 * dx`` built from ``SuperField`` products and
+    sums: the parts are added in that order, with the sum's own rounding and
+    zero dropping (``_accumulate``).
+    """
+    terms = {}  # the left eta derivative; c * s is nonzero for nonzero c
+    for (m, a, b), c in field.terms.items():
+        if m & bit:
+            terms[(m ^ bit, a, b)] = c * (-1 if m & (bit - 1) else 1)  # only e3 lies below e4
+    _accumulate(terms, _eta_dx(field.terms, 1, e3_axis, 1))
+    _accumulate(terms, _eta_dx(field.terms, 2, e4_axis, e4_sign))
+    return SuperField._wrap(field.L, terms)
+
+
 def apply_D3(field: SuperField) -> SuperField:
     """D3 = d/de3 + e3 d/dx1 + e4 d/dx2."""
-    L = field.L
-    return (
-        field.deta3()
-        + SuperField.eta(L, 3) * field.dx1()
-        + SuperField.eta(L, 4) * field.dx2()
-    )
+    return _frame(field, 1, 1, 2, 1)
 
 
 def apply_D4(field: SuperField) -> SuperField:
     """D4 = d/de4 + e3 d/dx2 - e4 d/dx1."""
-    L = field.L
-    return (
-        field.deta4()
-        + SuperField.eta(L, 3) * field.dx2()
-        - SuperField.eta(L, 4) * field.dx1()
-    )
+    return _frame(field, 2, 2, 1, -1)
 
 
 def apply_D(field: SuperField) -> SuperField:

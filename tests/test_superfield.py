@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import superfield_oracle
 from grassmann_oracle import GrassmannElement, evaluate
 from sjclab.superfield import (
     FlatTargetJ,
@@ -359,3 +362,80 @@ class TestGrassmannOracle:
         with pytest.raises(ValueError, match=">= 0"):
             SuperField(-1)
         assert SuperField(2, {(0b11, 1, 0): 0.0}).is_zero()
+
+
+# Coefficient parts: signed zeros and small values often, so that sums cancel
+# exactly and -0.0 meets +0.0; generic finite doubles otherwise.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def generic_fields(draw):
+    """Fields whose terms mostly share one base monomial and low powers, so frame parts collide."""
+    L = draw(st.integers(0, 4))
+    base = draw(st.integers(0, (1 << L) - 1)) << 2
+    near = st.tuples(st.integers(0, 3).map(base.__or__), st.integers(0, 1), st.integers(0, 1))
+    anywhere = st.tuples(st.integers(0, (4 << L) - 1), st.integers(0, 3), st.integers(0, 3))
+    coeffs = st.builds(complex, _PARTS, _PARTS)
+    return SuperField(L, draw(st.dictionaries(near | anywhere, coeffs, max_size=16)))
+
+
+def bits(field: SuperField) -> list:
+    """Keys in order with the exact coefficient text (repr tells -0.0 from 0.0)."""
+    return [(k, repr(c)) for k, c in field.terms.items()]
+
+
+L64 = 1 << 65  # the mask bit of base generator l64
+
+
+class TestOnePassOracle:
+    """The one-pass frames and sum equal the product-built ones bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(generic_fields())
+    @example(SuperField(0, {(0b11, 0, 0): 1.0, (0, 0, 1): 1.0}))  # D4 cancels at e3
+    @example(SuperField(0, {(0b11, 0, 0): 1.0, (0, 0, 1): -1.0}))  # D3 cancels at e4
+    @example(SuperField(64, {(L64 | 0b01, 1, 2): 2 - 0.0j, (L64, 2, 1): -0.0 + 1j}))
+    def test_frames_match_products(self, field):
+        assert bits(apply_D3(field)) == bits(superfield_oracle.apply_D3(field))
+        assert bits(apply_D4(field)) == bits(superfield_oracle.apply_D4(field))
+
+    @settings(max_examples=400, deadline=None)
+    @given(generic_fields(), st.data())
+    def test_sum_matches_two_pass_sum(self, x, data):
+        # the second field reuses keys of the first, with values that may cancel
+        keys = st.sampled_from(sorted(x.terms)) if x.terms else st.just((0, 0, 0))
+        y = SuperField(x.L, data.draw(st.dictionaries(keys, st.builds(complex, _PARTS, _PARTS))))
+        y = superfield_oracle.add(y, -x) if data.draw(st.booleans()) else y
+        assert bits(x + y) == bits(superfield_oracle.add(x, y))
+        assert bits(y + x) == bits(superfield_oracle.add(y, x))
+
+    def test_frames_match_products_on_every_signed_zero_pair(self):
+        # Two frame parts meet on at most one key pair; this covers every pair of
+        # terms near e3 e4 with coefficient parts in {+-0.0, +-1.0}, which hits
+        # each way -0.0 can meet +0.0 when two parts add.
+        parts = (0.0, -0.0, 1.0, -1.0)
+        values = [c for c in (complex(x, y) for x in parts for y in parts) if c != 0]
+        keys = [(m, a, b) for m in range(4) for a in (0, 1) for b in (0, 1)]
+        for k1, k2 in itertools.combinations(keys, 2):
+            for c1, c2 in itertools.product(values, repeat=2):
+                field = SuperField(0, {k1: c1, k2: c2})
+                assert bits(apply_D3(field)) == bits(superfield_oracle.apply_D3(field))
+                assert bits(apply_D4(field)) == bits(superfield_oracle.apply_D4(field))
+
+    def test_examples_cancel(self):
+        cancel_e3 = SuperField(0, {(0b11, 0, 0): 1.0, (0, 0, 1): 1.0})
+        cancel_e4 = SuperField(0, {(0b11, 0, 0): 1.0, (0, 0, 1): -1.0})
+        assert apply_D4(cancel_e3).is_zero() and not apply_D3(cancel_e3).is_zero()
+        assert apply_D3(cancel_e4).is_zero() and not apply_D4(cancel_e4).is_zero()
+
+    def test_frames_on_random_flat_maps(self):
+        rng = np.random.default_rng(12)
+        for t in range(40):
+            z = random_flat_z_component(rng, 4, holomorphic=t % 2 == 0)
+            for y in components_from_complex([z]):
+                assert bits(apply_D3(y)) == bits(superfield_oracle.apply_D3(y))
+                assert bits(apply_D4(y)) == bits(superfield_oracle.apply_D4(y))
