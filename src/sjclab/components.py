@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComponentMap, FieldError, Gravitino, gcontract, gzeros, max_abs
+from .fields import ComponentMap, FieldError, Gravitino, gcontract, gzeros, max_abs, on_live_masks
 from .patch import ReducedPatch
 from .spin import (
     EPS_GAMMA_MAP,
@@ -84,6 +84,10 @@ def antiholomorphic_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
 
     I is the same matrix [[0, 1], [-1, 0]] on frame and on spinor indices.
     """
+    return on_live_masks(_antiholomorphic, T, J)
+
+
+def _antiholomorphic(T: np.ndarray, J: np.ndarray) -> np.ndarray:
     rot = ISPIN_MAP.apply(T, -2)
     return 0.5 * (T + np.einsum("sxyac,xycd->sxyad", rot, J))
 
@@ -100,7 +104,7 @@ def j_endomorphism(psi: np.ndarray, nablaJ: np.ndarray) -> np.ndarray:
     Returns (2^L, M, M, 2, dim, dim): for each spinor index an odd
     endomorphism of the pulled-back tangent space.
     """
-    return np.einsum("sxyma,xyabc->sxymbc", psi, nablaJ)
+    return on_live_masks(lambda p: np.einsum("sxyma,xyabc->sxymbc", p, nablaJ), psi)
 
 
 def sr_contraction(psi: np.ndarray, Rop: np.ndarray, L: int) -> np.ndarray:
@@ -115,9 +119,12 @@ def sr_contraction(psi: np.ndarray, Rop: np.ndarray, L: int) -> np.ndarray:
     pair = gcontract(psi, psi, "xyma,xynb->xymanb", L)  # (S,M,M,2,dim,2,dim)
     eps_psi = EPS_UPPER_MAP.apply(psi, -2)
     Z = gcontract(pair, eps_psi, "xymanb,xync->xymanbc", L)
-    if not Z.any():  # e.g. fewer than three generators: no contraction to do
-        return np.zeros(psi.shape, dtype=complex)
-    return np.einsum("sxymanbc,xyabce->sxyme", Z, Rop)
+    return on_live_masks(lambda z: np.einsum("sxymanbc,xyabce->sxyme", z, Rop), Z)
+
+
+def _gamma_dphi(Gamma: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """The connection endomorphisms Gamma(dphi_k, .) of the pullback bundle."""
+    return on_live_masks(lambda d: np.einsum("xyecd,sxykc->sxyked", Gamma, d), dphi)
 
 
 def twisted_dirac(
@@ -145,7 +152,7 @@ def twisted_dirac(
     if np.abs(Gamma).max() > 0:
         if dphi is None:
             dphi = dphi_frame(cmap, patch)
-        conn = np.einsum("xyecd,sxykc->sxyked", Gamma, dphi)  # Gamma(dphi_k, .)
+        conn = _gamma_dphi(Gamma, dphi)
         nabla = nabla + gcontract(conn, psi, "xyked,xyad->xykae", L)
     omega = patch.spin_connection()
     out = GAMMA_MAP.apply(nabla, -3)
@@ -390,7 +397,7 @@ def d_phi_operator(
     if has_gamma or has_nablaJ:
         dphi = dphi_frame(cmap, patch)
     if has_gamma:
-        conn = np.einsum("xyecd,sxykc->sxyked", Gamma, dphi)
+        conn = _gamma_dphi(Gamma, dphi)
         dxi = dxi + gcontract(conn, xi, "xyked,xyd->xyke", L)
     if has_nablaJ:
         jxi = gcontract(

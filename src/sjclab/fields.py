@@ -80,6 +80,24 @@ def gcontract(a: np.ndarray, b: np.ndarray, spec: str, L: int) -> np.ndarray:
     return out
 
 
+def on_live_masks(fn, field: np.ndarray, *args) -> np.ndarray:
+    """``fn(field, *args)`` for an ``fn`` that maps each mask block alone and linearly.
+
+    ``fn`` runs on the blocks of ``field`` that hold a nonzero entry, gathered
+    into one contiguous array, and its result is scattered into zeros: a block
+    of zeros (-0.0 included, as in ``gcontract``) maps to +0.0.  When every
+    block is live, ``fn`` gets the field as it is.
+    """
+    field = np.asarray(field)
+    live = field.any(axis=tuple(range(1, field.ndim)))
+    if live.all():
+        return fn(field, *args)
+    part = fn(field[live], *args)
+    out = np.zeros(field.shape[:1] + part.shape[1:], dtype=part.dtype)
+    out[live] = part
+    return out
+
+
 def gzeros(L: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros((1 << L,) + tuple(shape), dtype=complex)
 

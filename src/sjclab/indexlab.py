@@ -126,6 +126,8 @@ class BlockStack:
 
     def normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Diagonal rescale to unit-norm basis vectors (spectrum unchanged)."""
+        if _shared_identity(self.gram_domain) and _shared_identity(self.gram_codomain):
+            return self.matrix, self.gram_domain, self.gram_codomain
         sd = np.sqrt(np.diagonal(self.gram_domain, axis1=-2, axis2=-1).real)
         sc = np.sqrt(np.diagonal(self.gram_codomain, axis1=-2, axis2=-1).real)
         sd = np.where(sd == 0, 1.0, sd)
@@ -134,6 +136,11 @@ class BlockStack:
         gc = self.gram_codomain / (sc[:, :, None] * sc[:, None, :])
         a = self.matrix * sc[:, :, None] / sd[:, None, :]
         return a, gd, gc
+
+
+def _shared_identity(gram: np.ndarray) -> bool:
+    """Whether ``gram`` is the identity, stored once for every block."""
+    return gram.shape[0] == 1 and np.array_equal(gram[0], np.eye(gram.shape[-1]))
 
 
 def _stacks_by_shape(blocks: list[tuple]) -> list[BlockStack]:
@@ -458,10 +465,11 @@ def _singular_values(op: OperatorMatrix, normalized: list[tuple]) -> np.ndarray:
     for a, gd, gc in normalized:
         if a.shape[-1] == 0 or a.shape[-2] == 0:
             continue
-        ld = np.linalg.cholesky(gd)
-        lc = np.linalg.cholesky(gc)
-        w = _herm(lc) @ a @ np.linalg.inv(_herm(ld))
-        pieces.append(np.linalg.svd(w, compute_uv=False).ravel())
+        if not (_shared_identity(gd) and _shared_identity(gc)):  # orthonormal bases need no whitening
+            ld = np.linalg.cholesky(gd)
+            lc = np.linalg.cholesky(gc)
+            a = _herm(lc) @ a @ np.linalg.inv(_herm(ld))
+        pieces.append(np.linalg.svd(a, compute_uv=False).ravel())
     sv = np.sort(np.concatenate(pieces))[::-1]
     return np.concatenate([sv, np.zeros(min(op.shape) - sv.size)])
 

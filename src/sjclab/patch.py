@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fields import on_live_masks
 from .spin import IFRAME_MAP
 
 
@@ -56,7 +57,12 @@ class ReducedPatch:
         ``ifft2`` bit for bit without a full-size temporary.  At even M the
         Nyquist wavenumber -M/2 differentiates to 0, as the derivative of the
         real trigonometric interpolant does, so real data has a real gradient.
+        Only the nonzero mask blocks (leading axis) are transformed, through
+        :func:`sjclab.fields.on_live_masks`; the zero blocks come out +0.0.
         """
+        return on_live_masks(self._grad, field)
+
+    def _grad(self, field: np.ndarray) -> np.ndarray:
         M = self.M
         ft = np.fft.fft2(np.asarray(field, dtype=complex), axes=(1, 2))
         k = 2j * np.pi * np.fft.fftfreq(M, d=1.0 / M)

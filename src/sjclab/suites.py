@@ -481,8 +481,9 @@ def random_direction_fields(rng, L: int, M: int, dim: int, modes: int = 2):
 
 
 LINEARIZE_REL_TOL = 1e-6
-# A linearize run peaks at about 7.8 kB per grid point (tracemalloc, M = 16..48);
-# a 1 GiB budget at 8 KiB per point caps the grid at M = 362.
+# A linearize run peaks at about 7.3 kB per grid point with the flat model and
+# 9.8 kB with constant-hsc (tracemalloc, M = 16..48); a 1 GiB budget at 8 KiB
+# per point caps the grid at M = 362, where constant-hsc peaks near 1.3 GB.
 LINEARIZE_GRID_LIMIT = math.isqrt((1 << 30) // (8 << 10))
 
 

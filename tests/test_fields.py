@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grassmann_oracle import GrassmannElement, elements
+from sjclab.components import _gamma_dphi, antiholomorphic_part, j_endomorphism
 from sjclab.fields import (
     ComponentMap,
     FieldError,
@@ -10,8 +11,11 @@ from sjclab.fields import (
     gcontract,
     gzeros,
     odd_masks,
+    on_live_masks,
 )
 from sjclab.grassmann import merge_sign
+from sjclab.patch import ReducedPatch
+from sjclab.spin import EPS_LOWER_PAIRING, GAMMA_MAP, ISPIN_MAP, QMAT_MAP
 
 
 def test_mask_parities():
@@ -125,6 +129,100 @@ def test_gcontract_sums_in_the_loop_order(L, spec, shape_a, shape_b):
         got, want = gcontract(a, b, spec, L), looped_gcontract(a, b, spec, L)
         assert np.array_equal(got, want)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()  # signed zeros too
+
+
+def live_block_kernels(rng, M, dim):
+    """(name, path through on_live_masks, the kernel on the whole field, block shape)."""
+    patch = ReducedPatch(M)
+    J = rng.standard_normal((M, M, dim, dim))
+    nablaJ = rng.standard_normal((M, M, dim, dim, dim))
+    Gamma = rng.standard_normal((M, M, dim, dim, dim))
+    Rop = rng.standard_normal((M, M, dim, dim, dim, dim))
+    sr = "sxymanbc,xyabce->sxyme"  # the last einsum of sr_contraction
+    return [
+        ("grad", patch.grad, patch._grad, (M, M, 2, dim)),
+        ("ISPIN_MAP", lambda f: ISPIN_MAP.apply(f, -2), lambda f: ISPIN_MAP._apply(f, 3), (M, M, 2, dim)),
+        ("GAMMA_MAP", lambda f: GAMMA_MAP.apply(f, -3), lambda f: GAMMA_MAP._apply(f, 3), (M, M, 2, 2, dim)),
+        ("QMAT_MAP", lambda f: QMAT_MAP.apply(f, -2), lambda f: QMAT_MAP._apply(f, 3), (M, M, 2, 2)),
+        (
+            "EPS_LOWER_PAIRING",
+            lambda f: EPS_LOWER_PAIRING.apply(f, -2),
+            lambda f: EPS_LOWER_PAIRING._apply(f, 3),
+            (M, M, 2, 2),
+        ),
+        (
+            "antiholomorphic_part",
+            lambda f: antiholomorphic_part(f, J),
+            lambda f: 0.5 * (f + np.einsum("sxyac,xycd->sxyad", ISPIN_MAP._apply(f, 3), J)),
+            (M, M, 2, dim),
+        ),
+        (
+            "j_endomorphism",
+            lambda f: j_endomorphism(f, nablaJ),
+            lambda f: np.einsum("sxyma,xyabc->sxymbc", f, nablaJ),
+            (M, M, 2, dim),
+        ),
+        (
+            "Gamma(dphi_k, .)",
+            lambda f: _gamma_dphi(Gamma, f),
+            lambda f: np.einsum("xyecd,sxykc->sxyked", Gamma, f),
+            (M, M, 2, dim),
+        ),
+        (
+            "sr_contraction, last einsum",
+            lambda f: on_live_masks(lambda z: np.einsum(sr, z, Rop), f),
+            lambda f: np.einsum(sr, f, Rop),
+            (M, M, 2, dim, 2, dim, dim),
+        ),
+    ]
+
+
+def record_view(values):
+    """``values`` as the bundle reader holds a field: a strided view into float records."""
+    S, M = values.shape[:2]
+    size = values[0, 0, 0].size * S
+    data = np.zeros((M * M, 3 + 2 * size + 4))  # index and lam columns first, more fields after
+    per_point = data[:, 3:].view(complex)[:, :size].reshape((M, M, S) + values.shape[3:])
+    per_point[...] = np.moveaxis(values, 0, 2)
+    view = np.moveaxis(per_point, 2, 0)
+    assert np.shares_memory(view, data) and not view.flags.c_contiguous
+    return view
+
+
+def masked_field(rng, L, shape, pattern):
+    """A generic field whose zero blocks follow ``pattern``; the last zero block is all -0.0."""
+    size = 1 << L
+    live = {
+        "none": range(size),
+        "all": [],
+        "parity": odd_masks(L),
+        "random": sorted(rng.choice(size, size=size // 2, replace=False)),
+    }[pattern]
+    field = generic_factor(rng, L, shape, live)
+    dead = sorted(set(range(size)) - set(live))
+    if dead:
+        field[dead[-1]] = complex(-0.0, -0.0)
+    return field
+
+
+@pytest.mark.parametrize("L", [2, 4])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("M", [8, 16])
+def test_live_mask_kernels_match_the_whole_field(L, dim, M):
+    # each kernel maps one mask block alone, so running it on the live blocks
+    # only gives the live blocks' bytes, and +0.0 in every zero block
+    rng = np.random.default_rng([L, dim, M])
+    for name, live_path, whole, shape in live_block_kernels(rng, M, dim):
+        for pattern in ("none", "all", "parity", "random"):
+            field = masked_field(rng, L, shape, pattern)
+            live = field.any(axis=tuple(range(1, field.ndim)))
+            for layout, f in (("contiguous", field), ("records", record_view(field))):
+                got, want = live_path(f), whole(f)
+                case = f"{name}, {pattern} zero blocks, {layout}"
+                assert got.shape == want.shape and np.array_equal(got, want), case
+                assert got[live].tobytes() == want[live].tobytes(), case
+                dead = got[~live]
+                assert not dead.any() and not np.signbit(dead.view(float)).any(), case
 
 
 def test_gcontract_anticommutes_on_grids():

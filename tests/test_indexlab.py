@@ -411,6 +411,21 @@ class TestBlockEngineAgainstDenseOracle:
             assert sv.shape == (M * M, mult)
             assert np.abs(sv - expected[:, None]).max() <= 1e-14 * expected.max()
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("M", [4, 6, 8])
+    def test_torus_stacks_skip_the_identity_whitening(self, n, M):
+        # both Grams are the shared identity, so the unit-norm rescale and the
+        # Cholesky whitening would multiply by 1: the blocks go to the SVD as
+        # they are, with the singular values of the full path bit for bit
+        for op in (il.build_dirac_torus(n, M), torus_half(n, M, "10"), torus_half(n, M, "01")):
+            (stack,) = op.stacks
+            a, gd, gc = stack.normalized()
+            assert a is stack.matrix and gd is stack.gram_domain and gc is stack.gram_codomain
+            ld, lc = np.linalg.cholesky(gd), np.linalg.cholesky(gc)
+            w = lc.conj().swapaxes(-1, -2) @ a @ np.linalg.inv(ld.conj().swapaxes(-1, -2))
+            full = np.sort(np.linalg.svd(w, compute_uv=False).ravel())[::-1]
+            assert np.array_equal(il._singular_values(op, [(a, gd, gc)]), full)
+
     def test_adjoint_layout_mismatch_rejected(self):
         with pytest.raises(il.IndexLabError, match="block layouts"):
             il.adjoint_deviation(il.build_dbar_sphere(1, 6), il.build_dbar_sphere(1, 6))
