@@ -28,17 +28,22 @@ Every operator here is block-diagonal and is stored only as its blocks:
   R(b + d + q) (codomain: R(b + d + q + 1)), read from one table of
   R(p) per operator.  Each sector is built straight from its charge:
   there is no global monomial basis, only the positions of the sector's
-  monomials in the two boxes.  Blocks are labelled by the domain charge
-  of dbar.
+  monomials in the two boxes.  All sectors are built in one pass, each
+  array of a block shape gathered in one indexing step.  Blocks are
+  labelled by the domain charge of dbar.
 * torus: the Dirac operator is diagonal in the Fourier modes k, with
   block -2 pi i (k1 gamma^1 + k2 gamma^2) (x) I per mode; the chiral
   halves split mode by mode too.
 
 Gram checks, whitened SVDs and adjoints run block by block, with blocks of
 one shape stacked on a leading axis (all torus modes go through LAPACK in
-one batched call).  For a block-diagonal matrix the union of the block
-spectra is the global spectrum, so kernel, cokernel and the Gram gate are
-the global ones.  No dense global matrix is assembled.
+one batched call).  The Gram rescale, eigenvalues, Cholesky factors and
+inverse factors run once per matrix size, over every block of both sides:
+LAPACK sees each matrix alone, so the bits are those of per-block calls.
+Nothing is padded.  The Cholesky factors are taken only once the Gram gate
+has passed.  For a block-diagonal matrix the union of the block spectra is
+the global spectrum, so kernel, cokernel and the Gram gate are the global
+ones.  No dense global matrix is assembled.
 """
 
 from __future__ import annotations
@@ -126,33 +131,12 @@ class BlockStack:
 
     def normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Diagonal rescale to unit-norm basis vectors (spectrum unchanged)."""
-        if _shared_identity(self.gram_domain) and _shared_identity(self.gram_codomain):
-            return self.matrix, self.gram_domain, self.gram_codomain
-        sd = np.sqrt(np.diagonal(self.gram_domain, axis1=-2, axis2=-1).real)
-        sc = np.sqrt(np.diagonal(self.gram_codomain, axis1=-2, axis2=-1).real)
-        sd = np.where(sd == 0, 1.0, sd)
-        sc = np.where(sc == 0, 1.0, sc)
-        gd = self.gram_domain / (sd[:, :, None] * sd[:, None, :])
-        gc = self.gram_codomain / (sc[:, :, None] * sc[:, None, :])
-        a = self.matrix * sc[:, :, None] / sd[:, None, :]
-        return a, gd, gc
+        return _normalized([self])[0]
 
 
 def _shared_identity(gram: np.ndarray) -> bool:
     """Whether ``gram`` is the identity, stored once for every block."""
     return gram.shape[0] == 1 and np.array_equal(gram[0], np.eye(gram.shape[-1]))
-
-
-def _stacks_by_shape(blocks: list[tuple]) -> list[BlockStack]:
-    """Stack blocks (matrix, gram_domain, gram_codomain, dom, cod, label) of equal shape."""
-    groups: dict[tuple[int, int], list[tuple]] = {}
-    for blk in blocks:
-        groups.setdefault(blk[0].shape, []).append(blk)
-    stacks = []
-    for group in groups.values():
-        *arrays, labels = zip(*group)
-        stacks.append(BlockStack(*map(np.stack, arrays), labels=list(labels)))
-    return stacks
 
 
 class OperatorMatrix:
@@ -204,15 +188,23 @@ def adjoint_deviation(op: OperatorMatrix, other: OperatorMatrix) -> float:
 # -- sphere operators -------------------------------------------------------------
 
 
+# 170! is the largest factorial below the double range; 171! overflows.
+_FACTORIAL_LIMIT = 170
+
+
 def _radial_integral(p: int, s: int) -> float:
-    """integral over the plane of r^{2p} (1+r^2)^(-s), p <= s - 2, equal to pi p! (s-p-2)!/(s-1)!."""
-    try:
-        return math.pi * math.factorial(p) * math.factorial(s - p - 2) / math.factorial(s - 1)
-    except OverflowError:
+    """integral over the plane of r^{2p} (1+r^2)^(-s), p <= s - 2, equal to pi p! (s-p-2)!/(s-1)!.
+
+    The largest factorial is (s-1)!, so the closed form stays in double
+    range if and only if s - 1 <= 170.  That is checked before any
+    factorial is taken: for a huge s the factorials alone take minutes.
+    """
+    if s - 1 > _FACTORIAL_LIMIT:
         raise IndexLabError(
             f"sphere Gram entries overflow double precision: the weight integral of "
             f"r^{2 * p} (1+r^2)^-{s} is not representable; lower the cutoff"
-        ) from None
+        )
+    return math.pi * math.factorial(p) * math.factorial(s - p - 2) / math.factorial(s - 1)
 
 
 def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
@@ -221,7 +213,11 @@ def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
     M >= |k| + 2 is required so both boxes are nonempty and resolved.  The
     domain sector of charge q holds the e_ab with a = b + q, at position
     a (M + 1) + b; its image, codomain sector q + 1, holds the e'_cd with
-    c = d + q + 1, at position c M + d.
+    c = d + q + 1, at position c M + d.  The sectors q = -M..k + M are built
+    in one pass: their bounds are arrays, and every block of one shape (the
+    mirror sectors q = -j and q = k + j share one) is gathered in one
+    indexing step per array.  Stacks come in order of each shape's first
+    charge, sectors by ascending charge within a stack.
     """
     if M < abs(k) + 2:
         raise IndexLabError(f"cutoff {M} too small for degree {k}")
@@ -232,21 +228,42 @@ def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
     # domain, times the pointwise norm of dzbar and the area form on the codomain
     table_dom = 4.0 * 2.0 ** (k / 2.0) * radial
     table_cod = 2.0 * 2.0 ** (k / 2.0) * radial
-    blocks = []
-    for q in range(-M, k + M + 1):
-        b = np.arange(max(0, -q), min(M, k + M - q) + 1)
-        d = np.arange(max(0, -q - 1), min(M - 1, k + M - q) + 1)
-        # e_ab -> b e'_{a, b-1} + (b - M) e'_{a+1, b}; both images have charge q + 1
-        A = np.where(d[:, None] == b - 1, b, 0) + np.where(d[:, None] == b, b - M, 0)
-        blocks.append((
-            A.astype(complex),
-            table_dom[b[:, None] + b[None, :] + q],
-            table_cod[d[:, None] + d[None, :] + q + 1],
-            (b + q) * (M + 1) + b,
-            (d + q + 1) * M + d,
-            f"sector q={q}",
+    # sector q: second exponents b = b0..b0 + nb - 1 (domain), d = d0..d0 + nd - 1 (codomain)
+    q = np.arange(-M, k + M + 1)
+    b0, d0 = np.maximum(0, -q), np.maximum(0, -q - 1)
+    nb = np.minimum(M, k + M - q) - b0 + 1
+    nd = np.minimum(M - 1, k + M - q) - d0 + 1
+    # sectors grouped by block shape: groups by first charge, charges ascending within
+    _, first, shape_of, count = np.unique(
+        nd * (M + 2) + nb, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first[shape_of], kind="stable")
+    q, b0, d0, nb, nd = q[order], b0[order], d0[order], nb[order].tolist(), nd[order].tolist()
+    # e_ab -> b e'_{a, b-1} + (b - M) e'_{a+1, b}: coefficient of e'_{.d} in dbar e_{.b},
+    # for d in 0..M-1 and b in 0..M, flattened; both images have charge q + 1
+    d, b = np.arange(M)[:, None], np.arange(M + 1)
+    coeff = (np.where(d == b - 1, b, 0) + np.where(d == b, b - M, 0)).astype(complex).ravel()
+    # entry (r, c) of a sector's blocks sits at its offset plus a fixed template
+    r = np.arange(M + 1)
+    hankel, coeff_step = r[:, None] + r, r[:, None] * (M + 1) + r
+    coeff_at = d0 * (M + 1) + b0
+    gram_dom_at, gram_cod_at = 2 * b0 + q, 2 * d0 + q + 1
+    dom_at, cod_at = (b0 + q) * (M + 1) + b0, (d0 + q + 1) * M + d0
+    dom_step, cod_step = (M + 2) * r, (M + 1) * r
+    labels = [f"sector q={x}" for x in q.tolist()]
+    stacks, start = [], 0
+    for end in np.cumsum(count[np.argsort(first)]).tolist():
+        rows, cols, sel = nd[start], nb[start], slice(start, end)
+        stacks.append(BlockStack(
+            matrix=coeff[coeff_at[sel, None, None] + coeff_step[:rows, :cols]],
+            gram_domain=table_dom[gram_dom_at[sel, None, None] + hankel[:cols, :cols]],
+            gram_codomain=table_cod[gram_cod_at[sel, None, None] + hankel[:rows, :rows]],
+            dom=dom_at[sel, None] + dom_step[:cols],
+            cod=cod_at[sel, None] + cod_step[:rows],
+            labels=labels[sel],
         ))
-    return OperatorMatrix(tag=f"dbar O({k})", is_complex_linear=True, stacks=_stacks_by_shape(blocks))
+        start = end
+    return OperatorMatrix(tag=f"dbar O({k})", is_complex_linear=True, stacks=stacks)
 
 
 def build_dirac10_sphere(target_degree_d: int, M: int) -> OperatorMatrix:
@@ -428,28 +445,87 @@ def _condition(eigs: np.ndarray) -> np.ndarray:
     return np.where(lo > 0, hi / np.where(lo > 0, lo, 1.0), np.inf)
 
 
+def _by_size(mats: list[np.ndarray], fn) -> list:
+    """``[fn(m) for m in mats]`` for stacks of square matrices, one ``fn`` call per size and dtype.
+
+    ``fn`` returns an array, or a tuple of arrays, with the stack on axis 0.
+    numpy's linalg gufuncs call LAPACK once per matrix of a stack, so each
+    matrix gets bit for bit what a call on its own stack gives.  Matrices of
+    different sizes never share a call: padding them to one size would
+    change the bits.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, m in enumerate(mats):
+        groups.setdefault((m.shape[-1], m.dtype), []).append(i)
+    out = [None] * len(mats)
+    for idx in groups.values():
+        res = fn(np.concatenate([mats[i] for i in idx]))
+        start = 0
+        for i in idx:
+            cut = slice(start, start + len(mats[i]))
+            out[i] = tuple(r[cut] for r in res) if isinstance(res, tuple) else res[cut]
+            start = cut.stop
+    return out
+
+
+def _unit_diagonal(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of Gram matrices rescaled to unit diagonal, and the scales (zero norms kept at 1)."""
+    s = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1).real)
+    s = np.where(s == 0, 1.0, s)
+    return gram / (s[:, :, None] * s[:, None, :]), s
+
+
+def _normalized(stacks: list[BlockStack]) -> list[tuple]:
+    """``BlockStack.normalized`` of every stack, the Grams of both sides rescaled in one pass per size.
+
+    Stacks whose two Grams are the shared identity are returned as they are.
+    """
+    out = [(s.matrix, s.gram_domain, s.gram_codomain) for s in stacks]
+    scaled = [i for i, (_, gd, gc) in enumerate(out) if not (_shared_identity(gd) and _shared_identity(gc))]
+    n = len(scaled)
+    units = _by_size([out[i][1] for i in scaled] + [out[i][2] for i in scaled], _unit_diagonal)
+    for i, (gd, sd), (gc, sc) in zip(scaled, units[:n], units[n:]):
+        out[i] = (stacks[i].matrix * sc[:, :, None] / sd[:, None, :], gd, gc)
+    return out
+
+
+def _eig_range(grams: np.ndarray) -> np.ndarray:
+    """(smallest, largest) eigenvalue of each Hermitian matrix of a stack."""
+    e = np.linalg.eigvalsh(grams)
+    return np.stack([e.min(axis=-1), e.max(axis=-1)], axis=-1)
+
+
 def _gram_gate(op: OperatorMatrix, normalized: list[tuple]) -> tuple[float, float, str, float]:
     """Condition numbers of both unit-diagonal Gram matrices, checked against the limit.
 
     The global condition number is taken over the union of the block
     eigenvalues.  Returns (domain, codomain, worst block, its condition),
-    the worst block being the one with the largest condition of its own.
+    the worst block being the one with the largest condition of its own
+    (the first such, domain side first, blocks in stack order).  One
+    ``eigvalsh`` call per matrix size serves every block of both sides.
     """
-    worst, worst_cond = "", 0.0
+    grams = [
+        (side, st.labels, parts[which])
+        for side, which in (("domain", 1), ("codomain", 2))
+        for st, parts in zip(op.stacks, normalized)
+        if parts[which].shape[-1]
+    ]
+    ranges = _by_size([g for *_, g in grams], _eig_range)
     conds = {}
-    for side, which in (("domain", 1), ("codomain", 2)):
-        eigs = []
-        for st, parts in zip(op.stacks, normalized):
-            g = parts[which]
-            if g.shape[-1] == 0:
-                continue
-            e = np.linalg.eigvalsh(g)
-            eigs.append(e.ravel())
-            block_cond = _condition(e)
-            i = int(np.argmax(block_cond))
-            if block_cond[i] > worst_cond:
-                worst, worst_cond = f"{side} Gram of {st.labels[i]}", float(block_cond[i])
-        conds[side] = float(_condition(np.concatenate(eigs))) if eigs else 1.0
+    for side in ("domain", "codomain"):
+        # a block's (min, max) pair holds the extremes of its eigenvalues
+        side_ranges = [r for (s, *_), r in zip(grams, ranges) if s == side]
+        conds[side] = float(_condition(np.concatenate(side_ranges).ravel())) if side_ranges else 1.0
+    worst, worst_cond = "", 0.0
+    if grams:
+        block_cond = _condition(np.concatenate(ranges))
+        i = int(np.argmax(block_cond))
+        worst_cond = float(block_cond[i])
+        for side, labels, g in grams:
+            if i < len(g):
+                worst = f"{side} Gram of {labels[i]}"
+                break
+            i -= len(g)
     for side, cond in conds.items():
         if cond > GRAM_CONDITION_LIMIT:
             raise IndexLabError(
@@ -460,16 +536,23 @@ def _gram_gate(op: OperatorMatrix, normalized: list[tuple]) -> tuple[float, floa
 
 
 def _singular_values(op: OperatorMatrix, normalized: list[tuple]) -> np.ndarray:
-    """Whitened singular values of all blocks, descending, zero-padded to min(shape)."""
-    pieces = [np.zeros(0)]
-    for a, gd, gc in normalized:
-        if a.shape[-1] == 0 or a.shape[-2] == 0:
-            continue
-        if not (_shared_identity(gd) and _shared_identity(gc)):  # orthonormal bases need no whitening
-            ld = np.linalg.cholesky(gd)
-            lc = np.linalg.cholesky(gc)
-            a = _herm(lc) @ a @ np.linalg.inv(_herm(ld))
-        pieces.append(np.linalg.svd(a, compute_uv=False).ravel())
+    """Whitened singular values of all blocks, descending, zero-padded to min(shape).
+
+    The whitening factors of every block come at once: one ``cholesky``
+    per Gram size over both sides, then one ``inv`` per domain size.  The
+    SVD is one call per block shape.
+    """
+    blocks = [parts for parts in normalized if parts[0].shape[-1] and parts[0].shape[-2]]
+    mats = [a for a, _, _ in blocks]
+    # orthonormal bases need no whitening
+    white = [i for i, (_, gd, gc) in enumerate(blocks) if not (_shared_identity(gd) and _shared_identity(gc))]
+    n = len(white)
+    upper = _by_size(  # L^H of each Cholesky factor L
+        [blocks[i][1] for i in white] + [blocks[i][2] for i in white], lambda g: _herm(np.linalg.cholesky(g))
+    )
+    for i, lc, inv_ld in zip(white, upper[n:], _by_size(upper[:n], np.linalg.inv)):
+        mats[i] = lc @ mats[i] @ inv_ld
+    pieces = [np.zeros(0)] + [np.linalg.svd(a, compute_uv=False).ravel() for a in mats]
     sv = np.sort(np.concatenate(pieces))[::-1]
     return np.concatenate([sv, np.zeros(min(op.shape) - sv.size)])
 
@@ -480,7 +563,7 @@ def numeric_index(
     formula_index: int | None = None,
 ) -> IndexReport:
     """Kernel/cokernel dimensions from singular values below a relative threshold."""
-    normalized = [s.normalized() for s in op.stacks]
+    normalized = _normalized(op.stacks)
     cond_dom, cond_cod, worst, worst_cond = _gram_gate(op, normalized)
     sv = _singular_values(op, normalized)
     ncod, ndom = op.shape

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -131,6 +132,7 @@ BAD_FLAGS = [
     (["linearize", "--step", "0"], "--step"),
     (["linearize", "--step", "nan"], "--step"),
     (["linearize", "--grid", "4000"], "--grid"),
+    (["linearize", "--grid", "324"], "--grid"),
     (["linearize", "--grid", "3"], "--grid"),
     (["flat", "--seed", "-1"], "--seed"),
     (["moduli", "--n", "0"], "--n"),
@@ -177,6 +179,25 @@ class TestVerifyFlat:
         by_name = {c["name"]: c for c in report["checks"]}
         assert not by_name["first-order residual vanishes"]["passed"]
         assert by_name["residual agrees with the holomorphy criterion"]["passed"]
+
+
+@pytest.mark.parametrize("dead", ["none", "some", "all"])
+@pytest.mark.parametrize("shape", [(16, 8, 8), (16, 8, 8, 2, 3)])
+def test_point_max_over_live_blocks_matches_all_blocks(dead, shape):
+    # zero mask blocks (+0.0 or -0.0) hold no maximum: the per-point maxima
+    # over the nonzero blocks are those over every block, byte for byte
+    rng = np.random.default_rng(len(shape))
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    zero = {"none": [], "some": [0, 3, 4, 9, 15], "all": list(range(16))}[dead]
+    block[zero] = 0.0
+    if zero:
+        block[zero[-1]] = complex(-0.0, -0.0)
+    for field in (block, np.moveaxis(np.moveaxis(block, 0, -1).copy(), -1, 0)):  # contiguous, strided
+        expected = np.abs(field).max(axis=(0, *range(3, field.ndim)))
+        got = suites._point_max(field)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    if dead == "all":
+        assert not np.signbit(got).any() and not got.any()
 
 
 class TestVerifyComponents:
@@ -248,15 +269,28 @@ class TestIndexLimits:
             (0, 84, "ill-conditioned Gram matrix: domain condition"),
             (0, 90, "sphere Gram entries overflow double precision"),
             (0, 200, "sphere Gram entries overflow double precision"),
+            (0, 3000000, "sphere Gram entries overflow double precision"),
         ],
     )
     def test_large_sphere_cutoff_exit_2(self, degree, cutoff, message, tmp_path, capsys):
         argv = ["index", "--surface", "sphere", "--degree", str(degree), "--cutoff", str(cutoff)]
+        start = time.perf_counter()
         assert run(argv, tmp_path) == 2
+        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert message in err
         if "ill-conditioned" in message:
             assert "worst block: domain Gram of sector q=" in err
+
+    @pytest.mark.parametrize("cutoff", [86, 3000000])
+    def test_large_bochner_cutoff_exit_2(self, cutoff, tmp_path, capsys):
+        # the antiholomorphic half on O(-1): weight exponent 2 cutoff + 1 >= 172
+        start = time.perf_counter()
+        assert run(["bochner", "--cutoff", str(cutoff)], tmp_path) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"the weight integral of r^0 (1+r^2)^-{2 * cutoff + 1} is not representable" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_torus_cutoff_64(self, tmp_path):
         argv = ["index", "--surface", "torus", "--target-rank", "1", "--cutoff", "64"]

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import indexlab_oracle
 from sjclab import indexlab as il
 from sjclab.spin import GAMMA
 
@@ -431,6 +433,89 @@ class TestBlockEngineAgainstDenseOracle:
             il.adjoint_deviation(il.build_dbar_sphere(1, 6), il.build_dbar_sphere(1, 6))
 
 
+# -- one-pass build and size-batched factorisations against the per-sector oracle --
+
+STACK_FIELDS = ("matrix", "gram_domain", "gram_codomain", "dom", "cod")
+
+
+def same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def gate_or_error(gate, op, normalized):
+    try:
+        return gate(op, normalized)
+    except il.IndexLabError as err:
+        return str(err)
+
+
+def report_or_error(op):
+    try:
+        return il.numeric_index(op)
+    except il.IndexLabError as err:
+        return str(err)
+
+
+class TestOnePassAgainstPerSectorOracle:
+    @pytest.mark.parametrize("k", range(-5, 8))
+    def test_sectors_byte_equal(self, k):
+        for M in range(abs(k) + 2, 31):
+            op, ref = il.build_dbar_sphere(k, M), indexlab_oracle.build_dbar_sphere(k, M)
+            assert (op.tag, op.shape, op.is_complex_linear) == (ref.tag, ref.shape, ref.is_complex_linear)
+            assert [s.labels for s in op.stacks] == [s.labels for s in ref.stacks], (k, M)
+            for s, t in zip(op.stacks, ref.stacks):
+                for field in STACK_FIELDS:
+                    assert same_bytes(getattr(s, field), getattr(t, field)), (k, M, field, s.labels)
+
+    @pytest.mark.parametrize("k", range(-5, 8))
+    def test_index_steps_byte_equal(self, k):
+        # both Dirac halves: dbar, and D01 with the sides of every Gram swapped
+        for M in range(abs(k) + 2, 31):
+            for op in (il.build_dbar_sphere(k, M), il.build_dirac01_sphere(k, M)):
+                self.check_against_per_stack_calls(op)
+
+    @pytest.mark.parametrize("n,M", [(1, 4), (1, 8), (2, 6)])
+    def test_torus_index_steps_byte_equal(self, n, M):
+        full = il.build_dirac_torus(n, M)
+        for op in (full, *il.torus_chiral_halves(full)):
+            self.check_against_per_stack_calls(op)
+
+    @staticmethod
+    def check_against_per_stack_calls(op):
+        per_stack = [indexlab_oracle.normalized(s) for s in op.stacks]
+        batched = il._normalized(op.stacks)
+        assert all(same_bytes(u, v) for s, x in zip(op.stacks, per_stack) for u, v in zip(s.normalized(), x))
+        for x, y in zip(per_stack, batched, strict=True):
+            assert all(same_bytes(u, v) for u, v in zip(x, y)), op.tag
+        expected = gate_or_error(indexlab_oracle.gram_gate, op, per_stack)
+        assert gate_or_error(il._gram_gate, op, batched) == expected
+        rep = report_or_error(op)
+        if isinstance(expected, str):
+            assert rep == expected  # the same "ill-conditioned Gram matrix" message
+            return
+        sv = indexlab_oracle.singular_values(op, per_stack)
+        assert same_bytes(rep.singular_values, sv), op.tag
+        got = (rep.gram_domain_condition, rep.gram_codomain_condition, rep.gram_worst_block, rep.gram_worst_condition)
+        assert [x.hex() if isinstance(x, float) else x for x in got] == [
+            x.hex() if isinstance(x, float) else x for x in expected
+        ]
+
+    def test_indefinite_gram_fails_the_gate_before_any_cholesky(self):
+        # eigenvalues 3 and -1: a Cholesky factorisation would raise LinAlgError,
+        # so this error proves the gate ran first, over every block of both sides
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        broken = il.BlockStack(
+            np.ones((1, 2, 2), dtype=complex), np.eye(2)[None], bad[None],
+            np.array([[0, 1]]), np.array([[0, 1]]), ["synthetic block"],
+        )
+        stacks = [*il.build_dbar_sphere(1, 6).stacks, broken]
+        op = il.OperatorMatrix(stacks=stacks, tag="indefinite", is_complex_linear=True)
+        with pytest.raises(il.IndexLabError) as err:
+            il.numeric_index(op)
+        assert str(err.value).startswith("ill-conditioned Gram matrix: codomain condition inf exceeds 1e+14")
+        assert str(err.value).endswith("worst block: codomain Gram of synthetic block (condition inf)")
+
+
 class TestObservability:
     def test_sphere_report_conditioning(self):
         rep = il.numeric_index(il.build_dbar_sphere(1, 16))
@@ -464,3 +549,23 @@ class TestObservability:
     def test_radial_integral_overflow_is_an_index_error(self):
         with pytest.raises(il.IndexLabError, match="overflow double precision"):
             il.build_dbar_sphere(0, 90)
+
+    def test_radial_integral_limit_is_the_last_finite_factorial(self, monkeypatch):
+        # (s - 1)! is the largest factorial of the closed form: 170! is a double, 171! is not
+        assert math.isfinite(float(math.factorial(il._FACTORIAL_LIMIT)))
+        assert math.factorial(il._FACTORIAL_LIMIT + 1) > sys.float_info.max
+        assert math.isfinite(il._radial_integral(0, 171)) and math.isfinite(il._radial_integral(169, 171))
+        # degrees 0 and 1 build at cutoff 84 (s = 170, 171); no degree k >= 0 builds at cutoff 85
+        assert il.build_dbar_sphere(0, 84).shape and il.build_dbar_sphere(1, 84).shape
+        for k in range(0, 4):
+            with pytest.raises(il.IndexLabError, match=rf"r\^0 \(1\+r\^2\)\^-{2 * 85 + k + 2} is not"):
+                il.build_dbar_sphere(k, 85)
+
+        # past the limit no factorial is taken, however large the exponent
+        def no_factorial(n):
+            raise AssertionError(f"factorial({n}) taken")
+
+        monkeypatch.setattr(math, "factorial", no_factorial)
+        for s in (172, 6_000_002):
+            with pytest.raises(il.IndexLabError, match=rf"r\^0 \(1\+r\^2\)\^-{s} is not representable"):
+                il._radial_integral(0, s)
