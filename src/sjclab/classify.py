@@ -32,20 +32,12 @@ class BochnerInput:
     sigma: float
     energy_min: float
     energy_max: float
-    scalar: float | None = None
 
     def __post_init__(self):
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
         if self.energy_min < 0 or self.energy_max < self.energy_min:
             raise ValueError("energy bounds must satisfy 0 <= min <= max")
-        expected = normalized_scalar(self.genus)
-        if self.scalar is None:
-            self.scalar = expected
-        elif self.scalar != expected:
-            raise ValueError(
-                f"scalar curvature {self.scalar} inconsistent with genus {self.genus}"
-            )
 
 
 @dataclass
@@ -56,18 +48,9 @@ class BochnerVerdicts:
     implies_trivial_class: bool = False
     case: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "D10": self.D10,
-            "D01": self.D01,
-            "threshold": self.threshold,
-            "implies_trivial_class": self.implies_trivial_class,
-            "case": self.case,
-        }
-
 
 def _classify_nonneg_sigma(inp: BochnerInput) -> BochnerVerdicts:
-    p, s, sigma = inp.genus, inp.scalar, inp.sigma
+    p, s, sigma = inp.genus, normalized_scalar(inp.genus), inp.sigma
     emin, emax = inp.energy_min, inp.energy_max
     if sigma == 0:
         if p == 0:

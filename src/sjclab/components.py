@@ -4,17 +4,16 @@ Implements the antiholomorphic projector (1 + I (x) J)/2, the endomorphism
 built from the derivative of J, the cubic curvature contraction, the
 twisted Dirac operator, the four residual fields whose joint vanishing
 characterizes solutions, the component fields of the operator itself,
-conformal covariance checks, and the finite-difference validation of the
-linearization blocks.  Every grid derivative goes through
-:meth:`ReducedPatch.grad`, and the residual and the operator share one
-copy of each term they have in common.
+and the finite-difference validation of the linearization blocks.  Every
+grid derivative goes through :meth:`ReducedPatch.grad`, and the residual
+and the operator share one copy of each term they have in common.
 
 Field layout follows :mod:`sjclab.fields`; spinor-index conventions follow
 :mod:`sjclab.spin`.  The pairings written with a spinor-index lowering use
 eps (eps_{34} = +1); the metric dual on form indices is trivial in
 orthonormal frames.  These two reconstructions are each isolated in one
 helper (``vee_q_pairing``, ``q_norm_squared``) and validated through the
-linearization and covariance tests.
+linearization and conformal-covariance tests.
 """
 
 from __future__ import annotations
@@ -90,12 +89,6 @@ def antiholomorphic_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
 def _antiholomorphic(T: np.ndarray, J: np.ndarray) -> np.ndarray:
     rot = ISPIN_MAP.apply(T, -2)
     return 0.5 * (T + np.einsum("sxyac,xycd->sxyad", rot, J))
-
-
-def spinor_holomorphic_part(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """(1/2)(1 - I (x) J) on a spinor-valued field."""
-    rot = ISPIN_MAP.apply(psi, -2)
-    return 0.5 * (psi - np.einsum("sxyac,xycd->sxyad", rot, J))
 
 
 def j_endomorphism(psi: np.ndarray, nablaJ: np.ndarray) -> np.ndarray:
@@ -304,70 +297,6 @@ def operator_components(
         inner = inner - sr_contraction(cmap.psi, Rop, L) / 6.0
     c4 = -antiholomorphic_part(inner, J)
     return c1, c2, c3, c4
-
-
-# -- conformal covariance ------------------------------------------------------
-
-
-def weyl_rescale_fields(
-    cmap: ComponentMap, grav: Gravitino, factor: np.ndarray
-) -> tuple[ComponentMap, Gravitino]:
-    """Transform frame components under a conformal rescaling by ``factor``.
-
-    phi is unchanged; psi and the gravitino components pick up factor^{-1},
-    F picks up factor^{-2}.
-    """
-    u = np.asarray(factor, dtype=float)
-    new = cmap.copy()
-    new.psi = new.psi / u[None, :, :, None, None]
-    new.F = new.F / u[None, :, :, None] ** 2
-    newg = grav.copy()
-    newg.chi = newg.chi / u[None, :, :, None, None]
-    return new, newg
-
-
-def weyl_covariance_check(
-    cmap: ComponentMap,
-    grav: Gravitino,
-    patch: ReducedPatch,
-    model: AlmostKahlerModel,
-    rescale: np.ndarray | float,
-    tol: float = 1e-8,
-) -> dict:
-    """Check homogeneous scaling of the residual blocks under conformal rescaling.
-
-    Frame-component weights are (u^-1, u^-2, u^-2, u^-3); the third block is
-    invariant as a one-form (its u^-2 is the frame conversion).  Returns a
-    report with per-block deviations between the transformed-data residuals
-    and the rescaled originals.
-    """
-    M = patch.M
-    u = np.full((M, M), float(rescale)) if np.isscalar(rescale) else np.asarray(rescale, dtype=float)
-    base = residual_components(cmap, grav, patch, model)
-    patch2 = ReducedPatch(M, lam=patch.lam * u)
-    cmap2, grav2 = weyl_rescale_fields(cmap, grav, u)
-    new = residual_components(cmap2, grav2, patch2, model)
-    # (frame, abstract) weight exponents; cauchy_riemann is invariant once
-    # the frame factor is removed
-    weights = {"chirality": (-1, -1), "auxiliary": (-2, -2), "cauchy_riemann": (-2, 0), "dirac": (-3, -3)}
-    report = {"blocks": {}, "passed": True}
-    for name, (expected, abstract) in weights.items():
-        b = base.blocks()[name]
-        nvals = new.blocks()[name]
-        extra = (1,) * (b.ndim - 3)
-        w = u.reshape((1, M, M) + extra) ** expected
-        dev = max_abs(nvals - w * b)
-        scale = 1.0 + max_abs(b)
-        entry = {
-            "frame_weight_exponent": expected,
-            "abstract_weight_exponent": abstract,
-            "max_deviation": dev,
-            "relative_deviation": dev / scale,
-            "passed": bool(dev / scale <= tol),
-        }
-        report["blocks"][name] = entry
-        report["passed"] = report["passed"] and entry["passed"]
-    return report
 
 
 # -- linearization -------------------------------------------------------------

@@ -206,6 +206,3 @@ class Gravitino:
     @classmethod
     def zero(cls, L: int, M: int) -> "Gravitino":
         return cls(L=L, chi=gzeros(L, (M, M, 2, 2)))
-
-    def copy(self) -> "Gravitino":
-        return Gravitino(L=self.L, chi=self.chi.copy())

@@ -150,13 +150,6 @@ def _cubic(P: np.ndarray, psi: np.ndarray, R: np.ndarray, L: int) -> np.ndarray:
     return gcontract(np.tensordot(P, R, 2), psi, "mnce,sc->mnse", L)
 
 
-def sr_vector(psi: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """SR[alpha, e, mask] = eps^{kappa lambda} (R(psi_alpha, psi_kappa) psi_lambda)^e."""
-    R = np.asarray(R, dtype=float)
-    psi, L = _check_spinor(_as_spinor(psi), R.shape[0])
-    return np.einsum("kl,xakle->aex", EPS_UPPER, _cubic(_pairs(psi, L), psi, R, L))
-
-
 def _chain_operators() -> np.ndarray:
     """(2, 8, 8) maps V -> 6 V - RHS(SR) of chains A and B, on flattened (mu, nu, sigma).
 

@@ -129,10 +129,6 @@ class BlockStack:
             labels=self.labels,
         )
 
-    def normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Diagonal rescale to unit-norm basis vectors (spectrum unchanged)."""
-        return _normalized([self])[0]
-
 
 def _shared_identity(gram: np.ndarray) -> bool:
     """Whether ``gram`` is the identity, stored once for every block."""
@@ -476,9 +472,10 @@ def _unit_diagonal(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normalized(stacks: list[BlockStack]) -> list[tuple]:
-    """``BlockStack.normalized`` of every stack, the Grams of both sides rescaled in one pass per size.
+    """Every stack rescaled to unit-norm basis vectors (spectrum unchanged), as (matrix, Gd, Gc).
 
-    Stacks whose two Grams are the shared identity are returned as they are.
+    The Grams of both sides are rescaled in one pass per size.  Stacks whose
+    two Grams are the shared identity are returned as they are.
     """
     out = [(s.matrix, s.gram_domain, s.gram_codomain) for s in stacks]
     scaled = [i for i, (_, gd, gc) in enumerate(out) if not (_shared_identity(gd) and _shared_identity(gc))]

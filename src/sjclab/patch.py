@@ -44,7 +44,6 @@ class ReducedPatch:
             raise PatchError("conformal factor must be bounded away from zero")
         self.lam = lam_arr
         self.uniform_gauge = bool(np.all(lam_arr == lam_arr.flat[0]))
-        self.flat_gauge = self.uniform_gauge and lam_arr.flat[0] == 1.0
 
     # -- differentiation -------------------------------------------------
 
@@ -96,7 +95,3 @@ class ReducedPatch:
         du = self.grad(u[None])[0].real
         out = -IFRAME_MAP.apply(du, -1)
         return out / u[:, :, None] ** 2
-
-    def dvol(self) -> np.ndarray:
-        """Volume weight per grid cell: lambda^4 / M^2."""
-        return self.lam ** 4 / self.M**2

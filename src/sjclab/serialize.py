@@ -44,18 +44,6 @@ from .superfield import SuperField
 FLAT_MAP_MAX_L = 64
 
 
-def write_flat_map(path, L: int, components_z: list[SuperField]) -> None:
-    payload = {
-        "schema": 1,
-        "L": L,
-        "n": len(components_z),
-        "components_z": [c.to_text() for c in components_z],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def read_flat_map(path) -> tuple[int, list[SuperField]]:
     with open(path) as fh:
         payload = json.load(fh)
@@ -80,43 +68,6 @@ def read_flat_map(path) -> tuple[int, list[SuperField]]:
     if not all(isinstance(text, str) for text in texts):
         raise ValueError("flat-map components_z must be superfield literal strings")
     return L, [SuperField.from_text(L, text) for text in texts]
-
-
-def _field_values(arr: np.ndarray, i: int, j: int) -> list[float]:
-    vals = []
-    block = arr[:, i, j]
-    flat = block.reshape(block.shape[0], -1)
-    for mask in range(flat.shape[0]):
-        for v in flat[mask]:
-            vals.extend([float(v.real), float(v.imag)])
-    return vals
-
-
-def write_field_bundle(
-    path,
-    cmap: ComponentMap,
-    grav: Gravitino,
-    patch: ReducedPatch,
-    model_descriptor: dict,
-) -> None:
-    M = patch.M
-    header = {
-        "schema": 1,
-        "M": M,
-        "L": cmap.L,
-        "dim": cmap.dim,
-        "model": model_descriptor,
-        "lambda": "flat" if patch.flat_gauge else "grid",
-        "phi_linear": [list(map(float, row)) for row in cmap.phi_linear],
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i in range(M):
-            for j in range(M):
-                rec = [str(i), str(j), repr(float(patch.lam[i, j]))]
-                for arr in (cmap.phi_periodic, cmap.psi, cmap.F, grav.chi):
-                    rec.extend(repr(v) for v in _field_values(arr, i, j))
-                fh.write(" ".join(rec) + "\n")
 
 
 def _header_int(header: dict, key: str, low: int, high: int | None = None) -> int:

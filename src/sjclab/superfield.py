@@ -116,10 +116,6 @@ class SuperField:
         return cls(L, {(0, 1, 0): 1.0, (0, 0, 1): 1j})
 
     @classmethod
-    def coordinate_zbar(cls, L: int) -> "SuperField":
-        return cls(L, {(0, 1, 0): 1.0, (0, 0, 1): -1j})
-
-    @classmethod
     def eta(cls, L: int, index: int) -> "SuperField":
         if index not in (3, 4):
             raise GrassmannError("eta index must be 3 or 4")
@@ -400,11 +396,6 @@ def apply_D4(field: SuperField) -> SuperField:
     return _frame(field, 2, 2, 1, -1)
 
 
-def apply_D(field: SuperField) -> SuperField:
-    """D = (D3 - i D4) / 2 = d/dtheta + theta d/dz."""
-    return (apply_D3(field) + apply_D4(field) * (-1j)) * 0.5
-
-
 def apply_Dbar(field: SuperField) -> SuperField:
     """Dbar = (D3 + i D4) / 2 = d/dtheta_bar + theta_bar d/dzbar."""
     return (apply_D3(field) + apply_D4(field) * 1j) * 0.5
@@ -478,8 +469,3 @@ def holomorphy_equivalence_check(z_components: list[SuperField]) -> bool:
             % (via_dbar, via_expansion)
         )
     return via_dbar
-
-
-def berezin_top(field: SuperField) -> SuperField:
-    """Coefficient of theta theta_bar (the rescaled e3 e4 coefficient), eta-free."""
-    return field.theta_components()[3]

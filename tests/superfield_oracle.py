@@ -5,7 +5,8 @@
 ``deta``, generic ``SuperField`` products and that sum, as
 ``d/deta + eta3 * d/dx + eta4 * d/dx``.  ``sjclab.superfield`` computes both
 in one pass over the terms; the tests require the same keys in the same
-order, with bit-identical coefficients.
+order, with bit-identical coefficients.  ``apply_D`` is the holomorphic
+frame (D3 - i D4) / 2, the partner of ``sjclab.superfield.apply_Dbar``.
 """
 
 from __future__ import annotations
@@ -46,3 +47,8 @@ def apply_D4(field: SuperField) -> SuperField:
         add(deta(field, 2), SuperField.eta(L, 3) * field.dx2()),
         -(SuperField.eta(L, 4) * field.dx1()),
     )
+
+
+def apply_D(field: SuperField) -> SuperField:
+    """D = (D3 - i D4) / 2 = d/dtheta + theta d/dz."""
+    return (apply_D3(field) + apply_D4(field) * (-1j)) * 0.5

@@ -60,10 +60,6 @@ class TestBochnerClassifier:
         assert normalized_scalar(2) == -2.0
         assert normalized_scalar(7) == -2.0
 
-    def test_scalar_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            BochnerInput(genus=0, sigma=4.0, energy_min=0.0, energy_max=1.0, scalar=0.0)
-
     def test_energy_bound_validation(self):
         with pytest.raises(ValueError):
             BochnerInput(genus=0, sigma=4.0, energy_min=0.5, energy_max=0.1)

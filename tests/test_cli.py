@@ -11,17 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from input_writers import write_field_bundle, write_flat_map
 from sjclab import suites
 from sjclab.cli import main
 from sjclab.fields import ComponentMap, Gravitino, gzeros
 from sjclab.patch import ReducedPatch
-from sjclab.serialize import (
-    FLAT_MAP_MAX_L,
-    read_field_bundle,
-    read_flat_map,
-    write_field_bundle,
-    write_flat_map,
-)
+from sjclab.serialize import FLAT_MAP_MAX_L, read_field_bundle, read_flat_map
 from sjclab.suites import holomorphic_base_map
 from sjclab.superfield import SuperField
 
@@ -221,7 +216,7 @@ class TestVerifyComponents:
         cmap2, grav2, patch2, desc = read_field_bundle(path)
         assert np.abs(cmap2.psi - cmap.psi).max() <= 1e-15
         assert np.abs(cmap2.phi_linear - cmap.phi_linear).max() == 0.0
-        assert patch2.flat_gauge
+        assert np.all(patch2.lam == 1.0)
         assert desc == {"kind": "flat", "n": 1}
 
     def test_solution_passes(self, tmp_path):
@@ -250,7 +245,7 @@ class TestVerifyComponents:
         path = tmp_path / "curved.txt"
         write_field_bundle(path, cmap, grav, patch, {"kind": "flat", "n": 1})
         _, _, patch2, _ = read_field_bundle(path)
-        assert not patch2.flat_gauge
+        assert not patch2.uniform_gauge
         assert np.abs(patch2.lam - lam).max() <= 1e-15
 
 
@@ -433,6 +428,16 @@ BAD_MODELS = {
         {"kind": "constant-hsc", "n": True, "sigma": 4.0},
         "model 'constant-hsc' needs n as a JSON integer >= 1, got true",
     ),
+    # Fubini-Study goes through the same check of n, which must be 1
+    "fs-n-5": (
+        {"kind": "fubini-study-CP1", "n": 5},
+        "model 'fubini-study-CP1' needs n as the JSON integer 1, got 5",
+    ),
+    "fs-string-n": (
+        {"kind": "fubini-study-CP1", "n": "abc"},
+        'model \'fubini-study-CP1\' needs n as the JSON integer 1, got "abc"',
+    ),
+    "fs-no-n": ({"kind": "fubini-study-CP1"}, "model 'fubini-study-CP1' has no 'n'"),
     "nan-sigma": (
         {"kind": "constant-hsc", "n": 1, "sigma": float("nan")},
         "model 'constant-hsc' needs sigma as a finite JSON number, got NaN",

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from components_oracle import spinor_holomorphic_part, sr_vector, weyl_covariance_check, weyl_rescale_fields
+from input_writers import write_field_bundle
 from sjclab import components as C
 from sjclab.cli import main
 from sjclab.fields import ComponentMap, FieldError, Gravitino, gcontract, gzeros, odd_masks
 from sjclab.patch import ReducedPatch
-from sjclab.serialize import write_field_bundle
 from sjclab.spin import EPS_LOWER, EPS_UPPER, GAMMA, IFRAME, ISPIN, QMAT, project_q
 from sjclab.suites import holomorphic_base_map, random_direction_fields
-from sjclab.targets import make_const_hsc, make_flat, make_fs_cp1, with_synthetic_nablaJ
+from sjclab.targets import make_const_hsc, make_flat, make_fs_cp1
+from targets_oracle import with_synthetic_nablaJ
 
 
 def grid_waves(M):
@@ -263,10 +265,10 @@ class TestTwistedDirac:
         _, _, zeta, _ = random_direction_fields(rng, L, M, 2)
         J, _, _, _ = C.model_grids(model, cmap, patch)
         lhs = 2 * C.antiholomorphic_part(C.twisted_dirac(zeta, patch, model, cmap), J)
-        rhs = C.twisted_dirac(2 * C.spinor_holomorphic_part(zeta, J), patch, model, cmap)
+        rhs = C.twisted_dirac(2 * spinor_holomorphic_part(zeta, J), patch, model, cmap)
         assert np.abs(lhs - rhs).max() <= 1e-9
         # and with the signs swapped
-        lhs2 = 2 * C.spinor_holomorphic_part(C.twisted_dirac(zeta, patch, model, cmap), J)
+        lhs2 = 2 * spinor_holomorphic_part(C.twisted_dirac(zeta, patch, model, cmap), J)
         rhs2 = C.twisted_dirac(2 * C.antiholomorphic_part(zeta, J), patch, model, cmap)
         assert np.abs(lhs2 - rhs2).max() <= 1e-9
 
@@ -297,7 +299,7 @@ class TestTwistedDirac:
             return f
 
         psi, Psi = rand_spinor(), rand_spinor()
-        w = patch.dvol()
+        w = patch.lam**4 / M**2  # volume weight per grid cell
 
         def pair(a, b):
             return np.sum(a[1] * b[1] * w[..., None, None])
@@ -432,7 +434,7 @@ class TestResiduals:
     def test_grid_sr_matches_exact_engine(self):
         # the grid contraction and the Fierz chains' SR were written
         # independently; they must agree coefficient by coefficient
-        from sjclab.fierz import random_admissible_curvature, random_odd_spinor, sr_vector
+        from sjclab.fierz import random_admissible_curvature, random_odd_spinor
 
         rng = np.random.default_rng(21)
         L, M, dim = 4, 4, 2
@@ -545,7 +547,7 @@ class TestChiralReduction:
         cmap = ComponentMap.zero(L, M, 2)
         J, _, _, _ = C.model_grids(model, cmap, patch)
         _, _, zeta, _ = random_direction_fields(rng, L, M, 2)
-        z10 = C.spinor_holomorphic_part(zeta, J)
+        z10 = spinor_holomorphic_part(zeta, J)
         lhs = C.antiholomorphic_part(C.twisted_dirac(z10, patch, model, cmap), J)
         dz = patch.grad(z10)
         rot = np.einsum("kl,sxylae->sxykae", IFRAME, dz)
@@ -655,14 +657,14 @@ class TestWeylCovariance:
     def test_identity_rescale(self):
         rng = np.random.default_rng(10)
         cmap, grav, model = self._data(rng, 2, 16)
-        rep = C.weyl_covariance_check(cmap, grav, ReducedPatch(16), model, 1.0)
+        rep = weyl_covariance_check(cmap, grav, ReducedPatch(16), model, 1.0)
         assert rep["passed"]
         assert all(b["max_deviation"] == 0.0 for b in rep["blocks"].values())
 
     def test_constant_rescale_exact_weights(self):
         rng = np.random.default_rng(11)
         cmap, grav, model = self._data(rng, 2, 16)
-        rep = C.weyl_covariance_check(cmap, grav, ReducedPatch(16), model, 2.0)
+        rep = weyl_covariance_check(cmap, grav, ReducedPatch(16), model, 2.0)
         assert rep["passed"]
         assert [b["frame_weight_exponent"] for b in rep["blocks"].values()] == [-1, -2, -2, -3]
         assert [b["abstract_weight_exponent"] for b in rep["blocks"].values()] == [-1, -2, 0, -3]
@@ -677,7 +679,7 @@ class TestWeylCovariance:
         assert C.residual_components(sol, grav, ReducedPatch(M), model).max_norm() == 0.0
         x1, x2 = grid_waves(M)
         u = np.exp(0.05 * np.sin(2 * np.pi * x1) + 0.03 * np.cos(2 * np.pi * x2))
-        sol2, grav2 = C.weyl_rescale_fields(sol, grav, u)
+        sol2, grav2 = weyl_rescale_fields(sol, grav, u)
         res = C.residual_components(sol2, grav2, ReducedPatch(M, lam=u), model)
         assert res.max_norm() <= 1e-12
 
@@ -697,7 +699,7 @@ class TestResidualFieldCsv:
         grav = Gravitino.zero(L, M)
         patch = ReducedPatch(M)
         path = tmp_path / "bundle.txt"
-        write_field_bundle(path, cmap, grav, patch, model.descriptor())
+        write_field_bundle(path, cmap, grav, patch, {"kind": "fubini-study-CP1", "n": 1})
         assert main(["--out-dir", str(tmp_path), "verify-components", str(path)]) == 1
         rows = (tmp_path / "residual_field.csv").read_text().splitlines()
         res = C.residual_components(cmap, grav, patch, model)

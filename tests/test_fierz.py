@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from components_oracle import sr_vector
 from grassmann_oracle import GrassmannElement, elements
 from sjclab import fierz
 from sjclab.fierz import (
@@ -13,7 +14,6 @@ from sjclab.fierz import (
     random_admissible_curvature,
     random_admissible_nabla_curvature,
     random_odd_spinor,
-    sr_vector,
 )
 from sjclab.spin import EPS_UPPER, GAMMA_EPS, GAMMA_SYM, ISPIN
 from sjclab.targets import hsc_curvature_lowered, standard_J

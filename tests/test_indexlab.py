@@ -421,7 +421,7 @@ class TestBlockEngineAgainstDenseOracle:
         # they are, with the singular values of the full path bit for bit
         for op in (il.build_dirac_torus(n, M), torus_half(n, M, "10"), torus_half(n, M, "01")):
             (stack,) = op.stacks
-            a, gd, gc = stack.normalized()
+            a, gd, gc = il._normalized([stack])[0]
             assert a is stack.matrix and gd is stack.gram_domain and gc is stack.gram_codomain
             ld, lc = np.linalg.cholesky(gd), np.linalg.cholesky(gc)
             w = lc.conj().swapaxes(-1, -2) @ a @ np.linalg.inv(ld.conj().swapaxes(-1, -2))
@@ -484,7 +484,7 @@ class TestOnePassAgainstPerSectorOracle:
     def check_against_per_stack_calls(op):
         per_stack = [indexlab_oracle.normalized(s) for s in op.stacks]
         batched = il._normalized(op.stacks)
-        assert all(same_bytes(u, v) for s, x in zip(op.stacks, per_stack) for u, v in zip(s.normalized(), x))
+        assert all(same_bytes(u, v) for s, x in zip(op.stacks, per_stack) for u, v in zip(il._normalized([s])[0], x))
         for x, y in zip(per_stack, batched, strict=True):
             assert all(same_bytes(u, v) for u, v in zip(x, y)), op.tag
         expected = gate_or_error(indexlab_oracle.gram_gate, op, per_stack)

