@@ -21,8 +21,6 @@ SCALAR_BY_GENUS = {0: 2.0, 1: 0.0}
 
 
 def normalized_scalar(p: int) -> float:
-    if p < 0:
-        raise ValueError("genus must be nonnegative")
     return SCALAR_BY_GENUS.get(p, -2.0)
 
 
@@ -49,8 +47,9 @@ class BochnerVerdicts:
     case: str = ""
 
 
-def _classify_nonneg_sigma(inp: BochnerInput) -> BochnerVerdicts:
-    p, s, sigma = inp.genus, normalized_scalar(inp.genus), inp.sigma
+def _classify_nonneg_sigma(inp: BochnerInput, sigma: float) -> BochnerVerdicts:
+    """Verdicts for ``inp`` with the curvature sign made nonnegative: ``sigma`` = |inp.sigma|."""
+    p, s = inp.genus, normalized_scalar(inp.genus)
     emin, emax = inp.energy_min, inp.energy_max
     if sigma == 0:
         if p == 0:
@@ -94,14 +93,8 @@ def _classify_nonneg_sigma(inp: BochnerInput) -> BochnerVerdicts:
 def bochner_classify(inp: BochnerInput) -> BochnerVerdicts:
     """Verdicts for the two chiral halves; total and pure."""
     if inp.sigma >= 0:
-        return _classify_nonneg_sigma(inp)
-    mirrored = BochnerInput(
-        genus=inp.genus,
-        sigma=-inp.sigma,
-        energy_min=inp.energy_min,
-        energy_max=inp.energy_max,
-    )
-    v = _classify_nonneg_sigma(mirrored)
+        return _classify_nonneg_sigma(inp, inp.sigma)
+    v = _classify_nonneg_sigma(inp, -inp.sigma)
     return BochnerVerdicts(
         D10=v.D01,
         D01=v.D10,

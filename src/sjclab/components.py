@@ -8,7 +8,9 @@ and the finite-difference validation of the linearization blocks.  Every
 grid derivative goes through :meth:`ReducedPatch.grad`, and the residual
 and the operator share one copy of each term they have in common.
 
-Field layout follows :mod:`sjclab.fields`; spinor-index conventions follow
+Every field is packed (:mod:`sjclab.fields`): the kernels run on the live
+mask blocks only, and products know their live masks from the mask
+algebra.  Spinor-index conventions follow
 :mod:`sjclab.spin`.  The pairings written with a spinor-index lowering use
 eps (eps_{34} = +1); the metric dual on form indices is trivial in
 orthonormal frames.  These two reconstructions are each isolated in one
@@ -18,11 +20,11 @@ linearization and conformal-covariance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import ComponentMap, FieldError, Gravitino, gcontract, gzeros, max_abs, on_live_masks
+from .fields import ComponentMap, FieldError, Gravitino, GridField, gcontract, max_abs
 from .patch import ReducedPatch
 from .spin import (
     EPS_GAMMA_MAP,
@@ -58,49 +60,43 @@ def model_grids(model: AlmostKahlerModel, cmap: ComponentMap, patch: ReducedPatc
     dim = model.dim
     if cmap.dim != dim:
         raise FieldError(f"map has {cmap.dim} target components, model needs {dim}")
-    if not model.constant_chart and max_abs(cmap.phi_periodic[1:]) > 0:
+    phi = cmap.phi_periodic
+    souls = phi.blocks[1:] if phi.masks[:1] == (0,) else phi.blocks
+    if not model.constant_chart and np.abs(souls).max(initial=0.0) > 0:
         raise FieldError("position-dependent chart tensors need a soul-free phi")
     body = cmap.phi_body(patch.x1, patch.x2)
-    return (
-        model.J_at(body),
-        model.christoffel_at(body),
-        model.nablaJ_at(body),
-        model.curvature_op_at(body),
-    )
+    return tuple(at(body) for at in (model.J_at, model.christoffel_at, model.nablaJ_at, model.curvature_op_at))
 
 
-def dphi_frame(cmap: ComponentMap, patch: ReducedPatch) -> np.ndarray:
-    """Frame derivative of phi: (2^L, M, M, 2, dim); index order (k, b)."""
-    d = patch.grad(cmap.phi_periodic)  # (S, M, M, 2, dim)
-    d[0, :, :, 0, :] += cmap.phi_linear[:, 0]
-    d[0, :, :, 1, :] += cmap.phi_linear[:, 1]
-    d *= patch.frame_factor()[None, :, :, None, None]
+def dphi_frame(cmap: ComponentMap, patch: ReducedPatch) -> GridField:
+    """Frame derivative of phi: blocks (M, M, 2, dim), index order (k, b); mask 0 is live."""
+    d = cmap.phi_periodic.map(patch.grad)
+    if d.masks[:1] != (0,):
+        d = d.grow((0,) + d.masks)
+    d.blocks[0, :, :, 0, :] += cmap.phi_linear[:, 0]
+    d.blocks[0, :, :, 1, :] += cmap.phi_linear[:, 1]
+    d.blocks *= patch.frame_factor()[None, :, :, None, None]
     return d
 
 
-def antiholomorphic_part(T: np.ndarray, J: np.ndarray) -> np.ndarray:
+def antiholomorphic_part(T: GridField, J: np.ndarray) -> GridField:
     """(1/2)(1 + I (x) J) on a one-form- or spinor-valued field T[..., a, b].
 
     I is the same matrix [[0, 1], [-1, 0]] on frame and on spinor indices.
     """
-    return on_live_masks(_antiholomorphic, T, J)
+    return T.map(lambda t: 0.5 * (t + np.einsum("sxyac,xycd->sxyad", ISPIN_MAP.apply(t, -2), J)))
 
 
-def _antiholomorphic(T: np.ndarray, J: np.ndarray) -> np.ndarray:
-    rot = ISPIN_MAP.apply(T, -2)
-    return 0.5 * (T + np.einsum("sxyac,xycd->sxyad", rot, J))
-
-
-def j_endomorphism(psi: np.ndarray, nablaJ: np.ndarray) -> np.ndarray:
+def j_endomorphism(psi: GridField, nablaJ: np.ndarray) -> GridField:
     """j_mu = contraction of psi_mu with the derivative of J.
 
-    Returns (2^L, M, M, 2, dim, dim): for each spinor index an odd
+    Returns blocks (M, M, 2, dim, dim): for each spinor index an odd
     endomorphism of the pulled-back tangent space.
     """
-    return on_live_masks(lambda p: np.einsum("sxyma,xyabc->sxymbc", p, nablaJ), psi)
+    return psi.map(lambda p: np.einsum("sxyma,xyabc->sxymbc", p, nablaJ))
 
 
-def sr_contraction(psi: np.ndarray, Rop: np.ndarray, L: int) -> np.ndarray:
+def sr_contraction(psi: GridField, Rop: np.ndarray, L: int) -> GridField:
     """Cubic curvature contraction SR(psi)_alpha = eps^{kl} R(psi_alpha, psi_k) psi_l.
 
     eps (entries 0, +-1) folds exactly into the third factor.  The body-valued
@@ -109,25 +105,24 @@ def sr_contraction(psi: np.ndarray, Rop: np.ndarray, L: int) -> np.ndarray:
     n of eps^{no}: the final sum then runs term by term in the order of the
     full triple product eps^{no} psi psi psi Rop, and rounds as it does.
     """
-    pair = gcontract(psi, psi, "xyma,xynb->xymanb", L)  # (S,M,M,2,dim,2,dim)
-    eps_psi = EPS_UPPER_MAP.apply(psi, -2)
-    Z = gcontract(pair, eps_psi, "xymanb,xync->xymanbc", L)
-    return on_live_masks(lambda z: np.einsum("sxymanbc,xyabce->sxyme", z, Rop), Z)
+    pair = gcontract(psi, psi, "xyma,xynb->xymanb", L)  # blocks (M,M,2,dim,2,dim)
+    Z = gcontract(pair, psi.map(EPS_UPPER_MAP.apply, -2), "xymanb,xync->xymanbc", L)
+    return Z.map(lambda z: np.einsum("sxymanbc,xyabce->sxyme", z, Rop))
 
 
-def _gamma_dphi(Gamma: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+def _gamma_dphi(Gamma: np.ndarray, dphi: GridField) -> GridField:
     """The connection endomorphisms Gamma(dphi_k, .) of the pullback bundle."""
-    return on_live_masks(lambda d: np.einsum("xyecd,sxykc->sxyked", Gamma, d), dphi)
+    return dphi.map(lambda d: np.einsum("xyecd,sxykc->sxyked", Gamma, d))
 
 
 def twisted_dirac(
-    psi: np.ndarray,
+    psi: GridField,
     patch: ReducedPatch,
     model: AlmostKahlerModel,
     cmap: ComponentMap,
     grids=None,
     dphi=None,
-) -> np.ndarray:
+) -> GridField:
     """Twisted Dirac operator on the spinor-valued field psi.
 
     (D psi)_beta = (1/2) omega_k (gamma^k I)[beta, alpha] psi_alpha
@@ -140,24 +135,24 @@ def twisted_dirac(
         grids = model_grids(model, cmap, patch)
     _, Gamma, _, _ = grids
     L = cmap.L
-    nabla = patch.grad(psi)  # (S, M, M, k, alpha, dim)
-    nabla *= patch.frame_factor()[None, :, :, None, None, None]
+    nabla = psi.map(patch.grad)  # blocks (M, M, k, alpha, dim)
+    nabla.blocks *= patch.frame_factor()[None, :, :, None, None, None]
     if np.abs(Gamma).max() > 0:
         if dphi is None:
             dphi = dphi_frame(cmap, patch)
         conn = _gamma_dphi(Gamma, dphi)
         nabla = nabla + gcontract(conn, psi, "xyked,xyad->xykae", L)
     omega = patch.spin_connection()
-    out = GAMMA_MAP.apply(nabla, -3)
-    np.negative(out, out=out)
+    out = nabla.map(GAMMA_MAP.apply, -3)
+    np.negative(out.blocks, out=out.blocks)
     if np.abs(omega).max() > 0:
         # omega_k psi_a, then (gamma^k I)[b, a] summed over (k, a)
-        opsi = omega[None, :, :, :, None, None] * psi[:, :, :, None]
-        out = out + 0.5 * GAMMA_I_MAP.apply(opsi, -3)
+        opsi = psi.map(lambda p: omega[None, :, :, :, None, None] * p[:, :, :, None])
+        out = out + 0.5 * opsi.map(GAMMA_I_MAP.apply, -3)
     return out
 
 
-def vee_q_pairing(qchi: np.ndarray, oneform: np.ndarray, L: int) -> np.ndarray:
+def vee_q_pairing(qchi: GridField, oneform: GridField, L: int) -> GridField:
     """<vee Q chi, T> for a one-form-valued T: spinor-valued output.
 
     The form slot is dualized with the (orthonormal-frame) metric and
@@ -165,49 +160,44 @@ def vee_q_pairing(qchi: np.ndarray, oneform: np.ndarray, L: int) -> np.ndarray:
     with eps.
     """
     paired = gcontract(qchi, oneform, "xykc,xykb->xycb", L)  # sum over k
-    return EPS_LOWER_MAP.apply(paired, -2)
+    return paired.map(EPS_LOWER_MAP.apply, -2)
 
 
-def q_norm_squared(qchi: np.ndarray, L: int) -> np.ndarray:
+def q_norm_squared(qchi: GridField, L: int) -> GridField:
     """|Q chi|^2 with the eps pairing on spinor indices, g on form indices."""
     sq = gcontract(qchi, qchi, "xykc,xykt->xyct", L)
-    return EPS_LOWER_PAIRING.apply(sq, -2)
+    return sq.map(EPS_LOWER_PAIRING.apply, -2)
 
 
-def gravitino_psi_pairing(chi_part: np.ndarray, psi: np.ndarray, L: int) -> np.ndarray:
+def gravitino_psi_pairing(chi_part: GridField, psi: GridField, L: int) -> GridField:
     """<chi, psi>_k = chi_k^kappa psi_kappa: one-form-valued."""
     return gcontract(chi_part, psi, "xykc,xycb->xykb", L)
 
 
-def delta_gamma_tensor_F(chi: np.ndarray, F: np.ndarray, L: int) -> np.ndarray:
+def delta_gamma_tensor_F(chi: GridField, F: GridField, L: int) -> GridField:
     """delta_gamma(chi) (x) F with the spinor index lowered by eps."""
-    lowered = EPS_LOWER_MAP.apply(delta_gamma(chi), -1)
+    lowered = chi.map(lambda c: EPS_LOWER_MAP.apply(delta_gamma(c), -1))
     return gcontract(lowered, F, "xya,xyb->xyab", L)
 
 
-def j_trace_block3(jend: np.ndarray, psi: np.ndarray, J: np.ndarray, L: int) -> np.ndarray:
+def j_trace_block3(jend: GridField, psi: GridField, J: np.ndarray, L: int) -> GridField:
     """(1/4) Tr(gamma (x) jJ) psi: one-form-valued correction in block 3."""
-    jJ = np.einsum("sxymbc,xycd->sxymbd", jend, J)
+    jJ = jend.map(lambda j: np.einsum("sxymbc,xycd->sxymbd", j, J))
     t = gcontract(jJ, psi, "xymbc,xyab->xymac", L)
-    return 0.25 * EPS_GAMMA_MAP.apply(t, -3)
+    return 0.25 * t.map(EPS_GAMMA_MAP.apply, -3)
 
 
 @dataclass
 class Residuals:
     """The four residual fields; all vanish exactly on solutions."""
 
-    chirality: np.ndarray      # (1 + I (x) J) psi
-    auxiliary: np.ndarray      # F
-    cauchy_riemann: np.ndarray  # dbar phi + <Q chi, psi> + j-term
-    dirac: np.ndarray          # D psi - 2 <vee Q chi, dphi> + |Q chi|^2 psi - SR/3
+    chirality: GridField       # (1 + I (x) J) psi
+    auxiliary: GridField       # F
+    cauchy_riemann: GridField  # dbar phi + <Q chi, psi> + j-term
+    dirac: GridField           # D psi - 2 <vee Q chi, dphi> + |Q chi|^2 psi - SR/3
 
-    def blocks(self) -> dict[str, np.ndarray]:
-        return {
-            "chirality": self.chirality,
-            "auxiliary": self.auxiliary,
-            "cauchy_riemann": self.cauchy_riemann,
-            "dirac": self.dirac,
-        }
+    def blocks(self) -> dict[str, GridField]:
+        return dict(vars(self))  # the fields in declaration order
 
     def max_norms(self) -> dict[str, float]:
         return {k: max_abs(v) for k, v in self.blocks().items()}
@@ -216,7 +206,7 @@ class Residuals:
         return max(self.max_norms().values())
 
 
-def _dirac_terms(cmap, qchi, patch, model, grids, dphi) -> np.ndarray:
+def _dirac_terms(cmap, qchi, patch, model, grids, dphi) -> GridField:
     """D psi - 2 <vee Q chi, dphi> + |Q chi|^2 psi, shared by residual and operator."""
     L = cmap.L
     out = twisted_dirac(cmap.psi, patch, model, cmap, grids=grids, dphi=dphi)
@@ -246,12 +236,12 @@ def residual_components(
     r1 = 2.0 * antiholomorphic_part(cmap.psi, J)
 
     # block 2: auxiliary field
-    r2 = cmap.F.copy()
+    r2 = cmap.F
 
     # block 3: perturbed Cauchy-Riemann equation
     dphi = dphi_frame(cmap, patch)
     dbar_phi = antiholomorphic_part(dphi, J)
-    qchi = project_q(grav.chi)
+    qchi = grav.chi.map(project_q)
     r3 = dbar_phi + gravitino_psi_pairing(qchi, cmap.psi, L)
     if np.abs(nablaJ).max() > 0:
         jend = j_endomorphism(cmap.psi, nablaJ)
@@ -270,7 +260,7 @@ def operator_components(
     grav: Gravitino,
     patch: ReducedPatch,
     model: AlmostKahlerModel,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[GridField, GridField, GridField, GridField]:
     """Component fields (c1, c2, c3, c4) of the first-order operator itself.
 
     They carry the normalization whose linearization at a holomorphic map
@@ -278,9 +268,7 @@ def operator_components(
     Restricted to Kahler models, where the J-derivative terms vanish.
     """
     if np.abs(model.nablaJ_at(np.zeros(model.dim))).max() > 0:
-        raise PreconditionError(
-            "operator components are implemented for Kahler models only"
-        )
+        raise PreconditionError("operator components are implemented for Kahler models only")
     L = cmap.L
     J, _, _, Rop = grids = model_grids(model, cmap, patch)
 
@@ -291,7 +279,7 @@ def operator_components(
     pairing = gravitino_psi_pairing(grav.chi, cmap.psi, L)
     c3 = -antiholomorphic_part(dphi + pairing, J)
 
-    inner = _dirac_terms(cmap, project_q(grav.chi), patch, model, grids, dphi)
+    inner = _dirac_terms(cmap, grav.chi.map(project_q), patch, model, grids, dphi)
     inner = inner + delta_gamma_tensor_F(grav.chi, cmap.F, L)
     if np.abs(Rop).max() > 0:
         inner = inner - sr_contraction(cmap.psi, Rop, L) / 6.0
@@ -306,21 +294,20 @@ def operator_components(
 class Directions:
     """Tangent directions (rho, xi, zeta, sigma) at (phi, 0, 0) with chi = 0."""
 
-    rho: np.ndarray | None = None    # gravitino direction (odd)
-    xi: np.ndarray | None = None     # even map direction
-    zeta: np.ndarray | None = None   # odd spinor direction
-    sigma: np.ndarray | None = None  # even auxiliary direction
+    rho: GridField | None = None    # gravitino direction (odd)
+    xi: GridField | None = None     # even map direction
+    zeta: GridField | None = None   # odd spinor direction
+    sigma: GridField | None = None  # even auxiliary direction
 
 
 def d_phi_operator(
-    xi: np.ndarray, cmap: ComponentMap, patch: ReducedPatch, model: AlmostKahlerModel
-) -> np.ndarray:
+    xi: GridField, cmap: ComponentMap, patch: ReducedPatch, model: AlmostKahlerModel
+) -> GridField:
     """Linearized Cauchy-Riemann operator at phi applied to xi."""
     L = cmap.L
     J, Gamma, nablaJ, _ = model_grids(model, cmap, patch)
-    ff = patch.frame_factor()[None, :, :, None, None]
-    dxi = patch.grad(xi)
-    dxi *= ff
+    dxi = xi.map(patch.grad)
+    dxi.blocks *= patch.frame_factor()[None, :, :, None, None]
     has_gamma = np.abs(Gamma).max() > 0
     has_nablaJ = np.abs(nablaJ).max() > 0
     if has_gamma or has_nablaJ:
@@ -330,9 +317,9 @@ def d_phi_operator(
         dxi = dxi + gcontract(conn, xi, "xyked,xyd->xyke", L)
     if has_nablaJ:
         jxi = gcontract(
-            np.einsum("xyabc,sxya->sxybc", nablaJ, xi), dphi, "xybc,xykc->xykb", L
+            xi.map(lambda x: np.einsum("xyabc,sxya->sxybc", nablaJ, x)), dphi, "xybc,xykc->xykb", L
         )
-        dxi = dxi - 0.5 * np.einsum("sxykb,xybc->sxykc", jxi, J)
+        dxi = dxi - 0.5 * jxi.map(lambda j: np.einsum("sxykb,xybc->sxykc", j, J))
     return antiholomorphic_part(dxi, J)
 
 
@@ -341,7 +328,7 @@ def analytic_linearization_blocks(
     cmap: ComponentMap,
     patch: ReducedPatch,
     model: AlmostKahlerModel,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[GridField, GridField, GridField, GridField]:
     """Expected derivative blocks (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + rho term)."""
     L = cmap.L
     M = patch.M
@@ -349,10 +336,8 @@ def analytic_linearization_blocks(
     J, _, nablaJ, _ = model_grids(model, cmap, patch)
     if np.abs(nablaJ).max() > 0:
         raise PreconditionError("analytic blocks implemented for Kahler models")
-    b1 = gzeros(L, (M, M, 2, dim))
-    b2 = gzeros(L, (M, M, dim))
-    b3 = gzeros(L, (M, M, 2, dim))
-    b4 = gzeros(L, (M, M, 2, dim))
+    b1 = b3 = b4 = GridField.zero((M, M, 2, dim))
+    b2 = GridField.zero((M, M, dim))
     if dirs.zeta is not None:
         b1 = antiholomorphic_part(dirs.zeta, J)
         dz = twisted_dirac(dirs.zeta, patch, model, cmap)
@@ -363,7 +348,7 @@ def analytic_linearization_blocks(
         b3 = -d_phi_operator(dirs.xi, cmap, patch, model)
     if dirs.rho is not None:
         dphi = dphi_frame(cmap, patch)
-        b4 = b4 + 2.0 * vee_q_pairing(project_q(dirs.rho), dphi, L)
+        b4 = b4 + 2.0 * vee_q_pairing(dirs.rho.map(project_q), dphi, L)
     return b1, b2, b3, b4
 
 
@@ -404,20 +389,16 @@ def _fd_report(
     L = cmap.L
     M = patch.M
 
-    def at(t: float) -> tuple[np.ndarray, ...]:
-        pert = cmap.copy()
-        if dirs.xi is not None:
-            pert.phi_periodic = pert.phi_periodic + t * dirs.xi
-        if dirs.zeta is not None:
-            pert.psi = pert.psi + t * dirs.zeta
-        if dirs.sigma is not None:
-            pert.F = pert.F + t * dirs.sigma
-        chi = gzeros(L, (M, M, 2, 2))
-        if dirs.rho is not None:
-            chi = chi + t * dirs.rho
-        return operator_components(pert, Gravitino(L=L, chi=chi), patch, model)
+    def at(t: float) -> tuple[GridField, ...]:
+        moved = {
+            name: getattr(cmap, name) + t * d
+            for name, d in (("phi_periodic", dirs.xi), ("psi", dirs.zeta), ("F", dirs.sigma))
+            if d is not None
+        }
+        chi = GridField.zero((M, M, 2, 2)) if dirs.rho is None else t * dirs.rho
+        return operator_components(replace(cmap, **moved), Gravitino(L=L, chi=chi), patch, model)
 
-    def central(step: float) -> tuple[np.ndarray, ...]:
+    def central(step: float) -> tuple[GridField, ...]:
         plus = at(step)
         minus = at(-step)
         return tuple((p - m) / (2.0 * step) for p, m in zip(plus, minus))

@@ -1,8 +1,16 @@
 """Grid fields with Grassmann-valued components, and the (phi, psi, F) + chi data.
 
-A Grassmann-valued grid field over the base algebra on L generators is a
-complex array whose leading axis runs over the 2^L basis monomial masks.
-Products are mask convolutions with anticommutation signs.
+A Grassmann-valued grid field over the base algebra on L generators is
+packed (:class:`GridField`): a sorted tuple ``masks`` of its live basis
+monomial masks and one contiguous complex array ``blocks`` holding those
+blocks only, the mask axis first and the M x M grid on axes 1 and 2.  A
+mask that is not listed reads zero.  A dense ``(2^L, M, M, ...)`` array is
+packed once, by :meth:`GridField.pack`, the one place that looks for
+nonzero blocks.  Kernels that map each block alone run on ``blocks``
+(:meth:`GridField.map`), sums align the two mask tuples, and products are
+mask convolutions with anticommutation signs (:func:`gcontract`) whose live
+masks follow from the mask algebra.  A block that cancels to zero stays
+listed; a zero read where a dense field held -0.0 reads +0.0.
 
 The map component phi is stored as an affine part plus a periodic part:
 phi(x) = linear . x + periodic(x).  Only the periodic part is ever
@@ -13,7 +21,7 @@ covers) keep exact derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partialmethod
 
 import numpy as np
 
@@ -22,6 +30,73 @@ from .grassmann import merge_sign
 
 class FieldError(ValueError):
     pass
+
+
+@dataclass(eq=False)
+class GridField:
+    """A packed grid field: sorted live ``masks`` and their ``blocks``, mask axis first.
+
+    Fields are values: a kernel writes only into arrays it made.  ``+`` and
+    ``-`` align the mask tuples, a mask missing on one side adding nothing
+    (x - 0 is x, bit for bit); ``*`` and ``/`` take a scalar or an array
+    that broadcasts against ``blocks``.
+    """
+
+    masks: tuple[int, ...]
+    blocks: np.ndarray
+    __array_ufunc__ = None  # array * field defers to __rmul__
+
+    @classmethod
+    def pack(cls, dense) -> "GridField":
+        """The blocks of a dense (2^L, M, ...) array with a nonzero entry, copied (-0.0 is zero)."""
+        dense = np.asarray(dense, dtype=complex)
+        # the first grid axis first: that walks a record view of the bundle reader in memory order
+        live = np.flatnonzero(dense.any(axis=1).reshape(len(dense), -1).any(axis=1))
+        return cls(tuple(live.tolist()), dense[live])
+
+    @classmethod
+    def zero(cls, shape: tuple[int, ...]) -> "GridField":
+        return cls((), np.zeros((0,) + tuple(shape), dtype=complex))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.blocks.shape
+
+    def map(self, fn, *args) -> "GridField":
+        """``fn(blocks, *args)`` on the same masks, for an ``fn`` that maps each block alone and linearly."""
+        return GridField(self.masks, fn(self.blocks, *args))
+
+    def grow(self, masks: tuple[int, ...]) -> "GridField":
+        """This field on the sorted superset ``masks``, in a new array with zero blocks added."""
+        out = np.zeros((len(masks),) + self.blocks.shape[1:], dtype=self.blocks.dtype)
+        out[np.searchsorted(masks, self.masks)] = self.blocks
+        return GridField(masks, out)
+
+    def _combine(self, other, op) -> "GridField":
+        if not isinstance(other, GridField):
+            return NotImplemented
+        if not other.masks:
+            return self
+        if self.masks == other.masks:
+            return GridField(self.masks, op(self.blocks, other.blocks))
+        out = self.grow(tuple(sorted(set(self.masks).union(other.masks))))
+        at = np.searchsorted(out.masks, other.masks)
+        out.blocks[at] = op(out.blocks[at], other.blocks)
+        return out
+
+    __add__ = partialmethod(_combine, op=np.add)
+    __sub__ = partialmethod(_combine, op=np.subtract)
+
+    def __neg__(self):
+        return GridField(self.masks, -self.blocks)
+
+    def __mul__(self, factor):
+        return NotImplemented if isinstance(factor, GridField) else GridField(self.masks, self.blocks * factor)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, divisor):
+        return GridField(self.masks, self.blocks / divisor)
 
 
 @lru_cache(maxsize=None)
@@ -38,68 +113,50 @@ def _rows(L: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _live_rows(L: int, nz_a: bytes, nz_b: bytes) -> tuple:
-    """The rows of ``_rows(L)`` whose factor blocks are both nonzero, laid out depth by depth.
+def _live_rows(L: int, masks_a: tuple[int, ...], masks_b: tuple[int, ...]) -> tuple:
+    """The rows of ``_rows(L)`` whose two factor masks are live, laid out depth by depth.
 
-    Returns ``(ma, mb, sign, masks, widths)``.  The product masks ``masks``
-    are ordered by falling row count; depth k holds the k-th row (in
-    ``_rows`` order) of each of the first ``widths[k]`` masks.
+    Returns ``(ia, ib, sign, masks, widths, gather)``: each row's block
+    positions in the two factors and its sign; the sorted product masks that
+    have rows.  Depth k holds the k-th row (in ``_rows`` order) of each of
+    the first ``widths[k]`` product masks, taken by falling row count, and
+    ``gather`` puts the depth-0 rows in mask order (None when they are).
     """
-    rows = _rows(L)
-    rows = rows[np.frombuffer(nz_a, dtype=bool)[rows[:, 1]] & np.frombuffer(nz_b, dtype=bool)[rows[:, 2]]]
+    pos_a, pos_b = np.full((2, 1 << L), -1, dtype=np.intp)
+    pos_a[np.array(masks_a, dtype=np.intp)] = np.arange(len(masks_a))
+    pos_b[np.array(masks_b, dtype=np.intp)] = np.arange(len(masks_b))
+    mo, ma, mb, sign = _rows(L).T
+    rows = np.stack([mo, pos_a[ma], pos_b[mb], sign], axis=1)
+    rows = rows[(rows[:, 1] >= 0) & (rows[:, 2] >= 0)]
     masks, starts, counts = np.unique(rows[:, 0], return_index=True, return_counts=True)
     by_count = np.argsort(-counts, kind="stable")
-    masks, starts, counts = masks[by_count], starts[by_count], counts[by_count]
+    starts, counts = starts[by_count], counts[by_count]
     widths = [int(np.count_nonzero(counts > k)) for k in range(counts.max(initial=0))]
     order = [start + k for k, width in enumerate(widths) for start in starts[:width]]
-    _, ma, mb, sign = rows[np.array(order, dtype=np.intp)].reshape(-1, 4).T
-    return ma, mb, sign, masks, widths
+    _, ia, ib, sign = rows[np.array(order, dtype=np.intp)].reshape(-1, 4).T
+    in_order = len(order) == len(masks) and np.array_equal(by_count, np.arange(len(masks)))
+    return ia, ib, sign, tuple(masks.tolist()), widths, None if in_order else np.argsort(by_count)
 
 
-def gcontract(a: np.ndarray, b: np.ndarray, spec: str, L: int) -> np.ndarray:
+def gcontract(a: GridField, b: GridField, spec: str, L: int) -> GridField:
     """Mask-convolved einsum: Grassmann product with index contraction.
 
-    ``spec`` is an einsum signature for the per-mask blocks (without the
-    leading mask axis).  One einsum contracts every pair of nonzero blocks
-    whose product sign is nonzero.  Each product mask then sums its pairs in
-    ``_rows`` order, one depth at a time, and adds the sum to zero: bit for
-    bit the sums of adding each pair in turn to a zeroed output.
+    ``spec`` is an einsum signature for the blocks (without the mask axis).
+    One einsum contracts every pair of live blocks whose product sign is
+    nonzero.  Each product mask then sums its pairs in ``_rows`` order, one
+    depth at a time: bit for bit the sums of adding each pair in turn to a
+    zeroed output, up to the sign of a zero.  The product lists the masks
+    that have pairs, whatever their sums.
     """
-    nz_a = a.any(axis=tuple(range(1, a.ndim)))
-    nz_b = b.any(axis=tuple(range(1, b.ndim)))
-    ma, mb, sign, masks, widths = _live_rows(L, nz_a.tobytes(), nz_b.tobytes())
-    rows = np.einsum("..." + spec.replace(",", ",...").replace("->", "->..."), a[ma], b[mb])
+    ia, ib, sign, masks, widths, gather = _live_rows(L, a.masks, b.masks)
+    rows = np.einsum("..." + spec.replace(",", ",...").replace("->", "->..."), a.blocks[ia], b.blocks[ib])
     rows *= sign.reshape((-1,) + (1,) * (rows.ndim - 1))
     # each mask's running sum is its row at depth 0
     start = len(masks)
     for width in widths[1:]:
         rows[:width] += rows[start:start + width]
         start += width
-    out = np.zeros((1 << L,) + rows.shape[1:], dtype=complex)
-    out[masks] += rows[:len(masks)]  # 0 + sum: a sum of -0.0 reads +0.0
-    return out
-
-
-def on_live_masks(fn, field: np.ndarray, *args) -> np.ndarray:
-    """``fn(field, *args)`` for an ``fn`` that maps each mask block alone and linearly.
-
-    ``fn`` runs on the blocks of ``field`` that hold a nonzero entry, gathered
-    into one contiguous array, and its result is scattered into zeros: a block
-    of zeros (-0.0 included, as in ``gcontract``) maps to +0.0.  When every
-    block is live, ``fn`` gets the field as it is.
-    """
-    field = np.asarray(field)
-    live = field.any(axis=tuple(range(1, field.ndim)))
-    if live.all():
-        return fn(field, *args)
-    part = fn(field[live], *args)
-    out = np.zeros(field.shape[:1] + part.shape[1:], dtype=part.dtype)
-    out[live] = part
-    return out
-
-
-def gzeros(L: int, shape: tuple[int, ...]) -> np.ndarray:
-    return np.zeros((1 << L,) + tuple(shape), dtype=complex)
+    return GridField(masks, np.ascontiguousarray(rows) if gather is None else rows.take(gather, axis=0))
 
 
 def even_masks(L: int) -> list[int]:
@@ -110,47 +167,48 @@ def odd_masks(L: int) -> list[int]:
     return [m for m in range(1 << L) if bin(m).count("1") % 2 == 1]
 
 
-def check_parity(field: np.ndarray, L: int, parity: str, what: str) -> None:
-    masks = odd_masks(L) if parity == "even" else even_masks(L)
-    for m in masks:
-        if np.any(field[m]):
-            raise FieldError(f"{what} must be {parity}: mask {m:#b} is populated")
+def _as_field(field, L: int, parity: str, what: str) -> GridField:
+    """``field`` packed, a dense (2^L, ...) array packed here; its masks must have ``parity``."""
+    if not isinstance(field, GridField):
+        field = np.asarray(field, dtype=complex)
+        if len(field) != 1 << L:
+            raise FieldError(f"{what}: leading axis must have length 2^L")
+        field = GridField.pack(field)
+    for m in field.masks:
+        if m >> L or bin(m).count("1") % 2 != (parity == "odd"):
+            raise FieldError(f"{what} must be {parity} over {L} generators: mask {m:#b} is populated")
+    return field
 
 
-def max_abs(field: np.ndarray) -> float:
-    return float(np.abs(field).max()) if field.size else 0.0
+def max_abs(field: GridField) -> float:
+    return float(np.abs(field.blocks).max(initial=0.0))
 
 
 @dataclass
 class ComponentMap:
-    """The even/odd/auxiliary component fields of a map on the patch.
+    """The even/odd/auxiliary component fields of a map on the patch, packed.
 
     phi_linear: (2n, 2) real matrix (the affine part phi^b = sum_k c[b,k] x^k);
-    phi_periodic: (2^L, M, M, 2n) even Grassmann-valued periodic part;
-    psi: (2^L, M, M, 2, 2n) odd, spinor index 0 <-> s^3, 1 <-> s^4;
-    F: (2^L, M, M, 2n) even.
+    phi_periodic: even, blocks (M, M, 2n), the real periodic part;
+    psi: odd, blocks (M, M, 2, 2n), spinor index 0 <-> s^3, 1 <-> s^4;
+    F: even, blocks (M, M, 2n).
+    A field given as a dense (2^L, M, M, ...) array is packed on construction.
     """
 
     L: int
     phi_linear: np.ndarray
-    phi_periodic: np.ndarray
-    psi: np.ndarray
-    F: np.ndarray
+    phi_periodic: GridField
+    psi: GridField
+    F: GridField
 
     def __post_init__(self):
         self.phi_linear = np.asarray(self.phi_linear, dtype=float)
-        self.phi_periodic = np.asarray(self.phi_periodic, dtype=complex)
-        self.psi = np.asarray(self.psi, dtype=complex)
-        self.F = np.asarray(self.F, dtype=complex)
-        size = 1 << self.L
-        if self.phi_periodic.shape[0] != size or self.psi.shape[0] != size or self.F.shape[0] != size:
-            raise FieldError("leading axes must have length 2^L")
+        self.phi_periodic = _as_field(self.phi_periodic, self.L, "even", "phi")
+        self.psi = _as_field(self.psi, self.L, "odd", "psi")
+        self.F = _as_field(self.F, self.L, "even", "F")
         if self.phi_linear.shape != (self.dim, 2):
             raise FieldError("phi_linear must have shape (2n, 2)")
-        check_parity(self.phi_periodic, self.L, "even", "phi")
-        check_parity(self.F, self.L, "even", "F")
-        check_parity(self.psi, self.L, "odd", "psi")
-        if np.abs(self.phi_periodic.imag).max(initial=0.0) > 0:
+        if np.abs(self.phi_periodic.blocks.imag).max(initial=0.0) > 0:
             raise FieldError("phi takes chart values: real per even subset")
 
     @property
@@ -163,41 +221,25 @@ class ComponentMap:
 
     @classmethod
     def zero(cls, L: int, M: int, dim: int) -> "ComponentMap":
-        return cls(
-            L=L,
-            phi_linear=np.zeros((dim, 2)),
-            phi_periodic=gzeros(L, (M, M, dim)),
-            psi=gzeros(L, (M, M, 2, dim)),
-            F=gzeros(L, (M, M, dim)),
-        )
+        zero = GridField.zero
+        return cls(L, np.zeros((dim, 2)), zero((M, M, dim)), zero((M, M, 2, dim)), zero((M, M, dim)))
 
     def phi_body(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Body of phi on the grid, shape (M, M, 2n)."""
         lin = np.einsum("bk,kxy->xyb", self.phi_linear, np.stack([x1, x2]))
-        return lin + self.phi_periodic[0].real
-
-    def copy(self) -> "ComponentMap":
-        return ComponentMap(
-            L=self.L,
-            phi_linear=self.phi_linear.copy(),
-            phi_periodic=self.phi_periodic.copy(),
-            psi=self.psi.copy(),
-            F=self.F.copy(),
-        )
+        phi = self.phi_periodic
+        return lin + (phi.blocks[0].real if phi.masks[:1] == (0,) else 0.0)
 
 
 @dataclass
 class Gravitino:
-    """chi: (2^L, M, M, 2, 2) odd; indices (form k, spinor kappa)."""
+    """chi: odd, blocks (M, M, 2, 2); indices (form k, spinor kappa).  Packed as in ComponentMap."""
 
     L: int
-    chi: np.ndarray
+    chi: GridField
 
     def __post_init__(self):
-        self.chi = np.asarray(self.chi, dtype=complex)
-        if self.chi.shape[0] != 1 << self.L:
-            raise FieldError("leading axis must have length 2^L")
-        check_parity(self.chi, self.L, "odd", "chi")
+        self.chi = _as_field(self.chi, self.L, "odd", "chi")
 
     @property
     def M(self) -> int:
@@ -205,4 +247,4 @@ class Gravitino:
 
     @classmethod
     def zero(cls, L: int, M: int) -> "Gravitino":
-        return cls(L=L, chi=gzeros(L, (M, M, 2, 2)))
+        return cls(L=L, chi=GridField.zero((M, M, 2, 2)))

@@ -19,10 +19,11 @@ eps.  Chain (B) carries the antisymmetric completion term
 is not symmetric.  Both chains also hold with R replaced by a derivative
 tensor contracted with a fourth odd spinor coefficient.
 
-Dense layout: the coefficients psi_mu^a are one complex array of shape
+Layout: the coefficients psi_mu^a are one complex array of shape
 (2, dim, 2^L) whose last axis runs over the basis monomial masks of
-:mod:`sjclab.grassmann`.  Inside the module the mask axis is moved first,
-and every graded product is the dense engine ``fields.gcontract``.  R, and
+:mod:`sjclab.grassmann`.  On entry psi is packed once by mask
+(``fields.GridField``), and every graded product is ``fields.gcontract``
+on the live masks, with no further scan.  R, and
 each nabla_p R, is contracted over (a, b) on the pair products
 psi_mu^a psi_nu^b before the remaining factors are multiplied in.
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import even_masks, gcontract, odd_masks
+from .fields import GridField, gcontract, odd_masks
 from .spin import EPS_UPPER, GAMMA_EPS, GAMMA_SYM, ISPIN
 
 
@@ -122,8 +123,8 @@ def _as_spinor(psi) -> np.ndarray:
         raise
 
 
-def _check_spinor(psi: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
-    """Check psi[mu, a, mask] against R's dimension and for oddness; returns psi[mask, mu, a] and L."""
+def _check_spinor(psi: np.ndarray, dim: int) -> tuple[GridField, int]:
+    """Check psi[mu, a, mask] against R's dimension and for oddness; returns psi packed by mask, and L."""
     if psi.ndim != 3 or len(psi) != 2:
         raise ValueError(f"psi must have 2 rows (mu = 3, 4) of shape (dim, 2^L), got shape {psi.shape}")
     if psi.shape[1] != dim:
@@ -131,23 +132,22 @@ def _check_spinor(psi: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
     size = psi.shape[2]
     if size < 1 or size & (size - 1):
         raise ValueError(f"psi mask axis has length {size}, not a power of two")
-    L = size.bit_length() - 1
-    even = even_masks(L)
-    bad = np.argwhere(psi[..., even])
-    if bad.size:
-        mu, a, i = bad[0]
-        raise ValueError(f"psi[{mu}][{a}] is not odd: it has the even monomial {even[i]:#b}")
-    return np.moveaxis(psi, -1, 0), L
+    packed = GridField.pack(np.moveaxis(psi, -1, 0))
+    even = [i for i, m in enumerate(packed.masks) if bin(m).count("1") % 2 == 0]
+    if even:
+        mu, a, i = np.argwhere(np.moveaxis(packed.blocks[even], 0, -1))[0]
+        raise ValueError(f"psi[{mu}][{a}] is not odd: it has the even monomial {packed.masks[even[i]]:#b}")
+    return packed, size.bit_length() - 1
 
 
-def _pairs(psi: np.ndarray, L: int) -> np.ndarray:
+def _pairs(psi: GridField, L: int) -> GridField:
     """P[mask, mu, nu, a, b] = psi_mu^a psi_nu^b."""
     return gcontract(psi, psi, "ma,nb->mnab", L)
 
 
-def _cubic(P: np.ndarray, psi: np.ndarray, R: np.ndarray, L: int) -> np.ndarray:
+def _cubic(P: GridField, psi: GridField, R: np.ndarray, L: int) -> GridField:
     """V[mask, mu, nu, sigma, e] = (R(psi_mu, psi_nu) psi_sigma)^e, R contracted on P first."""
-    return gcontract(np.tensordot(P, R, 2), psi, "mnce,sc->mnse", L)
+    return gcontract(P.map(np.tensordot, R, 2), psi, "mnce,sc->mnse", L)
 
 
 def _chain_operators() -> np.ndarray:
@@ -173,9 +173,9 @@ def _chain_operators() -> np.ndarray:
 _CHAINS = _chain_operators()
 
 
-def _chain_deviations(V: np.ndarray) -> tuple[float, float]:
+def _chain_deviations(V: GridField) -> tuple[float, float]:
     """Max coefficient deviation of chains A and B for V[mask, mu, nu, sigma, ...]."""
-    dev = np.abs(_CHAINS @ np.moveaxis(V, 0, -1).reshape(8, -1)).reshape(2, -1).max(axis=1, initial=0.0)
+    dev = np.abs(_CHAINS @ np.moveaxis(V.blocks, 0, -1).reshape(8, -1)).reshape(2, -1).max(axis=1, initial=0.0)
     return float(dev[0]), float(dev[1])
 
 
@@ -210,7 +210,7 @@ def fierz_check(
     if nablaR is not None:
         # psi_rho^p (nabla_p R)(psi_mu, psi_nu) psi_sigma; the even pair
         # product commutes past psi_rho^p, leaving P[rho, sigma, p, c]
-        Qd = np.tensordot(P, np.moveaxis(nablaR, 0, 2), 2)
+        Qd = P.map(np.tensordot, np.moveaxis(nablaR, 0, 2), 2)
         dev_da, dev_db = _chain_deviations(gcontract(Qd, P, "mnpce,rspc->mnsre", L))
         report["chain_a_derivative"] = dev_da
         report["chain_b_derivative"] = dev_db

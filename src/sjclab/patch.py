@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import on_live_masks
 from .spin import IFRAME_MAP
 
 
@@ -47,8 +46,8 @@ class ReducedPatch:
 
     # -- differentiation -------------------------------------------------
 
-    def grad(self, field: np.ndarray) -> np.ndarray:
-        """(d/dx^1, d/dx^2) of grid data field[S, M, M, ...], stacked on a new axis 3.
+    def grad(self, blocks: np.ndarray) -> np.ndarray:
+        """(d/dx^1, d/dx^2) of grid data blocks[S, M, M, ...], stacked on a new axis 3.
 
         One forward fft2 over the grid axes (1, 2); each derivative is
         inverted in its own output slice by two in-place 1-D passes, in the
@@ -56,14 +55,11 @@ class ReducedPatch:
         ``ifft2`` bit for bit without a full-size temporary.  At even M the
         Nyquist wavenumber -M/2 differentiates to 0, as the derivative of the
         real trigonometric interpolant does, so real data has a real gradient.
-        Only the nonzero mask blocks (leading axis) are transformed, through
-        :func:`sjclab.fields.on_live_masks`; the zero blocks come out +0.0.
+        Each block is transformed alone: a packed field is differentiated
+        on its live blocks by ``field.map(patch.grad)``.
         """
-        return on_live_masks(self._grad, field)
-
-    def _grad(self, field: np.ndarray) -> np.ndarray:
         M = self.M
-        ft = np.fft.fft2(np.asarray(field, dtype=complex), axes=(1, 2))
+        ft = np.fft.fft2(np.asarray(blocks, dtype=complex), axes=(1, 2))
         k = 2j * np.pi * np.fft.fftfreq(M, d=1.0 / M)
         if M % 2 == 0:
             k[M // 2] = 0.0

@@ -20,7 +20,9 @@ order, the real and imaginary parts of every component.  The header is a
 JSON object with ``"schema": 1``, integers M >= 1, L in
 0..``FLAT_MAP_MAX_L`` and dim >= 1, the affine part of phi as a dim x 2
 ``phi_linear`` of finite JSON numbers (not bools or strings), and a
-``model`` object with a string ``kind``.  A bundle holds exactly M^2
+``model`` object with a string ``kind``.  An optional ``lambda`` key says
+how the conformal factor varies: ``"grid"``, or ``"flat"`` when every lam
+is exactly 1.0.  A bundle holds exactly M^2
 records, all of the same length; (i, j) are integers in [0, M), each pair
 occurring once, in any order; every value is finite and lam is positive.
 Any other input raises ValueError naming the defect.
@@ -99,6 +101,9 @@ def read_field_bundle(path):
             phi_linear = None
         if phi_linear is None or phi_linear.shape != (dim, 2) or not np.isfinite(phi_linear).all():
             raise ValueError(f"field bundle header needs phi_linear as a {dim}x2 array of finite numbers")
+        gauge = header.get("lambda", "grid")
+        if gauge not in ("flat", "grid"):
+            raise ValueError(f'field bundle header needs lambda as "flat" or "grid", got {json.dumps(gauge)}')
         model = header.get("model")
         if not isinstance(model, dict) or not isinstance(model.get("kind"), str):
             raise ValueError("field bundle header needs model as a JSON object with a string kind")
@@ -135,23 +140,18 @@ def read_field_bundle(path):
     if (data[:, 2] <= 0).any():
         raise ValueError("the conformal factor lam must be positive")
     lam = data[:, 2].reshape(M, M).copy()
-    # the interleaved (re, im) columns seen as complex; the field blocks are
-    # strided views into data, so the bundle is held in memory once
+    if gauge == "flat" and (lam != 1.0).any():
+        raise ValueError('field bundle header says lambda "flat", but lam is not 1.0 at every grid point')
+    # the interleaved (re, im) columns seen as complex; the fields are strided
+    # views into data until the constructors copy out their live blocks
     cvals = data[:, 3:].view(complex)
-    blocks, off = [], 0
+    fields, off = [], 0
     for shape in shapes:
         size = S * int(np.prod(shape))
         per_point = cvals[:, off : off + size].reshape((M, M, S) + shape)
-        blocks.append(np.moveaxis(per_point, 2, 0))
+        fields.append(np.moveaxis(per_point, 2, 0))
         off += size
-    phi, psi, F, chi = blocks
+    phi, psi, F, chi = fields
     patch = ReducedPatch(M, lam=None if np.all(lam == 1.0) else lam)
-    cmap = ComponentMap(
-        L=L,
-        phi_linear=phi_linear,
-        phi_periodic=phi,
-        psi=psi,
-        F=F,
-    )
-    grav = Gravitino(L=L, chi=chi)
-    return cmap, grav, patch, model
+    cmap = ComponentMap(L=L, phi_linear=phi_linear, phi_periodic=phi, psi=psi, F=F)
+    return cmap, Gravitino(L=L, chi=chi), patch, model

@@ -14,9 +14,8 @@ the P/Q projectors.  Each row of these matrices has one or two entries, each
 entry, plus at most one more such term.  Those products are exact and a sum
 of two terms is commutative, so on finite data the kernel returns what
 ``np.einsum`` returns bit for bit (up to the sign of an exact zero), without
-the multiply-adds by zero.  When the input axes are not the leading (mask)
-axis, the kernel runs on the nonzero mask blocks only, through
-:func:`sjclab.fields.on_live_masks`, and the zero blocks come out +0.0.
+the multiply-adds by zero.  The kernels act on arrays; a packed grid field
+is contracted on its live blocks by ``field.map(MAP.apply, axis)``.
 Position-dependent contractions (J, Christoffel symbols, the derivative of
 J, curvature) stay with ``np.einsum`` and ``gcontract``.
 """
@@ -24,8 +23,6 @@ J, curvature) stay with ``np.einsum`` and ``gcontract``.
 from __future__ import annotations
 
 import numpy as np
-
-from .fields import on_live_masks
 
 GAMMA = np.array([
     [[1.0, 0.0], [0.0, -1.0]],   # gamma^1
@@ -110,12 +107,6 @@ class SignedMatrix:
         n_in = len(self.in_shape)
         if x.shape[axis : axis + n_in] != self.in_shape:
             raise ValueError(f"axes {x.shape[axis:axis + n_in]} do not match {self.in_shape}")
-        if axis:  # the leading axis indexes mask blocks, each mapped alone
-            return on_live_masks(self._apply, x, axis)
-        return self._apply(x, axis)
-
-    def _apply(self, x: np.ndarray, axis: int) -> np.ndarray:
-        n_in = len(self.in_shape)
         lead, trail = x.shape[:axis], x.shape[axis + n_in :]
         out = np.empty(lead + (len(self.rows),) + trail, dtype=np.result_type(x, float))
         pre = (slice(None),) * axis

@@ -24,7 +24,7 @@ from . import classify as clf
 from . import components as comp
 from . import indexlab as il
 from .energy import energy_identity_residual
-from .fields import ComponentMap, gzeros
+from .fields import ComponentMap, GridField, even_masks, odd_masks
 from .fierz import (
     fierz_check,
     random_admissible_curvature,
@@ -457,26 +457,24 @@ def random_direction_fields(rng, L: int, M: int, dim: int, modes: int = 2):
     """Band-limited periodic direction fields (rho, xi, zeta, sigma)."""
 
     def trig_field(shape, parity):
-        from .fields import even_masks, odd_masks
-
-        out = gzeros(L, (M, M) + shape)
+        masks = even_masks(L) if parity == "even" else odd_masks(L)
+        out = np.zeros((len(masks), M, M) + shape, dtype=complex)
         xs = np.arange(M) / M
         x1, x2 = np.meshgrid(xs, xs, indexing="ij")
-        masks = even_masks(L) if parity == "even" else odd_masks(L)
-        for m in masks:
+        for block in out:
             for _ in range(modes):
                 k1, k2 = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
                 amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 wave = np.exp(2j * np.pi * (k1 * x1 + k2 * x2))
-                out[m] += wave.reshape((M, M) + (1,) * len(shape)) * amp
-        return out
+                block += wave.reshape((M, M) + (1,) * len(shape)) * amp
+        return GridField(tuple(masks), out)
 
     xi = trig_field((dim,), "even")
     sigma = trig_field((dim,), "even")
     zeta = trig_field((2, dim), "odd")
     rho = trig_field((2, 2), "odd")
     # map directions stay chart-valued: real in every even subset
-    xi = xi.real.astype(complex)
+    xi = xi.map(lambda b: b.real.astype(complex))
     return rho, xi, zeta, sigma
 
 
@@ -533,10 +531,9 @@ def suite_verify_flat(path: str) -> tuple[dict, dict]:
     return _report("verify-flat", {"path": str(path), "L": L, "n": len(comps)}, checks), {}
 
 
-def _point_max(block: np.ndarray) -> np.ndarray:
-    """Largest modulus at each grid point over the nonzero mask blocks and the components; +0.0 if none."""
-    live = block.any(axis=tuple(range(1, block.ndim)))
-    return np.abs(block[live]).max(axis=(0, *range(3, block.ndim)), initial=0.0)
+def _point_max(field: GridField) -> np.ndarray:
+    """Largest modulus at each grid point over the live mask blocks and the components; +0.0 if none."""
+    return np.abs(field.blocks).max(axis=(0, *range(3, field.blocks.ndim)), initial=0.0)
 
 
 def suite_verify_components(path: str, tol: float) -> tuple[dict, dict]:
@@ -546,7 +543,7 @@ def suite_verify_components(path: str, tol: float) -> tuple[dict, dict]:
     model = make_model(model_desc, cmap.dim)
     blocks = comp.residual_components(cmap, grav, patch, model).blocks()
     # per grid point, the largest modulus over masks and components of each block:
-    # zero mask blocks add only +0.0, so the maxima run over the nonzero ones
+    # a mask that is not live reads +0.0, so the maxima run over the live ones
     point_max = np.stack([_point_max(block) for block in blocks.values()], axis=-1)
     norms = dict(zip(blocks, point_max.max(axis=(0, 1)).tolist()))
     checks = [

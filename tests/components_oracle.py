@@ -11,27 +11,30 @@ under a conformal rescaling and compare the residual blocks of
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from fields_oracle import dense
 from sjclab import fierz
 from sjclab.components import residual_components
-from sjclab.fields import ComponentMap, Gravitino, max_abs
+from sjclab.fields import ComponentMap, GridField, Gravitino, max_abs
 from sjclab.patch import ReducedPatch
 from sjclab.spin import EPS_UPPER, ISPIN_MAP
 from sjclab.targets import AlmostKahlerModel
 
 
-def spinor_holomorphic_part(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
+def spinor_holomorphic_part(psi: GridField, J: np.ndarray) -> GridField:
     """(1/2)(1 - I (x) J) on a spinor-valued field."""
-    rot = ISPIN_MAP.apply(psi, -2)
-    return 0.5 * (psi - np.einsum("sxyac,xycd->sxyad", rot, J))
+    return psi.map(lambda p: 0.5 * (p - np.einsum("sxyac,xycd->sxyad", ISPIN_MAP.apply(p, -2), J)))
 
 
 def sr_vector(psi: np.ndarray, R: np.ndarray) -> np.ndarray:
     """SR[alpha, e, mask] = eps^{kappa lambda} (R(psi_alpha, psi_kappa) psi_lambda)^e."""
     R = np.asarray(R, dtype=float)
     psi, L = fierz._check_spinor(fierz._as_spinor(psi), R.shape[0])
-    return np.einsum("kl,xakle->aex", EPS_UPPER, fierz._cubic(fierz._pairs(psi, L), psi, R, L))
+    V = dense(fierz._cubic(fierz._pairs(psi, L), psi, R, L), L)
+    return np.einsum("kl,xakle->aex", EPS_UPPER, V)
 
 
 def weyl_rescale_fields(
@@ -43,9 +46,7 @@ def weyl_rescale_fields(
     F picks up factor^{-2}.
     """
     u = np.asarray(factor, dtype=float)
-    new = cmap.copy()
-    new.psi = new.psi / u[None, :, :, None, None]
-    new.F = new.F / u[None, :, :, None] ** 2
+    new = replace(cmap, psi=cmap.psi / u[None, :, :, None, None], F=cmap.F / u[None, :, :, None] ** 2)
     return new, Gravitino(L=grav.L, chi=grav.chi / u[None, :, :, None, None])
 
 
@@ -75,7 +76,7 @@ def weyl_covariance_check(
     report = {"blocks": {}, "passed": True}
     for name, (expected, abstract) in weights.items():
         b = base[name]
-        dev = max_abs(new[name] - u.reshape((1, M, M) + (1,) * (b.ndim - 3)) ** expected * b)
+        dev = max_abs(new[name] - u.reshape((1, M, M) + (1,) * (b.blocks.ndim - 3)) ** expected * b)
         entry = {
             "frame_weight_exponent": expected,
             "abstract_weight_exponent": abstract,

@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from fields_oracle import dense
 from sjclab.fields import ComponentMap, Gravitino
 from sjclab.patch import ReducedPatch
 from sjclab.superfield import SuperField
@@ -35,8 +36,9 @@ def write_field_bundle(path, cmap: ComponentMap, grav: Gravitino, patch: Reduced
         "lambda": "flat" if np.all(patch.lam == 1.0) else "grid",
         "phi_linear": [list(map(float, row)) for row in cmap.phi_linear],
     }
-    # per point: each field's mask blocks in order, (re, im) of every component
-    blocks = [np.moveaxis(a, 0, 2).reshape(M, M, -1) for a in (cmap.phi_periodic, cmap.psi, cmap.F, grav.chi)]
+    # per point: each field's blocks on every mask in order, (re, im) of every component
+    fields = (cmap.phi_periodic, cmap.psi, cmap.F, grav.chi)
+    blocks = [np.moveaxis(dense(a, cmap.L), 0, 2).reshape(M, M, -1) for a in fields]
     values = np.concatenate(blocks, axis=-1)
     values = np.stack([values.real, values.imag], axis=-1).reshape(M, M, -1)
     with open(path, "w") as fh:

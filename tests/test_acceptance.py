@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line; run with ``pytest -s`` to see them.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,11 +111,12 @@ def test_criterion_4_component_equation_sanity():
     rng = np.random.default_rng(104)
     model = make_const_hsc(4.0, 1)
     J0 = model.J_at(np.zeros(2))
-    cmap2 = ComponentMap.zero(4, M, 2)
+    psi = np.zeros((16, M, M, 2, 2), dtype=complex)
     for m in odd_masks(4):
         v = rng.integers(-2, 3, size=2).astype(complex)
-        cmap2.psi[m, :, :, 0, :] = v
-        cmap2.psi[m, :, :, 1, :] = v @ J0
+        psi[m, :, :, 0, :] = v
+        psi[m, :, :, 1, :] = v @ J0
+    cmap2 = replace(ComponentMap.zero(4, M, 2), psi=psi)
     res2 = C.residual_components(
         cmap2, Gravitino.zero(4, M), ReducedPatch(M), model
     ).max_norm()

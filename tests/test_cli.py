@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fields_oracle import dense, gzeros, pack
 from input_writers import write_field_bundle, write_flat_map
 from sjclab import suites
 from sjclab.cli import main
-from sjclab.fields import ComponentMap, Gravitino, gzeros
+from sjclab.fields import ComponentMap, Gravitino, max_abs
 from sjclab.patch import ReducedPatch
 from sjclab.serialize import FLAT_MAP_MAX_L, read_field_bundle, read_flat_map
 from sjclab.suites import holomorphic_base_map
@@ -179,16 +180,18 @@ class TestVerifyFlat:
 @pytest.mark.parametrize("dead", ["none", "some", "all"])
 @pytest.mark.parametrize("shape", [(16, 8, 8), (16, 8, 8, 2, 3)])
 def test_point_max_over_live_blocks_matches_all_blocks(dead, shape):
-    # zero mask blocks (+0.0 or -0.0) hold no maximum: the per-point maxima
-    # over the nonzero blocks are those over every block, byte for byte
+    # masks that are not live (+0.0 or -0.0 in the dense field) hold no maximum:
+    # the per-point maxima over the packed blocks are those over every block,
+    # byte for byte, also with a live block that is all zero
     rng = np.random.default_rng(len(shape))
     block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     zero = {"none": [], "some": [0, 3, 4, 9, 15], "all": list(range(16))}[dead]
     block[zero] = 0.0
     if zero:
         block[zero[-1]] = complex(-0.0, -0.0)
-    for field in (block, np.moveaxis(np.moveaxis(block, 0, -1).copy(), -1, 0)):  # contiguous, strided
-        expected = np.abs(field).max(axis=(0, *range(3, field.ndim)))
+    expected = np.abs(block).max(axis=(0, *range(3, block.ndim)))
+    packed = pack(block)
+    for field in (packed, packed.grow(tuple(range(16)))):
         got = suites._point_max(field)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     if dead == "all":
@@ -200,11 +203,12 @@ class TestVerifyComponents:
         rng = np.random.default_rng(0)
         L, M = 2, 8
         model_desc = {"kind": "flat", "n": 1}
-        cmap = holomorphic_base_map(L, M, 2)
         J0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
         v = np.array([1.0, -2.0])
-        cmap.psi[1, :, :, 0, :] = v
-        cmap.psi[1, :, :, 1, :] = v @ J0
+        psi = gzeros(L, (M, M, 2, 2))
+        psi[1, :, :, 0, :] = v
+        psi[1, :, :, 1, :] = v @ J0
+        cmap = dataclasses.replace(holomorphic_base_map(L, M, 2), psi=psi)
         grav = Gravitino.zero(L, M)
         patch = ReducedPatch(M)
         path = tmp_path / "bundle.txt"
@@ -214,7 +218,7 @@ class TestVerifyComponents:
     def test_roundtrip(self, tmp_path):
         path, cmap, grav, patch = self._solution_bundle(tmp_path)
         cmap2, grav2, patch2, desc = read_field_bundle(path)
-        assert np.abs(cmap2.psi - cmap.psi).max() <= 1e-15
+        assert cmap2.psi.masks == cmap.psi.masks == (1,) and max_abs(cmap2.psi - cmap.psi) <= 1e-15
         assert np.abs(cmap2.phi_linear - cmap.phi_linear).max() == 0.0
         assert np.all(patch2.lam == 1.0)
         assert desc == {"kind": "flat", "n": 1}
@@ -393,28 +397,35 @@ def _without(header, key):
     return {k: v for k, v in header.items() if k != key}
 
 
-# header edits (records kept unless the edit returns a replacement body), and
-# a fragment the error message must contain
+# edits of the header and the record text (records kept unless the edit returns
+# a replacement body), and a fragment the error message must contain
 BAD_HEADERS = {
-    "no-records": (lambda h: (h, ""), "error: field bundle has 0 of the M^2 = 64 grid records"),
-    "huge-M": (lambda h: (dict(h, M=1 << 20), None), "error: field bundle has 64 of the M^2 = 1099511627776 grid"),
-    "list": (lambda h: ([h], None), "error: field bundle header must be a JSON object"),
-    "no-M": (lambda h: (_without(h, "M"), None), "header needs M as a JSON integer >= 1, got null"),
-    "string-M": (lambda h: (dict(h, M="8"), None), 'header needs M as a JSON integer >= 1, got "8"'),
-    "no-L": (lambda h: (_without(h, "L"), None), "header needs L as a JSON integer 0..64, got null"),
-    "no-dim": (lambda h: (_without(h, "dim"), None), "header needs dim as a JSON integer >= 1, got null"),
-    "no-phi-linear": (lambda h: (_without(h, "phi_linear"), None), "header needs phi_linear as a 2x2 array"),
-    "nan-phi-linear": (lambda h: (dict(h, phi_linear=[[1.0, None], [0.0, 1.0]]), None), "of finite numbers"),
+    "no-records": (lambda h, body: (h, ""), "error: field bundle has 0 of the M^2 = 64 grid records"),
+    "huge-M": (lambda h, body: (dict(h, M=1 << 20), None), "error: field bundle has 64 of the M^2 = 1099511627776 grid"),
+    "list": (lambda h, body: ([h], None), "error: field bundle header must be a JSON object"),
+    "no-M": (lambda h, body: (_without(h, "M"), None), "header needs M as a JSON integer >= 1, got null"),
+    "string-M": (lambda h, body: (dict(h, M="8"), None), 'header needs M as a JSON integer >= 1, got "8"'),
+    "no-L": (lambda h, body: (_without(h, "L"), None), "header needs L as a JSON integer 0..64, got null"),
+    "no-dim": (lambda h, body: (_without(h, "dim"), None), "header needs dim as a JSON integer >= 1, got null"),
+    "no-phi-linear": (lambda h, body: (_without(h, "phi_linear"), None), "header needs phi_linear as a 2x2 array"),
+    "nan-phi-linear": (lambda h, body: (dict(h, phi_linear=[[1.0, None], [0.0, 1.0]]), None), "of finite numbers"),
     "bool-phi-linear": (
-        lambda h: (dict(h, phi_linear=[[True, False], [False, True]]), None), "header needs phi_linear as a 2x2 array"
+        lambda h, body: (dict(h, phi_linear=[[True, False], [False, True]]), None), "header needs phi_linear as a 2x2 array"
     ),
     "string-phi-linear": (
-        lambda h: (dict(h, phi_linear=[["1", "0"], ["0", "1"]]), None), "header needs phi_linear as a 2x2 array"
+        lambda h, body: (dict(h, phi_linear=[["1", "0"], ["0", "1"]]), None), "header needs phi_linear as a 2x2 array"
     ),
-    "huge-phi-linear": (lambda h: (dict(h, phi_linear=[[10**400, 0], [0, 1]]), None), "of finite numbers"),
-    "no-model": (lambda h: (_without(h, "model"), None), "header needs model as a JSON object with a string kind"),
-    "no-kind": (lambda h: (dict(h, model={"n": 1}), None), "header needs model as a JSON object with a string kind"),
-    "no-n": (lambda h: (dict(h, model={"kind": "flat"}), None), "error: model 'flat' has no 'n'"),
+    "huge-phi-linear": (lambda h, body: (dict(h, phi_linear=[[10**400, 0], [0, 1]]), None), "of finite numbers"),
+    "no-model": (lambda h, body: (_without(h, "model"), None), "header needs model as a JSON object with a string kind"),
+    "no-kind": (lambda h, body: (dict(h, model={"n": 1}), None), "header needs model as a JSON object with a string kind"),
+    "no-n": (lambda h, body: (dict(h, model={"kind": "flat"}), None), "error: model 'flat' has no 'n'"),
+    "lambda-value": (
+        lambda h, body: (dict(h, **{"lambda": "curved"}), None), 'header needs lambda as "flat" or "grid", got "curved"'
+    ),
+    # the first record's lam, under the header's "flat"
+    "lambda-flat-over-curved": (
+        lambda h, body: (h, body.replace(" 1.0 ", " 1.5 ", 1)), 'header says lambda "flat", but lam is not 1.0'
+    ),
 }
 
 
@@ -491,10 +502,19 @@ class TestBundleValidation:
         path, *_ = TestVerifyComponents()._solution_bundle(tmp_path)
         header, body = path.read_text().split("\n", 1)
         edit, message = BAD_HEADERS[case]
-        new_header, new_body = edit(json.loads(header))
+        new_header, new_body = edit(json.loads(header), body)
         path.write_text(json.dumps(new_header) + "\n" + (body if new_body is None else new_body))
         assert run(["verify-components", str(path)], tmp_path) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gauge", [None, "grid", "flat"])
+    def test_lambda_key_is_optional(self, gauge, tmp_path):
+        # a flat lam column passes under "flat", under "grid" and with no key
+        path, *_ = TestVerifyComponents()._solution_bundle(tmp_path)
+        header, body = path.read_text().split("\n", 1)
+        header = _without(json.loads(header), "lambda")
+        path.write_text(json.dumps(header if gauge is None else dict(header, **{"lambda": gauge})) + "\n" + body)
+        assert run(["verify-components", str(path)], tmp_path) == 0
 
     @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
     def test_bad_records_exit_2(self, case, tmp_path, capsys):
@@ -508,13 +528,14 @@ class TestBundleValidation:
         # generic doubles on a curved gauge, against a per-token float() parse
         rng = np.random.default_rng(5)
         L, M = 2, 8
-        cmap = ComponentMap.zero(L, M, 2)
-        cmap.phi_periodic[0] = rng.standard_normal((M, M, 2))
-        cmap.phi_periodic[3] = rng.standard_normal((M, M, 2))
-        cmap.psi[1:3] = rng.standard_normal((2, M, M, 2, 2)) + 1j * rng.standard_normal((2, M, M, 2, 2))
-        cmap.F[0] = rng.standard_normal((M, M, 2)) + 1j * rng.standard_normal((M, M, 2))
-        grav = Gravitino(L=L, chi=gzeros(L, (M, M, 2, 2)))
-        grav.chi[2] = rng.standard_normal((M, M, 2, 2)) * 1e-300
+        phi, psi, F, chi = (gzeros(L, (M, M) + shape) for shape in ((2,), (2, 2), (2,), (2, 2)))
+        phi[0] = rng.standard_normal((M, M, 2))
+        phi[3] = rng.standard_normal((M, M, 2))
+        psi[1:3] = rng.standard_normal((2, M, M, 2, 2)) + 1j * rng.standard_normal((2, M, M, 2, 2))
+        F[0] = rng.standard_normal((M, M, 2)) + 1j * rng.standard_normal((M, M, 2))
+        chi[2] = rng.standard_normal((M, M, 2, 2)) * 1e-300
+        cmap = ComponentMap(L=L, phi_linear=np.zeros((2, 2)), phi_periodic=phi, psi=psi, F=F)
+        grav = Gravitino(L=L, chi=chi)
         patch = ReducedPatch(M, lam=np.exp(rng.uniform(-0.1, 0.1, size=(M, M))))
         path = tmp_path / "generic.txt"
         write_field_bundle(path, cmap, grav, patch, {"kind": "flat", "n": 1})
@@ -526,7 +547,7 @@ class TestBundleValidation:
             vals = [float(t) for t in tokens[3:]]
             expected = [complex(re, im) for re, im in zip(vals[0::2], vals[1::2])]
             got = np.concatenate(
-                [a[:, i, j].ravel() for a in (cmap2.phi_periodic, cmap2.psi, cmap2.F, grav2.chi)]
+                [dense(a, L)[:, i, j].ravel() for a in (cmap2.phi_periodic, cmap2.psi, cmap2.F, grav2.chi)]
             )
             assert got.tolist() == expected
 
@@ -534,7 +555,7 @@ class TestBundleValidation:
         path, cmap, *_ = TestVerifyComponents()._solution_bundle(tmp_path)
         _edit_records(path, lambda rs: rs[::-1])
         cmap2, *_ = read_field_bundle(path)
-        assert np.array_equal(cmap2.psi, cmap.psi)
+        assert cmap2.psi.masks == cmap.psi.masks and np.array_equal(cmap2.psi.blocks, cmap.psi.blocks)
         assert run(["verify-components", str(path)], tmp_path) == 0
 
 
@@ -651,7 +672,7 @@ def readme_suite_examples() -> list[list[str]]:
 class TestReadmeExamples:
     @pytest.mark.parametrize(
         "argv",
-        [a for a in readme_suite_examples() if a[0] != "verify-components"],  # needs a bundle
+        readme_suite_examples(),
         ids=" ".join,
     )
     def test_example_passes(self, argv, tmp_path, monkeypatch):
@@ -667,3 +688,15 @@ class TestReadmeExamples:
         write_flat_map(tmp_path / "map.json", L, [z_plus_theta_l1])
         sample = REPO / "samples" / "holomorphic_map.json"
         assert (tmp_path / "map.json").read_bytes() == sample.read_bytes()
+
+    def test_sample_bundle_is_written_by_write_field_bundle(self, tmp_path):
+        # M = 8, L = 2, psi on the odd mask 0b01, chi zero: the bundle CI runs through sjc
+        path, cmap, grav, _ = TestVerifyComponents()._solution_bundle(tmp_path)
+        assert (cmap.L, cmap.M, cmap.psi.masks, grav.chi.masks) == (2, 8, (1,), ())
+        assert path.read_bytes() == (REPO / "samples" / "solution_bundle.txt").read_bytes()
+
+    def test_sample_bundle_passes(self, tmp_path):
+        assert run(["verify-components", str(REPO / "samples" / "solution_bundle.txt")], tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["passed"] and len(report["checks"]) == 4
+        assert all(c["passed"] and c["value"] == 0.0 for c in report["checks"])
