@@ -5,8 +5,8 @@ packed (:class:`GridField`): a sorted tuple ``masks`` of its live basis
 monomial masks and one contiguous complex array ``blocks`` holding those
 blocks only, the mask axis first and the M x M grid on axes 1 and 2.  A
 mask that is not listed reads zero.  A dense ``(2^L, M, M, ...)`` array is
-packed once, by :meth:`GridField.pack`, the one place that looks for
-nonzero blocks.  Kernels that map each block alone run on ``blocks``
+packed once, by :meth:`GridField.pack` (the bundle reader packs its records
+itself).  Kernels that map each block alone run on ``blocks``
 (:meth:`GridField.map`), sums align the two mask tuples, and products are
 mask convolutions with anticommutation signs (:func:`gcontract`) whose live
 masks follow from the mask algebra.  A block that cancels to zero stays
@@ -50,8 +50,7 @@ class GridField:
     def pack(cls, dense) -> "GridField":
         """The blocks of a dense (2^L, M, ...) array with a nonzero entry, copied (-0.0 is zero)."""
         dense = np.asarray(dense, dtype=complex)
-        # the first grid axis first: that walks a record view of the bundle reader in memory order
-        live = np.flatnonzero(dense.any(axis=1).reshape(len(dense), -1).any(axis=1))
+        live = np.flatnonzero(dense.reshape(len(dense), -1).any(axis=1))
         return cls(tuple(live.tolist()), dense[live])
 
     @classmethod

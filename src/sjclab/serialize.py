@@ -35,7 +35,7 @@ import warnings
 
 import numpy as np
 
-from .fields import ComponentMap, Gravitino
+from .fields import ComponentMap, Gravitino, GridField
 from .patch import ReducedPatch
 from .superfield import SuperField
 
@@ -44,6 +44,10 @@ from .superfield import SuperField
 # l1..lL for every term, so with no bound one token such as l10000000 builds
 # a 10^7-bit mask; 64 leaves ample room above the suites.
 FLAT_MAP_MAX_L = 64
+
+# Values per np.loadtxt call of read_field_bundle (1 MiB of float64): no buffer
+# of the whole body is grown or held, only the live blocks are copied out.
+READ_CHUNK_VALUES = 1 << 17
 
 
 def read_flat_map(path) -> tuple[int, list[SuperField]]:
@@ -107,23 +111,25 @@ def read_field_bundle(path):
         model = header.get("model")
         if not isinstance(model, dict) or not isinstance(model.get("kind"), str):
             raise ValueError("field bundle header needs model as a JSON object with a string kind")
+        S = 1 << L
+        shapes = ((dim,), (2, dim), (dim,), (2, 2))  # phi, psi, F, chi per mask
+        sizes = [2 * S * int(np.prod(shape)) for shape in shapes]  # float columns of each field
+        width = 3 + sum(sizes)
+        parts, rows = [], max(1, READ_CHUNK_VALUES // width)
         try:
             with warnings.catch_warnings():  # an empty body is reported below
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, ndmin=2, comments=None)
+                while (part := np.loadtxt(fh, ndmin=2, comments=None, max_rows=rows)).size:
+                    parts.append(part)
         except ValueError as exc:
             raise ValueError(f"malformed field bundle record: {exc}") from None
-    if not data.size:
-        raise ValueError(f"field bundle has 0 of the M^2 = {M * M} grid records")
-    S = 1 << L
-    shapes = ((dim,), (2, dim), (dim,), (2, 2))  # phi, psi, F, chi per mask
-    width = 3 + 2 * S * sum(int(np.prod(shape)) for shape in shapes)
-    if data.shape[1] != width:
-        raise ValueError(f"field bundle records have {data.shape[1]} values, expected {width}")
-    if not np.isfinite([data.min(), data.max()]).all():  # NaN propagates
-        bad = ~np.isfinite(data).all(axis=1)
-        raise ValueError(f"non-finite value in record {int(np.argmax(bad)) + 1}")
-    ij = data[:, :2]
+    for part, first in zip(parts, np.cumsum([1] + [len(part) for part in parts])):
+        if part.shape[1] != width:
+            raise ValueError(f"field bundle records have {part.shape[1]} values, expected {width}")
+        if not np.isfinite([part.min(), part.max()]).all():  # NaN propagates
+            bad = ~np.isfinite(part).all(axis=1)
+            raise ValueError(f"non-finite value in record {first + int(np.argmax(bad))}")
+    ij = np.concatenate([part[:, :2] for part in parts] or [np.empty((0, 2))])  # none: the count reports it
     bad = (ij != np.round(ij)).any(axis=1) | (ij < 0).any(axis=1) | (ij >= M).any(axis=1)
     if bad.any():
         i, j = ij[np.argmax(bad)]
@@ -135,22 +141,21 @@ def read_field_bundle(path):
     counts = np.bincount(order, minlength=M * M)
     if counts.max() > 1:
         raise ValueError(f"duplicate records for grid point {divmod(int(np.argmax(counts)), M)}")
-    if not np.array_equal(order, np.arange(M * M)):
-        data = data[np.argsort(order)]
-    if (data[:, 2] <= 0).any():
+    grid = slice(None) if np.array_equal(order, np.arange(M * M)) else np.argsort(order)  # record per point
+    lam = np.concatenate([part[:, 2] for part in parts])[grid].reshape(M, M)
+    if (lam <= 0).any():
         raise ValueError("the conformal factor lam must be positive")
-    lam = data[:, 2].reshape(M, M).copy()
     if gauge == "flat" and (lam != 1.0).any():
         raise ValueError('field bundle header says lambda "flat", but lam is not 1.0 at every grid point')
-    # the interleaved (re, im) columns seen as complex; the fields are strided
-    # views into data until the constructors copy out their live blocks
-    cvals = data[:, 3:].view(complex)
-    fields, off = [], 0
-    for shape in shapes:
-        size = S * int(np.prod(shape))
-        per_point = cvals[:, off : off + size].reshape((M, M, S) + shape)
-        fields.append(np.moveaxis(per_point, 2, 0))
-        off += size
+    # each field keeps the mask blocks with a nonzero entry (-0.0 is zero), copied
+    # from the interleaved (re, im) columns into grid order and seen as complex
+    nonzero = np.any([part.any(axis=0) for part in parts], axis=0)  # per column
+    fields = []
+    for shape, size, off in zip(shapes, sizes, np.cumsum([3] + sizes)):
+        live = np.flatnonzero(nonzero[off : off + size].reshape(S, -1).any(axis=1))
+        per_mask = (part[:, off : off + size].reshape(len(part), S, -1) for part in parts)
+        blocks = np.concatenate([values[:, live].swapaxes(0, 1) for values in per_mask], axis=1)[:, grid]
+        fields.append(GridField(tuple(live.tolist()), blocks.view(complex).reshape((len(live), M, M) + shape)))
     phi, psi, F, chi = fields
     patch = ReducedPatch(M, lam=None if np.all(lam == 1.0) else lam)
     cmap = ComponentMap(L=L, phi_linear=phi_linear, phi_periodic=phi, psi=psi, F=F)

@@ -504,9 +504,7 @@ def suite_linearize(grid: int, model: str, seed: int, step: float) -> tuple[dict
     checks = []
     for name, rep in reports.items():
         worst = max(b["rel_error_h2"] for b in rep["blocks"].values())
-        checks.append(
-            _check(f"linearization blocks along {name}", rep["passed"], worst, rel_tol, "oracle")
-        )
+        checks.append(_check(f"linearization blocks along {name}", rep["passed"], worst, rel_tol, "oracle"))
     cfg = {"M": M, "model": model, "seed": seed, "h": h, "rel_tol": rel_tol}
     return _report("linearize", cfg, checks), {}
 
@@ -553,9 +551,7 @@ def suite_verify_components(path: str, tol: float) -> tuple[dict, dict]:
     rows = ["i,j," + ",".join(blocks)]
     for i, row in enumerate(point_max.tolist()):
         rows.extend(",".join(map(repr, (i, j, *vals))) for j, vals in enumerate(row))
-    report = _report(
-        "verify-components", {"path": str(path), "tol": tol, "model": model_desc}, checks
-    )
+    report = _report("verify-components", {"path": str(path), "tol": tol, "model": model_desc}, checks)
     return report, {"residual_field.csv": rows}
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from fields_oracle import dense, gzeros, pack
 from input_writers import write_field_bundle, write_flat_map
-from sjclab import suites
+from sjclab import serialize, suites
 from sjclab.cli import main
 from sjclab.fields import ComponentMap, Gravitino, max_abs
 from sjclab.patch import ReducedPatch
@@ -524,8 +524,9 @@ class TestBundleValidation:
         assert run(["verify-components", str(path)], tmp_path) == 2
         assert message in capsys.readouterr().err
 
-    def test_reader_matches_token_loop(self, tmp_path):
-        # generic doubles on a curved gauge, against a per-token float() parse
+    @staticmethod
+    def _generic_bundle(tmp_path):
+        # generic doubles on a curved gauge, on several masks of every field
         rng = np.random.default_rng(5)
         L, M = 2, 8
         phi, psi, F, chi = (gzeros(L, (M, M) + shape) for shape in ((2,), (2, 2), (2,), (2, 2)))
@@ -539,6 +540,11 @@ class TestBundleValidation:
         patch = ReducedPatch(M, lam=np.exp(rng.uniform(-0.1, 0.1, size=(M, M))))
         path = tmp_path / "generic.txt"
         write_field_bundle(path, cmap, grav, patch, {"kind": "flat", "n": 1})
+        return path, L
+
+    @staticmethod
+    def _assert_read_as_tokens(path, L):
+        # every value against a per-token float() parse of its record
         cmap2, grav2, patch2, _ = read_field_bundle(path)
         for record in path.read_text().splitlines()[1:]:
             tokens = record.split()
@@ -550,6 +556,23 @@ class TestBundleValidation:
                 [dense(a, L)[:, i, j].ravel() for a in (cmap2.phi_periodic, cmap2.psi, cmap2.F, grav2.chi)]
             )
             assert got.tolist() == expected
+
+    def test_reader_matches_token_loop(self, tmp_path):
+        self._assert_read_as_tokens(*self._generic_bundle(tmp_path))
+
+    def test_reader_chunks_match_token_loop(self, tmp_path, monkeypatch):
+        # five records per np.loadtxt call: the 64 shuffled records arrive in 13 chunks
+        path, L = self._generic_bundle(tmp_path)
+        _edit_records(path, lambda rs: [rs[k] for k in np.random.default_rng(1).permutation(len(rs))])
+        one_chunk, *_ = read_field_bundle(path)
+        monkeypatch.setattr(serialize, "READ_CHUNK_VALUES", 5 * len(path.read_text().splitlines()[1].split()))
+        self._assert_read_as_tokens(path, L)
+        chunked, *_ = read_field_bundle(path)
+        for name in ("phi_periodic", "psi", "F"):
+            assert getattr(chunked, name).masks == getattr(one_chunk, name).masks
+        _edit_records(path, lambda rs: rs[:40] + [_set(rs[40], 20, "nan")] + rs[41:])
+        with pytest.raises(ValueError, match="non-finite value in record 41$"):
+            read_field_bundle(path)
 
     def test_records_in_any_order(self, tmp_path):
         path, cmap, *_ = TestVerifyComponents()._solution_bundle(tmp_path)

@@ -148,7 +148,7 @@ def test_gcontract_sums_in_the_loop_order(L, spec, shape_a, shape_b):
 
 
 def record_view(values):
-    """``values`` as the bundle reader holds a field: a strided view into float records."""
+    """``values`` as a strided view into float records, the mask axis not outermost in memory."""
     S, M = values.shape[:2]
     size = values[0, 0, 0].size * S
     data = np.zeros((M * M, 3 + 2 * size + 4))  # index and lam columns first, more fields after
@@ -220,7 +220,7 @@ def live_block_kernels(rng, M, dim):
 def test_packed_kernels_match_the_whole_field(L, dim, M):
     # each kernel maps one mask block alone, so running it on the packed live
     # blocks gives the live blocks' bytes of the whole-field kernel, also when
-    # the field is packed from the reader's strided record view
+    # the field is packed from a strided record view
     rng = np.random.default_rng([L, dim, M])
     size = 1 << L
     patterns = {
