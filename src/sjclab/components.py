@@ -8,6 +8,12 @@ and the finite-difference validation of the linearization blocks.  Every
 grid derivative goes through :meth:`ReducedPatch.grad`, and the residual
 and the operator share one copy of each term they have in common.
 
+The operators (``twisted_dirac``, ``d_phi_operator``,
+``operator_components``, ``analytic_linearization_blocks``) take an
+evaluated base: the chart tensors along phi from :func:`model_grids` and
+dphi from :func:`dphi_frame`, computed once by the caller for each
+distinct phi.
+
 Every field is packed (:mod:`sjclab.fields`): the kernels run on the live
 mask blocks only, and products know their live masks from the mask
 algebra.  Spinor-index conventions follow
@@ -20,7 +26,7 @@ linearization and conformal-covariance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -115,31 +121,17 @@ def _gamma_dphi(Gamma: np.ndarray, dphi: GridField) -> GridField:
     return dphi.map(lambda d: np.einsum("xyecd,sxykc->sxyked", Gamma, d))
 
 
-def twisted_dirac(
-    psi: GridField,
-    patch: ReducedPatch,
-    model: AlmostKahlerModel,
-    cmap: ComponentMap,
-    grids=None,
-    dphi=None,
-) -> GridField:
-    """Twisted Dirac operator on the spinor-valued field psi.
+def twisted_dirac(psi: GridField, patch: ReducedPatch, grids, dphi: GridField, L: int) -> GridField:
+    """Twisted Dirac operator on the spinor-valued field psi at the base (grids, dphi).
 
     (D psi)_beta = (1/2) omega_k (gamma^k I)[beta, alpha] psi_alpha
                    - gamma^k[beta, alpha] nabla_k psi_alpha
     with the pullback connection nabla_k psi = f_k psi + Gamma(dphi_k, psi).
-    ``grids`` and ``dphi`` are computed here when not passed; dphi is only
-    needed when Gamma is nonzero.
     """
-    if grids is None:
-        grids = model_grids(model, cmap, patch)
     _, Gamma, _, _ = grids
-    L = cmap.L
     nabla = psi.map(patch.grad)  # blocks (M, M, k, alpha, dim)
     nabla.blocks *= patch.frame_factor()[None, :, :, None, None, None]
     if np.abs(Gamma).max() > 0:
-        if dphi is None:
-            dphi = dphi_frame(cmap, patch)
         conn = _gamma_dphi(Gamma, dphi)
         nabla = nabla + gcontract(conn, psi, "xyked,xyad->xykae", L)
     omega = patch.spin_connection()
@@ -206,10 +198,10 @@ class Residuals:
         return max(self.max_norms().values())
 
 
-def _dirac_terms(cmap, qchi, patch, model, grids, dphi) -> GridField:
+def _dirac_terms(cmap, qchi, patch, grids, dphi) -> GridField:
     """D psi - 2 <vee Q chi, dphi> + |Q chi|^2 psi, shared by residual and operator."""
     L = cmap.L
-    out = twisted_dirac(cmap.psi, patch, model, cmap, grids=grids, dphi=dphi)
+    out = twisted_dirac(cmap.psi, patch, grids, dphi, L)
     out = out - 2.0 * vee_q_pairing(qchi, dphi, L)
     nq = q_norm_squared(qchi, L)
     return out + gcontract(nq, cmap.psi, "xy,xyab->xyab", L)
@@ -248,7 +240,7 @@ def residual_components(
         r3 = r3 + j_trace_block3(jend, cmap.psi, J, L)
 
     # block 4: Dirac-type equation
-    r4 = _dirac_terms(cmap, qchi, patch, model, grids, dphi)
+    r4 = _dirac_terms(cmap, qchi, patch, grids, dphi)
     if np.abs(Rop).max() > 0:
         r4 = r4 - sr_contraction(cmap.psi, Rop, L) / 3.0
 
@@ -256,30 +248,27 @@ def residual_components(
 
 
 def operator_components(
-    cmap: ComponentMap,
-    grav: Gravitino,
-    patch: ReducedPatch,
-    model: AlmostKahlerModel,
+    cmap: ComponentMap, grav: Gravitino, patch: ReducedPatch, grids, dphi: GridField
 ) -> tuple[GridField, GridField, GridField, GridField]:
     """Component fields (c1, c2, c3, c4) of the first-order operator itself.
 
-    They carry the normalization whose linearization at a holomorphic map
-    has the block form (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + ...).
-    Restricted to Kahler models, where the J-derivative terms vanish.
+    ``grids`` and ``dphi`` are the base evaluated at cmap's phi.  They carry
+    the normalization whose linearization at a holomorphic map has the block
+    form (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + ...).  Restricted to
+    Kahler models, where the J-derivative terms vanish.
     """
-    if np.abs(model.nablaJ_at(np.zeros(model.dim))).max() > 0:
+    J, _, nablaJ, Rop = grids
+    if np.abs(nablaJ).max() > 0:
         raise PreconditionError("operator components are implemented for Kahler models only")
     L = cmap.L
-    J, _, _, Rop = grids = model_grids(model, cmap, patch)
 
     c1 = antiholomorphic_part(cmap.psi, J)
     c2 = 0.25 * cmap.F
 
-    dphi = dphi_frame(cmap, patch)
     pairing = gravitino_psi_pairing(grav.chi, cmap.psi, L)
     c3 = -antiholomorphic_part(dphi + pairing, J)
 
-    inner = _dirac_terms(cmap, grav.chi.map(project_q), patch, model, grids, dphi)
+    inner = _dirac_terms(cmap, grav.chi.map(project_q), patch, grids, dphi)
     inner = inner + delta_gamma_tensor_F(grav.chi, cmap.F, L)
     if np.abs(Rop).max() > 0:
         inner = inner - sr_contraction(cmap.psi, Rop, L) / 6.0
@@ -300,22 +289,15 @@ class Directions:
     sigma: GridField | None = None  # even auxiliary direction
 
 
-def d_phi_operator(
-    xi: GridField, cmap: ComponentMap, patch: ReducedPatch, model: AlmostKahlerModel
-) -> GridField:
-    """Linearized Cauchy-Riemann operator at phi applied to xi."""
-    L = cmap.L
-    J, Gamma, nablaJ, _ = model_grids(model, cmap, patch)
+def d_phi_operator(xi: GridField, patch: ReducedPatch, grids, dphi: GridField, L: int) -> GridField:
+    """Linearized Cauchy-Riemann operator at the base (grids, dphi) applied to xi."""
+    J, Gamma, nablaJ, _ = grids
     dxi = xi.map(patch.grad)
     dxi.blocks *= patch.frame_factor()[None, :, :, None, None]
-    has_gamma = np.abs(Gamma).max() > 0
-    has_nablaJ = np.abs(nablaJ).max() > 0
-    if has_gamma or has_nablaJ:
-        dphi = dphi_frame(cmap, patch)
-    if has_gamma:
+    if np.abs(Gamma).max() > 0:
         conn = _gamma_dphi(Gamma, dphi)
         dxi = dxi + gcontract(conn, xi, "xyked,xyd->xyke", L)
-    if has_nablaJ:
+    if np.abs(nablaJ).max() > 0:
         jxi = gcontract(
             xi.map(lambda x: np.einsum("xyabc,sxya->sxybc", nablaJ, x)), dphi, "xybc,xykc->xykb", L
         )
@@ -324,30 +306,24 @@ def d_phi_operator(
 
 
 def analytic_linearization_blocks(
-    dirs: Directions,
-    cmap: ComponentMap,
-    patch: ReducedPatch,
-    model: AlmostKahlerModel,
+    dirs: Directions, patch: ReducedPatch, grids, dphi: GridField, L: int
 ) -> tuple[GridField, GridField, GridField, GridField]:
-    """Expected derivative blocks (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + rho term)."""
-    L = cmap.L
-    M = patch.M
-    dim = cmap.dim
-    J, _, nablaJ, _ = model_grids(model, cmap, patch)
+    """Expected derivative blocks (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + rho term) at the base."""
+    J, _, nablaJ, _ = grids
     if np.abs(nablaJ).max() > 0:
         raise PreconditionError("analytic blocks implemented for Kahler models")
+    M, dim = patch.M, J.shape[-1]
     b1 = b3 = b4 = GridField.zero((M, M, 2, dim))
     b2 = GridField.zero((M, M, dim))
     if dirs.zeta is not None:
         b1 = antiholomorphic_part(dirs.zeta, J)
-        dz = twisted_dirac(dirs.zeta, patch, model, cmap)
+        dz = twisted_dirac(dirs.zeta, patch, grids, dphi, L)
         b4 = b4 - antiholomorphic_part(dz, J)
     if dirs.sigma is not None:
         b2 = 0.25 * dirs.sigma
     if dirs.xi is not None:
-        b3 = -d_phi_operator(dirs.xi, cmap, patch, model)
+        b3 = -d_phi_operator(dirs.xi, patch, grids, dphi, L)
     if dirs.rho is not None:
-        dphi = dphi_frame(cmap, patch)
         b4 = b4 + 2.0 * vee_q_pairing(dirs.rho.map(project_q), dphi, L)
     return b1, b2, b3, b4
 
@@ -364,16 +340,19 @@ def linearization_fd_checks(
 
     One report per named direction.  The base point must be a holomorphic
     map with vanishing odd and auxiliary data; it is checked once for all
-    directions.  The step is Richardson-halved and both approximations are
-    compared against the analytic blocks.
+    directions, and its chart tensors and dphi are evaluated once, for the
+    analytic blocks and for every point that leaves phi in place.  The step
+    is Richardson-halved and both approximations are compared against the
+    analytic blocks.
     """
     base = residual_components(cmap, Gravitino.zero(cmap.L, patch.M), patch, model)
     if base.max_norm() > PRECONDITION_TOL:
         raise PreconditionError(
             f"base map is not holomorphic: residual {base.max_norm():.3e}"
         )
+    grids, dphi = model_grids(model, cmap, patch), dphi_frame(cmap, patch)
     return {
-        name: _fd_report(cmap, patch, model, dirs, h, rel_tol)
+        name: _fd_report(cmap, patch, model, grids, dphi, dirs, h, rel_tol)
         for name, dirs in named_dirs.items()
     }
 
@@ -382,6 +361,8 @@ def _fd_report(
     cmap: ComponentMap,
     patch: ReducedPatch,
     model: AlmostKahlerModel,
+    grids,
+    dphi: GridField,
     dirs: Directions,
     h: float,
     rel_tol: float,
@@ -395,8 +376,11 @@ def _fd_report(
             for name, d in (("phi_periodic", dirs.xi), ("psi", dirs.zeta), ("F", dirs.sigma))
             if d is not None
         }
+        point = replace(cmap, **moved)
         chi = GridField.zero((M, M, 2, 2)) if dirs.rho is None else t * dirs.rho
-        return operator_components(replace(cmap, **moved), Gravitino(L=L, chi=chi), patch, model)
+        # only xi moves phi: every other point keeps the base's chart tensors and dphi
+        base = (grids, dphi) if dirs.xi is None else (model_grids(model, point, patch), dphi_frame(point, patch))
+        return operator_components(point, Gravitino(L=L, chi=chi), patch, *base)
 
     def central(step: float) -> tuple[GridField, ...]:
         plus = at(step)
@@ -405,8 +389,8 @@ def _fd_report(
 
     d_h = central(h)
     d_h2 = central(h / 2.0)
-    analytic = analytic_linearization_blocks(dirs, cmap, patch, model)
-    names = ["chirality", "auxiliary", "cauchy_riemann", "dirac"]
+    analytic = analytic_linearization_blocks(dirs, patch, grids, dphi, L)
+    names = [f.name for f in fields(Residuals)]
     report = {"blocks": {}, "passed": True, "step": h}
     for name, fd_h, fd_h2, ref in zip(names, d_h, d_h2, analytic):
         scale = 1.0 + max_abs(ref)

@@ -412,27 +412,15 @@ class IndexReport:
         return 2 * self.numeric_index if self.is_complex_linear else self.numeric_index
 
     def as_dict(self) -> dict:
-        gap = self.singular_gap_ratio
-        return {
-            "tag": self.tag,
-            "kernel_dim": self.kernel_dim,
-            "cokernel_dim": self.cokernel_dim,
-            "numeric_index": self.numeric_index,
-            "kernel_dim_real": self.kernel_dim_real,
-            "cokernel_dim_real": self.cokernel_dim_real,
-            "numeric_index_real": self.numeric_index_real,
-            "formula_index": self.formula_index,
-            # None encodes an unbounded ratio (exact zero modes)
-            "singular_gap_ratio": gap if np.isfinite(gap) else None,
-            "threshold": self.threshold,
-            "conclusive": self.conclusive,
-            "is_complex_linear": self.is_complex_linear,
-            "gram_domain_condition": self.gram_domain_condition,
-            "gram_codomain_condition": self.gram_codomain_condition,
-            "gram_worst_block": self.gram_worst_block,
-            "gram_worst_condition": self.gram_worst_condition,
-            "kept_margin": self.kept_margin,
-        }
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "singular_values"}
+        out.update(
+            kernel_dim_real=self.kernel_dim_real,
+            cokernel_dim_real=self.cokernel_dim_real,
+            numeric_index_real=self.numeric_index_real,
+        )
+        if not np.isfinite(self.singular_gap_ratio):
+            out["singular_gap_ratio"] = None  # an unbounded ratio (exact zero modes)
+        return out
 
 
 def _condition(eigs: np.ndarray) -> np.ndarray:

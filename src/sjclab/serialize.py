@@ -17,7 +17,7 @@ followed by one text record per grid point:
 
 where each field block lists, for every base-monomial mask in increasing
 order, the real and imaginary parts of every component.  The header is a
-JSON object with ``"schema": 1``, integers M >= 1, L in
+JSON object with ``"schema": 1``, integers M >= 4, L in
 0..``FLAT_MAP_MAX_L`` and dim >= 1, the affine part of phi as a dim x 2
 ``phi_linear`` of finite JSON numbers (not bools or strings), and a
 ``model`` object with a string ``kind``.  An optional ``lambda`` key says
@@ -94,7 +94,7 @@ def read_field_bundle(path):
             raise ValueError("field bundle header must be a JSON object")
         if header.get("schema") != 1:
             raise ValueError("unsupported field bundle schema")
-        M = _header_int(header, "M", 1)
+        M = _header_int(header, "M", 4)
         L = _header_int(header, "L", 0, FLAT_MAP_MAX_L)
         dim = _header_int(header, "dim", 1)
         rows = header.get("phi_linear")
@@ -157,6 +157,6 @@ def read_field_bundle(path):
         blocks = np.concatenate([values[:, live].swapaxes(0, 1) for values in per_mask], axis=1)[:, grid]
         fields.append(GridField(tuple(live.tolist()), blocks.view(complex).reshape((len(live), M, M) + shape)))
     phi, psi, F, chi = fields
-    patch = ReducedPatch(M, lam=None if np.all(lam == 1.0) else lam)
+    patch = ReducedPatch(M, lam=lam)
     cmap = ComponentMap(L=L, phi_linear=phi_linear, phi_periodic=phi, psi=psi, F=F)
     return cmap, Gravitino(L=L, chi=chi), patch, model

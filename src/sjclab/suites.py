@@ -453,8 +453,8 @@ def holomorphic_base_map(L: int, M: int, dim: int, slope: complex = 1.0 + 0.5j) 
     return cmap
 
 
-def random_direction_fields(rng, L: int, M: int, dim: int, modes: int = 2):
-    """Band-limited periodic direction fields (rho, xi, zeta, sigma)."""
+def random_direction_fields(rng, L: int, M: int, dim: int):
+    """Band-limited periodic direction fields (rho, xi, zeta, sigma): two random modes per block."""
 
     def trig_field(shape, parity):
         masks = even_masks(L) if parity == "even" else odd_masks(L)
@@ -462,7 +462,7 @@ def random_direction_fields(rng, L: int, M: int, dim: int, modes: int = 2):
         xs = np.arange(M) / M
         x1, x2 = np.meshgrid(xs, xs, indexing="ij")
         for block in out:
-            for _ in range(modes):
+            for _ in range(2):
                 k1, k2 = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
                 amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 wave = np.exp(2j * np.pi * (k1 * x1 + k2 * x2))
@@ -503,7 +503,7 @@ def suite_linearize(grid: int, model: str, seed: int, step: float) -> tuple[dict
     reports = comp.linearization_fd_checks(cmap, patch, target, named_dirs, h=h, rel_tol=rel_tol)
     checks = []
     for name, rep in reports.items():
-        worst = max(b["rel_error_h2"] for b in rep["blocks"].values())
+        worst = float(np.max([b["rel_error_h2"] for b in rep["blocks"].values()]))  # NaN propagates
         checks.append(_check(f"linearization blocks along {name}", rep["passed"], worst, rel_tol, "oracle"))
     cfg = {"M": M, "model": model, "seed": seed, "h": h, "rel_tol": rel_tol}
     return _report("linearize", cfg, checks), {}

@@ -55,6 +55,13 @@ class TestSuitesViaCli:
     def test_linearize_suite(self, tmp_path):
         assert run(["linearize", "--grid", "16", "--model", "flat"], tmp_path) == 0
 
+    def test_linearize_reports_a_nan_block(self, tmp_path):
+        # a step of 1e300 makes combined's cauchy_riemann and dirac errors NaN
+        assert run(["linearize", "--grid", "8", "--step", "1e300"], tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert failed and all(not c["value"] <= c["tol"] for c in failed)
+
     def test_reports_byte_stable(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -403,8 +410,9 @@ BAD_HEADERS = {
     "no-records": (lambda h, body: (h, ""), "error: field bundle has 0 of the M^2 = 64 grid records"),
     "huge-M": (lambda h, body: (dict(h, M=1 << 20), None), "error: field bundle has 64 of the M^2 = 1099511627776 grid"),
     "list": (lambda h, body: ([h], None), "error: field bundle header must be a JSON object"),
-    "no-M": (lambda h, body: (_without(h, "M"), None), "header needs M as a JSON integer >= 1, got null"),
-    "string-M": (lambda h, body: (dict(h, M="8"), None), 'header needs M as a JSON integer >= 1, got "8"'),
+    "small-M": (lambda h, body: (dict(h, M=3), None), "header needs M as a JSON integer >= 4, got 3"),
+    "no-M": (lambda h, body: (_without(h, "M"), None), "header needs M as a JSON integer >= 4, got null"),
+    "string-M": (lambda h, body: (dict(h, M="8"), None), 'header needs M as a JSON integer >= 4, got "8"'),
     "no-L": (lambda h, body: (_without(h, "L"), None), "header needs L as a JSON integer 0..64, got null"),
     "no-dim": (lambda h, body: (_without(h, "dim"), None), "header needs dim as a JSON integer >= 1, got null"),
     "no-phi-linear": (lambda h, body: (_without(h, "phi_linear"), None), "header needs phi_linear as a 2x2 array"),

@@ -28,6 +28,11 @@ def triple_product_sr(psi, Rop, L):
     return np.einsum("sxymanboc,no,xyabce->sxyme", tri, EPS_UPPER, Rop)
 
 
+def base_at(model, cmap, patch):
+    """The evaluated base the operators take: chart tensors and dphi at cmap's phi."""
+    return C.model_grids(model, cmap, patch), C.dphi_frame(cmap, patch)
+
+
 def constrained_constant_psi(L, M, model, rng):
     """Constant dense spinor field with the chirality constraint psi_4 = J psi_3."""
     J0 = model.J_at(np.zeros(model.dim))
@@ -188,7 +193,7 @@ class TestEinsumOracle:
         for (name, new), old in zip(res.blocks().items(), ref):
             assert np.abs(old).max() > 0, name
             assert np.array_equal(dense(new, L), old), name
-        ops = C.operator_components(cmap, grav, patch, model)
+        ops = C.operator_components(cmap, grav, patch, *base_at(model, cmap, patch))
         ref = einsum_operator_components(cmap, grav, patch, model)
         for k, (new, old) in enumerate(zip(ops, ref)):
             assert np.abs(old).max() > 0, k
@@ -237,7 +242,7 @@ class TestTwistedDirac:
         cmap = ComponentMap.zero(L, M, 2)
         psi = gzeros(L, (M, M, 2, 2))
         psi[1] = 1.0
-        out = C.twisted_dirac(pack(psi), patch, model, cmap)
+        out = C.twisted_dirac(pack(psi), patch, *base_at(model, cmap, patch), L)
         assert max_abs(out) == 0.0
 
     def test_plane_wave_symbol(self):
@@ -248,11 +253,12 @@ class TestTwistedDirac:
         cmap = ComponentMap.zero(L, M, 2)
         x1, x2 = grid_waves(M)
         rng = np.random.default_rng(0)
+        base = base_at(model, cmap, patch)
         for k1, k2 in [(1, 0), (3, -2), (-5, 7)]:
             c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             psi = gzeros(L, (M, M, 2, 2))
             psi[1] = np.exp(2j * np.pi * (k1 * x1 + k2 * x2))[..., None, None] * c
-            out = C.twisted_dirac(pack(psi), patch, model, cmap)
+            out = C.twisted_dirac(pack(psi), patch, *base, L)
             symbol = -2j * np.pi * (k1 * GAMMA[0] + k2 * GAMMA[1])
             expected = np.einsum("ba,xyae->xybe", symbol, psi[1])
             assert np.abs(dense(out, L)[1] - expected).max() <= 1e-10
@@ -265,13 +271,14 @@ class TestTwistedDirac:
         cmap = ComponentMap.zero(L, M, 2)
         rng = np.random.default_rng(1)
         _, _, zeta, _ = random_direction_fields(rng, L, M, 2)
-        J, _, _, _ = C.model_grids(model, cmap, patch)
-        lhs = 2 * C.antiholomorphic_part(C.twisted_dirac(zeta, patch, model, cmap), J)
-        rhs = C.twisted_dirac(2 * spinor_holomorphic_part(zeta, J), patch, model, cmap)
+        base = base_at(model, cmap, patch)
+        J, _, _, _ = base[0]
+        lhs = 2 * C.antiholomorphic_part(C.twisted_dirac(zeta, patch, *base, L), J)
+        rhs = C.twisted_dirac(2 * spinor_holomorphic_part(zeta, J), patch, *base, L)
         assert max_abs(lhs - rhs) <= 1e-9
         # and with the signs swapped
-        lhs2 = 2 * spinor_holomorphic_part(C.twisted_dirac(zeta, patch, model, cmap), J)
-        rhs2 = C.twisted_dirac(2 * C.antiholomorphic_part(zeta, J), patch, model, cmap)
+        lhs2 = 2 * spinor_holomorphic_part(C.twisted_dirac(zeta, patch, *base, L), J)
+        rhs2 = C.twisted_dirac(2 * C.antiholomorphic_part(zeta, J), patch, *base, L)
         assert max_abs(lhs2 - rhs2) <= 1e-9
 
     # a smooth conformal factor, and one that is only C^2 (|sin|^3)
@@ -302,12 +309,13 @@ class TestTwistedDirac:
 
         psi, Psi = rand_spinor(), rand_spinor()
         w = patch.lam**4 / M**2  # volume weight per grid cell
+        base = base_at(model, cmap, patch)
 
         def pair(a, b):
             return np.sum(a[1] * b[1] * w[..., None, None])
 
         def dirac(f):
-            return dense(C.twisted_dirac(pack(f), patch, model, cmap), L)
+            return dense(C.twisted_dirac(pack(f), patch, *base, L), L)
 
         val = pair(dirac(psi), Psi) + pair(psi, dirac(Psi))
         scale = abs(pair(psi, psi)) + abs(pair(Psi, Psi))
@@ -549,10 +557,11 @@ class TestChiralReduction:
         model = make_flat(1)
         patch = ReducedPatch(M)
         cmap = ComponentMap.zero(L, M, 2)
-        J, _, _, _ = C.model_grids(model, cmap, patch)
+        base = base_at(model, cmap, patch)
+        J, _, _, _ = base[0]
         _, _, zeta, _ = random_direction_fields(rng, L, M, 2)
         z10 = spinor_holomorphic_part(zeta, J)
-        lhs = C.antiholomorphic_part(C.twisted_dirac(z10, patch, model, cmap), J)
+        lhs = C.antiholomorphic_part(C.twisted_dirac(z10, patch, *base, L), J)
         dz = patch.grad(dense(z10, L))
         rot = np.einsum("kl,sxylae->sxykae", IFRAME, dz)
         antihol_form = 0.5 * (dz + np.einsum("sxykae,xyef->sxykaf", rot, J))

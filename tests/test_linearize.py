@@ -37,10 +37,11 @@ def test_sigma_block_is_quarter(setup):
     # explicit quarter: the finite difference of the second component is sigma/4
     grav0 = Gravitino.zero(L, M)
     h = 1e-3
+    base = C.model_grids(model, cmap, patch), C.dphi_frame(cmap, patch)  # F leaves phi in place
     plus, minus = replace(cmap, F=cmap.F + h * sigma), replace(cmap, F=cmap.F - h * sigma)
     d = (
-        C.operator_components(plus, grav0, patch, model)[1]
-        - C.operator_components(minus, grav0, patch, model)[1]
+        C.operator_components(plus, grav0, patch, *base)[1]
+        - C.operator_components(minus, grav0, patch, *base)[1]
     ) / (2 * h)
     assert max_abs(d - 0.25 * sigma) <= 1e-9
 
@@ -51,11 +52,12 @@ def test_rho_block_responds_only_in_dirac_slot(setup):
     h = 1e-3
     chi_plus = Gravitino(L=L, chi=h * rho)
     chi_minus = Gravitino(L=L, chi=-h * rho)
-    cp = C.operator_components(cmap, chi_plus, patch, model)
-    cm = C.operator_components(cmap, chi_minus, patch, model)
+    grids, dphi = C.model_grids(model, cmap, patch), C.dphi_frame(cmap, patch)
+    cp = C.operator_components(cmap, chi_plus, patch, grids, dphi)
+    cm = C.operator_components(cmap, chi_minus, patch, grids, dphi)
     d4 = (cp[3] - cm[3]) / (2 * h)
     qrho = rho.map(project_q)
-    expected = 2.0 * C.vee_q_pairing(qrho, C.dphi_frame(cmap, patch), L)
+    expected = 2.0 * C.vee_q_pairing(qrho, dphi, L)
     assert max_abs(d4 - expected) <= 1e-9
     for p, m in zip(cp[:3], cm[:3]):
         assert max_abs((p - m) / (2 * h)) <= 1e-9
@@ -108,22 +110,42 @@ def test_operator_components_rejects_non_kahler():
     L, M = 2, 8
     model = with_synthetic_nablaJ(make_flat(2), rng.standard_normal((4, 4, 4)))
     cmap = ComponentMap.zero(L, M, 4)
+    patch = ReducedPatch(M)
+    base = C.model_grids(model, cmap, patch), C.dphi_frame(cmap, patch)
     with pytest.raises(C.PreconditionError):
-        C.operator_components(cmap, Gravitino.zero(L, M), ReducedPatch(M), model)
+        C.operator_components(cmap, Gravitino.zero(L, M), patch, *base)
 
 
 def test_named_directions_share_one_base_check(setup, monkeypatch):
     L, M, model, patch, cmap, (rho, xi, zeta, sigma) = setup
-    named = {"xi": C.Directions(xi=xi), "rho": C.Directions(rho=rho)}
+    named = {
+        "xi": C.Directions(xi=xi),
+        "sigma": C.Directions(sigma=sigma),
+        "zeta": C.Directions(zeta=zeta),
+        "rho": C.Directions(rho=rho),
+        "combined": C.Directions(rho=rho, xi=xi, zeta=zeta, sigma=sigma),
+    }
     singles = {
         name: C.linearization_fd_checks(cmap, patch, model, {name: d})[name]
         for name, d in named.items()
     }
-    calls = []
-    residual = C.residual_components
-    monkeypatch.setattr(C, "residual_components", lambda *a: calls.append(1) or residual(*a))
+    calls = {"residual_components": 0, "model_grids": 0, "dphi_frame": 0}
+
+    def counted(name):
+        fn = getattr(C, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(C, name, counted(name))
     assert C.linearization_fd_checks(cmap, patch, model, named) == singles
-    assert len(calls) == 1
+    assert calls["residual_components"] == 1
+    # the base residual, the base, and the four points along each of xi and combined
+    assert calls["model_grids"] <= 10 and calls["dphi_frame"] <= 10
 
 
 def test_named_directions_reject_nonholomorphic_base():
