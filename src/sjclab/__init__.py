@@ -5,7 +5,7 @@ Modules:
 * :mod:`sjclab.grassmann` -- sign conventions of the Grassmann algebra;
 * :mod:`sjclab.superfield` -- symbolic superfields on the flat patch and
   the flat-model first-order system;
-* :mod:`sjclab.targets` -- almost Kahler target models;
+* :mod:`sjclab.targets` -- Kahler target models in holomorphic charts;
 * :mod:`sjclab.spin`, :mod:`sjclab.patch`, :mod:`sjclab.fields`,
   :mod:`sjclab.components`, :mod:`sjclab.fierz`, :mod:`sjclab.energy` --
   the component-field calculus on the periodic patch;

@@ -17,11 +17,10 @@ import sys
 from . import suites
 
 
-def _write_outputs(report: dict, csvs: dict[str, list[str]], out_dir: str) -> None:
+def _write_outputs(report_text: str, csvs: dict[str, list[str]], out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(report_text)
     for name, rows in csvs.items():
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write("\n".join(rows) + "\n")
@@ -59,10 +58,12 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = params.pop("out_dir") or "."
     try:
         report, csvs = suites.run(params.pop("suite"), params)
+        # NaN and infinity are not JSON numbers: a stray one fails here, before any file is opened
+        report_text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_outputs(report, csvs, out_dir)
+    _write_outputs(report_text, csvs, out_dir)
     _print_report(report)
     return 0 if report["passed"] else 1
 

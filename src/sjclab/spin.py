@@ -7,17 +7,19 @@ raised/lowered by left contraction.  All spinor-index contractions in this
 package contract the second matrix index: (A v)_a = A[a, b] v_b.
 
 Constant-matrix contractions on grid fields go through :class:`SignedMatrix`:
-the complex structures I (spin and frame), eps raising, lowering and pairing,
-the Clifford contraction sum_k gamma^k x_k (also with I and with eps), and
-the P/Q projectors.  Each row of these matrices has one or two entries, each
+the frame complex structure I, eps raising, lowering and pairing, the
+Clifford contraction sum_k gamma^k x_k (also with I), the P/Q projectors,
+and the antiholomorphic projector (1 + I (x) J)/2 of
+:mod:`sjclab.components`, J being the constant complex structure of every
+target chart.  Each row of these matrices has one or two entries, each
 +-1 or +-1/2, so an output entry is a copy, negation or halving of one input
 entry, plus at most one more such term.  Those products are exact and a sum
 of two terms is commutative, so on finite data the kernel returns what
 ``np.einsum`` returns bit for bit (up to the sign of an exact zero), without
 the multiply-adds by zero.  The kernels act on arrays; a packed grid field
 is contracted on its live blocks by ``field.map(MAP.apply, axis)``.
-Position-dependent contractions (J, Christoffel symbols, the derivative of
-J, curvature) stay with ``np.einsum`` and ``gcontract``.
+Position-dependent contractions (Christoffel symbols, curvature) stay with
+``np.einsum`` and ``gcontract``.
 """
 
 from __future__ import annotations
@@ -131,16 +133,13 @@ class SignedMatrix:
 
 
 # The constant contractions of the component calculus, built from the matrices above.
-ISPIN_MAP = SignedMatrix(ISPIN)  # (I psi)_a = I[a, b] psi_b
 IFRAME_MAP = SignedMatrix(IFRAME)  # (I T)_k = I[k, l] T_l
 EPS_UPPER_MAP = SignedMatrix(EPS_UPPER)  # eps^{ab} x_b
 EPS_LOWER_MAP = SignedMatrix(EPS_LOWER)  # eps_{ab} x^b
 EPS_LOWER_PAIRING = SignedMatrix(EPS_LOWER, in_axes=2)  # eps_{ab} x^{ab}
-# sum over (k, a) of gamma^k[b, a] x_{k a}, of (gamma^k I)[b, a] x_{k a},
-# and of eps^{mn} gamma^k[n, a] x_{m a}
+# sum over (k, a) of gamma^k[b, a] x_{k a} and of (gamma^k I)[b, a] x_{k a}
 GAMMA_MAP = SignedMatrix(GAMMA.transpose(1, 0, 2), in_axes=2)
 GAMMA_I_MAP = SignedMatrix(np.einsum("kab,bc->akc", GAMMA, ISPIN), in_axes=2)
-EPS_GAMMA_MAP = SignedMatrix(np.einsum("mn,kna->kma", EPS_UPPER, GAMMA), in_axes=2)
 PMAT_MAP = SignedMatrix(PMAT, in_axes=2)
 QMAT_MAP = SignedMatrix(QMAT, in_axes=2)
 

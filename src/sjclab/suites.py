@@ -14,6 +14,7 @@ Reports are deterministic for a fixed seed and config.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -45,6 +46,8 @@ from .targets import hsc_curvature_lowered, make_const_hsc, make_flat, make_mode
 
 
 def _check(name: str, passed: bool, value, tol, kind: str) -> dict:
+    if isinstance(value, float) and not math.isfinite(value):
+        value = json.dumps(value)  # "NaN", "Infinity" or "-Infinity": JSON has no such number
     return {
         "name": name,
         "passed": bool(passed),

@@ -1,6 +1,8 @@
-"""Almost Kahler target models with exact chart evaluators.
+"""Kahler target models in holomorphic charts, with exact chart evaluators.
 
-Three kinds are provided:
+Every model is a Kahler metric in a holomorphic chart: J is the constant
+standard matrix :func:`standard_J` and its covariant derivative vanishes, so
+the models carry no evaluator for either.  Three kinds are provided:
 
 * ``flat``: R^{2n} with the standard structures and zero curvature, the
   ``constant-hsc`` model at sigma = 0.
@@ -35,6 +37,7 @@ class ModelError(ValueError):
 
 
 def standard_J(n: int) -> np.ndarray:
+    """The complex structure of every model's chart: J e_{2b} = e_{2b+1}."""
     m = np.zeros((2 * n, 2 * n))
     for b in range(n):
         m[2 * b, 2 * b + 1] = 1.0
@@ -44,12 +47,12 @@ def standard_J(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlmostKahlerModel:
+    """A Kahler metric in a holomorphic chart, with J = standard_J(n)."""
+
     kind: str
     n: int
-    J_at: Callable[[np.ndarray], np.ndarray]
     metric_at: Callable[[np.ndarray], np.ndarray]
     christoffel_at: Callable[[np.ndarray], np.ndarray]
-    nablaJ_at: Callable[[np.ndarray], np.ndarray]
     curvature_at: Callable[[np.ndarray], np.ndarray]
     constant_chart: bool = False  # every chart tensor is the same at all chart points
 
@@ -102,16 +105,12 @@ def hsc_curvature_lowered(sigma: float, n_mat: np.ndarray, J: np.ndarray) -> np.
 def make_const_hsc(sigma: float, n: int) -> AlmostKahlerModel:
     """Pointwise model with the constant-hsc curvature tensor in a flat chart."""
     dim = 2 * n
-    J = standard_J(n)
-    R = hsc_curvature_lowered(sigma, np.eye(dim), J)
-    zeros3 = np.zeros((dim, dim, dim))
+    R = hsc_curvature_lowered(sigma, np.eye(dim), standard_J(n))
     return AlmostKahlerModel(
         kind="constant-hsc",
         n=n,
-        J_at=_const(J),
         metric_at=_const(np.eye(dim)),
-        christoffel_at=_const(zeros3),
-        nablaJ_at=_const(zeros3),
+        christoffel_at=_const(np.zeros((dim, dim, dim))),
         curvature_at=_const(R),
         constant_chart=True,
     )
@@ -127,7 +126,6 @@ def make_fs_cp1() -> AlmostKahlerModel:
 
     Chart metric E(y) delta with E = (1 + |y|^2)^(-2); Gauss curvature 4.
     """
-    J = standard_J(1)
     # Powers go through np.float_power, which rounds like libm pow (Python's
     # float **); the SIMD loops of np.power can differ in the last bit.
     pw = np.float_power
@@ -162,10 +160,8 @@ def make_fs_cp1() -> AlmostKahlerModel:
     return AlmostKahlerModel(
         kind="fubini-study-CP1",
         n=1,
-        J_at=_const(J),
         metric_at=metric_at,
         christoffel_at=christoffel_at,
-        nablaJ_at=_const(np.zeros((2, 2, 2))),
         curvature_at=curvature_at,
     )
 

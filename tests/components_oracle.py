@@ -1,7 +1,8 @@
 """Reference operations on component fields for the tests.
 
 ``spinor_holomorphic_part`` is the complement (1 - I (x) J)/2 of the
-projector ``components.antiholomorphic_part``.  ``sr_vector`` is the cubic
+projector ``components.antiholomorphic_part``, written with ``np.einsum``
+and the standard J of every target chart.  ``sr_vector`` is the cubic
 curvature contraction of ``sjclab.fierz`` on one point, for comparison
 with the grid contraction ``components.sr_contraction``.
 ``weyl_rescale_fields`` and ``weyl_covariance_check`` transform the fields
@@ -20,13 +21,14 @@ from sjclab import fierz
 from sjclab.components import residual_components
 from sjclab.fields import ComponentMap, GridField, Gravitino, max_abs
 from sjclab.patch import ReducedPatch
-from sjclab.spin import EPS_UPPER, ISPIN_MAP
-from sjclab.targets import AlmostKahlerModel
+from sjclab.spin import EPS_UPPER, ISPIN
+from sjclab.targets import AlmostKahlerModel, standard_J
 
 
-def spinor_holomorphic_part(psi: GridField, J: np.ndarray) -> GridField:
+def spinor_holomorphic_part(psi: GridField) -> GridField:
     """(1/2)(1 - I (x) J) on a spinor-valued field."""
-    return psi.map(lambda p: 0.5 * (p - np.einsum("sxyac,xycd->sxyad", ISPIN_MAP.apply(p, -2), J)))
+    J = standard_J(psi.shape[-1] // 2)
+    return psi.map(lambda p: 0.5 * (p - np.einsum("ab,sxybc,cd->sxyad", ISPIN, p, J)))
 
 
 def sr_vector(psi: np.ndarray, R: np.ndarray) -> np.ndarray:

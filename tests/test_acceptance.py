@@ -110,7 +110,7 @@ def test_criterion_4_component_equation_sanity():
     # Kahler target with a holomorphic twisted-spinor section
     rng = np.random.default_rng(104)
     model = make_const_hsc(4.0, 1)
-    J0 = model.J_at(np.zeros(2))
+    J0 = standard_J(1)
     psi = np.zeros((16, M, M, 2, 2), dtype=complex)
     for m in odd_masks(4):
         v = rng.integers(-2, 3, size=2).astype(complex)

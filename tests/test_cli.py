@@ -56,11 +56,21 @@ class TestSuitesViaCli:
         assert run(["linearize", "--grid", "16", "--model", "flat"], tmp_path) == 0
 
     def test_linearize_reports_a_nan_block(self, tmp_path):
-        # a step of 1e300 makes combined's cauchy_riemann and dirac errors NaN
-        assert run(["linearize", "--grid", "8", "--step", "1e300"], tmp_path) == 1
-        report = json.loads((tmp_path / "report.json").read_text())
+        # a step of 1e300 makes combined's cauchy_riemann and dirac errors NaN:
+        # the report stays strict JSON, naming the value as a string, and the
+        # overflow warns nothing on stderr
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(suites.__file__))}
+        cmd = [sys.executable, "-m", "sjclab.cli", "--out-dir", str(tmp_path), "linearize", "--grid", "8", "--step", "1e300"]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        assert done.returncode == 1 and done.stderr == ""
+
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=no_constants)
         failed = [c for c in report["checks"] if not c["passed"]]
-        assert failed and all(not c["value"] <= c["tol"] for c in failed)
+        assert [c["value"] for c in failed] == ["NaN"]
+        assert "(value=NaN)" in done.stdout
 
     def test_reports_byte_stable(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -156,6 +166,19 @@ def test_out_of_range_flag_exit_2(argv, flag, tmp_path, capsys, monkeypatch):
         argv = [str(bundle) if a == "BUNDLE" else a for a in argv]
     assert run(argv, tmp_path) == 2
     assert f"error: {flag} must be " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_non_finite_values_in_reports(tmp_path, capsys, monkeypatch):
+    # a check value is written as a JSON string; any other non-finite number
+    # exits 2 before report.json is opened
+    assert [suites._check("c", False, v, 1.0, "oracle")["value"] for v in (np.nan, np.inf, -np.inf)] == [
+        "NaN", "Infinity", "-Infinity",
+    ]
+    stray = ({"checks": [], "config": {"h": float("inf")}, "passed": True}, {})
+    monkeypatch.setattr(suites, "run", lambda name, params: stray)
+    assert run(["flat"], tmp_path) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -12,8 +12,7 @@ from sjclab.fields import ComponentMap, FieldError, Gravitino, max_abs, odd_mask
 from sjclab.patch import ReducedPatch
 from sjclab.spin import EPS_LOWER, EPS_UPPER, GAMMA, IFRAME, ISPIN, QMAT, project_q
 from sjclab.suites import holomorphic_base_map, random_direction_fields
-from sjclab.targets import make_const_hsc, make_flat, make_fs_cp1
-from targets_oracle import with_synthetic_nablaJ
+from sjclab.targets import make_const_hsc, make_flat, make_fs_cp1, standard_J
 
 
 def grid_waves(M):
@@ -35,7 +34,7 @@ def base_at(model, cmap, patch):
 
 def constrained_constant_psi(L, M, model, rng):
     """Constant dense spinor field with the chirality constraint psi_4 = J psi_3."""
-    J0 = model.J_at(np.zeros(model.dim))
+    J0 = standard_J(model.n)
     psi = gzeros(L, (M, M, 2, model.dim))
     for m in odd_masks(L):
         v = rng.integers(-2, 3, size=model.dim).astype(complex)
@@ -45,6 +44,11 @@ def constrained_constant_psi(L, M, model, rng):
 
 
 # -- einsum oracle: every constant spin/frame matrix contracted with np.einsum, on dense fields --
+
+
+def j_grid(model, M):
+    """The standard J of the model's chart at every grid point, as the einsum oracles contract it."""
+    return np.broadcast_to(standard_J(model.n), (M, M, model.dim, model.dim))
 
 
 def _einsum_antihol_form(T, J):
@@ -117,15 +121,12 @@ def _einsum_dirac_terms(psi, qchi, patch, Gamma, dphi, L):
 def einsum_residual_components(cmap, grav, patch, model):
     L = cmap.L
     psi, F, chi = dense(cmap.psi, L), dense(cmap.F, L), dense(grav.chi, L)
-    J, Gamma, nablaJ, Rop = C.model_grids(model, cmap, patch)
+    Gamma, Rop = C.model_grids(model, cmap, patch)
+    J = j_grid(model, patch.M)
     r1 = psi + np.einsum("sxyac,xycd->sxyad", np.einsum("ab,sxybc->sxyac", ISPIN, psi), J)
     dphi = _oracle_dphi(cmap, patch)
     qchi = _einsum_q(chi)
     r3 = _einsum_antihol_form(dphi, J) + dense_gcontract(qchi, psi, "xykc,xycb->xykb", L)
-    if np.abs(nablaJ).max() > 0:
-        jJ = np.einsum("sxymbc,xycd->sxymbd", np.einsum("sxyma,xyabc->sxymbc", psi, nablaJ), J)
-        t = dense_gcontract(jJ, psi, "xymbc,xyab->xymac", L)
-        r3 = r3 + 0.25 * np.einsum("mn,kna,sxymac->sxykc", EPS_UPPER, GAMMA, t)
     r4 = _einsum_dirac_terms(psi, qchi, patch, Gamma, dphi, L)
     if np.abs(Rop).max() > 0:
         r4 = r4 - _einsum_sr(psi, Rop, L) / 3.0
@@ -135,7 +136,8 @@ def einsum_residual_components(cmap, grav, patch, model):
 def einsum_operator_components(cmap, grav, patch, model):
     L = cmap.L
     psi, F, chi = dense(cmap.psi, L), dense(cmap.F, L), dense(grav.chi, L)
-    J, Gamma, _, Rop = C.model_grids(model, cmap, patch)
+    Gamma, Rop = C.model_grids(model, cmap, patch)
+    J = j_grid(model, patch.M)
     c1 = _einsum_antihol_spinor(psi, J)
     dphi = _oracle_dphi(cmap, patch)
     pairing = dense_gcontract(chi, psi, "xykc,xycb->xykb", L)
@@ -199,17 +201,29 @@ class TestEinsumOracle:
             assert np.abs(old).max() > 0, k
             assert np.array_equal(dense(new, L), old), k
 
-    def test_j_trace_block_matches_einsum(self):
-        rng = np.random.default_rng(44)
-        L, M = 4, 4
-        model = with_synthetic_nablaJ(make_flat(2), rng.standard_normal((4, 4, 4)))
-        cmap, grav = generic_fields(rng, L, M, model)
-        res = C.residual_components(cmap, grav, ReducedPatch(M), model)
-        ref = einsum_residual_components(cmap, grav, ReducedPatch(M), model)
-        for new, old in zip(res.blocks().values(), ref):
-            assert np.array_equal(dense(new, L), old)
-        # the j-term is in play
-        assert np.abs(C.model_grids(model, cmap, ReducedPatch(M))[2]).max() > 0
+
+class TestAntiholomorphicPart:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_signed_map_equals_einsum_with_standard_J(self, dim):
+        # generic complex and real data on a spinor- or form-valued field: the
+        # signed rows return the einsum projector's values (up to the sign of zeros)
+        rng = np.random.default_rng(60 + dim)
+        L, M = 2, 4
+        model = make_flat(dim // 2)
+        field = rng.standard_normal((1 << L, M, M, 2, dim)) + 1j * rng.standard_normal((1 << L, M, M, 2, dim))
+        for data in (field, field.real.astype(complex)):
+            got = dense(C.antiholomorphic_part(pack(data)), L)
+            assert np.array_equal(got, _einsum_antihol_spinor(data, j_grid(model, M)))
+            assert np.array_equal(got, _einsum_antihol_form(data, j_grid(model, M)))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_projector_is_idempotent_and_kills_the_holomorphic_half(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        L, M = 2, 4
+        psi = pack(rng.standard_normal((1 << L, M, M, 2, dim)) + 0j)
+        once = C.antiholomorphic_part(psi)
+        assert max_abs(once) > 0 and max_abs(C.antiholomorphic_part(once) - once) == 0.0
+        assert max_abs(C.antiholomorphic_part(spinor_holomorphic_part(psi))) == 0.0
 
 
 class TestGrad:
@@ -272,13 +286,12 @@ class TestTwistedDirac:
         rng = np.random.default_rng(1)
         _, _, zeta, _ = random_direction_fields(rng, L, M, 2)
         base = base_at(model, cmap, patch)
-        J, _, _, _ = base[0]
-        lhs = 2 * C.antiholomorphic_part(C.twisted_dirac(zeta, patch, *base, L), J)
-        rhs = C.twisted_dirac(2 * spinor_holomorphic_part(zeta, J), patch, *base, L)
+        lhs = 2 * C.antiholomorphic_part(C.twisted_dirac(zeta, patch, *base, L))
+        rhs = C.twisted_dirac(2 * spinor_holomorphic_part(zeta), patch, *base, L)
         assert max_abs(lhs - rhs) <= 1e-9
         # and with the signs swapped
-        lhs2 = 2 * spinor_holomorphic_part(C.twisted_dirac(zeta, patch, *base, L), J)
-        rhs2 = C.twisted_dirac(2 * C.antiholomorphic_part(zeta, J), patch, *base, L)
+        lhs2 = 2 * spinor_holomorphic_part(C.twisted_dirac(zeta, patch, *base, L))
+        rhs2 = C.twisted_dirac(2 * C.antiholomorphic_part(zeta), patch, *base, L)
         assert max_abs(lhs2 - rhs2) <= 1e-9
 
     # a smooth conformal factor, and one that is only C^2 (|sin|^3)
@@ -363,7 +376,7 @@ class TestResiduals:
     def test_wrong_chirality_detected(self):
         L, M = 2, 8
         model = make_flat(1)
-        J0 = model.J_at(np.zeros(2))
+        J0 = standard_J(1)
         psi = gzeros(L, (M, M, 2, 2))
         v = np.array([1.0, 2.0])
         psi[1, :, :, 0, :] = v
@@ -428,7 +441,7 @@ class TestResiduals:
         cmap = replace(ComponentMap.zero(L, M, 2), phi_periodic=phi)
         patch = ReducedPatch(M)
         res = C.residual_components(cmap, Gravitino.zero(L, M), patch, model)
-        J0 = model.J_at(np.zeros(2))
+        J0 = standard_J(1)
         dphi = dense(C.dphi_frame(cmap, patch), L)
         expected = 0.5 * (
             dphi
@@ -495,7 +508,7 @@ class TestResiduals:
         # cancels to exactly zero, and so must the curvature-last contraction
         rng = np.random.default_rng(31)
         L, M, dim = 4, 4, model.dim
-        J0 = model.J_at(np.zeros(dim))
+        J0 = standard_J(model.n)
         for _ in range(5):
             psi = gzeros(L, (M, M, 2, dim))
             for m in odd_masks(L):
@@ -528,7 +541,8 @@ class TestModelGrids:
         cmap = replace(ComponentMap.zero(L, M, 2), phi_periodic=phi)
         body = cmap.phi_body(patch.x1, patch.x2)
         grids = C.model_grids(model, cmap, patch)
-        evaluators = (model.J_at, model.christoffel_at, model.nablaJ_at, model.curvature_op_at)
+        evaluators = (model.christoffel_at, model.curvature_op_at)
+        assert len(grids) == len(evaluators)
         for grid, ev in zip(grids, evaluators):
             pointwise = np.array([[ev(body[i, j]) for j in range(M)] for i in range(M)])
             assert np.array_equal(grid, pointwise)
@@ -539,11 +553,9 @@ class TestModelGrids:
         phi = gzeros(L, (M, M, 4))
         phi[3] = 0.5  # a soul is fine for constant charts
         cmap = replace(ComponentMap.zero(L, M, 4), phi_periodic=phi)
-        J, Gamma, nablaJ, Rop = C.model_grids(model, cmap, ReducedPatch(M))
+        Gamma, Rop = C.model_grids(model, cmap, ReducedPatch(M))
         y0 = np.zeros(4)
-        assert J.shape == (M, M, 4, 4) and np.array_equal(J[3, 5], model.J_at(y0))
         assert Gamma.shape == (M, M, 4, 4, 4) and not Gamma.any()
-        assert nablaJ.shape == (M, M, 4, 4, 4) and not nablaJ.any()
         assert np.array_equal(Rop, np.broadcast_to(model.curvature_op_at(y0), Rop.shape))
 
 
@@ -558,10 +570,10 @@ class TestChiralReduction:
         patch = ReducedPatch(M)
         cmap = ComponentMap.zero(L, M, 2)
         base = base_at(model, cmap, patch)
-        J, _, _, _ = base[0]
+        J = j_grid(model, M)
         _, _, zeta, _ = random_direction_fields(rng, L, M, 2)
-        z10 = spinor_holomorphic_part(zeta, J)
-        lhs = C.antiholomorphic_part(C.twisted_dirac(z10, patch, *base, L), J)
+        z10 = spinor_holomorphic_part(zeta)
+        lhs = C.antiholomorphic_part(C.twisted_dirac(z10, patch, *base, L))
         dz = patch.grad(dense(z10, L))
         rot = np.einsum("kl,sxylae->sxykae", IFRAME, dz)
         antihol_form = 0.5 * (dz + np.einsum("sxykae,xyef->sxykaf", rot, J))
@@ -573,13 +585,11 @@ class TestGravitinoTerms:
     def test_pairing_antiholomorphic_at_holomorphic_map(self):
         rng = np.random.default_rng(6)
         L, M = 2, 16
-        model = make_flat(1)
         patch = ReducedPatch(M)
         cmap = holomorphic_base_map(L, M, 2, slope=1.0 + 0.5j)
-        J, _, _, _ = C.model_grids(model, cmap, patch)
         rho, _, _, _ = random_direction_fields(rng, L, M, 2)
         T = C.vee_q_pairing(rho.map(project_q), C.dphi_frame(cmap, patch), L)
-        assert max_abs(2 * C.antiholomorphic_part(T, J) - 2 * T) <= 1e-12
+        assert max_abs(2 * C.antiholomorphic_part(T) - 2 * T) <= 1e-12
 
     def test_pure_gauge_gravitino_drops_out(self):
         # chi_k = gamma_k s has Q chi = 0, so it cannot move the residual
@@ -601,61 +611,6 @@ class TestGravitinoTerms:
         nq = dense(C.q_norm_squared(rho.map(project_q), L), L)
         assert np.abs(nq[0]).max() == 0.0  # no body: quadratic in odd values
         assert np.abs(nq[1]).max() == 0.0 and np.abs(nq[2]).max() == 0.0
-
-
-class TestJEndomorphism:
-    def test_vanishes_for_kahler_models(self):
-        L, M = 2, 8
-        for model in (make_flat(2), make_const_hsc(4.0, 2), make_fs_cp1()):
-            dim = model.dim
-            nablaJ = np.broadcast_to(
-                model.nablaJ_at(np.zeros(dim)), (M, M, dim, dim, dim)
-            )
-            psi = gzeros(L, (M, M, 2, dim))
-            psi[1] = 1.0
-            jend = C.j_endomorphism(pack(psi), nablaJ)
-            assert max_abs(jend) == 0.0
-
-    def test_anticommutes_with_J_synthetic(self):
-        # two complex target dimensions: in one, all antisymmetric seeds
-        # commute with J and the synthetic derivative collapses to zero
-        rng = np.random.default_rng(9)
-        L, M, dim = 2, 4, 4
-        base = make_flat(2)
-        model = with_synthetic_nablaJ(base, rng.standard_normal((dim, dim, dim)))
-        J0 = model.J_at(np.zeros(dim))
-        nJ0 = model.nablaJ_at(np.zeros(dim))
-        assert np.abs(nJ0).max() > 0.1
-        nablaJ = np.broadcast_to(nJ0, (M, M, dim, dim, dim))
-        psi = gzeros(L, (M, M, 2, dim))
-        psi[1] = rng.standard_normal((M, M, 2, dim))
-        jend = C.j_endomorphism(pack(psi), nablaJ).blocks
-        anti = np.einsum("sxymbc,cd->sxymbd", jend, J0) + np.einsum(
-            "bc,sxymcd->sxymbd", J0, jend
-        )
-        assert np.abs(anti).max() <= 1e-12
-
-    def test_j_terms_regression_values(self):
-        # non-Kahler code path: frozen numbers pin the reconstructed
-        # contraction order of the trace terms
-        L, M, dim = 2, 4, 4
-        base = make_flat(2)
-        seeds = np.zeros((dim, dim, dim))
-        seeds[0][0, 2] = 1.0
-        seeds[0][2, 0] = -1.0
-        model = with_synthetic_nablaJ(base, seeds)
-        nJ0 = model.nablaJ_at(np.zeros(dim))
-        assert np.abs(nJ0).max() > 0.0
-        psi = gzeros(L, (M, M, 2, dim))
-        psi[1, :, :, 0, 0] = 1.0
-        psi[2, :, :, 1, 2] = 2.0
-        cmap = replace(ComponentMap.zero(L, M, dim), psi=psi)
-        res = C.residual_components(cmap, Gravitino.zero(L, M), ReducedPatch(M), model)
-        norms = res.max_norms()
-        assert norms["chirality"] == pytest.approx(2.0, abs=1e-14)
-        assert norms["cauchy_riemann"] == pytest.approx(0.5, abs=1e-14)
-        assert norms["auxiliary"] == 0.0
-        assert norms["dirac"] == 0.0
 
 
 class TestWeylCovariance:

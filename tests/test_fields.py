@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fields_oracle import dense, dense_gcontract, gzeros, on_live_masks, pack
 from grassmann_oracle import GrassmannElement, elements
-from sjclab.components import _gamma_dphi, antiholomorphic_part, j_endomorphism
+from sjclab.components import _antiholomorphic_map, _gamma_dphi, antiholomorphic_part
 from sjclab.fields import (
     ComponentMap,
     FieldError,
@@ -18,7 +18,8 @@ from sjclab.fields import (
 )
 from sjclab.grassmann import merge_sign
 from sjclab.patch import ReducedPatch
-from sjclab.spin import EPS_LOWER_PAIRING, GAMMA_MAP, ISPIN_MAP, QMAT_MAP
+from sjclab.spin import EPS_LOWER_PAIRING, GAMMA_MAP, IFRAME_MAP, ISPIN, QMAT_MAP
+from sjclab.targets import standard_J
 
 
 def test_mask_parities():
@@ -171,14 +172,12 @@ def masked_field(rng, L, shape, live):
 def live_block_kernels(rng, M, dim):
     """(name, the kernel on a packed field, the kernel on a whole dense field, block shape)."""
     patch = ReducedPatch(M)
-    J = rng.standard_normal((M, M, dim, dim))
-    nablaJ = rng.standard_normal((M, M, dim, dim, dim))
     Gamma = rng.standard_normal((M, M, dim, dim, dim))
     Rop = rng.standard_normal((M, M, dim, dim, dim, dim))
     sr = "sxymanbc,xyabce->sxyme"  # the last einsum of sr_contraction
     return [
         ("grad", lambda f: f.map(patch.grad), patch.grad, (M, M, 2, dim)),
-        ("ISPIN_MAP", lambda f: f.map(ISPIN_MAP.apply, -2), lambda f: ISPIN_MAP.apply(f, 3), (M, M, 2, dim)),
+        ("IFRAME_MAP", lambda f: f.map(IFRAME_MAP.apply, -2), lambda f: IFRAME_MAP.apply(f, 3), (M, M, 2, dim)),
         ("GAMMA_MAP", lambda f: f.map(GAMMA_MAP.apply, -3), lambda f: GAMMA_MAP.apply(f, 3), (M, M, 2, 2, dim)),
         ("QMAT_MAP", lambda f: f.map(QMAT_MAP.apply, -2), lambda f: QMAT_MAP.apply(f, 3), (M, M, 2, 2)),
         (
@@ -189,14 +188,8 @@ def live_block_kernels(rng, M, dim):
         ),
         (
             "antiholomorphic_part",
-            lambda f: antiholomorphic_part(f, J),
-            lambda f: 0.5 * (f + np.einsum("sxyac,xycd->sxyad", ISPIN_MAP.apply(f, 3), J)),
-            (M, M, 2, dim),
-        ),
-        (
-            "j_endomorphism",
-            lambda f: j_endomorphism(f, nablaJ),
-            lambda f: np.einsum("sxyma,xyabc->sxymbc", f, nablaJ),
+            antiholomorphic_part,
+            lambda f: _antiholomorphic_map(dim).apply(f, 3),
             (M, M, 2, dim),
         ),
         (
@@ -265,7 +258,7 @@ def test_packed_kernels_match_the_dense_oracle(case):
     M, patch = 4, ReducedPatch(4)
     a = masked_field(rng, L, (M, M, 2, 2), live_a)
     b = a.copy() if cancel else masked_field(rng, L, (M, M, 2, 2), live_b)
-    J = rng.standard_normal((M, M, 2, 2))
+    J = standard_J(1)
     pa, pb = pack(a), pack(b)
     assert pa.masks == tuple(live_a)
     for spec in ("xyka,xykb->xyab", "xyka,xyka->xyka"):
@@ -276,11 +269,8 @@ def test_packed_kernels_match_the_dense_oracle(case):
     kernels = [
         (lambda f: f.map(patch.grad), patch.grad),
         (lambda f: f.map(GAMMA_MAP.apply, -2), lambda f: GAMMA_MAP.apply(f, -2)),
-        (lambda f: f.map(ISPIN_MAP.apply, -2), lambda f: ISPIN_MAP.apply(f, -2)),
-        (
-            lambda f: antiholomorphic_part(f, J),
-            lambda f: 0.5 * (f + np.einsum("sxyac,xycd->sxyad", ISPIN_MAP.apply(f, -2), J)),
-        ),
+        (lambda f: f.map(IFRAME_MAP.apply, -2), lambda f: IFRAME_MAP.apply(f, -2)),
+        (antiholomorphic_part, lambda f: 0.5 * (f + np.einsum("ab,...bc,cd->...ad", ISPIN, f, J))),
     ]
     for packed_path, kernel in kernels:
         assert same_up_to_zero_signs(dense(packed_path(pa), L), on_live_masks(kernel, a))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from sjclab import components as C
-from sjclab.fields import ComponentMap, Gravitino, max_abs
+from sjclab.fields import ComponentMap, Gravitino, GridField, max_abs
 from sjclab.patch import ReducedPatch
 from sjclab.spin import project_q
 from sjclab.suites import holomorphic_base_map, random_direction_fields
-from sjclab.targets import make_const_hsc, make_flat
+from sjclab.targets import make_const_hsc, make_flat, make_fs_cp1
 
 
 @pytest.fixture(scope="module")
@@ -103,17 +103,24 @@ def test_precondition_rejects_nonholomorphic_base():
         C.linearization_fd_checks(cmap, patch, model, {"xi": C.Directions(xi=dirs[1])})
 
 
-def test_operator_components_rejects_non_kahler():
-    from targets_oracle import with_synthetic_nablaJ
-
+def test_fubini_study_model():
+    # position-dependent chart tensors: the Christoffel terms of d_phi_operator
+    # and twisted_dirac are live, where flat and constant-hsc have Gamma = 0
     rng = np.random.default_rng(3)
-    L, M = 2, 8
-    model = with_synthetic_nablaJ(make_flat(2), rng.standard_normal((4, 4, 4)))
-    cmap = ComponentMap.zero(L, M, 4)
+    L, M = 2, 16
+    model = make_fs_cp1()
     patch = ReducedPatch(M)
-    base = C.model_grids(model, cmap, patch), C.dphi_frame(cmap, patch)
-    with pytest.raises(C.PreconditionError):
-        C.operator_components(cmap, Gravitino.zero(L, M), patch, *base)
+    cmap = holomorphic_base_map(L, M, model.dim)
+    rho, xi, zeta, _ = random_direction_fields(rng, L, M, model.dim)
+    assert xi.masks[0] == 0
+    body_xi = GridField((0,), xi.blocks[:1])  # this chart needs a soul-free phi
+    assert np.abs(C.model_grids(model, cmap, patch)[0]).max() > 0.1
+    # one direction at a time: along a combined line Gamma(phi) meets zeta, and
+    # the O(h^2) error of the Dirac block (7.7e-6 at h/2) exceeds the tolerance
+    named = {"xi": C.Directions(xi=body_xi), "zeta": C.Directions(zeta=zeta), "rho": C.Directions(rho=rho)}
+    for name, rep in C.linearization_fd_checks(cmap, patch, model, named).items():
+        assert rep["passed"], name
+        assert max(b["rel_error_h2"] for b in rep["blocks"].values()) <= 1e-12, name
 
 
 def test_named_directions_share_one_base_check(setup, monkeypatch):

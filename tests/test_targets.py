@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from sjclab.targets import (
     make_model,
     standard_J,
 )
-from targets_oracle import sectional_value, validate_model, with_synthetic_nablaJ
+from targets_oracle import sectional_value, validate_model
 
 
 def fs_christoffel_jet(y):
@@ -43,39 +45,47 @@ def curvature_from_christoffels(model, y):
 
 
 class TestModelValidation:
+    # every model make_model builds: a Kahler metric in a holomorphic chart with the standard J
     @pytest.mark.parametrize(
-        "model,tol",
+        "descriptor,dim,tol",
         [
-            (make_flat(2), 1e-12),
-            (make_const_hsc(4.0, 2), 1e-12),
-            (make_const_hsc(-4.0, 1), 1e-12),
-            (make_fs_cp1(), 1e-9),
+            ({"kind": "flat", "n": 1}, 2, 1e-12),
+            ({"kind": "flat", "n": 2}, 4, 1e-12),
+            ({"kind": "constant-hsc", "n": 2, "sigma": 4.0}, 4, 1e-12),
+            ({"kind": "constant-hsc", "n": 1, "sigma": -4.0}, 2, 1e-12),
+            ({"kind": "fubini-study-CP1", "n": 1}, 2, 1e-9),
         ],
-        ids=["flat", "hsc4", "hsc-4", "fs-cp1"],
+        ids=["flat-n1", "flat", "hsc4", "hsc-4", "fs-cp1"],
     )
-    def test_invariants_at_100_points(self, model, tol):
+    def test_invariants_at_100_points(self, descriptor, dim, tol):
+        model = make_model(descriptor, dim)
         rng = np.random.default_rng(0)
         pts = rng.uniform(-0.8, 0.8, size=(100, model.dim))
         rep = validate_model(model, pts, tol=tol)
         assert rep.passed, {k: v for k, v in rep.checks.items() if not v["passed"]}
 
+    def test_fubini_study_christoffels_complex_linear_to_roundoff(self):
+        rng = np.random.default_rng(5)
+        rep = validate_model(make_fs_cp1(), rng.uniform(-3.0, 3.0, size=(100, 2)), tol=0.0)
+        assert rep.checks["christoffel_J_linearity"]["max_deviation"] <= 1e-15
+
     def test_flat_deviations_exactly_zero(self):
         rep = validate_model(make_flat(1), np.zeros((3, 2)), tol=0.0)
         assert rep.passed
 
-    def test_corrupted_J_fails(self):
-        model = make_flat(1)
-        bad = type(model)(
-            kind="flat",
-            n=1,
-            J_at=lambda y: np.eye(2),  # not a complex structure
-            metric_at=model.metric_at,
-            christoffel_at=model.christoffel_at,
-            nablaJ_at=model.nablaJ_at,
-            curvature_at=model.curvature_at,
-        )
-        rep = validate_model(bad, np.zeros((1, 2)))
-        assert not rep.checks["J_squared"]["passed"]
+    def test_non_kahler_charts_fail(self):
+        fs = make_fs_cp1()
+
+        def skewed_christoffel(y):
+            G = np.array(fs.christoffel_at(y))
+            G[..., 0, 1, 1] *= -1.0  # Gamma^1_{11} = +d1 breaks Gamma(JX, Y) = J Gamma(X, Y)
+            return G
+
+        y = np.array([[0.3, -0.2]])
+        bad_gamma = dataclasses.replace(fs, christoffel_at=skewed_christoffel)
+        assert not validate_model(bad_gamma, y).checks["christoffel_J_linearity"]["passed"]
+        bad_metric = dataclasses.replace(fs, metric_at=lambda y: np.diag([1.0, 2.0]))
+        assert not validate_model(bad_metric, y).checks["metric_J_invariance"]["passed"]
 
     def test_descriptor_roundtrip(self):
         m = make_model({"kind": "constant-hsc", "n": 2, "sigma": -4.0}, 4)
@@ -151,27 +161,9 @@ class TestFubiniStudy:
             assert abs(sectional_value(fs, y, X) - 4.0) <= 1e-10
 
 
-class TestSyntheticNablaJ:
-    def test_anticommutes_with_J_and_metric_antisymmetric(self):
-        rng = np.random.default_rng(8)
-        base = make_flat(2)
-        seeds = rng.standard_normal((4, 4, 4))
-        model = with_synthetic_nablaJ(base, seeds)
-        J = model.J_at(np.zeros(4))
-        nJ = model.nablaJ_at(np.zeros(4))
-        for a in range(4):
-            A = nJ[a]
-            assert np.abs(A @ J + J @ A).max() <= 1e-12
-            assert np.abs(A + A.T).max() <= 1e-12
-        rep = validate_model(model, np.zeros((2, 4)), tol=1e-12)
-        assert rep.checks["nabla_bar_J"]["passed"]
-
-
 CHART_FIELDS = (
-    "J_at",
     "metric_at",
     "christoffel_at",
-    "nablaJ_at",
     "curvature_at",
     "curvature_op_at",
 )
@@ -191,16 +183,6 @@ class TestBatchedEvaluators:
             assert batch.shape[:2] == ys.shape[:2], name
             assert np.array_equal(batch, pointwise(ev, ys)), name
 
-    def test_synthetic_nablaJ_batch_equals_pointwise(self):
-        rng = np.random.default_rng(10)
-        for base in (make_flat(2), make_fs_cp1()):
-            dim = base.dim
-            model = with_synthetic_nablaJ(base, rng.standard_normal((dim, dim, dim)))
-            ys = rng.uniform(-1.0, 1.0, size=(7, 5, dim))
-            batch = model.nablaJ_at(ys)
-            assert batch.shape == (7, 5, dim, dim, dim)
-            assert np.array_equal(batch, pointwise(model.nablaJ_at, ys))
-
     def test_constant_charts_broadcast_read_only(self):
         m = make_const_hsc(4.0, 2)
         ys = np.zeros((3, 4, 4))
@@ -214,9 +196,9 @@ class TestBatchedEvaluators:
         [
             make_flat(1),
             make_const_hsc(-4.0, 2),
-            with_synthetic_nablaJ(make_const_hsc(4.0, 1), np.ones((2, 2, 2))),
+            make_const_hsc(4.0, 1),
         ],
-        ids=["flat", "hsc-n2", "hsc+synthetic"],
+        ids=["flat", "hsc-n2", "hsc-n1"],
     )
     def test_constant_chart_curvature_op_broadcast_read_only(self, model):
         # evaluated once, yet equal to R n^-1 formed at every point
