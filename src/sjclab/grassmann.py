@@ -34,16 +34,15 @@ def merge_sign(mask_a: int, mask_b: int) -> int:
         j = b & -b
         # generators in a strictly above j must hop over it
         above = mask_a & ~(j | (j - 1))
-        if bin(above).count("1") % 2:
+        if above.bit_count() & 1:
             sign = -sign
         b ^= j
     return sign
 
 
 def reversal_sign(mask: int) -> int:
-    """Sign (-1)^(k(k-1)/2) from reversing a k-generator monomial."""
-    k = bin(mask).count("1")
-    return -1 if (k * (k - 1) // 2) % 2 else 1
+    """Sign (-1)^(k(k-1)/2) from reversing a k-generator monomial: -1 iff k mod 4 is 2 or 3."""
+    return -1 if mask.bit_count() & 2 else 1
 
 
 def format_complex(c: complex) -> str:

@@ -12,29 +12,37 @@ signs of products come from ``grassmann.merge_sign``.  Zero coefficients are
 never stored, so structural equality is algebraic equality.  All operations
 are exact on exact data.
 
-The frames ``apply_D3`` and ``apply_D4`` are one index map each over the
-terms: the eta derivative, then the e3 part, then the e4 part, added with
-the rounding and zero dropping of the sum.  They give the keys, key order
-and coefficient bits of the product-built form ``deta + eta3 * dx + eta4 *
-dx`` (kept as a test oracle), so later products accumulate in the same
-order.
+The maps that the flat-model checks apply are each one index map over the
+terms, with no intermediate ``SuperField``: the frames ``apply_D3`` and
+``apply_D4`` (the eta derivative, then the e3 part, then the e4 part),
+``apply_Dbar``, ``theta_components``, ``components_from_complex``,
+``FlatTargetJ.apply`` and ``flat_sjc_residual``.  Each gives the keys, key
+order and coefficient bits of its composition from ``SuperField`` products,
+scalar products and sums (kept as test oracles), with the same rounding
+order and zero dropping, so later sums accumulate in the same order and an
+exact zero is found or lost exactly as the composition finds or loses it.
 
 Literal grammar (``SuperField.from_text``; ``to_text`` writes it back):
 
 * a literal is ``0`` or a sum of terms joined by ``+`` outside parentheses;
 * a term is ``*``-separated factors.  At most one factor is a finite
-  complex number such as ``2.0``, ``-1.5`` or ``(0+1j)`` (default 1); every
-  other factor is a space-separated list of the symbols ``x1``, ``x2``,
-  ``x1^n``, ``x2^n`` (n >= 0), ``e3``, ``e4`` and ``l1`` .. ``lL``;
+  complex number such as ``2.0``, ``-1.5`` or ``(0+1j)`` (default 1), one
+  literal with no inner spaces or underscores; every other factor is a
+  space-separated list of the symbols ``x1``, ``x2``, ``x1^n``, ``x2^n``
+  (n >= 0), ``e3``, ``e4`` and ``l1`` .. ``lL``.  The coefficient is the
+  first factor that does not start with ``x``, ``e`` or ``l``;
+* no term and no factor is empty: ``x1 +``, ``x1 + + x2`` and
+  ``x1 * * x2`` are malformed;
 * a term is the product of its factors in the order written: ``e4 e3``
   is ``-e3 e4``, ``l1 * e3`` is ``-e3 l1`` and a repeated odd symbol gives 0;
 * a term's degree in (x1, x2) is at most ``MAX_DEGREE``.
 
-Anything else raises ValueError naming the offending token.
+Anything else raises ValueError naming the offending token, factor or term.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -49,8 +57,10 @@ _ONE = complex(1.0)  # the coefficient of a bare eta, as a product factor
 _ETA_BITS = {"e3": 1, "e4": 2}
 _X_POWER = re.compile(r"x([12])(?:\^([0-9]+))?")
 _BASE_GEN = re.compile(r"l([1-9][0-9]*)")
-# parentheses, and every '+' but the sign of an exponent such as 1e+20
-_SUM_TOKENS = re.compile(r"[()]|(?<![0-9.][eE])\+")
+# every '+' but the sign of an exponent such as 1e+20
+_PLUS = re.compile(r"(?<![0-9.][eE])\+")
+# text that complex() reads but a coefficient literal may not hold
+_NOT_IN_COEFF = re.compile(r"[\s_]")
 
 
 class SuperField:
@@ -201,14 +211,14 @@ class SuperField:
 
     def parity(self) -> str:
         """'even', 'odd', or 'mixed' (zero counts as even)."""
-        if not self.terms:
-            return "even"
-        lengths = {bin(mask).count("1") % 2 for mask, _, _ in self.terms}
-        if lengths == {0}:
-            return "even"
-        if lengths == {1}:
-            return "odd"
-        return "mixed"
+        odd = None
+        for mask, _, _ in self.terms:
+            bit = mask.bit_count() & 1
+            if odd is None:
+                odd = bit
+            elif bit != odd:
+                return "mixed"
+        return "odd" if odd else "even"
 
     # -- derivations -------------------------------------------------------
 
@@ -223,7 +233,8 @@ class SuperField:
         )
 
     def dzbar(self) -> "SuperField":
-        return (self.dx1() + self.dx2() * 1j) * 0.5
+        """d/dzbar = (d/dx1 + i d/dx2) / 2, rounded as (dx1 + dx2 * 1j) * 0.5."""
+        return SuperField._wrap(self.L, _half_sum(self.dx1().terms, self.dx2().terms, 1j))
 
     def conjugate(self) -> "SuperField":
         """Graded star: fixes x, eta and base generators, reverses products."""
@@ -234,17 +245,25 @@ class SuperField:
     # -- component views --------------------------------------------------
 
     def theta_components(self) -> tuple["SuperField", "SuperField", "SuperField", "SuperField"]:
-        """Eta-free f, g, h, k with self = f + theta g + theta_bar h + theta theta_bar k."""
-        c0, c3, c4, c34 = (
-            SuperField._derived(
-                self.L, {(m & ~3, a, b): c for (m, a, b), c in self.terms.items() if m & 3 == em}
-            )
-            for em in range(4)
-        )
-        g = (c3 + c4 * (-1j)) * 0.5
-        h = (c3 + c4 * 1j) * 0.5
-        k = c34 * (0.5j)  # theta theta_bar = -2i e3 e4
-        return c0, g, h, k
+        """Eta-free f, g, h, k with self = f + theta g + theta_bar h + theta theta_bar k.
+
+        One pass splits the terms by their eta part c0 + e3 c3 + e4 c4 + e3 e4
+        c34; then g = (c3 + c4 * -1j) * 0.5, h = (c3 + c4 * 1j) * 0.5 and
+        k = c34 * 0.5j, since theta theta_bar = -2i e3 e4.
+        """
+        c0, c3, c4, k = {}, {}, {}, {}
+        parts = (c0, c3, c4)
+        for (m, a, b), c in self.terms.items():
+            eta = m & 3
+            if eta == 3:
+                c = c * 0.5j
+                if c != 0:
+                    k[(m ^ 3, a, b)] = c
+            else:
+                parts[eta][(m ^ eta, a, b)] = c
+        L = self.L
+        g, h = (SuperField._wrap(L, _half_sum(c3, c4, w)) for w in (-1j, 1j))
+        return SuperField._wrap(L, c0), g, h, SuperField._wrap(L, k)
 
     # -- serialization ------------------------------------------------------
 
@@ -270,30 +289,29 @@ class SuperField:
         if text in ("0", ""):
             return out
         terms: dict[tuple[int, int, int], complex] = {}
-        for chunk in _split_sum(text):
-            coeff, sign, mask, powers = 1.0 + 0j, 1, 0, [0, 0]
+        for n, chunk in enumerate(_split_sum(text), 1):
+            if not chunk:
+                raise ValueError(f"term {n} of superfield literal {text!r} is empty")
+            coeff, sign, mask, a, b = _ONE, 1, 0, 0, 0
             saw_coeff = False
-            for factor in (f.strip() for f in chunk.split("*")):
-                tokens = factor.split()
-                if not tokens:
-                    continue
-                if not saw_coeff and not any(t.startswith(("x", "e", "l")) for t in tokens):
+            for factor in chunk.split("*"):
+                factor = factor.strip()
+                if not factor:
+                    raise ValueError(f"empty factor in superfield literal term {chunk!r}")
+                if not saw_coeff and factor[0] not in "xel":
                     coeff, saw_coeff = _parse_coeff(factor), True
                     continue
-                for tok in tokens:
-                    power = _X_POWER.fullmatch(tok)
-                    if power:
-                        powers[int(power[1]) - 1] += int(power[2] or 1)
-                    else:
-                        bit = _odd_bit(tok, L)
-                        sign *= merge_sign(mask, bit)  # 0 once a symbol repeats
-                        mask |= bit
-            if sum(powers) > MAX_DEGREE:
+                fmask, fsign, fa, fb = _symbol_factor(L, factor)
+                sign *= fsign * merge_sign(mask, fmask)  # 0 once a symbol repeats
+                mask |= fmask
+                a += fa
+                b += fb
+            if a + b > MAX_DEGREE:
                 raise ValueError(
-                    f"superfield literal term {chunk!r} has degree {sum(powers)}, above the cap {MAX_DEGREE}"
+                    f"superfield literal term {chunk!r} has degree {a + b}, above the cap {MAX_DEGREE}"
                 )
             if sign:
-                key = (mask, *powers)
+                key = (mask, a, b)
                 terms[key] = terms.get(key, 0) + (coeff if sign > 0 else -coeff)
         return cls._derived(L, terms)
 
@@ -313,30 +331,58 @@ def _odd_bit(tok: str, L: int) -> int:
     )
 
 
+@functools.lru_cache(maxsize=1024)  # a literal file repeats a few dozen symbol factors
+def _symbol_factor(L: int, factor: str) -> tuple[int, int, int, int]:
+    """(mask, sign, a, b) of a symbol factor: its odd symbols multiplied in the
+    order written give sign * monomial(mask) (sign 0 once a symbol repeats),
+    and its x powers give x1^a x2^b.
+
+    Merging the factor into a term's monomial ``m`` then takes the sign
+    ``sign * merge_sign(m, mask)``, the product of the per-symbol merge signs.
+    """
+    mask, sign, powers = 0, 1, [0, 0]
+    for tok in factor.split():
+        power = _X_POWER.fullmatch(tok)
+        if power:
+            powers[int(power[1]) - 1] += int(power[2] or 1)
+        else:
+            bit = _odd_bit(tok, L)
+            sign *= merge_sign(mask, bit)
+            mask |= bit
+    return mask, sign, powers[0], powers[1]
+
+
 def _parse_coeff(factor: str) -> complex:
-    try:
-        c = complex(factor.replace(" ", ""))
-    except ValueError:
-        raise ValueError(f"bad coefficient {factor!r} in superfield literal") from None
+    c = None
+    if not _NOT_IN_COEFF.search(factor):
+        try:
+            c = complex(factor)
+        except ValueError:
+            pass
+    if c is None:
+        raise ValueError(f"bad coefficient {factor!r} in superfield literal")
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError(f"non-finite coefficient {factor!r} in superfield literal")
     return c
 
 
 def _split_sum(text: str) -> list[str]:
-    """Split a sum on '+' outside parentheses and outside exponents like 1e+20."""
-    chunks = []
-    depth = start = 0
-    for token in _SUM_TOKENS.finditer(text):
-        if token[0] == "(":
-            depth += 1
-        elif token[0] == ")":
-            depth -= 1
-        elif depth == 0:
-            chunks.append(text[start : token.start()])
-            start = token.end()
-    chunks.append(text[start:])
-    return [c for c in (c.strip() for c in chunks) if c]
+    """Split a sum on '+' outside parentheses and outside exponents like 1e+20.
+
+    Chunks are stripped; an empty one (``x1 +``) is kept, for the parser to reject.
+    """
+    chunks, pending = [], []
+    depth = 0
+    for piece in _PLUS.split(text):
+        # a '+' splits only at parenthesis depth 0; the pieces between are joined again
+        pending.append(piece)
+        depth += piece.count("(") - piece.count(")")
+        if depth == 0:
+            chunks.append("+".join(pending).strip())
+            pending = []
+    if pending:
+        chunks.append("+".join(pending).strip())
+    return chunks
 
 
 # -- the flat superconformal frames ------------------------------------------
@@ -352,53 +398,82 @@ def _accumulate(terms: dict, items) -> None:
             terms.pop(k, None)
 
 
-def _eta_dx(terms: dict, bit: int, axis: int, sign: int) -> list:
-    """(key, coeff) of sign * eta * d/dx_axis for the eta at ``bit``, in ``terms`` order.
+def _half_sum(p: dict, q: dict, w: complex) -> dict:
+    """Terms of (P + Q * w) * 0.5 for w = 1j or -1j, from the terms of P and Q.
 
-    Each coefficient is rounded as the generic product forms it: the eta
-    factor's 1.0 times the derivative's, times the merge sign, added to 0.
-    A minus sign then negates the result, as ``SuperField.__sub__`` does.
+    Same keys, key order and coefficient bits as the ``SuperField`` scalar
+    products and sum: the keys of P, then those only in Q; a key only in Q
+    takes ``0 + q * w`` as the sum adds it; a zero is dropped after the sum
+    and after the halving.  ``q * w`` is nonzero for nonzero q, so the
+    product ``Q * w`` drops nothing.
     """
-    out = []
-    for (m, a, b), c in terms.items():
-        p = a if axis == 1 else b
-        if p and not m & bit:
-            c = 0 + _ONE * (p * c) * (-1 if m & (bit - 1) else 1)
-            key = (m | bit, a - 1, b) if axis == 1 else (m | bit, a, b - 1)
-            out.append((key, c if sign > 0 else -c))
+    out = {}
+    for k, c in p.items():
+        if k in q:
+            c = c + q[k] * w
+        c = c * 0.5
+        if c != 0:
+            out[k] = c
+    for k, c in q.items():
+        if k not in p:
+            c = (0 + c * w) * 0.5
+            if c != 0:
+                out[k] = c
     return out
 
 
-def _frame(field: SuperField, bit: int, e3_axis: int, e4_axis: int, e4_sign: int) -> SuperField:
-    """d/deta + e3 d/dx_(e3_axis) + e4_sign e4 d/dx_(e4_axis), eta at ``bit``, as one index map.
+# eta bit, axis of the e3 part, axis and sign of the e4 part
+_D3 = (1, 1, 2, 1)  # D3 = d/de3 + e3 d/dx1 + e4 d/dx2
+_D4 = (2, 2, 1, -1)  # D4 = d/de4 + e3 d/dx2 - e4 d/dx1
+
+
+def _frame(terms: dict, bit: int, e3_axis: int, e4_axis: int, e4_sign: int) -> dict:
+    """Terms of d/deta + e3 d/dx_(e3_axis) + e4_sign e4 d/dx_(e4_axis), eta at ``bit``.
 
     Same terms, key order and coefficient bits as the product form
     ``deta + eta3 * dx + eta4 * dx`` built from ``SuperField`` products and
-    sums: the parts are added in that order, with the sum's own rounding and
-    zero dropping (``_accumulate``).
+    sums.  One pass over the terms forms the three parts; the e3 and e4
+    parts are then added to the eta derivative in that order, with the
+    sum's own rounding and zero dropping (``_accumulate``).  Each part's
+    coefficient is rounded as the generic product forms it: the eta
+    factor's 1.0 times the derivative's, times the merge sign, added to 0;
+    a minus sign then negates it, as ``SuperField.__sub__`` does.
     """
-    terms = {}  # the left eta derivative; c * s is nonzero for nonzero c
-    for (m, a, b), c in field.terms.items():
+    out = {}  # the left eta derivative; c * s is nonzero for nonzero c
+    e3_part, e4_part = [], []
+    for key, c in terms.items():
+        m, a, b = key
         if m & bit:
-            terms[(m ^ bit, a, b)] = c * (-1 if m & (bit - 1) else 1)  # only e3 lies below e4
-    _accumulate(terms, _eta_dx(field.terms, 1, e3_axis, 1))
-    _accumulate(terms, _eta_dx(field.terms, 2, e4_axis, e4_sign))
-    return SuperField._wrap(field.L, terms)
+            out[(m ^ bit, a, b)] = c * (-1 if m & (bit - 1) else 1)  # only e3 lies below e4
+        p = key[e3_axis]
+        if p and not m & 1:  # e3 is the lowest generator: merge sign 1
+            k = (m | 1, a - 1, b) if e3_axis == 1 else (m | 1, a, b - 1)
+            e3_part.append((k, 0 + _ONE * (p * c) * 1))
+        p = key[e4_axis]
+        if p and not m & 2:
+            k = (m | 2, a - 1, b) if e4_axis == 1 else (m | 2, a, b - 1)
+            v = 0 + _ONE * (p * c) * (-1 if m & 1 else 1)
+            e4_part.append((k, v if e4_sign > 0 else -v))
+    _accumulate(out, e3_part)
+    _accumulate(out, e4_part)
+    return out
 
 
 def apply_D3(field: SuperField) -> SuperField:
     """D3 = d/de3 + e3 d/dx1 + e4 d/dx2."""
-    return _frame(field, 1, 1, 2, 1)
+    return SuperField._wrap(field.L, _frame(field.terms, *_D3))
 
 
 def apply_D4(field: SuperField) -> SuperField:
     """D4 = d/de4 + e3 d/dx2 - e4 d/dx1."""
-    return _frame(field, 2, 2, 1, -1)
+    return SuperField._wrap(field.L, _frame(field.terms, *_D4))
 
 
 def apply_Dbar(field: SuperField) -> SuperField:
-    """Dbar = (D3 + i D4) / 2 = d/dtheta_bar + theta_bar d/dzbar."""
-    return (apply_D3(field) + apply_D4(field) * 1j) * 0.5
+    """Dbar = (D3 + i D4) / 2 = d/dtheta_bar + theta_bar d/dzbar, as (D3 + D4 * 1j) * 0.5 rounds it."""
+    return SuperField._wrap(
+        field.L, _half_sum(_frame(field.terms, *_D3), _frame(field.terms, *_D4), 1j)
+    )
 
 
 class FlatTargetJ:
@@ -415,36 +490,64 @@ class FlatTargetJ:
 
     def apply(self, vec: list[SuperField]) -> list[SuperField]:
         """(J v)^b = sum_c v^c J[c, b], skipping the zero entries of J."""
+        return [SuperField._wrap(vec[0].L, t) for t in self._apply_terms([v.terms for v in vec])]
+
+    def _apply_terms(self, vec: list[dict]) -> list[dict]:
+        """Terms of ``apply`` from the terms of v: each sum starts empty and adds
+        the products v^c * J[c, b] in order of c, each with its zeros dropped,
+        as ``zero() + v^c * J[c, b] + ...`` rounds it.
+        """
         out = []
         for b in range(self.dim):
-            acc = SuperField.zero(vec[0].L)
+            acc: dict = {}
             for c in range(self.dim):
                 jcb = self.matrix[c, b]
                 if jcb:
-                    acc = acc + vec[c] * jcb
+                    _accumulate(acc, ((k, p) for k, v in vec[c].items() if (p := v * jcb) != 0))
             out.append(acc)
         return out
 
 
 def flat_sjc_residual(components: list[SuperField], J: FlatTargetJ) -> list[SuperField]:
-    """Residuals D3(Y^b) + D4(Y^c) J_c^b of the flat-model first-order system."""
+    """Residuals D3(Y^b) + D4(Y^c) J_c^b of the flat-model first-order system.
+
+    Each J-column sum of the D4 terms is added into the terms of D3(Y^b), as
+    ``apply_D3(y) + J.apply(...)[b]`` rounds it: the column sum is formed
+    first, so a column with two nonzero entries rounds as that sum does.
+    """
     if len(components) != J.dim:
         raise ValueError(f"expected {J.dim} components, got {len(components)}")
     for y in components:
-        if y.parity() not in ("even",):
+        if y.parity() != "even":
             raise ValueError("map components must be even superfields")
-    d3 = [apply_D3(y) for y in components]
-    jd4 = J.apply([apply_D4(y) for y in components])
-    return [r + s for r, s in zip(d3, jd4)]
+    jd4 = J._apply_terms([_frame(y.terms, *_D4) for y in components])
+    out = []
+    for y, s in zip(components, jd4):
+        terms = _frame(y.terms, *_D3)
+        _accumulate(terms, s.items())
+        out.append(SuperField._wrap(y.L, terms))
+    return out
 
 
 def components_from_complex(z_components: list[SuperField]) -> list[SuperField]:
-    """Real map components (r^1, s^1, r^2, s^2, ...) from Z^b = r^b + i s^b."""
+    """Real map components (r^1, s^1, r^2, s^2, ...) from Z^b = r^b + i s^b.
+
+    One pass per component: with zbar the graded star of Z, r = (Z + zbar) * 0.5
+    and s = (Z + -zbar) * -0.5j, rounded as the ``SuperField`` sums and scalar
+    products round them; zbar has the keys of Z, so no key moves.
+    """
     out = []
     for zc in z_components:
-        zbar = zc.conjugate()
-        out.append((zc + zbar) * 0.5)
-        out.append((zc - zbar) * (-0.5j))
+        real, imag = {}, {}
+        for key, c in zc.terms.items():
+            cb = c.conjugate() * reversal_sign(key[0])
+            x = (c + cb) * 0.5
+            if x != 0:
+                real[key] = x
+            x = (c + -cb) * -0.5j
+            if x != 0:
+                imag[key] = x
+        out += (SuperField._wrap(zc.L, real), SuperField._wrap(zc.L, imag))
     return out
 
 

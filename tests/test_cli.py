@@ -704,6 +704,11 @@ class TestLiteralParsing:
             ("1.0 * x1^", "'x1^'"),
             ("nan * x1", "'nan'"),
             ("inf", "'inf'"),
+            ("1 0 * x1", "'1 0'"),
+            ("1_0 * x1", "'1_0'"),
+            ("x1 * * x2", "'x1 * * x2'"),
+            ("x1 +", "term 2"),
+            ("x1 + + x2", "term 2"),
         ],
     )
     def test_bad_literal_exit_2(self, text, token, tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import superfield_oracle
 from grassmann_oracle import GrassmannElement, evaluate
+from sjclab.grassmann import format_complex
 from sjclab.superfield import (
     FlatTargetJ,
     SuperField,
@@ -229,6 +230,17 @@ class TestLiterals:
             ("-x1", "'-x1'"),
             ("2.0 * x1 * 3.0", "'3.0'"),
             ("1.0 * x1^5 x2^4", "degree 9"),
+            # complex() would read these as 10 * x1
+            ("1 0 * x1", "'1 0'"),
+            ("1_0 * x1", "'1_0'"),
+            ("(1 + 2j) * x1", "'(1 + 2j)'"),
+            ("2.0 x1", "'2.0 x1'"),
+            # empty factors and terms
+            ("x1 * * x2", "'x1 * * x2'"),
+            ("x1 *", "'x1 *'"),
+            ("x1 +", "term 2 of superfield literal 'x1 +'"),
+            ("x1 + + x2", "term 2 of superfield literal 'x1 + + x2'"),
+            ("+ x1", "term 1 of superfield literal '+ x1'"),
         ],
     )
     def test_bad_literal_names_token(self, text, token):
@@ -236,40 +248,23 @@ class TestLiterals:
             SuperField.from_text(2, text)
         assert token in str(info.value)
 
-
-def split_sum_per_character(text: str) -> list[str]:
-    """Reference splitter: one pass over the characters, tracking the parenthesis depth."""
-    chunks = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0 and not (
-            len(current) > 1 and current[-1] in "eE" and current[-2] in "0123456789."
-        ):
-            chunks.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    chunks.append("".join(current))
-    return [c for c in (c.strip() for c in chunks) if c]
+    @pytest.mark.parametrize("text", ["0", "", " 0 ", "  "])
+    def test_zero_literal(self, text):
+        assert SuperField.from_text(2, text).is_zero()
 
 
 class TestSplitSum:
     @settings(max_examples=500, deadline=None)
     @given(st.text(alphabet="0123456789.eE+-()j x*", max_size=40))
     def test_chunks_equal_per_character_splitter(self, text):
-        assert _split_sum(text) == split_sum_per_character(text)
+        assert _split_sum(text) == superfield_oracle.split_sum_per_character(text)
 
     @pytest.mark.parametrize(
         "text",
-        ["1e+20 + 2.0", "(1+2j) + x1", "+e+1", "1.e+5+E+2", "((1+2j)+3) + 4", ")+(", "1++2", " + "],
+        ["1e+20 + 2.0", "(1+2j) + x1", "+e+1", "1.e+5+E+2", "((1+2j)+3) + 4", ")+(", "1++2", " + ", "x1 +", ""],
     )
     def test_chunks_on_edge_cases(self, text):
-        assert _split_sum(text) == split_sum_per_character(text)
+        assert _split_sum(text) == superfield_oracle.split_sum_per_character(text)
 
     @pytest.mark.parametrize("text", ["(1+2j * x1", "1.0 * x1 + (0+1j", "(1+2j)) * x1 + (2.0"])
     def test_unbalanced_parentheses_rejected(self, text):
@@ -377,9 +372,10 @@ _PARTS = st.one_of(
 
 
 @st.composite
-def generic_fields(draw):
+def generic_fields(draw, L=None):
     """Fields whose terms mostly share one base monomial and low powers, so frame parts collide."""
-    L = draw(st.integers(0, 4))
+    if L is None:
+        L = draw(st.integers(0, 4))
     base = draw(st.integers(0, (1 << L) - 1)) << 2
     near = st.tuples(st.integers(0, 3).map(base.__or__), st.integers(0, 1), st.integers(0, 1))
     anywhere = st.tuples(st.integers(0, (4 << L) - 1), st.integers(0, 3), st.integers(0, 3))
@@ -443,3 +439,118 @@ class TestOnePassOracle:
             for y in components_from_complex([z]):
                 assert bits(apply_D3(y)) == bits(superfield_oracle.apply_D3(y))
                 assert bits(apply_D4(y)) == bits(superfield_oracle.apply_D4(y))
+
+
+def unipotent_J(dim: int) -> FlatTargetJ:
+    """P J0 P^-1 for the standard J0 and P = 1 + (ones above the diagonal): integer
+    entries, with two or more nonzero entries in every column."""
+    P = np.eye(dim) + np.eye(dim, k=1)
+    return FlatTargetJ(np.round(P @ standard_J(dim // 2) @ np.linalg.inv(P)))
+
+
+TARGET_JS = [FlatTargetJ(standard_J(1)), FlatTargetJ(standard_J(2)), unipotent_J(2), unipotent_J(4)]
+
+
+def even_part(field: SuperField) -> SuperField:
+    return SuperField(field.L, {k: c for k, c in field.terms.items() if k[0].bit_count() % 2 == 0})
+
+
+@st.composite
+def literals(draw):
+    """(L, literal) of well-formed terms in any written order, crowded onto few keys.
+
+    Odd symbols may repeat (a zero term), the coefficient may sit in any factor
+    position or be absent, and a term may be followed by its negation, so that
+    parts cancel.
+    """
+    L = draw(st.integers(0, 4))
+    odd = st.sampled_from(["e3", "e4"] + [f"l{i}" for i in range(1, L + 1)])
+    x = st.sampled_from(["x1", "x2", "x1^0", "x2^1", "x1^3"])
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        symbols = draw(st.permutations(draw(st.lists(odd, max_size=3)) + draw(st.lists(x, max_size=2))))
+        cuts = sorted(draw(st.sets(st.integers(1, max(len(symbols) - 1, 1)))))
+        factors = [" ".join(symbols[i:j]) for i, j in zip([0, *cuts], [*cuts, len(symbols)]) if symbols[i:j]]
+        coeff = draw(st.none() | st.builds(complex, _PARTS, _PARTS))
+        at = draw(st.integers(0, len(factors)))
+        for c in [coeff] + ([-coeff] if coeff is not None and draw(st.booleans()) else []):
+            written = factors[:at] + ([format_complex(c)] if c is not None else []) + factors[at:]
+            terms.append(" * ".join(written or ["1.0"]))
+    return L, " + ".join(terms)
+
+
+def all_bits(fields) -> list:
+    return [bits(f) for f in fields]
+
+
+def assert_maps_match_products(field: SuperField) -> None:
+    assert bits(apply_Dbar(field)) == bits(superfield_oracle.apply_Dbar(field))
+    assert bits(field.dzbar()) == bits(superfield_oracle.dzbar(field))
+    assert all_bits(field.theta_components()) == all_bits(superfield_oracle.theta_components(field))
+    assert all_bits(components_from_complex([field])) == all_bits(
+        superfield_oracle.components_from_complex([field])
+    )
+
+
+def assert_residual_matches_products(ys: list[SuperField], J: FlatTargetJ) -> None:
+    assert all_bits(J.apply(ys)) == all_bits(superfield_oracle.j_apply(J, ys))
+    assert all_bits(flat_sjc_residual(ys, J)) == all_bits(superfield_oracle.flat_sjc_residual(ys, J))
+
+
+class TestFlatMapOracle:
+    """The one-pass parser and flat-model maps equal the product-built ones bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(generic_fields())
+    @example(SuperField(0, {(0b11, 0, 0): 1.0, (0, 0, 1): 1.0}))  # D4 cancels at e3
+    @example(SuperField(0, {(0b01, 1, 0): 5e-324, (0b10, 1, 0): -0.0 + 1j, (0b11, 0, 1): -5e-324j}))  # halving underflows
+    @example(SuperField(64, {(L64 | 0b11, 1, 2): 2 - 0.0j, (L64, 2, 1): -0.0 + 1j}))
+    def test_maps_match_products(self, field):
+        assert_maps_match_products(field)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(TARGET_JS), st.data())
+    def test_residual_matches_products(self, J, data):
+        L = data.draw(st.integers(0, 4))
+        ys = [even_part(data.draw(generic_fields(L))) for _ in range(J.dim)]
+        assert_residual_matches_products(ys, J)
+
+    def test_maps_match_products_on_every_signed_zero_pair(self):
+        # every pair of terms near e3 e4 with coefficient parts in {+-0.0, +-1.0}
+        parts = (0.0, -0.0, 1.0, -1.0)
+        values = [c for c in (complex(x, y) for x in parts for y in parts) if c != 0]
+        keys = [(m, a, b) for m in range(4) for a in (0, 1) for b in (0, 1)]
+        J = unipotent_J(2)
+        for k1, k2 in itertools.combinations(keys, 2):
+            for c1, c2 in itertools.product(values, repeat=2):
+                field = SuperField(0, {k1: c1, k2: c2})
+                assert_maps_match_products(field)
+                if field.parity() == "even":
+                    assert_residual_matches_products([field, field * -1j], J)
+
+    @settings(max_examples=300, deadline=None)
+    @given(literals())
+    @example((2, "1.0 * e4 e3 + (0-2j) * e3 e4 + x1^0 * 1e+20 + l2 e4 * x1 * l1 e3"))
+    @example((1, "(-0.0+1.0j) * e3 + (0.0-1.0j) * e3 + -0.0 * x1 + 0.0 * x1 + e3 e3"))
+    def test_parser_matches_token_parser(self, case):
+        L, text = case
+        assert bits(SuperField.from_text(L, text)) == bits(superfield_oracle.from_text(L, text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(generic_fields())
+    def test_parser_reads_written_fields_as_token_parser(self, field):
+        text = field.to_text()
+        assert bits(SuperField.from_text(field.L, text)) == bits(superfield_oracle.from_text(field.L, text))
+
+    def test_random_flat_maps(self):
+        rng = np.random.default_rng(13)
+        for t in range(40):
+            n = 1 + t % 2
+            zs = [random_flat_z_component(rng, 4, holomorphic=t % 4 < 2) for _ in range(n)]
+            for z in zs:
+                assert_maps_match_products(z)
+                text = z.to_text()
+                assert bits(SuperField.from_text(4, text)) == bits(superfield_oracle.from_text(4, text))
+            ys = components_from_complex(zs)
+            assert_residual_matches_products(ys, FlatTargetJ(standard_J(n)))
+            assert_residual_matches_products(ys, unipotent_J(2 * n))
