@@ -1,7 +1,7 @@
 """Discretized Cauchy-Riemann and Dirac operators with exact index bookkeeping.
 
 Sphere operators act on degree-k line bundles over the projective line,
-realized on the affine chart by level-m weighted monomial bases
+on the affine chart, between the spans of the level-m weighted monomials
 
     e_ab = z^a zbar^b (1 + |z|^2)^(-m),   0 <= a <= k+m, 0 <= b <= m,
 
@@ -12,44 +12,39 @@ codomain box (0 <= c <= k+m+1, 0 <= d <= m-1) with
     dbar e_ab = b e'_{a, b-1} + (b - m) e'_{a+1, b},
 
 so at every admissible cutoff the kernel is exactly the degree-<=k
-holomorphic polynomials and the complex index is exactly k + 1.
-Inner products use the round metrics (domain weight (1+|z|^2)^(-k-2)
-pattern times the level weight), all radial integrals in closed form.
+holomorphic polynomials and the complex index is exactly k + 1.  Inner
+products use the round metrics (domain weight (1+|z|^2)^(-k-2) times the
+level weight).
 
 Torus operators are Fourier-diagonal on the flat square torus with the
 periodic spin structure.
 
-Every operator here is block-diagonal and is stored only as its blocks:
+Every operator here is block-diagonal, is stored only as its blocks, and is
+written in orthonormal bases, so its adjoint is the conjugate transpose
+and its singular values are those of its blocks:
 
 * sphere: dbar preserves the U(1) charge, mapping the domain sector of
-  charge q = a - b into the codomain sector of charge q + 1.  Both Gram
-  matrices are block-diagonal by charge; the sector block of monomials
-  with second exponents b, d is the Hankel matrix of radial integrals
-  R(b + d + q) (codomain: R(b + d + q + 1)), read from one table of
-  R(p) per operator.  Each sector is built straight from its charge:
-  there is no global monomial basis, only the positions of the sector's
-  monomials in the two boxes.  All sectors are built in one pass, each
-  array of a block shape gathered in one indexing step.  Blocks are
-  labelled by the domain charge of dbar.
+  charge q = a - b into the codomain sector of charge q + 1.  In
+  t = |z|^2 / (1 + |z|^2) each sector's inner product is a Jacobi weight,
+  and each sector gets the orthonormal Jacobi polynomials of that weight,
+  from their three-term recurrence evaluated at the nodes of one
+  Gauss-Legendre rule that integrates every entry exactly (see
+  ``build_dbar_sphere``).  The monomials themselves are never used: their
+  Gram matrices reach condition 1e14 by cutoff 22.  Blocks are labelled by
+  the domain charge of dbar.
 * torus: the Dirac operator is diagonal in the Fourier modes k, with
   block -2 pi i (k1 gamma^1 + k2 gamma^2) (x) I per mode; the chiral
   halves split mode by mode too.
 
-Gram checks, whitened SVDs and adjoints run block by block, with blocks of
-one shape stacked on a leading axis (all torus modes go through LAPACK in
-one batched call).  The Gram rescale, eigenvalues, Cholesky factors and
-inverse factors run once per matrix size, over every block of both sides:
-LAPACK sees each matrix alone, so the bits are those of per-block calls.
-Nothing is padded.  The Cholesky factors are taken only once the Gram gate
-has passed.  For a block-diagonal matrix the union of the block spectra is
-the global spectrum, so kernel, cokernel and the Gram gate are the global
-ones.  No dense global matrix is assembled.
+Blocks of one shape are stacked on a leading axis and go through LAPACK in
+one SVD call.  For a block-diagonal matrix the union of the block spectra
+is the global spectrum, so kernel and cokernel are the global ones.  No
+dense global matrix is assembled.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +52,18 @@ import numpy as np
 from .spin import GAMMA, ISPIN
 from .targets import standard_J
 
-# Largest accepted condition number of a unit-diagonal Gram matrix.
-GRAM_CONDITION_LIMIT = 1e14
-# Smallest ratio of the smallest kept to the largest dropped singular value
-# for which an index report is conclusive.
+# Smallest ratio of the smallest kept to the largest dropped singular value,
+# and of the smallest kept singular value to the rank cut, for which an
+# index report is conclusive.
 GAP_REQUIREMENT = 1e3
+# Largest sphere cutoff, checked before anything is allocated: at cutoff 200
+# the blocks of dbar O(0) hold 5.4M entries (43 MB), those of O(198) 107 MB.
+SPHERE_CUTOFF_LIMIT = 200
+# Largest accepted entry of |Gram - I| of a sphere sector basis under its quadrature.
+ORTHONORMALITY_LIMIT = 1e-10
+# Largest count of basis values (sectors x degrees x nodes) the sphere build
+# holds at once, unless one sector alone needs more: 128 KiB a copy.
+SPHERE_BATCH_VALUES = 1 << 14
 # Largest torus mode array (modes x block entries), checked before allocation:
 # cutoff 256 at target rank 1, 128 at rank 2.
 TORUS_ENTRY_LIMIT = 1 << 20
@@ -105,66 +107,55 @@ class BlockStack:
     """Diagonal blocks of one shape, stacked on a leading axis.
 
     ``matrix[i]`` maps the domain coordinates ``dom[i]`` to the codomain
-    coordinates ``cod[i]`` (positions in the operator's global bases);
-    ``gram_domain[i]`` and ``gram_codomain[i]`` are the two inner products
-    restricted to those coordinates.  A Gram matrix shared by every block
-    (the torus modes) is stored once, with leading axis 1, and broadcasts.
+    coordinates ``cod[i]`` (positions in the operator's global bases, which
+    are orthonormal).
     """
 
-    matrix: np.ndarray         # (n, rows, cols)
-    gram_domain: np.ndarray    # (n or 1, cols, cols)
-    gram_codomain: np.ndarray  # (n or 1, rows, rows)
-    dom: np.ndarray            # (n, cols) int
-    cod: np.ndarray            # (n, rows) int
+    matrix: np.ndarray  # (n, rows, cols)
+    dom: np.ndarray     # (n, cols) int
+    cod: np.ndarray     # (n, rows) int
     labels: list[str]
 
     def adjoint(self) -> BlockStack:
-        """Gram adjoint of every block: Gd^-1 A^H Gc."""
-        return BlockStack(
-            matrix=np.linalg.solve(self.gram_domain, _herm(self.matrix) @ self.gram_codomain),
-            gram_domain=self.gram_codomain,
-            gram_codomain=self.gram_domain,
-            dom=self.cod,
-            cod=self.dom,
-            labels=self.labels,
-        )
-
-
-def _shared_identity(gram: np.ndarray) -> bool:
-    """Whether ``gram`` is the identity, stored once for every block."""
-    return gram.shape[0] == 1 and np.array_equal(gram[0], np.eye(gram.shape[-1]))
+        """Adjoint of every block in orthonormal bases: A^H."""
+        return BlockStack(matrix=_herm(self.matrix), dom=self.cod, cod=self.dom, labels=self.labels)
 
 
 class OperatorMatrix:
-    """A block-diagonal operator between two Gram-weighted coordinate spaces.
+    """A block-diagonal operator between two orthonormal coordinate spaces.
 
     It is stored only as its ``stacks`` of diagonal blocks; ``shape`` is
-    (codomain dimension, domain dimension).
+    (codomain dimension, domain dimension).  ``orthonormality_defect`` is
+    the largest entry of |Gram - I| of its bases, as far as they are
+    computed (0.0 for bases that are orthonormal by construction).
     """
 
-    def __init__(self, *, stacks: list[BlockStack], tag: str, is_complex_linear: bool):
+    def __init__(
+        self, *, stacks: list[BlockStack], tag: str, is_complex_linear: bool, orthonormality_defect: float = 0.0
+    ):
         self.stacks = stacks
         self.tag = tag
         self.is_complex_linear = is_complex_linear
+        self.orthonormality_defect = orthonormality_defect
         self.shape = (sum(s.cod.size for s in stacks), sum(s.dom.size for s in stacks))
 
     def adjoint(self) -> OperatorMatrix:
-        """Adjoint with respect to the two Gram inner products, block by block."""
+        """Adjoint, block by block."""
         return OperatorMatrix(
             tag=f"({self.tag})*",
             is_complex_linear=self.is_complex_linear,
             stacks=[s.adjoint() for s in self.stacks],
+            orthonormality_defect=self.orthonormality_defect,
         )
 
 
 def adjoint_deviation(op: OperatorMatrix, other: OperatorMatrix) -> float:
-    """Largest entry of |A^H Gc + Gd B| = |Gd (op* + other)|, block by block.
+    """Largest entry of |A^H + B|, block by block.
 
-    A is a block of ``op`` and B the matching block of ``other``; op* is the
-    Gram adjoint Gd^-1 A^H Gc.  Zero when ``other`` is minus the adjoint of
-    ``op`` (``op`` itself when it is anti-self-adjoint), with no inverse
-    taken; with identity Grams (the torus) it is |op* + other| exactly.
-    ``other`` must map each codomain block of ``op`` back to its domain block.
+    A is a block of ``op`` and B the matching block of ``other``.  Zero when
+    ``other`` is minus the adjoint of ``op`` (``op`` itself when it is
+    anti-self-adjoint).  ``other`` must map each codomain block of ``op``
+    back to its domain block.
     """
     if len(op.stacks) != len(other.stacks) or not all(
         np.array_equal(s.cod, t.dom) and np.array_equal(s.dom, t.cod)
@@ -172,11 +163,7 @@ def adjoint_deviation(op: OperatorMatrix, other: OperatorMatrix) -> float:
     ):
         raise IndexLabError(f"{op.tag} and {other.tag} have different block layouts")
     return max(
-        (
-            float(np.abs(_herm(s.matrix) @ s.gram_codomain + s.gram_domain @ t.matrix).max())
-            for s, t in zip(op.stacks, other.stacks)
-            if s.matrix.size
-        ),
+        (float(np.abs(_herm(s.matrix) + t.matrix).max()) for s, t in zip(op.stacks, other.stacks) if s.matrix.size),
         default=0.0,
     )
 
@@ -184,82 +171,174 @@ def adjoint_deviation(op: OperatorMatrix, other: OperatorMatrix) -> float:
 # -- sphere operators -------------------------------------------------------------
 
 
-# 170! is the largest factorial below the double range; 171! overflows.
-_FACTORIAL_LIMIT = 170
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1] (Golub and Welsch 1969).
 
-
-def _radial_integral(p: int, s: int) -> float:
-    """integral over the plane of r^{2p} (1+r^2)^(-s), p <= s - 2, equal to pi p! (s-p-2)!/(s-1)!.
-
-    The largest factorial is (s-1)!, so the closed form stays in double
-    range if and only if s - 1 <= 170.  That is checked before any
-    factorial is taken: for a huge s the factorials alone take minutes.
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence on [0, 1], the weights the squared first components of its
+    eigenvectors (the weight's mass is 1).
     """
-    if s - 1 > _FACTORIAL_LIMIT:
-        raise IndexLabError(
-            f"sphere Gram entries overflow double precision: the weight integral of "
-            f"r^{2 * p} (1+r^2)^-{s} is not representable; lower the cutoff"
-        )
-    return math.pi * math.factorial(p) * math.factorial(s - p - 2) / math.factorial(s - 1)
+    j = np.arange(1.0, n)
+    nodes, vectors = np.linalg.eigh(np.diag(np.full(n, 0.5)) + np.diag(j / (2 * np.sqrt(4 * j * j - 1)), -1))
+    # mirrored pairs averaged: the rule is symmetric about 1/2, so t reversed stands for 1 - t
+    return (nodes + 1 - nodes[::-1]) / 2, (vectors[0] ** 2 + vectors[0, ::-1] ** 2) / 2
+
+
+def _jacobi_recurrence(alpha: np.ndarray, beta: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence (a, c) of the orthonormal polynomials for t^alpha (1-t)^beta on [0, 1], one row per weight.
+
+    c_{j+1} p_{j+1} = (t - a_j) p_j - c_j p_{j-1} for j = 0..size - 2: the
+    Jacobi coefficients on [-1, 1], exponent beta at s = 1 and alpha at
+    s = -1 (Gautschi 2004, section 1.5), moved to t = (1 + s) / 2.
+    """
+    ea, eb = beta[:, None].astype(float), alpha[:, None].astype(float)
+    j = np.arange(1.0, size)
+    s = 2 * j + ea + eb
+    shift = np.concatenate([(eb - ea) / (ea + eb + 2), (eb * eb - ea * ea) / (s * (s + 2))], axis=1)
+    step = 4 * j * (j + ea) * (j + eb) * (j + ea + eb) / (s * s * (s + 1) * (s - 1))
+    return (1 + shift) / 2, np.concatenate([np.zeros_like(ea), np.sqrt(step) / 2], axis=1)
+
+
+def _sector_bases(alpha: np.ndarray, beta: np.ndarray, size: np.ndarray, nodes: tuple) -> np.ndarray:
+    """The first size[s] orthonormal polynomials for each weight t^alpha[s] (1-t)^beta[s], at the nodes.
+
+    ``nodes`` is (t, log t, log(1 - t), log w) of a Gauss-Legendre rule on
+    [0, 1].  Returns V, with V[s, j, i] = sqrt(w_i t_i^alpha (1-t_i)^beta)
+    p_j(t_i) for j < size[s] and 0 beyond, so V[s] V[s]^T is the Gram matrix
+    of the p_j under the rule (p_0 is normalised by it).  The root is taken
+    in logs, so no power overflows; the recurrence runs on the rooted values,
+    for every row to the largest size, and the rows past a sector's size are
+    zeroed after.
+    """
+    t, log_t, log_u, log_w = nodes
+    depth = int(size.max())
+    a, c = _jacobi_recurrence(alpha, beta, depth)
+    v = np.zeros((depth, size.size, t.size))  # degree first while the recurrence runs
+    root = np.exp(0.5 * (log_w + alpha[:, None] * log_t + beta[:, None] * log_u))
+    v[0] = root / np.linalg.norm(root, axis=1, keepdims=True)
+    x = t - a.T[:, :, None]
+    for j in range(depth - 1):  # c_0 = 0 meets the zero row v[-1] at j = 0
+        np.multiply(x[j], v[j], out=v[j + 1])
+        v[j + 1] -= c[:, j, None] * v[j - 1]
+        v[j + 1] /= c[:, j + 1, None]
+    v[np.arange(depth)[:, None] >= size] = 0.0
+    return v.transpose(1, 0, 2)
+
+
+def _sector_blocks(k: int, M: int, q, b0, top, nb, nd, nodes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of dbar on O(k) for the sectors of charges q, padded with zeros to the largest block.
+
+    Sector k - q mirrors sector q, as t -> 1 - t swaps the exponents of both
+    its weights: its polynomials are (-1)^j p_j(1 - t), read off the
+    reversed nodes, and its Gram matrices are the twin's with signs flipped.
+    So a sector q > k - q whose twin is among the given ones is not computed.
+    Returns the blocks and the Gram defects, (domain, codomain) by sector, a
+    mirror sector carrying its twin's.
+    """
+    t, u = nodes[0], nodes[0][::-1]  # 1 - t, the rule being symmetric
+    at = np.full(k + 2 * M + 1, -1)
+    at[q + M] = np.arange(q.size)
+    # both sides in one pass, domain sectors then codomain sectors
+    size = np.concatenate([nb, nd])
+    alpha, beta = np.abs(np.concatenate([q, q + 1])), np.abs(np.concatenate([k - q, k - q + 1]))
+    own = np.tile((q <= k - q) | (at[k - q + M] < 0), 2)
+    basis = _sector_bases(alpha[own], beta[own], size[own], nodes)
+    mirror = np.tile(at[k - q + M], 2) + np.repeat([0, q.size], q.size)
+    source = (np.cumsum(own) - 1)[np.where(own, np.arange(own.size), mirror)]  # the computed row behind each row
+    v = basis[source]
+    j = np.arange(v.shape[1])
+    v[~own] = v[~own, :, ::-1] * (-1.0) ** j[:, None]
+    v, vt = v[: q.size], v[q.size :]
+    # t (1 - t) p_j' = j ((j + beta) / (2j + alpha + beta) - t) p_j + (2j + alpha + beta + 1) c_j p_{j-1}
+    # (the Jacobi structure relation), so the image of p_j needs p_j and p_{j-1} only
+    alpha, beta = alpha[: q.size, None], beta[: q.size, None]
+    _, c = _jacobi_recurrence(alpha[:, 0], beta[:, 0], j.size)
+    shift = j * (j + beta) / np.maximum(2 * j + alpha + beta, 1)
+    root = np.sqrt(2 * t * u)
+    image = ((((top - M)[:, None] - j)[:, :, None] * t + b0[:, None, None] * u + shift[:, :, None]) / root) * v
+    image[:, 1:] += ((2 * j + alpha + beta + 1) * c)[:, 1:, None] / root * v[:, :-1]
+    gram = basis @ basis.swapaxes(1, 2) - (j < size[own, None])[:, :, None] * np.eye(j.size)
+    return vt @ image.swapaxes(1, 2), np.abs(gram).max(axis=(1, 2))[source].reshape(2, q.size)
 
 
 def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
-    """Matrix of dbar on the degree-k bundle at level cutoff M, by charge sector.
+    """Matrix of dbar on the degree-k bundle at level cutoff M, in orthonormal sector bases.
 
-    M >= |k| + 2 is required so both boxes are nonempty and resolved.  The
-    domain sector of charge q holds the e_ab with a = b + q, at position
-    a (M + 1) + b; its image, codomain sector q + 1, holds the e'_cd with
-    c = d + q + 1, at position c M + d.  The sectors q = -M..k + M are built
-    in one pass: their bounds are arrays, and every block of one shape (the
-    mirror sectors q = -j and q = k + j share one) is gathered in one
-    indexing step per array.  Stacks come in order of each shape's first
-    charge, sectors by ascending charge within a stack.
+    M >= |k| + 2 is required so both boxes are nonempty and resolved, and
+    M <= SPHERE_CUTOFF_LIMIT.  In t = |z|^2 / (1 + |z|^2) the domain sector
+    of charge q spans z^q (1+|z|^2)^-M t^b0 (1-t)^-N p(t), p of degree
+    N - b0, where b0..N is its range of second exponents b; the codomain
+    sector q + 1 likewise, with d0..N' and (1+|z|^2)^-(M+1).  The norm of
+    each side is a Jacobi weight: 4 2^(k/2) pi t^|q| (1-t)^|k-q| on the
+    domain, 2 2^(k/2) pi t^|q+1| (1-t)^|k-q+1| on the codomain.  Every basis
+    is orthonormal for its weight, and dbar acts as (1 - t) d/dt - M on the
+    polynomial part in x = t / (1 - t), so with the rooted values of
+    ``_sector_bases``
+
+        W[i, j] = sum over nodes of p~_i [((N - M) t + b0 (1 - t)) p_j + t (1 - t) p_j'] / sqrt(2 t (1 - t)).
+
+    Every integrand is a polynomial of degree 2M + k, which the one
+    Gauss-Legendre rule of M + k//2 + 1 nodes integrates exactly; a basis
+    whose Gram matrix under that rule is off the identity by more than
+    ORTHONORMALITY_LIMIT is refused, naming its sector.
+
+    Basis j of a sector takes the position of its j-th monomial, a (M + 1)
+    + b on the domain and c M + d on the codomain.  Stacks come by
+    decreasing block size (the mirror sectors q = -j and q = k + j share a
+    shape), sectors by ascending charge within a stack.  The sectors are
+    built in batches of at most SPHERE_BATCH_VALUES basis values (or one
+    sector), each batch padded to its largest block.
     """
+    if M > SPHERE_CUTOFF_LIMIT:
+        raise IndexLabError(f"sphere cutoff {M} is above the limit of {SPHERE_CUTOFF_LIMIT}; lower the cutoff")
     if M < abs(k) + 2:
         raise IndexLabError(f"cutoff {M} too small for degree {k}")
-    # every equal-charge pair has (a + b + c + d) / 2 in 0..k + 2M
-    radial = np.array([_radial_integral(p, 2 * M + k + 2) for p in range(k + 2 * M + 1)])
-    # weight 2^{k/2} (1+r^2)^{-k} for the bundle metric and (1+r^2)^{-2M} for
-    # the level weight, times 4 (1+r^2)^{-2} for the round area form on the
-    # domain, times the pointwise norm of dzbar and the area form on the codomain
-    table_dom = 4.0 * 2.0 ** (k / 2.0) * radial
-    table_cod = 2.0 * 2.0 ** (k / 2.0) * radial
-    # sector q: second exponents b = b0..b0 + nb - 1 (domain), d = d0..d0 + nd - 1 (codomain)
+    t, w = _gauss_legendre(M + k // 2 + 1)
+    nodes = (t, np.log(t), np.log(t[::-1]), np.log(w))
+    # sector q: second exponents b = b0..N (domain), d = d0..N' (codomain)
     q = np.arange(-M, k + M + 1)
     b0, d0 = np.maximum(0, -q), np.maximum(0, -q - 1)
-    nb = np.minimum(M, k + M - q) - b0 + 1
-    nd = np.minimum(M - 1, k + M - q) - d0 + 1
-    # sectors grouped by block shape: groups by first charge, charges ascending within
-    _, first, shape_of, count = np.unique(
-        nd * (M + 2) + nb, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first[shape_of], kind="stable")
-    q, b0, d0, nb, nd = q[order], b0[order], d0[order], nb[order].tolist(), nd[order].tolist()
-    # e_ab -> b e'_{a, b-1} + (b - M) e'_{a+1, b}: coefficient of e'_{.d} in dbar e_{.b},
-    # for d in 0..M-1 and b in 0..M, flattened; both images have charge q + 1
-    d, b = np.arange(M)[:, None], np.arange(M + 1)
-    coeff = (np.where(d == b - 1, b, 0) + np.where(d == b, b - M, 0)).astype(complex).ravel()
-    # entry (r, c) of a sector's blocks sits at its offset plus a fixed template
-    r = np.arange(M + 1)
-    hankel, coeff_step = r[:, None] + r, r[:, None] * (M + 1) + r
-    coeff_at = d0 * (M + 1) + b0
-    gram_dom_at, gram_cod_at = 2 * b0 + q, 2 * d0 + q + 1
-    dom_at, cod_at = (b0 + q) * (M + 1) + b0, (d0 + q + 1) * M + d0
-    dom_step, cod_step = (M + 2) * r, (M + 1) * r
+    top = np.minimum(M, k + M - q)
+    nb, nd = top - b0 + 1, np.minimum(M - 1, k + M - q) - d0 + 1
+    # sectors grouped by block shape, the largest first, charges ascending within a shape
+    order = np.lexsort((q, -nd, -nb))
+    q, b0, d0, top, nb, nd = q[order], b0[order], d0[order], top[order], nb[order], nd[order]
     labels = [f"sector q={x}" for x in q.tolist()]
-    stacks, start = [], 0
-    for end in np.cumsum(count[np.argsort(first)]).tolist():
-        rows, cols, sel = nd[start], nb[start], slice(start, end)
-        stacks.append(BlockStack(
-            matrix=coeff[coeff_at[sel, None, None] + coeff_step[:rows, :cols]],
-            gram_domain=table_dom[gram_dom_at[sel, None, None] + hankel[:cols, :cols]],
-            gram_codomain=table_cod[gram_cod_at[sel, None, None] + hankel[:rows, :rows]],
-            dom=dom_at[sel, None] + dom_step[:cols],
-            cod=cod_at[sel, None] + cod_step[:rows],
-            labels=labels[sel],
-        ))
-        start = end
-    return OperatorMatrix(tag=f"dbar O({k})", is_complex_linear=True, stacks=stacks)
+    r = np.arange(M + 1)
+    dom = ((b0 + q) * (M + 1) + b0)[:, None] + (M + 2) * r
+    cod = ((d0 + q + 1) * M + d0)[:, None] + (M + 1) * r
+    bounds = [0, *(np.flatnonzero(np.diff(nb * (M + 2) + nd)) + 1).tolist(), q.size]
+    stacks = [
+        BlockStack(
+            matrix=np.empty((stop - start, nd[start], nb[start])),
+            dom=dom[start:stop, : nb[start]],
+            cod=cod[start:stop, : nd[start]],
+            labels=labels[start:stop],
+        )
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
+    stack_of = np.repeat(np.arange(len(stacks)), np.diff(bounds))
+    defects, first = [], 0
+    while first < q.size:
+        end = min(q.size, first + max(1, SPHERE_BATCH_VALUES // (2 * int(nb[first]) * t.size)))
+        cut = slice(first, end)
+        padded, err = _sector_blocks(k, M, q[cut], b0[cut], top[cut], nb[cut], nd[cut], nodes)
+        defects.append(err)
+        for g in range(stack_of[first], stack_of[end - 1] + 1):
+            lo, hi = max(bounds[g], first), min(bounds[g + 1], end)
+            _, rows, cols = stacks[g].matrix.shape
+            stacks[g].matrix[lo - bounds[g] : hi - bounds[g]] = padded[lo - first : hi - first, :rows, :cols]
+        first = end
+    err = np.concatenate(defects, axis=1)
+    side, i = np.unravel_index(np.argmax(err), err.shape)
+    if err[side, i] > ORTHONORMALITY_LIMIT:
+        raise IndexLabError(
+            f"sphere {('domain', 'codomain')[side]} basis of {labels[i]} is not orthonormal: "
+            f"Gram defect {err[side, i]:.3g} exceeds {ORTHONORMALITY_LIMIT:.0e}"
+        )
+    return OperatorMatrix(
+        tag=f"dbar O({k})", is_complex_linear=True, stacks=stacks, orthonormality_defect=float(err[side, i])
+    )
 
 
 def build_dirac10_sphere(target_degree_d: int, M: int) -> OperatorMatrix:
@@ -274,12 +353,13 @@ def build_dirac10_sphere(target_degree_d: int, M: int) -> OperatorMatrix:
 
 
 def build_dirac01_sphere(k: int, M: int) -> OperatorMatrix:
-    """Antiholomorphic Dirac half: minus the Gram adjoint of the dbar matrix."""
+    """Antiholomorphic Dirac half: minus the adjoint of the dbar matrix, -W^T per block."""
     op = build_dbar_sphere(k, M)
     return OperatorMatrix(
         tag=f"D01 O({k})",
         is_complex_linear=True,
         stacks=[dataclasses.replace(s, matrix=-s.matrix) for s in op.adjoint().stacks],
+        orthonormality_defect=op.orthonormality_defect,
     )
 
 
@@ -297,8 +377,6 @@ def _orthonormal_stack(matrix: np.ndarray, labels: list[str]) -> BlockStack:
     n, rows, cols = matrix.shape
     return BlockStack(
         matrix=matrix,
-        gram_domain=np.eye(cols)[None],
-        gram_codomain=np.eye(rows)[None],
         dom=np.arange(n * cols).reshape(n, cols),
         cod=np.arange(n * rows).reshape(n, rows),
         labels=labels,
@@ -367,11 +445,13 @@ def torus_chiral_halves(full: OperatorMatrix) -> tuple[OperatorMatrix, OperatorM
     (modes,) = full.stacks
     n_target = modes.matrix.shape[-1] // 4
     b10, b01 = _chirality_bases(n_target)
+    defect = max(float(np.abs(_herm(b) @ b - np.eye(b.shape[1])).max()) for b in (b10, b01))
     d10, d01 = (
         OperatorMatrix(
             tag=f"D{part} torus n={n_target}",
             is_complex_linear=False,
             stacks=[_orthonormal_stack(cod.conj().T @ modes.matrix @ dom, modes.labels)],
+            orthonormality_defect=defect,
         )
         for part, dom, cod in (("10", b10, b01), ("01", b01, b10))
     )
@@ -393,10 +473,7 @@ class IndexReport:
     conclusive: bool
     is_complex_linear: bool
     singular_values: np.ndarray
-    gram_domain_condition: float
-    gram_codomain_condition: float
-    gram_worst_block: str
-    gram_worst_condition: float
+    basis_orthonormality_defect: float
     kept_margin: float | None  # smallest kept singular value / cut
 
     @property
@@ -423,121 +500,11 @@ class IndexReport:
         return out
 
 
-def _condition(eigs: np.ndarray) -> np.ndarray:
-    """max / min eigenvalue along the last axis; inf where the minimum is not positive."""
-    lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
-    return np.where(lo > 0, hi / np.where(lo > 0, lo, 1.0), np.inf)
-
-
-def _by_size(mats: list[np.ndarray], fn) -> list:
-    """``[fn(m) for m in mats]`` for stacks of square matrices, one ``fn`` call per size and dtype.
-
-    ``fn`` returns an array, or a tuple of arrays, with the stack on axis 0.
-    numpy's linalg gufuncs call LAPACK once per matrix of a stack, so each
-    matrix gets bit for bit what a call on its own stack gives.  Matrices of
-    different sizes never share a call: padding them to one size would
-    change the bits.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, m in enumerate(mats):
-        groups.setdefault((m.shape[-1], m.dtype), []).append(i)
-    out = [None] * len(mats)
-    for idx in groups.values():
-        res = fn(np.concatenate([mats[i] for i in idx]))
-        start = 0
-        for i in idx:
-            cut = slice(start, start + len(mats[i]))
-            out[i] = tuple(r[cut] for r in res) if isinstance(res, tuple) else res[cut]
-            start = cut.stop
-    return out
-
-
-def _unit_diagonal(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stack of Gram matrices rescaled to unit diagonal, and the scales (zero norms kept at 1)."""
-    s = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1).real)
-    s = np.where(s == 0, 1.0, s)
-    return gram / (s[:, :, None] * s[:, None, :]), s
-
-
-def _normalized(stacks: list[BlockStack]) -> list[tuple]:
-    """Every stack rescaled to unit-norm basis vectors (spectrum unchanged), as (matrix, Gd, Gc).
-
-    The Grams of both sides are rescaled in one pass per size.  Stacks whose
-    two Grams are the shared identity are returned as they are.
-    """
-    out = [(s.matrix, s.gram_domain, s.gram_codomain) for s in stacks]
-    scaled = [i for i, (_, gd, gc) in enumerate(out) if not (_shared_identity(gd) and _shared_identity(gc))]
-    n = len(scaled)
-    units = _by_size([out[i][1] for i in scaled] + [out[i][2] for i in scaled], _unit_diagonal)
-    for i, (gd, sd), (gc, sc) in zip(scaled, units[:n], units[n:]):
-        out[i] = (stacks[i].matrix * sc[:, :, None] / sd[:, None, :], gd, gc)
-    return out
-
-
-def _eig_range(grams: np.ndarray) -> np.ndarray:
-    """(smallest, largest) eigenvalue of each Hermitian matrix of a stack."""
-    e = np.linalg.eigvalsh(grams)
-    return np.stack([e.min(axis=-1), e.max(axis=-1)], axis=-1)
-
-
-def _gram_gate(op: OperatorMatrix, normalized: list[tuple]) -> tuple[float, float, str, float]:
-    """Condition numbers of both unit-diagonal Gram matrices, checked against the limit.
-
-    The global condition number is taken over the union of the block
-    eigenvalues.  Returns (domain, codomain, worst block, its condition),
-    the worst block being the one with the largest condition of its own
-    (the first such, domain side first, blocks in stack order).  One
-    ``eigvalsh`` call per matrix size serves every block of both sides.
-    """
-    grams = [
-        (side, st.labels, parts[which])
-        for side, which in (("domain", 1), ("codomain", 2))
-        for st, parts in zip(op.stacks, normalized)
-        if parts[which].shape[-1]
+def _singular_values(op: OperatorMatrix) -> np.ndarray:
+    """Singular values of all blocks, descending, zero-padded to min(shape): one SVD per block shape."""
+    pieces = [np.zeros(0)] + [
+        np.linalg.svd(s.matrix, compute_uv=False).ravel() for s in op.stacks if s.matrix.shape[-1] and s.matrix.shape[-2]
     ]
-    ranges = _by_size([g for *_, g in grams], _eig_range)
-    conds = {}
-    for side in ("domain", "codomain"):
-        # a block's (min, max) pair holds the extremes of its eigenvalues
-        side_ranges = [r for (s, *_), r in zip(grams, ranges) if s == side]
-        conds[side] = float(_condition(np.concatenate(side_ranges).ravel())) if side_ranges else 1.0
-    worst, worst_cond = "", 0.0
-    if grams:
-        block_cond = _condition(np.concatenate(ranges))
-        i = int(np.argmax(block_cond))
-        worst_cond = float(block_cond[i])
-        for side, labels, g in grams:
-            if i < len(g):
-                worst = f"{side} Gram of {labels[i]}"
-                break
-            i -= len(g)
-    for side, cond in conds.items():
-        if cond > GRAM_CONDITION_LIMIT:
-            raise IndexLabError(
-                f"ill-conditioned Gram matrix: {side} condition {cond:.4g} exceeds "
-                f"{GRAM_CONDITION_LIMIT:.0e}; worst block: {worst} (condition {worst_cond:.4g})"
-            )
-    return conds["domain"], conds["codomain"], worst, worst_cond
-
-
-def _singular_values(op: OperatorMatrix, normalized: list[tuple]) -> np.ndarray:
-    """Whitened singular values of all blocks, descending, zero-padded to min(shape).
-
-    The whitening factors of every block come at once: one ``cholesky``
-    per Gram size over both sides, then one ``inv`` per domain size.  The
-    SVD is one call per block shape.
-    """
-    blocks = [parts for parts in normalized if parts[0].shape[-1] and parts[0].shape[-2]]
-    mats = [a for a, _, _ in blocks]
-    # orthonormal bases need no whitening
-    white = [i for i, (_, gd, gc) in enumerate(blocks) if not (_shared_identity(gd) and _shared_identity(gc))]
-    n = len(white)
-    upper = _by_size(  # L^H of each Cholesky factor L
-        [blocks[i][1] for i in white] + [blocks[i][2] for i in white], lambda g: _herm(np.linalg.cholesky(g))
-    )
-    for i, lc, inv_ld in zip(white, upper[n:], _by_size(upper[:n], np.linalg.inv)):
-        mats[i] = lc @ mats[i] @ inv_ld
-    pieces = [np.zeros(0)] + [np.linalg.svd(a, compute_uv=False).ravel() for a in mats]
     sv = np.sort(np.concatenate(pieces))[::-1]
     return np.concatenate([sv, np.zeros(min(op.shape) - sv.size)])
 
@@ -547,10 +514,13 @@ def numeric_index(
     threshold: float = 1e-8,
     formula_index: int | None = None,
 ) -> IndexReport:
-    """Kernel/cokernel dimensions from singular values below a relative threshold."""
-    normalized = _normalized(op.stacks)
-    cond_dom, cond_cod, worst, worst_cond = _gram_gate(op, normalized)
-    sv = _singular_values(op, normalized)
+    """Kernel/cokernel dimensions from singular values below a relative threshold.
+
+    The report is conclusive when both the gap ratio and the kept margin
+    reach GAP_REQUIREMENT: the gap ratio alone is unbounded whenever the
+    zero modes are exact, however close a kept value lies to the cut.
+    """
+    sv = _singular_values(op)
     ncod, ndom = op.shape
     kept_margin = None
     if sv.size == 0:
@@ -570,7 +540,7 @@ def numeric_index(
             gap = np.inf
     kernel = ndom - rank
     coker = ncod - rank
-    conclusive = bool(gap >= GAP_REQUIREMENT)
+    conclusive = bool(gap >= GAP_REQUIREMENT and (kept_margin is None or kept_margin >= GAP_REQUIREMENT))
     return IndexReport(
         tag=op.tag,
         kernel_dim=kernel,
@@ -582,9 +552,6 @@ def numeric_index(
         conclusive=conclusive,
         is_complex_linear=op.is_complex_linear,
         singular_values=sv,
-        gram_domain_condition=cond_dom,
-        gram_codomain_condition=cond_cod,
-        gram_worst_block=worst,
-        gram_worst_condition=worst_cond,
+        basis_orthonormality_defect=op.orthonormality_defect,
         kept_margin=kept_margin,
     )

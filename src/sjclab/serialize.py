@@ -52,7 +52,10 @@ READ_CHUNK_VALUES = 1 << 17
 
 def read_flat_map(path) -> tuple[int, list[SuperField]]:
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"flat map {path} nests JSON too deeply to parse") from None
     if not isinstance(payload, dict) or payload.get("schema") != 1:
         raise ValueError("unsupported flat-map schema")
     if "L" not in payload:
@@ -90,6 +93,8 @@ def read_field_bundle(path):
             header = json.loads(fh.readline())
         except ValueError as exc:
             raise ValueError(f"field bundle header is not a JSON line: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"field bundle header of {path} nests JSON too deeply to parse") from None
         if not isinstance(header, dict):
             raise ValueError("field bundle header must be a JSON object")
         if header.get("schema") != 1:

@@ -27,7 +27,7 @@ Literal grammar (``SuperField.from_text``; ``to_text`` writes it back):
 * a literal is ``0`` or a sum of terms joined by ``+`` outside parentheses;
 * a term is ``*``-separated factors.  At most one factor is a finite
   complex number such as ``2.0``, ``-1.5`` or ``(0+1j)`` (default 1), one
-  literal with no inner spaces or underscores; every other factor is a
+  ASCII literal with no inner spaces or underscores; every other factor is a
   space-separated list of the symbols ``x1``, ``x2``, ``x1^n``, ``x2^n``
   (n >= 0), ``e3``, ``e4`` and ``l1`` .. ``lL``.  The coefficient is the
   first factor that does not start with ``x``, ``e`` or ``l``;
@@ -344,7 +344,12 @@ def _symbol_factor(L: int, factor: str) -> tuple[int, int, int, int]:
     for tok in factor.split():
         power = _X_POWER.fullmatch(tok)
         if power:
-            powers[int(power[1]) - 1] += int(power[2] or 1)
+            # a power past the cap is refused before int() reads its digits, however many
+            digits = (power[2] or "1").lstrip("0")
+            if len(digits) > len(str(MAX_DEGREE)):
+                shown = repr(tok[:24]) + ("..." if len(tok) > 24 else "")
+                raise ValueError(f"x power {shown} in superfield literal is above the degree cap {MAX_DEGREE}")
+            powers[int(power[1]) - 1] += int(digits or 0)
         else:
             bit = _odd_bit(tok, L)
             sign *= merge_sign(mask, bit)
@@ -354,7 +359,7 @@ def _symbol_factor(L: int, factor: str) -> tuple[int, int, int, int]:
 
 def _parse_coeff(factor: str) -> complex:
     c = None
-    if not _NOT_IN_COEFF.search(factor):
+    if factor.isascii() and not _NOT_IN_COEFF.search(factor):  # complex() reads other digits too
         try:
             c = complex(factor)
         except ValueError:

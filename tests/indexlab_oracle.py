@@ -1,103 +1,100 @@
-"""Reference sphere build and index steps for the tests: one sector, one stack at a time.
+"""The monomial-Gram engine for the sphere and dense torus operators, as references for the tests.
 
-``build_dbar_sphere`` builds dbar on O(k) sector by sector, q = -M..k + M,
-with a dozen small numpy steps per sector, then stacks the sectors of each
-block shape in order of first appearance.  ``gram_gate`` and
-``singular_values`` take the Gram eigenvalues, the Cholesky factors and
-their inverse with one LAPACK call per stack and side, after ``normalized``
-rescales each stack's two Grams on their own.  ``sjclab.indexlab``
-builds every sector in one pass and batches the factorisations by matrix
-size; the tests require the same bytes.
+The sphere operators are built as one dense global matrix each, over the
+level-M weighted monomials e_ab = z^a zbar^b (1+|z|^2)^-M listed box by
+box: dbar e_ab = b e'_{a,b-1} + (b - M) e'_{a+1,b} with integer entries, and
+the two Gram matrices from the closed-form radial integrals by a double
+loop.  ``dense_index`` takes one global SVD of the Cholesky-whitened matrix
+after rescaling both Grams to unit diagonal.  Those Grams reach condition
+1e14 by cutoff 22, so this engine agrees with the orthonormal sector bases
+of ``sjclab.indexlab`` only to about eps * cond; it serves at cutoffs <= 16.
+The torus operators are built mode by mode with ``np.kron``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from sjclab import indexlab as il
+from sjclab.spin import GAMMA
 
 
-def _stacks_by_shape(blocks: list[tuple]) -> list[il.BlockStack]:
-    """Stack blocks (matrix, gram_domain, gram_codomain, dom, cod, label) of equal shape."""
-    groups: dict[tuple[int, int], list[tuple]] = {}
-    for blk in blocks:
-        groups.setdefault(blk[0].shape, []).append(blk)
-    stacks = []
-    for group in groups.values():
-        *arrays, labels = zip(*group)
-        stacks.append(il.BlockStack(*map(np.stack, arrays), labels=list(labels)))
-    return stacks
+def radial_integral(p: int, s: int) -> float:
+    """integral over the plane of r^{2p} (1+r^2)^(-s), p <= s - 2, equal to pi p! (s-p-2)!/(s-1)!."""
+    return math.pi * math.factorial(p) * math.factorial(s - p - 2) / math.factorial(s - 1)
 
 
-def build_dbar_sphere(k: int, M: int) -> il.OperatorMatrix:
-    radial = np.array([il._radial_integral(p, 2 * M + k + 2) for p in range(k + 2 * M + 1)])
-    table_dom = 4.0 * 2.0 ** (k / 2.0) * radial
-    table_cod = 2.0 * 2.0 ** (k / 2.0) * radial
-    blocks = []
-    for q in range(-M, k + M + 1):
-        b = np.arange(max(0, -q), min(M, k + M - q) + 1)
-        d = np.arange(max(0, -q - 1), min(M - 1, k + M - q) + 1)
-        A = np.where(d[:, None] == b - 1, b, 0) + np.where(d[:, None] == b, b - M, 0)
-        blocks.append((
-            A.astype(complex),
-            table_dom[b[:, None] + b[None, :] + q],
-            table_cod[d[:, None] + d[None, :] + q + 1],
-            (b + q) * (M + 1) + b,
-            (d + q + 1) * M + d,
-            f"sector q={q}",
-        ))
-    return il.OperatorMatrix(tag=f"dbar O({k})", is_complex_linear=True, stacks=_stacks_by_shape(blocks))
-
-
-def normalized(stack: il.BlockStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``BlockStack.normalized`` on one stack, each side rescaled on its own."""
-    if il._shared_identity(stack.gram_domain) and il._shared_identity(stack.gram_codomain):
-        return stack.matrix, stack.gram_domain, stack.gram_codomain
-    sd = np.sqrt(np.diagonal(stack.gram_domain, axis1=-2, axis2=-1).real)
-    sc = np.sqrt(np.diagonal(stack.gram_codomain, axis1=-2, axis2=-1).real)
-    sd = np.where(sd == 0, 1.0, sd)
-    sc = np.where(sc == 0, 1.0, sc)
-    gd = stack.gram_domain / (sd[:, :, None] * sd[:, None, :])
-    gc = stack.gram_codomain / (sc[:, :, None] * sc[:, None, :])
-    return stack.matrix * sc[:, :, None] / sd[:, None, :], gd, gc
-
-
-def gram_gate(op: il.OperatorMatrix, normalized: list[tuple]) -> tuple[float, float, str, float]:
-    """``indexlab._gram_gate`` with one ``eigvalsh`` per stack and side."""
-    worst, worst_cond = "", 0.0
-    conds = {}
-    for side, which in (("domain", 1), ("codomain", 2)):
-        eigs = []
-        for st, parts in zip(op.stacks, normalized):
-            g = parts[which]
-            if g.shape[-1] == 0:
+def dense_gram(monomials, s, scale):
+    size = len(monomials)
+    g = np.zeros((size, size))
+    for i, (a, b) in enumerate(monomials):
+        for j, (c, d) in enumerate(monomials):
+            if a - b != c - d:
                 continue
-            e = np.linalg.eigvalsh(g)
-            eigs.append(e.ravel())
-            block_cond = il._condition(e)
-            i = int(np.argmax(block_cond))
-            if block_cond[i] > worst_cond:
-                worst, worst_cond = f"{side} Gram of {st.labels[i]}", float(block_cond[i])
-        conds[side] = float(il._condition(np.concatenate(eigs))) if eigs else 1.0
-    for side, cond in conds.items():
-        if cond > il.GRAM_CONDITION_LIMIT:
-            raise il.IndexLabError(
-                f"ill-conditioned Gram matrix: {side} condition {cond:.4g} exceeds "
-                f"{il.GRAM_CONDITION_LIMIT:.0e}; worst block: {worst} (condition {worst_cond:.4g})"
-            )
-    return conds["domain"], conds["codomain"], worst, worst_cond
+            p = (a + b + c + d) // 2
+            g[i, j] = scale * radial_integral(p, s)
+    return g
 
 
-def singular_values(op: il.OperatorMatrix, normalized: list[tuple]) -> np.ndarray:
-    """``indexlab._singular_values`` with two ``cholesky`` calls and one ``inv`` per stack."""
-    pieces = [np.zeros(0)]
-    for a, gd, gc in normalized:
-        if a.shape[-1] == 0 or a.shape[-2] == 0:
-            continue
-        if not (il._shared_identity(gd) and il._shared_identity(gc)):
-            ld = np.linalg.cholesky(gd)
-            lc = np.linalg.cholesky(gc)
-            a = il._herm(lc) @ a @ np.linalg.inv(il._herm(ld))
-        pieces.append(np.linalg.svd(a, compute_uv=False).ravel())
-    sv = np.sort(np.concatenate(pieces))[::-1]
-    return np.concatenate([sv, np.zeros(min(op.shape) - sv.size)])
+def dense_dbar(k, M):
+    """(A, domain Gram, codomain Gram) of dbar on O(k) in the level-M and level-(M+1) boxes, row-major."""
+    dom = [(a, b) for a in range(k + M + 1) for b in range(M + 1)]
+    cod = [(c, d) for c in range(k + M + 2) for d in range(M)]
+    cod_index = {mon: i for i, mon in enumerate(cod)}
+    A = np.zeros((len(cod), len(dom)), dtype=complex)
+    for j, (a, b) in enumerate(dom):
+        if b > 0:
+            A[cod_index[(a, b - 1)], j] += b
+        if b - M != 0:
+            A[cod_index[(a + 1, b)], j] += b - M
+    s = 2 * M + k + 2
+    gd = dense_gram(dom, s, 4.0 * 2.0 ** (k / 2.0))
+    gc = dense_gram(cod, s, 2.0 * 2.0 ** (k / 2.0))
+    return A, gd, gc
+
+
+def dense_dirac01(k, M):
+    """Minus the Gram adjoint Gd^-1 A^H Gc of dbar, with the two Grams swapped."""
+    A, gd, gc = dense_dbar(k, M)
+    return -np.linalg.solve(gd, A.conj().T @ gc), gc, gd
+
+
+def dense_torus(n, M):
+    freqs = np.fft.fftfreq(M, d=1.0 / M).astype(int)
+    modes = [(int(k1), int(k2)) for k1 in freqs for k2 in freqs]
+    w = 4 * n
+    A = np.zeros((len(modes) * w, len(modes) * w), dtype=complex)
+    for i, (k1, k2) in enumerate(modes):
+        block = -2j * np.pi * (k1 * GAMMA[0] + k2 * GAMMA[1])
+        A[i * w : (i + 1) * w, i * w : (i + 1) * w] = np.kron(block, np.eye(2 * n))
+    return A, np.eye(A.shape[1]), np.eye(A.shape[0])
+
+
+def dense_torus_chiral(n, M, part):
+    A, _, _ = dense_torus(n, M)
+    b10, b01 = il._chirality_bases(n)
+    modes = M * M
+    big10, big01 = np.kron(np.eye(modes), b10), np.kron(np.eye(modes), b01)
+    if part == "10":
+        A = big01.conj().T @ A @ big10
+    else:
+        A = big10.conj().T @ A @ big01
+    return A, np.eye(A.shape[1]), np.eye(A.shape[0])
+
+
+def unit_diagonal_condition(gd, gc):
+    """The larger condition number of the two Grams rescaled to unit diagonal."""
+    return max(np.linalg.cond(g / np.outer(np.sqrt(np.diag(g)), np.sqrt(np.diag(g)))) for g in (gd, gc))
+
+
+def dense_index(A, gd, gc, threshold=1e-8):
+    """(kernel, cokernel, descending singular values) from one global whitened SVD."""
+    sd, sc = np.sqrt(np.diag(gd)), np.sqrt(np.diag(gc))
+    a = A * sc[:, None] / sd[None, :]
+    ld = np.linalg.cholesky(gd / np.outer(sd, sd))
+    lc = np.linalg.cholesky(gc / np.outer(sc, sc))
+    sv = np.linalg.svd(lc.conj().T @ a @ np.linalg.inv(ld.conj().T), compute_uv=False)
+    rank = int((sv > threshold * max(sv.max(), 1.0)).sum()) if sv.size else 0
+    return A.shape[1] - rank, A.shape[0] - rank, sv

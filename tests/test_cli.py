@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -290,36 +289,49 @@ def _edit_records(path, edit):
 
 
 class TestIndexLimits:
+    @pytest.mark.parametrize("degree,cutoff", [(1, 24), (0, 60), (0, 84)])
+    def test_large_sphere_cutoff_passes(self, degree, cutoff, tmp_path):
+        # cutoffs where the monomial Grams of a sector pass condition 1e14
+        argv = ["index", "--surface", "sphere", "--degree", str(degree), "--cutoff", str(cutoff)]
+        assert run(argv, tmp_path) == 0
+        rep = json.loads((tmp_path / "report.json").read_text())["index_report"]
+        assert (rep["kernel_dim"], rep["cokernel_dim"]) == (degree + 1, 0)
+        assert rep["conclusive"] and 0.0 < rep["basis_orthonormality_defect"] <= 1e-12
+
     @pytest.mark.parametrize(
-        "degree,cutoff,message",
+        "argv,first",
         [
-            (1, 24, "ill-conditioned Gram matrix: domain condition"),
-            (0, 60, "ill-conditioned Gram matrix: domain condition"),
-            (0, 84, "ill-conditioned Gram matrix: domain condition"),
-            (0, 90, "sphere Gram entries overflow double precision"),
-            (0, 200, "sphere Gram entries overflow double precision"),
-            (0, 3000000, "sphere Gram entries overflow double precision"),
+            (["index", "--surface", "sphere", "--degree", "0", "--cutoff", "201"], True),
+            (["index", "--surface", "sphere", "--degree", "0", "--cutoff", "3000000"], True),
+            (["index", "--surface", "sphere", "--degree", "67", "--cutoff", "69"], False),  # D10 at 203
+            (["bochner", "--cutoff", "201"], True),
+            (["bochner", "--cutoff", "3000000"], True),
         ],
     )
-    def test_large_sphere_cutoff_exit_2(self, degree, cutoff, message, tmp_path, capsys):
-        argv = ["index", "--surface", "sphere", "--degree", str(degree), "--cutoff", str(cutoff)]
-        start = time.perf_counter()
-        assert run(argv, tmp_path) == 2
-        assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
-        assert message in err
-        if "ill-conditioned" in message:
-            assert "worst block: domain Gram of sector q=" in err
+    def test_sphere_cutoff_over_limit_exit_2(self, argv, first, tmp_path, capsys, monkeypatch):
+        from sjclab import indexlab
 
-    @pytest.mark.parametrize("cutoff", [86, 3000000])
-    def test_large_bochner_cutoff_exit_2(self, cutoff, tmp_path, capsys):
-        # the antiholomorphic half on O(-1): weight exponent 2 cutoff + 1 >= 172
-        start = time.perf_counter()
-        assert run(["bochner", "--cutoff", str(cutoff)], tmp_path) == 2
-        assert time.perf_counter() - start < 1.0
+        def no_rule(n):
+            raise AssertionError("quadrature built before the limit check")
+
+        if first:
+            monkeypatch.setattr(indexlab, "_gauss_legendre", no_rule)
+        assert run(argv, tmp_path) == 2
         err = capsys.readouterr().err
-        assert f"the weight integral of r^0 (1+r^2)^-{2 * cutoff + 1} is not representable" in err
+        assert f"is above the limit of {indexlab.SPHERE_CUTOFF_LIMIT}" in err
         assert not (tmp_path / "report.json").exists()
+
+    def test_kept_value_near_the_cut_is_inconclusive(self, tmp_path):
+        # sigma_1 = sqrt(3/2) lies 19x above the cut 0.01 sqrt(40): no zero mode sits
+        # near it, so the gap ratio is unbounded, but the kept margin is below 1e3
+        argv = ["index", "--surface", "sphere", "--degree", "1", "--cutoff", "8", "--threshold", "0.01"]
+        assert run(argv, tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        failing = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failing == ["kernel of dbar on O(1)"]
+        rep = report["index_report"]
+        assert rep["kernel_dim"] == 2 and not rep["conclusive"]
+        assert rep["kept_margin"] == pytest.approx(np.sqrt(1.5) / (0.01 * np.sqrt(40)), rel=1e-12)
 
     def test_torus_cutoff_64(self, tmp_path):
         argv = ["index", "--surface", "torus", "--target-rank", "1", "--cutoff", "64"]
@@ -538,6 +550,15 @@ class TestBundleValidation:
         assert run(["verify-components", str(path)], tmp_path) == 2
         assert message in capsys.readouterr().err
 
+    def test_deeply_nested_header_exit_2(self, tmp_path, capsys):
+        # json raises RecursionError here, which is no ValueError
+        path, *_ = TestVerifyComponents()._solution_bundle(tmp_path)
+        body = path.read_text().split("\n", 1)[1]
+        path.write_text("[" * 200000 + "\n" + body)
+        assert run(["verify-components", str(path)], tmp_path) == 2
+        assert f"error: field bundle header of {path} nests JSON too deeply to parse" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("gauge", [None, "grid", "flat"])
     def test_lambda_key_is_optional(self, gauge, tmp_path):
         # a flat lam column passes under "flat", under "grid" and with no key
@@ -650,6 +671,14 @@ class TestFlatMapValidation:
         assert run(["verify-flat", str(path)], tmp_path) == 2
         assert message in capsys.readouterr().err
 
+    def test_deeply_nested_payload_exit_2(self, tmp_path, capsys):
+        # json raises RecursionError here, which is no ValueError
+        path = tmp_path / "map.json"
+        path.write_text("[" * 200000)
+        assert run(["verify-flat", str(path)], tmp_path) == 2
+        assert f"error: flat map {path} nests JSON too deeply to parse" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize(
         "L,code",
         [(None, 2), (2.7, 2), ("2", 2), (True, 2), (-1, 2), (FLAT_MAP_MAX_L + 1, 2), (0, 0), (FLAT_MAP_MAX_L, 0)],
@@ -709,6 +738,13 @@ class TestLiteralParsing:
             ("x1 * * x2", "'x1 * * x2'"),
             ("x1 +", "term 2"),
             ("x1 + + x2", "term 2"),
+            # complex() reads Arabic-Indic and full-width digits: 10 * x1 and x1
+            pytest.param("\u0661\u0660 * x1", "bad coefficient '\u0661\u0660'", id="arabic-indic-digits"),
+            pytest.param("\uff11 * x1", "bad coefficient '\uff11'", id="full-width-digit"),
+            # a power past the cap is named before int() meets its 5000 digits
+            pytest.param(
+                "1.0 * x1^" + "1" * 5000, "x power 'x1^111111111111111111111'... in superfield literal", id="long-power"
+            ),
         ],
     )
     def test_bad_literal_exit_2(self, text, token, tmp_path, capsys):

@@ -1,31 +1,25 @@
-import math
-import sys
+import re
 
 import numpy as np
 import pytest
 
 import indexlab_oracle
 from sjclab import indexlab as il
-from sjclab.spin import GAMMA
 
 
-def assemble(op, part="matrix"):
-    """One dense global array of an operator from its blocks: the matrix or a Gram matrix."""
-    rows, cols = {"matrix": ("cod", "dom"), "gram_domain": ("dom", "dom"), "gram_codomain": ("cod", "cod")}[part]
-    size = {"cod": op.shape[0], "dom": op.shape[1]}
-    blocks = [getattr(s, part) for s in op.stacks]
-    out = np.zeros((size[rows], size[cols]), dtype=np.result_type(*blocks))
+def assemble(op):
+    """One dense global array of an operator from its blocks."""
+    blocks = [s.matrix for s in op.stacks]
+    out = np.zeros(op.shape, dtype=np.result_type(*blocks))
     for s, blk in zip(op.stacks, blocks):
-        out[getattr(s, rows)[:, :, None], getattr(s, cols)[:, None, :]] = blk
+        out[s.cod[:, :, None], s.dom[:, None, :]] = blk
     return out
 
 
-def single_block(matrix, gram_domain, gram_codomain, tag):
+def single_block(matrix, tag):
     """An operator stored as one block covering both whole bases."""
     rows, cols = matrix.shape
-    stack = il.BlockStack(
-        matrix[None], gram_domain[None], gram_codomain[None], np.arange(cols)[None], np.arange(rows)[None], [tag]
-    )
+    stack = il.BlockStack(matrix[None], np.arange(cols)[None], np.arange(rows)[None], [tag])
     return il.OperatorMatrix(stacks=[stack], tag=tag, is_complex_linear=True)
 
 
@@ -33,6 +27,17 @@ def torus_half(n, M, part):
     """The chiral half "10" or "01" of the torus Dirac operator at target rank n, cutoff M."""
     d10, d01 = il.torus_chiral_halves(il.build_dirac_torus(n, M))
     return {"10": d10, "01": d01}[part]
+
+
+def exact_spectrum(k, M):
+    """Nonzero singular values of dbar on O(k) at cutoff M, descending.
+
+    sigma_l = sqrt(l (l + k + 1) / 2) with multiplicity k + 2l + 1, for
+    l = max(1, -k)..M: the levels of the round Laplacian on the bundle
+    that the level-M box resolves.
+    """
+    levels = range(max(1, -k), M + 1)
+    return np.repeat([np.sqrt(l * (l + k + 1) / 2) for l in levels], [k + 2 * l + 1 for l in levels])[::-1]
 
 
 class TestOracles:
@@ -56,6 +61,14 @@ class TestOracles:
         assert il.riemann_roch(1, 0, 2 - 1) == il.dirac10_index(2) == 4
         assert il.riemann_roch(1, 0, 2) == 6  # untwisted rank-1 operator
 
+    def test_exact_spectrum_counts_the_box(self):
+        # rank = dim domain - h0 = dim codomain - h1
+        for k in range(-6, 9):
+            for M in range(abs(k) + 2, abs(k) + 6):
+                h0, h1 = il.h_oracle(k)
+                rank = exact_spectrum(k, M).size
+                assert rank == (k + M + 1) * (M + 1) - h0 == (k + M + 2) * M - h1
+
 
 class TestSphereOperators:
     @pytest.mark.parametrize("k", range(-4, 7))
@@ -68,16 +81,16 @@ class TestSphereOperators:
         assert rep.conclusive
         assert rep.numeric_index_real == il.riemann_roch(1, 0, k)
 
-    def test_exact_kernel_representatives(self):
-        for k in (0, 2, 4):
-            M = k + 4
-            op = il.build_dbar_sphere(k, M)
-            # z^a0 expands as sum_j binom(M, j) e_{a0+j, j}, at position a (M + 1) + b
-            vecs = np.zeros((k + 1, op.shape[1]))
-            for a0 in range(k + 1):
-                for j in range(M + 1):
-                    vecs[a0, (a0 + j) * (M + 1) + j] = math.comb(M, j)
-            assert np.abs(assemble(op) @ vecs.T).max() == 0.0
+    @pytest.mark.parametrize("k", [0, 2, 4, 9])
+    def test_holomorphic_sections_are_exact_kernel_vectors(self, k):
+        # in sector q = 0..k the constant polynomial p_0 is z^q itself: dbar maps it to exactly 0
+        M = k + 4
+        op = il.build_dbar_sphere(k, M)
+        full = [s for s in op.stacks if s.matrix.shape[1:] == (M, M + 1)]
+        (stack,) = full
+        assert stack.labels == [f"sector q={q}" for q in range(k + 1)]
+        assert np.all(stack.matrix[:, :, 0] == 0.0)
+        assert (np.linalg.svd(stack.matrix[:, :, 1:], compute_uv=False) > 0.5).all()
 
     @pytest.mark.parametrize("k", range(-4, 7))
     def test_sector_positions_tile_both_boxes(self, k):
@@ -88,6 +101,13 @@ class TestSphereOperators:
             cod = np.concatenate([s.cod.ravel() for s in op.stacks])
             assert np.array_equal(np.sort(dom), np.arange(op.shape[1]))
             assert np.array_equal(np.sort(cod), np.arange(op.shape[0]))
+
+    def test_stacks_by_decreasing_size(self):
+        op = il.build_dbar_sphere(2, 6)
+        sizes = [s.matrix.shape[1:] for s in op.stacks]
+        assert sizes == sorted(set(sizes), reverse=True)
+        # mirror sectors share a shape, charges ascending within a stack
+        assert op.stacks[1].labels == ["sector q=-1", "sector q=3"]
 
     def test_cutoff_stability_of_index(self):
         for k in (-3, -1, 0, 2, 4):
@@ -106,6 +126,118 @@ class TestSphereOperators:
     def test_cutoff_guard(self):
         with pytest.raises(il.IndexLabError):
             il.build_dbar_sphere(3, 2)
+
+    @pytest.mark.parametrize("k,M", [(0, 201), (-5, 10**7), (10**9, 10**9)])
+    def test_cutoff_limit_before_any_allocation(self, k, M, monkeypatch):
+        def no_rule(n):
+            raise AssertionError("quadrature built before the limit check")
+
+        monkeypatch.setattr(il, "_gauss_legendre", no_rule)
+        with pytest.raises(il.IndexLabError, match=f"sphere cutoff {M} is above the limit of 200"):
+            il.build_dbar_sphere(k, M)
+
+    def test_cutoff_limit_is_inclusive(self):
+        # the smallest operator at the limit: O(-198) has one-dimensional sectors
+        rep = il.numeric_index(il.build_dbar_sphere(-198, il.SPHERE_CUTOFF_LIMIT))
+        assert (rep.kernel_dim, rep.cokernel_dim) == il.h_oracle(-198)
+
+
+# degrees -4..9 at cutoffs from the smallest admissible one up to 84
+EXACT_CASES = [(k, M) for k in range(-4, 10) for M in sorted({abs(k) + 2, abs(k) + 5, 16, 24, 40, 60, 84})]
+
+
+class TestExactSpectrum:
+    @pytest.mark.parametrize("k,M", EXACT_CASES)
+    def test_singular_values_and_kernels(self, k, M):
+        rep = il.numeric_index(il.build_dbar_sphere(k, M))
+        exact = exact_spectrum(k, M)
+        sv = rep.singular_values
+        smax = exact[0]
+        assert sv.shape == (min((k + M + 2) * M, (k + M + 1) * (M + 1)),)
+        assert np.abs(sv[: exact.size] - exact).max() <= 1e-12 * smax
+        assert np.all(sv[exact.size :] <= 1e-12 * smax)
+        assert (rep.kernel_dim, rep.cokernel_dim) == il.h_oracle(k)
+        assert rep.conclusive
+        assert 0.0 < rep.basis_orthonormality_defect <= 1e-12
+
+    @pytest.mark.parametrize("k,M", [(-1, 8), (-1, 40), (2, 30), (5, 84)])
+    def test_dirac01_spectrum(self, k, M):
+        rep = il.numeric_index(il.build_dirac01_sphere(k, M))
+        exact = exact_spectrum(k, M)
+        assert np.abs(rep.singular_values[: exact.size] - exact).max() <= 1e-12 * exact[0]
+        assert (rep.kernel_dim, rep.cokernel_dim) == il.h_oracle(k)[::-1]
+
+
+class TestSectorBases:
+    @pytest.mark.parametrize("alpha,beta,size", [(0, 0, 12), (3, 0, 9), (0, 7, 20), (40, 2, 30), (25, 25, 50)])
+    def test_orthonormal_under_a_finer_rule(self, alpha, beta, size):
+        # the recurrence, not the rule: a rule with 9 more nodes sees the same identity Gram
+        for extra in (0, 9):
+            n = size + (alpha + beta + 1) // 2 + extra
+            t, w = il._gauss_legendre(n)
+            nodes = (t, np.log(t), np.log(t[::-1]), np.log(w))
+            (basis,) = il._sector_bases(np.array([alpha]), np.array([beta]), np.array([size]), nodes)
+            assert np.abs(basis @ basis.T - np.eye(size)).max() <= 1e-13
+
+    @pytest.mark.parametrize("alpha,beta", [(0, 3), (2, 9), (30, 1)])
+    def test_mirror_weight_is_the_reflection(self, alpha, beta):
+        # the build reads the sector of t^beta (1-t)^alpha off its twin: (-1)^j times the reversed values
+        size, n = 10, 10 + (alpha + beta) // 2 + 1
+        t, w = il._gauss_legendre(n)
+        nodes = (t, np.log(t), np.log(t[::-1]), np.log(w))
+        (direct,) = il._sector_bases(np.array([beta]), np.array([alpha]), np.array([size]), nodes)
+        (twin,) = il._sector_bases(np.array([alpha]), np.array([beta]), np.array([size]), nodes)
+        assert np.abs(direct - twin[:, ::-1] * (-1.0) ** np.arange(size)[:, None]).max() <= 1e-13
+
+    def test_legendre_values(self):
+        # alpha = beta = 0: the shifted Legendre polynomials sqrt(2j + 1) P_j(2t - 1)
+        t, w = il._gauss_legendre(6)
+        nodes = (t, np.log(t), np.log(t[::-1]), np.log(w))
+        (basis,) = il._sector_bases(np.zeros(1, int), np.zeros(1, int), np.array([3]), nodes)
+        expected = [np.ones_like(t), np.sqrt(3) * (2 * t - 1), np.sqrt(5) * (6 * t * t - 6 * t + 1)]
+        for j in range(3):
+            assert np.abs(basis[j] / np.sqrt(w) - expected[j]).max() <= 1e-13
+
+    @pytest.mark.parametrize("alpha,beta", [(0, 0), (3, 1), (0, 5), (6, 6)])
+    def test_structure_relation(self, alpha, beta):
+        # t (1 - t) p_j' = j ((j + beta) / (2j + alpha + beta) - t) p_j + (2j + alpha + beta + 1) c_j p_{j-1},
+        # p_j' from the interpolating polynomial through the unrooted values
+        size, n = 7, 12
+        t, w = il._gauss_legendre(n)
+        nodes = (t, np.log(t), np.log(t[::-1]), np.log(w))
+        (basis,) = il._sector_bases(np.array([alpha]), np.array([beta]), np.array([size]), nodes)
+        p = basis / np.sqrt(w * t**alpha * (1 - t) ** beta)
+        _, c = il._jacobi_recurrence(np.array([alpha]), np.array([beta]), size)
+        P = np.polynomial.Polynomial
+        for j in range(1, size):
+            slope = P.fit(t, p[j], j, domain=[0, 1], window=[0, 1]).deriv()(t)
+            rhs = j * ((j + beta) / (2 * j + alpha + beta) - t) * p[j] + (2 * j + alpha + beta + 1) * c[0, j] * p[j - 1]
+            assert np.abs(t * (1 - t) * slope - rhs).max() <= 1e-9 * np.abs(p[j]).max()
+
+    def test_gauss_legendre_rule(self):
+        for n in (1, 2, 7, 40):
+            t, w = il._gauss_legendre(n)
+            # exact for t^p, p <= 2n - 1: integral 1 / (p + 1)
+            for p in range(2 * n):
+                assert abs(w @ t**p - 1 / (p + 1)) <= 1e-14
+
+    def test_defect_beyond_the_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(il, "ORTHONORMALITY_LIMIT", 1e-20)
+        with pytest.raises(il.IndexLabError) as err:
+            il.build_dbar_sphere(1, 6)
+        pattern = r"sphere (domain|codomain) basis of sector q=-?\d+ is not orthonormal: Gram defect \S+ exceeds 1e-20"
+        assert re.fullmatch(pattern, str(err.value))
+
+    def test_report_carries_the_defect(self):
+        op = il.build_dbar_sphere(3, 20)
+        rep = il.numeric_index(op)
+        assert rep.basis_orthonormality_defect == op.orthonormality_defect
+        assert 0.0 < op.orthonormality_defect <= 1e-13
+        d01 = il.build_dirac01_sphere(3, 20)
+        assert d01.orthonormality_defect == op.orthonormality_defect
+        assert il.numeric_index(il.build_dirac_torus(1, 6)).basis_orthonormality_defect == 0.0
+        for half in il.torus_chiral_halves(il.build_dirac_torus(1, 6)):
+            assert 0.0 <= half.orthonormality_defect <= 1e-15
 
 
 class TestTorusOperators:
@@ -133,36 +265,35 @@ class TestTorusOperators:
 
 
 class TestAdjointRelation:
-    def test_gram_adjoint_is_honest(self):
-        # <A v, w>_cod = <v, A* w>_dom for random vectors
-        rng = np.random.default_rng(0)
-        op = il.build_dbar_sphere(1, 6)
-        A, gd, gc = (assemble(op, part) for part in ("matrix", "gram_domain", "gram_codomain"))
-        a_star = assemble(op.adjoint())
-        for _ in range(5):
-            v = rng.standard_normal(A.shape[1])
-            w = rng.standard_normal(A.shape[0])
-            lhs = (A @ v).conj() @ gc @ w
-            rhs = v.conj() @ gd @ (a_star @ w)
-            assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
+    @pytest.mark.parametrize("op", [il.build_dbar_sphere(1, 6), il.build_dirac_torus(1, 4)], ids=["sphere", "torus"])
+    def test_adjoint_is_the_conjugate_transpose(self, op):
+        assert np.array_equal(assemble(op.adjoint()), assemble(op).conj().T)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("M", [4, 6, 8, 14])
-    def test_deviation_equals_solve_route_bit_for_bit(self, n, M):
-        # with identity Grams, A^H Gc + Gd B is Gd^-1 A^H Gc + B exactly
+    def test_deviation_equals_the_adjoint_sum(self, n, M):
+        # |A^H + B| block by block is |op* + other| exactly
         full = il.build_dirac_torus(n, M)
         d10, d01 = il.torus_chiral_halves(full)
         for op, other in ((full, full), (d10, d01), (d01, d10), (d10, d10)):
-            solved = max(float(np.abs(s.matrix + t.matrix).max()) for s, t in zip(op.adjoint().stacks, other.stacks))
-            assert il.adjoint_deviation(op, other) == solved
+            summed = max(float(np.abs(s.matrix + t.matrix).max()) for s, t in zip(op.adjoint().stacks, other.stacks))
+            assert il.adjoint_deviation(op, other) == summed
 
-    @pytest.mark.parametrize("k,M", [(-1, 6), (0, 8), (1, 6), (3, 12)])
-    def test_sphere_dirac01_is_minus_the_adjoint(self, k, M):
+    @pytest.mark.parametrize("k,M", [(-4, 6), (-1, 6), (0, 8), (1, 6), (3, 12), (6, 30)])
+    def test_sphere_dirac01_is_minus_the_transpose(self, k, M):
         dbar, d01 = il.build_dbar_sphere(k, M), il.build_dirac01_sphere(k, M)
-        scale = max(np.abs(il._herm(s.matrix) @ s.gram_codomain).max() for s in dbar.stacks)
-        assert il.adjoint_deviation(dbar, d01) <= 1e-14 * scale
+        assert d01.shape == dbar.shape[::-1] and d01.tag == f"D01 O({k})"
+        for s, t in zip(dbar.stacks, d01.stacks, strict=True):
+            assert np.array_equal(t.matrix, -s.matrix.conj().swapaxes(-1, -2))
+            assert np.array_equal(t.dom, s.cod) and np.array_equal(t.cod, s.dom) and t.labels == s.labels
+        assert il.adjoint_deviation(dbar, d01) == 0.0
+        scale = max(np.abs(s.matrix).max() for s in dbar.stacks)
         plus = il.OperatorMatrix(stacks=dbar.adjoint().stacks, tag="+dbar*", is_complex_linear=True)
-        assert il.adjoint_deviation(dbar, plus) == pytest.approx(2 * scale, rel=1e-12)
+        assert il.adjoint_deviation(dbar, plus) == 2 * scale
+
+    def test_adjoint_layout_mismatch_rejected(self):
+        with pytest.raises(il.IndexLabError, match="block layouts"):
+            il.adjoint_deviation(il.build_dbar_sphere(1, 6), il.build_dbar_sphere(1, 6))
 
 
 class TestBochnerGap:
@@ -173,12 +304,12 @@ class TestBochnerGap:
         assert sigma_min > 0.1
         # round normalization: the lowest mode saturates the curvature bound
         # sqrt(s / 4) at scalar curvature s = 2
-        assert abs(sigma_min - np.sqrt(0.5)) <= 1e-9
+        assert abs(sigma_min - np.sqrt(0.5)) <= 1e-13
 
     def test_adjoint_half_has_identical_singular_values(self):
         a = il.numeric_index(il.build_dbar_sphere(-1, 8)).singular_values
         b = il.numeric_index(il.build_dirac01_sphere(-1, 8)).singular_values
-        assert np.abs(a - b).max() <= 1e-10
+        assert np.abs(a - b).max() <= 1e-13 * a.max()
 
     def test_torus_flat_target_zero_modes(self):
         rep = il.numeric_index(torus_half(1, 8, "01"))
@@ -196,10 +327,24 @@ class TestReports:
     def test_inconclusive_flag_on_tiny_gap(self):
         # a singular value just below threshold with one barely above trips
         # the gap sanity requirement
-        mat = np.diag([1.0, 5e-9, 1e-9])
-        op = single_block(mat.astype(complex), np.eye(3), np.eye(3), "synthetic")
+        op = single_block(np.diag([1.0, 5e-9, 1e-9]).astype(complex), "synthetic")
         rep = il.numeric_index(op, threshold=2e-9)
         assert not rep.conclusive
+
+    def test_inconclusive_on_a_small_kept_margin_with_exact_zero_modes(self):
+        # the zero mode is exact, so the gap ratio is ~1e292; the kept value 5e-8 is only 5x the cut
+        op = single_block(np.diag([1.0, 5e-8, 0.0]).astype(complex), "synthetic")
+        rep = il.numeric_index(op)
+        assert rep.singular_gap_ratio > 1e290 and rep.kept_margin == pytest.approx(5.0)
+        assert rep.kernel_dim == 1 and not rep.conclusive
+        wide = il.numeric_index(single_block(np.diag([1.0, 1e-4, 0.0]).astype(complex), "synthetic"))
+        assert wide.kept_margin == pytest.approx(1e4) and wide.conclusive
+
+    def test_kept_value_near_the_cut_is_inconclusive(self):
+        # sigma_1 = sqrt(3/2) is 19x the cut 0.01 * sqrt(40); default thresholds keep ~1e7
+        rep = il.numeric_index(il.build_dbar_sphere(1, 8), threshold=0.01)
+        assert rep.kernel_dim == 2 and rep.kept_margin < il.GAP_REQUIREMENT and not rep.conclusive
+        assert il.numeric_index(il.build_dbar_sphere(1, 8)).kept_margin > 1e7
 
     def test_real_complex_bookkeeping(self):
         rep = il.numeric_index(il.build_dbar_sphere(2, 6))
@@ -208,118 +353,46 @@ class TestReports:
         top = il.numeric_index(il.build_dirac_torus(1, 4))
         assert top.kernel_dim_real == top.kernel_dim  # real representation
 
-    def test_ill_conditioned_gram_rejected(self):
-        g = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
-        op = single_block(np.eye(2, dtype=complex), g, np.eye(2), "bad")
-        with pytest.raises(il.IndexLabError):
-            il.numeric_index(op)
-
     def test_report_dict(self):
         rep = il.numeric_index(il.build_dbar_sphere(1, 6), formula_index=4)
         d = rep.as_dict()
         assert d["formula_index"] == 4
         assert d["numeric_index_real"] == 4
+        assert d["basis_orthonormality_defect"] == rep.basis_orthonormality_defect
+        assert "kept_margin" in d and not any(key.startswith("gram_") for key in d)
+
+    def test_kept_margin_finite_with_exact_zero_modes(self):
+        rep = il.numeric_index(il.build_dirac_torus(1, 6))
+        sv = rep.singular_values
+        assert (sv == 0.0).sum() == 4  # the k = 0 block is exactly zero
+        cut = 1e-8 * sv.max()
+        assert rep.kept_margin == sv[sv > cut].min() / cut
+        assert np.isfinite(rep.kept_margin) and rep.kept_margin > 1.0
 
 
-# -- dense global oracle -----------------------------------------------------------
+# -- the monomial-Gram engine at cutoffs <= 16 ---------------------------------------
 #
-# The operators as one dense global matrix each, the reference the block
-# engine is compared against: a Python double loop for the Gram matrices,
-# a global loop for dbar, np.kron per torus mode, and one normalized,
-# whitened global SVD.
+# The operators as one dense global matrix each over the monomial boxes
+# (``indexlab_oracle``), with one whitened global SVD.  Whitening amplifies
+# roundoff by the Gram condition number, so the agreement is
+# max(1e-12, eps * cond) * smax.
 
-
-def dense_gram(monomials, s, scale):
-    size = len(monomials)
-    g = np.zeros((size, size))
-    for i, (a, b) in enumerate(monomials):
-        for j, (c, d) in enumerate(monomials):
-            if a - b != c - d:
-                continue
-            p = (a + b + c + d) // 2
-            g[i, j] = scale * il._radial_integral(p, s)
-    return g
-
-
-def dense_dbar(k, M):
-    # the level-M domain box and the level-(M+1) codomain box, row-major
-    dom = [(a, b) for a in range(k + M + 1) for b in range(M + 1)]
-    cod = [(c, d) for c in range(k + M + 2) for d in range(M)]
-    cod_index = {mon: i for i, mon in enumerate(cod)}
-    A = np.zeros((len(cod), len(dom)), dtype=complex)
-    for j, (a, b) in enumerate(dom):
-        if b > 0:
-            A[cod_index[(a, b - 1)], j] += b
-        if b - M != 0:
-            A[cod_index[(a + 1, b)], j] += b - M
-    s = 2 * M + k + 2
-    gd = dense_gram(dom, s, 4.0 * 2.0 ** (k / 2.0))
-    gc = dense_gram(cod, s, 2.0 * 2.0 ** (k / 2.0))
-    return A, gd, gc
-
-
-def dense_dirac01(k, M):
-    A, gd, gc = dense_dbar(k, M)
-    return -np.linalg.solve(gd, A.conj().T @ gc), gc, gd
-
-
-def dense_torus(n, M):
-    freqs = np.fft.fftfreq(M, d=1.0 / M).astype(int)
-    modes = [(int(k1), int(k2)) for k1 in freqs for k2 in freqs]
-    w = 4 * n
-    A = np.zeros((len(modes) * w, len(modes) * w), dtype=complex)
-    for i, (k1, k2) in enumerate(modes):
-        block = -2j * np.pi * (k1 * GAMMA[0] + k2 * GAMMA[1])
-        A[i * w : (i + 1) * w, i * w : (i + 1) * w] = np.kron(block, np.eye(2 * n))
-    return A, np.eye(A.shape[1]), np.eye(A.shape[0])
-
-
-def dense_torus_chiral(n, M, part):
-    A, _, _ = dense_torus(n, M)
-    b10, b01 = il._chirality_bases(n)
-    modes = M * M
-    big10, big01 = np.kron(np.eye(modes), b10), np.kron(np.eye(modes), b01)
-    if part == "10":
-        A = big01.conj().T @ A @ big10
-    else:
-        A = big10.conj().T @ A @ big01
-    return A, np.eye(A.shape[1]), np.eye(A.shape[0])
-
-
-def dense_gate(gd, gc):
-    """True when the global normalized Gram matrices pass the 1e14 gate."""
-    sd, sc = np.sqrt(np.diag(gd)), np.sqrt(np.diag(gc))
-    ed = np.linalg.eigvalsh(gd / np.outer(sd, sd))
-    ec = np.linalg.eigvalsh(gc / np.outer(sc, sc))
-    return not (ed.min() <= 0 or ec.min() <= 0 or ed.max() / ed.min() > 1e14 or ec.max() / ec.min() > 1e14)
-
-
-def dense_index(A, gd, gc, threshold=1e-8):
-    """(kernel, cokernel, descending singular values) from one global SVD."""
-    sd, sc = np.sqrt(np.diag(gd)), np.sqrt(np.diag(gc))
-    a = A * sc[:, None] / sd[None, :]
-    ld = np.linalg.cholesky(gd / np.outer(sd, sd))
-    lc = np.linalg.cholesky(gc / np.outer(sc, sc))
-    sv = np.linalg.svd(lc.conj().T @ a @ np.linalg.inv(ld.conj().T), compute_uv=False)
-    rank = int((sv > threshold * max(sv.max(), 1.0)).sum()) if sv.size else 0
-    return A.shape[1] - rank, A.shape[0] - rank, sv
-
-
-# (name, block operator, dense oracle) constructors per case
-SPHERE_CASES = [(k, M) for k in range(-4, 7) for M in sorted({abs(k) + 2, abs(k) + 5, 12})]
+SPHERE_CASES = [(k, M) for k in range(-4, 7) for M in sorted({abs(k) + 2, abs(k) + 5, 12, 16})]
 ORACLE_CASES = (
-    [(f"dbar O({k}) M={M}", lambda k=k, M=M: il.build_dbar_sphere(k, M), lambda k=k, M=M: dense_dbar(k, M))
-     for k, M in SPHERE_CASES]
-    + [(f"D01 O({k}) M={M}", lambda k=k, M=M: il.build_dirac01_sphere(k, M), lambda k=k, M=M: dense_dirac01(k, M))
+    [(f"dbar O({k}) M={M}", lambda k=k, M=M: il.build_dbar_sphere(k, M),
+      lambda k=k, M=M: indexlab_oracle.dense_dbar(k, M)) for k, M in SPHERE_CASES]
+    + [(f"D01 O({k}) M={M}", lambda k=k, M=M: il.build_dirac01_sphere(k, M),
+        lambda k=k, M=M: indexlab_oracle.dense_dirac01(k, M))
        for k, M in [(-3, 6), (-1, 8), (0, 10), (2, 8)]]
     + [(f"D10 d={d} M={M}", lambda d=d, M=M: il.build_dirac10_sphere(d, M),
-        lambda d=d, M=M: dense_dbar(2 * d - 1, M)) for d, M in [(1, 10), (2, 12), (3, 14)]]
-    + [(f"torus n={n} M={M}", lambda n=n, M=M: il.build_dirac_torus(n, M), lambda n=n, M=M: dense_torus(n, M))
-       for n in (1, 2) for M in (4, 6, 8)]
+        lambda d=d, M=M: indexlab_oracle.dense_dbar(2 * d - 1, M)) for d, M in [(1, 10), (2, 12), (3, 14)]]
+    + [(f"torus n={n} M={M}", lambda n=n, M=M: il.build_dirac_torus(n, M),
+        lambda n=n, M=M: indexlab_oracle.dense_torus(n, M)) for n in (1, 2) for M in (4, 6, 8)]
     + [(f"D{p} torus n={n} M={M}", lambda n=n, M=M, p=p: torus_half(n, M, p),
-        lambda n=n, M=M, p=p: dense_torus_chiral(n, M, p))
+        lambda n=n, M=M, p=p: indexlab_oracle.dense_torus_chiral(n, M, p))
        for n in (1, 2) for M in (4, 6, 8) for p in ("10", "01")]
 )
+TORUS_CASES = [case for case in ORACLE_CASES if "torus" in case[0]]
 
 # The sphere requests of the benchmark's index workload (degree, cutoff); a
 # request of degree d >= 1 also builds the holomorphic Dirac half at cutoff + 2d.
@@ -330,75 +403,35 @@ BENCH_SPHERE = [
 ]
 
 
-def _bench_sphere_operators(degree, cutoff):
-    """(k, M) of the dbar operators one sphere index request builds."""
-    return [(degree, cutoff)] + ([(2 * degree - 1, cutoff + 2 * degree)] if degree >= 1 else [])
-
-
-class TestBlockEngineAgainstDenseOracle:
+class TestAgainstMonomialGramEngine:
     @pytest.mark.parametrize("name,build,oracle", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
     def test_index_and_singular_values(self, name, build, oracle):
         op = build()
         A, gd, gc = oracle()
         rep = il.numeric_index(op)
-        kernel, coker, sv = dense_index(A, gd, gc)
+        kernel, coker, sv = indexlab_oracle.dense_index(A, gd, gc)
+        assert op.shape == A.shape
         assert (rep.kernel_dim, rep.cokernel_dim) == (kernel, coker)
         assert rep.numeric_index == kernel - coker
         assert rep.singular_values.shape == sv.shape
-        # Whitening amplifies roundoff by the Gram condition number in both
-        # computations (each is off from the exact sqrt-of-half-integer sphere
-        # values by ~eps * cond), so the agreement is 1e-12 * smax only while
-        # eps * cond stays below 1e-12.
-        cond = max(rep.gram_domain_condition, rep.gram_codomain_condition)
+        cond = indexlab_oracle.unit_diagonal_condition(gd, gc)
         tol = max(1e-12, np.finfo(float).eps * cond) * sv.max()
         assert np.abs(rep.singular_values - np.sort(sv)[::-1]).max() <= tol
 
-    @pytest.mark.parametrize("name,build,oracle", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
-    def test_assembled_dense_arrays(self, name, build, oracle):
-        op = build()
-        A, gd, gc = oracle()
-        assert op.shape == A.shape
-        # the Gram matrices come from the same radial integrals: bit for bit
-        assert np.array_equal(assemble(op, "gram_domain"), gd)
-        assert np.array_equal(assemble(op, "gram_codomain"), gc)
-        # D01 is a solve with the raw Gram matrix, whose roundoff scales with
-        # its condition (the dense solve leaks it into cross-sector entries
-        # that the per-sector solve keeps at exactly 0)
-        cond = max(np.linalg.cond(gd), np.linalg.cond(gc))
-        tol = max(1e-12, np.finfo(float).eps * cond) * np.abs(A).max()
-        assert np.abs(assemble(op) - A).max() <= tol
+    @pytest.mark.parametrize("name,build,oracle", TORUS_CASES, ids=[c[0] for c in TORUS_CASES])
+    def test_assembled_torus_arrays(self, name, build, oracle):
+        A, _, _ = oracle()
+        assert np.abs(assemble(build()) - A).max() <= 1e-12 * np.abs(A).max()
 
-    @pytest.mark.parametrize("k,M", SPHERE_CASES)
-    def test_dbar_matrix_exact(self, k, M):
-        assert np.array_equal(assemble(il.build_dbar_sphere(k, M)), dense_dbar(k, M)[0])
-
-    @pytest.mark.parametrize("k,M", [(-4, 6), (0, 3), (1, 16), (3, 24), (-1, 28), (5, 30)])
-    def test_table_gram_equals_double_loop(self, k, M):
-        op = il.build_dbar_sphere(k, M)
-        _, gd, gc = dense_dbar(k, M)
-        assert np.array_equal(assemble(op, "gram_domain"), gd)
-        assert np.array_equal(assemble(op, "gram_codomain"), gc)
-
-    def test_gate_decision_on_benchmark_sphere_operators(self):
-        rejected = []
+    def test_benchmark_sphere_operators(self):
+        # every operator of the benchmark's sphere requests, up to cutoff 30
         for degree, cutoff in BENCH_SPHERE:
-            for k, M in _bench_sphere_operators(degree, cutoff):
-                _, gd, gc = dense_dbar(k, M)
-                try:
-                    il.numeric_index(il.build_dbar_sphere(k, M))
-                    passed = True
-                except il.IndexLabError:
-                    passed = False
-                assert passed == dense_gate(gd, gc), (k, M)
-                if not passed:
-                    rejected.append((degree, cutoff))
-        # exactly the four large-cutoff requests are rejected
-        assert sorted(set(rejected)) == [(-2, 26), (-1, 28), (1, 24), (3, 24)]
-
-    def test_closest_configuration_to_the_gate(self):
-        # dbar O(1) at cutoff 24: domain condition 1.097e14 against the 1e14 gate
-        with pytest.raises(il.IndexLabError, match=r"domain condition 1\.09\d*e\+14"):
-            il.numeric_index(il.build_dbar_sphere(1, 24))
+            ops = [(degree, cutoff)] + ([(2 * degree - 1, cutoff + 2 * degree)] if degree >= 1 else [])
+            for k, M in ops:
+                rep = il.numeric_index(il.build_dbar_sphere(k, M))
+                exact = exact_spectrum(k, M)
+                assert (rep.kernel_dim, rep.cokernel_dim) == il.h_oracle(k), (k, M)
+                assert np.abs(rep.singular_values[: exact.size] - exact).max() <= 1e-12 * exact[0], (k, M)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("M", [4, 6, 8])
@@ -413,159 +446,11 @@ class TestBlockEngineAgainstDenseOracle:
             assert sv.shape == (M * M, mult)
             assert np.abs(sv - expected[:, None]).max() <= 1e-14 * expected.max()
 
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("M", [4, 6, 8])
-    def test_torus_stacks_skip_the_identity_whitening(self, n, M):
-        # both Grams are the shared identity, so the unit-norm rescale and the
-        # Cholesky whitening would multiply by 1: the blocks go to the SVD as
-        # they are, with the singular values of the full path bit for bit
-        for op in (il.build_dirac_torus(n, M), torus_half(n, M, "10"), torus_half(n, M, "01")):
-            (stack,) = op.stacks
-            a, gd, gc = il._normalized([stack])[0]
-            assert a is stack.matrix and gd is stack.gram_domain and gc is stack.gram_codomain
-            ld, lc = np.linalg.cholesky(gd), np.linalg.cholesky(gc)
-            w = lc.conj().swapaxes(-1, -2) @ a @ np.linalg.inv(ld.conj().swapaxes(-1, -2))
-            full = np.sort(np.linalg.svd(w, compute_uv=False).ravel())[::-1]
-            assert np.array_equal(il._singular_values(op, [(a, gd, gc)]), full)
-
-    def test_adjoint_layout_mismatch_rejected(self):
-        with pytest.raises(il.IndexLabError, match="block layouts"):
-            il.adjoint_deviation(il.build_dbar_sphere(1, 6), il.build_dbar_sphere(1, 6))
-
-
-# -- one-pass build and size-batched factorisations against the per-sector oracle --
-
-STACK_FIELDS = ("matrix", "gram_domain", "gram_codomain", "dom", "cod")
-
-
-def same_bytes(x, y):
-    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
-def gate_or_error(gate, op, normalized):
-    try:
-        return gate(op, normalized)
-    except il.IndexLabError as err:
-        return str(err)
-
-
-def report_or_error(op):
-    try:
-        return il.numeric_index(op)
-    except il.IndexLabError as err:
-        return str(err)
-
-
-class TestOnePassAgainstPerSectorOracle:
-    @pytest.mark.parametrize("k", range(-5, 8))
-    def test_sectors_byte_equal(self, k):
-        for M in range(abs(k) + 2, 31):
-            op, ref = il.build_dbar_sphere(k, M), indexlab_oracle.build_dbar_sphere(k, M)
-            assert (op.tag, op.shape, op.is_complex_linear) == (ref.tag, ref.shape, ref.is_complex_linear)
-            assert [s.labels for s in op.stacks] == [s.labels for s in ref.stacks], (k, M)
-            for s, t in zip(op.stacks, ref.stacks):
-                for field in STACK_FIELDS:
-                    assert same_bytes(getattr(s, field), getattr(t, field)), (k, M, field, s.labels)
-
-    @pytest.mark.parametrize("k", range(-5, 8))
-    def test_index_steps_byte_equal(self, k):
-        # both Dirac halves: dbar, and D01 with the sides of every Gram swapped
-        for M in range(abs(k) + 2, 31):
-            for op in (il.build_dbar_sphere(k, M), il.build_dirac01_sphere(k, M)):
-                self.check_against_per_stack_calls(op)
-
     @pytest.mark.parametrize("n,M", [(1, 4), (1, 8), (2, 6)])
-    def test_torus_index_steps_byte_equal(self, n, M):
+    def test_torus_singular_values_are_the_stack_svd(self, n, M):
+        # one SVD per block shape: the torus stacks go to LAPACK as they are
         full = il.build_dirac_torus(n, M)
         for op in (full, *il.torus_chiral_halves(full)):
-            self.check_against_per_stack_calls(op)
-
-    @staticmethod
-    def check_against_per_stack_calls(op):
-        per_stack = [indexlab_oracle.normalized(s) for s in op.stacks]
-        batched = il._normalized(op.stacks)
-        assert all(same_bytes(u, v) for s, x in zip(op.stacks, per_stack) for u, v in zip(il._normalized([s])[0], x))
-        for x, y in zip(per_stack, batched, strict=True):
-            assert all(same_bytes(u, v) for u, v in zip(x, y)), op.tag
-        expected = gate_or_error(indexlab_oracle.gram_gate, op, per_stack)
-        assert gate_or_error(il._gram_gate, op, batched) == expected
-        rep = report_or_error(op)
-        if isinstance(expected, str):
-            assert rep == expected  # the same "ill-conditioned Gram matrix" message
-            return
-        sv = indexlab_oracle.singular_values(op, per_stack)
-        assert same_bytes(rep.singular_values, sv), op.tag
-        got = (rep.gram_domain_condition, rep.gram_codomain_condition, rep.gram_worst_block, rep.gram_worst_condition)
-        assert [x.hex() if isinstance(x, float) else x for x in got] == [
-            x.hex() if isinstance(x, float) else x for x in expected
-        ]
-
-    def test_indefinite_gram_fails_the_gate_before_any_cholesky(self):
-        # eigenvalues 3 and -1: a Cholesky factorisation would raise LinAlgError,
-        # so this error proves the gate ran first, over every block of both sides
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        broken = il.BlockStack(
-            np.ones((1, 2, 2), dtype=complex), np.eye(2)[None], bad[None],
-            np.array([[0, 1]]), np.array([[0, 1]]), ["synthetic block"],
-        )
-        stacks = [*il.build_dbar_sphere(1, 6).stacks, broken]
-        op = il.OperatorMatrix(stacks=stacks, tag="indefinite", is_complex_linear=True)
-        with pytest.raises(il.IndexLabError) as err:
-            il.numeric_index(op)
-        assert str(err.value).startswith("ill-conditioned Gram matrix: codomain condition inf exceeds 1e+14")
-        assert str(err.value).endswith("worst block: codomain Gram of synthetic block (condition inf)")
-
-
-class TestObservability:
-    def test_sphere_report_conditioning(self):
-        rep = il.numeric_index(il.build_dbar_sphere(1, 16))
-        _, gd, gc = dense_dbar(1, 16)
-        for cond, g in ((rep.gram_domain_condition, gd), (rep.gram_codomain_condition, gc)):
-            s = np.sqrt(np.diag(g))
-            assert abs(cond - np.linalg.cond(g / np.outer(s, s))) <= 1e-3 * cond
-        assert rep.gram_worst_block.startswith(("domain Gram of sector q=", "codomain Gram of sector q="))
-        assert 1.0 <= rep.gram_worst_condition <= max(rep.gram_domain_condition, rep.gram_codomain_condition)
-        d = rep.as_dict()
-        for key in ("gram_domain_condition", "gram_codomain_condition", "gram_worst_block",
-                    "gram_worst_condition", "kept_margin"):
-            assert key in d
-
-    def test_kept_margin_finite_with_exact_zero_modes(self):
-        rep = il.numeric_index(il.build_dirac_torus(1, 6))
-        sv = rep.singular_values
-        assert (sv == 0.0).sum() == 4  # the k = 0 block is exactly zero
-        cut = 1e-8 * sv.max()
-        assert rep.kept_margin == sv[sv > cut].min() / cut
-        assert np.isfinite(rep.kept_margin) and rep.kept_margin > 1.0
-        assert rep.gram_worst_block == "domain Gram of mode (0,0)" and rep.gram_worst_condition == 1.0
-
-    def test_gram_error_names_worst_sector(self):
-        with pytest.raises(il.IndexLabError) as err:
-            il.numeric_index(il.build_dbar_sphere(-1, 28))
-        msg = str(err.value)
-        assert msg.startswith("ill-conditioned Gram matrix: ")
-        assert "worst block: " in msg and "Gram of sector q=" in msg and "(condition " in msg
-
-    def test_radial_integral_overflow_is_an_index_error(self):
-        with pytest.raises(il.IndexLabError, match="overflow double precision"):
-            il.build_dbar_sphere(0, 90)
-
-    def test_radial_integral_limit_is_the_last_finite_factorial(self, monkeypatch):
-        # (s - 1)! is the largest factorial of the closed form: 170! is a double, 171! is not
-        assert math.isfinite(float(math.factorial(il._FACTORIAL_LIMIT)))
-        assert math.factorial(il._FACTORIAL_LIMIT + 1) > sys.float_info.max
-        assert math.isfinite(il._radial_integral(0, 171)) and math.isfinite(il._radial_integral(169, 171))
-        # degrees 0 and 1 build at cutoff 84 (s = 170, 171); no degree k >= 0 builds at cutoff 85
-        assert il.build_dbar_sphere(0, 84).shape and il.build_dbar_sphere(1, 84).shape
-        for k in range(0, 4):
-            with pytest.raises(il.IndexLabError, match=rf"r\^0 \(1\+r\^2\)\^-{2 * 85 + k + 2} is not"):
-                il.build_dbar_sphere(k, 85)
-
-        # past the limit no factorial is taken, however large the exponent
-        def no_factorial(n):
-            raise AssertionError(f"factorial({n}) taken")
-
-        monkeypatch.setattr(math, "factorial", no_factorial)
-        for s in (172, 6_000_002):
-            with pytest.raises(il.IndexLabError, match=rf"r\^0 \(1\+r\^2\)\^-{s} is not representable"):
-                il._radial_integral(0, s)
+            (stack,) = op.stacks
+            direct = np.sort(np.linalg.svd(stack.matrix, compute_uv=False).ravel())[::-1]
+            assert np.array_equal(il.numeric_index(op).singular_values, direct)
