@@ -30,8 +30,7 @@ and its singular values are those of its blocks:
   from their three-term recurrence evaluated at the nodes of one
   Gauss-Legendre rule that integrates every entry exactly (see
   ``build_dbar_sphere``).  The monomials themselves are never used: their
-  Gram matrices reach condition 1e14 by cutoff 22.  Blocks are labelled by
-  the domain charge of dbar.
+  Gram matrices reach condition 1e14 by cutoff 22.
 * torus: the Dirac operator is diagonal in the Fourier modes k, with
   block -2 pi i (k1 gamma^1 + k2 gamma^2) (x) I per mode; the chiral
   halves split mode by mode too.
@@ -39,7 +38,9 @@ and its singular values are those of its blocks:
 Blocks of one shape are stacked on a leading axis and go through LAPACK in
 one SVD call.  For a block-diagonal matrix the union of the block spectra
 is the global spectrum, so kernel and cokernel are the global ones.  No
-dense global matrix is assembled.
+dense global matrix is assembled, and no block records where its
+coordinates sit in the global bases: the verdicts read only spectra and
+block shapes.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ import numpy as np
 from .spin import GAMMA, ISPIN
 from .targets import standard_J
 
-# Smallest ratio of the smallest kept to the largest dropped singular value,
-# and of the smallest kept singular value to the rank cut, for which an
-# index report is conclusive.
+# Smallest ratio of the smallest kept singular value to the rank cut for which
+# an index report that keeps a value is conclusive.  Every dropped value lies
+# at or below the cut, so the ratio of the smallest kept to the largest
+# dropped value is at least as large.
 GAP_REQUIREMENT = 1e3
 # Largest sphere cutoff, checked before anything is allocated: at cutoff 200
 # the blocks of dbar O(0) hold 5.4M entries (43 MB), those of O(198) 107 MB.
@@ -103,50 +105,25 @@ def _herm(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class BlockStack:
-    """Diagonal blocks of one shape, stacked on a leading axis.
-
-    ``matrix[i]`` maps the domain coordinates ``dom[i]`` to the codomain
-    coordinates ``cod[i]`` (positions in the operator's global bases, which
-    are orthonormal).
-    """
-
-    matrix: np.ndarray  # (n, rows, cols)
-    dom: np.ndarray     # (n, cols) int
-    cod: np.ndarray     # (n, rows) int
-    labels: list[str]
-
-    def adjoint(self) -> BlockStack:
-        """Adjoint of every block in orthonormal bases: A^H."""
-        return BlockStack(matrix=_herm(self.matrix), dom=self.cod, cod=self.dom, labels=self.labels)
-
-
 class OperatorMatrix:
     """A block-diagonal operator between two orthonormal coordinate spaces.
 
-    It is stored only as its ``stacks`` of diagonal blocks; ``shape`` is
-    (codomain dimension, domain dimension).  ``orthonormality_defect`` is
-    the largest entry of |Gram - I| of its bases, as far as they are
-    computed (0.0 for bases that are orthonormal by construction).
+    It is stored only as its diagonal blocks: each of ``stacks`` holds the
+    blocks of one shape on a leading axis, (blocks, rows, cols), and the
+    blocks run down the diagonal in stack order.  ``shape`` is (codomain
+    dimension, domain dimension).  ``orthonormality_defect`` is the largest
+    entry of |Gram - I| of its bases, as far as they are computed (0.0 for
+    bases that are orthonormal by construction).
     """
 
-    def __init__(
-        self, *, stacks: list[BlockStack], tag: str, is_complex_linear: bool, orthonormality_defect: float = 0.0
-    ):
-        self.stacks = stacks
-        self.tag = tag
-        self.is_complex_linear = is_complex_linear
-        self.orthonormality_defect = orthonormality_defect
-        self.shape = (sum(s.cod.size for s in stacks), sum(s.dom.size for s in stacks))
+    stacks: list[np.ndarray]
+    tag: str
+    is_complex_linear: bool
+    orthonormality_defect: float = 0.0
 
-    def adjoint(self) -> OperatorMatrix:
-        """Adjoint, block by block."""
-        return OperatorMatrix(
-            tag=f"({self.tag})*",
-            is_complex_linear=self.is_complex_linear,
-            stacks=[s.adjoint() for s in self.stacks],
-            orthonormality_defect=self.orthonormality_defect,
-        )
+    @property
+    def shape(self) -> tuple[int, int]:
+        return sum(s.shape[0] * s.shape[1] for s in self.stacks), sum(s.shape[0] * s.shape[2] for s in self.stacks)
 
 
 def adjoint_deviation(op: OperatorMatrix, other: OperatorMatrix) -> float:
@@ -154,18 +131,12 @@ def adjoint_deviation(op: OperatorMatrix, other: OperatorMatrix) -> float:
 
     A is a block of ``op`` and B the matching block of ``other``.  Zero when
     ``other`` is minus the adjoint of ``op`` (``op`` itself when it is
-    anti-self-adjoint).  ``other`` must map each codomain block of ``op``
-    back to its domain block.
+    anti-self-adjoint).  Each block of ``other`` must have the transposed
+    shape of its block of ``op``.
     """
-    if len(op.stacks) != len(other.stacks) or not all(
-        np.array_equal(s.cod, t.dom) and np.array_equal(s.dom, t.cod)
-        for s, t in zip(op.stacks, other.stacks)
-    ):
+    if [t.shape for t in other.stacks] != [s.shape[:1] + s.shape[:0:-1] for s in op.stacks]:
         raise IndexLabError(f"{op.tag} and {other.tag} have different block layouts")
-    return max(
-        (float(np.abs(_herm(s.matrix) + t.matrix).max()) for s, t in zip(op.stacks, other.stacks) if s.matrix.size),
-        default=0.0,
-    )
+    return max((float(np.abs(_herm(s) + t).max()) for s, t in zip(op.stacks, other.stacks) if s.size), default=0.0)
 
 
 # -- sphere operators -------------------------------------------------------------
@@ -282,12 +253,10 @@ def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
     whose Gram matrix under that rule is off the identity by more than
     ORTHONORMALITY_LIMIT is refused, naming its sector.
 
-    Basis j of a sector takes the position of its j-th monomial, a (M + 1)
-    + b on the domain and c M + d on the codomain.  Stacks come by
-    decreasing block size (the mirror sectors q = -j and q = k + j share a
-    shape), sectors by ascending charge within a stack.  The sectors are
-    built in batches of at most SPHERE_BATCH_VALUES basis values (or one
-    sector), each batch padded to its largest block.
+    Stacks come by decreasing block size (the mirror sectors q = -j and
+    q = k + j share a shape), sectors by ascending charge within a stack.
+    The sectors are built in batches of at most SPHERE_BATCH_VALUES basis
+    values (or one sector), each batch padded to its largest block.
     """
     if M > SPHERE_CUTOFF_LIMIT:
         raise IndexLabError(f"sphere cutoff {M} is above the limit of {SPHERE_CUTOFF_LIMIT}; lower the cutoff")
@@ -302,21 +271,9 @@ def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
     nb, nd = top - b0 + 1, np.minimum(M - 1, k + M - q) - d0 + 1
     # sectors grouped by block shape, the largest first, charges ascending within a shape
     order = np.lexsort((q, -nd, -nb))
-    q, b0, d0, top, nb, nd = q[order], b0[order], d0[order], top[order], nb[order], nd[order]
-    labels = [f"sector q={x}" for x in q.tolist()]
-    r = np.arange(M + 1)
-    dom = ((b0 + q) * (M + 1) + b0)[:, None] + (M + 2) * r
-    cod = ((d0 + q + 1) * M + d0)[:, None] + (M + 1) * r
+    q, b0, top, nb, nd = q[order], b0[order], top[order], nb[order], nd[order]
     bounds = [0, *(np.flatnonzero(np.diff(nb * (M + 2) + nd)) + 1).tolist(), q.size]
-    stacks = [
-        BlockStack(
-            matrix=np.empty((stop - start, nd[start], nb[start])),
-            dom=dom[start:stop, : nb[start]],
-            cod=cod[start:stop, : nd[start]],
-            labels=labels[start:stop],
-        )
-        for start, stop in zip(bounds[:-1], bounds[1:])
-    ]
+    stacks = [np.empty((stop - start, nd[start], nb[start])) for start, stop in zip(bounds[:-1], bounds[1:])]
     stack_of = np.repeat(np.arange(len(stacks)), np.diff(bounds))
     defects, first = [], 0
     while first < q.size:
@@ -326,14 +283,14 @@ def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
         defects.append(err)
         for g in range(stack_of[first], stack_of[end - 1] + 1):
             lo, hi = max(bounds[g], first), min(bounds[g + 1], end)
-            _, rows, cols = stacks[g].matrix.shape
-            stacks[g].matrix[lo - bounds[g] : hi - bounds[g]] = padded[lo - first : hi - first, :rows, :cols]
+            _, rows, cols = stacks[g].shape
+            stacks[g][lo - bounds[g] : hi - bounds[g]] = padded[lo - first : hi - first, :rows, :cols]
         first = end
     err = np.concatenate(defects, axis=1)
     side, i = np.unravel_index(np.argmax(err), err.shape)
     if err[side, i] > ORTHONORMALITY_LIMIT:
         raise IndexLabError(
-            f"sphere {('domain', 'codomain')[side]} basis of {labels[i]} is not orthonormal: "
+            f"sphere {('domain', 'codomain')[side]} basis of sector q={q[i]} is not orthonormal: "
             f"Gram defect {err[side, i]:.3g} exceeds {ORTHONORMALITY_LIMIT:.0e}"
         )
     return OperatorMatrix(
@@ -358,7 +315,7 @@ def build_dirac01_sphere(k: int, M: int) -> OperatorMatrix:
     return OperatorMatrix(
         tag=f"D01 O({k})",
         is_complex_linear=True,
-        stacks=[dataclasses.replace(s, matrix=-s.matrix) for s in op.adjoint().stacks],
+        stacks=[-_herm(s) for s in op.stacks],
         orthonormality_defect=op.orthonormality_defect,
     )
 
@@ -370,17 +327,6 @@ def _torus_modes(M: int) -> np.ndarray:
     """(M^2, 2) Fourier modes (k1, k2), k1 outer."""
     freqs = np.fft.fftfreq(M, d=1.0 / M).astype(int)
     return np.stack(np.meshgrid(freqs, freqs, indexing="ij"), axis=-1).reshape(-1, 2)
-
-
-def _orthonormal_stack(matrix: np.ndarray, labels: list[str]) -> BlockStack:
-    """Blocks in order along the diagonal (the torus modes), with orthonormal bases."""
-    n, rows, cols = matrix.shape
-    return BlockStack(
-        matrix=matrix,
-        dom=np.arange(n * cols).reshape(n, cols),
-        cod=np.arange(n * rows).reshape(n, rows),
-        labels=labels,
-    )
 
 
 def build_dirac_torus(n_target: int, M: int) -> OperatorMatrix:
@@ -411,7 +357,7 @@ def build_dirac_torus(n_target: int, M: int) -> OperatorMatrix:
     return OperatorMatrix(
         tag=f"Dirac torus n={n_target}",
         is_complex_linear=False,
-        stacks=[_orthonormal_stack(full, [f"mode ({a},{b})" for a, b in modes.tolist()])],
+        stacks=[full],
     )
 
 
@@ -443,14 +389,14 @@ def torus_chiral_halves(full: OperatorMatrix) -> tuple[OperatorMatrix, OperatorM
     of them onto the other, mode by mode, in orthonormal bases.
     """
     (modes,) = full.stacks
-    n_target = modes.matrix.shape[-1] // 4
+    n_target = modes.shape[-1] // 4
     b10, b01 = _chirality_bases(n_target)
     defect = max(float(np.abs(_herm(b) @ b - np.eye(b.shape[1])).max()) for b in (b10, b01))
     d10, d01 = (
         OperatorMatrix(
             tag=f"D{part} torus n={n_target}",
             is_complex_linear=False,
-            stacks=[_orthonormal_stack(cod.conj().T @ modes.matrix @ dom, modes.labels)],
+            stacks=[cod.conj().T @ modes @ dom],
             orthonormality_defect=defect,
         )
         for part, dom, cod in (("10", b10, b01), ("01", b01, b10))
@@ -468,7 +414,6 @@ class IndexReport:
     cokernel_dim: int
     numeric_index: int
     formula_index: int | None
-    singular_gap_ratio: float
     threshold: float
     conclusive: bool
     is_complex_linear: bool
@@ -495,16 +440,12 @@ class IndexReport:
             cokernel_dim_real=self.cokernel_dim_real,
             numeric_index_real=self.numeric_index_real,
         )
-        if not np.isfinite(self.singular_gap_ratio):
-            out["singular_gap_ratio"] = None  # an unbounded ratio (exact zero modes)
         return out
 
 
 def _singular_values(op: OperatorMatrix) -> np.ndarray:
     """Singular values of all blocks, descending, zero-padded to min(shape): one SVD per block shape."""
-    pieces = [np.zeros(0)] + [
-        np.linalg.svd(s.matrix, compute_uv=False).ravel() for s in op.stacks if s.matrix.shape[-1] and s.matrix.shape[-2]
-    ]
+    pieces = [np.zeros(0)] + [np.linalg.svd(s, compute_uv=False).ravel() for s in op.stacks if s.size]
     sv = np.sort(np.concatenate(pieces))[::-1]
     return np.concatenate([sv, np.zeros(min(op.shape) - sv.size)])
 
@@ -516,40 +457,24 @@ def numeric_index(
 ) -> IndexReport:
     """Kernel/cokernel dimensions from singular values below a relative threshold.
 
-    The report is conclusive when both the gap ratio and the kept margin
-    reach GAP_REQUIREMENT: the gap ratio alone is unbounded whenever the
-    zero modes are exact, however close a kept value lies to the cut.
+    The report is conclusive when nothing is kept or the kept margin, the
+    smallest kept singular value over the cut, reaches GAP_REQUIREMENT.
     """
     sv = _singular_values(op)
     ncod, ndom = op.shape
-    kept_margin = None
-    if sv.size == 0:
-        rank = 0
-        gap = np.inf
-    else:
-        smax = sv.max()
-        cut = threshold * max(smax, 1.0)
-        nonzero = sv[sv > cut]
-        zero = sv[sv <= cut]
-        rank = nonzero.size
-        if nonzero.size:
-            kept_margin = float(nonzero.min() / cut)
-        if zero.size and nonzero.size:
-            gap = float(nonzero.min() / max(zero.max(), 1e-300))
-        else:
-            gap = np.inf
-    kernel = ndom - rank
-    coker = ncod - rank
-    conclusive = bool(gap >= GAP_REQUIREMENT and (kept_margin is None or kept_margin >= GAP_REQUIREMENT))
+    cut = threshold * max(sv.max(initial=0.0), 1.0)
+    kept = sv[sv > cut]
+    kept_margin = float(kept.min() / cut) if kept.size else None
+    kernel = ndom - kept.size
+    coker = ncod - kept.size
     return IndexReport(
         tag=op.tag,
         kernel_dim=kernel,
         cokernel_dim=coker,
         numeric_index=kernel - coker,
         formula_index=formula_index,
-        singular_gap_ratio=float(gap),
         threshold=threshold,
-        conclusive=conclusive,
+        conclusive=kept_margin is None or kept_margin >= GAP_REQUIREMENT,
         is_complex_linear=op.is_complex_linear,
         singular_values=sv,
         basis_orthonormality_defect=op.orthonormality_defect,

@@ -556,11 +556,11 @@ def components_from_complex(z_components: list[SuperField]) -> list[SuperField]:
     return out
 
 
-def holomorphy_equivalence_check(z_components: list[SuperField]) -> bool:
-    """True iff Dbar kills every component iff (h = k = 0, dzbar f = dzbar g = 0).
+def holomorphy_equivalence_check(z_components: list[SuperField]) -> tuple[bool, bool]:
+    """Holomorphy of the components by two routes: (Dbar kills every one, h = k = 0 and dzbar f = dzbar g = 0).
 
-    Both routes are computed; disagreement raises (it would signal an
-    implementation fault, not bad input).
+    The routes agree on every input; the suites report a disagreement, which
+    signals an implementation fault, as a failing check.
     """
     via_dbar = all(apply_Dbar(zc).is_zero() for zc in z_components)
     via_expansion = True
@@ -571,9 +571,4 @@ def holomorphy_equivalence_check(z_components: list[SuperField]) -> bool:
         if not (h.is_zero() and k.is_zero() and f.dzbar().is_zero() and g.dzbar().is_zero()):
             via_expansion = False
             break
-    if via_dbar != via_expansion:
-        raise AssertionError(
-            "holomorphy routes disagree: Dbar test %s, expansion test %s"
-            % (via_dbar, via_expansion)
-        )
-    return via_dbar
+    return via_dbar, via_expansion

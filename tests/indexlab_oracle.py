@@ -98,3 +98,16 @@ def dense_index(A, gd, gc, threshold=1e-8):
     sv = np.linalg.svd(lc.conj().T @ a @ np.linalg.inv(ld.conj().T), compute_uv=False)
     rank = int((sv > threshold * max(sv.max(), 1.0)).sum()) if sv.size else 0
     return A.shape[1] - rank, A.shape[0] - rank, sv
+
+
+def two_part_conclusive(sv, threshold):
+    """The former decision on descending singular values: the gap ratio and the kept margin both reach GAP_REQUIREMENT.
+
+    The gap ratio is the smallest kept value over the largest dropped one
+    (floored at 1e-300, unbounded when either side is empty); the kept margin
+    is the smallest kept value over the cut.
+    """
+    cut = threshold * max(sv.max(initial=0.0), 1.0)
+    kept, dropped = sv[sv > cut], sv[sv <= cut]
+    gap = kept.min() / max(dropped.max(), 1e-300) if kept.size and dropped.size else np.inf
+    return bool(gap >= il.GAP_REQUIREMENT and (not kept.size or kept.min() / cut >= il.GAP_REQUIREMENT))

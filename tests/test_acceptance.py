@@ -53,8 +53,8 @@ def test_criterion_1_flat_model_equivalence():
         zc = random_flat_z_component(rng, 2, holo)
         ys = components_from_complex([zc])
         res_zero = all(r.is_zero() for r in flat_sjc_residual(ys, J))
-        manual = holomorphy_equivalence_check([zc])
-        if res_zero == manual == holo:
+        via_dbar, via_expansion = holomorphy_equivalence_check([zc])
+        if res_zero == via_dbar == via_expansion == holo:
             agree += 1
     elapsed = time.monotonic() - t0
     report(

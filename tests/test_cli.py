@@ -134,6 +134,7 @@ BAD_FLAGS = [
     (["index", "--surface", "torus", "--cutoff", "6", "--target-rank", "-1"], "--target-rank"),
     (["index", "--threshold", "-1"], "--threshold"),
     (["index", "--threshold", "nan"], "--threshold"),
+    (["index", "--threshold", "1e-310"], "--threshold"),
     (["flat", "--trials", "0"], "--trials"),
     (["flat", "--trials", "-5"], "--trials"),
     (["identities", "--trials", "0", "--energy-trials", "0"], "--trials"),
@@ -204,6 +205,18 @@ class TestVerifyFlat:
         by_name = {c["name"]: c for c in report["checks"]}
         assert not by_name["first-order residual vanishes"]["passed"]
         assert by_name["residual agrees with the holomorphy criterion"]["passed"]
+        assert by_name["Dbar route agrees with the theta expansion"]["passed"]
+
+    def test_route_disagreement_fails_a_check(self, tmp_path, monkeypatch):
+        # D4 with the sign of its e4 part flipped: Dbar no longer kills the holomorphic sample
+        from sjclab import superfield
+
+        monkeypatch.setattr(superfield, "_D4", (2, 2, 1, 1))
+        sample = REPO / "samples" / "holomorphic_map.json"
+        assert run(["verify-flat", str(sample)], tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        failing = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert "Dbar route agrees with the theta expansion" in failing
 
 
 @pytest.mark.parametrize("dead", ["none", "some", "all"])
@@ -321,9 +334,21 @@ class TestIndexLimits:
         assert f"is above the limit of {indexlab.SPHERE_CUTOFF_LIMIT}" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_sphere_basis_cutoff_checked_before_any_build(self, tmp_path, capsys, monkeypatch):
+        # degree 1 at cutoff 199 builds its Dirac half at 201
+        from sjclab import indexlab
+
+        builds = []
+        monkeypatch.setattr(indexlab, "build_dbar_sphere", lambda k, M: builds.append((k, M)))
+        assert run(["index", "--surface", "sphere", "--degree", "1", "--cutoff", "199"], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert builds == []
+        assert "--cutoff 199" in err and "--degree 1" in err and "above the limit of 200" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_kept_value_near_the_cut_is_inconclusive(self, tmp_path):
         # sigma_1 = sqrt(3/2) lies 19x above the cut 0.01 sqrt(40): no zero mode sits
-        # near it, so the gap ratio is unbounded, but the kept margin is below 1e3
+        # near it, but the kept margin is below 1e3
         argv = ["index", "--surface", "sphere", "--degree", "1", "--cutoff", "8", "--threshold", "0.01"]
         assert run(argv, tmp_path) == 1
         report = json.loads((tmp_path / "report.json").read_text())
@@ -373,9 +398,9 @@ class TestIndexLimits:
 TORUS_CHECKS = [
     "torus Dirac anti-self-adjointness",
     "torus Dirac kernel (constant spinors)",
-    "torus Dirac index",
+    "torus Dirac kernel is the sum of the chiral kernels",
     "torus adjoint deviation",
-    "torus index sum",
+    "kernel of D01 equals cokernel of D10",
 ]
 
 
@@ -401,9 +426,10 @@ class TestTorusIndexChecks:
         def broken(n_target, M):
             op = build(n_target, M)
             (stack,) = op.stacks
-            if "mode (4,0)" in stack.labels:
+            modes = indexlab._torus_modes(M).tolist()
+            if [4, 0] in modes:
                 # adds 0.5i times the block: Hermitian, and chirality-swapping like the block
-                stack.matrix[stack.labels.index("mode (4,0)")] *= 1 + 0.5j
+                stack[modes.index([4, 0])] *= 1 + 0.5j
             return op
 
         monkeypatch.setattr(indexlab, "build_dirac_torus", broken)
@@ -411,6 +437,44 @@ class TestTorusIndexChecks:
         report = json.loads((tmp_path / "report.json").read_text())
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         assert "torus adjoint deviation" in failing
+
+    def test_chiral_kernel_checks_fail_on_the_wrong_chirality(self, tmp_path, monkeypatch):
+        """D01 projected onto the wrong chirality is zero: its kernel is its whole domain."""
+        from sjclab import indexlab
+
+        halves = indexlab.torus_chiral_halves
+
+        def wrong(full):
+            d10, d01 = halves(full)
+            b10, _ = indexlab._chirality_bases(full.stacks[0].shape[-1] // 4)
+            d01.stacks = [b10.conj().T @ full.stacks[0] @ b10]
+            return d10, d01
+
+        monkeypatch.setattr(indexlab, "torus_chiral_halves", wrong)
+        assert run(["index", "--surface", "torus", "--cutoff", "6"], tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        failing = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert {"torus Dirac kernel is the sum of the chiral kernels", "kernel of D01 equals cokernel of D10"} <= failing
+
+    def test_kernel_sum_fails_on_a_chirality_preserving_term(self, tmp_path, monkeypatch):
+        """A multiple of i on the zero mode commutes with the chirality: the halves miss it, the full kernel not."""
+        from sjclab import indexlab
+
+        build = indexlab.build_dirac_torus
+
+        def shifted(n_target, M):
+            op = build(n_target, M)
+            (stack,) = op.stacks
+            stack[0] += 1j * np.eye(stack.shape[-1])  # mode (0, 0), anti-Hermitian like the operator
+            return op
+
+        monkeypatch.setattr(indexlab, "build_dirac_torus", shifted)
+        assert run(["index", "--surface", "torus", "--cutoff", "6"], tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert not by_name["torus Dirac kernel is the sum of the chiral kernels"]["passed"]
+        assert by_name["torus Dirac anti-self-adjointness"]["passed"]
+        assert by_name["kernel of D01 equals cokernel of D10"]["passed"]
 
 
 def _set(rec, k, token):

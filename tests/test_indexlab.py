@@ -2,25 +2,30 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import indexlab_oracle
 from sjclab import indexlab as il
 
 
 def assemble(op):
-    """One dense global array of an operator from its blocks."""
-    blocks = [s.matrix for s in op.stacks]
-    out = np.zeros(op.shape, dtype=np.result_type(*blocks))
-    for s, blk in zip(op.stacks, blocks):
-        out[s.cod[:, :, None], s.dom[:, None, :]] = blk
+    """One dense global array of an operator: its blocks down the diagonal, in stack order."""
+    out = np.zeros(op.shape, dtype=np.result_type(*op.stacks))
+    row = col = 0
+    for block in (b for s in op.stacks for b in s):
+        out[row : row + block.shape[0], col : col + block.shape[1]] = block
+        row, col = row + block.shape[0], col + block.shape[1]
     return out
 
 
 def single_block(matrix, tag):
     """An operator stored as one block covering both whole bases."""
-    rows, cols = matrix.shape
-    stack = il.BlockStack(matrix[None], np.arange(cols)[None], np.arange(rows)[None], [tag])
-    return il.OperatorMatrix(stacks=[stack], tag=tag, is_complex_linear=True)
+    return il.OperatorMatrix(stacks=[matrix[None]], tag=tag, is_complex_linear=True)
+
+
+def conjugate_transpose(op):
+    """The operator of the conjugate-transposed blocks: the adjoint, the bases being orthonormal."""
+    return il.OperatorMatrix(stacks=[s.conj().swapaxes(1, 2) for s in op.stacks], tag="adjoint", is_complex_linear=True)
 
 
 def torus_half(n, M, part):
@@ -86,28 +91,29 @@ class TestSphereOperators:
         # in sector q = 0..k the constant polynomial p_0 is z^q itself: dbar maps it to exactly 0
         M = k + 4
         op = il.build_dbar_sphere(k, M)
-        full = [s for s in op.stacks if s.matrix.shape[1:] == (M, M + 1)]
+        full = [s for s in op.stacks if s.shape[1:] == (M, M + 1)]
         (stack,) = full
-        assert stack.labels == [f"sector q={q}" for q in range(k + 1)]
-        assert np.all(stack.matrix[:, :, 0] == 0.0)
-        assert (np.linalg.svd(stack.matrix[:, :, 1:], compute_uv=False) > 0.5).all()
+        assert stack.shape[0] == k + 1  # the sectors q = 0..k
+        assert np.all(stack[:, :, 0] == 0.0)
+        assert (np.linalg.svd(stack[:, :, 1:], compute_uv=False) > 0.5).all()
 
     @pytest.mark.parametrize("k", range(-4, 7))
     def test_sector_positions_tile_both_boxes(self, k):
+        # one block per charge q, shaped (codomain monomials of charge q + 1, domain monomials of charge q)
         for M in range(abs(k) + 2, abs(k) + 9):
             op = il.build_dbar_sphere(k, M)
             assert op.shape == ((k + M + 2) * M, (k + M + 1) * (M + 1))
-            dom = np.concatenate([s.dom.ravel() for s in op.stacks])
-            cod = np.concatenate([s.cod.ravel() for s in op.stacks])
-            assert np.array_equal(np.sort(dom), np.arange(op.shape[1]))
-            assert np.array_equal(np.sort(cod), np.arange(op.shape[0]))
+            dom = [a - b for a in range(k + M + 1) for b in range(M + 1)]
+            cod = [c - d - 1 for c in range(k + M + 2) for d in range(M)]
+            expected = sorted((cod.count(q), dom.count(q)) for q in range(-M, k + M + 1))
+            assert sorted(s.shape[1:] for s in op.stacks for _ in s) == expected
 
     def test_stacks_by_decreasing_size(self):
         op = il.build_dbar_sphere(2, 6)
-        sizes = [s.matrix.shape[1:] for s in op.stacks]
+        sizes = [s.shape[1:] for s in op.stacks]
         assert sizes == sorted(set(sizes), reverse=True)
-        # mirror sectors share a shape, charges ascending within a stack
-        assert op.stacks[1].labels == ["sector q=-1", "sector q=3"]
+        # mirror sectors share a shape: q = -1 and q = 3
+        assert op.stacks[1].shape == (2, 6, 6)
 
     def test_cutoff_stability_of_index(self):
         for k in (-3, -1, 0, 2, 4):
@@ -267,16 +273,16 @@ class TestTorusOperators:
 class TestAdjointRelation:
     @pytest.mark.parametrize("op", [il.build_dbar_sphere(1, 6), il.build_dirac_torus(1, 4)], ids=["sphere", "torus"])
     def test_adjoint_is_the_conjugate_transpose(self, op):
-        assert np.array_equal(assemble(op.adjoint()), assemble(op).conj().T)
+        assert np.array_equal(assemble(conjugate_transpose(op)), assemble(op).conj().T)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("M", [4, 6, 8, 14])
     def test_deviation_equals_the_adjoint_sum(self, n, M):
-        # |A^H + B| block by block is |op* + other| exactly
+        # |A^H + B| block by block is |op* + other| of the assembled arrays exactly
         full = il.build_dirac_torus(n, M)
         d10, d01 = il.torus_chiral_halves(full)
         for op, other in ((full, full), (d10, d01), (d01, d10), (d10, d10)):
-            summed = max(float(np.abs(s.matrix + t.matrix).max()) for s, t in zip(op.adjoint().stacks, other.stacks))
+            summed = float(np.abs(assemble(op).conj().T + assemble(other)).max())
             assert il.adjoint_deviation(op, other) == summed
 
     @pytest.mark.parametrize("k,M", [(-4, 6), (-1, 6), (0, 8), (1, 6), (3, 12), (6, 30)])
@@ -284,12 +290,10 @@ class TestAdjointRelation:
         dbar, d01 = il.build_dbar_sphere(k, M), il.build_dirac01_sphere(k, M)
         assert d01.shape == dbar.shape[::-1] and d01.tag == f"D01 O({k})"
         for s, t in zip(dbar.stacks, d01.stacks, strict=True):
-            assert np.array_equal(t.matrix, -s.matrix.conj().swapaxes(-1, -2))
-            assert np.array_equal(t.dom, s.cod) and np.array_equal(t.cod, s.dom) and t.labels == s.labels
+            assert np.array_equal(t, -s.conj().swapaxes(-1, -2))
         assert il.adjoint_deviation(dbar, d01) == 0.0
-        scale = max(np.abs(s.matrix).max() for s in dbar.stacks)
-        plus = il.OperatorMatrix(stacks=dbar.adjoint().stacks, tag="+dbar*", is_complex_linear=True)
-        assert il.adjoint_deviation(dbar, plus) == 2 * scale
+        scale = max(np.abs(s).max() for s in dbar.stacks)
+        assert il.adjoint_deviation(dbar, conjugate_transpose(dbar)) == 2 * scale
 
     def test_adjoint_layout_mismatch_rejected(self):
         with pytest.raises(il.IndexLabError, match="block layouts"):
@@ -325,17 +329,17 @@ class TestBochnerGap:
 
 class TestReports:
     def test_inconclusive_flag_on_tiny_gap(self):
-        # a singular value just below threshold with one barely above trips
-        # the gap sanity requirement
+        # a singular value just below threshold with one barely above (2.5x the cut)
+        # is inconclusive
         op = single_block(np.diag([1.0, 5e-9, 1e-9]).astype(complex), "synthetic")
         rep = il.numeric_index(op, threshold=2e-9)
         assert not rep.conclusive
 
     def test_inconclusive_on_a_small_kept_margin_with_exact_zero_modes(self):
-        # the zero mode is exact, so the gap ratio is ~1e292; the kept value 5e-8 is only 5x the cut
+        # the zero mode is exact, so kept over dropped is unbounded; the kept value 5e-8 is only 5x the cut
         op = single_block(np.diag([1.0, 5e-8, 0.0]).astype(complex), "synthetic")
         rep = il.numeric_index(op)
-        assert rep.singular_gap_ratio > 1e290 and rep.kept_margin == pytest.approx(5.0)
+        assert rep.kept_margin == pytest.approx(5.0)
         assert rep.kernel_dim == 1 and not rep.conclusive
         wide = il.numeric_index(single_block(np.diag([1.0, 1e-4, 0.0]).astype(complex), "synthetic"))
         assert wide.kept_margin == pytest.approx(1e4) and wide.conclusive
@@ -360,6 +364,24 @@ class TestReports:
         assert d["numeric_index_real"] == 4
         assert d["basis_orthonormality_defect"] == rep.basis_orthonormality_defect
         assert "kept_margin" in d and not any(key.startswith("gram_") for key in d)
+        assert "singular_gap_ratio" not in d
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        top=st.floats(0.0, 1e6),
+        threshold=st.floats(1e-300, 1.0),
+        free=st.lists(st.floats(0.0, 1.0), max_size=8),
+        at_cut=st.lists(st.sampled_from([0.0, 1.0, 1.0 + 2**-52, 1e3 * (1 - 2**-52), 1e3, 1e3 * (1 + 2**-52)]), max_size=6),
+    )
+    def test_kept_margin_rule_is_the_two_part_decision(self, top, threshold, free, at_cut):
+        # every dropped value lies at or below a cut of at least 1e-300, so the gap ratio never decides;
+        # the spectrum: its largest value top, fractions of it (0 among them), and multiples of the cut
+        cut = threshold * max(top, 1.0)
+        sv = np.sort([top] + [top * f for f in free] + [cut * m for m in at_cut if cut * m <= top])[::-1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(il, "_singular_values", lambda op: sv)
+            rep = il.numeric_index(single_block(np.zeros((sv.size, sv.size)), "spectrum"), threshold=threshold)
+        assert rep.conclusive == indexlab_oracle.two_part_conclusive(sv, threshold)
 
     def test_kept_margin_finite_with_exact_zero_modes(self):
         rep = il.numeric_index(il.build_dirac_torus(1, 6))
@@ -440,7 +462,7 @@ class TestAgainstMonomialGramEngine:
                          (torus_half(n, M, "10"), 2 * n),
                          (torus_half(n, M, "01"), 2 * n)):
             (stack,) = op.stacks
-            sv = np.linalg.svd(stack.matrix, compute_uv=False)
+            sv = np.linalg.svd(stack, compute_uv=False)
             modes = il._torus_modes(M)
             expected = 2 * np.pi * np.hypot(modes[:, 0], modes[:, 1])
             assert sv.shape == (M * M, mult)
@@ -452,5 +474,5 @@ class TestAgainstMonomialGramEngine:
         full = il.build_dirac_torus(n, M)
         for op in (full, *il.torus_chiral_halves(full)):
             (stack,) = op.stacks
-            direct = np.sort(np.linalg.svd(stack.matrix, compute_uv=False).ravel())[::-1]
+            direct = np.sort(np.linalg.svd(stack, compute_uv=False).ravel())[::-1]
             assert np.array_equal(il.numeric_index(op).singular_values, direct)

@@ -134,14 +134,14 @@ class TestHolomorphyEquivalence:
     def test_holomorphic_pair(self):
         z = SuperField.coordinate_z(L)
         comp = z * z + sf_theta() * (SuperField.base_generator(L, 1) * z)
-        assert holomorphy_equivalence_check([comp])
+        assert holomorphy_equivalence_check([comp]) == (True, True)
 
     def test_modulus_squared_fails(self):
         comp = SuperField.coordinate_z(L) * sf_zbar()
-        assert not holomorphy_equivalence_check([comp])
+        assert holomorphy_equivalence_check([comp]) == (False, False)
 
     def test_zero_map(self):
-        assert holomorphy_equivalence_check([SuperField.zero(L)])
+        assert holomorphy_equivalence_check([SuperField.zero(L)]) == (True, True)
 
     def test_cross_validation_random(self):
         rng = np.random.default_rng(2)
@@ -151,7 +151,8 @@ class TestHolomorphyEquivalence:
             zc = random_flat_z_component(rng, L, holo)
             ys = components_from_complex([zc])
             res_zero = all(r.is_zero() for r in flat_sjc_residual(ys, J))
-            assert res_zero == holomorphy_equivalence_check([zc]) == holo
+            via_dbar, via_expansion = holomorphy_equivalence_check([zc])
+            assert res_zero == via_dbar == via_expansion == holo
 
 
 class TestBerezin:
