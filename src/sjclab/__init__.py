@@ -22,11 +22,11 @@ input-file writers) live under ``tests/``, not in the package.
 """
 
 from .superfield import (
-    FlatTargetJ,
     SuperField,
     apply_D3,
     apply_D4,
     apply_Dbar,
+    apply_J,
     components_from_complex,
     flat_sjc_residual,
     holomorphy_equivalence_check,
@@ -53,7 +53,7 @@ from .indexlab import (
 )
 
 __all__ = [
-    "FlatTargetJ", "SuperField", "apply_D3", "apply_D4", "apply_Dbar",
+    "SuperField", "apply_D3", "apply_D4", "apply_Dbar", "apply_J",
     "components_from_complex", "flat_sjc_residual", "holomorphy_equivalence_check",
     "AlmostKahlerModel", "make_const_hsc", "make_flat", "make_fs_cp1", "make_model",
     "BochnerInput", "BochnerVerdicts", "ModuliDimQuery", "ModuliDimensions",

@@ -19,10 +19,10 @@ distinct phi.
 
 Every field is packed (:mod:`sjclab.fields`): the kernels run on the live
 mask blocks only, and products know their live masks from the mask
-algebra.  Spinor-index conventions follow
-:mod:`sjclab.spin`.  The pairings written with a spinor-index lowering use
-eps (eps_{34} = +1); the metric dual on form indices is trivial in
-orthonormal frames.  These two reconstructions are each isolated in one
+algebra, so no kernel takes the generator count L.  Spinor-index
+conventions follow :mod:`sjclab.spin`.  The pairings written with a
+spinor-index lowering use eps (eps_{34} = +1); the metric dual on form
+indices is trivial in orthonormal frames.  These two reconstructions are each isolated in one
 helper (``vee_q_pairing``, ``q_norm_squared``) and validated through the
 linearization and conformal-covariance tests.
 """
@@ -104,7 +104,7 @@ def antiholomorphic_part(T: GridField) -> GridField:
     return T.map(_antiholomorphic_map(T.shape[-1]).apply, -2)
 
 
-def sr_contraction(psi: GridField, Rop: np.ndarray, L: int) -> GridField:
+def sr_contraction(psi: GridField, Rop: np.ndarray) -> GridField:
     """Cubic curvature contraction SR(psi)_alpha = eps^{kl} R(psi_alpha, psi_k) psi_l.
 
     eps (entries 0, +-1) folds exactly into the third factor.  The body-valued
@@ -113,8 +113,8 @@ def sr_contraction(psi: GridField, Rop: np.ndarray, L: int) -> GridField:
     n of eps^{no}: the final sum then runs term by term in the order of the
     full triple product eps^{no} psi psi psi Rop, and rounds as it does.
     """
-    pair = gcontract(psi, psi, "xyma,xynb->xymanb", L)  # blocks (M,M,2,dim,2,dim)
-    Z = gcontract(pair, psi.map(EPS_UPPER_MAP.apply, -2), "xymanb,xync->xymanbc", L)
+    pair = gcontract(psi, psi, "xyma,xynb->xymanb")  # blocks (M,M,2,dim,2,dim)
+    Z = gcontract(pair, psi.map(EPS_UPPER_MAP.apply, -2), "xymanb,xync->xymanbc")
     return Z.map(lambda z: np.einsum("sxymanbc,xyabce->sxyme", z, Rop))
 
 
@@ -123,7 +123,7 @@ def _gamma_dphi(Gamma: np.ndarray, dphi: GridField) -> GridField:
     return dphi.map(lambda d: np.einsum("xyecd,sxykc->sxyked", Gamma, d))
 
 
-def twisted_dirac(psi: GridField, patch: ReducedPatch, grids, dphi: GridField, L: int) -> GridField:
+def twisted_dirac(psi: GridField, patch: ReducedPatch, grids, dphi: GridField) -> GridField:
     """Twisted Dirac operator on the spinor-valued field psi at the base (grids, dphi).
 
     (D psi)_beta = (1/2) omega_k (gamma^k I)[beta, alpha] psi_alpha
@@ -135,7 +135,7 @@ def twisted_dirac(psi: GridField, patch: ReducedPatch, grids, dphi: GridField, L
     nabla.blocks *= patch.frame_factor()[None, :, :, None, None, None]
     if np.abs(Gamma).max() > 0:
         conn = _gamma_dphi(Gamma, dphi)
-        nabla = nabla + gcontract(conn, psi, "xyked,xyad->xykae", L)
+        nabla = nabla + gcontract(conn, psi, "xyked,xyad->xykae")
     omega = patch.spin_connection()
     out = nabla.map(GAMMA_MAP.apply, -3)
     np.negative(out.blocks, out=out.blocks)
@@ -146,32 +146,32 @@ def twisted_dirac(psi: GridField, patch: ReducedPatch, grids, dphi: GridField, L
     return out
 
 
-def vee_q_pairing(qchi: GridField, oneform: GridField, L: int) -> GridField:
+def vee_q_pairing(qchi: GridField, oneform: GridField) -> GridField:
     """<vee Q chi, T> for a one-form-valued T: spinor-valued output.
 
     The form slot is dualized with the (orthonormal-frame) metric and
     contracted against T's form slot; the free spinor index is lowered
     with eps.
     """
-    paired = gcontract(qchi, oneform, "xykc,xykb->xycb", L)  # sum over k
+    paired = gcontract(qchi, oneform, "xykc,xykb->xycb")  # sum over k
     return paired.map(EPS_LOWER_MAP.apply, -2)
 
 
-def q_norm_squared(qchi: GridField, L: int) -> GridField:
+def q_norm_squared(qchi: GridField) -> GridField:
     """|Q chi|^2 with the eps pairing on spinor indices, g on form indices."""
-    sq = gcontract(qchi, qchi, "xykc,xykt->xyct", L)
+    sq = gcontract(qchi, qchi, "xykc,xykt->xyct")
     return sq.map(EPS_LOWER_PAIRING.apply, -2)
 
 
-def gravitino_psi_pairing(chi_part: GridField, psi: GridField, L: int) -> GridField:
+def gravitino_psi_pairing(chi_part: GridField, psi: GridField) -> GridField:
     """<chi, psi>_k = chi_k^kappa psi_kappa: one-form-valued."""
-    return gcontract(chi_part, psi, "xykc,xycb->xykb", L)
+    return gcontract(chi_part, psi, "xykc,xycb->xykb")
 
 
-def delta_gamma_tensor_F(chi: GridField, F: GridField, L: int) -> GridField:
+def delta_gamma_tensor_F(chi: GridField, F: GridField) -> GridField:
     """delta_gamma(chi) (x) F with the spinor index lowered by eps."""
     lowered = chi.map(lambda c: EPS_LOWER_MAP.apply(delta_gamma(c), -1))
-    return gcontract(lowered, F, "xya,xyb->xyab", L)
+    return gcontract(lowered, F, "xya,xyb->xyab")
 
 
 @dataclass
@@ -195,11 +195,10 @@ class Residuals:
 
 def _dirac_terms(cmap, qchi, patch, grids, dphi) -> GridField:
     """D psi - 2 <vee Q chi, dphi> + |Q chi|^2 psi, shared by residual and operator."""
-    L = cmap.L
-    out = twisted_dirac(cmap.psi, patch, grids, dphi, L)
-    out = out - 2.0 * vee_q_pairing(qchi, dphi, L)
-    nq = q_norm_squared(qchi, L)
-    return out + gcontract(nq, cmap.psi, "xy,xyab->xyab", L)
+    out = twisted_dirac(cmap.psi, patch, grids, dphi)
+    out = out - 2.0 * vee_q_pairing(qchi, dphi)
+    nq = q_norm_squared(qchi)
+    return out + gcontract(nq, cmap.psi, "xy,xyab->xyab")
 
 
 def residual_components(
@@ -216,7 +215,6 @@ def residual_components(
     """
     if cmap.M != patch.M or grav.M != patch.M:
         raise FieldError("grid size mismatch")
-    L = cmap.L
     _, Rop = grids = model_grids(model, cmap, patch)
 
     # block 1: chirality constraint
@@ -229,12 +227,12 @@ def residual_components(
     dphi = dphi_frame(cmap, patch)
     dbar_phi = antiholomorphic_part(dphi)
     qchi = grav.chi.map(project_q)
-    r3 = dbar_phi + gravitino_psi_pairing(qchi, cmap.psi, L)
+    r3 = dbar_phi + gravitino_psi_pairing(qchi, cmap.psi)
 
     # block 4: Dirac-type equation
     r4 = _dirac_terms(cmap, qchi, patch, grids, dphi)
     if np.abs(Rop).max() > 0:
-        r4 = r4 - sr_contraction(cmap.psi, Rop, L) / 3.0
+        r4 = r4 - sr_contraction(cmap.psi, Rop) / 3.0
 
     return Residuals(chirality=r1, auxiliary=r2, cauchy_riemann=r3, dirac=r4)
 
@@ -249,18 +247,17 @@ def operator_components(
     form (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + ...).
     """
     _, Rop = grids
-    L = cmap.L
 
     c1 = antiholomorphic_part(cmap.psi)
     c2 = 0.25 * cmap.F
 
-    pairing = gravitino_psi_pairing(grav.chi, cmap.psi, L)
+    pairing = gravitino_psi_pairing(grav.chi, cmap.psi)
     c3 = -antiholomorphic_part(dphi + pairing)
 
     inner = _dirac_terms(cmap, grav.chi.map(project_q), patch, grids, dphi)
-    inner = inner + delta_gamma_tensor_F(grav.chi, cmap.F, L)
+    inner = inner + delta_gamma_tensor_F(grav.chi, cmap.F)
     if np.abs(Rop).max() > 0:
-        inner = inner - sr_contraction(cmap.psi, Rop, L) / 6.0
+        inner = inner - sr_contraction(cmap.psi, Rop) / 6.0
     c4 = -antiholomorphic_part(inner)
     return c1, c2, c3, c4
 
@@ -278,19 +275,19 @@ class Directions:
     sigma: GridField | None = None  # even auxiliary direction
 
 
-def d_phi_operator(xi: GridField, patch: ReducedPatch, grids, dphi: GridField, L: int) -> GridField:
+def d_phi_operator(xi: GridField, patch: ReducedPatch, grids, dphi: GridField) -> GridField:
     """Linearized Cauchy-Riemann operator at the base (grids, dphi) applied to xi."""
     Gamma, _ = grids
     dxi = xi.map(patch.grad)
     dxi.blocks *= patch.frame_factor()[None, :, :, None, None]
     if np.abs(Gamma).max() > 0:
         conn = _gamma_dphi(Gamma, dphi)
-        dxi = dxi + gcontract(conn, xi, "xyked,xyd->xyke", L)
+        dxi = dxi + gcontract(conn, xi, "xyked,xyd->xyke")
     return antiholomorphic_part(dxi)
 
 
 def analytic_linearization_blocks(
-    dirs: Directions, patch: ReducedPatch, grids, dphi: GridField, L: int
+    dirs: Directions, patch: ReducedPatch, grids, dphi: GridField
 ) -> tuple[GridField, GridField, GridField, GridField]:
     """Expected derivative blocks (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + rho term) at the base."""
     M, dim = patch.M, dphi.shape[-1]
@@ -298,14 +295,14 @@ def analytic_linearization_blocks(
     b2 = GridField.zero((M, M, dim))
     if dirs.zeta is not None:
         b1 = antiholomorphic_part(dirs.zeta)
-        dz = twisted_dirac(dirs.zeta, patch, grids, dphi, L)
+        dz = twisted_dirac(dirs.zeta, patch, grids, dphi)
         b4 = b4 - antiholomorphic_part(dz)
     if dirs.sigma is not None:
         b2 = 0.25 * dirs.sigma
     if dirs.xi is not None:
-        b3 = -d_phi_operator(dirs.xi, patch, grids, dphi, L)
+        b3 = -d_phi_operator(dirs.xi, patch, grids, dphi)
     if dirs.rho is not None:
-        b4 = b4 + 2.0 * vee_q_pairing(dirs.rho.map(project_q), dphi, L)
+        b4 = b4 + 2.0 * vee_q_pairing(dirs.rho.map(project_q), dphi)
     return b1, b2, b3, b4
 
 
@@ -350,7 +347,6 @@ def _fd_report(
     h: float,
     rel_tol: float,
 ) -> dict:
-    L = cmap.L
     M = patch.M
 
     def at(t: float) -> tuple[GridField, ...]:
@@ -363,7 +359,7 @@ def _fd_report(
         chi = GridField.zero((M, M, 2, 2)) if dirs.rho is None else t * dirs.rho
         # only xi moves phi: every other point keeps the base's chart tensors and dphi
         base = (grids, dphi) if dirs.xi is None else (model_grids(model, point, patch), dphi_frame(point, patch))
-        return operator_components(point, Gravitino(L=L, chi=chi), patch, *base)
+        return operator_components(point, Gravitino(L=cmap.L, chi=chi), patch, *base)
 
     def central(step: float) -> tuple[GridField, ...]:
         plus = at(step)
@@ -372,7 +368,7 @@ def _fd_report(
 
     d_h = central(h)
     d_h2 = central(h / 2.0)
-    analytic = analytic_linearization_blocks(dirs, patch, grids, dphi, L)
+    analytic = analytic_linearization_blocks(dirs, patch, grids, dphi)
     names = [f.name for f in fields(Residuals)]
     report = {"blocks": {}, "passed": True, "step": h}
     for name, fd_h, fd_h2, ref in zip(names, d_h, d_h2, analytic):

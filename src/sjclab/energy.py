@@ -6,14 +6,15 @@ operator satisfies, identically in the supercoordinates,
     (1/2) eps^{ab} n(A_a, A_b)
         = eps^{ab} n(D_a Y, D_b Y) + eps^{ab} n(J I_a^m D_m Y, D_b Y)
 
-with A_a = D_a Y + J I_a^m D_m Y and eps^{34} = +1, I the almost complex
-structure on the odd frames (I D_3 = D_4).  The residual returned here is
+with A_a = D_a Y + J I_a^m D_m Y and eps^{34} = +1, J the standard complex
+structure of the flat target and I the almost complex structure on the odd
+frames (I D_3 = D_4).  The residual returned here is
 LHS - RHS as a superfield; it vanishes exactly.
 """
 
 from __future__ import annotations
 
-from .superfield import FlatTargetJ, SuperField, apply_D3, apply_D4
+from .superfield import SuperField, apply_D3, apply_D4, apply_J
 
 
 def _frame_derivatives(components: list[SuperField]) -> tuple[list[SuperField], list[SuperField]]:
@@ -28,16 +29,12 @@ def _pair(u: list[SuperField], v: list[SuperField]) -> SuperField:
     return acc
 
 
-def energy_identity_residual(
-    components: list[SuperField], J: FlatTargetJ
-) -> SuperField:
-    """LHS - RHS of the pointwise energy identity; exactly zero."""
-    if len(components) != J.dim:
-        raise ValueError(f"expected {J.dim} components, got {len(components)}")
+def energy_identity_residual(components: list[SuperField]) -> SuperField:
+    """LHS - RHS of the pointwise energy identity for the standard J; exactly zero."""
     d3, d4 = _frame_derivatives(components)
     # I D_3 = D_4, I D_4 = -D_3 on the odd frame index
-    jid3 = J.apply(d4)                  # J I_3^m D_m
-    jid4 = J.apply([-y for y in d3])    # J I_4^m D_m
+    jid3 = apply_J(d4)                  # J I_3^m D_m
+    jid4 = apply_J([-y for y in d3])    # J I_4^m D_m
     a3 = [x + y for x, y in zip(d3, jid3)]
     a4 = [x + y for x, y in zip(d4, jid4)]
     # eps^{34} = +1 = -eps^{43}

@@ -8,9 +8,10 @@ mask that is not listed reads zero.  A dense ``(2^L, M, M, ...)`` array is
 packed once, by :meth:`GridField.pack` (the bundle reader packs its records
 itself).  Kernels that map each block alone run on ``blocks``
 (:meth:`GridField.map`), sums align the two mask tuples, and products are
-mask convolutions with anticommutation signs (:func:`gcontract`) whose live
-masks follow from the mask algebra.  A block that cancels to zero stays
-listed; a zero read where a dense field held -0.0 reads +0.0.
+mask convolutions with anticommutation signs (:func:`gcontract`) whose
+pairs and live masks follow from the two mask tuples alone.  A block that
+cancels to zero stays listed; a zero read where a dense field held -0.0
+reads +0.0.
 
 The map component phi is stored as an affine part plus a periodic part:
 phi(x) = linear . x + periodic(x).  Only the periodic part is ever
@@ -98,56 +99,41 @@ class GridField:
         return GridField(self.masks, self.blocks / divisor)
 
 
-@lru_cache(maxsize=None)
-def _rows(L: int) -> np.ndarray:
-    """Every mask pair with a nonzero product sign, as rows (mo, ma, mb, sign).
-
-    Sorted by product mask mo = ma | mb, then ma, then mb: at most 3^L rows.
-    """
-    size = 1 << L
-    rows = sorted(
-        (ma | mb, ma, mb, merge_sign(ma, mb)) for ma in range(size) for mb in range(size) if not ma & mb
-    )
-    return np.array(rows, dtype=np.intp).reshape(-1, 4)
-
-
 @lru_cache(maxsize=256)
-def _live_rows(L: int, masks_a: tuple[int, ...], masks_b: tuple[int, ...]) -> tuple:
-    """The rows of ``_rows(L)`` whose two factor masks are live, laid out depth by depth.
+def _live_rows(masks_a: tuple[int, ...], masks_b: tuple[int, ...]) -> tuple:
+    """Every pair of live masks with a nonzero product sign, laid out depth by depth.
 
+    The pairs of each product mask mo = ma | mb come in (ma, mb) order.
     Returns ``(ia, ib, sign, masks, widths, gather)``: each row's block
     positions in the two factors and its sign; the sorted product masks that
-    have rows.  Depth k holds the k-th row (in ``_rows`` order) of each of
-    the first ``widths[k]`` product masks, taken by falling row count, and
-    ``gather`` puts the depth-0 rows in mask order (None when they are).
+    have rows.  Depth k holds the k-th pair of each of the first
+    ``widths[k]`` product masks, taken by falling pair count, and ``gather``
+    puts the depth-0 rows in mask order (None when every mask has one pair).
     """
-    pos_a, pos_b = np.full((2, 1 << L), -1, dtype=np.intp)
-    pos_a[np.array(masks_a, dtype=np.intp)] = np.arange(len(masks_a))
-    pos_b[np.array(masks_b, dtype=np.intp)] = np.arange(len(masks_b))
-    mo, ma, mb, sign = _rows(L).T
-    rows = np.stack([mo, pos_a[ma], pos_b[mb], sign], axis=1)
-    rows = rows[(rows[:, 1] >= 0) & (rows[:, 2] >= 0)]
-    masks, starts, counts = np.unique(rows[:, 0], return_index=True, return_counts=True)
-    by_count = np.argsort(-counts, kind="stable")
-    starts, counts = starts[by_count], counts[by_count]
-    widths = [int(np.count_nonzero(counts > k)) for k in range(counts.max(initial=0))]
-    order = [start + k for k, width in enumerate(widths) for start in starts[:width]]
-    _, ia, ib, sign = rows[np.array(order, dtype=np.intp)].reshape(-1, 4).T
-    in_order = len(order) == len(masks) and np.array_equal(by_count, np.arange(len(masks)))
-    return ia, ib, sign, tuple(masks.tolist()), widths, None if in_order else np.argsort(by_count)
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for i, ma in enumerate(masks_a):
+        for j, mb in enumerate(masks_b):
+            if not ma & mb:
+                groups.setdefault(ma | mb, []).append((i, j, merge_sign(ma, mb)))
+    masks = sorted(groups)
+    by_count = sorted(range(len(masks)), key=lambda p: -len(groups[masks[p]]))
+    widths = [sum(len(g) > k for g in groups.values()) for k in range(max(map(len, groups.values()), default=0))]
+    rows = [groups[masks[p]][k] for k, width in enumerate(widths) for p in by_count[:width]]
+    ia, ib, sign = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    return ia, ib, sign, tuple(masks), widths, None if len(widths) <= 1 else np.argsort(by_count)
 
 
-def gcontract(a: GridField, b: GridField, spec: str, L: int) -> GridField:
+def gcontract(a: GridField, b: GridField, spec: str) -> GridField:
     """Mask-convolved einsum: Grassmann product with index contraction.
 
     ``spec`` is an einsum signature for the blocks (without the mask axis).
     One einsum contracts every pair of live blocks whose product sign is
-    nonzero.  Each product mask then sums its pairs in ``_rows`` order, one
+    nonzero.  Each product mask then sums its pairs in (ma, mb) order, one
     depth at a time: bit for bit the sums of adding each pair in turn to a
     zeroed output, up to the sign of a zero.  The product lists the masks
     that have pairs, whatever their sums.
     """
-    ia, ib, sign, masks, widths, gather = _live_rows(L, a.masks, b.masks)
+    ia, ib, sign, masks, widths, gather = _live_rows(a.masks, b.masks)
     rows = np.einsum("..." + spec.replace(",", ",...").replace("->", "->..."), a.blocks[ia], b.blocks[ib])
     rows *= sign.reshape((-1,) + (1,) * (rows.ndim - 1))
     # each mask's running sum is its row at depth 0

@@ -140,14 +140,14 @@ def _check_spinor(psi: np.ndarray, dim: int) -> tuple[GridField, int]:
     return packed, size.bit_length() - 1
 
 
-def _pairs(psi: GridField, L: int) -> GridField:
+def _pairs(psi: GridField) -> GridField:
     """P[mask, mu, nu, a, b] = psi_mu^a psi_nu^b."""
-    return gcontract(psi, psi, "ma,nb->mnab", L)
+    return gcontract(psi, psi, "ma,nb->mnab")
 
 
-def _cubic(P: GridField, psi: GridField, R: np.ndarray, L: int) -> GridField:
+def _cubic(P: GridField, psi: GridField, R: np.ndarray) -> GridField:
     """V[mask, mu, nu, sigma, e] = (R(psi_mu, psi_nu) psi_sigma)^e, R contracted on P first."""
-    return gcontract(P.map(np.tensordot, R, 2), psi, "mnce,sc->mnse", L)
+    return gcontract(P.map(np.tensordot, R, 2), psi, "mnce,sc->mnse")
 
 
 def _chain_operators() -> np.ndarray:
@@ -204,14 +204,14 @@ def fierz_check(
         if nablaR.shape != (dim,) * 5:
             raise ValueError(f"nablaR must have shape {(dim,) * 5}, got {nablaR.shape}")
         check_nabla_curvature_symmetries(nablaR)
-    P = _pairs(psi, L)
-    dev_a, dev_b = _chain_deviations(_cubic(P, psi, R, L))
+    P = _pairs(psi)
+    dev_a, dev_b = _chain_deviations(_cubic(P, psi, R))
     report = {"chain_a": dev_a, "chain_b": dev_b, "max_deviation": max(dev_a, dev_b)}
     if nablaR is not None:
         # psi_rho^p (nabla_p R)(psi_mu, psi_nu) psi_sigma; the even pair
         # product commutes past psi_rho^p, leaving P[rho, sigma, p, c]
         Qd = P.map(np.tensordot, np.moveaxis(nablaR, 0, 2), 2)
-        dev_da, dev_db = _chain_deviations(gcontract(Qd, P, "mnpce,rspc->mnsre", L))
+        dev_da, dev_db = _chain_deviations(gcontract(Qd, P, "mnpce,rspc->mnsre"))
         report["chain_a_derivative"] = dev_da
         report["chain_b_derivative"] = dev_db
         report["max_deviation"] = max(report["max_deviation"], dev_da, dev_db)

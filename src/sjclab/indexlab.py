@@ -69,6 +69,7 @@ SPHERE_BATCH_VALUES = 1 << 14
 # Largest torus mode array (modes x block entries), checked before allocation:
 # cutoff 256 at target rank 1, 128 at rank 2.
 TORUS_ENTRY_LIMIT = 1 << 20
+TORUS_CUTOFF_MIN = 4  # smallest torus mode cutoff
 
 
 class IndexLabError(ValueError):
@@ -336,8 +337,8 @@ def build_dirac_torus(n_target: int, M: int) -> OperatorMatrix:
     per complexified target component; anti-self-adjoint; kernel = the
     constant spinors.
     """
-    if M < 4:
-        raise IndexLabError("resolution too small")
+    if M < TORUS_CUTOFF_MIN:
+        raise IndexLabError(f"torus cutoff {M} is below the minimum of {TORUS_CUTOFF_MIN}")
     dim_t = 2 * n_target
     width = 2 * dim_t
     entries = M * M * width * width

@@ -36,7 +36,6 @@ from .fierz import (
 from .patch import ReducedPatch
 from .spin import GAMMA, ISPIN, clifford_deviation, gamma_sandwich_deviation, project_pq_pointwise, delta_gamma
 from .superfield import (
-    FlatTargetJ,
     SuperField,
     apply_Dbar,
     components_from_complex,
@@ -111,8 +110,8 @@ def _random_odd_fn(rng, L: int, holomorphic: bool) -> SuperField:
     return out
 
 
-def _residual_vanishes(ys: list[SuperField], J: FlatTargetJ) -> bool:
-    return all(r.is_zero() for r in flat_sjc_residual(ys, J))
+def _residual_vanishes(ys: list[SuperField]) -> bool:
+    return all(r.is_zero() for r in flat_sjc_residual(ys))
 
 
 def random_flat_z_component(rng, L: int, holomorphic: bool) -> SuperField:
@@ -136,22 +135,21 @@ def suite_flat(seed: int, trials: int) -> tuple[dict, dict]:
     rng = np.random.default_rng(seed)
     L = FLAT_L
     checks = []
-    J = FlatTargetJ(standard_J(1))
 
     const = [SuperField.const(L, 1.0), SuperField.const(L, -2.0)]
-    checks.append(_check("constant map residual", _residual_vanishes(const, J), 0.0, 0.0, "identity"))
+    checks.append(_check("constant map residual", _residual_vanishes(const), 0.0, 0.0, "identity"))
     hol = components_from_complex([SuperField.coordinate_z(L)])
-    ok = _residual_vanishes(hol, J)
+    ok = _residual_vanishes(hol)
     checks.append(_check("holomorphic coordinate map residual", ok, 0.0, 0.0, "identity"))
     anti = [SuperField.coordinate_x1(L), -SuperField.coordinate_x2(L)]
-    ok = not _residual_vanishes(anti, J)
+    ok = not _residual_vanishes(anti)
     checks.append(_check("antiholomorphic map fails", ok, 1.0, 0.0, "identity"))
 
     agreements = 0
     for t in range(trials):
         holo = t % 2 == 0
         z = random_flat_z_component(rng, L, holo)
-        res_zero = _residual_vanishes(components_from_complex([z]), J)
+        res_zero = _residual_vanishes(components_from_complex([z]))
         via_dbar, via_expansion = holomorphy_equivalence_check([z])
         if res_zero == via_dbar == via_expansion == holo:
             agreements += 1
@@ -210,12 +208,11 @@ def suite_identities(seed: int, trials: int, energy_trials: int) -> tuple[dict, 
     energy_ok = True
     for t in range(energy_trials):
         n = n_targets[t % 2]
-        J = FlatTargetJ(standard_J(n))
         comps = []
         for _ in range(n):
-            comps.append(random_flat_z_component(rng, 2, holomorphic=bool(rng.random() < 0.3)))
+            comps.append(random_flat_z_component(rng, FLAT_L, holomorphic=bool(rng.random() < 0.3)))
         ys = components_from_complex(comps)
-        resid = energy_identity_residual(ys, J)
+        resid = energy_identity_residual(ys)
         if not resid.is_zero():
             energy_ok = False
     checks.append(
@@ -295,6 +292,8 @@ def suite_index(
                 )
             )
     else:
+        if cutoff < il.TORUS_CUTOFF_MIN:
+            raise ValueError(f"--cutoff must be >= {il.TORUS_CUTOFF_MIN} on the torus, got {cutoff}")
         op = il.build_dirac_torus(target_rank, cutoff)
         asa = il.adjoint_deviation(op, op)
         checks.append(_check("torus Dirac anti-self-adjointness", asa <= 1e-12, asa, 1e-12, "identity"))
@@ -538,8 +537,7 @@ def suite_verify_flat(path: str) -> tuple[dict, dict]:
     from .serialize import read_flat_map
 
     L, comps = read_flat_map(path)
-    J = FlatTargetJ(standard_J(len(comps)))
-    res_zero = _residual_vanishes(components_from_complex(comps), J)
+    res_zero = _residual_vanishes(components_from_complex(comps))
     via_dbar, via_expansion = holomorphy_equivalence_check(comps)
     checks = [
         _check("first-order residual vanishes", res_zero, None, 0.0, "identity"),
@@ -656,10 +654,10 @@ SUITES: dict[str, Suite] = {
         Param("--degree", int, 1, "line-bundle degree (sphere)"),
         Param("--cutoff", int, 8, "basis cutoff"),
         Param("--target-rank", int, 1, "complex target rank (torus)", at_least=1),
-        Param("--threshold", float, 1e-8, "relative singular-value rank cut", at_least=sys.float_info.min),
+        Param("--threshold", float, 1e-8, "relative singular-value rank cut", at_least=sys.float_info.min, at_most=0.5),
     )),
     "bochner": Suite(suite_bochner, "curvature-positivity classification and gaps", (
-        Param("--cutoff", int, 10, "sphere basis cutoff"),
+        Param("--cutoff", int, 10, "sphere basis cutoff", at_least=5),  # the dbar O(3) control
         _SEED,
     )),
     "moduli": Suite(suite_moduli, "moduli dimension calculator", (

@@ -12,15 +12,19 @@ signs of products come from ``grassmann.merge_sign``.  Zero coefficients are
 never stored, so structural equality is algebraic equality.  All operations
 are exact on exact data.
 
+A map to the flat target R^{2n} is 2n even components, and J is the standard
+``targets.standard_J``: every constant J compatible with the flat metric is
+that one after an orthogonal change of target coordinates.
+
 The maps that the flat-model checks apply are each one index map over the
 terms, with no intermediate ``SuperField``: the frames ``apply_D3`` and
 ``apply_D4`` (the eta derivative, then the e3 part, then the e4 part),
 ``apply_Dbar``, ``theta_components``, ``components_from_complex``,
-``FlatTargetJ.apply`` and ``flat_sjc_residual``.  Each gives the keys, key
-order and coefficient bits of its composition from ``SuperField`` products,
-scalar products and sums (kept as test oracles), with the same rounding
-order and zero dropping, so later sums accumulate in the same order and an
-exact zero is found or lost exactly as the composition finds or loses it.
+``apply_J`` and ``flat_sjc_residual``.  Each gives the keys, key order and
+coefficient bits of its composition from ``SuperField`` products, scalar
+products and sums (kept as test oracles), with the same rounding order and
+zero dropping, so later sums accumulate in the same order and an exact
+zero is found or lost exactly as the composition finds or loses it.
 
 Literal grammar (``SuperField.from_text``; ``to_text`` writes it back):
 
@@ -45,8 +49,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-
-import numpy as np
 
 from .grassmann import GrassmannError, format_complex, merge_sign, reversal_sign
 
@@ -481,51 +483,35 @@ def apply_Dbar(field: SuperField) -> SuperField:
     )
 
 
-class FlatTargetJ:
-    """Constant almost complex structure on R^{2n}: J e_b = sum_c J[b, c] e_c."""
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError("J must be a square matrix of even size")
-        if not np.allclose(m @ m, -np.eye(m.shape[0]), atol=1e-12):
-            raise ValueError("J^2 must be -Id")
-        self.matrix = m
-        self.dim = m.shape[0]
-
-    def apply(self, vec: list[SuperField]) -> list[SuperField]:
-        """(J v)^b = sum_c v^c J[c, b], skipping the zero entries of J."""
-        return [SuperField._wrap(vec[0].L, t) for t in self._apply_terms([v.terms for v in vec])]
-
-    def _apply_terms(self, vec: list[dict]) -> list[dict]:
-        """Terms of ``apply`` from the terms of v: each sum starts empty and adds
-        the products v^c * J[c, b] in order of c, each with its zeros dropped,
-        as ``zero() + v^c * J[c, b] + ...`` rounds it.
-        """
-        out = []
-        for b in range(self.dim):
-            acc: dict = {}
-            for c in range(self.dim):
-                jcb = self.matrix[c, b]
-                if jcb:
-                    _accumulate(acc, ((k, p) for k, v in vec[c].items() if (p := v * jcb) != 0))
-            out.append(acc)
-        return out
-
-
-def flat_sjc_residual(components: list[SuperField], J: FlatTargetJ) -> list[SuperField]:
-    """Residuals D3(Y^b) + D4(Y^c) J_c^b of the flat-model first-order system.
-
-    Each J-column sum of the D4 terms is added into the terms of D3(Y^b), as
-    ``apply_D3(y) + J.apply(...)[b]`` rounds it: the column sum is formed
-    first, so a column with two nonzero entries rounds as that sum does.
+def _apply_J_terms(vec: list[dict]) -> list[dict]:
+    """Terms of ``apply_J`` from the terms of v: each entry ``0 + v * w`` for the
+    one nonzero column entry w = -1.0 or 1.0 of J, with its zeros dropped, as
+    ``zero() + v^c * J[c, b]`` rounds it.  v must have 2n > 0 entries.
     """
-    if len(components) != J.dim:
-        raise ValueError(f"expected {J.dim} components, got {len(components)}")
+    if not vec or len(vec) % 2:
+        raise ValueError(f"expected a nonzero, even number of map components, got {len(vec)}")
+    out = []
+    for b in range(len(vec)):
+        w = 1.0 if b & 1 else -1.0
+        out.append({k: p for k, v in vec[b ^ 1].items() if (p := 0 + v * w) != 0})
+    return out
+
+
+def apply_J(vec: list[SuperField]) -> list[SuperField]:
+    """The standard J of R^{2n} on v: (J v)^{2b} = -v^{2b+1} and (J v)^{2b+1} = v^{2b}."""
+    return [SuperField._wrap(v.L, t) for v, t in zip(vec, _apply_J_terms([v.terms for v in vec]))]
+
+
+def flat_sjc_residual(components: list[SuperField]) -> list[SuperField]:
+    """Residuals D3(Y^b) + D4(Y^c) J_c^b of the flat-model first-order system, J standard.
+
+    Each J-column term of the D4 part is added into the terms of D3(Y^b), as
+    ``apply_D3(y) + apply_J(...)[b]`` rounds it.
+    """
     for y in components:
         if y.parity() != "even":
             raise ValueError("map components must be even superfields")
-    jd4 = J._apply_terms([_frame(y.terms, *_D4) for y in components])
+    jd4 = _apply_J_terms([_frame(y.terms, *_D4) for y in components])
     out = []
     for y, s in zip(components, jd4):
         terms = _frame(y.terms, *_D3)

@@ -35,7 +35,7 @@ def sr_vector(psi: np.ndarray, R: np.ndarray) -> np.ndarray:
     """SR[alpha, e, mask] = eps^{kappa lambda} (R(psi_alpha, psi_kappa) psi_lambda)^e."""
     R = np.asarray(R, dtype=float)
     psi, L = fierz._check_spinor(fierz._as_spinor(psi), R.shape[0])
-    V = dense(fierz._cubic(fierz._pairs(psi, L), psi, R, L), L)
+    V = dense(fierz._cubic(fierz._pairs(psi), psi, R), L)
     return np.einsum("kl,xakle->aex", EPS_UPPER, V)
 
 

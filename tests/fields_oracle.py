@@ -7,6 +7,11 @@ into zeros; ``dense_gcontract`` is the mask-convolved einsum on dense
 fields, which finds the live blocks of both factors by scanning them.
 ``dense`` unpacks a :class:`sjclab.fields.GridField` and ``pack`` is the
 constructors' packing step.
+
+``_rows`` is the full table of the 3^L mask pairs with a nonzero product
+sign, and ``full_table_live_rows`` the row layout of ``gcontract`` taken from
+it by the positions of the live masks among all 2^L: the reference for
+``sjclab.fields._live_rows``, which lists the live pairs directly.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from sjclab.fields import GridField, _rows
+from sjclab.fields import GridField
+from sjclab.grassmann import merge_sign
 
 pack = GridField.pack
 
@@ -29,6 +35,37 @@ def dense(field: GridField, L: int) -> np.ndarray:
 
 def gzeros(L: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros((1 << L,) + tuple(shape), dtype=complex)
+
+
+@lru_cache(maxsize=None)
+def _rows(L: int) -> np.ndarray:
+    """Every mask pair with a nonzero product sign, as rows (mo, ma, mb, sign).
+
+    Sorted by product mask mo = ma | mb, then ma, then mb: at most 3^L rows.
+    """
+    size = 1 << L
+    rows = sorted(
+        (ma | mb, ma, mb, merge_sign(ma, mb)) for ma in range(size) for mb in range(size) if not ma & mb
+    )
+    return np.array(rows, dtype=np.intp).reshape(-1, 4)
+
+
+def full_table_live_rows(L: int, masks_a: tuple[int, ...], masks_b: tuple[int, ...]) -> tuple:
+    """The rows of ``_rows(L)`` whose two factor masks are live, in the layout of ``fields._live_rows``."""
+    pos_a, pos_b = np.full((2, 1 << L), -1, dtype=np.intp)
+    pos_a[np.array(masks_a, dtype=np.intp)] = np.arange(len(masks_a))
+    pos_b[np.array(masks_b, dtype=np.intp)] = np.arange(len(masks_b))
+    mo, ma, mb, sign = _rows(L).T
+    rows = np.stack([mo, pos_a[ma], pos_b[mb], sign], axis=1)
+    rows = rows[(rows[:, 1] >= 0) & (rows[:, 2] >= 0)]
+    masks, starts, counts = np.unique(rows[:, 0], return_index=True, return_counts=True)
+    by_count = np.argsort(-counts, kind="stable")
+    starts, counts = starts[by_count], counts[by_count]
+    widths = [int(np.count_nonzero(counts > k)) for k in range(counts.max(initial=0))]
+    order = [start + k for k, width in enumerate(widths) for start in starts[:width]]
+    _, ia, ib, sign = rows[np.array(order, dtype=np.intp)].reshape(-1, 4).T
+    in_order = len(order) == len(masks) and np.array_equal(by_count, np.arange(len(masks)))
+    return ia, ib, sign, tuple(masks.tolist()), widths, None if in_order else np.argsort(by_count)
 
 
 @lru_cache(maxsize=256)

@@ -5,8 +5,9 @@
 ``deta``, generic ``SuperField`` products and that sum, as
 ``d/deta + eta3 * d/dx + eta4 * d/dx``.  ``apply_Dbar``, ``dzbar``,
 ``theta_components``, ``components_from_complex``, ``j_apply`` (for
-``FlatTargetJ.apply``) and ``flat_sjc_residual`` compose those frames with
-scalar products and that sum.  ``sjclab.superfield`` computes each map in
+``apply_J``: the products with the entries of ``standard_J(n)``) and
+``flat_sjc_residual`` compose those frames with scalar products and that
+sum.  ``sjclab.superfield`` computes each map in
 one pass over the terms; the tests require the same keys in the same order,
 with bit-identical coefficients.  ``apply_D`` is the holomorphic frame
 (D3 - i D4) / 2, the partner of ``sjclab.superfield.apply_Dbar``.
@@ -26,10 +27,10 @@ from sjclab.grassmann import merge_sign
 from sjclab.superfield import (
     MAX_DEGREE,
     _X_POWER,
-    FlatTargetJ,
     SuperField,
     _odd_bit,
 )
+from sjclab.targets import standard_J
 
 
 def add(x: SuperField, y: SuperField) -> SuperField:
@@ -105,23 +106,24 @@ def components_from_complex(z_components: list[SuperField]) -> list[SuperField]:
     return out
 
 
-def j_apply(J: FlatTargetJ, vec: list[SuperField]) -> list[SuperField]:
-    """(J v)^b = sum_c v^c J[c, b], skipping the zero entries of J."""
+def j_apply(vec: list[SuperField]) -> list[SuperField]:
+    """(J v)^b = sum_c v^c J[c, b] for J = standard_J(n), skipping the zero entries of J."""
+    J = standard_J(len(vec) // 2)
     out = []
-    for b in range(J.dim):
+    for b in range(len(vec)):
         acc = SuperField.zero(vec[0].L)
-        for c in range(J.dim):
-            jcb = J.matrix[c, b]
+        for c in range(len(vec)):
+            jcb = J[c, b]
             if jcb:
                 acc = add(acc, vec[c] * jcb)
         out.append(acc)
     return out
 
 
-def flat_sjc_residual(components: list[SuperField], J: FlatTargetJ) -> list[SuperField]:
-    """Residuals D3(Y^b) + D4(Y^c) J_c^b of the flat-model first-order system."""
+def flat_sjc_residual(components: list[SuperField]) -> list[SuperField]:
+    """Residuals D3(Y^b) + D4(Y^c) J_c^b of the flat-model first-order system, J standard."""
     d3 = [apply_D3(y) for y in components]
-    jd4 = j_apply(J, [apply_D4(y) for y in components])
+    jd4 = j_apply([apply_D4(y) for y in components])
     return [add(r, s) for r, s in zip(d3, jd4)]
 
 

@@ -27,7 +27,6 @@ from sjclab.suites import (
     random_flat_z_component,
 )
 from sjclab.superfield import (
-    FlatTargetJ,
     components_from_complex,
     flat_sjc_residual,
     holomorphy_equivalence_check,
@@ -45,14 +44,13 @@ def report(number: int, passed: bool, detail: str):
 def test_criterion_1_flat_model_equivalence():
     t0 = time.monotonic()
     rng = np.random.default_rng(101)
-    J = FlatTargetJ(standard_J(1))
     trials = 100
     agree = 0
     for t in range(trials):
         holo = t % 2 == 0
         zc = random_flat_z_component(rng, 2, holo)
         ys = components_from_complex([zc])
-        res_zero = all(r.is_zero() for r in flat_sjc_residual(ys, J))
+        res_zero = all(r.is_zero() for r in flat_sjc_residual(ys))
         via_dbar, via_expansion = holomorphy_equivalence_check([zc])
         if res_zero == via_dbar == via_expansion == holo:
             agree += 1
@@ -90,12 +88,11 @@ def test_criterion_3_energy_identity():
     failures = 0
     for t in range(20):
         n = 1 + t % 2
-        J = FlatTargetJ(standard_J(n))
         comps = [
             random_flat_z_component(rng, 2, holomorphic=bool(rng.random() < 0.4))
             for _ in range(n)
         ]
-        if not energy_identity_residual(components_from_complex(comps), J).is_zero():
+        if not energy_identity_residual(components_from_complex(comps)).is_zero():
             failures += 1
     report(3, failures == 0, "identity exactly zero on 20 random flat-model maps")
 

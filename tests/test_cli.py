@@ -135,6 +135,9 @@ BAD_FLAGS = [
     (["index", "--threshold", "-1"], "--threshold"),
     (["index", "--threshold", "nan"], "--threshold"),
     (["index", "--threshold", "1e-310"], "--threshold"),
+    (["index", "--threshold", "1"], "--threshold"),
+    (["index", "--threshold", "1e308"], "--threshold"),
+    (["bochner", "--cutoff", "4"], "--cutoff"),
     (["flat", "--trials", "0"], "--trials"),
     (["flat", "--trials", "-5"], "--trials"),
     (["identities", "--trials", "0", "--energy-trials", "0"], "--trials"),
@@ -378,6 +381,18 @@ class TestIndexLimits:
         err = capsys.readouterr().err
         assert f"above the limit of {indexlab.TORUS_ENTRY_LIMIT} entries" in err
         assert f"torus cutoff {cutoff} at target rank {rank}" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("cutoff", [3, 0, -1])
+    def test_torus_cutoff_below_minimum_exit_2(self, cutoff, tmp_path, capsys, monkeypatch):
+        from sjclab import indexlab
+
+        def no_build(n_target, M):
+            raise AssertionError("torus operator built before the cutoff check")
+
+        monkeypatch.setattr(indexlab, "build_dirac_torus", no_build)
+        assert run(["index", "--surface", "torus", "--cutoff", str(cutoff)], tmp_path) == 2
+        assert f"error: --cutoff must be >= 4 on the torus, got {cutoff}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(

@@ -151,6 +151,15 @@ def einsum_operator_components(cmap, grav, patch, model):
     return (c1, 0.25 * F, c3, -_einsum_antihol_spinor(inner, J))
 
 
+def einsum_d_phi_operator(xi, patch, model, Gamma, dphi, L):
+    """D_phi xi = (1/2)(1 + I (x) J)(d xi lambda^-2 + Gamma(dphi, xi)) on a dense xi."""
+    dxi = per_axis_grad(xi, patch.M) * patch.frame_factor()[None, :, :, None, None]
+    if np.abs(Gamma).max() > 0:
+        conn = np.einsum("xyecd,sxykc->sxyked", Gamma, dphi)
+        dxi = dxi + dense_gcontract(conn, xi, "xyked,xyd->xyke", L)
+    return _einsum_antihol_form(dxi, j_grid(model, patch.M))
+
+
 def generic_fields(rng, L, M, model):
     """Generic complex psi, F, gravitino and (chart-admissible) phi on the patch."""
     rho, xi, zeta, sigma = random_direction_fields(rng, L, M, model.dim)
@@ -200,6 +209,23 @@ class TestEinsumOracle:
         for k, (new, old) in enumerate(zip(ops, ref)):
             assert np.abs(old).max() > 0, k
             assert np.array_equal(dense(new, L), old), k
+
+    @pytest.mark.parametrize("gauge", ["unit", "curved"])
+    @pytest.mark.parametrize("model_name", list(MODELS))
+    def test_d_phi_operator_matches_einsum(self, model_name, gauge):
+        # at the fs-cp1 base the Christoffel term Gamma(dphi, xi) is live
+        L, M = 2, 8
+        rng = np.random.default_rng(60)
+        model = self.MODELS[model_name]
+        patch = self._patch(M, gauge)
+        cmap, _ = generic_fields(rng, L, M, model)
+        xi = random_direction_fields(rng, L, M, model.dim)[1]
+        grids, dphi = base_at(model, cmap, patch)
+        assert (np.abs(grids[0]).max() > 0) == (model_name == "fs-cp1")
+        got = dense(C.d_phi_operator(xi, patch, grids, dphi), L)
+        want = einsum_d_phi_operator(dense(xi, L), patch, model, grids[0], _oracle_dphi(cmap, patch), L)
+        assert np.abs(want).max() > 0
+        assert np.array_equal(got, want)
 
 
 class TestAntiholomorphicPart:
@@ -256,7 +282,7 @@ class TestTwistedDirac:
         cmap = ComponentMap.zero(L, M, 2)
         psi = gzeros(L, (M, M, 2, 2))
         psi[1] = 1.0
-        out = C.twisted_dirac(pack(psi), patch, *base_at(model, cmap, patch), L)
+        out = C.twisted_dirac(pack(psi), patch, *base_at(model, cmap, patch))
         assert max_abs(out) == 0.0
 
     def test_plane_wave_symbol(self):
@@ -272,7 +298,7 @@ class TestTwistedDirac:
             c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             psi = gzeros(L, (M, M, 2, 2))
             psi[1] = np.exp(2j * np.pi * (k1 * x1 + k2 * x2))[..., None, None] * c
-            out = C.twisted_dirac(pack(psi), patch, *base, L)
+            out = C.twisted_dirac(pack(psi), patch, *base)
             symbol = -2j * np.pi * (k1 * GAMMA[0] + k2 * GAMMA[1])
             expected = np.einsum("ba,xyae->xybe", symbol, psi[1])
             assert np.abs(dense(out, L)[1] - expected).max() <= 1e-10
@@ -286,12 +312,12 @@ class TestTwistedDirac:
         rng = np.random.default_rng(1)
         _, _, zeta, _ = random_direction_fields(rng, L, M, 2)
         base = base_at(model, cmap, patch)
-        lhs = 2 * C.antiholomorphic_part(C.twisted_dirac(zeta, patch, *base, L))
-        rhs = C.twisted_dirac(2 * spinor_holomorphic_part(zeta), patch, *base, L)
+        lhs = 2 * C.antiholomorphic_part(C.twisted_dirac(zeta, patch, *base))
+        rhs = C.twisted_dirac(2 * spinor_holomorphic_part(zeta), patch, *base)
         assert max_abs(lhs - rhs) <= 1e-9
         # and with the signs swapped
-        lhs2 = 2 * spinor_holomorphic_part(C.twisted_dirac(zeta, patch, *base, L))
-        rhs2 = C.twisted_dirac(2 * C.antiholomorphic_part(zeta), patch, *base, L)
+        lhs2 = 2 * spinor_holomorphic_part(C.twisted_dirac(zeta, patch, *base))
+        rhs2 = C.twisted_dirac(2 * C.antiholomorphic_part(zeta), patch, *base)
         assert max_abs(lhs2 - rhs2) <= 1e-9
 
     # a smooth conformal factor, and one that is only C^2 (|sin|^3)
@@ -328,7 +354,7 @@ class TestTwistedDirac:
             return np.sum(a[1] * b[1] * w[..., None, None])
 
         def dirac(f):
-            return dense(C.twisted_dirac(pack(f), patch, *base, L), L)
+            return dense(C.twisted_dirac(pack(f), patch, *base), L)
 
         val = pair(dirac(psi), Psi) + pair(psi, dirac(Psi))
         scale = abs(pair(psi, psi)) + abs(pair(Psi, Psi))
@@ -466,7 +492,7 @@ class TestResiduals:
         psi_grid = gzeros(L, (M, M, 2, dim))
         psi_grid[:] = np.moveaxis(psi, -1, 0)[:, None, None]
         Rop = np.broadcast_to(R, (M, M, dim, dim, dim, dim))
-        sr_grid = dense(C.sr_contraction(pack(psi_grid), Rop, L), L)
+        sr_grid = dense(C.sr_contraction(pack(psi_grid), Rop), L)
         sr = np.moveaxis(sr_vector(psi, R), -1, 0)[:, None, None]
         assert np.abs(sr).max() > 0.0
         assert np.abs(sr_grid - sr).max() <= 1e-12
@@ -477,13 +503,13 @@ class TestResiduals:
         model = make_const_hsc(4.0, 1)
         psi = constrained_constant_psi(L, M, model, rng)
         Rop = np.broadcast_to(model.curvature_op_at(np.zeros(2)), (M, M, 2, 2, 2, 2))
-        assert max_abs(C.sr_contraction(pack(psi), Rop, L)) == 0.0
+        assert max_abs(C.sr_contraction(pack(psi), Rop)) == 0.0
         # unconstrained control is nonzero
         psi2 = psi.copy()
         psi2[1, :, :, 1, :] = np.array([1.0, 3.0])
         psi2[2, :, :, 1, :] = np.array([-2.0, 1.0])
         psi2[4, :, :, 1, :] = np.array([1.0, -1.0])
-        assert max_abs(C.sr_contraction(pack(psi2), Rop, L)) > 0.0
+        assert max_abs(C.sr_contraction(pack(psi2), Rop)) > 0.0
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_sr_matches_triple_product_on_generic_data(self, dim):
@@ -494,7 +520,7 @@ class TestResiduals:
             psi[m] = rng.standard_normal((M, M, 2, dim)) + 1j * rng.standard_normal((M, M, 2, dim))
         Rop = rng.standard_normal((M, M) + (dim,) * 4)
         ref = triple_product_sr(psi, Rop, L)
-        sr = dense(C.sr_contraction(pack(psi), Rop, L), L)
+        sr = dense(C.sr_contraction(pack(psi), Rop), L)
         assert np.abs(ref).max() > 1.0
         assert np.abs(sr - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -517,7 +543,7 @@ class TestResiduals:
                 psi[m, :, :, 1, :] = v @ J0
             Rop = model.curvature_op_at(rng.uniform(-1.0, 1.0, size=(M, M, dim)))
             assert np.all(triple_product_sr(psi, Rop, L) == 0)
-            assert np.all(C.sr_contraction(pack(psi), Rop, L).blocks == 0)
+            assert np.all(C.sr_contraction(pack(psi), Rop).blocks == 0)
 
     def test_sr_vanishes_below_three_generators(self):
         rng = np.random.default_rng(32)
@@ -525,7 +551,7 @@ class TestResiduals:
         psi = gzeros(L, (M, M, 2, 2))
         for m in odd_masks(L):
             psi[m] = rng.standard_normal((M, M, 2, 2))
-        sr = C.sr_contraction(pack(psi), rng.standard_normal((M, M, 2, 2, 2, 2)), L)
+        sr = C.sr_contraction(pack(psi), rng.standard_normal((M, M, 2, 2, 2, 2)))
         assert sr.masks == () and sr.shape[1:] == psi.shape[1:]
 
 
@@ -573,7 +599,7 @@ class TestChiralReduction:
         J = j_grid(model, M)
         _, _, zeta, _ = random_direction_fields(rng, L, M, 2)
         z10 = spinor_holomorphic_part(zeta)
-        lhs = C.antiholomorphic_part(C.twisted_dirac(z10, patch, *base, L))
+        lhs = C.antiholomorphic_part(C.twisted_dirac(z10, patch, *base))
         dz = patch.grad(dense(z10, L))
         rot = np.einsum("kl,sxylae->sxykae", IFRAME, dz)
         antihol_form = 0.5 * (dz + np.einsum("sxykae,xyef->sxykaf", rot, J))
@@ -588,7 +614,7 @@ class TestGravitinoTerms:
         patch = ReducedPatch(M)
         cmap = holomorphic_base_map(L, M, 2, slope=1.0 + 0.5j)
         rho, _, _, _ = random_direction_fields(rng, L, M, 2)
-        T = C.vee_q_pairing(rho.map(project_q), C.dphi_frame(cmap, patch), L)
+        T = C.vee_q_pairing(rho.map(project_q), C.dphi_frame(cmap, patch))
         assert max_abs(2 * C.antiholomorphic_part(T) - 2 * T) <= 1e-12
 
     def test_pure_gauge_gravitino_drops_out(self):
@@ -608,7 +634,7 @@ class TestGravitinoTerms:
         rng = np.random.default_rng(8)
         L, M = 2, 8
         rho, _, _, _ = random_direction_fields(rng, L, M, 2)
-        nq = dense(C.q_norm_squared(rho.map(project_q), L), L)
+        nq = dense(C.q_norm_squared(rho.map(project_q)), L)
         assert np.abs(nq[0]).max() == 0.0  # no body: quadratic in odd values
         assert np.abs(nq[1]).max() == 0.0 and np.abs(nq[2]).max() == 0.0
 

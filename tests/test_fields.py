@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fields_oracle import dense, dense_gcontract, gzeros, on_live_masks, pack
+from fields_oracle import dense, dense_gcontract, full_table_live_rows, gzeros, on_live_masks, pack
 from grassmann_oracle import GrassmannElement, elements
 from sjclab.components import _antiholomorphic_map, _gamma_dphi, antiholomorphic_part
 from sjclab.fields import (
@@ -12,6 +12,7 @@ from sjclab.fields import (
     FieldError,
     Gravitino,
     GridField,
+    _live_rows,
     even_masks,
     gcontract,
     odd_masks,
@@ -46,7 +47,7 @@ def same_up_to_zero_signs(got, want):
 
 def packed_gcontract(a, b, spec, L):
     """gcontract on the packed dense factors, unpacked again."""
-    return dense(gcontract(pack(a), pack(b), spec, L), L)
+    return dense(gcontract(pack(a), pack(b), spec), L)
 
 
 @pytest.mark.parametrize("L", [3, 4])
@@ -142,10 +143,39 @@ def test_gcontract_sums_in_the_loop_order(L, spec, shape_a, shape_b):
     ]
     for a, b in factors:
         pa, pb = pack(a), pack(b)
-        product = gcontract(pa, pb, spec, L)
+        product = gcontract(pa, pb, spec)
         assert product.blocks.flags.c_contiguous
         assert product.masks == tuple(sorted({x | y for x in pa.masks for y in pb.masks if not x & y}))
         assert same_up_to_zero_signs(dense(product, L), looped_gcontract(a, b, spec, L))
+
+
+@st.composite
+def sorted_mask_subsets(draw):
+    L = draw(st.integers(0, 6))
+    masks = st.lists(st.integers(0, (1 << L) - 1), unique=True, max_size=1 << L).map(lambda m: tuple(sorted(m)))
+    return L, draw(masks), draw(masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_mask_subsets())
+@example((0, (), ()))
+@example((0, (0,), (0,)))
+@example((2, (1, 2), ()))
+@example((2, (0, 1, 2), (0, 1, 2)))  # mask 0 has one pair, masks 1, 2 and 3 two: not in count order
+@example((3, (1, 2), (1, 2, 4)))  # pair counts 2, 1, 1 fall in mask order, yet two depths need a gather
+@example((3, (1, 2), (0,)))  # one pair per product mask: no gather
+@example((6, tuple(range(64)), tuple(range(64))))
+def test_live_rows_equal_the_full_table(case):
+    # the live pairs listed directly give the rows, depth layout and gather of
+    # the full 3^L-row table read at the live masks' positions
+    L, masks_a, masks_b = case
+    got, want = _live_rows(masks_a, masks_b), full_table_live_rows(L, masks_a, masks_b)
+    for name, x, y in zip(("ia", "ib", "sign"), got[:3], want[:3]):
+        assert np.array_equal(x, y) and x.dtype == y.dtype, name
+    assert got[3:5] == want[3:5]
+    assert (got[5] is None) == (want[5] is None)
+    if want[5] is not None:
+        assert np.array_equal(got[5], want[5])
 
 
 def record_view(values):
@@ -262,7 +292,7 @@ def test_packed_kernels_match_the_dense_oracle(case):
     pa, pb = pack(a), pack(b)
     assert pa.masks == tuple(live_a)
     for spec in ("xyka,xykb->xyab", "xyka,xyka->xyka"):
-        product = gcontract(pa, pb, spec, L)
+        product = gcontract(pa, pb, spec)
         assert same_up_to_zero_signs(dense(product, L), dense_gcontract(a, b, spec, L))
     if cancel and live_a == [1, 2]:  # the elementwise product: listed, and exactly zero
         assert product.masks == (3,) and not product.blocks.any()
@@ -310,10 +340,10 @@ def test_gcontract_anticommutes_on_grids():
     b = gzeros(L, (4, 4))
     a[1] = 2.0
     b[2] = 3.0
-    out = gcontract(pack(a), pack(b), "xy,xy->xy", L)
+    out = gcontract(pack(a), pack(b), "xy,xy->xy")
     assert out.masks == (3,) and np.all(out.blocks == 6.0)
     # anticommutation: swapping the odd factors flips the sign
-    out2 = gcontract(pack(b), pack(a), "xy,xy->xy", L)
+    out2 = gcontract(pack(b), pack(a), "xy,xy->xy")
     assert np.all(out2.blocks == -6.0)
 
 

@@ -57,7 +57,7 @@ def test_rho_block_responds_only_in_dirac_slot(setup):
     cm = C.operator_components(cmap, chi_minus, patch, grids, dphi)
     d4 = (cp[3] - cm[3]) / (2 * h)
     qrho = rho.map(project_q)
-    expected = 2.0 * C.vee_q_pairing(qrho, dphi, L)
+    expected = 2.0 * C.vee_q_pairing(qrho, dphi)
     assert max_abs(d4 - expected) <= 1e-9
     for p, m in zip(cp[:3], cm[:3]):
         assert max_abs((p - m) / (2 * h)) <= 1e-9

@@ -8,18 +8,17 @@ import superfield_oracle
 from grassmann_oracle import GrassmannElement, evaluate
 from sjclab.grassmann import format_complex
 from sjclab.superfield import (
-    FlatTargetJ,
     SuperField,
     apply_D3,
     apply_D4,
     apply_Dbar,
+    apply_J,
     components_from_complex,
     flat_sjc_residual,
     holomorphy_equivalence_check,
     _split_sum,
 )
 from sjclab.suites import random_flat_z_component
-from sjclab.targets import standard_J
 
 
 L = 2
@@ -102,32 +101,31 @@ class TestDerivations:
 
 class TestFlatResidual:
     def test_constant_map(self):
-        J = FlatTargetJ(standard_J(1))
-        res = flat_sjc_residual([SuperField.const(L, 2.0), SuperField.const(L, 0.0)], J)
+        res = flat_sjc_residual([SuperField.const(L, 2.0), SuperField.const(L, 0.0)])
         assert all(r.is_zero() for r in res)
 
     def test_holomorphic_coordinate_map(self):
-        J = FlatTargetJ(standard_J(1))
         ys = components_from_complex([SuperField.coordinate_z(L)])
         assert ys[0] == SuperField.coordinate_x1(L)
         assert ys[1] == SuperField.coordinate_x2(L)
-        assert all(r.is_zero() for r in flat_sjc_residual(ys, J))
+        assert all(r.is_zero() for r in flat_sjc_residual(ys))
 
     def test_antiholomorphic_map_fails(self):
-        J = FlatTargetJ(standard_J(1))
         ys = [SuperField.coordinate_x1(L), -SuperField.coordinate_x2(L)]
-        res = flat_sjc_residual(ys, J)
+        res = flat_sjc_residual(ys)
         assert not all(r.is_zero() for r in res)
 
     def test_component_count_mismatch(self):
-        J = FlatTargetJ(standard_J(2))
-        with pytest.raises(ValueError):
-            flat_sjc_residual([SuperField.const(L, 1.0)], J)
+        # a map to R^{2n} has a nonzero, even number of components
+        for count in (0, 1, 3):
+            with pytest.raises(ValueError, match=f"even number of map components, got {count}"):
+                flat_sjc_residual([SuperField.const(L, 1.0)] * count)
+            with pytest.raises(ValueError, match=f"even number of map components, got {count}"):
+                apply_J([SuperField.const(L, 1.0)] * count)
 
     def test_odd_component_rejected(self):
-        J = FlatTargetJ(standard_J(1))
         with pytest.raises(ValueError):
-            flat_sjc_residual([SuperField.eta(L, 3), SuperField.const(L, 0.0)], J)
+            flat_sjc_residual([SuperField.eta(L, 3), SuperField.const(L, 0.0)])
 
 
 class TestHolomorphyEquivalence:
@@ -145,12 +143,11 @@ class TestHolomorphyEquivalence:
 
     def test_cross_validation_random(self):
         rng = np.random.default_rng(2)
-        J = FlatTargetJ(standard_J(1))
         for t in range(60):
             holo = t % 2 == 0
             zc = random_flat_z_component(rng, L, holo)
             ys = components_from_complex([zc])
-            res_zero = all(r.is_zero() for r in flat_sjc_residual(ys, J))
+            res_zero = all(r.is_zero() for r in flat_sjc_residual(ys))
             via_dbar, via_expansion = holomorphy_equivalence_check([zc])
             assert res_zero == via_dbar == via_expansion == holo
 
@@ -442,18 +439,20 @@ class TestOnePassOracle:
                 assert bits(apply_D4(y)) == bits(superfield_oracle.apply_D4(y))
 
 
-def unipotent_J(dim: int) -> FlatTargetJ:
-    """P J0 P^-1 for the standard J0 and P = 1 + (ones above the diagonal): integer
-    entries, with two or more nonzero entries in every column."""
-    P = np.eye(dim) + np.eye(dim, k=1)
-    return FlatTargetJ(np.round(P @ standard_J(dim // 2) @ np.linalg.inv(P)))
-
-
-TARGET_JS = [FlatTargetJ(standard_J(1)), FlatTargetJ(standard_J(2)), unipotent_J(2), unipotent_J(4)]
-
-
 def even_part(field: SuperField) -> SuperField:
     return SuperField(field.L, {k: c for k, c in field.terms.items() if k[0].bit_count() % 2 == 0})
+
+
+@st.composite
+def flat_maps(draw):
+    """Maps to R^{2n}, n = 1..3: 2n even generic fields over one L."""
+    L = draw(st.integers(0, 4))
+    return [even_part(draw(generic_fields(L))) for _ in range(2 * draw(st.integers(1, 3)))]
+
+
+# signed zeros, a subnormal, tiny and huge parts: products by J and sums with D3 that
+# keep or lose a zero's sign, underflow or overflow
+EXTREME_PARTS = (0.0, -0.0, 5e-324, -1e-300, -3.7, 1e308, -1e308)
 
 
 @st.composite
@@ -493,9 +492,9 @@ def assert_maps_match_products(field: SuperField) -> None:
     )
 
 
-def assert_residual_matches_products(ys: list[SuperField], J: FlatTargetJ) -> None:
-    assert all_bits(J.apply(ys)) == all_bits(superfield_oracle.j_apply(J, ys))
-    assert all_bits(flat_sjc_residual(ys, J)) == all_bits(superfield_oracle.flat_sjc_residual(ys, J))
+def assert_residual_matches_products(ys: list[SuperField]) -> None:
+    assert all_bits(apply_J(ys)) == all_bits(superfield_oracle.j_apply(ys))
+    assert all_bits(flat_sjc_residual(ys)) == all_bits(superfield_oracle.flat_sjc_residual(ys))
 
 
 class TestFlatMapOracle:
@@ -510,24 +509,33 @@ class TestFlatMapOracle:
         assert_maps_match_products(field)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(TARGET_JS), st.data())
-    def test_residual_matches_products(self, J, data):
-        L = data.draw(st.integers(0, 4))
-        ys = [even_part(data.draw(generic_fields(L))) for _ in range(J.dim)]
-        assert_residual_matches_products(ys, J)
+    @given(flat_maps())
+    @example([SuperField(0, {(0, 1, 0): -0.0 + 1j}), SuperField(0, {(0b11, 0, 0): complex(-1e308, -0.0)})])
+    @example([SuperField(1, {(0b11, 0, 1): 1e308 - 0.0j}), SuperField(1, {(0, 1, 0): complex(-0.0, 5e-324)})])
+    def test_residual_matches_products(self, ys):
+        assert_residual_matches_products(ys)
+
+    def test_residual_matches_products_on_extreme_parts(self):
+        # two-term even components near e3 e4 whose D3 and J D4 terms meet on one key
+        values = [c for c in (complex(x, y) for x in EXTREME_PARTS for y in EXTREME_PARTS) if c != 0]
+        keys = [(0b11, 0, 0), (0, 1, 0), (0, 0, 1), (0b11, 1, 0)]
+        for k1, k2 in itertools.combinations(keys, 2):
+            for c1, c2 in itertools.product(values, repeat=2):
+                field = SuperField(0, {k1: c1, k2: c2})
+                assert_residual_matches_products([field, field * -1j])
+                assert_residual_matches_products([field, SuperField(0, {k2: c1, k1: c2})])
 
     def test_maps_match_products_on_every_signed_zero_pair(self):
         # every pair of terms near e3 e4 with coefficient parts in {+-0.0, +-1.0}
         parts = (0.0, -0.0, 1.0, -1.0)
         values = [c for c in (complex(x, y) for x in parts for y in parts) if c != 0]
         keys = [(m, a, b) for m in range(4) for a in (0, 1) for b in (0, 1)]
-        J = unipotent_J(2)
         for k1, k2 in itertools.combinations(keys, 2):
             for c1, c2 in itertools.product(values, repeat=2):
                 field = SuperField(0, {k1: c1, k2: c2})
                 assert_maps_match_products(field)
                 if field.parity() == "even":
-                    assert_residual_matches_products([field, field * -1j], J)
+                    assert_residual_matches_products([field, field * -1j])
 
     @settings(max_examples=300, deadline=None)
     @given(literals())
@@ -552,6 +560,4 @@ class TestFlatMapOracle:
                 assert_maps_match_products(z)
                 text = z.to_text()
                 assert bits(SuperField.from_text(4, text)) == bits(superfield_oracle.from_text(4, text))
-            ys = components_from_complex(zs)
-            assert_residual_matches_products(ys, FlatTargetJ(standard_J(n)))
-            assert_residual_matches_products(ys, unipotent_J(2 * n))
+            assert_residual_matches_products(components_from_complex(zs))
