@@ -19,12 +19,16 @@ distinct phi.
 
 Every field is packed (:mod:`sjclab.fields`): the kernels run on the live
 mask blocks only, and products know their live masks from the mask
-algebra, so no kernel takes the generator count L.  Spinor-index
+algebra, so no kernel takes the generator count L.  Every grid array (the
+packed blocks, the chart tensors of :func:`model_grids`, the spin
+connection and the frame factor) has its two grid axes last, so the grid
+letters ``xy`` close every einsum signature below and a signed-matrix
+contraction acts on the axes right after the mask axis.  Spinor-index
 conventions follow :mod:`sjclab.spin`.  The pairings written with a
 spinor-index lowering use eps (eps_{34} = +1); the metric dual on form
-indices is trivial in orthonormal frames.  These two reconstructions are each isolated in one
-helper (``vee_q_pairing``, ``q_norm_squared``) and validated through the
-linearization and conformal-covariance tests.
+indices is trivial in orthonormal frames.  These two reconstructions are
+each isolated in one helper (``vee_q_pairing``, ``q_norm_squared``) and
+validated through the linearization and conformal-covariance tests.
 """
 
 from __future__ import annotations
@@ -64,6 +68,9 @@ PRECONDITION_TOL = 1e-8
 def model_grids(model: AlmostKahlerModel, cmap: ComponentMap, patch: ReducedPatch):
     """Chart tensors (Gamma, Rop) along the body of phi, each evaluated once on the grid.
 
+    The chart evaluators take points with the chart coordinates last; their
+    tensors come back grid-last, Gamma[e, c, d, x, y] and Rop[a, b, c, e, x, y]
+    (contiguous, or a broadcast view for a constant chart).
     Position-dependent models require phi to have no nilpotent (soul)
     corrections; constant-chart models accept any even phi.
     """
@@ -74,18 +81,22 @@ def model_grids(model: AlmostKahlerModel, cmap: ComponentMap, patch: ReducedPatc
     souls = phi.blocks[1:] if phi.masks[:1] == (0,) else phi.blocks
     if not model.constant_chart and np.abs(souls).max(initial=0.0) > 0:
         raise FieldError("position-dependent chart tensors need a soul-free phi")
-    body = cmap.phi_body(patch.x1, patch.x2)
-    return model.christoffel_at(body), model.curvature_op_at(body)
+    body = np.moveaxis(cmap.phi_body(patch.x1, patch.x2), 0, -1)  # chart points (M, M, dim)
+
+    def grid_last(tensor):
+        tensor = np.moveaxis(tensor, (0, 1), (-2, -1))
+        return tensor if model.constant_chart else np.ascontiguousarray(tensor)
+
+    return grid_last(model.christoffel_at(body)), grid_last(model.curvature_op_at(body))
 
 
 def dphi_frame(cmap: ComponentMap, patch: ReducedPatch) -> GridField:
-    """Frame derivative of phi: blocks (M, M, 2, dim), index order (k, b); mask 0 is live."""
+    """Frame derivative of phi: blocks (2, dim, M, M), index order (k, b); mask 0 is live."""
     d = cmap.phi_periodic.map(patch.grad)
     if d.masks[:1] != (0,):
         d = d.grow((0,) + d.masks)
-    d.blocks[0, :, :, 0, :] += cmap.phi_linear[:, 0]
-    d.blocks[0, :, :, 1, :] += cmap.phi_linear[:, 1]
-    d.blocks *= patch.frame_factor()[None, :, :, None, None]
+    d.blocks[0] += cmap.phi_linear.T[:, :, None, None]
+    d.blocks *= patch.frame_factor()
     return d
 
 
@@ -97,11 +108,11 @@ def _antiholomorphic_map(dim: int) -> SignedMatrix:
 
 
 def antiholomorphic_part(T: GridField) -> GridField:
-    """(1/2)(1 + I (x) J) on a one-form- or spinor-valued field T[..., a, b].
+    """(1/2)(1 + I (x) J) on a one-form- or spinor-valued field, blocks T[a, b, x, y].
 
     I is the same matrix [[0, 1], [-1, 0]] on frame and on spinor indices.
     """
-    return T.map(_antiholomorphic_map(T.shape[-1]).apply, -2)
+    return T.map(_antiholomorphic_map(T.shape[2]).apply, 1)
 
 
 def sr_contraction(psi: GridField, Rop: np.ndarray) -> GridField:
@@ -113,14 +124,14 @@ def sr_contraction(psi: GridField, Rop: np.ndarray) -> GridField:
     n of eps^{no}: the final sum then runs term by term in the order of the
     full triple product eps^{no} psi psi psi Rop, and rounds as it does.
     """
-    pair = gcontract(psi, psi, "xyma,xynb->xymanb")  # blocks (M,M,2,dim,2,dim)
-    Z = gcontract(pair, psi.map(EPS_UPPER_MAP.apply, -2), "xymanb,xync->xymanbc")
-    return Z.map(lambda z: np.einsum("sxymanbc,xyabce->sxyme", z, Rop))
+    pair = gcontract(psi, psi, "maxy,nbxy->manbxy")  # blocks (2,dim,2,dim,M,M)
+    Z = gcontract(pair, psi.map(EPS_UPPER_MAP.apply, 1), "manbxy,ncxy->manbcxy")
+    return Z.map(lambda z: np.einsum("smanbcxy,abcexy->smexy", z, Rop))
 
 
 def _gamma_dphi(Gamma: np.ndarray, dphi: GridField) -> GridField:
     """The connection endomorphisms Gamma(dphi_k, .) of the pullback bundle."""
-    return dphi.map(lambda d: np.einsum("xyecd,sxykc->sxyked", Gamma, d))
+    return dphi.map(lambda d: np.einsum("ecdxy,skcxy->skedxy", Gamma, d))
 
 
 def twisted_dirac(psi: GridField, patch: ReducedPatch, grids, dphi: GridField) -> GridField:
@@ -131,18 +142,18 @@ def twisted_dirac(psi: GridField, patch: ReducedPatch, grids, dphi: GridField) -
     with the pullback connection nabla_k psi = f_k psi + Gamma(dphi_k, psi).
     """
     Gamma, _ = grids
-    nabla = psi.map(patch.grad)  # blocks (M, M, k, alpha, dim)
-    nabla.blocks *= patch.frame_factor()[None, :, :, None, None, None]
+    nabla = psi.map(patch.grad)  # blocks (k, alpha, dim, M, M)
+    nabla.blocks *= patch.frame_factor()
     if np.abs(Gamma).max() > 0:
         conn = _gamma_dphi(Gamma, dphi)
-        nabla = nabla + gcontract(conn, psi, "xyked,xyad->xykae")
+        nabla = nabla + gcontract(conn, psi, "kedxy,adxy->kaexy")
     omega = patch.spin_connection()
-    out = nabla.map(GAMMA_MAP.apply, -3)
+    out = nabla.map(GAMMA_MAP.apply, 1)
     np.negative(out.blocks, out=out.blocks)
     if np.abs(omega).max() > 0:
         # omega_k psi_a, then (gamma^k I)[b, a] summed over (k, a)
-        opsi = psi.map(lambda p: omega[None, :, :, :, None, None] * p[:, :, :, None])
-        out = out + 0.5 * opsi.map(GAMMA_I_MAP.apply, -3)
+        opsi = psi.map(lambda p: omega[:, None, None] * p[:, None])
+        out = out + 0.5 * opsi.map(GAMMA_I_MAP.apply, 1)
     return out
 
 
@@ -153,25 +164,25 @@ def vee_q_pairing(qchi: GridField, oneform: GridField) -> GridField:
     contracted against T's form slot; the free spinor index is lowered
     with eps.
     """
-    paired = gcontract(qchi, oneform, "xykc,xykb->xycb")  # sum over k
-    return paired.map(EPS_LOWER_MAP.apply, -2)
+    paired = gcontract(qchi, oneform, "kcxy,kbxy->cbxy")  # sum over k
+    return paired.map(EPS_LOWER_MAP.apply, 1)
 
 
 def q_norm_squared(qchi: GridField) -> GridField:
     """|Q chi|^2 with the eps pairing on spinor indices, g on form indices."""
-    sq = gcontract(qchi, qchi, "xykc,xykt->xyct")
-    return sq.map(EPS_LOWER_PAIRING.apply, -2)
+    sq = gcontract(qchi, qchi, "kcxy,ktxy->ctxy")
+    return sq.map(EPS_LOWER_PAIRING.apply, 1)
 
 
 def gravitino_psi_pairing(chi_part: GridField, psi: GridField) -> GridField:
     """<chi, psi>_k = chi_k^kappa psi_kappa: one-form-valued."""
-    return gcontract(chi_part, psi, "xykc,xycb->xykb")
+    return gcontract(chi_part, psi, "kcxy,cbxy->kbxy")
 
 
 def delta_gamma_tensor_F(chi: GridField, F: GridField) -> GridField:
     """delta_gamma(chi) (x) F with the spinor index lowered by eps."""
-    lowered = chi.map(lambda c: EPS_LOWER_MAP.apply(delta_gamma(c), -1))
-    return gcontract(lowered, F, "xya,xyb->xyab")
+    lowered = chi.map(lambda c: EPS_LOWER_MAP.apply(delta_gamma(c, 1), 1))
+    return gcontract(lowered, F, "axy,bxy->abxy")
 
 
 @dataclass
@@ -198,7 +209,7 @@ def _dirac_terms(cmap, qchi, patch, grids, dphi) -> GridField:
     out = twisted_dirac(cmap.psi, patch, grids, dphi)
     out = out - 2.0 * vee_q_pairing(qchi, dphi)
     nq = q_norm_squared(qchi)
-    return out + gcontract(nq, cmap.psi, "xy,xyab->xyab")
+    return out + gcontract(nq, cmap.psi, "xy,abxy->abxy")
 
 
 def residual_components(
@@ -206,16 +217,22 @@ def residual_components(
     grav: Gravitino,
     patch: ReducedPatch,
     model: AlmostKahlerModel,
+    base=None,
 ) -> Residuals:
     """The four component equations of the first-order system.
 
-    Exact solutions give residuals at roundoff only for a smooth conformal
-    factor, which a ``--tol`` verdict assumes: with a factor that is only C²
-    the spectral residual converges only as M^-3 (1.2e-4 at M = 32).
+    ``base`` is ``(grids, dphi)`` at cmap's phi when the caller has already
+    evaluated it; it is evaluated here otherwise.  Exact solutions give
+    residuals at roundoff only for a smooth conformal factor, which a
+    ``--tol`` verdict assumes: with a factor that is only C² the spectral
+    residual converges only as M^-3 (1.2e-4 at M = 32).
     """
     if cmap.M != patch.M or grav.M != patch.M:
         raise FieldError("grid size mismatch")
-    _, Rop = grids = model_grids(model, cmap, patch)
+    if base is None:
+        base = model_grids(model, cmap, patch), dphi_frame(cmap, patch)
+    grids, dphi = base
+    _, Rop = grids
 
     # block 1: chirality constraint
     r1 = 2.0 * antiholomorphic_part(cmap.psi)
@@ -224,9 +241,8 @@ def residual_components(
     r2 = cmap.F
 
     # block 3: perturbed Cauchy-Riemann equation
-    dphi = dphi_frame(cmap, patch)
     dbar_phi = antiholomorphic_part(dphi)
-    qchi = grav.chi.map(project_q)
+    qchi = grav.chi.map(project_q, 1)
     r3 = dbar_phi + gravitino_psi_pairing(qchi, cmap.psi)
 
     # block 4: Dirac-type equation
@@ -254,7 +270,7 @@ def operator_components(
     pairing = gravitino_psi_pairing(grav.chi, cmap.psi)
     c3 = -antiholomorphic_part(dphi + pairing)
 
-    inner = _dirac_terms(cmap, grav.chi.map(project_q), patch, grids, dphi)
+    inner = _dirac_terms(cmap, grav.chi.map(project_q, 1), patch, grids, dphi)
     inner = inner + delta_gamma_tensor_F(grav.chi, cmap.F)
     if np.abs(Rop).max() > 0:
         inner = inner - sr_contraction(cmap.psi, Rop) / 6.0
@@ -279,10 +295,10 @@ def d_phi_operator(xi: GridField, patch: ReducedPatch, grids, dphi: GridField) -
     """Linearized Cauchy-Riemann operator at the base (grids, dphi) applied to xi."""
     Gamma, _ = grids
     dxi = xi.map(patch.grad)
-    dxi.blocks *= patch.frame_factor()[None, :, :, None, None]
+    dxi.blocks *= patch.frame_factor()
     if np.abs(Gamma).max() > 0:
         conn = _gamma_dphi(Gamma, dphi)
-        dxi = dxi + gcontract(conn, xi, "xyked,xyd->xyke")
+        dxi = dxi + gcontract(conn, xi, "kedxy,dxy->kexy")
     return antiholomorphic_part(dxi)
 
 
@@ -290,9 +306,9 @@ def analytic_linearization_blocks(
     dirs: Directions, patch: ReducedPatch, grids, dphi: GridField
 ) -> tuple[GridField, GridField, GridField, GridField]:
     """Expected derivative blocks (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + rho term) at the base."""
-    M, dim = patch.M, dphi.shape[-1]
-    b1 = b3 = b4 = GridField.zero((M, M, 2, dim))
-    b2 = GridField.zero((M, M, dim))
+    M, dim = patch.M, dphi.shape[2]
+    b1 = b3 = b4 = GridField.zero((2, dim, M, M))
+    b2 = GridField.zero((dim, M, M))
     if dirs.zeta is not None:
         b1 = antiholomorphic_part(dirs.zeta)
         dz = twisted_dirac(dirs.zeta, patch, grids, dphi)
@@ -302,7 +318,7 @@ def analytic_linearization_blocks(
     if dirs.xi is not None:
         b3 = -d_phi_operator(dirs.xi, patch, grids, dphi)
     if dirs.rho is not None:
-        b4 = b4 + 2.0 * vee_q_pairing(dirs.rho.map(project_q), dphi)
+        b4 = b4 + 2.0 * vee_q_pairing(dirs.rho.map(project_q, 1), dphi)
     return b1, b2, b3, b4
 
 
@@ -318,17 +334,17 @@ def linearization_fd_checks(
 
     One report per named direction.  The base point must be a holomorphic
     map with vanishing odd and auxiliary data; it is checked once for all
-    directions, and its chart tensors and dphi are evaluated once, for the
-    analytic blocks and for every point that leaves phi in place.  The step
-    is Richardson-halved and both approximations are compared against the
-    analytic blocks.
+    directions.  Its chart tensors and dphi are evaluated once, for that
+    check, for the analytic blocks and for every point that leaves phi in
+    place.  The step is Richardson-halved and both approximations are
+    compared against the analytic blocks.
     """
-    base = residual_components(cmap, Gravitino.zero(cmap.L, patch.M), patch, model)
-    if base.max_norm() > PRECONDITION_TOL:
-        raise PreconditionError(
-            f"base map is not holomorphic: residual {base.max_norm():.3e}"
-        )
-    grids, dphi = model_grids(model, cmap, patch), dphi_frame(cmap, patch)
+    if cmap.M != patch.M:
+        raise FieldError("grid size mismatch")
+    grids, dphi = base = model_grids(model, cmap, patch), dphi_frame(cmap, patch)
+    residual = residual_components(cmap, Gravitino.zero(cmap.L, patch.M), patch, model, base).max_norm()
+    if residual > PRECONDITION_TOL:
+        raise PreconditionError(f"base map is not holomorphic: residual {residual:.3e}")
     # a huge step overflows to inf and NaN, which the reports carry as their errors
     with np.errstate(over="ignore", invalid="ignore"):
         return {
@@ -356,7 +372,7 @@ def _fd_report(
             if d is not None
         }
         point = replace(cmap, **moved)
-        chi = GridField.zero((M, M, 2, 2)) if dirs.rho is None else t * dirs.rho
+        chi = GridField.zero((2, 2, M, M)) if dirs.rho is None else t * dirs.rho
         # only xi moves phi: every other point keeps the base's chart tensors and dphi
         base = (grids, dphi) if dirs.xi is None else (model_grids(model, point, patch), dphi_frame(point, patch))
         return operator_components(point, Gravitino(L=cmap.L, chi=chi), patch, *base)

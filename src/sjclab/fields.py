@@ -3,15 +3,18 @@
 A Grassmann-valued grid field over the base algebra on L generators is
 packed (:class:`GridField`): a sorted tuple ``masks`` of its live basis
 monomial masks and one contiguous complex array ``blocks`` holding those
-blocks only, the mask axis first and the M x M grid on axes 1 and 2.  A
-mask that is not listed reads zero.  A dense ``(2^L, M, M, ...)`` array is
+blocks only.  Every block array has the mask axis first, then the field's
+own axes (form, spinor, target component) in their order, and the M x M
+grid last: (mask, ..., x^1, x^2).  So every grid kernel (FFT lines,
+signed-matrix rows, einsum inner loops) runs on contiguous M x M slabs.  A
+mask that is not listed reads zero.  A dense ``(2^L, ..., M, M)`` array is
 packed once, by :meth:`GridField.pack` (the bundle reader packs its records
-itself).  Kernels that map each block alone run on ``blocks``
-(:meth:`GridField.map`), sums align the two mask tuples, and products are
-mask convolutions with anticommutation signs (:func:`gcontract`) whose
-pairs and live masks follow from the two mask tuples alone.  A block that
-cancels to zero stays listed; a zero read where a dense field held -0.0
-reads +0.0.
+itself, straight into this layout).  Kernels that map each block alone run
+on ``blocks`` (:meth:`GridField.map`), sums align the two mask tuples, and
+products are mask convolutions with anticommutation signs (:func:`gcontract`)
+whose pairs and live masks follow from the two mask tuples alone.  A block
+that cancels to zero stays listed; a zero read where a dense field held
+-0.0 reads +0.0.
 
 The map component phi is stored as an affine part plus a periodic part:
 phi(x) = linear . x + periodic(x).  Only the periodic part is ever
@@ -35,7 +38,7 @@ class FieldError(ValueError):
 
 @dataclass(eq=False)
 class GridField:
-    """A packed grid field: sorted live ``masks`` and their ``blocks``, mask axis first.
+    """A packed grid field: sorted live ``masks`` and their ``blocks``, mask axis first, grid axes last.
 
     Fields are values: a kernel writes only into arrays it made.  ``+`` and
     ``-`` align the mask tuples, a mask missing on one side adding nothing
@@ -49,10 +52,10 @@ class GridField:
 
     @classmethod
     def pack(cls, dense) -> "GridField":
-        """The blocks of a dense (2^L, M, ...) array with a nonzero entry, copied (-0.0 is zero)."""
+        """The blocks of a dense (2^L, ..., M, M) array with a nonzero entry, copied (-0.0 is zero)."""
         dense = np.asarray(dense, dtype=complex)
         live = np.flatnonzero(dense.reshape(len(dense), -1).any(axis=1))
-        return cls(tuple(live.tolist()), dense[live])
+        return cls(tuple(live.tolist()), np.ascontiguousarray(dense[live]))
 
     @classmethod
     def zero(cls, shape: tuple[int, ...]) -> "GridField":
@@ -126,7 +129,8 @@ def _live_rows(masks_a: tuple[int, ...], masks_b: tuple[int, ...]) -> tuple:
 def gcontract(a: GridField, b: GridField, spec: str) -> GridField:
     """Mask-convolved einsum: Grassmann product with index contraction.
 
-    ``spec`` is an einsum signature for the blocks (without the mask axis).
+    ``spec`` is an einsum signature for the blocks (without the mask axis),
+    the grid letters last in every operand: ``"kcxy,cbxy->kbxy"``.
     One einsum contracts every pair of live blocks whose product sign is
     nonzero.  Each product mask then sums its pairs in (ma, mb) order, one
     depth at a time: bit for bit the sums of adding each pair in turn to a
@@ -174,10 +178,10 @@ class ComponentMap:
     """The even/odd/auxiliary component fields of a map on the patch, packed.
 
     phi_linear: (2n, 2) real matrix (the affine part phi^b = sum_k c[b,k] x^k);
-    phi_periodic: even, blocks (M, M, 2n), the real periodic part;
-    psi: odd, blocks (M, M, 2, 2n), spinor index 0 <-> s^3, 1 <-> s^4;
-    F: even, blocks (M, M, 2n).
-    A field given as a dense (2^L, M, M, ...) array is packed on construction.
+    phi_periodic: even, blocks (2n, M, M), the real periodic part;
+    psi: odd, blocks (2, 2n, M, M), spinor index 0 <-> s^3, 1 <-> s^4;
+    F: even, blocks (2n, M, M).
+    A field given as a dense (2^L, ..., M, M) array is packed on construction.
     """
 
     L: int
@@ -198,27 +202,27 @@ class ComponentMap:
 
     @property
     def M(self) -> int:
-        return self.phi_periodic.shape[1]
+        return self.phi_periodic.shape[-1]
 
     @property
     def dim(self) -> int:
-        return self.phi_periodic.shape[-1]
+        return self.phi_periodic.shape[1]
 
     @classmethod
     def zero(cls, L: int, M: int, dim: int) -> "ComponentMap":
         zero = GridField.zero
-        return cls(L, np.zeros((dim, 2)), zero((M, M, dim)), zero((M, M, 2, dim)), zero((M, M, dim)))
+        return cls(L, np.zeros((dim, 2)), zero((dim, M, M)), zero((2, dim, M, M)), zero((dim, M, M)))
 
     def phi_body(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Body of phi on the grid, shape (M, M, 2n)."""
-        lin = np.einsum("bk,kxy->xyb", self.phi_linear, np.stack([x1, x2]))
+        """Body of phi on the grid, shape (2n, M, M)."""
+        lin = np.einsum("bk,kxy->bxy", self.phi_linear, np.stack([x1, x2]))
         phi = self.phi_periodic
         return lin + (phi.blocks[0].real if phi.masks[:1] == (0,) else 0.0)
 
 
 @dataclass
 class Gravitino:
-    """chi: odd, blocks (M, M, 2, 2); indices (form k, spinor kappa).  Packed as in ComponentMap."""
+    """chi: odd, blocks (2, 2, M, M); indices (form k, spinor kappa).  Packed as in ComponentMap."""
 
     L: int
     chi: GridField
@@ -228,8 +232,8 @@ class Gravitino:
 
     @property
     def M(self) -> int:
-        return self.chi.shape[1]
+        return self.chi.shape[-1]
 
     @classmethod
     def zero(cls, L: int, M: int) -> "Gravitino":
-        return cls(L=L, chi=GridField.zero((M, M, 2, 2)))
+        return cls(L=L, chi=GridField.zero((2, 2, M, M)))

@@ -7,6 +7,8 @@ lifted spin connection has frame components
     <f_k, omega> = lambda^{-4} C[k, l] d/dx^l (lambda^2),   C = [[0,1],[-1,0]],
 
 obtained from the Cartan structure equations for the coframe lambda^2 dx^a.
+Grid data carry the two grid axes last: x^1 and x^2 index the trailing
+M x M slab of every array, so each grid kernel runs on contiguous slabs.
 Every grid field is differentiated through one spectral gradient,
 :meth:`ReducedPatch.grad`: exact for trigonometric polynomials below the
 Nyquist wavenumber, for every conformal factor; the Nyquist mode itself
@@ -47,29 +49,28 @@ class ReducedPatch:
     # -- differentiation -------------------------------------------------
 
     def grad(self, blocks: np.ndarray) -> np.ndarray:
-        """(d/dx^1, d/dx^2) of grid data blocks[S, M, M, ...], stacked on a new axis 3.
+        """(d/dx^1, d/dx^2) of grid data blocks[S, ..., M, M], stacked on a new axis 1.
 
-        One forward fft2 over the grid axes (1, 2); each derivative is
-        inverted in its own output slice by two in-place 1-D passes, in the
-        order of ``np.fft.ifft2`` (last grid axis first), so the values equal
-        ``ifft2`` bit for bit without a full-size temporary.  At even M the
+        One forward fft2 over the grid axes (-2, -1); each derivative's
+        spectrum is written into its own output slice, and both are inverted
+        together by two in-place 1-D passes, in the order of ``np.fft.ifft2``
+        (last grid axis first), so the values equal ``ifft2`` bit for bit
+        without a full-size temporary.  At even M the
         Nyquist wavenumber -M/2 differentiates to 0, as the derivative of the
         real trigonometric interpolant does, so real data has a real gradient.
         Each block is transformed alone: a packed field is differentiated
         on its live blocks by ``field.map(patch.grad)``.
         """
         M = self.M
-        ft = np.fft.fft2(np.asarray(blocks, dtype=complex), axes=(1, 2))
+        ft = np.fft.fft2(np.asarray(blocks, dtype=complex))
         k = 2j * np.pi * np.fft.fftfreq(M, d=1.0 / M)
         if M % 2 == 0:
             k[M // 2] = 0.0
-        tail = (1,) * (ft.ndim - 3)
-        out = np.empty(ft.shape[:3] + (2,) + ft.shape[3:], dtype=complex)
-        for a, shape in enumerate(((M, 1), (1, M))):
-            d = np.multiply(ft, k.reshape(shape + tail), out=out[:, :, :, a])
-            np.fft.ifft(d, axis=2, out=d)
-            np.fft.ifft(d, axis=1, out=d)
-        return out
+        out = np.empty(ft.shape[:1] + (2,) + ft.shape[1:], dtype=complex)
+        np.multiply(ft, k[:, None], out=out[:, 0])
+        np.multiply(ft, k, out=out[:, 1])
+        np.fft.ifft(out, axis=-1, out=out)
+        return np.fft.ifft(out, axis=-2, out=out)
 
     # -- geometry ----------------------------------------------------------
 
@@ -78,7 +79,7 @@ class ReducedPatch:
         return self.lam ** -2
 
     def spin_connection(self) -> np.ndarray:
-        """Frame components omega_k = <f_k, omega^LC>, shape (M, M, 2).
+        """Frame components omega_k = <f_k, omega^LC>, shape (2, M, M).
 
         Orientation: the sign is the one for which the twisted Dirac
         operator built on this patch is formally anti-self-adjoint with
@@ -86,8 +87,8 @@ class ReducedPatch:
         """
         # the spectral derivative of a constant is not exactly zero at every M
         if self.uniform_gauge:
-            return np.zeros((self.M, self.M, 2))
+            return np.zeros((2, self.M, self.M))
         u = self.lam ** 2
         du = self.grad(u[None])[0].real
-        out = -IFRAME_MAP.apply(du, -1)
-        return out / u[:, :, None] ** 2
+        out = -IFRAME_MAP.apply(du, 0)
+        return out / u ** 2

@@ -152,15 +152,15 @@ def read_field_bundle(path):
         raise ValueError("the conformal factor lam must be positive")
     if gauge == "flat" and (lam != 1.0).any():
         raise ValueError('field bundle header says lambda "flat", but lam is not 1.0 at every grid point')
-    # each field keeps the mask blocks with a nonzero entry (-0.0 is zero), copied
-    # from the interleaved (re, im) columns into grid order and seen as complex
+    # each field keeps the mask blocks with a nonzero entry (-0.0 is zero), seen as
+    # complex from the interleaved (re, im) columns and copied grid-last, in grid order
     nonzero = np.any([part.any(axis=0) for part in parts], axis=0)  # per column
     fields = []
     for shape, size, off in zip(shapes, sizes, np.cumsum([3] + sizes)):
         live = np.flatnonzero(nonzero[off : off + size].reshape(S, -1).any(axis=1))
         per_mask = (part[:, off : off + size].reshape(len(part), S, -1) for part in parts)
-        blocks = np.concatenate([values[:, live].swapaxes(0, 1) for values in per_mask], axis=1)[:, grid]
-        fields.append(GridField(tuple(live.tolist()), blocks.view(complex).reshape((len(live), M, M) + shape)))
+        blocks = np.concatenate([values[:, live].view(complex).transpose(1, 2, 0) for values in per_mask], axis=2)
+        fields.append(GridField(tuple(live.tolist()), blocks[..., grid].reshape((len(live),) + shape + (M, M))))
     phi, psi, F, chi = fields
     patch = ReducedPatch(M, lam=lam)
     cmap = ComponentMap(L=L, phi_linear=phi_linear, phi_periodic=phi, psi=psi, F=F)

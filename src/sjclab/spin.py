@@ -17,7 +17,9 @@ entry, plus at most one more such term.  Those products are exact and a sum
 of two terms is commutative, so on finite data the kernel returns what
 ``np.einsum`` returns bit for bit (up to the sign of an exact zero), without
 the multiply-adds by zero.  The kernels act on arrays; a packed grid field
-is contracted on its live blocks by ``field.map(MAP.apply, axis)``.
+is contracted on its live blocks by ``field.map(MAP.apply, axis)``, its
+grid axes last (:mod:`sjclab.fields`), so every row of a signed matrix
+copies, negates, halves or adds whole contiguous M x M slabs.
 Position-dependent contractions (Christoffel symbols, curvature) stay with
 ``np.einsum`` and ``gcontract``.
 """
@@ -144,9 +146,9 @@ PMAT_MAP = SignedMatrix(PMAT, in_axes=2)
 QMAT_MAP = SignedMatrix(QMAT, in_axes=2)
 
 
-def project_q(chi: np.ndarray) -> np.ndarray:
-    """Spin-3/2 part Q chi of a (form, spinor)-indexed array chi[..., k, kappa]."""
-    return QMAT_MAP.apply(chi, -2)
+def project_q(chi: np.ndarray, axis: int = -2) -> np.ndarray:
+    """Spin-3/2 part Q chi of a (form, spinor)-indexed array whose (k, kappa) axes start at ``axis``."""
+    return QMAT_MAP.apply(chi, axis)
 
 
 def project_pq_pointwise(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +156,9 @@ def project_pq_pointwise(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return PMAT_MAP.apply(chi, -2), project_q(chi)
 
 
-def delta_gamma(chi: np.ndarray) -> np.ndarray:
-    """delta_gamma: one-forms with spinor values to spinors, X tensor s -> gamma(X) s."""
-    return GAMMA_MAP.apply(chi, -2)
+def delta_gamma(chi: np.ndarray, axis: int = -2) -> np.ndarray:
+    """delta_gamma: one-forms with spinor values to spinors, X tensor s -> gamma(X) s.
+
+    The (form, spinor) axes of ``chi`` start at ``axis``; the spinor axis takes their place.
+    """
+    return GAMMA_MAP.apply(chi, axis)

@@ -228,11 +228,20 @@ def suite_identities(seed: int, trials: int, energy_trials: int) -> tuple[dict, 
     return _report("identities", cfg, checks), {}
 
 
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of every float of ``values``, as an object array of the same shape.
+
+    One repr per distinct bit pattern: a torus spectrum repeats each value
+    many times, and so do the per-point residual maxima.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, which = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[which.reshape(values.shape)]
+
+
 def _sigma_rows(sv: np.ndarray) -> list[str]:
-    # one repr per distinct bit pattern: a torus spectrum repeats each value many times
-    bits, which = np.unique(sv.view(np.uint64), return_inverse=True)
-    text = [repr(s) for s in bits.view(np.float64).tolist()]
-    return ["index,sigma"] + [f"{i},{text[j]}" for i, j in enumerate(which.tolist())]
+    return ["index,sigma"] + [f"{i},{text}" for i, text in enumerate(_reprs(sv).tolist())]
 
 
 def suite_index(
@@ -240,6 +249,11 @@ def suite_index(
 ) -> tuple[dict, dict]:
     checks = []
     if surface == "sphere":
+        if cutoff < abs(degree) + 2:  # the least cutoff at which both sector boxes are nonempty
+            raise ValueError(
+                f"--cutoff must be >= |--degree| + 2 = {abs(degree) + 2} on the sphere, "
+                f"got --cutoff {cutoff} with --degree {degree}"
+            )
         # the holomorphic Dirac half of a positive degree is built at the larger cutoff
         basis_cutoff = cutoff + 2 * max(degree, 0)
         if basis_cutoff > il.SPHERE_CUTOFF_LIMIT:
@@ -482,7 +496,7 @@ def random_direction_fields(rng, L: int, M: int, dim: int):
 
     def trig_field(shape, parity):
         masks = even_masks(L) if parity == "even" else odd_masks(L)
-        out = np.zeros((len(masks), M, M) + shape, dtype=complex)
+        out = np.zeros((len(masks),) + shape + (M, M), dtype=complex)
         xs = np.arange(M) / M
         x1, x2 = np.meshgrid(xs, xs, indexing="ij")
         for block in out:
@@ -490,7 +504,7 @@ def random_direction_fields(rng, L: int, M: int, dim: int):
                 k1, k2 = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
                 amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 wave = np.exp(2j * np.pi * (k1 * x1 + k2 * x2))
-                block += wave.reshape((M, M) + (1,) * len(shape)) * amp
+                block += wave * amp[..., None, None]
         return GridField(tuple(masks), out)
 
     xi = trig_field((dim,), "even")
@@ -555,7 +569,7 @@ def suite_verify_flat(path: str) -> tuple[dict, dict]:
 
 def _point_max(field: GridField) -> np.ndarray:
     """Largest modulus at each grid point over the live mask blocks and the components; +0.0 if none."""
-    return np.abs(field.blocks).max(axis=(0, *range(3, field.blocks.ndim)), initial=0.0)
+    return np.abs(field.blocks).max(axis=tuple(range(field.blocks.ndim - 2)), initial=0.0)
 
 
 def suite_verify_components(path: str, tol: float) -> tuple[dict, dict]:
@@ -572,9 +586,11 @@ def suite_verify_components(path: str, tol: float) -> tuple[dict, dict]:
         _check(f"residual block {name}", value <= tol, value, tol, "oracle")
         for name, value in norms.items()
     ]
-    rows = ["i,j," + ",".join(blocks)]
-    for i, row in enumerate(point_max.tolist()):
-        rows.extend(",".join(map(repr, (i, j, *vals))) for j, vals in enumerate(row))
+    # one column of reprs per block, joined row by row after the grid indices
+    columns = _reprs(point_max).reshape(-1, len(blocks)).T.tolist()
+    index = list(map(str, range(patch.M)))
+    i_column = [i for i in index for _ in index]
+    rows = ["i,j," + ",".join(blocks), *map(",".join, zip(i_column, index * patch.M, *columns))]
     report = _report("verify-components", {"path": str(path), "tol": tol, "model": model_desc}, checks)
     return report, {"residual_field.csv": rows}
 

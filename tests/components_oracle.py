@@ -27,8 +27,8 @@ from sjclab.targets import AlmostKahlerModel, standard_J
 
 def spinor_holomorphic_part(psi: GridField) -> GridField:
     """(1/2)(1 - I (x) J) on a spinor-valued field."""
-    J = standard_J(psi.shape[-1] // 2)
-    return psi.map(lambda p: 0.5 * (p - np.einsum("ab,sxybc,cd->sxyad", ISPIN, p, J)))
+    J = standard_J(psi.shape[2] // 2)
+    return psi.map(lambda p: 0.5 * (p - np.einsum("ab,sbcxy,cd->sadxy", ISPIN, p, J)))
 
 
 def sr_vector(psi: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -48,8 +48,8 @@ def weyl_rescale_fields(
     F picks up factor^{-2}.
     """
     u = np.asarray(factor, dtype=float)
-    new = replace(cmap, psi=cmap.psi / u[None, :, :, None, None], F=cmap.F / u[None, :, :, None] ** 2)
-    return new, Gravitino(L=grav.L, chi=grav.chi / u[None, :, :, None, None])
+    new = replace(cmap, psi=cmap.psi / u, F=cmap.F / u**2)
+    return new, Gravitino(L=grav.L, chi=grav.chi / u)
 
 
 def weyl_covariance_check(
@@ -78,7 +78,7 @@ def weyl_covariance_check(
     report = {"blocks": {}, "passed": True}
     for name, (expected, abstract) in weights.items():
         b = base[name]
-        dev = max_abs(new[name] - u.reshape((1, M, M) + (1,) * (b.blocks.ndim - 3)) ** expected * b)
+        dev = max_abs(new[name] - u**expected * b)
         entry = {
             "frame_weight_exponent": expected,
             "abstract_weight_exponent": abstract,

@@ -38,7 +38,7 @@ def write_field_bundle(path, cmap: ComponentMap, grav: Gravitino, patch: Reduced
     }
     # per point: each field's blocks on every mask in order, (re, im) of every component
     fields = (cmap.phi_periodic, cmap.psi, cmap.F, grav.chi)
-    blocks = [np.moveaxis(dense(a, cmap.L), 0, 2).reshape(M, M, -1) for a in fields]
+    blocks = [np.moveaxis(dense(a, cmap.L), (-2, -1), (0, 1)).reshape(M, M, -1) for a in fields]
     values = np.concatenate(blocks, axis=-1)
     values = np.stack([values.real, values.imag], axis=-1).reshape(M, M, -1)
     with open(path, "w") as fh:

@@ -108,11 +108,11 @@ def test_criterion_4_component_equation_sanity():
     rng = np.random.default_rng(104)
     model = make_const_hsc(4.0, 1)
     J0 = standard_J(1)
-    psi = np.zeros((16, M, M, 2, 2), dtype=complex)
+    psi = np.zeros((16, 2, 2, M, M), dtype=complex)
     for m in odd_masks(4):
         v = rng.integers(-2, 3, size=2).astype(complex)
-        psi[m, :, :, 0, :] = v
-        psi[m, :, :, 1, :] = v @ J0
+        psi[m, 0] = v[:, None, None]
+        psi[m, 1] = (v @ J0)[:, None, None]
     cmap2 = replace(ComponentMap.zero(4, M, 2), psi=psi)
     res2 = C.residual_components(
         cmap2, Gravitino.zero(4, M), ReducedPatch(M), model

@@ -222,8 +222,24 @@ class TestVerifyFlat:
         assert "Dbar route agrees with the theta expansion" in failing
 
 
+CSV_EDGE_VALUES = [0.0, -0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1e-300, 0.1, 1.0, 1e308, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (64,), (0, 4), (8, 8, 4)])
+def test_reprs_equal_one_repr_per_value(shape):
+    # one repr per distinct bit pattern gives the repr of every value, on
+    # repeats, signed zeros, subnormals and values near the float limit
+    rng = np.random.default_rng(len(shape))
+    values = rng.choice(CSV_EDGE_VALUES + rng.standard_normal(5).tolist(), size=shape)
+    got = suites._reprs(values)
+    assert got.shape == values.shape and got.ravel().tolist() == [repr(v) for v in values.ravel().tolist()]
+    if values.ndim == 1:
+        want = ["index,sigma"] + [f"{i},{v!r}" for i, v in enumerate(values.tolist())]
+        assert suites._sigma_rows(values) == want
+
+
 @pytest.mark.parametrize("dead", ["none", "some", "all"])
-@pytest.mark.parametrize("shape", [(16, 8, 8), (16, 8, 8, 2, 3)])
+@pytest.mark.parametrize("shape", [(16, 8, 8), (16, 2, 3, 8, 8)])
 def test_point_max_over_live_blocks_matches_all_blocks(dead, shape):
     # masks that are not live (+0.0 or -0.0 in the dense field) hold no maximum:
     # the per-point maxima over the packed blocks are those over every block,
@@ -234,7 +250,7 @@ def test_point_max_over_live_blocks_matches_all_blocks(dead, shape):
     block[zero] = 0.0
     if zero:
         block[zero[-1]] = complex(-0.0, -0.0)
-    expected = np.abs(block).max(axis=(0, *range(3, block.ndim)))
+    expected = np.abs(block).max(axis=tuple(range(block.ndim - 2)))
     packed = pack(block)
     for field in (packed, packed.grow(tuple(range(16)))):
         got = suites._point_max(field)
@@ -250,9 +266,9 @@ class TestVerifyComponents:
         model_desc = {"kind": "flat", "n": 1}
         J0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
         v = np.array([1.0, -2.0])
-        psi = gzeros(L, (M, M, 2, 2))
-        psi[1, :, :, 0, :] = v
-        psi[1, :, :, 1, :] = v @ J0
+        psi = gzeros(L, (2, 2, M, M))
+        psi[1, 0] = v[:, None, None]
+        psi[1, 1] = (v @ J0)[:, None, None]
         cmap = dataclasses.replace(holomorphic_base_map(L, M, 2), psi=psi)
         grav = Gravitino.zero(L, M)
         patch = ReducedPatch(M)
@@ -394,6 +410,27 @@ class TestIndexLimits:
         assert run(["index", "--surface", "torus", "--cutoff", str(cutoff)], tmp_path) == 2
         assert f"error: --cutoff must be >= 4 on the torus, got {cutoff}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("degree,cutoff", [(5, 4), (5, 6), (-5, 6), (0, 1), (1, 0), (-1, -3)])
+    def test_sphere_cutoff_below_minimum_exit_2(self, degree, cutoff, tmp_path, capsys, monkeypatch):
+        from sjclab import indexlab
+
+        def no_build(k, M):
+            raise AssertionError("sphere operator built before the cutoff check")
+
+        monkeypatch.setattr(indexlab, "build_dbar_sphere", no_build)
+        argv = ["index", "--surface", "sphere", "--degree", str(degree), "--cutoff", str(cutoff)]
+        assert run(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        need = abs(degree) + 2
+        assert f"error: --cutoff must be >= |--degree| + 2 = {need} on the sphere, got --cutoff {cutoff}" in err
+        assert f"--degree {degree}" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("degree", [5, -5, 0])
+    def test_sphere_cutoff_at_minimum_passes(self, degree, tmp_path):
+        argv = ["index", "--surface", "sphere", "--degree", str(degree), "--cutoff", str(abs(degree) + 2)]
+        assert run(argv, tmp_path) == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -660,12 +697,12 @@ class TestBundleValidation:
         # generic doubles on a curved gauge, on several masks of every field
         rng = np.random.default_rng(5)
         L, M = 2, 8
-        phi, psi, F, chi = (gzeros(L, (M, M) + shape) for shape in ((2,), (2, 2), (2,), (2, 2)))
-        phi[0] = rng.standard_normal((M, M, 2))
-        phi[3] = rng.standard_normal((M, M, 2))
-        psi[1:3] = rng.standard_normal((2, M, M, 2, 2)) + 1j * rng.standard_normal((2, M, M, 2, 2))
-        F[0] = rng.standard_normal((M, M, 2)) + 1j * rng.standard_normal((M, M, 2))
-        chi[2] = rng.standard_normal((M, M, 2, 2)) * 1e-300
+        phi, psi, F, chi = (gzeros(L, shape + (M, M)) for shape in ((2,), (2, 2), (2,), (2, 2)))
+        phi[0] = rng.standard_normal((2, M, M))
+        phi[3] = rng.standard_normal((2, M, M))
+        psi[1:3] = rng.standard_normal((2, 2, 2, M, M)) + 1j * rng.standard_normal((2, 2, 2, M, M))
+        F[0] = rng.standard_normal((2, M, M)) + 1j * rng.standard_normal((2, M, M))
+        chi[2] = rng.standard_normal((2, 2, M, M)) * 1e-300
         cmap = ComponentMap(L=L, phi_linear=np.zeros((2, 2)), phi_periodic=phi, psi=psi, F=F)
         grav = Gravitino(L=L, chi=chi)
         patch = ReducedPatch(M, lam=np.exp(rng.uniform(-0.1, 0.1, size=(M, M))))
@@ -684,7 +721,7 @@ class TestBundleValidation:
             vals = [float(t) for t in tokens[3:]]
             expected = [complex(re, im) for re, im in zip(vals[0::2], vals[1::2])]
             got = np.concatenate(
-                [dense(a, L)[:, i, j].ravel() for a in (cmap2.phi_periodic, cmap2.psi, cmap2.F, grav2.chi)]
+                [dense(a, L)[..., i, j].ravel() for a in (cmap2.phi_periodic, cmap2.psi, cmap2.F, grav2.chi)]
             )
             assert got.tolist() == expected
 

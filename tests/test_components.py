@@ -22,9 +22,9 @@ def grid_waves(M):
 
 def triple_product_sr(psi, Rop, L):
     """Reference SR on a dense psi: the full triple product psi psi psi, then eps and Rop in one einsum."""
-    pair = dense_gcontract(psi, psi, "xyma,xynb->xymanb", L)
-    tri = dense_gcontract(pair, psi, "xymanb,xyoc->xymanboc", L)
-    return np.einsum("sxymanboc,no,xyabce->sxyme", tri, EPS_UPPER, Rop)
+    pair = dense_gcontract(psi, psi, "maxy,nbxy->manbxy", L)
+    tri = dense_gcontract(pair, psi, "manbxy,ocxy->manbocxy", L)
+    return np.einsum("smanbocxy,no,abcexy->smexy", tri, EPS_UPPER, Rop)
 
 
 def base_at(model, cmap, patch):
@@ -35,11 +35,11 @@ def base_at(model, cmap, patch):
 def constrained_constant_psi(L, M, model, rng):
     """Constant dense spinor field with the chirality constraint psi_4 = J psi_3."""
     J0 = standard_J(model.n)
-    psi = gzeros(L, (M, M, 2, model.dim))
+    psi = gzeros(L, (2, model.dim, M, M))
     for m in odd_masks(L):
         v = rng.integers(-2, 3, size=model.dim).astype(complex)
-        psi[m, :, :, 0, :] = v
-        psi[m, :, :, 1, :] = v @ J0
+        psi[m, 0] = v[:, None, None]
+        psi[m, 1] = (v @ J0)[:, None, None]
     return psi
 
 
@@ -48,74 +48,72 @@ def constrained_constant_psi(L, M, model, rng):
 
 def j_grid(model, M):
     """The standard J of the model's chart at every grid point, as the einsum oracles contract it."""
-    return np.broadcast_to(standard_J(model.n), (M, M, model.dim, model.dim))
+    return np.broadcast_to(standard_J(model.n)[:, :, None, None], (model.dim, model.dim, M, M))
 
 
 def _einsum_antihol_form(T, J):
-    rot = np.einsum("kl,sxylb->sxykb", IFRAME, T)
-    return 0.5 * (T + np.einsum("sxykb,xybc->sxykc", rot, J))
+    rot = np.einsum("kl,slbxy->skbxy", IFRAME, T)
+    return 0.5 * (T + np.einsum("skbxy,bcxy->skcxy", rot, J))
 
 
 def _einsum_antihol_spinor(psi, J):
-    rot = np.einsum("ab,sxybc->sxyac", ISPIN, psi)
-    return 0.5 * (psi + np.einsum("sxyac,xycd->sxyad", rot, J))
+    rot = np.einsum("ab,sbcxy->sacxy", ISPIN, psi)
+    return 0.5 * (psi + np.einsum("sacxy,cdxy->sadxy", rot, J))
 
 
 def _einsum_q(chi):
-    return np.einsum("aibj,sxybj->sxyai", QMAT, chi)
+    return np.einsum("aibj,sbjxy->saixy", QMAT, chi)
 
 
 def _einsum_sr(psi, Rop, L):
-    pair = dense_gcontract(psi, psi, "xyma,xynb->xymanb", L)
-    Z = dense_gcontract(pair, np.einsum("no,sxyoc->sxync", EPS_UPPER, psi), "xymanb,xync->xymanbc", L)
+    pair = dense_gcontract(psi, psi, "maxy,nbxy->manbxy", L)
+    Z = dense_gcontract(pair, np.einsum("no,socxy->sncxy", EPS_UPPER, psi), "manbxy,ncxy->manbcxy", L)
     if not Z.any():
         return np.zeros(psi.shape, dtype=complex)
-    return np.einsum("sxymanbc,xyabce->sxyme", Z, Rop)
+    return np.einsum("smanbcxy,abcexy->smexy", Z, Rop)
 
 
 def per_axis_grad(field, M):
-    """(d/dx^1, d/dx^2) on axis 3, each through its own fft2/ifft2 pair.
+    """(d/dx^1, d/dx^2) on axis 1, each through its own fft2/ifft2 pair over the grid axes (-2, -1).
 
     The Nyquist wavenumber of an even M differentiates to zero.
     """
-    ft = np.fft.fft2(np.asarray(field, dtype=complex), axes=(1, 2))
+    ft = np.fft.fft2(np.asarray(field, dtype=complex))
     k = 2j * np.pi * np.fft.fftfreq(M, d=1.0 / M)
     if M % 2 == 0:
         k[M // 2] = 0.0
-    tail = (1,) * (ft.ndim - 3)
-    d1 = np.fft.ifft2(ft * k.reshape((M, 1) + tail), axes=(1, 2))
-    d2 = np.fft.ifft2(ft * k.reshape((1, M) + tail), axes=(1, 2))
-    return np.stack([d1, d2], axis=3)
+    d1 = np.fft.ifft2(ft * k[:, None])
+    d2 = np.fft.ifft2(ft * k)
+    return np.stack([d1, d2], axis=1)
 
 
 def _oracle_dphi(cmap, patch):
     d = per_axis_grad(dense(cmap.phi_periodic, cmap.L), patch.M)
-    d[0, :, :, 0, :] += cmap.phi_linear[:, 0]
-    d[0, :, :, 1, :] += cmap.phi_linear[:, 1]
-    return d * patch.frame_factor()[None, :, :, None, None]
+    d[0, 0] += cmap.phi_linear[:, 0, None, None]
+    d[0, 1] += cmap.phi_linear[:, 1, None, None]
+    return d * patch.frame_factor()
 
 
 def _einsum_dirac(psi, patch, Gamma, dphi, L):
-    ff = patch.frame_factor()[None, :, :, None, None, None]
-    nabla = per_axis_grad(psi, patch.M) * ff
+    nabla = per_axis_grad(psi, patch.M) * patch.frame_factor()
     if np.abs(Gamma).max() > 0:
-        conn = np.einsum("xyecd,sxykc->sxyked", Gamma, dphi)
-        nabla = nabla + dense_gcontract(conn, psi, "xyked,xyad->xykae", L)
+        conn = np.einsum("ecdxy,skcxy->skedxy", Gamma, dphi)
+        nabla = nabla + dense_gcontract(conn, psi, "kedxy,adxy->kaexy", L)
     gamma_i = np.einsum("kab,bc->kac", GAMMA, ISPIN)
     omega = patch.spin_connection()
-    out = -np.einsum("kba,sxykae->sxybe", GAMMA, nabla)
+    out = -np.einsum("kba,skaexy->sbexy", GAMMA, nabla)
     if np.abs(omega).max() > 0:
-        out = out + 0.5 * np.einsum("xyk,kba,sxyae->sxybe", omega, gamma_i, psi)
+        out = out + 0.5 * np.einsum("kxy,kba,saexy->sbexy", omega, gamma_i, psi)
     return out
 
 
 def _einsum_dirac_terms(psi, qchi, patch, Gamma, dphi, L):
     out = _einsum_dirac(psi, patch, Gamma, dphi, L)
-    paired = dense_gcontract(qchi, dphi, "xykc,xykb->xycb", L)
-    out = out - 2.0 * np.einsum("ac,sxycb->sxyab", EPS_LOWER, paired)
-    sq = dense_gcontract(qchi, qchi, "xykc,xykt->xyct", L)
-    nq = np.einsum("ct,sxyct->sxy", EPS_LOWER, sq)
-    return out + dense_gcontract(nq, psi, "xy,xyab->xyab", L)
+    paired = dense_gcontract(qchi, dphi, "kcxy,kbxy->cbxy", L)
+    out = out - 2.0 * np.einsum("ac,scbxy->sabxy", EPS_LOWER, paired)
+    sq = dense_gcontract(qchi, qchi, "kcxy,ktxy->ctxy", L)
+    nq = np.einsum("ct,sctxy->sxy", EPS_LOWER, sq)
+    return out + dense_gcontract(nq, psi, "xy,abxy->abxy", L)
 
 
 def einsum_residual_components(cmap, grav, patch, model):
@@ -123,10 +121,10 @@ def einsum_residual_components(cmap, grav, patch, model):
     psi, F, chi = dense(cmap.psi, L), dense(cmap.F, L), dense(grav.chi, L)
     Gamma, Rop = C.model_grids(model, cmap, patch)
     J = j_grid(model, patch.M)
-    r1 = psi + np.einsum("sxyac,xycd->sxyad", np.einsum("ab,sxybc->sxyac", ISPIN, psi), J)
+    r1 = psi + np.einsum("sacxy,cdxy->sadxy", np.einsum("ab,sbcxy->sacxy", ISPIN, psi), J)
     dphi = _oracle_dphi(cmap, patch)
     qchi = _einsum_q(chi)
-    r3 = _einsum_antihol_form(dphi, J) + dense_gcontract(qchi, psi, "xykc,xycb->xykb", L)
+    r3 = _einsum_antihol_form(dphi, J) + dense_gcontract(qchi, psi, "kcxy,cbxy->kbxy", L)
     r4 = _einsum_dirac_terms(psi, qchi, patch, Gamma, dphi, L)
     if np.abs(Rop).max() > 0:
         r4 = r4 - _einsum_sr(psi, Rop, L) / 3.0
@@ -140,12 +138,12 @@ def einsum_operator_components(cmap, grav, patch, model):
     J = j_grid(model, patch.M)
     c1 = _einsum_antihol_spinor(psi, J)
     dphi = _oracle_dphi(cmap, patch)
-    pairing = dense_gcontract(chi, psi, "xykc,xycb->xykb", L)
+    pairing = dense_gcontract(chi, psi, "kcxy,cbxy->kbxy", L)
     c3 = -_einsum_antihol_form(dphi + pairing, J)
     inner = _einsum_dirac_terms(psi, _einsum_q(chi), patch, Gamma, dphi, L)
-    dg = np.einsum("kct,sxykt->sxyc", GAMMA, chi)
-    lowered = np.einsum("ac,sxyc->sxya", EPS_LOWER, dg)
-    inner = inner + dense_gcontract(lowered, F, "xya,xyb->xyab", L)
+    dg = np.einsum("kct,sktxy->scxy", GAMMA, chi)
+    lowered = np.einsum("ac,scxy->saxy", EPS_LOWER, dg)
+    inner = inner + dense_gcontract(lowered, F, "axy,bxy->abxy", L)
     if np.abs(Rop).max() > 0:
         inner = inner - _einsum_sr(psi, Rop, L) / 6.0
     return (c1, 0.25 * F, c3, -_einsum_antihol_spinor(inner, J))
@@ -153,10 +151,10 @@ def einsum_operator_components(cmap, grav, patch, model):
 
 def einsum_d_phi_operator(xi, patch, model, Gamma, dphi, L):
     """D_phi xi = (1/2)(1 + I (x) J)(d xi lambda^-2 + Gamma(dphi, xi)) on a dense xi."""
-    dxi = per_axis_grad(xi, patch.M) * patch.frame_factor()[None, :, :, None, None]
+    dxi = per_axis_grad(xi, patch.M) * patch.frame_factor()
     if np.abs(Gamma).max() > 0:
-        conn = np.einsum("xyecd,sxykc->sxyked", Gamma, dphi)
-        dxi = dxi + dense_gcontract(conn, xi, "xyked,xyd->xyke", L)
+        conn = np.einsum("ecdxy,skcxy->skedxy", Gamma, dphi)
+        dxi = dxi + dense_gcontract(conn, xi, "kedxy,dxy->kexy", L)
     return _einsum_antihol_form(dxi, j_grid(model, patch.M))
 
 
@@ -236,7 +234,7 @@ class TestAntiholomorphicPart:
         rng = np.random.default_rng(60 + dim)
         L, M = 2, 4
         model = make_flat(dim // 2)
-        field = rng.standard_normal((1 << L, M, M, 2, dim)) + 1j * rng.standard_normal((1 << L, M, M, 2, dim))
+        field = rng.standard_normal((1 << L, 2, dim, M, M)) + 1j * rng.standard_normal((1 << L, 2, dim, M, M))
         for data in (field, field.real.astype(complex)):
             got = dense(C.antiholomorphic_part(pack(data)), L)
             assert np.array_equal(got, _einsum_antihol_spinor(data, j_grid(model, M)))
@@ -246,7 +244,7 @@ class TestAntiholomorphicPart:
     def test_projector_is_idempotent_and_kills_the_holomorphic_half(self, dim):
         rng = np.random.default_rng(70 + dim)
         L, M = 2, 4
-        psi = pack(rng.standard_normal((1 << L, M, M, 2, dim)) + 0j)
+        psi = pack(rng.standard_normal((1 << L, 2, dim, M, M)) + 0j)
         once = C.antiholomorphic_part(psi)
         assert max_abs(once) > 0 and max_abs(C.antiholomorphic_part(once) - once) == 0.0
         assert max_abs(C.antiholomorphic_part(spinor_holomorphic_part(psi))) == 0.0
@@ -257,10 +255,10 @@ class TestGrad:
     @pytest.mark.parametrize("shape", [(3,), (3, 2, 4)], ids=["scalar", "spinor"])
     def test_equals_per_axis_route_bit_for_bit(self, M, shape):
         rng = np.random.default_rng(M)
-        dims = (shape[0], M, M) + shape[1:]
+        dims = shape + (M, M)
         field = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
         out = ReducedPatch(M).grad(field)
-        assert out.shape == dims[:3] + (2,) + dims[3:]
+        assert out.shape == dims[:1] + (2,) + dims[1:]
         assert np.array_equal(out, per_axis_grad(field, M))
 
     def test_nyquist_mode_of_real_data_differentiates_to_zero(self):
@@ -280,7 +278,7 @@ class TestTwistedDirac:
         patch = ReducedPatch(M)
         model = make_flat(1)
         cmap = ComponentMap.zero(L, M, 2)
-        psi = gzeros(L, (M, M, 2, 2))
+        psi = gzeros(L, (2, 2, M, M))
         psi[1] = 1.0
         out = C.twisted_dirac(pack(psi), patch, *base_at(model, cmap, patch))
         assert max_abs(out) == 0.0
@@ -296,11 +294,11 @@ class TestTwistedDirac:
         base = base_at(model, cmap, patch)
         for k1, k2 in [(1, 0), (3, -2), (-5, 7)]:
             c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            psi = gzeros(L, (M, M, 2, 2))
-            psi[1] = np.exp(2j * np.pi * (k1 * x1 + k2 * x2))[..., None, None] * c
+            psi = gzeros(L, (2, 2, M, M))
+            psi[1] = c[:, :, None, None] * np.exp(2j * np.pi * (k1 * x1 + k2 * x2))
             out = C.twisted_dirac(pack(psi), patch, *base)
             symbol = -2j * np.pi * (k1 * GAMMA[0] + k2 * GAMMA[1])
-            expected = np.einsum("ba,xyae->xybe", symbol, psi[1])
+            expected = np.einsum("ba,aexy->bexy", symbol, psi[1])
             assert np.abs(dense(out, L)[1] - expected).max() <= 1e-10
 
     def test_chirality_commutation_flat_target(self):
@@ -339,11 +337,11 @@ class TestTwistedDirac:
         rng = np.random.default_rng(2)
 
         def rand_spinor():
-            f = gzeros(L, (M, M, 2, 2))
+            f = gzeros(L, (2, 2, M, M))
             for kk1 in range(-2, 3):
                 for kk2 in range(-2, 3):
                     amp = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                    f[1] += np.exp(2j * np.pi * (kk1 * x1 + kk2 * x2))[..., None, None] * amp
+                    f[1] += amp[:, :, None, None] * np.exp(2j * np.pi * (kk1 * x1 + kk2 * x2))
             return f
 
         psi, Psi = rand_spinor(), rand_spinor()
@@ -351,7 +349,7 @@ class TestTwistedDirac:
         base = base_at(model, cmap, patch)
 
         def pair(a, b):
-            return np.sum(a[1] * b[1] * w[..., None, None])
+            return np.sum(a[1] * b[1] * w)
 
         def dirac(f):
             return dense(C.twisted_dirac(pack(f), patch, *base), L)
@@ -403,10 +401,10 @@ class TestResiduals:
         L, M = 2, 8
         model = make_flat(1)
         J0 = standard_J(1)
-        psi = gzeros(L, (M, M, 2, 2))
+        psi = gzeros(L, (2, 2, M, M))
         v = np.array([1.0, 2.0])
-        psi[1, :, :, 0, :] = v
-        psi[1, :, :, 1, :] = -(v @ J0)
+        psi[1, 0] = v[:, None, None]
+        psi[1, 1] = -(v @ J0)[:, None, None]
         cmap = replace(ComponentMap.zero(L, M, 2), psi=psi)
         res = C.residual_components(cmap, Gravitino.zero(L, M), ReducedPatch(M), model)
         assert res.max_norms()["chirality"] > 1.0
@@ -438,7 +436,7 @@ class TestResiduals:
 
     def test_curved_chart_needs_soulless_phi(self):
         L, M = 2, 8
-        phi = gzeros(L, (M, M, 2))
+        phi = gzeros(L, (2, M, M))
         phi[3] = 0.1  # even soul correction
         cmap = replace(ComponentMap.zero(L, M, 2), phi_periodic=phi)
         with pytest.raises(FieldError):
@@ -450,8 +448,8 @@ class TestResiduals:
         rng = np.random.default_rng(13)
         L, M = 4, 8
         model = make_fs_cp1()
-        phi = gzeros(L, (M, M, 2))
-        phi[0, :, :, :] = np.array([0.3, -0.2])
+        phi = gzeros(L, (2, M, M))
+        phi[0] = np.array([0.3, -0.2])[:, None, None]
         cmap = replace(ComponentMap.zero(L, M, 2), phi_periodic=phi, psi=constrained_constant_psi(L, M, model, rng))
         res = C.residual_components(cmap, Gravitino.zero(L, M), ReducedPatch(M), model)
         assert res.max_norm() <= 1e-12
@@ -461,9 +459,9 @@ class TestResiduals:
         L, M = 2, 16
         model = make_fs_cp1()
         x1, x2 = grid_waves(M)
-        phi = gzeros(L, (M, M, 2))
-        phi[0, :, :, 0] = 0.1 * np.sin(2 * np.pi * x1)
-        phi[0, :, :, 1] = 0.1 * np.cos(2 * np.pi * x2)
+        phi = gzeros(L, (2, M, M))
+        phi[0, 0] = 0.1 * np.sin(2 * np.pi * x1)
+        phi[0, 1] = 0.1 * np.cos(2 * np.pi * x2)
         cmap = replace(ComponentMap.zero(L, M, 2), phi_periodic=phi)
         patch = ReducedPatch(M)
         res = C.residual_components(cmap, Gravitino.zero(L, M), patch, model)
@@ -472,7 +470,7 @@ class TestResiduals:
         expected = 0.5 * (
             dphi
             + np.einsum(
-                "kl,sxylb,bc->sxykc",
+                "kl,slbxy,bc->skcxy",
                 np.array([[0.0, 1.0], [-1.0, 0.0]]),
                 dphi,
                 J0,
@@ -489,11 +487,11 @@ class TestResiduals:
         L, M, dim = 4, 4, 2
         psi = random_odd_spinor(rng, L=L, dim=dim)
         R = random_admissible_curvature(rng, dim)
-        psi_grid = gzeros(L, (M, M, 2, dim))
-        psi_grid[:] = np.moveaxis(psi, -1, 0)[:, None, None]
-        Rop = np.broadcast_to(R, (M, M, dim, dim, dim, dim))
+        psi_grid = gzeros(L, (2, dim, M, M))
+        psi_grid[:] = np.moveaxis(psi, -1, 0)[..., None, None]
+        Rop = np.broadcast_to(R[..., None, None], (dim, dim, dim, dim, M, M))
         sr_grid = dense(C.sr_contraction(pack(psi_grid), Rop), L)
-        sr = np.moveaxis(sr_vector(psi, R), -1, 0)[:, None, None]
+        sr = np.moveaxis(sr_vector(psi, R), -1, 0)[..., None, None]
         assert np.abs(sr).max() > 0.0
         assert np.abs(sr_grid - sr).max() <= 1e-12
 
@@ -502,23 +500,23 @@ class TestResiduals:
         L, M = 4, 4
         model = make_const_hsc(4.0, 1)
         psi = constrained_constant_psi(L, M, model, rng)
-        Rop = np.broadcast_to(model.curvature_op_at(np.zeros(2)), (M, M, 2, 2, 2, 2))
+        Rop = np.broadcast_to(model.curvature_op_at(np.zeros(2))[..., None, None], (2, 2, 2, 2, M, M))
         assert max_abs(C.sr_contraction(pack(psi), Rop)) == 0.0
         # unconstrained control is nonzero
         psi2 = psi.copy()
-        psi2[1, :, :, 1, :] = np.array([1.0, 3.0])
-        psi2[2, :, :, 1, :] = np.array([-2.0, 1.0])
-        psi2[4, :, :, 1, :] = np.array([1.0, -1.0])
+        psi2[1, 1] = np.array([1.0, 3.0])[:, None, None]
+        psi2[2, 1] = np.array([-2.0, 1.0])[:, None, None]
+        psi2[4, 1] = np.array([1.0, -1.0])[:, None, None]
         assert max_abs(C.sr_contraction(pack(psi2), Rop)) > 0.0
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_sr_matches_triple_product_on_generic_data(self, dim):
         rng = np.random.default_rng(30 + dim)
         L, M = 4, 4
-        psi = gzeros(L, (M, M, 2, dim))
+        psi = gzeros(L, (2, dim, M, M))
         for m in odd_masks(L):
-            psi[m] = rng.standard_normal((M, M, 2, dim)) + 1j * rng.standard_normal((M, M, 2, dim))
-        Rop = rng.standard_normal((M, M) + (dim,) * 4)
+            psi[m] = rng.standard_normal((2, dim, M, M)) + 1j * rng.standard_normal((2, dim, M, M))
+        Rop = rng.standard_normal((dim,) * 4 + (M, M))
         ref = triple_product_sr(psi, Rop, L)
         sr = dense(C.sr_contraction(pack(psi), Rop), L)
         assert np.abs(ref).max() > 1.0
@@ -536,22 +534,22 @@ class TestResiduals:
         L, M, dim = 4, 4, model.dim
         J0 = standard_J(model.n)
         for _ in range(5):
-            psi = gzeros(L, (M, M, 2, dim))
+            psi = gzeros(L, (2, dim, M, M))
             for m in odd_masks(L):
                 v = rng.integers(-2, 3, size=dim) + 1j * rng.integers(-2, 3, size=dim)
-                psi[m, :, :, 0, :] = v
-                psi[m, :, :, 1, :] = v @ J0
-            Rop = model.curvature_op_at(rng.uniform(-1.0, 1.0, size=(M, M, dim)))
+                psi[m, 0] = v[:, None, None]
+                psi[m, 1] = (v @ J0)[:, None, None]
+            Rop = np.moveaxis(model.curvature_op_at(rng.uniform(-1.0, 1.0, size=(M, M, dim))), (0, 1), (-2, -1))
             assert np.all(triple_product_sr(psi, Rop, L) == 0)
             assert np.all(C.sr_contraction(pack(psi), Rop).blocks == 0)
 
     def test_sr_vanishes_below_three_generators(self):
         rng = np.random.default_rng(32)
         L, M = 2, 4
-        psi = gzeros(L, (M, M, 2, 2))
+        psi = gzeros(L, (2, 2, M, M))
         for m in odd_masks(L):
-            psi[m] = rng.standard_normal((M, M, 2, 2))
-        sr = C.sr_contraction(pack(psi), rng.standard_normal((M, M, 2, 2, 2, 2)))
+            psi[m] = rng.standard_normal((2, 2, M, M))
+        sr = C.sr_contraction(pack(psi), rng.standard_normal((2, 2, 2, 2, M, M)))
         assert sr.masks == () and sr.shape[1:] == psi.shape[1:]
 
 
@@ -561,28 +559,29 @@ class TestModelGrids:
         model = make_fs_cp1()
         patch = ReducedPatch(M)
         x1, x2 = grid_waves(M)
-        phi = gzeros(L, (M, M, 2))
-        phi[0, :, :, 0] = 0.3 * np.sin(2 * np.pi * x1)
-        phi[0, :, :, 1] = 0.2 * np.cos(2 * np.pi * x2) - 0.1
+        phi = gzeros(L, (2, M, M))
+        phi[0, 0] = 0.3 * np.sin(2 * np.pi * x1)
+        phi[0, 1] = 0.2 * np.cos(2 * np.pi * x2) - 0.1
         cmap = replace(ComponentMap.zero(L, M, 2), phi_periodic=phi)
         body = cmap.phi_body(patch.x1, patch.x2)
         grids = C.model_grids(model, cmap, patch)
         evaluators = (model.christoffel_at, model.curvature_op_at)
         assert len(grids) == len(evaluators)
         for grid, ev in zip(grids, evaluators):
-            pointwise = np.array([[ev(body[i, j]) for j in range(M)] for i in range(M)])
-            assert np.array_equal(grid, pointwise)
+            pointwise = np.array([[ev(body[:, i, j]) for j in range(M)] for i in range(M)])
+            assert grid.flags.c_contiguous
+            assert np.array_equal(grid, np.moveaxis(pointwise, (0, 1), (-2, -1)))
 
     def test_constant_chart_grids_broadcast(self):
         L, M = 2, 8
         model = make_const_hsc(-4.0, 2)
-        phi = gzeros(L, (M, M, 4))
+        phi = gzeros(L, (4, M, M))
         phi[3] = 0.5  # a soul is fine for constant charts
         cmap = replace(ComponentMap.zero(L, M, 4), phi_periodic=phi)
         Gamma, Rop = C.model_grids(model, cmap, ReducedPatch(M))
         y0 = np.zeros(4)
-        assert Gamma.shape == (M, M, 4, 4, 4) and not Gamma.any()
-        assert np.array_equal(Rop, np.broadcast_to(model.curvature_op_at(y0), Rop.shape))
+        assert Gamma.shape == (4, 4, 4, M, M) and not Gamma.any()
+        assert np.array_equal(Rop, np.broadcast_to(model.curvature_op_at(y0)[..., None, None], Rop.shape))
 
 
 class TestChiralReduction:
@@ -601,9 +600,9 @@ class TestChiralReduction:
         z10 = spinor_holomorphic_part(zeta)
         lhs = C.antiholomorphic_part(C.twisted_dirac(z10, patch, *base))
         dz = patch.grad(dense(z10, L))
-        rot = np.einsum("kl,sxylae->sxykae", IFRAME, dz)
-        antihol_form = 0.5 * (dz + np.einsum("sxykae,xyef->sxykaf", rot, J))
-        rhs = -np.einsum("kba,sxykae->sxybe", GAMMA, antihol_form)
+        rot = np.einsum("kl,slaexy->skaexy", IFRAME, dz)
+        antihol_form = 0.5 * (dz + np.einsum("skaexy,efxy->skafxy", rot, J))
+        rhs = -np.einsum("kba,skaexy->sbexy", GAMMA, antihol_form)
         assert np.abs(dense(lhs, L) - rhs).max() <= 1e-10
 
 
@@ -614,7 +613,7 @@ class TestGravitinoTerms:
         patch = ReducedPatch(M)
         cmap = holomorphic_base_map(L, M, 2, slope=1.0 + 0.5j)
         rho, _, _, _ = random_direction_fields(rng, L, M, 2)
-        T = C.vee_q_pairing(rho.map(project_q), C.dphi_frame(cmap, patch))
+        T = C.vee_q_pairing(rho.map(project_q, 1), C.dphi_frame(cmap, patch))
         assert max_abs(2 * C.antiholomorphic_part(T) - 2 * T) <= 1e-12
 
     def test_pure_gauge_gravitino_drops_out(self):
@@ -624,9 +623,9 @@ class TestGravitinoTerms:
         model = make_flat(1)
         patch = ReducedPatch(M)
         cmap = holomorphic_base_map(L, M, 2)
-        s = gzeros(L, (M, M, 2))
-        s[1] = rng.standard_normal((M, M, 2))
-        chi = np.einsum("kab,sxyb->sxyka", GAMMA, s)
+        s = gzeros(L, (2, M, M))
+        s[1] = rng.standard_normal((2, M, M))
+        chi = np.einsum("kab,sbxy->skaxy", GAMMA, s)
         res = C.residual_components(cmap, Gravitino(L=L, chi=chi), patch, model)
         assert res.max_norm() <= 1e-12
 
@@ -634,7 +633,7 @@ class TestGravitinoTerms:
         rng = np.random.default_rng(8)
         L, M = 2, 8
         rho, _, _, _ = random_direction_fields(rng, L, M, 2)
-        nq = dense(C.q_norm_squared(rho.map(project_q)), L)
+        nq = dense(C.q_norm_squared(rho.map(project_q, 1)), L)
         assert np.abs(nq[0]).max() == 0.0  # no body: quadratic in odd values
         assert np.abs(nq[1]).max() == 0.0 and np.abs(nq[2]).max() == 0.0
 
@@ -682,11 +681,11 @@ class TestResidualFieldCsv:
         L, M = 4, 8
         model = make_fs_cp1()
         x1, x2 = grid_waves(M)
-        phi, F = gzeros(L, (M, M, 2)), gzeros(L, (M, M, 2))
-        phi[0, :, :, 0] = 0.2 + 0.1 * np.sin(2 * np.pi * x1)
+        phi, F = gzeros(L, (2, M, M)), gzeros(L, (2, M, M))
+        phi[0, 0] = 0.2 + 0.1 * np.sin(2 * np.pi * x1)
         psi = constrained_constant_psi(L, M, model, rng)
-        psi[1, :, :, 1, :] += 0.1 * (1 + 0.5j) * np.cos(2 * np.pi * x2)[..., None]
-        F[0, :, :, 1] = 0.1 * np.cos(2 * np.pi * x1)
+        psi[1, 1] += 0.1 * (1 + 0.5j) * np.cos(2 * np.pi * x2)
+        F[0, 1] = 0.1 * np.cos(2 * np.pi * x1)
         cmap = replace(ComponentMap.zero(L, M, 2), phi_periodic=phi, psi=psi, F=F)
         grav = Gravitino.zero(L, M)
         patch = ReducedPatch(M)
@@ -698,7 +697,7 @@ class TestResidualFieldCsv:
         expected = ["i,j,chirality,auxiliary,cauchy_riemann,dirac"]
         for i in range(M):
             for j in range(M):
-                vals = [float(np.abs(b.blocks[:, i, j]).max()) for b in res.blocks().values()]
+                vals = [float(np.abs(b.blocks[..., i, j]).max()) for b in res.blocks().values()]
                 expected.append(f"{i},{j}," + ",".join(repr(v) for v in vals))
         assert rows == expected
         assert all(float(v) > 0 for v in rows[1].split(",")[2:])

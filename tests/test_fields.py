@@ -19,6 +19,7 @@ from sjclab.fields import (
 )
 from sjclab.grassmann import merge_sign
 from sjclab.patch import ReducedPatch
+from sjclab import spin
 from sjclab.spin import EPS_LOWER_PAIRING, GAMMA_MAP, IFRAME_MAP, ISPIN, QMAT_MAP
 from sjclab.targets import standard_J
 
@@ -110,8 +111,14 @@ def generic_factor(rng, L, shape, masks):
 
 
 # (spec, shape of a's blocks, shape of b's blocks): the component products on
-# (M, M, 2, dim) grids, and tiny fierz-like operands
+# (2, dim, M, M) grids, the same products with the grid axes first, and tiny
+# fierz-like operands
 ORDER_CASES = [
+    ("maxy,nbxy->manbxy", (2, 4, 6, 6), (2, 4, 6, 6)),
+    ("manbxy,ncxy->manbcxy", (2, 4, 2, 4, 6, 6), (2, 4, 6, 6)),
+    ("kedxy,adxy->kaexy", (2, 4, 4, 5, 5), (2, 4, 5, 5)),
+    ("kcxy,kbxy->cbxy", (2, 2, 5, 5), (2, 4, 5, 5)),
+    ("xy,abxy->abxy", (4, 4), (2, 4, 4, 4)),
     ("xyma,xynb->xymanb", (6, 6, 2, 4), (6, 6, 2, 4)),
     ("xymanb,xync->xymanbc", (6, 6, 2, 4, 2, 4), (6, 6, 2, 4)),
     ("xyked,xyad->xykae", (5, 5, 2, 4, 4), (5, 5, 2, 4)),
@@ -179,13 +186,13 @@ def test_live_rows_equal_the_full_table(case):
 
 
 def record_view(values):
-    """``values`` as a strided view into float records, the mask axis not outermost in memory."""
-    S, M = values.shape[:2]
-    size = values[0, 0, 0].size * S
+    """``values`` (S, ..., M, M) as a strided view into per-point float records, the grid outermost in memory."""
+    S, M = len(values), values.shape[-1]
+    size = values[..., 0, 0].size
     data = np.zeros((M * M, 3 + 2 * size + 4))  # index and lam columns first, more fields after
-    per_point = data[:, 3:].view(complex)[:, :size].reshape((M, M, S) + values.shape[3:])
-    per_point[...] = np.moveaxis(values, 0, 2)
-    view = np.moveaxis(per_point, 2, 0)
+    per_point = data[:, 3:].view(complex)[:, :size].reshape((M, M, S) + values.shape[1:-2])
+    view = np.moveaxis(per_point, (0, 1), (-2, -1))
+    view[...] = values
     assert np.shares_memory(view, data) and not view.flags.c_contiguous
     return view
 
@@ -202,37 +209,37 @@ def masked_field(rng, L, shape, live):
 def live_block_kernels(rng, M, dim):
     """(name, the kernel on a packed field, the kernel on a whole dense field, block shape)."""
     patch = ReducedPatch(M)
-    Gamma = rng.standard_normal((M, M, dim, dim, dim))
-    Rop = rng.standard_normal((M, M, dim, dim, dim, dim))
-    sr = "sxymanbc,xyabce->sxyme"  # the last einsum of sr_contraction
+    Gamma = rng.standard_normal((dim, dim, dim, M, M))
+    Rop = rng.standard_normal((dim, dim, dim, dim, M, M))
+    sr = "smanbcxy,abcexy->smexy"  # the last einsum of sr_contraction
     return [
-        ("grad", lambda f: f.map(patch.grad), patch.grad, (M, M, 2, dim)),
-        ("IFRAME_MAP", lambda f: f.map(IFRAME_MAP.apply, -2), lambda f: IFRAME_MAP.apply(f, 3), (M, M, 2, dim)),
-        ("GAMMA_MAP", lambda f: f.map(GAMMA_MAP.apply, -3), lambda f: GAMMA_MAP.apply(f, 3), (M, M, 2, 2, dim)),
-        ("QMAT_MAP", lambda f: f.map(QMAT_MAP.apply, -2), lambda f: QMAT_MAP.apply(f, 3), (M, M, 2, 2)),
+        ("grad", lambda f: f.map(patch.grad), patch.grad, (2, dim, M, M)),
+        ("IFRAME_MAP", lambda f: f.map(IFRAME_MAP.apply, 1), lambda f: IFRAME_MAP.apply(f, 1), (2, dim, M, M)),
+        ("GAMMA_MAP", lambda f: f.map(GAMMA_MAP.apply, 1), lambda f: GAMMA_MAP.apply(f, 1), (2, 2, dim, M, M)),
+        ("QMAT_MAP", lambda f: f.map(QMAT_MAP.apply, 1), lambda f: QMAT_MAP.apply(f, 1), (2, 2, M, M)),
         (
             "EPS_LOWER_PAIRING",
-            lambda f: f.map(EPS_LOWER_PAIRING.apply, -2),
-            lambda f: EPS_LOWER_PAIRING.apply(f, 3),
-            (M, M, 2, 2),
+            lambda f: f.map(EPS_LOWER_PAIRING.apply, 1),
+            lambda f: EPS_LOWER_PAIRING.apply(f, 1),
+            (2, 2, M, M),
         ),
         (
             "antiholomorphic_part",
             antiholomorphic_part,
-            lambda f: _antiholomorphic_map(dim).apply(f, 3),
-            (M, M, 2, dim),
+            lambda f: _antiholomorphic_map(dim).apply(f, 1),
+            (2, dim, M, M),
         ),
         (
             "Gamma(dphi_k, .)",
             lambda f: _gamma_dphi(Gamma, f),
-            lambda f: np.einsum("xyecd,sxykc->sxyked", Gamma, f),
-            (M, M, 2, dim),
+            lambda f: np.einsum("ecdxy,skcxy->skedxy", Gamma, f),
+            (2, dim, M, M),
         ),
         (
             "sr_contraction, last einsum",
             lambda f: f.map(lambda z: np.einsum(sr, z, Rop)),
             lambda f: np.einsum(sr, f, Rop),
-            (M, M, 2, dim, 2, dim, dim),
+            (2, dim, 2, dim, dim, M, M),
         ),
     ]
 
@@ -286,36 +293,151 @@ def test_packed_kernels_match_the_dense_oracle(case):
     L, live_a, live_b, cancel, seed = case
     rng = np.random.default_rng(seed)
     M, patch = 4, ReducedPatch(4)
-    a = masked_field(rng, L, (M, M, 2, 2), live_a)
-    b = a.copy() if cancel else masked_field(rng, L, (M, M, 2, 2), live_b)
+    a = masked_field(rng, L, (2, 2, M, M), live_a)
+    b = a.copy() if cancel else masked_field(rng, L, (2, 2, M, M), live_b)
     J = standard_J(1)
     pa, pb = pack(a), pack(b)
     assert pa.masks == tuple(live_a)
-    for spec in ("xyka,xykb->xyab", "xyka,xyka->xyka"):
+    for spec in ("kaxy,kbxy->abxy", "kaxy,kaxy->kaxy"):
         product = gcontract(pa, pb, spec)
         assert same_up_to_zero_signs(dense(product, L), dense_gcontract(a, b, spec, L))
     if cancel and live_a == [1, 2]:  # the elementwise product: listed, and exactly zero
         assert product.masks == (3,) and not product.blocks.any()
     kernels = [
         (lambda f: f.map(patch.grad), patch.grad),
-        (lambda f: f.map(GAMMA_MAP.apply, -2), lambda f: GAMMA_MAP.apply(f, -2)),
-        (lambda f: f.map(IFRAME_MAP.apply, -2), lambda f: IFRAME_MAP.apply(f, -2)),
-        (antiholomorphic_part, lambda f: 0.5 * (f + np.einsum("ab,...bc,cd->...ad", ISPIN, f, J))),
+        (lambda f: f.map(GAMMA_MAP.apply, 1), lambda f: GAMMA_MAP.apply(f, 1)),
+        (lambda f: f.map(IFRAME_MAP.apply, 1), lambda f: IFRAME_MAP.apply(f, 1)),
+        (antiholomorphic_part, lambda f: 0.5 * (f + np.einsum("ab,sbcxy,cd->sadxy", ISPIN, f, J))),
     ]
     for packed_path, kernel in kernels:
         assert same_up_to_zero_signs(dense(packed_path(pa), L), on_live_masks(kernel, a))
+
+
+# -- grid-last kernels against their grid-first formulation -----------------------------
+
+
+def grid_first(blocks):
+    """(S, ..., M, M) -> (S, M, M, ...): the grid axes moved to positions 1 and 2."""
+    return np.moveaxis(blocks, (-2, -1), (1, 2))
+
+
+def grid_last(blocks):
+    """(S, M, M, ...) -> (S, ..., M, M)."""
+    return np.moveaxis(blocks, (1, 2), (-2, -1))
+
+
+def grid_last_spec(spec):
+    """An einsum signature written grid-first, with x and y moved to the end of every operand."""
+    terms = spec.replace("->", ",").split(",")
+    moved = [t.replace("x", "").replace("y", "") + "xy"[: ("x" in t) + ("y" in t)] for t in terms]
+    return ",".join(moved[:-1]) + "->" + moved[-1]
+
+
+def grid_first_grad(blocks, M):
+    """The spectral gradient on grid-first blocks[S, M, M, ...], stacked on axis 3."""
+    ft = np.fft.fft2(blocks, axes=(1, 2))
+    k = 2j * np.pi * np.fft.fftfreq(M, d=1.0 / M)
+    if M % 2 == 0:
+        k[M // 2] = 0.0
+    tail = (1,) * (ft.ndim - 3)
+    out = np.empty(ft.shape[:3] + (2,) + ft.shape[3:], dtype=complex)
+    for a, shape in enumerate(((M, 1), (1, M))):
+        d = np.multiply(ft, k.reshape(shape + tail), out=out[:, :, :, a])
+        np.fft.ifft(d, axis=2, out=d)
+        np.fft.ifft(d, axis=1, out=d)
+    return out
+
+
+GRID_MS = [4, 5, 16]
+
+
+@pytest.mark.parametrize("M", GRID_MS)
+@pytest.mark.parametrize("shape", [(), (3,), (2, 4), (2, 2, 4)])
+def test_grad_equals_the_grid_first_gradient(M, shape):
+    rng = np.random.default_rng([M, len(shape)])
+    x = generic_factor(rng, 2, shape + (M, M), range(4))
+    got = ReducedPatch(M).grad(x)
+    assert got.shape == (4, 2) + shape + (M, M) and got.flags.c_contiguous
+    assert got.tobytes() == grid_last(grid_first_grad(grid_first(x), M)).tobytes()
+
+
+SIGNED_MAPS = {
+    name: getattr(spin, name)
+    for name in ("IFRAME_MAP", "EPS_UPPER_MAP", "EPS_LOWER_MAP", "EPS_LOWER_PAIRING", "GAMMA_MAP", "GAMMA_I_MAP",
+                 "PMAT_MAP", "QMAT_MAP")
+} | {f"antiholomorphic({dim})": _antiholomorphic_map(dim) for dim in (2, 4)}
+
+
+@pytest.mark.parametrize("M", GRID_MS)
+@pytest.mark.parametrize("name", list(SIGNED_MAPS))
+def test_signed_matrix_equals_the_grid_first_contraction(name, M):
+    # the input axes first among the non-grid axes, one trailing axis behind them
+    kernel = SIGNED_MAPS[name]
+    rng = np.random.default_rng([M, len(name)])
+    x = generic_factor(rng, 2, kernel.in_shape + (3, M, M), range(4))
+    got = kernel.apply(x, 1)
+    assert got.tobytes() == grid_last(kernel.apply(grid_first(x), 3)).tobytes()
+
+
+# (grid-first spec, shapes of a's and b's non-grid axes): the products and
+# contractions of the component calculus, summed ones included
+CONTRACTIONS = [
+    ("xyma,xynb->xymanb", (2, 4), (2, 4)),
+    ("xymanb,xync->xymanbc", (2, 4, 2, 4), (2, 4)),
+    ("xyked,xyad->xykae", (2, 4, 4), (2, 4)),
+    ("xyked,xyd->xyke", (2, 4, 4), (4,)),
+    ("xykc,xykb->xycb", (2, 2), (2, 4)),
+    ("xykc,xykt->xyct", (2, 2), (2, 2)),
+    ("xykc,xycb->xykb", (2, 2), (2, 4)),
+    ("xya,xyb->xyab", (2,), (4,)),
+    ("xy,xyab->xyab", (), (2, 4)),
+]
+
+
+@pytest.mark.parametrize("M", GRID_MS)
+@pytest.mark.parametrize("spec, shape_a, shape_b", CONTRACTIONS, ids=[c[0] for c in CONTRACTIONS])
+def test_gcontract_equals_the_grid_first_contraction(spec, shape_a, shape_b, M):
+    rng = np.random.default_rng([M, len(spec)])
+    a = pack(generic_factor(rng, 4, shape_a + (M, M), odd_masks(4)))
+    b = pack(generic_factor(rng, 4, shape_b + (M, M), [0] + odd_masks(4)[1:]))
+    got = gcontract(a, b, grid_last_spec(spec))
+    want = gcontract(GridField(a.masks, grid_first(a.blocks)), GridField(b.masks, grid_first(b.blocks)), spec)
+    assert got.masks == want.masks
+    assert got.blocks.tobytes() == grid_last(want.blocks).tobytes()
+
+
+@pytest.mark.parametrize("M", GRID_MS)
+@pytest.mark.parametrize("dim", [2, 4])
+def test_chart_contractions_equal_the_grid_first_einsum(dim, M):
+    # the summed einsums against a chart tensor, whose grid axes lead in the
+    # grid-first layout: the last contraction of sr_contraction (16 terms at
+    # dim 2) and the connection Gamma(dphi_k, .)
+    rng = np.random.default_rng([M, dim])
+    Z = generic_factor(rng, 2, (2, dim, 2, dim, dim, M, M), range(4))
+    dphi = generic_factor(rng, 2, (2, dim, M, M), range(4))
+    Rop = rng.standard_normal((dim,) * 4 + (M, M))
+    Gamma = rng.standard_normal((dim,) * 3 + (M, M))
+
+    def chart_first(tensor):
+        return np.ascontiguousarray(np.moveaxis(tensor, (-2, -1), (0, 1)))
+
+    sr, conn = "sxymanbc,xyabce->sxyme", "xyecd,sxykc->sxyked"
+    got = np.einsum(grid_last_spec(sr), Z, Rop)
+    assert got.tobytes() == grid_last(np.einsum(sr, grid_first(Z), chart_first(Rop))).tobytes()
+    got = _gamma_dphi(Gamma, pack(dphi)).blocks
+    assert got.tobytes() == grid_last(np.einsum(conn, chart_first(Gamma), grid_first(dphi))).tobytes()
 
 
 # -- packed fields ---------------------------------------------------------------------
 
 
 def test_pack_keeps_the_nonzero_blocks_only():
-    field = gzeros(3, (4, 4, 2))
-    field[2, 1, 1, 0] = 1.0
+    field = gzeros(3, (2, 4, 4))
+    field[2, 0, 1, 1] = 1.0
     field[5] = complex(-0.0, -0.0)
-    field[6, 3, 3, 1] = -0.0 + 1e-300j
+    field[6, 1, 3, 3] = -0.0 + 1e-300j
     packed = pack(field)
-    assert packed.masks == (2, 6) and packed.shape == (2, 4, 4, 2)
+    assert packed.masks == (2, 6) and packed.shape == (2, 2, 4, 4)
     assert packed.blocks.tobytes() == field[[2, 6]].tobytes()
     assert np.array_equal(dense(packed, 3), field)
 
@@ -349,29 +471,29 @@ def test_gcontract_anticommutes_on_grids():
 
 def test_component_map_parity_enforced():
     cm = ComponentMap.zero(2, 8, 2)
-    psi = gzeros(2, (8, 8, 2, 2))
+    psi = gzeros(2, (2, 2, 8, 8))
     psi[0, 0, 0, 0, 0] = 1.0  # even mask in an odd field
     with pytest.raises(FieldError, match="psi must be odd"):
         replace(cm, psi=psi)
     # packed fields are checked on their mask tuple
     with pytest.raises(FieldError, match="mask 0b11"):
-        replace(cm, psi=GridField((3,), np.ones((1, 8, 8, 2, 2), dtype=complex)))
+        replace(cm, psi=GridField((3,), np.ones((1, 2, 2, 8, 8), dtype=complex)))
     with pytest.raises(FieldError, match="mask 0b100"):
-        replace(cm, psi=GridField((4,), np.ones((1, 8, 8, 2, 2), dtype=complex)))
+        replace(cm, psi=GridField((4,), np.ones((1, 2, 2, 8, 8), dtype=complex)))
     with pytest.raises(FieldError, match="2\\^L"):
-        replace(cm, F=gzeros(3, (8, 8, 2)))
+        replace(cm, F=gzeros(3, (2, 8, 8)))
 
 
 def test_component_map_phi_reality_enforced():
     cm = ComponentMap.zero(2, 8, 2)
-    phi = gzeros(2, (8, 8, 2))
+    phi = gzeros(2, (2, 8, 8))
     phi[3, 0, 0, 0] = 1j
     with pytest.raises(FieldError):
         replace(cm, phi_periodic=phi)
 
 
 def test_gravitino_parity_enforced():
-    chi = gzeros(2, (8, 8, 2, 2))
+    chi = gzeros(2, (2, 2, 8, 8))
     chi[3] = 1.0
     with pytest.raises(FieldError):
         Gravitino(L=2, chi=chi)
@@ -382,9 +504,9 @@ def test_phi_body_combines_affine_and_periodic():
     cm = replace(ComponentMap.zero(2, 4, 2), phi_linear=lin)
     xs = np.arange(4) / 4
     x1, x2 = np.meshgrid(xs, xs, indexing="ij")
-    assert np.array_equal(cm.phi_body(x1, x2), np.stack([x1, 2.0 * x2], axis=-1))
-    phi = gzeros(2, (4, 4, 2))
-    phi[0, :, :, 0] = 5.0
+    assert np.array_equal(cm.phi_body(x1, x2), np.stack([x1, 2.0 * x2]))
+    phi = gzeros(2, (2, 4, 4))
+    phi[0, 0] = 5.0
     body = replace(cm, phi_periodic=phi).phi_body(x1, x2)
-    assert np.abs(body[..., 0] - (x1 + 5.0)).max() == 0.0
-    assert np.abs(body[..., 1] - 2.0 * x2).max() == 0.0
+    assert np.abs(body[0] - (x1 + 5.0)).max() == 0.0
+    assert np.abs(body[1] - 2.0 * x2).max() == 0.0

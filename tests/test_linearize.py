@@ -56,7 +56,7 @@ def test_rho_block_responds_only_in_dirac_slot(setup):
     cp = C.operator_components(cmap, chi_plus, patch, grids, dphi)
     cm = C.operator_components(cmap, chi_minus, patch, grids, dphi)
     d4 = (cp[3] - cm[3]) / (2 * h)
-    qrho = rho.map(project_q)
+    qrho = rho.map(project_q, 1)
     expected = 2.0 * C.vee_q_pairing(qrho, dphi)
     assert max_abs(d4 - expected) <= 1e-9
     for p, m in zip(cp[:3], cm[:3]):
