@@ -2,8 +2,12 @@
 
 The suites, their flags, defaults and allowed ranges come from
 ``suites.SUITES``.  Writes ``report.json`` (and suite-specific CSV files)
-into ``--out-dir`` and exits nonzero when any check fails.  Bad
-configuration exits with status 2.
+into ``--out-dir``.  Exit status: 0 when every check passes, 1 when the
+report lists a failing check, 2 on bad input (a ``ValueError`` or
+``OSError``, also from an ``--out-dir`` that cannot be written; one
+``error:`` line), 3 on an internal fault (any other
+exception, one ``internal error:`` line naming the suite and the exception
+type); 2 and 3 write no report.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ from . import suites
 
 def _write_outputs(report_text: str, csvs: dict[str, list[str]], out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(report_text)
     for name, rows in csvs.items():
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write("\n".join(rows) + "\n")
+    # the report last, so that a write that fails leaves none
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        fh.write(report_text)
 
 
 def _print_report(report: dict) -> None:
@@ -56,14 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     params = vars(build_parser().parse_args(argv))
     out_dir = params.pop("out_dir") or "."
+    suite = params.pop("suite")
     try:
-        report, csvs = suites.run(params.pop("suite"), params)
+        report, csvs = suites.run(suite, params)
         # NaN and infinity are not JSON numbers: a stray one fails here, before any file is opened
         report_text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except (ValueError, OSError, KeyError) as exc:
+        _write_outputs(report_text, csvs, out_dir)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_outputs(report_text, csvs, out_dir)
+    except Exception as exc:
+        detail = str(exc).partition("\n")[0]
+        print(f"internal error: suite {suite} raised {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
     _print_report(report)
     return 0 if report["passed"] else 1
 

@@ -7,7 +7,7 @@ of the operator itself, and the finite-difference validation of the
 linearization blocks.  The targets are Kahler metrics in holomorphic
 charts (:mod:`sjclab.targets`): J is the constant standard matrix and its
 derivative vanishes, so the equations carry no derivative-of-J terms and
-the projector is one constant signed map.  Every grid derivative goes
+the projector is one constant matrix.  Every grid derivative goes
 through :meth:`ReducedPatch.grad`, and the residual and the operator share
 one copy of each term they have in common.
 
@@ -22,7 +22,7 @@ mask blocks only, and products know their live masks from the mask
 algebra, so no kernel takes the generator count L.  Every grid array (the
 packed blocks, the chart tensors of :func:`model_grids`, the spin
 connection and the frame factor) has its two grid axes last, so the grid
-letters ``xy`` close every einsum signature below and a signed-matrix
+letters ``xy`` close every einsum signature below and a constant-matrix
 contraction acts on the axes right after the mask axis.  Spinor-index
 conventions follow :mod:`sjclab.spin`.  The pairings written with a
 spinor-index lowering use eps (eps_{34} = +1); the metric dual on form
@@ -40,17 +40,7 @@ import numpy as np
 
 from .fields import ComponentMap, FieldError, Gravitino, GridField, gcontract, max_abs
 from .patch import ReducedPatch
-from .spin import (
-    EPS_LOWER_MAP,
-    EPS_LOWER_PAIRING,
-    EPS_UPPER_MAP,
-    GAMMA_I_MAP,
-    GAMMA_MAP,
-    ISPIN,
-    SignedMatrix,
-    delta_gamma,
-    project_q,
-)
+from .spin import CLIFFORD, CLIFFORD_I, EPS_LOWER, EPS_UPPER, ISPIN, contract, delta_gamma, project_q
 from .targets import AlmostKahlerModel, standard_J
 
 
@@ -70,7 +60,9 @@ def model_grids(model: AlmostKahlerModel, cmap: ComponentMap, patch: ReducedPatc
 
     The chart evaluators take points with the chart coordinates last; their
     tensors come back grid-last, Gamma[e, c, d, x, y] and Rop[a, b, c, e, x, y]
-    (contiguous, or a broadcast view for a constant chart).
+    (contiguous, or a broadcast view for a constant chart), or as None where
+    the tensor is zero at every grid point: a constant chart decides that
+    from its one point tensor, any other chart from its grid tensor.
     Position-dependent models require phi to have no nilpotent (soul)
     corrections; constant-chart models accept any even phi.
     """
@@ -84,6 +76,8 @@ def model_grids(model: AlmostKahlerModel, cmap: ComponentMap, patch: ReducedPatc
     body = np.moveaxis(cmap.phi_body(patch.x1, patch.x2), 0, -1)  # chart points (M, M, dim)
 
     def grid_last(tensor):
+        if not (tensor[0, 0] if model.constant_chart else tensor).any():
+            return None
         tensor = np.moveaxis(tensor, (0, 1), (-2, -1))
         return tensor if model.constant_chart else np.ascontiguousarray(tensor)
 
@@ -101,10 +95,10 @@ def dphi_frame(cmap: ComponentMap, patch: ReducedPatch) -> GridField:
 
 
 @functools.cache
-def _antiholomorphic_map(dim: int) -> SignedMatrix:
+def _antiholomorphic_map(dim: int) -> np.ndarray:
     """(1/2)(1 + I (x) J) with J = standard_J: out[a, d] = t[a, d]/2 + I[a, b] t[b, c] J[c, d]/2."""
     one = np.einsum("ab,cd->adbc", np.eye(2), np.eye(dim))
-    return SignedMatrix(0.5 * (one + np.einsum("ab,cd->adbc", ISPIN, standard_J(dim // 2))), in_axes=2)
+    return 0.5 * (one + np.einsum("ab,cd->adbc", ISPIN, standard_J(dim // 2)))
 
 
 def antiholomorphic_part(T: GridField) -> GridField:
@@ -112,7 +106,7 @@ def antiholomorphic_part(T: GridField) -> GridField:
 
     I is the same matrix [[0, 1], [-1, 0]] on frame and on spinor indices.
     """
-    return T.map(_antiholomorphic_map(T.shape[2]).apply, 1)
+    return T.map(contract, _antiholomorphic_map(T.shape[2]), 1, 2)
 
 
 def sr_contraction(psi: GridField, Rop: np.ndarray) -> GridField:
@@ -125,7 +119,7 @@ def sr_contraction(psi: GridField, Rop: np.ndarray) -> GridField:
     full triple product eps^{no} psi psi psi Rop, and rounds as it does.
     """
     pair = gcontract(psi, psi, "maxy,nbxy->manbxy")  # blocks (2,dim,2,dim,M,M)
-    Z = gcontract(pair, psi.map(EPS_UPPER_MAP.apply, 1), "manbxy,ncxy->manbcxy")
+    Z = gcontract(pair, psi.map(contract, EPS_UPPER, 1), "manbxy,ncxy->manbcxy")
     return Z.map(lambda z: np.einsum("smanbcxy,abcexy->smexy", z, Rop))
 
 
@@ -144,16 +138,16 @@ def twisted_dirac(psi: GridField, patch: ReducedPatch, grids, dphi: GridField) -
     Gamma, _ = grids
     nabla = psi.map(patch.grad)  # blocks (k, alpha, dim, M, M)
     nabla.blocks *= patch.frame_factor()
-    if np.abs(Gamma).max() > 0:
+    if Gamma is not None:
         conn = _gamma_dphi(Gamma, dphi)
         nabla = nabla + gcontract(conn, psi, "kedxy,adxy->kaexy")
     omega = patch.spin_connection()
-    out = nabla.map(GAMMA_MAP.apply, 1)
+    out = nabla.map(contract, CLIFFORD, 1, 2)
     np.negative(out.blocks, out=out.blocks)
     if np.abs(omega).max() > 0:
         # omega_k psi_a, then (gamma^k I)[b, a] summed over (k, a)
         opsi = psi.map(lambda p: omega[:, None, None] * p[:, None])
-        out = out + 0.5 * opsi.map(GAMMA_I_MAP.apply, 1)
+        out = out + 0.5 * opsi.map(contract, CLIFFORD_I, 1, 2)
     return out
 
 
@@ -165,13 +159,13 @@ def vee_q_pairing(qchi: GridField, oneform: GridField) -> GridField:
     with eps.
     """
     paired = gcontract(qchi, oneform, "kcxy,kbxy->cbxy")  # sum over k
-    return paired.map(EPS_LOWER_MAP.apply, 1)
+    return paired.map(contract, EPS_LOWER, 1)
 
 
 def q_norm_squared(qchi: GridField) -> GridField:
     """|Q chi|^2 with the eps pairing on spinor indices, g on form indices."""
     sq = gcontract(qchi, qchi, "kcxy,ktxy->ctxy")
-    return sq.map(EPS_LOWER_PAIRING.apply, 1)
+    return sq.map(contract, EPS_LOWER, 1, 2)
 
 
 def gravitino_psi_pairing(chi_part: GridField, psi: GridField) -> GridField:
@@ -181,7 +175,7 @@ def gravitino_psi_pairing(chi_part: GridField, psi: GridField) -> GridField:
 
 def delta_gamma_tensor_F(chi: GridField, F: GridField) -> GridField:
     """delta_gamma(chi) (x) F with the spinor index lowered by eps."""
-    lowered = chi.map(lambda c: EPS_LOWER_MAP.apply(delta_gamma(c, 1), 1))
+    lowered = chi.map(lambda c: contract(delta_gamma(c, 1), EPS_LOWER, 1))
     return gcontract(lowered, F, "axy,bxy->abxy")
 
 
@@ -247,7 +241,7 @@ def residual_components(
 
     # block 4: Dirac-type equation
     r4 = _dirac_terms(cmap, qchi, patch, grids, dphi)
-    if np.abs(Rop).max() > 0:
+    if Rop is not None:
         r4 = r4 - sr_contraction(cmap.psi, Rop) / 3.0
 
     return Residuals(chirality=r1, auxiliary=r2, cauchy_riemann=r3, dirac=r4)
@@ -272,7 +266,7 @@ def operator_components(
 
     inner = _dirac_terms(cmap, grav.chi.map(project_q, 1), patch, grids, dphi)
     inner = inner + delta_gamma_tensor_F(grav.chi, cmap.F)
-    if np.abs(Rop).max() > 0:
+    if Rop is not None:
         inner = inner - sr_contraction(cmap.psi, Rop) / 6.0
     c4 = -antiholomorphic_part(inner)
     return c1, c2, c3, c4
@@ -296,7 +290,7 @@ def d_phi_operator(xi: GridField, patch: ReducedPatch, grids, dphi: GridField) -
     Gamma, _ = grids
     dxi = xi.map(patch.grad)
     dxi.blocks *= patch.frame_factor()
-    if np.abs(Gamma).max() > 0:
+    if Gamma is not None:
         conn = _gamma_dphi(Gamma, dphi)
         dxi = dxi + gcontract(conn, xi, "kedxy,dxy->kexy")
     return antiholomorphic_part(dxi)

@@ -6,7 +6,7 @@ monomial masks and one contiguous complex array ``blocks`` holding those
 blocks only.  Every block array has the mask axis first, then the field's
 own axes (form, spinor, target component) in their order, and the M x M
 grid last: (mask, ..., x^1, x^2).  So every grid kernel (FFT lines,
-signed-matrix rows, einsum inner loops) runs on contiguous M x M slabs.  A
+constant-matrix matmuls, einsum inner loops) runs on contiguous M x M slabs.  A
 mask that is not listed reads zero.  A dense ``(2^L, ..., M, M)`` array is
 packed once, by :meth:`GridField.pack` (the bundle reader packs its records
 itself, straight into this layout).  Kernels that map each block alone run

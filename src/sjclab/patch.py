@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spin import IFRAME_MAP
+from .spin import IFRAME, contract
 
 
 class PatchError(ValueError):
@@ -90,5 +90,5 @@ class ReducedPatch:
             return np.zeros((2, self.M, self.M))
         u = self.lam ** 2
         du = self.grad(u[None])[0].real
-        out = -IFRAME_MAP.apply(du, 0)
+        out = -contract(du, IFRAME, 0)
         return out / u ** 2

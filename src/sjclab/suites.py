@@ -673,7 +673,8 @@ SUITES: dict[str, Suite] = {
         Param("--threshold", float, 1e-8, "relative singular-value rank cut", at_least=sys.float_info.min, at_most=0.5),
     )),
     "bochner": Suite(suite_bochner, "curvature-positivity classification and gaps", (
-        Param("--cutoff", int, 10, "sphere basis cutoff", at_least=5),  # the dbar O(3) control
+        # at least the dbar O(3) control's cutoff, at most the sphere builds' limit
+        Param("--cutoff", int, 10, "sphere basis cutoff", at_least=5, at_most=il.SPHERE_CUTOFF_LIMIT),
         _SEED,
     )),
     "moduli": Suite(suite_moduli, "moduli dimension calculator", (

@@ -238,12 +238,6 @@ class SuperField:
         """d/dzbar = (d/dx1 + i d/dx2) / 2, rounded as (dx1 + dx2 * 1j) * 0.5."""
         return SuperField._wrap(self.L, _half_sum(self.dx1().terms, self.dx2().terms, 1j))
 
-    def conjugate(self) -> "SuperField":
-        """Graded star: fixes x, eta and base generators, reverses products."""
-        return SuperField._derived(
-            self.L, {k: c.conjugate() * reversal_sign(k[0]) for k, c in self.terms.items()}
-        )
-
     # -- component views --------------------------------------------------
 
     def theta_components(self) -> tuple["SuperField", "SuperField", "SuperField", "SuperField"]:

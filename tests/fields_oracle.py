@@ -6,7 +6,9 @@ blocks of a dense field that hold a nonzero entry and scatters the result
 into zeros; ``dense_gcontract`` is the mask-convolved einsum on dense
 fields, which finds the live blocks of both factors by scanning them.
 ``dense`` unpacks a :class:`sjclab.fields.GridField` and ``pack`` is the
-constructors' packing step.
+constructors' packing step.  ``einsum_contract`` is the einsum form of
+:func:`sjclab.spin.contract`, and ``CONTRACTIONS`` lists the constant
+contractions of the package that the tests pin.
 
 ``_rows`` is the full table of the 3^L mask pairs with a nonzero product
 sign, and ``full_table_live_rows`` the row layout of ``gcontract`` taken from
@@ -115,3 +117,25 @@ def on_live_masks(fn, field: np.ndarray, *args) -> np.ndarray:
     out = np.zeros(field.shape[:1] + part.shape[1:], dtype=part.dtype)
     out[live] = part
     return out
+
+
+def einsum_contract(x: np.ndarray, matrix: np.ndarray, axis: int, in_axes: int) -> np.ndarray:
+    """``matrix``'s last ``in_axes`` axes contracted with x's axes from ``axis`` on, by one np.einsum."""
+    n_out = matrix.ndim - in_axes
+    outs, ins = list(range(10, 10 + n_out)), list(range(20, 20 + in_axes))
+    lead, trail = list(range(axis)), list(range(30, 30 + x.ndim - axis - in_axes))
+    return np.einsum(matrix, outs + ins, x, lead + ins + trail, lead + outs + trail)
+
+
+# every constant contraction of the package, under the id its tests run with:
+# (the name of its matrix in sjclab.spin, in_axes)
+CONTRACTIONS = {
+    "IFRAME_MAP": ("IFRAME", 1),
+    "EPS_UPPER_MAP": ("EPS_UPPER", 1),
+    "EPS_LOWER_MAP": ("EPS_LOWER", 1),
+    "EPS_LOWER_PAIRING": ("EPS_LOWER", 2),
+    "GAMMA_MAP": ("CLIFFORD", 2),
+    "GAMMA_I_MAP": ("CLIFFORD_I", 2),
+    "PMAT_MAP": ("PMAT", 2),
+    "QMAT_MAP": ("QMAT", 2),
+}

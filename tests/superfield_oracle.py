@@ -1,6 +1,8 @@
 """Reference superfield maps for the tests: the product-built forms.
 
 ``add`` is the two-pass sum: add every coefficient, then drop the zeros.
+``conjugate`` is the graded star, which ``components_from_complex`` of
+``sjclab.superfield`` applies inline.
 ``apply_D3`` and ``apply_D4`` build the flat frames from the eta derivative
 ``deta``, generic ``SuperField`` products and that sum, as
 ``d/deta + eta3 * d/dx + eta4 * d/dx``.  ``apply_Dbar``, ``dzbar``,
@@ -23,7 +25,7 @@ compare it with ``SuperField.from_text`` on well-formed literals only.
 
 from __future__ import annotations
 
-from sjclab.grassmann import merge_sign
+from sjclab.grassmann import merge_sign, reversal_sign
 from sjclab.superfield import (
     MAX_DEGREE,
     _X_POWER,
@@ -38,6 +40,11 @@ def add(x: SuperField, y: SuperField) -> SuperField:
     for k, c in y.terms.items():
         terms[k] = terms.get(k, 0) + c
     return SuperField._derived(x.L, terms)
+
+
+def conjugate(F: SuperField) -> SuperField:
+    """Graded star: fixes x, eta and base generators, reverses products."""
+    return SuperField._derived(F.L, {k: c.conjugate() * reversal_sign(k[0]) for k, c in F.terms.items()})
 
 
 def deta(field: SuperField, bit: int) -> SuperField:
@@ -100,7 +107,7 @@ def components_from_complex(z_components: list[SuperField]) -> list[SuperField]:
     """Real map components (r^1, s^1, r^2, s^2, ...) from Z^b = r^b + i s^b."""
     out = []
     for zc in z_components:
-        zbar = zc.conjugate()
+        zbar = conjugate(zc)
         out.append(add(zc, zbar) * 0.5)
         out.append(add(zc, -zbar) * (-0.5j))
     return out

@@ -94,6 +94,33 @@ class TestSuitesViaCli:
     def test_bad_config_exit_code(self, tmp_path, capsys):
         assert run(["verify-flat", str(tmp_path / "missing.json")], tmp_path) == 2
 
+    def test_unwritable_out_dir_exit_2(self, tmp_path, capsys):
+        # an --out-dir that is a file cannot be created: bad input, not a traceback
+        target = tmp_path / "a_file"
+        target.write_text("")
+        assert main(["--out-dir", str(target), "moduli"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_csv_exit_2_without_report(self, tmp_path, capsys):
+        # a directory in the CSV's place: the report is written last, so none is left
+        (tmp_path / "singular_values.csv").mkdir()
+        assert run(["bochner", "--cutoff", "8"], tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("error", [KeyError("x"), RuntimeError("broken\nsecond line"), AssertionError()])
+    def test_internal_fault_exit_3(self, error, tmp_path, capsys, monkeypatch):
+        # any exception but bad input is an internal fault: one stderr line, no report
+        def fault(**kwargs):
+            raise error
+
+        monkeypatch.setitem(suites.SUITES, "moduli", dataclasses.replace(suites.SUITES["moduli"], runner=fault))
+        assert run(["moduli"], tmp_path) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"internal error: suite moduli raised {type(error).__name__}")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_suites_back_to_back_match_fresh_processes(self, tmp_path):
         argvs = [["flat", "--seed", "3", "--trials", "5"], ["index", "--surface", "torus", "--cutoff", "6"]]
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(suites.__file__))}
@@ -138,6 +165,7 @@ BAD_FLAGS = [
     (["index", "--threshold", "1"], "--threshold"),
     (["index", "--threshold", "1e308"], "--threshold"),
     (["bochner", "--cutoff", "4"], "--cutoff"),
+    (["bochner", "--cutoff", "201"], "--cutoff"),
     (["flat", "--trials", "0"], "--trials"),
     (["flat", "--trials", "-5"], "--trials"),
     (["identities", "--trials", "0", "--energy-trials", "0"], "--trials"),
@@ -350,7 +378,12 @@ class TestIndexLimits:
             monkeypatch.setattr(indexlab, "_gauss_legendre", no_rule)
         assert run(argv, tmp_path) == 2
         err = capsys.readouterr().err
-        assert f"is above the limit of {indexlab.SPHERE_CUTOFF_LIMIT}" in err
+        limit = indexlab.SPHERE_CUTOFF_LIMIT
+        # bochner's cutoff range is its flag's, index's depends on --degree too
+        if argv[0] == "bochner":
+            assert f"--cutoff must be between 5 and {limit}, got" in err
+        else:
+            assert f"is above the limit of {limit}" in err
         assert not (tmp_path / "report.json").exists()
 
     def test_sphere_basis_cutoff_checked_before_any_build(self, tmp_path, capsys, monkeypatch):

@@ -96,7 +96,7 @@ def _oracle_dphi(cmap, patch):
 
 def _einsum_dirac(psi, patch, Gamma, dphi, L):
     nabla = per_axis_grad(psi, patch.M) * patch.frame_factor()
-    if np.abs(Gamma).max() > 0:
+    if Gamma is not None:  # model_grids gives None for a zero tensor
         conn = np.einsum("ecdxy,skcxy->skedxy", Gamma, dphi)
         nabla = nabla + dense_gcontract(conn, psi, "kedxy,adxy->kaexy", L)
     gamma_i = np.einsum("kab,bc->kac", GAMMA, ISPIN)
@@ -126,7 +126,7 @@ def einsum_residual_components(cmap, grav, patch, model):
     qchi = _einsum_q(chi)
     r3 = _einsum_antihol_form(dphi, J) + dense_gcontract(qchi, psi, "kcxy,cbxy->kbxy", L)
     r4 = _einsum_dirac_terms(psi, qchi, patch, Gamma, dphi, L)
-    if np.abs(Rop).max() > 0:
+    if Rop is not None:
         r4 = r4 - _einsum_sr(psi, Rop, L) / 3.0
     return (r1, F, r3, r4)
 
@@ -144,7 +144,7 @@ def einsum_operator_components(cmap, grav, patch, model):
     dg = np.einsum("kct,sktxy->scxy", GAMMA, chi)
     lowered = np.einsum("ac,scxy->saxy", EPS_LOWER, dg)
     inner = inner + dense_gcontract(lowered, F, "axy,bxy->abxy", L)
-    if np.abs(Rop).max() > 0:
+    if Rop is not None:
         inner = inner - _einsum_sr(psi, Rop, L) / 6.0
     return (c1, 0.25 * F, c3, -_einsum_antihol_spinor(inner, J))
 
@@ -152,7 +152,7 @@ def einsum_operator_components(cmap, grav, patch, model):
 def einsum_d_phi_operator(xi, patch, model, Gamma, dphi, L):
     """D_phi xi = (1/2)(1 + I (x) J)(d xi lambda^-2 + Gamma(dphi, xi)) on a dense xi."""
     dxi = per_axis_grad(xi, patch.M) * patch.frame_factor()
-    if np.abs(Gamma).max() > 0:
+    if Gamma is not None:
         conn = np.einsum("ecdxy,skcxy->skedxy", Gamma, dphi)
         dxi = dxi + dense_gcontract(conn, xi, "kedxy,dxy->kexy", L)
     return _einsum_antihol_form(dxi, j_grid(model, patch.M))
@@ -219,7 +219,7 @@ class TestEinsumOracle:
         cmap, _ = generic_fields(rng, L, M, model)
         xi = random_direction_fields(rng, L, M, model.dim)[1]
         grids, dphi = base_at(model, cmap, patch)
-        assert (np.abs(grids[0]).max() > 0) == (model_name == "fs-cp1")
+        assert (grids[0] is not None) == (model_name == "fs-cp1")
         got = dense(C.d_phi_operator(xi, patch, grids, dphi), L)
         want = einsum_d_phi_operator(dense(xi, L), patch, model, grids[0], _oracle_dphi(cmap, patch), L)
         assert np.abs(want).max() > 0
@@ -580,8 +580,29 @@ class TestModelGrids:
         cmap = replace(ComponentMap.zero(L, M, 4), phi_periodic=phi)
         Gamma, Rop = C.model_grids(model, cmap, ReducedPatch(M))
         y0 = np.zeros(4)
-        assert Gamma.shape == (4, 4, 4, M, M) and not Gamma.any()
+        assert Gamma is None  # zero at every point
+        assert Rop.shape == (4, 4, 4, 4, M, M)
         assert np.array_equal(Rop, np.broadcast_to(model.curvature_op_at(y0)[..., None, None], Rop.shape))
+
+    @pytest.mark.parametrize("model", [make_flat(1), make_const_hsc(0.0, 2)], ids=["flat", "constant-hsc at 0"])
+    def test_zero_chart_tensors_are_none(self, model):
+        M = 8
+        cmap = ComponentMap.zero(2, M, model.dim)
+        assert C.model_grids(model, cmap, ReducedPatch(M)) == (None, None)
+
+    def test_position_dependent_zero_is_decided_on_the_grid(self):
+        # the Fubini-Study Christoffels vanish at the chart origin only: a map
+        # constant at the origin has Gamma = None, one that leaves it does not
+        L, M = 2, 8
+        model = make_fs_cp1()
+        patch = ReducedPatch(M)
+        cmap = ComponentMap.zero(L, M, 2)
+        Gamma, Rop = C.model_grids(model, cmap, patch)
+        assert Gamma is None and Rop.any()
+        phi = gzeros(L, (2, M, M))
+        phi[0, 0, 3, 5] = 0.25  # one grid point off the origin
+        Gamma, _ = C.model_grids(model, replace(cmap, phi_periodic=phi), patch)
+        assert np.count_nonzero(np.abs(Gamma).max(axis=(0, 1, 2))) == 1
 
 
 class TestChiralReduction:

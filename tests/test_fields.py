@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fields_oracle import dense, dense_gcontract, full_table_live_rows, gzeros, on_live_masks, pack
+from fields_oracle import (
+    CONTRACTIONS,
+    dense,
+    dense_gcontract,
+    einsum_contract,
+    full_table_live_rows,
+    gzeros,
+    on_live_masks,
+    pack,
+)
 from grassmann_oracle import GrassmannElement, elements
 from sjclab.components import _antiholomorphic_map, _gamma_dphi, antiholomorphic_part
 from sjclab.fields import (
@@ -20,7 +29,7 @@ from sjclab.fields import (
 from sjclab.grassmann import merge_sign
 from sjclab.patch import ReducedPatch
 from sjclab import spin
-from sjclab.spin import EPS_LOWER_PAIRING, GAMMA_MAP, IFRAME_MAP, ISPIN, QMAT_MAP
+from sjclab.spin import CLIFFORD, EPS_LOWER, IFRAME, ISPIN, QMAT, contract
 from sjclab.targets import standard_J
 
 
@@ -214,19 +223,24 @@ def live_block_kernels(rng, M, dim):
     sr = "smanbcxy,abcexy->smexy"  # the last einsum of sr_contraction
     return [
         ("grad", lambda f: f.map(patch.grad), patch.grad, (2, dim, M, M)),
-        ("IFRAME_MAP", lambda f: f.map(IFRAME_MAP.apply, 1), lambda f: IFRAME_MAP.apply(f, 1), (2, dim, M, M)),
-        ("GAMMA_MAP", lambda f: f.map(GAMMA_MAP.apply, 1), lambda f: GAMMA_MAP.apply(f, 1), (2, 2, dim, M, M)),
-        ("QMAT_MAP", lambda f: f.map(QMAT_MAP.apply, 1), lambda f: QMAT_MAP.apply(f, 1), (2, 2, M, M)),
+        ("IFRAME", lambda f: f.map(contract, IFRAME, 1), lambda f: contract(f, IFRAME, 1), (2, dim, M, M)),
         (
-            "EPS_LOWER_PAIRING",
-            lambda f: f.map(EPS_LOWER_PAIRING.apply, 1),
-            lambda f: EPS_LOWER_PAIRING.apply(f, 1),
+            "CLIFFORD",
+            lambda f: f.map(contract, CLIFFORD, 1, 2),
+            lambda f: contract(f, CLIFFORD, 1, 2),
+            (2, 2, dim, M, M),
+        ),
+        ("QMAT", lambda f: f.map(contract, QMAT, 1, 2), lambda f: contract(f, QMAT, 1, 2), (2, 2, M, M)),
+        (
+            "EPS_LOWER pairing",
+            lambda f: f.map(contract, EPS_LOWER, 1, 2),
+            lambda f: contract(f, EPS_LOWER, 1, 2),
             (2, 2, M, M),
         ),
         (
             "antiholomorphic_part",
             antiholomorphic_part,
-            lambda f: _antiholomorphic_map(dim).apply(f, 1),
+            lambda f: contract(f, _antiholomorphic_map(dim), 1, 2),
             (2, dim, M, M),
         ),
         (
@@ -305,8 +319,8 @@ def test_packed_kernels_match_the_dense_oracle(case):
         assert product.masks == (3,) and not product.blocks.any()
     kernels = [
         (lambda f: f.map(patch.grad), patch.grad),
-        (lambda f: f.map(GAMMA_MAP.apply, 1), lambda f: GAMMA_MAP.apply(f, 1)),
-        (lambda f: f.map(IFRAME_MAP.apply, 1), lambda f: IFRAME_MAP.apply(f, 1)),
+        (lambda f: f.map(contract, CLIFFORD, 1, 2), lambda f: contract(f, CLIFFORD, 1, 2)),
+        (lambda f: f.map(contract, IFRAME, 1), lambda f: contract(f, IFRAME, 1)),
         (antiholomorphic_part, lambda f: 0.5 * (f + np.einsum("ab,sbcxy,cd->sadxy", ISPIN, f, J))),
     ]
     for packed_path, kernel in kernels:
@@ -361,22 +375,21 @@ def test_grad_equals_the_grid_first_gradient(M, shape):
     assert got.tobytes() == grid_last(grid_first_grad(grid_first(x), M)).tobytes()
 
 
-SIGNED_MAPS = {
-    name: getattr(spin, name)
-    for name in ("IFRAME_MAP", "EPS_UPPER_MAP", "EPS_LOWER_MAP", "EPS_LOWER_PAIRING", "GAMMA_MAP", "GAMMA_I_MAP",
-                 "PMAT_MAP", "QMAT_MAP")
-} | {f"antiholomorphic({dim})": _antiholomorphic_map(dim) for dim in (2, 4)}
+SIGNED_MAPS = {key: (getattr(spin, name), in_axes) for key, (name, in_axes) in CONTRACTIONS.items()} | {
+    f"antiholomorphic({dim})": (_antiholomorphic_map(dim), 2) for dim in (2, 4)
+}
 
 
 @pytest.mark.parametrize("M", GRID_MS)
 @pytest.mark.parametrize("name", list(SIGNED_MAPS))
 def test_signed_matrix_equals_the_grid_first_contraction(name, M):
     # the input axes first among the non-grid axes, one trailing axis behind them
-    kernel = SIGNED_MAPS[name]
+    matrix, in_axes = SIGNED_MAPS[name]
     rng = np.random.default_rng([M, len(name)])
-    x = generic_factor(rng, 2, kernel.in_shape + (3, M, M), range(4))
-    got = kernel.apply(x, 1)
-    assert got.tobytes() == grid_last(kernel.apply(grid_first(x), 3)).tobytes()
+    x = generic_factor(rng, 2, matrix.shape[matrix.ndim - in_axes :] + (3, M, M), range(4))
+    got = contract(x, matrix, 1, in_axes)
+    assert got.tobytes() == grid_last(contract(grid_first(x), matrix, 3, in_axes)).tobytes()
+    assert got.tobytes() == grid_last(einsum_contract(grid_first(x), matrix, 3, in_axes)).tobytes()
 
 
 # (grid-first spec, shapes of a's and b's non-grid axes): the products and

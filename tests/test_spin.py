@@ -1,9 +1,16 @@
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fields_oracle import CONTRACTIONS, einsum_contract
 from sjclab import spin
 from sjclab.components import _antiholomorphic_map
 from sjclab.spin import (
+    CLIFFORD,
+    CLIFFORD_I,
     EPS_LOWER,
     EPS_UPPER,
     GAMMA,
@@ -12,8 +19,8 @@ from sjclab.spin import (
     ISPIN,
     PMAT,
     QMAT,
-    SignedMatrix,
     clifford_deviation,
+    contract,
     delta_gamma,
     gamma_sandwich_deviation,
     project_pq_pointwise,
@@ -99,51 +106,111 @@ def test_projector_tensors_match_definitions():
             assert np.array_equal(QMAT[a, :, b, :], 0.5 * GAMMA[b] @ GAMMA[a])
 
 
-SIGNED = {name: k for name, k in vars(spin).items() if isinstance(k, SignedMatrix)}
+SRC = Path(spin.__file__).parent
+
+SIGNED = {key: (getattr(spin, name), in_axes) for key, (name, in_axes) in CONTRACTIONS.items()}
 # with the antiholomorphic projectors (1 + I (x) J)/2 of components on two target dimensions
-KERNELS = {**SIGNED, **{f"antiholomorphic_map({dim})": _antiholomorphic_map(dim) for dim in (2, 4)}}
+KERNELS = {**SIGNED, **{f"antiholomorphic_map({dim})": (_antiholomorphic_map(dim), 2) for dim in (2, 4)}}
+
+
+def check_signed(matrix, in_axes):
+    """Raise ValueError unless every row of ``matrix``, its last ``in_axes`` axes
+    flattened, holds one or two nonzero entries, each +-1 or +-1/2."""
+    if in_axes not in (1, 2) or matrix.ndim < in_axes:
+        raise ValueError("a contraction matrix acts on one or two axes")
+    for row in matrix.reshape(-1, math.prod(matrix.shape[matrix.ndim - in_axes :])):
+        entries = row[row != 0].tolist()
+        if not 1 <= len(entries) <= 2 or not set(entries) <= {1.0, -1.0, 0.5, -0.5}:
+            raise ValueError(f"row {row.tolist()} needs one or two entries in +-1, +-1/2")
+
+
+def contractions_in_src():
+    """(matrix source, in_axes) of every ``contract`` call in src/sjclab, direct
+    or as ``field.map(contract, matrix, axis[, in_axes])``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            args = node.args
+            is_map = isinstance(node.func, ast.Attribute) and node.func.attr == "map"
+            if is_map and args and ast.unparse(args[0]) == "contract":
+                args = [None, *args[1:]]  # the field's blocks take the place of x
+            elif ast.unparse(node.func) != "contract":
+                continue
+            keywords = {k.arg: k.value for k in node.keywords}
+            in_axes = args[3] if len(args) > 3 else keywords.get("in_axes", ast.Constant(1))
+            matrix = args[1] if len(args) > 1 else keywords["matrix"]
+            name = matrix.func.id if isinstance(matrix, ast.Call) else ast.unparse(matrix)
+            found.add((name, ast.literal_eval(in_axes)))
+    return found
 
 
 def test_every_constant_contraction_has_a_signed_matrix():
-    assert set(SIGNED) == {
-        "IFRAME_MAP", "EPS_UPPER_MAP", "EPS_LOWER_MAP", "EPS_LOWER_PAIRING",
-        "GAMMA_MAP", "GAMMA_I_MAP", "PMAT_MAP", "QMAT_MAP",
-    }
+    # so that every matrix src contracts with is under the structure and einsum tests below
+    assert contractions_in_src() == set(CONTRACTIONS.values()) | {("_antiholomorphic_map", 2)}
+
+
+STRUCTURES = SIGNED | {f"antiholomorphic_map({dim})": (_antiholomorphic_map(dim), 2) for dim in (2, 4, 6, 8)}
+
+
+@pytest.mark.parametrize("name", list(STRUCTURES))
+def test_contraction_matrices_have_signed_rows(name):
+    # what makes contract exact: every output entry is one exact term or one rounded sum of two
+    check_signed(*STRUCTURES[name])
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 @pytest.mark.parametrize("axis", [0, 1, 3])
 def test_signed_matrix_equals_einsum(name, axis):
     # generic complex data, contracted axes in front, in the middle and after grid axes
-    kernel = KERNELS[name]
+    matrix, in_axes = KERNELS[name]
     rng = np.random.default_rng(50 + axis)
-    shape = (2, 5, 3)[:axis] + (4,) * (axis - 3) + kernel.in_shape + (3, 2)
+    shape = (2, 5, 3)[:axis] + (4,) * (axis - 3) + matrix.shape[matrix.ndim - in_axes :] + (3, 2)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    n_in, n_out = len(kernel.in_shape), len(kernel.out_shape)
-    lead, trail = list(range(axis)), [30, 31]
-    outs, ins = list(range(10, 10 + n_out)), list(range(20, 20 + n_in))
-    ref = np.einsum(kernel.matrix, outs + ins, x, lead + ins + trail, lead + outs + trail)
+    ref = einsum_contract(x, matrix, axis, in_axes)
     for ax in (axis, axis - x.ndim):
-        got = kernel.apply(x, ax)
+        got = contract(x, matrix, ax, in_axes)
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.array_equal(got, ref)
     real = x.real.copy()
-    assert np.array_equal(
-        kernel.apply(real, axis),
-        np.einsum(kernel.matrix, outs + ins, real, lead + ins + trail, lead + outs + trail),
-    )
+    got = contract(real, matrix, axis, in_axes)
+    assert got.dtype == np.float64 and np.array_equal(got, einsum_contract(real, matrix, axis, in_axes))
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_contract_on_views_integers_and_zero_blocks(name):
+    matrix, in_axes = KERNELS[name]
+    in_shape = matrix.shape[matrix.ndim - in_axes :]
+    rng = np.random.default_rng(len(name))
+    # a strided view: every other block, the grid axes transposed
+    base = rng.standard_normal((6,) + in_shape + (5, 4)) + 1j * rng.standard_normal((6,) + in_shape + (5, 4))
+    view = base[::2].swapaxes(-2, -1)
+    assert not view.flags.c_contiguous
+    assert np.array_equal(contract(view, matrix, 1, in_axes), einsum_contract(view, matrix, 1, in_axes))
+    # the contracted axes last, on a strided view
+    tail = base[..., 1, 2]
+    assert np.array_equal(contract(tail, matrix, -in_axes, in_axes), einsum_contract(tail, matrix, 1, in_axes))
+    # integers contract as floats
+    ints = rng.integers(-3, 4, size=(3,) + in_shape + (4,))
+    got = contract(ints, matrix, 1, in_axes)
+    assert got.dtype == np.float64 and np.array_equal(got, einsum_contract(ints.astype(float), matrix, 1, in_axes))
+    # a field with no live blocks, and one with empty grid axes
+    for shape in ((0,) + in_shape + (4, 4), (2,) + in_shape + (0, 4)):
+        for dtype in (float, complex):
+            got = contract(np.zeros(shape, dtype=dtype), matrix, 1, in_axes)
+            assert got.shape == einsum_contract(np.zeros(shape), matrix, 1, in_axes).shape and got.dtype == dtype
 
 
 def test_signed_matrices_are_built_from_the_spin_constants():
-    assert np.array_equal(SIGNED["IFRAME_MAP"].matrix, IFRAME)
-    assert np.array_equal(SIGNED["EPS_UPPER_MAP"].matrix, EPS_UPPER)
-    assert np.array_equal(SIGNED["EPS_LOWER_MAP"].matrix, EPS_LOWER)
-    assert np.array_equal(SIGNED["EPS_LOWER_PAIRING"].matrix, EPS_LOWER)
-    assert np.array_equal(SIGNED["PMAT_MAP"].matrix, PMAT)
-    assert np.array_equal(SIGNED["QMAT_MAP"].matrix, QMAT)
+    assert SIGNED["IFRAME_MAP"][0] is IFRAME
+    assert SIGNED["EPS_UPPER_MAP"][0] is EPS_UPPER
+    assert SIGNED["EPS_LOWER_MAP"][0] is SIGNED["EPS_LOWER_PAIRING"][0] is EPS_LOWER
+    assert SIGNED["PMAT_MAP"][0] is PMAT
+    assert SIGNED["QMAT_MAP"][0] is QMAT
     for k in range(2):
-        assert np.array_equal(SIGNED["GAMMA_MAP"].matrix[:, k, :], GAMMA[k])
-        assert np.array_equal(SIGNED["GAMMA_I_MAP"].matrix[:, k, :], GAMMA[k] @ ISPIN)
+        assert np.array_equal(CLIFFORD[:, k, :], GAMMA[k])
+        assert np.array_equal(CLIFFORD_I[:, k, :], GAMMA[k] @ ISPIN)
 
 
 @pytest.mark.parametrize(
@@ -158,13 +225,18 @@ def test_signed_matrices_are_built_from_the_spin_constants():
     ],
 )
 def test_signed_matrix_rejects_broken_structure(matrix, in_axes):
+    # the structure check above has teeth
     with pytest.raises(ValueError):
-        SignedMatrix(matrix, in_axes=in_axes)
+        check_signed(matrix, in_axes)
 
 
 def test_signed_matrix_rejects_mismatched_axes():
     with pytest.raises(ValueError):
-        spin.GAMMA_MAP.apply(np.zeros((3, 2, 3)), -2)
+        contract(np.zeros((3, 2, 3)), CLIFFORD, -2, 2)
+    with pytest.raises(ValueError):
+        contract(np.zeros((3, 2, 2)), ISPIN, 1, 3)  # more input axes than the matrix has
+    with pytest.raises(ValueError):
+        contract(np.zeros((3, 2, 2)), ISPIN, 1, 0)
 
 
 def test_project_q_is_the_q_half():
