@@ -11,11 +11,12 @@ the projector is one constant matrix.  Every grid derivative goes
 through :meth:`ReducedPatch.grad`, and the residual and the operator share
 one copy of each term they have in common.
 
-The operators (``twisted_dirac``, ``d_phi_operator``,
-``operator_components``, ``analytic_linearization_blocks``) take an
-evaluated base: the chart tensors along phi from :func:`model_grids` and
-dphi from :func:`dphi_frame`, computed once by the caller for each
-distinct phi.
+The residual and the operators take one evaluated :class:`Base`, built by
+:func:`evaluate_base` once for each distinct phi: the patch, dphi, the
+connection endomorphisms Gamma(dphi_k, .) and the curvature operator along
+phi.  The pullback connection nabla_k = f_k d_k + Gamma(dphi_k, .) is one
+function, :func:`pullback_nabla`, shared by ``twisted_dirac`` and
+``d_phi_operator``.
 
 Every field is packed (:mod:`sjclab.fields`): the kernels run on the live
 mask blocks only, and products know their live masks from the mask
@@ -90,7 +91,7 @@ def dphi_frame(cmap: ComponentMap, patch: ReducedPatch) -> GridField:
     if d.masks[:1] != (0,):
         d = d.grow((0,) + d.masks)
     d.blocks[0] += cmap.phi_linear.T[:, :, None, None]
-    d.blocks *= patch.frame_factor()
+    d.blocks *= patch.frame
     return d
 
 
@@ -128,23 +129,51 @@ def _gamma_dphi(Gamma: np.ndarray, dphi: GridField) -> GridField:
     return dphi.map(lambda d: np.einsum("ecdxy,skcxy->skedxy", Gamma, d))
 
 
-def twisted_dirac(psi: GridField, patch: ReducedPatch, grids, dphi: GridField) -> GridField:
-    """Twisted Dirac operator on the spinor-valued field psi at the base (grids, dphi).
+@dataclass(frozen=True, eq=False)
+class Base:
+    """The patch and the geometry along one phi that the residual and the operators read.
+
+    dphi: blocks (2, dim, M, M); conn: Gamma(dphi_k, .), blocks (2, dim, dim, M, M);
+    Rop: the curvature operator along phi, grid-last.  conn and Rop are None
+    where the chart tensor is zero at every grid point.
+    """
+
+    patch: ReducedPatch
+    dphi: GridField
+    conn: GridField | None
+    Rop: np.ndarray | None
+
+
+def evaluate_base(model: AlmostKahlerModel, cmap: ComponentMap, patch: ReducedPatch) -> Base:
+    """The chart tensors and dphi at cmap's phi, and the connection built from them."""
+    if cmap.M != patch.M:
+        raise FieldError(f"map is on a {cmap.M}x{cmap.M} grid, patch on {patch.M}x{patch.M}")
+    Gamma, Rop = model_grids(model, cmap, patch)
+    dphi = dphi_frame(cmap, patch)
+    return Base(patch, dphi, None if Gamma is None else _gamma_dphi(Gamma, dphi), Rop)
+
+
+def pullback_nabla(field: GridField, base: Base) -> GridField:
+    """nabla_k = f_k d_k + Gamma(dphi_k, .) on the last fibre axis: blocks (k, ..., e, M, M)."""
+    nabla = field.map(base.patch.grad)
+    nabla.blocks *= base.patch.frame
+    if base.conn is None:
+        return nabla
+    mid = "abc"[: field.blocks.ndim - 4]  # fibre axes before the target one
+    return nabla + gcontract(base.conn, field, f"kedxy,{mid}dxy->k{mid}exy")
+
+
+def twisted_dirac(psi: GridField, base: Base) -> GridField:
+    """Twisted Dirac operator on the spinor-valued field psi at the base.
 
     (D psi)_beta = (1/2) omega_k (gamma^k I)[beta, alpha] psi_alpha
                    - gamma^k[beta, alpha] nabla_k psi_alpha
     with the pullback connection nabla_k psi = f_k psi + Gamma(dphi_k, psi).
     """
-    Gamma, _ = grids
-    nabla = psi.map(patch.grad)  # blocks (k, alpha, dim, M, M)
-    nabla.blocks *= patch.frame_factor()
-    if Gamma is not None:
-        conn = _gamma_dphi(Gamma, dphi)
-        nabla = nabla + gcontract(conn, psi, "kedxy,adxy->kaexy")
-    omega = patch.spin_connection()
-    out = nabla.map(contract, CLIFFORD, 1, 2)
+    out = pullback_nabla(psi, base).map(contract, CLIFFORD, 1, 2)
     np.negative(out.blocks, out=out.blocks)
-    if np.abs(omega).max() > 0:
+    omega = base.patch.omega
+    if omega is not None:
         # omega_k psi_a, then (gamma^k I)[b, a] summed over (k, a)
         opsi = psi.map(lambda p: omega[:, None, None] * p[:, None])
         out = out + 0.5 * opsi.map(contract, CLIFFORD_I, 1, 2)
@@ -198,35 +227,23 @@ class Residuals:
         return max(self.max_norms().values())
 
 
-def _dirac_terms(cmap, qchi, patch, grids, dphi) -> GridField:
+def _dirac_terms(cmap: ComponentMap, qchi: GridField, base: Base) -> GridField:
     """D psi - 2 <vee Q chi, dphi> + |Q chi|^2 psi, shared by residual and operator."""
-    out = twisted_dirac(cmap.psi, patch, grids, dphi)
-    out = out - 2.0 * vee_q_pairing(qchi, dphi)
+    out = twisted_dirac(cmap.psi, base)
+    out = out - 2.0 * vee_q_pairing(qchi, base.dphi)
     nq = q_norm_squared(qchi)
     return out + gcontract(nq, cmap.psi, "xy,abxy->abxy")
 
 
-def residual_components(
-    cmap: ComponentMap,
-    grav: Gravitino,
-    patch: ReducedPatch,
-    model: AlmostKahlerModel,
-    base=None,
-) -> Residuals:
-    """The four component equations of the first-order system.
+def residual_components(cmap: ComponentMap, grav: Gravitino, base: Base) -> Residuals:
+    """The four component equations of the first-order system at the base evaluated at cmap's phi.
 
-    ``base`` is ``(grids, dphi)`` at cmap's phi when the caller has already
-    evaluated it; it is evaluated here otherwise.  Exact solutions give
-    residuals at roundoff only for a smooth conformal factor, which a
-    ``--tol`` verdict assumes: with a factor that is only C² the spectral
-    residual converges only as M^-3 (1.2e-4 at M = 32).
+    Exact solutions give residuals at roundoff only for a smooth conformal
+    factor, which a ``--tol`` verdict assumes: with a factor that is only C²
+    the spectral residual converges only as M^-3 (1.2e-4 at M = 32).
     """
-    if cmap.M != patch.M or grav.M != patch.M:
-        raise FieldError("grid size mismatch")
-    if base is None:
-        base = model_grids(model, cmap, patch), dphi_frame(cmap, patch)
-    grids, dphi = base
-    _, Rop = grids
+    if grav.M != base.patch.M:
+        raise FieldError(f"gravitino is on a {grav.M}x{grav.M} grid, patch on {base.patch.M}x{base.patch.M}")
 
     # block 1: chirality constraint
     r1 = 2.0 * antiholomorphic_part(cmap.psi)
@@ -235,39 +252,36 @@ def residual_components(
     r2 = cmap.F
 
     # block 3: perturbed Cauchy-Riemann equation
-    dbar_phi = antiholomorphic_part(dphi)
+    dbar_phi = antiholomorphic_part(base.dphi)
     qchi = grav.chi.map(project_q, 1)
     r3 = dbar_phi + gravitino_psi_pairing(qchi, cmap.psi)
 
     # block 4: Dirac-type equation
-    r4 = _dirac_terms(cmap, qchi, patch, grids, dphi)
-    if Rop is not None:
-        r4 = r4 - sr_contraction(cmap.psi, Rop) / 3.0
+    r4 = _dirac_terms(cmap, qchi, base)
+    if base.Rop is not None:
+        r4 = r4 - sr_contraction(cmap.psi, base.Rop) / 3.0
 
     return Residuals(chirality=r1, auxiliary=r2, cauchy_riemann=r3, dirac=r4)
 
 
 def operator_components(
-    cmap: ComponentMap, grav: Gravitino, patch: ReducedPatch, grids, dphi: GridField
+    cmap: ComponentMap, grav: Gravitino, base: Base
 ) -> tuple[GridField, GridField, GridField, GridField]:
-    """Component fields (c1, c2, c3, c4) of the first-order operator itself.
+    """Component fields (c1, c2, c3, c4) of the first-order operator itself, at the base of cmap's phi.
 
-    ``grids`` and ``dphi`` are the base evaluated at cmap's phi.  They carry
-    the normalization whose linearization at a holomorphic map has the block
-    form (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + ...).
+    They carry the normalization whose linearization at a holomorphic map
+    has the block form (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + ...).
     """
-    _, Rop = grids
-
     c1 = antiholomorphic_part(cmap.psi)
     c2 = 0.25 * cmap.F
 
     pairing = gravitino_psi_pairing(grav.chi, cmap.psi)
-    c3 = -antiholomorphic_part(dphi + pairing)
+    c3 = -antiholomorphic_part(base.dphi + pairing)
 
-    inner = _dirac_terms(cmap, grav.chi.map(project_q, 1), patch, grids, dphi)
+    inner = _dirac_terms(cmap, grav.chi.map(project_q, 1), base)
     inner = inner + delta_gamma_tensor_F(grav.chi, cmap.F)
-    if Rop is not None:
-        inner = inner - sr_contraction(cmap.psi, Rop) / 6.0
+    if base.Rop is not None:
+        inner = inner - sr_contraction(cmap.psi, base.Rop) / 6.0
     c4 = -antiholomorphic_part(inner)
     return c1, c2, c3, c4
 
@@ -285,34 +299,28 @@ class Directions:
     sigma: GridField | None = None  # even auxiliary direction
 
 
-def d_phi_operator(xi: GridField, patch: ReducedPatch, grids, dphi: GridField) -> GridField:
-    """Linearized Cauchy-Riemann operator at the base (grids, dphi) applied to xi."""
-    Gamma, _ = grids
-    dxi = xi.map(patch.grad)
-    dxi.blocks *= patch.frame_factor()
-    if Gamma is not None:
-        conn = _gamma_dphi(Gamma, dphi)
-        dxi = dxi + gcontract(conn, xi, "kedxy,dxy->kexy")
-    return antiholomorphic_part(dxi)
+def d_phi_operator(xi: GridField, base: Base) -> GridField:
+    """Linearized Cauchy-Riemann operator at the base applied to xi."""
+    return antiholomorphic_part(pullback_nabla(xi, base))
 
 
 def analytic_linearization_blocks(
-    dirs: Directions, patch: ReducedPatch, grids, dphi: GridField
+    dirs: Directions, base: Base
 ) -> tuple[GridField, GridField, GridField, GridField]:
     """Expected derivative blocks (zeta^{0,1}, sigma/4, -D_phi xi, -Dhat zeta + rho term) at the base."""
-    M, dim = patch.M, dphi.shape[2]
+    M, dim = base.patch.M, base.dphi.shape[2]
     b1 = b3 = b4 = GridField.zero((2, dim, M, M))
     b2 = GridField.zero((dim, M, M))
     if dirs.zeta is not None:
         b1 = antiholomorphic_part(dirs.zeta)
-        dz = twisted_dirac(dirs.zeta, patch, grids, dphi)
+        dz = twisted_dirac(dirs.zeta, base)
         b4 = b4 - antiholomorphic_part(dz)
     if dirs.sigma is not None:
         b2 = 0.25 * dirs.sigma
     if dirs.xi is not None:
-        b3 = -d_phi_operator(dirs.xi, patch, grids, dphi)
+        b3 = -d_phi_operator(dirs.xi, base)
     if dirs.rho is not None:
-        b4 = b4 + 2.0 * vee_q_pairing(dirs.rho.map(project_q, 1), dphi)
+        b4 = b4 + 2.0 * vee_q_pairing(dirs.rho.map(project_q, 1), base.dphi)
     return b1, b2, b3, b4
 
 
@@ -328,36 +336,23 @@ def linearization_fd_checks(
 
     One report per named direction.  The base point must be a holomorphic
     map with vanishing odd and auxiliary data; it is checked once for all
-    directions.  Its chart tensors and dphi are evaluated once, for that
-    check, for the analytic blocks and for every point that leaves phi in
-    place.  The step is Richardson-halved and both approximations are
+    directions.  Its :class:`Base` is evaluated once, for that check, for
+    the analytic blocks and for every point that leaves phi in place.  The step is Richardson-halved and both approximations are
     compared against the analytic blocks.
     """
-    if cmap.M != patch.M:
-        raise FieldError("grid size mismatch")
-    grids, dphi = base = model_grids(model, cmap, patch), dphi_frame(cmap, patch)
-    residual = residual_components(cmap, Gravitino.zero(cmap.L, patch.M), patch, model, base).max_norm()
+    base = evaluate_base(model, cmap, patch)
+    residual = residual_components(cmap, Gravitino.zero(cmap.L, patch.M), base).max_norm()
     if residual > PRECONDITION_TOL:
         raise PreconditionError(f"base map is not holomorphic: residual {residual:.3e}")
     # a huge step overflows to inf and NaN, which the reports carry as their errors
     with np.errstate(over="ignore", invalid="ignore"):
-        return {
-            name: _fd_report(cmap, patch, model, grids, dphi, dirs, h, rel_tol)
-            for name, dirs in named_dirs.items()
-        }
+        return {name: _fd_report(cmap, model, base, dirs, h, rel_tol) for name, dirs in named_dirs.items()}
 
 
 def _fd_report(
-    cmap: ComponentMap,
-    patch: ReducedPatch,
-    model: AlmostKahlerModel,
-    grids,
-    dphi: GridField,
-    dirs: Directions,
-    h: float,
-    rel_tol: float,
+    cmap: ComponentMap, model: AlmostKahlerModel, base: Base, dirs: Directions, h: float, rel_tol: float
 ) -> dict:
-    M = patch.M
+    M = base.patch.M
 
     def at(t: float) -> tuple[GridField, ...]:
         moved = {
@@ -367,9 +362,9 @@ def _fd_report(
         }
         point = replace(cmap, **moved)
         chi = GridField.zero((2, 2, M, M)) if dirs.rho is None else t * dirs.rho
-        # only xi moves phi: every other point keeps the base's chart tensors and dphi
-        base = (grids, dphi) if dirs.xi is None else (model_grids(model, point, patch), dphi_frame(point, patch))
-        return operator_components(point, Gravitino(L=cmap.L, chi=chi), patch, *base)
+        # only xi moves phi: every other point keeps the base
+        moved_base = base if dirs.xi is None else evaluate_base(model, point, base.patch)
+        return operator_components(point, Gravitino(L=cmap.L, chi=chi), moved_base)
 
     def central(step: float) -> tuple[GridField, ...]:
         plus = at(step)
@@ -378,7 +373,7 @@ def _fd_report(
 
     d_h = central(h)
     d_h2 = central(h / 2.0)
-    analytic = analytic_linearization_blocks(dirs, patch, grids, dphi)
+    analytic = analytic_linearization_blocks(dirs, base)
     names = [f.name for f in fields(Residuals)]
     report = {"blocks": {}, "passed": True, "step": h}
     for name, fd_h, fd_h2, ref in zip(names, d_h, d_h2, analytic):

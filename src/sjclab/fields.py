@@ -181,7 +181,8 @@ class ComponentMap:
     phi_periodic: even, blocks (2n, M, M), the real periodic part;
     psi: odd, blocks (2, 2n, M, M), spinor index 0 <-> s^3, 1 <-> s^4;
     F: even, blocks (2n, M, M).
-    A field given as a dense (2^L, ..., M, M) array is packed on construction.
+    A field given as a dense (2^L, ..., M, M) array is packed on construction;
+    psi and F must have the shapes that phi's 2n and M give.
     """
 
     L: int
@@ -195,6 +196,13 @@ class ComponentMap:
         self.phi_periodic = _as_field(self.phi_periodic, self.L, "even", "phi")
         self.psi = _as_field(self.psi, self.L, "odd", "psi")
         self.F = _as_field(self.F, self.L, "even", "F")
+        phi = self.phi_periodic.shape[1:]
+        if len(phi) != 3 or phi[1] != phi[2]:
+            raise FieldError(f"phi blocks must have shape (2n, M, M), got {phi}")
+        for name, shape in (("psi", (2,) + phi), ("F", phi)):
+            got = getattr(self, name).shape[1:]
+            if got != shape:
+                raise FieldError(f"{name} blocks must have shape {shape} to match phi, got {got}")
         if self.phi_linear.shape != (self.dim, 2):
             raise FieldError("phi_linear must have shape (2n, 2)")
         if np.abs(self.phi_periodic.blocks.imag).max(initial=0.0) > 0:
@@ -229,6 +237,9 @@ class Gravitino:
 
     def __post_init__(self):
         self.chi = _as_field(self.chi, self.L, "odd", "chi")
+        M = self.chi.shape[-1]
+        if self.chi.shape[1:] != (2, 2, M, M):
+            raise FieldError(f"chi blocks must have shape (2, 2, M, M), got {self.chi.shape[1:]}")
 
     @property
     def M(self) -> int:

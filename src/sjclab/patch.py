@@ -4,15 +4,19 @@ The patch is the torus [0,1)^2 sampled on an M x M grid with metric
 g = lambda^4 delta.  Orthonormal frames are f_a = lambda^{-2} d/dx^a; the
 lifted spin connection has frame components
 
-    <f_k, omega> = lambda^{-4} C[k, l] d/dx^l (lambda^2),   C = [[0,1],[-1,0]],
+    <f_k, omega> = -lambda^{-4} C[k, l] d/dx^l (lambda^2),   C = [[0,1],[-1,0]],
 
-obtained from the Cartan structure equations for the coframe lambda^2 dx^a.
+obtained from the Cartan structure equations for the coframe lambda^2 dx^a,
+with the orientation for which the twisted Dirac operator is formally
+anti-self-adjoint in the positive spinor pairing and the volume lambda^4.
 Grid data carry the two grid axes last: x^1 and x^2 index the trailing
 M x M slab of every array, so each grid kernel runs on contiguous slabs.
 Every grid field is differentiated through one spectral gradient,
 :meth:`ReducedPatch.grad`: exact for trigonometric polynomials below the
 Nyquist wavenumber, for every conformal factor; the Nyquist mode itself
-differentiates to zero.
+differentiates to zero.  The geometry is fixed at construction: the frame
+factor ``frame`` = lambda^{-2} and the spin connection ``omega``, shape
+(2, M, M), or None where it is zero at every grid point.
 """
 
 from __future__ import annotations
@@ -41,10 +45,17 @@ class ReducedPatch:
             lam_arr = np.asarray(lam, dtype=float)
             if lam_arr.shape != (M, M):
                 raise PatchError(f"lambda grid must be {M}x{M}")
+        if not np.isfinite(lam_arr).all():
+            raise PatchError("conformal factor must be finite")
         if lam_arr.min() <= 0:
             raise PatchError("conformal factor must be bounded away from zero")
         self.lam = lam_arr
-        self.uniform_gauge = bool(np.all(lam_arr == lam_arr.flat[0]))
+        self.frame = lam_arr ** -2  # converts coordinate derivatives to frame derivatives
+        self.omega = None  # zero on a uniform lambda, whose spectral derivative need not be exactly 0
+        if np.any(lam_arr != lam_arr.flat[0]):
+            u = lam_arr ** 2
+            omega = -contract(self.grad(u[None])[0].real, IFRAME, 0) / u ** 2
+            self.omega = omega if omega.any() else None
 
     # -- differentiation -------------------------------------------------
 
@@ -71,24 +82,3 @@ class ReducedPatch:
         np.multiply(ft, k, out=out[:, 1])
         np.fft.ifft(out, axis=-1, out=out)
         return np.fft.ifft(out, axis=-2, out=out)
-
-    # -- geometry ----------------------------------------------------------
-
-    def frame_factor(self) -> np.ndarray:
-        """lambda^{-2}: converts coordinate derivatives to frame derivatives."""
-        return self.lam ** -2
-
-    def spin_connection(self) -> np.ndarray:
-        """Frame components omega_k = <f_k, omega^LC>, shape (2, M, M).
-
-        Orientation: the sign is the one for which the twisted Dirac
-        operator built on this patch is formally anti-self-adjoint with
-        respect to the positive spinor pairing and the volume lambda^4.
-        """
-        # the spectral derivative of a constant is not exactly zero at every M
-        if self.uniform_gauge:
-            return np.zeros((2, self.M, self.M))
-        u = self.lam ** 2
-        du = self.grad(u[None])[0].real
-        out = -contract(du, IFRAME, 0)
-        return out / u ** 2

@@ -577,7 +577,7 @@ def suite_verify_components(path: str, tol: float) -> tuple[dict, dict]:
 
     cmap, grav, patch, model_desc = read_field_bundle(path)
     model = make_model(model_desc, cmap.dim)
-    blocks = comp.residual_components(cmap, grav, patch, model).blocks()
+    blocks = comp.residual_components(cmap, grav, comp.evaluate_base(model, cmap, patch)).blocks()
     # per grid point, the largest modulus over masks and components of each block:
     # a mask that is not live reads +0.0, so the maxima run over the live ones
     point_max = np.stack([_point_max(block) for block in blocks.values()], axis=-1)

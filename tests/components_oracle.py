@@ -18,7 +18,7 @@ import numpy as np
 
 from fields_oracle import dense
 from sjclab import fierz
-from sjclab.components import residual_components
+from sjclab.components import evaluate_base, residual_components
 from sjclab.fields import ComponentMap, GridField, Gravitino, max_abs
 from sjclab.patch import ReducedPatch
 from sjclab.spin import EPS_UPPER, ISPIN
@@ -69,9 +69,10 @@ def weyl_covariance_check(
     """
     M = patch.M
     u = np.full((M, M), float(rescale))
-    base = residual_components(cmap, grav, patch, model).blocks()
+    base = residual_components(cmap, grav, evaluate_base(model, cmap, patch)).blocks()
     cmap2, grav2 = weyl_rescale_fields(cmap, grav, u)
-    new = residual_components(cmap2, grav2, ReducedPatch(M, lam=patch.lam * u), model).blocks()
+    patch2 = ReducedPatch(M, lam=patch.lam * u)
+    new = residual_components(cmap2, grav2, evaluate_base(model, cmap2, patch2)).blocks()
     # (frame, abstract) weight exponents; cauchy_riemann is invariant once
     # the frame factor is removed
     weights = {"chirality": (-1, -1), "auxiliary": (-2, -2), "cauchy_riemann": (-2, 0), "dirac": (-3, -3)}

@@ -101,9 +101,7 @@ def test_criterion_4_component_equation_sanity():
     M = 32
     # holomorphic grid map with vanishing odd and auxiliary data
     cmap = holomorphic_base_map(2, M, 2, slope=2.0 - 1.0j)
-    res1 = C.residual_components(
-        cmap, Gravitino.zero(2, M), ReducedPatch(M), make_flat(1)
-    ).max_norm()
+    res1 = C.residual_components(cmap, Gravitino.zero(2, M), C.evaluate_base(make_flat(1), cmap, ReducedPatch(M))).max_norm()
     # Kahler target with a holomorphic twisted-spinor section
     rng = np.random.default_rng(104)
     model = make_const_hsc(4.0, 1)
@@ -114,9 +112,7 @@ def test_criterion_4_component_equation_sanity():
         psi[m, 0] = v[:, None, None]
         psi[m, 1] = (v @ J0)[:, None, None]
     cmap2 = replace(ComponentMap.zero(4, M, 2), psi=psi)
-    res2 = C.residual_components(
-        cmap2, Gravitino.zero(4, M), ReducedPatch(M), model
-    ).max_norm()
+    res2 = C.residual_components(cmap2, Gravitino.zero(4, M), C.evaluate_base(model, cmap2, ReducedPatch(M))).max_norm()
     report(
         4,
         res1 <= 1e-8 and res2 <= 1e-8,

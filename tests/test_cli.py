@@ -338,7 +338,7 @@ class TestVerifyComponents:
         path = tmp_path / "curved.txt"
         write_field_bundle(path, cmap, grav, patch, {"kind": "flat", "n": 1})
         _, _, patch2, _ = read_field_bundle(path)
-        assert not patch2.uniform_gauge
+        assert patch2.omega is not None
         assert np.abs(patch2.lam - lam).max() <= 1e-15
 
 

@@ -9,7 +9,7 @@ from input_writers import write_field_bundle
 from sjclab import components as C
 from sjclab.cli import main
 from sjclab.fields import ComponentMap, FieldError, Gravitino, max_abs, odd_masks
-from sjclab.patch import ReducedPatch
+from sjclab.patch import PatchError, ReducedPatch
 from sjclab.spin import EPS_LOWER, EPS_UPPER, GAMMA, IFRAME, ISPIN, QMAT, project_q
 from sjclab.suites import holomorphic_base_map, random_direction_fields
 from sjclab.targets import make_const_hsc, make_flat, make_fs_cp1, standard_J
@@ -25,11 +25,6 @@ def triple_product_sr(psi, Rop, L):
     pair = dense_gcontract(psi, psi, "maxy,nbxy->manbxy", L)
     tri = dense_gcontract(pair, psi, "manbxy,ocxy->manbocxy", L)
     return np.einsum("smanbocxy,no,abcexy->smexy", tri, EPS_UPPER, Rop)
-
-
-def base_at(model, cmap, patch):
-    """The evaluated base the operators take: chart tensors and dphi at cmap's phi."""
-    return C.model_grids(model, cmap, patch), C.dphi_frame(cmap, patch)
 
 
 def constrained_constant_psi(L, M, model, rng):
@@ -87,22 +82,40 @@ def per_axis_grad(field, M):
     return np.stack([d1, d2], axis=1)
 
 
+# C[k, l] of the Cartan structure equations for the coframe lambda^2 dx^a
+CARTAN = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def oracle_geometry(lam):
+    """(lambda^-2, omega) from the conformal factor alone, omega_k = -lambda^-4 C[k, l] d_l(lambda^2).
+
+    omega is None on a uniform lam, whose spectral derivative need not be
+    exactly zero, and where it is zero at every grid point.
+    """
+    if np.all(lam == lam.flat[0]):
+        return lam ** -2, None
+    u = lam ** 2
+    du = per_axis_grad(u[None], len(lam))[0].real
+    omega = -np.einsum("kl,lxy->kxy", CARTAN, du) / u ** 2
+    return lam ** -2, omega if omega.any() else None
+
+
 def _oracle_dphi(cmap, patch):
     d = per_axis_grad(dense(cmap.phi_periodic, cmap.L), patch.M)
     d[0, 0] += cmap.phi_linear[:, 0, None, None]
     d[0, 1] += cmap.phi_linear[:, 1, None, None]
-    return d * patch.frame_factor()
+    return d * oracle_geometry(patch.lam)[0]
 
 
 def _einsum_dirac(psi, patch, Gamma, dphi, L):
-    nabla = per_axis_grad(psi, patch.M) * patch.frame_factor()
+    frame, omega = oracle_geometry(patch.lam)
+    nabla = per_axis_grad(psi, patch.M) * frame
     if Gamma is not None:  # model_grids gives None for a zero tensor
         conn = np.einsum("ecdxy,skcxy->skedxy", Gamma, dphi)
         nabla = nabla + dense_gcontract(conn, psi, "kedxy,adxy->kaexy", L)
     gamma_i = np.einsum("kab,bc->kac", GAMMA, ISPIN)
-    omega = patch.spin_connection()
     out = -np.einsum("kba,skaexy->sbexy", GAMMA, nabla)
-    if np.abs(omega).max() > 0:
+    if omega is not None:
         out = out + 0.5 * np.einsum("kxy,kba,saexy->sbexy", omega, gamma_i, psi)
     return out
 
@@ -151,7 +164,7 @@ def einsum_operator_components(cmap, grav, patch, model):
 
 def einsum_d_phi_operator(xi, patch, model, Gamma, dphi, L):
     """D_phi xi = (1/2)(1 + I (x) J)(d xi lambda^-2 + Gamma(dphi, xi)) on a dense xi."""
-    dxi = per_axis_grad(xi, patch.M) * patch.frame_factor()
+    dxi = per_axis_grad(xi, patch.M) * oracle_geometry(patch.lam)[0]
     if Gamma is not None:
         conn = np.einsum("ecdxy,skcxy->skedxy", Gamma, dphi)
         dxi = dxi + dense_gcontract(conn, xi, "kedxy,dxy->kexy", L)
@@ -196,13 +209,14 @@ class TestEinsumOracle:
         patch = self._patch(M, gauge)
         cmap, grav = generic_fields(rng, L, M, model)
         assert max_abs(grav.chi) > 0
-        assert (np.abs(patch.spin_connection()).max() > 0) == (gauge == "curved")
-        res = C.residual_components(cmap, grav, patch, model)
+        assert (patch.omega is not None) == (gauge == "curved")
+        base = C.evaluate_base(model, cmap, patch)
+        res = C.residual_components(cmap, grav, base)
         ref = einsum_residual_components(cmap, grav, patch, model)
         for (name, new), old in zip(res.blocks().items(), ref):
             assert np.abs(old).max() > 0, name
             assert np.array_equal(dense(new, L), old), name
-        ops = C.operator_components(cmap, grav, patch, *base_at(model, cmap, patch))
+        ops = C.operator_components(cmap, grav, base)
         ref = einsum_operator_components(cmap, grav, patch, model)
         for k, (new, old) in enumerate(zip(ops, ref)):
             assert np.abs(old).max() > 0, k
@@ -218,12 +232,49 @@ class TestEinsumOracle:
         patch = self._patch(M, gauge)
         cmap, _ = generic_fields(rng, L, M, model)
         xi = random_direction_fields(rng, L, M, model.dim)[1]
-        grids, dphi = base_at(model, cmap, patch)
-        assert (grids[0] is not None) == (model_name == "fs-cp1")
-        got = dense(C.d_phi_operator(xi, patch, grids, dphi), L)
-        want = einsum_d_phi_operator(dense(xi, L), patch, model, grids[0], _oracle_dphi(cmap, patch), L)
+        base = C.evaluate_base(model, cmap, patch)
+        assert (base.conn is not None) == (model_name == "fs-cp1")
+        got = dense(C.d_phi_operator(xi, base), L)
+        Gamma = C.model_grids(model, cmap, patch)[0]
+        want = einsum_d_phi_operator(dense(xi, L), patch, model, Gamma, _oracle_dphi(cmap, patch), L)
         assert np.abs(want).max() > 0
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("gauge", ["unit", "curved"])
+    def test_christoffel_term_enters_both_operators_through_the_base(self, gauge):
+        # at a generic, non-holomorphic fs-cp1 base, negating base.conn is the
+        # einsum oracle with Gamma -> -Gamma in d_phi_operator and twisted_dirac alike
+        L, M = 2, 8
+        rng = np.random.default_rng(61)
+        model = self.MODELS["fs-cp1"]
+        patch = self._patch(M, gauge)
+        cmap, _ = generic_fields(rng, L, M, model)
+        _, xi, zeta, _ = random_direction_fields(rng, L, M, model.dim)
+        base = C.evaluate_base(model, cmap, patch)
+        flipped = replace(base, conn=-base.conn)
+        Gamma, dphi = C.model_grids(model, cmap, patch)[0], _oracle_dphi(cmap, patch)
+        for op, oracle, field in (
+            (C.d_phi_operator, lambda f, G: einsum_d_phi_operator(f, patch, model, G, dphi, L), xi),
+            (C.twisted_dirac, lambda f, G: _einsum_dirac(f, patch, G, dphi, L), zeta),
+        ):
+            got, got_flipped = dense(op(field, base), L), dense(op(field, flipped), L)
+            assert np.array_equal(got, oracle(dense(field, L), Gamma))
+            assert np.array_equal(got_flipped, oracle(dense(field, L), -Gamma))
+            assert not np.array_equal(got, got_flipped)
+
+    @pytest.mark.parametrize("lam", [None, 1.0, 2.0, np.full((8, 8), 2.0)], ids=["default", "1", "2", "grid-2"])
+    def test_uniform_gauge_has_no_spin_connection(self, lam):
+        patch = ReducedPatch(8, lam=lam)
+        assert patch.omega is None
+        assert np.array_equal(patch.frame, oracle_geometry(patch.lam)[0])
+
+    @pytest.mark.parametrize("M", [8, 16])
+    def test_curved_gauge_geometry_matches_oracle(self, M):
+        patch = self._patch(M, "curved")
+        frame, omega = oracle_geometry(patch.lam)
+        assert omega is not None and np.abs(omega).max() > 0.1
+        assert np.array_equal(patch.frame, frame)
+        assert np.array_equal(patch.omega, omega)
 
 
 class TestAntiholomorphicPart:
@@ -280,7 +331,7 @@ class TestTwistedDirac:
         cmap = ComponentMap.zero(L, M, 2)
         psi = gzeros(L, (2, 2, M, M))
         psi[1] = 1.0
-        out = C.twisted_dirac(pack(psi), patch, *base_at(model, cmap, patch))
+        out = C.twisted_dirac(pack(psi), C.evaluate_base(model, cmap, patch))
         assert max_abs(out) == 0.0
 
     def test_plane_wave_symbol(self):
@@ -291,12 +342,12 @@ class TestTwistedDirac:
         cmap = ComponentMap.zero(L, M, 2)
         x1, x2 = grid_waves(M)
         rng = np.random.default_rng(0)
-        base = base_at(model, cmap, patch)
+        base = C.evaluate_base(model, cmap, patch)
         for k1, k2 in [(1, 0), (3, -2), (-5, 7)]:
             c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             psi = gzeros(L, (2, 2, M, M))
             psi[1] = c[:, :, None, None] * np.exp(2j * np.pi * (k1 * x1 + k2 * x2))
-            out = C.twisted_dirac(pack(psi), patch, *base)
+            out = C.twisted_dirac(pack(psi), base)
             symbol = -2j * np.pi * (k1 * GAMMA[0] + k2 * GAMMA[1])
             expected = np.einsum("ba,aexy->bexy", symbol, psi[1])
             assert np.abs(dense(out, L)[1] - expected).max() <= 1e-10
@@ -309,13 +360,13 @@ class TestTwistedDirac:
         cmap = ComponentMap.zero(L, M, 2)
         rng = np.random.default_rng(1)
         _, _, zeta, _ = random_direction_fields(rng, L, M, 2)
-        base = base_at(model, cmap, patch)
-        lhs = 2 * C.antiholomorphic_part(C.twisted_dirac(zeta, patch, *base))
-        rhs = C.twisted_dirac(2 * spinor_holomorphic_part(zeta), patch, *base)
+        base = C.evaluate_base(model, cmap, patch)
+        lhs = 2 * C.antiholomorphic_part(C.twisted_dirac(zeta, base))
+        rhs = C.twisted_dirac(2 * spinor_holomorphic_part(zeta), base)
         assert max_abs(lhs - rhs) <= 1e-9
         # and with the signs swapped
-        lhs2 = 2 * spinor_holomorphic_part(C.twisted_dirac(zeta, patch, *base))
-        rhs2 = C.twisted_dirac(2 * C.antiholomorphic_part(zeta), patch, *base)
+        lhs2 = 2 * spinor_holomorphic_part(C.twisted_dirac(zeta, base))
+        rhs2 = C.twisted_dirac(2 * C.antiholomorphic_part(zeta), base)
         assert max_abs(lhs2 - rhs2) <= 1e-9
 
     # a smooth conformal factor, and one that is only C^2 (|sin|^3)
@@ -346,13 +397,13 @@ class TestTwistedDirac:
 
         psi, Psi = rand_spinor(), rand_spinor()
         w = patch.lam**4 / M**2  # volume weight per grid cell
-        base = base_at(model, cmap, patch)
+        base = C.evaluate_base(model, cmap, patch)
 
         def pair(a, b):
             return np.sum(a[1] * b[1] * w)
 
         def dirac(f):
-            return dense(C.twisted_dirac(pack(f), patch, *base), L)
+            return dense(C.twisted_dirac(pack(f), base), L)
 
         val = pair(dirac(psi), Psi) + pair(psi, dirac(Psi))
         scale = abs(pair(psi, psi)) + abs(pair(Psi, Psi))
@@ -362,26 +413,33 @@ class TestTwistedDirac:
         with pytest.raises(Exception):
             ReducedPatch(3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["scalar", "grid"])
+    def test_non_finite_conformal_factor_rejected(self, bad, where):
+        # NaN compares False with 0, so the positivity test alone would let it through
+        lam = bad if where == "scalar" else np.where(np.eye(8, dtype=bool), bad, 1.0)
+        with pytest.raises(PatchError, match="finite"):
+            ReducedPatch(8, lam=lam)
+
 
 class TestResiduals:
     def test_all_zero_data(self):
         L, M = 2, 8
-        res = C.residual_components(
-            ComponentMap.zero(L, M, 2), Gravitino.zero(L, M), ReducedPatch(M), make_flat(1)
-        )
+        cmap = ComponentMap.zero(L, M, 2)
+        res = C.residual_components(cmap, Gravitino.zero(L, M), C.evaluate_base(make_flat(1), cmap, ReducedPatch(M)))
         assert res.max_norm() == 0.0
 
     def test_affine_holomorphic_map(self):
         L, M = 2, 32
         cmap = holomorphic_base_map(L, M, 2, slope=1.5 - 0.25j)
-        res = C.residual_components(cmap, Gravitino.zero(L, M), ReducedPatch(M), make_flat(1))
+        res = C.residual_components(cmap, Gravitino.zero(L, M), C.evaluate_base(make_flat(1), cmap, ReducedPatch(M)))
         assert res.max_norm() <= 1e-12
 
     def test_antiholomorphic_map_fails(self):
         L, M = 2, 16
         cmap = ComponentMap.zero(L, M, 2)
         cmap.phi_linear = np.array([[1.0, 0.0], [0.0, -1.0]])
-        res = C.residual_components(cmap, Gravitino.zero(L, M), ReducedPatch(M), make_flat(1))
+        res = C.residual_components(cmap, Gravitino.zero(L, M), C.evaluate_base(make_flat(1), cmap, ReducedPatch(M)))
         assert res.max_norms()["cauchy_riemann"] > 0.5
 
     def test_holomorphic_section_flat_and_curved(self):
@@ -394,7 +452,7 @@ class TestResiduals:
                 else ComponentMap.zero(L, M, 2)
             )
             cmap = replace(cmap, psi=constrained_constant_psi(L, M, model, rng))
-            res = C.residual_components(cmap, Gravitino.zero(L, M), ReducedPatch(M), model)
+            res = C.residual_components(cmap, Gravitino.zero(L, M), C.evaluate_base(model, cmap, ReducedPatch(M)))
             assert res.max_norm() == 0.0, model.kind
 
     def test_wrong_chirality_detected(self):
@@ -406,7 +464,7 @@ class TestResiduals:
         psi[1, 0] = v[:, None, None]
         psi[1, 1] = -(v @ J0)[:, None, None]
         cmap = replace(ComponentMap.zero(L, M, 2), psi=psi)
-        res = C.residual_components(cmap, Gravitino.zero(L, M), ReducedPatch(M), model)
+        res = C.residual_components(cmap, Gravitino.zero(L, M), C.evaluate_base(model, cmap, ReducedPatch(M)))
         assert res.max_norms()["chirality"] > 1.0
 
     def test_residual_parity(self):
@@ -417,7 +475,7 @@ class TestResiduals:
         model = make_flat(1)
         rho, xi, zeta, sigma = random_direction_fields(rng, L, M, 2)
         cmap = replace(holomorphic_base_map(L, M, 2), phi_periodic=xi, psi=zeta, F=sigma)
-        res = C.residual_components(cmap, Gravitino(L=L, chi=rho), ReducedPatch(M), model)
+        res = C.residual_components(cmap, Gravitino(L=L, chi=rho), C.evaluate_base(model, cmap, ReducedPatch(M)))
         for name, parity in [
             ("chirality", "odd"),
             ("auxiliary", "even"),
@@ -429,10 +487,12 @@ class TestResiduals:
             assert block.masks and not set(block.masks) & set(wrong), name
 
     def test_grid_mismatch_error(self):
-        with pytest.raises(FieldError):
-            C.residual_components(
-                ComponentMap.zero(2, 8, 2), Gravitino.zero(2, 16), ReducedPatch(16), make_flat(1)
-            )
+        cmap8, cmap16 = ComponentMap.zero(2, 8, 2), ComponentMap.zero(2, 16, 2)
+        with pytest.raises(FieldError, match="map is on a 8x8 grid"):
+            C.evaluate_base(make_flat(1), cmap8, ReducedPatch(16))
+        base = C.evaluate_base(make_flat(1), cmap16, ReducedPatch(16))
+        with pytest.raises(FieldError, match="gravitino is on a 8x8 grid"):
+            C.residual_components(cmap16, Gravitino.zero(2, 8), base)
 
     def test_curved_chart_needs_soulless_phi(self):
         L, M = 2, 8
@@ -440,7 +500,7 @@ class TestResiduals:
         phi[3] = 0.1  # even soul correction
         cmap = replace(ComponentMap.zero(L, M, 2), phi_periodic=phi)
         with pytest.raises(FieldError):
-            C.residual_components(cmap, Gravitino.zero(L, M), ReducedPatch(M), make_fs_cp1())
+            C.residual_components(cmap, Gravitino.zero(L, M), C.evaluate_base(make_fs_cp1(), cmap, ReducedPatch(M)))
 
     def test_fubini_study_constant_map_with_section(self):
         # position-dependent chart tensors: constant map based away from the
@@ -451,7 +511,7 @@ class TestResiduals:
         phi = gzeros(L, (2, M, M))
         phi[0] = np.array([0.3, -0.2])[:, None, None]
         cmap = replace(ComponentMap.zero(L, M, 2), phi_periodic=phi, psi=constrained_constant_psi(L, M, model, rng))
-        res = C.residual_components(cmap, Gravitino.zero(L, M), ReducedPatch(M), model)
+        res = C.residual_components(cmap, Gravitino.zero(L, M), C.evaluate_base(model, cmap, ReducedPatch(M)))
         assert res.max_norm() <= 1e-12
 
     def test_fubini_study_nonconstant_map_cauchy_riemann_block(self):
@@ -464,7 +524,7 @@ class TestResiduals:
         phi[0, 1] = 0.1 * np.cos(2 * np.pi * x2)
         cmap = replace(ComponentMap.zero(L, M, 2), phi_periodic=phi)
         patch = ReducedPatch(M)
-        res = C.residual_components(cmap, Gravitino.zero(L, M), patch, model)
+        res = C.residual_components(cmap, Gravitino.zero(L, M), C.evaluate_base(model, cmap, patch))
         J0 = standard_J(1)
         dphi = dense(C.dphi_frame(cmap, patch), L)
         expected = 0.5 * (
@@ -615,11 +675,11 @@ class TestChiralReduction:
         model = make_flat(1)
         patch = ReducedPatch(M)
         cmap = ComponentMap.zero(L, M, 2)
-        base = base_at(model, cmap, patch)
+        base = C.evaluate_base(model, cmap, patch)
         J = j_grid(model, M)
         _, _, zeta, _ = random_direction_fields(rng, L, M, 2)
         z10 = spinor_holomorphic_part(zeta)
-        lhs = C.antiholomorphic_part(C.twisted_dirac(z10, patch, *base))
+        lhs = C.antiholomorphic_part(C.twisted_dirac(z10, base))
         dz = patch.grad(dense(z10, L))
         rot = np.einsum("kl,slaexy->skaexy", IFRAME, dz)
         antihol_form = 0.5 * (dz + np.einsum("skaexy,efxy->skafxy", rot, J))
@@ -647,7 +707,7 @@ class TestGravitinoTerms:
         s = gzeros(L, (2, M, M))
         s[1] = rng.standard_normal((2, M, M))
         chi = np.einsum("kab,sbxy->skaxy", GAMMA, s)
-        res = C.residual_components(cmap, Gravitino(L=L, chi=chi), patch, model)
+        res = C.residual_components(cmap, Gravitino(L=L, chi=chi), C.evaluate_base(model, cmap, patch))
         assert res.max_norm() <= 1e-12
 
     def test_q_norm_parity_and_reality(self):
@@ -687,11 +747,11 @@ class TestWeylCovariance:
         model = make_flat(1)
         sol = replace(holomorphic_base_map(L, M, 2), psi=constrained_constant_psi(L, M, model, rng))
         grav = Gravitino.zero(L, M)
-        assert C.residual_components(sol, grav, ReducedPatch(M), model).max_norm() == 0.0
+        assert C.residual_components(sol, grav, C.evaluate_base(model, sol, ReducedPatch(M))).max_norm() == 0.0
         x1, x2 = grid_waves(M)
         u = np.exp(0.05 * np.sin(2 * np.pi * x1) + 0.03 * np.cos(2 * np.pi * x2))
         sol2, grav2 = weyl_rescale_fields(sol, grav, u)
-        res = C.residual_components(sol2, grav2, ReducedPatch(M, lam=u), model)
+        res = C.residual_components(sol2, grav2, C.evaluate_base(model, sol2, ReducedPatch(M, lam=u)))
         assert res.max_norm() <= 1e-12
 
 
@@ -714,7 +774,7 @@ class TestResidualFieldCsv:
         write_field_bundle(path, cmap, grav, patch, {"kind": "fubini-study-CP1", "n": 1})
         assert main(["--out-dir", str(tmp_path), "verify-components", str(path)]) == 1
         rows = (tmp_path / "residual_field.csv").read_text().splitlines()
-        res = C.residual_components(cmap, grav, patch, model)
+        res = C.residual_components(cmap, grav, C.evaluate_base(model, cmap, patch))
         expected = ["i,j,chirality,auxiliary,cauchy_riemann,dirac"]
         for i in range(M):
             for j in range(M):

@@ -512,6 +512,23 @@ def test_gravitino_parity_enforced():
         Gravitino(L=2, chi=chi)
 
 
+def test_field_shapes_must_match_phi():
+    # psi and F take 2n and M from phi, chi takes M from itself; a mismatch names the field
+    cm = ComponentMap.zero(2, 8, 2)
+    for psi_shape in [(2, 4, 8, 8), (2, 2, 16, 16)]:  # target dimension 4, or a 16x16 grid, on a dim-2 8x8 map
+        psi = gzeros(2, psi_shape)
+        psi[1] = 1.0
+        with pytest.raises(FieldError, match=r"psi blocks must have shape \(2, 2, 8, 8\) to match phi"):
+            replace(cm, psi=psi)
+    with pytest.raises(FieldError, match="F blocks"):
+        replace(cm, F=gzeros(2, (4, 8, 8)))
+    with pytest.raises(FieldError, match="phi blocks"):
+        replace(cm, phi_periodic=gzeros(2, (2, 8, 4)))
+    for chi_shape in [(2, 3, 8, 8), (2, 2, 8, 4), (2, 2, 8)]:
+        with pytest.raises(FieldError, match="chi blocks"):
+            Gravitino(L=2, chi=gzeros(2, chi_shape))
+
+
 def test_phi_body_combines_affine_and_periodic():
     lin = np.array([[1.0, 0.0], [0.0, 2.0]])
     cm = replace(ComponentMap.zero(2, 4, 2), phi_linear=lin)

@@ -37,12 +37,9 @@ def test_sigma_block_is_quarter(setup):
     # explicit quarter: the finite difference of the second component is sigma/4
     grav0 = Gravitino.zero(L, M)
     h = 1e-3
-    base = C.model_grids(model, cmap, patch), C.dphi_frame(cmap, patch)  # F leaves phi in place
+    base = C.evaluate_base(model, cmap, patch)  # F leaves phi in place
     plus, minus = replace(cmap, F=cmap.F + h * sigma), replace(cmap, F=cmap.F - h * sigma)
-    d = (
-        C.operator_components(plus, grav0, patch, *base)[1]
-        - C.operator_components(minus, grav0, patch, *base)[1]
-    ) / (2 * h)
+    d = (C.operator_components(plus, grav0, base)[1] - C.operator_components(minus, grav0, base)[1]) / (2 * h)
     assert max_abs(d - 0.25 * sigma) <= 1e-9
 
 
@@ -52,12 +49,12 @@ def test_rho_block_responds_only_in_dirac_slot(setup):
     h = 1e-3
     chi_plus = Gravitino(L=L, chi=h * rho)
     chi_minus = Gravitino(L=L, chi=-h * rho)
-    grids, dphi = C.model_grids(model, cmap, patch), C.dphi_frame(cmap, patch)
-    cp = C.operator_components(cmap, chi_plus, patch, grids, dphi)
-    cm = C.operator_components(cmap, chi_minus, patch, grids, dphi)
+    base = C.evaluate_base(model, cmap, patch)
+    cp = C.operator_components(cmap, chi_plus, base)
+    cm = C.operator_components(cmap, chi_minus, base)
     d4 = (cp[3] - cm[3]) / (2 * h)
     qrho = rho.map(project_q, 1)
-    expected = 2.0 * C.vee_q_pairing(qrho, dphi)
+    expected = 2.0 * C.vee_q_pairing(qrho, base.dphi)
     assert max_abs(d4 - expected) <= 1e-9
     for p, m in zip(cp[:3], cm[:3]):
         assert max_abs((p - m) / (2 * h)) <= 1e-9
