@@ -9,7 +9,7 @@ Modules:
 * :mod:`sjclab.spin`, :mod:`sjclab.patch`, :mod:`sjclab.fields`,
   :mod:`sjclab.components`, :mod:`sjclab.fierz`, :mod:`sjclab.energy` --
   the component-field calculus on the periodic patch;
-* :mod:`sjclab.indexlab` -- discretized operators with index bookkeeping;
+* :mod:`sjclab.indexlab` -- discretized operators and their kernels and cokernels;
 * :mod:`sjclab.classify`, :mod:`sjclab.suites`, :mod:`sjclab.cli` --
   classification, batch suites and the command line.
 
@@ -46,10 +46,8 @@ from .indexlab import (
     build_dbar_sphere,
     build_dirac10_sphere,
     build_dirac_torus,
-    dirac10_index,
     h_oracle,
     numeric_index,
-    riemann_roch,
 )
 
 __all__ = [
@@ -59,6 +57,6 @@ __all__ = [
     "BochnerInput", "BochnerVerdicts", "ModuliDimQuery", "ModuliDimensions",
     "bochner_classify", "moduli_dimension",
     "IndexReport", "OperatorMatrix", "build_dbar_sphere", "build_dirac10_sphere",
-    "build_dirac_torus", "dirac10_index", "h_oracle", "numeric_index", "riemann_roch",
+    "build_dirac_torus", "h_oracle", "numeric_index",
 ]
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Discretized Cauchy-Riemann and Dirac operators with exact index bookkeeping.
+"""Discretized Cauchy-Riemann and Dirac operators with exact kernels and cokernels.
 
 Sphere operators act on degree-k line bundles over the projective line,
 on the affine chart, between the spans of the level-m weighted monomials
@@ -76,7 +76,7 @@ class IndexLabError(ValueError):
     pass
 
 
-# -- dimension-count oracles ---------------------------------------------------
+# -- dimension-count oracle ----------------------------------------------------
 
 
 def h_oracle(k: int) -> tuple[int, int]:
@@ -86,16 +86,6 @@ def h_oracle(k: int) -> tuple[int, int]:
     0 <= a <= k; by Serre duality h1 counts the sections of degree -k-2.
     """
     return max(k + 1, 0), max(-k - 1, 0)
-
-
-def riemann_roch(n: int, p: int, c1A: int) -> int:
-    """Real index of a rank-n Cauchy-Riemann operator over genus p."""
-    return 2 * n * (1 - p) + 2 * c1A
-
-
-def dirac10_index(c1A: int) -> int:
-    """Real index of the holomorphic half of the twisted Dirac operator."""
-    return 2 * c1A
 
 
 # -- block storage ----------------------------------------------------------------
@@ -405,7 +395,7 @@ def torus_chiral_halves(full: OperatorMatrix) -> tuple[OperatorMatrix, OperatorM
     return d10, d01
 
 
-# -- kernel / cokernel / index reports -------------------------------------------
+# -- kernel / cokernel reports ---------------------------------------------------
 
 
 @dataclass
@@ -413,8 +403,6 @@ class IndexReport:
     tag: str
     kernel_dim: int
     cokernel_dim: int
-    numeric_index: int
-    formula_index: int | None
     threshold: float
     conclusive: bool
     is_complex_linear: bool
@@ -430,17 +418,9 @@ class IndexReport:
     def cokernel_dim_real(self) -> int:
         return 2 * self.cokernel_dim if self.is_complex_linear else self.cokernel_dim
 
-    @property
-    def numeric_index_real(self) -> int:
-        return 2 * self.numeric_index if self.is_complex_linear else self.numeric_index
-
     def as_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "singular_values"}
-        out.update(
-            kernel_dim_real=self.kernel_dim_real,
-            cokernel_dim_real=self.cokernel_dim_real,
-            numeric_index_real=self.numeric_index_real,
-        )
+        out.update(kernel_dim_real=self.kernel_dim_real, cokernel_dim_real=self.cokernel_dim_real)
         return out
 
 
@@ -451,11 +431,7 @@ def _singular_values(op: OperatorMatrix) -> np.ndarray:
     return np.concatenate([sv, np.zeros(min(op.shape) - sv.size)])
 
 
-def numeric_index(
-    op: OperatorMatrix,
-    threshold: float = 1e-8,
-    formula_index: int | None = None,
-) -> IndexReport:
+def numeric_index(op: OperatorMatrix, threshold: float = 1e-8) -> IndexReport:
     """Kernel/cokernel dimensions from singular values below a relative threshold.
 
     The report is conclusive when nothing is kept or the kept margin, the
@@ -466,14 +442,10 @@ def numeric_index(
     cut = threshold * max(sv.max(initial=0.0), 1.0)
     kept = sv[sv > cut]
     kept_margin = float(kept.min() / cut) if kept.size else None
-    kernel = ndom - kept.size
-    coker = ncod - kept.size
     return IndexReport(
         tag=op.tag,
-        kernel_dim=kernel,
-        cokernel_dim=coker,
-        numeric_index=kernel - coker,
-        formula_index=formula_index,
+        kernel_dim=ndom - kept.size,
+        cokernel_dim=ncod - kept.size,
         threshold=threshold,
         conclusive=kept_margin is None or kept_margin >= GAP_REQUIREMENT,
         is_complex_linear=op.is_complex_linear,

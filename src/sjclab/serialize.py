@@ -45,8 +45,10 @@ from .superfield import SuperField
 # a 10^7-bit mask; 64 leaves ample room above the suites.
 FLAT_MAP_MAX_L = 64
 
-# Values per np.loadtxt call of read_field_bundle (1 MiB of float64): no buffer
-# of the whole body is grown or held, only the live blocks are copied out.
+# Values per np.loadtxt call of read_field_bundle (1 MiB of float64).  The chunks
+# together hold the whole body, but no one allocation is the body's size: freeing
+# a block that large would raise glibc's mmap threshold to it, and later arrays
+# below it would stay on the heap.  Only the live blocks are copied out.
 READ_CHUNK_VALUES = 1 << 17
 
 

@@ -149,29 +149,27 @@ def test_criterion_6_index_formulas():
     t0 = time.monotonic()
     ok = True
     details = []
-    for k in range(-2, 6):
-        rep = il.numeric_index(il.build_dbar_sphere(k, abs(k) + 6))
-        expected = max(k + 1, 0)
-        if rep.kernel_dim != expected:
+    # dbar on O(k), and the holomorphic Dirac half of a degree-d map, dbar on O(2d - 1)
+    cases = [(f"O({k})", il.build_dbar_sphere(k, abs(k) + 6), k) for k in range(-2, 6)]
+    cases += [(f"degree-{d} Dirac half", il.build_dirac10_sphere(d, 8 + 2 * d), 2 * d - 1) for d in (1, 2, 3)]
+    for label, op, bundle in cases:
+        rep = il.numeric_index(op)
+        got, expected = (rep.kernel_dim, rep.cokernel_dim), il.h_oracle(bundle)
+        if got != expected or not rep.conclusive:
             ok = False
-            details.append(f"O({k}) kernel {rep.kernel_dim} != {expected}")
-    for d in (1, 2, 3):
-        rep = il.numeric_index(il.build_dirac10_sphere(d, 8 + 2 * d))
-        if rep.numeric_index_real != 4 * d:
-            ok = False
-            details.append(f"degree-{d} index {rep.numeric_index_real} != {4 * d}")
+            details.append(f"{label} kernel, cokernel {got} != {expected}")
     top = il.build_dirac_torus(1, 8)
     A = assemble(top)
     asa = float(np.abs(A + A.conj().T).max())
     trep = il.numeric_index(top)
-    if trep.numeric_index != 0 or asa > 1e-10:
+    if (trep.kernel_dim, trep.cokernel_dim) != (4, 4) or asa > 1e-10:
         ok = False
-        details.append(f"torus index {trep.numeric_index}, asa {asa:.1e}")
+        details.append(f"torus kernel, cokernel {trep.kernel_dim}, {trep.cokernel_dim}, asa {asa:.1e}")
     elapsed = time.monotonic() - t0
     report(
         6,
         ok and elapsed < 60.0,
-        f"dbar kernels, Dirac-half indices, torus checks in {elapsed:.2f}s (< 60s)"
+        f"dbar and Dirac-half kernels and cokernels, torus checks in {elapsed:.2f}s (< 60s)"
         + ("; " + "; ".join(details) if details else ""),
     )
 

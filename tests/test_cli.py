@@ -25,6 +25,32 @@ def run(args, tmp_path):
     return main(["--out-dir", str(tmp_path)] + args)
 
 
+class TestResidualCheckValues:
+    """A failing exact-zero check reports the size of what failed to vanish, not 0.0."""
+
+    def test_flat_residual_checks(self, monkeypatch):
+        monkeypatch.setattr(suites, "flat_sjc_residual", lambda ys: [SuperField.const(ys[0].L, 0.5), SuperField.zero(ys[0].L)])
+        report, _ = suites.run("flat", {"trials": 2})
+        by_name = {c["name"]: c for c in report["checks"]}
+        for name in ("constant map residual", "holomorphic coordinate map residual"):
+            assert not by_name[name]["passed"]
+            assert by_name[name]["value"] == 0.5 > by_name[name]["tol"]
+
+    def test_energy_identity_check(self, monkeypatch):
+        monkeypatch.setattr(suites, "energy_identity_residual", lambda ys: SuperField.const(ys[0].L, -0.25j))
+        report, _ = suites.run("identities", {"trials": 1, "energy_trials": 2})
+        (check,) = [c for c in report["checks"] if c["name"].startswith("pointwise energy identity")]
+        assert not check["passed"] and check["value"] == 0.25
+
+    def test_passing_checks_report_exact_zero(self):
+        flat, _ = suites.run("flat", {"trials": 2})
+        identities, _ = suites.run("identities", {"trials": 1, "energy_trials": 2})
+        names = ("constant map residual", "holomorphic coordinate map residual", "pointwise energy identity (2 random maps)")
+        checks = [c for c in flat["checks"] + identities["checks"] if c["name"] in names]
+        assert len(checks) == 3
+        assert all(c["passed"] and c["value"] == 0.0 and isinstance(c["value"], float) for c in checks)
+
+
 class TestSuitesViaCli:
     def test_flat_suite(self, tmp_path):
         assert run(["flat", "--seed", "7", "--trials", "30"], tmp_path) == 0
@@ -400,12 +426,13 @@ class TestIndexLimits:
 
     def test_kept_value_near_the_cut_is_inconclusive(self, tmp_path):
         # sigma_1 = sqrt(3/2) lies 19x above the cut 0.01 sqrt(40): no zero mode sits
-        # near it, but the kept margin is below 1e3
+        # near it, but the kept margin is below 1e3; the Dirac half, dbar on O(1) at
+        # cutoff 10, keeps a margin of 15.8
         argv = ["index", "--surface", "sphere", "--degree", "1", "--cutoff", "8", "--threshold", "0.01"]
         assert run(argv, tmp_path) == 1
         report = json.loads((tmp_path / "report.json").read_text())
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
-        assert failing == ["kernel of dbar on O(1)"]
+        assert failing == ["kernel of dbar on O(1)", "kernel of the holomorphic Dirac half, degree 1"]
         rep = report["index_report"]
         assert rep["kernel_dim"] == 2 and not rep["conclusive"]
         assert rep["kept_margin"] == pytest.approx(np.sqrt(1.5) / (0.01 * np.sqrt(40)), rel=1e-12)
@@ -415,7 +442,7 @@ class TestIndexLimits:
         assert run(argv, tmp_path) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["index_report"]["kernel_dim"] == 4
-        assert report["index_report"]["numeric_index"] == 0
+        assert report["index_report"]["cokernel_dim"] == 4
 
     @pytest.mark.parametrize("rank,cutoff", [(1, 100000), (1, 257), (2, 129)])
     def test_torus_cutoff_over_limit_exit_2(self, rank, cutoff, tmp_path, capsys, monkeypatch):
@@ -478,6 +505,55 @@ class TestIndexLimits:
         for i, row in enumerate(rows):
             index, sigma = row.split(",")
             assert int(index) == i and float(sigma) >= 0.0
+
+
+def sphere_checks(degree):
+    """Check names of a sphere ``index`` request: dbar on O(degree), then the holomorphic Dirac half of degree >= 1."""
+    labels = [f"dbar on O({degree})"] + ([f"the holomorphic Dirac half, degree {degree}"] if degree >= 1 else [])
+    return [f"{side} of {label}" for label in labels for side in ("kernel", "cokernel")]
+
+
+class TestSphereIndexChecks:
+    @pytest.mark.parametrize("degree,cutoff", [(-2, 8), (0, 8), (1, 8), (3, 8)])
+    def test_check_list(self, degree, cutoff, tmp_path):
+        argv = ["index", "--surface", "sphere", "--degree", str(degree), "--cutoff", str(cutoff)]
+        assert run(argv, tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [c["name"] for c in report["checks"]] == sphere_checks(degree)
+        assert {c["kind"] for c in report["checks"]} == {"oracle"}
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_zeroed_dirac_half_fails(self, degree, tmp_path, monkeypatch):
+        """Every block of D10 zeroed: its kernel is its whole domain and its cokernel its whole codomain."""
+        from sjclab import indexlab
+
+        build = indexlab.build_dirac10_sphere
+
+        def zeroed(d, M):
+            op = build(d, M)
+            op.stacks = [np.zeros_like(s) for s in op.stacks]
+            return op
+
+        monkeypatch.setattr(indexlab, "build_dirac10_sphere", zeroed)
+        argv = ["index", "--surface", "sphere", "--degree", str(degree), "--cutoff", "8"]
+        assert run(argv, tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        failing = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failing == sphere_checks(degree)[2:]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_dirac_half_on_the_untwisted_bundle_fails(self, degree, tmp_path, monkeypatch):
+        """D10 built as dbar on O(2d), missing the spinor twist: one holomorphic section too many."""
+        from sjclab import indexlab
+
+        monkeypatch.setattr(indexlab, "build_dirac10_sphere", lambda d, M: indexlab.build_dbar_sphere(2 * d, M))
+        argv = ["index", "--surface", "sphere", "--degree", str(degree), "--cutoff", "8"]
+        assert run(argv, tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        by_name = {c["name"]: c for c in report["checks"]}
+        failing = [name for name, c in by_name.items() if not c["passed"]]
+        assert failing == [f"kernel of the holomorphic Dirac half, degree {degree}"]
+        assert by_name[failing[0]]["value"] == 2 * degree + 1
 
 
 TORUS_CHECKS = [

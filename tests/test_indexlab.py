@@ -57,15 +57,6 @@ class TestOracles:
             h0, h1 = il.h_oracle(k)
             assert h0 - h1 == k + 1
 
-    def test_formula_values(self):
-        assert il.riemann_roch(3, 0, 0) == 6
-        assert il.riemann_roch(2, 1, 0) == 0
-        assert il.dirac10_index(2) == 4
-        # the degree-1 sphere-to-sphere holomorphic Dirac half twists the
-        # tangent pullback (c1 = 2) by the dual spinor bundle (c1 = -1)
-        assert il.riemann_roch(1, 0, 2 - 1) == il.dirac10_index(2) == 4
-        assert il.riemann_roch(1, 0, 2) == 6  # untwisted rank-1 operator
-
     def test_exact_spectrum_counts_the_box(self):
         # rank = dim domain - h0 = dim codomain - h1
         for k in range(-6, 9):
@@ -84,7 +75,6 @@ class TestSphereOperators:
         assert rep.kernel_dim == h0
         assert rep.cokernel_dim == h1
         assert rep.conclusive
-        assert rep.numeric_index_real == il.riemann_roch(1, 0, k)
 
     @pytest.mark.parametrize("k", [0, 2, 4, 9])
     def test_holomorphic_sections_are_exact_kernel_vectors(self, k):
@@ -119,15 +109,16 @@ class TestSphereOperators:
         for k in (-3, -1, 0, 2, 4):
             r1 = il.numeric_index(il.build_dbar_sphere(k, abs(k) + 4))
             r2 = il.numeric_index(il.build_dbar_sphere(k, abs(k) + 6))
-            assert r1.numeric_index == r2.numeric_index
+            assert (r1.kernel_dim, r1.cokernel_dim) == (r2.kernel_dim, r2.cokernel_dim) == il.h_oracle(k)
 
     def test_dirac10_for_low_degree_maps(self):
+        # the twisted bundle is O(2d - 1): h0 = 2d (real 4d), h1 = 0
         for d in (1, 2, 3):
             op = il.build_dirac10_sphere(d, 8 + 2 * d)
             rep = il.numeric_index(op)
-            assert rep.numeric_index_real == 4 * d
-            assert rep.kernel_dim == 2 * d
-            assert rep.cokernel_dim == 0
+            assert (rep.kernel_dim, rep.cokernel_dim) == il.h_oracle(2 * d - 1) == (2 * d, 0)
+            assert rep.kernel_dim_real == 4 * d
+            assert rep.conclusive
 
     def test_cutoff_guard(self):
         with pytest.raises(il.IndexLabError):
@@ -253,9 +244,9 @@ class TestTorusOperators:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_kernel_and_index(self, n):
-        rep = il.numeric_index(il.build_dirac_torus(n, 6), formula_index=0)
+        rep = il.numeric_index(il.build_dirac_torus(n, 6))
         assert rep.kernel_dim == 4 * n
-        assert rep.numeric_index == 0
+        assert rep.cokernel_dim == 4 * n  # anti-self-adjoint: the cokernel is the kernel
 
     def test_kernel_matches_fourier_zero_modes(self):
         # the kernel is exactly the k = 0 Fourier block
@@ -353,15 +344,18 @@ class TestReports:
     def test_real_complex_bookkeeping(self):
         rep = il.numeric_index(il.build_dbar_sphere(2, 6))
         assert rep.kernel_dim_real == 2 * rep.kernel_dim
-        assert rep.numeric_index_real == 2 * rep.numeric_index
+        assert rep.cokernel_dim_real == 2 * rep.cokernel_dim
         top = il.numeric_index(il.build_dirac_torus(1, 4))
         assert top.kernel_dim_real == top.kernel_dim  # real representation
+        assert top.cokernel_dim_real == top.cokernel_dim
 
     def test_report_dict(self):
-        rep = il.numeric_index(il.build_dbar_sphere(1, 6), formula_index=4)
+        rep = il.numeric_index(il.build_dbar_sphere(1, 6))
         d = rep.as_dict()
-        assert d["formula_index"] == 4
-        assert d["numeric_index_real"] == 4
+        assert (d["kernel_dim"], d["cokernel_dim"]) == (2, 0)
+        assert (d["kernel_dim_real"], d["cokernel_dim_real"]) == (4, 0)
+        # no rank-independent bookkeeping: the index ndom - ncod is a shape count
+        assert not any("index" in key for key in d)
         assert d["basis_orthonormality_defect"] == rep.basis_orthonormality_defect
         assert "kept_margin" in d and not any(key.startswith("gram_") for key in d)
         assert "singular_gap_ratio" not in d
@@ -434,7 +428,6 @@ class TestAgainstMonomialGramEngine:
         kernel, coker, sv = indexlab_oracle.dense_index(A, gd, gc)
         assert op.shape == A.shape
         assert (rep.kernel_dim, rep.cokernel_dim) == (kernel, coker)
-        assert rep.numeric_index == kernel - coker
         assert rep.singular_values.shape == sv.shape
         cond = indexlab_oracle.unit_diagonal_condition(gd, gc)
         tol = max(1e-12, np.finfo(float).eps * cond) * sv.max()

@@ -36,6 +36,33 @@ class TestSameOutputs:
         assert out[0].endswith(", 1 differ")
         assert out[1:] == [f"  differs in stdout: sjc {' '.join(seen[0][3])}"]
 
+    def test_changed_files_are_named(self, tmp_path, capsys, monkeypatch):
+        same_outputs = load_tool("same_outputs")
+        seen = []
+
+        def run_checkout(checkout, argvs, work):
+            seen.append(argvs)
+            files = {"report.json": "a", "singular_values.csv": "b"}
+            results = [{"exit": 0, "stdout": "", "stderr": "", "files": dict(files)} for _ in argvs]
+            if checkout != same_outputs.HERE:
+                results[0]["exit"] = 1
+                results[0]["files"]["report.json"] = "c"
+                results[2]["files"]["singular_values.csv"] = "d"
+                del results[4]["files"]["report.json"]  # written on one side only
+                results[4]["files"]["residual_field.csv"] = "e"
+            return results
+
+        monkeypatch.setattr(same_outputs, "run_checkout", run_checkout)
+        assert same_outputs.main([str(tmp_path), "--workload", "index", "--seeds", "1"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith(", 3 differ")
+        argv = [" ".join(seen[0][i]) for i in (0, 2, 4)]
+        assert out[1:] == [
+            f"  differs in exit, report.json: sjc {argv[0]}",
+            f"  differs in singular_values.csv: sjc {argv[1]}",
+            f"  differs in report.json, residual_field.csv: sjc {argv[2]}",
+        ]
+
 
 class TestBenchRecord:
     def write_series(self, path, speed):

@@ -8,7 +8,8 @@ checkout then runs every distinct request through its own
 ``sjclab.cli.main`` in a fresh interpreter (one per checkout and seed), on
 the same input paths and in the same output directory.  The exit code,
 stdout, stderr and the SHA-256 of every output file must agree.  Prints the
-counts and the first differing requests; exits 1 on any difference.
+counts and the first differing requests, each with the outputs it differs
+in (an output file by its name); exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -82,7 +83,9 @@ def run_checkout(checkout: Path, argvs: list[list[str]], work: Path) -> list[dic
 
 
 def differing_fields(a: dict, b: dict) -> list[str]:
-    return [key for key in ("exit", "stdout", "stderr", "files") if a[key] != b[key]]
+    """The streams that differ, then the output files that differ or exist on one side only, by name."""
+    files = sorted(name for name in a["files"].keys() | b["files"].keys() if a["files"].get(name) != b["files"].get(name))
+    return [key for key in ("exit", "stdout", "stderr") if a[key] != b[key]] + files
 
 
 def main(argv: list[str] | None = None) -> int:
