@@ -145,8 +145,3 @@ def moduli_dimension(q: ModuliDimQuery) -> ModuliDimensions:
         total_even=even,
         total_odd=odd + q.dimX,
     )
-
-
-def projective_target_c1A(n: int, k: int) -> int:
-    """Pairing of the first Chern class of the projective n-space with k lines."""
-    return k * (n + 1)

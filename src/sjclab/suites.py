@@ -6,8 +6,7 @@ against it before any work.  Every runner returns ``(report, csvs)``: a
 report dict with ``schema`` 1, a list of checks (each carrying its
 tolerance and the kind of evidence backing the expected value:
 ``identity`` for exact-arithmetic zeros, ``oracle`` for independently
-counted/derived values, ``formula`` for closed-form arithmetic,
-``spectral`` for singular-value assertions) and a global ``passed`` flag,
+counted/derived values, ``spectral`` for singular-value assertions) and a global ``passed`` flag,
 and the CSV files to write next to it, by name, as lists of rows.
 Reports are deterministic for a fixed seed and config.
 """
@@ -115,10 +114,6 @@ def _largest_coefficient(fields: list[SuperField]) -> float:
     return max((float(abs(c)) for f in fields for c in f.terms.values()), default=0.0)
 
 
-def _residual_vanishes(ys: list[SuperField]) -> bool:
-    return _largest_coefficient(flat_sjc_residual(ys)) == 0.0
-
-
 def random_flat_z_component(rng, L: int, holomorphic: bool) -> SuperField:
     f = _random_poly(rng, L, holomorphic)
     g = _random_odd_fn(rng, L, holomorphic)
@@ -145,15 +140,14 @@ def suite_flat(seed: int, trials: int) -> tuple[dict, dict]:
     checks.append(_exact_zero("constant map residual", _largest_coefficient(flat_sjc_residual(const))))
     hol = components_from_complex([SuperField.coordinate_z(L)])
     checks.append(_exact_zero("holomorphic coordinate map residual", _largest_coefficient(flat_sjc_residual(hol))))
-    anti = [SuperField.coordinate_x1(L), -SuperField.coordinate_x2(L)]
-    ok = not _residual_vanishes(anti)
-    checks.append(_check("antiholomorphic map fails", ok, 1.0, 0.0, "identity"))
+    anti = _largest_coefficient(flat_sjc_residual([SuperField.coordinate_x1(L), -SuperField.coordinate_x2(L)]))
+    checks.append(_check("antiholomorphic map fails", anti > 0.0, anti, 0.0, "identity"))
 
     agreements = 0
     for t in range(trials):
         holo = t % 2 == 0
         z = random_flat_z_component(rng, L, holo)
-        res_zero = _residual_vanishes(components_from_complex([z]))
+        res_zero = _largest_coefficient(flat_sjc_residual(components_from_complex([z]))) == 0.0
         via_dbar, via_expansion = holomorphy_equivalence_check([z])
         if res_zero == via_dbar == via_expansion == holo:
             agreements += 1
@@ -317,38 +311,31 @@ def suite_index(
     }
     report = _report("index", cfg, checks)
     report["index_report"] = rep.as_dict()
+    if surface == "sphere" and degree >= 1:  # the holomorphic Dirac half's report, margin included
+        report["dirac_half_index_report"] = d10.as_dict()
     return report, csvs
 
 
-_BOCHNER_TABLE = [
-    # (genus, sigma, emin, emax, expected D10, expected D01)
-    (0, 4.0, 0.0, 0.125, "bijective", "injective"),
-    (0, 4.0, 0.0, 0.5, "surjective", "injective"),
-    (0, 0.0, 0.0, 0.3, "bijective", "bijective"),
-    (1, 4.0, 0.1, 0.5, "surjective", "injective"),
-    (1, 4.0, 0.0, 0.0, "inconclusive", "inconclusive"),
-    (2, 4.0, 0.0, 0.5, "surjective", "injective"),
-    (0, -4.0, 0.0, 0.125, "injective", "bijective"),
-    (0, -4.0, 0.0, 0.5, "injective", "surjective"),
-    (1, -4.0, 0.1, 0.5, "injective", "surjective"),
-    (2, -4.0, 0.0, 0.5, "injective", "surjective"),
-    (1, 0.0, 0.0, 0.3, "inconclusive", "inconclusive"),
-    (2, 0.0, 0.0, 0.3, "inconclusive", "inconclusive"),
-]
+def _injectivity(kernel: int, cokernel: int) -> str:
+    """The Bochner verdict word for an operator with this kernel and cokernel dimension."""
+    return ("neither", "injective", "surjective", "bijective")[2 * (cokernel == 0) + (kernel == 0)]
+
+
+# (sigma, energy, half, bundle degree) of the genus-0 classifier rows whose half is built:
+# D10 along a constant map is dbar on O(-1), along a degree-2 map to CP1 dbar on O(3)
+_BOCHNER_ROWS = (
+    (4.0, 0.125, "D10", -1),
+    (4.0, 0.5, "D10", 3),
+    (4.0, 0.5, "D01", 3),
+    (0.0, 0.3, "D10", -1),
+    (0.0, 0.3, "D01", -1),
+    (-4.0, 0.125, "D01", -1),
+)
 
 
 def suite_bochner(cutoff: int, seed: int) -> tuple[dict, dict]:
     rng = np.random.default_rng(seed)
     checks = []
-    table_ok = True
-    for genus, sigma, emin, emax, exp10, exp01 in _BOCHNER_TABLE:
-        v = clf.bochner_classify(
-            clf.BochnerInput(genus=genus, sigma=sigma, energy_min=emin, energy_max=emax)
-        )
-        if (v.D10, v.D01) != (exp10, exp01):
-            table_ok = False
-    checks.append(_check("constant-curvature case table", table_ok, None, None, "oracle"))
-
     swap_ok = True
     for _ in range(25):
         genus = int(rng.integers(0, 3))
@@ -396,52 +383,65 @@ def suite_bochner(cutoff: int, seed: int) -> tuple[dict, dict]:
             "spectral",
         )
     )
+    # D01 = -D10^H swaps kernel and cokernel: (kernel, cokernel, conclusive) of each built half
+    halves = {
+        ("D01", -1): (gap_sphere.kernel_dim, gap_sphere.cokernel_dim, gap_sphere.conclusive),
+        ("D10", -1): (gap_sphere.cokernel_dim, gap_sphere.kernel_dim, gap_sphere.conclusive),
+        ("D10", 3): (neg.kernel_dim, neg.cokernel_dim, neg.conclusive),
+        ("D01", 3): (neg.cokernel_dim, neg.kernel_dim, neg.conclusive),
+    }
+    for sigma, energy, half, bundle in _BOCHNER_ROWS:
+        kernel, cokernel, conclusive = halves[half, bundle]
+        word = _injectivity(kernel, cokernel)
+        verdict = getattr(clf.bochner_classify(clf.BochnerInput(0, sigma, 0.0, energy)), half)
+        name = f"{half} verdict at genus 0, sigma {sigma:g}, energy {energy:g}: "
+        name += f"kernel and cokernel of {half} on O({bundle})"
+        checks.append(_check(name, word == verdict and conclusive, word, None, "oracle"))
     csvs = {"singular_values.csv": _sigma_rows(gap_sphere.singular_values)}
     return _report("bochner", {"cutoff": cutoff, "seed": seed}, checks), csvs
 
 
+def _splitting(n: int, c: int) -> tuple[tuple[int, int], ...]:
+    """The balanced splitting of a rank-n bundle of degree c over the sphere, as (degree, multiplicity).
+
+    ceil(c/n) c mod n times and floor(c/n) for the rest: O(0)^n at c = 0,
+    O(2) + O(1)^(n-1) for lines in CP^n (c = n + 1) and O(c) at n = 1.
+    """
+    q, r = divmod(c, n)
+    return tuple((k, m) for k, m in ((q + 1, r), (q, n - r)) if m)
+
+
 def suite_moduli(n: int, genus: int, c1a: int, dimx: int) -> tuple[dict, dict]:
+    # At genus 0, u*TN splits as a sum of the O(a_i): D_phi is dbar on that sum and
+    # the holomorphic Dirac half dbar on the sum of the O(a_i - 1).
+    classes = sorted({0, n + 1, c1a} if genus == 0 else {0, n + 1})
+    sums = {
+        (c, parity): tuple((k - shift, m) for k, m in _splitting(n, c))
+        for c in classes
+        for parity, shift in (("even", 0), ("odd", 1))
+    }
+    degrees = sorted({k for summands in sums.values() for k, _ in summands}, key=abs)
+    if abs(degrees[-1]) + 2 > il.SPHERE_CUTOFF_LIMIT:
+        raise ValueError(
+            f"--c1a {c1a} with --n {n} splits into O({degrees[-1]}), whose sphere cutoff "
+            f"|degree| + 2 = {abs(degrees[-1]) + 2} is above the limit of {il.SPHERE_CUTOFF_LIMIT}"
+        )
+    reports = {k: il.numeric_index(il.build_dbar_sphere(k, abs(k) + 2)) for k in degrees}
     checks = []
-    dims = clf.moduli_dimension(clf.ModuliDimQuery(n=n, genus=genus, c1A=c1a, dimX=dimx))
-    checks.append(
-        _check(
-            "requested dimensions",
-            True,
-            dims.as_dict()["total"],
-            None,
-            "formula",
+    for (c, parity), summands in sums.items():
+        dims = clf.moduli_dimension(clf.ModuliDimQuery(n=n, genus=0, c1A=c))
+        want = dims.relative_even if parity == "even" else dims.relative_odd
+        index = sum(m * (reports[k].kernel_dim_real - reports[k].cokernel_dim_real) for k, m in summands)
+        exact = all(
+            (reports[k].kernel_dim, reports[k].cokernel_dim) == il.h_oracle(k) and reports[k].conclusive
+            for k, _ in summands
         )
-    )
-    flat = clf.moduli_dimension(clf.ModuliDimQuery(n=n, genus=0, c1A=0, dimX=0))
-    checks.append(
-        _check(
-            "trivial-class genus-zero dimension 2n|0",
-            (flat.relative_even, flat.relative_odd) == (2 * n, 0),
-            flat.as_dict()["relative"],
-            None,
-            "formula",
-        )
-    )
-    proj_ok = True
-    for k in range(0, 4):
-        c1 = clf.projective_target_c1A(n, k)
-        d = clf.moduli_dimension(clf.ModuliDimQuery(n=n, genus=0, c1A=c1, dimX=0))
-        if (d.relative_even, d.relative_odd) != (2 * n + 2 * k * (n + 1), 2 * k * (n + 1)):
-            proj_ok = False
-    checks.append(
-        _check("projective-target dimension formula", proj_ok, None, None, "formula")
-    )
-    euler_ok = True
-    for nn in range(1, 4):
-        for p in range(0, 3):
-            for c1 in range(-3, 4):
-                d = clf.moduli_dimension(clf.ModuliDimQuery(n=nn, genus=p, c1A=c1, dimX=0))
-                if d.relative_even - d.relative_odd != 2 * nn * (1 - p):
-                    euler_ok = False
-    checks.append(
-        _check("even-minus-odd equals 2n(1-p)", euler_ok, None, None, "identity")
-    )
-    return _report("moduli", {"n": n, "genus": genus, "c1a": c1a, "dimx": dimx}, checks), {}
+        bundle = " + ".join(f"O({k})" if m == 1 else f"O({k})^{m}" for k, m in summands)
+        name = f"{parity} dimension at genus 0, c1A = {c}: index of dbar on {bundle}"
+        checks.append(_check(name, exact and index == want, index, 0, "oracle"))
+    report = _report("moduli", {"n": n, "genus": genus, "c1a": c1a, "dimx": dimx}, checks)
+    report["dimensions"] = clf.moduli_dimension(clf.ModuliDimQuery(n, genus, c1a, dimx)).as_dict()
+    return report, {}
 
 
 def holomorphic_base_map(L: int, M: int, dim: int, slope: complex = 1.0 + 0.5j) -> ComponentMap:
@@ -514,13 +514,13 @@ def suite_verify_flat(path: str) -> tuple[dict, dict]:
     from .serialize import read_flat_map
 
     L, comps = read_flat_map(path)
-    res_zero = _residual_vanishes(components_from_complex(comps))
+    residual = _largest_coefficient(flat_sjc_residual(components_from_complex(comps)))
     via_dbar, via_expansion = holomorphy_equivalence_check(comps)
     checks = [
-        _check("first-order residual vanishes", res_zero, None, 0.0, "identity"),
+        _exact_zero("first-order residual vanishes", residual),
         _check(
             "residual agrees with the holomorphy criterion",
-            res_zero == via_dbar,
+            (residual == 0.0) == via_dbar,
             None,
             0.0,
             "identity",

@@ -7,7 +7,6 @@ from sjclab.classify import (
     bochner_classify,
     moduli_dimension,
     normalized_scalar,
-    projective_target_c1A,
 )
 
 
@@ -85,8 +84,7 @@ class TestModuliDimension:
     def test_projective_targets(self):
         for n in (1, 2, 3):
             for k in (0, 1, 2):
-                c1 = projective_target_c1A(n, k)
-                assert c1 == k * (n + 1)
+                c1 = k * (n + 1)  # c1 of CP^n on k lines
                 d = moduli_dimension(ModuliDimQuery(n=n, genus=0, c1A=c1, dimX=0))
                 assert d.relative_even == 2 * n + 2 * k * (n + 1)
                 assert d.relative_odd == 2 * k * (n + 1)

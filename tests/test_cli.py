@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import inspect
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -42,6 +44,15 @@ class TestResidualCheckValues:
         (check,) = [c for c in report["checks"] if c["name"].startswith("pointwise energy identity")]
         assert not check["passed"] and check["value"] == 0.25
 
+    def test_antiholomorphic_map_reports_its_residual(self, monkeypatch):
+        report, _ = suites.run("flat", {"trials": 2})
+        (check,) = [c for c in report["checks"] if c["name"] == "antiholomorphic map fails"]
+        assert check["passed"] and check["value"] > 0.0
+        monkeypatch.setattr(suites, "flat_sjc_residual", lambda ys: [SuperField.zero(ys[0].L)])
+        report, _ = suites.run("flat", {"trials": 2})
+        (check,) = [c for c in report["checks"] if c["name"] == "antiholomorphic map fails"]
+        assert not check["passed"] and check["value"] == 0.0
+
     def test_passing_checks_report_exact_zero(self):
         flat, _ = suites.run("flat", {"trials": 2})
         identities, _ = suites.run("identities", {"trials": 1, "energy_trials": 2})
@@ -74,8 +85,7 @@ class TestSuitesViaCli:
     def test_moduli_suite(self, tmp_path):
         assert run(["moduli", "--n", "2", "--genus", "0", "--c1a", "3"], tmp_path) == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        first = report["checks"][0]
-        assert first["value"] == "10|6"
+        assert report["dimensions"]["total"] == "10|6"
 
     def test_linearize_suite(self, tmp_path):
         assert run(["linearize", "--grid", "16", "--model", "flat"], tmp_path) == 0
@@ -264,6 +274,17 @@ class TestVerifyFlat:
         assert by_name["residual agrees with the holomorphy criterion"]["passed"]
         assert by_name["Dbar route agrees with the theta expansion"]["passed"]
 
+    @pytest.mark.parametrize("literal,passes", [("1.0 * x1 + (0+1j) * x2", True), ("1.0 * x1 + (0+1.5j) * x2", False)])
+    def test_residual_check_reports_the_largest_coefficient(self, literal, passes, tmp_path):
+        # z passes with an exact 0.0; x1 + 1.5i x2 = (5/4) z - (1/4) zbar leaves a residual
+        path = tmp_path / "map.json"
+        write_flat_map(path, 2, [SuperField.from_text(2, literal)])
+        assert run(["verify-flat", str(path)], tmp_path) == (0 if passes else 1)
+        checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+        (check,) = [c for c in checks if c["name"] == "first-order residual vanishes"]
+        assert check["passed"] == passes and isinstance(check["value"], float)
+        assert (check["value"] == 0.0) if passes else (check["value"] > 0.0)
+
     def test_route_disagreement_fails_a_check(self, tmp_path, monkeypatch):
         # D4 with the sign of its e4 part flipped: Dbar no longer kills the holomorphic sample
         from sjclab import superfield
@@ -436,6 +457,18 @@ class TestIndexLimits:
         rep = report["index_report"]
         assert rep["kernel_dim"] == 2 and not rep["conclusive"]
         assert rep["kept_margin"] == pytest.approx(np.sqrt(1.5) / (0.01 * np.sqrt(40)), rel=1e-12)
+        half = report["dirac_half_index_report"]
+        assert half["tag"] == "D10 degree-1 sphere map" and half["kernel_dim"] == 2 and not half["conclusive"]
+        assert half["kept_margin"] == pytest.approx(np.sqrt(1.5) / (0.01 * np.sqrt(60)), rel=1e-12)  # 15.8
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--degree", "0", "--cutoff", "8"], ["--degree", "-2", "--cutoff", "8"], ["--surface", "torus", "--cutoff", "6"]],
+        ids=["degree 0", "degree -2", "torus"],
+    )
+    def test_no_dirac_half_report_without_a_dirac_half(self, argv, tmp_path):
+        assert run(["index", *argv], tmp_path) == 0
+        assert "dirac_half_index_report" not in json.loads((tmp_path / "report.json").read_text())
 
     def test_torus_cutoff_64(self, tmp_path):
         argv = ["index", "--surface", "torus", "--target-rank", "1", "--cutoff", "64"]
@@ -554,6 +587,112 @@ class TestSphereIndexChecks:
         failing = [name for name, c in by_name.items() if not c["passed"]]
         assert failing == [f"kernel of the holomorphic Dirac half, degree {degree}"]
         assert by_name[failing[0]]["value"] == 2 * degree + 1
+
+
+def moduli_checks(n, classes):
+    """Check names of a ``moduli`` request at target dimension n, for its classes as c1A: (even, odd) summands."""
+    return [
+        f"{parity} dimension at genus 0, c1A = {c}: index of dbar on {bundle}"
+        for c, sums in classes.items()
+        for parity, bundle in zip(("even", "odd"), sums)
+    ]
+
+
+class TestModuliChecks:
+    def test_check_list(self, tmp_path):
+        assert run(["moduli", "--n", "2", "--c1a", "5"], tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        classes = {0: ("O(0)^2", "O(-1)^2"), 3: ("O(2) + O(1)", "O(1) + O(0)"), 5: ("O(3) + O(2)", "O(2) + O(1)")}
+        assert [c["name"] for c in report["checks"]] == moduli_checks(2, classes)
+        assert [c["value"] for c in report["checks"]] == [4, 0, 10, 6, 14, 10]
+        assert {c["kind"] for c in report["checks"]} == {"oracle"}
+        assert report["dimensions"]["relative"] == "14|10"
+
+    def test_odd_dimension_equal_to_c1a_fails(self, tmp_path, monkeypatch):
+        from sjclab import classify
+
+        formula = classify.moduli_dimension
+
+        def odd_is_c1a(q):
+            return dataclasses.replace(formula(q), relative_odd=q.c1A, total_odd=q.c1A + q.dimX)
+
+        monkeypatch.setattr(classify, "moduli_dimension", odd_is_c1a)
+        assert run(["moduli", "--n", "2", "--c1a", "3"], tmp_path) == 1
+        failing = [c for c in json.loads((tmp_path / "report.json").read_text())["checks"] if not c["passed"]]
+        assert [(c["name"], c["kind"], c["value"]) for c in failing] == [
+            ("odd dimension at genus 0, c1A = 3: index of dbar on O(1) + O(0)", "oracle", 6)
+        ]
+
+    def test_large_n_is_cheap(self, tmp_path):
+        # the splitting is stored as (degree, multiplicity) pairs: four dbar builds whatever n is
+        start = time.perf_counter()
+        assert run(["moduli", "--n", "1000000000", "--c1a", "0"], tmp_path) == 0
+        assert time.perf_counter() - start < 1.0
+        report = json.loads((tmp_path / "report.json").read_text())
+        classes = {
+            0: ("O(0)^1000000000", "O(-1)^1000000000"),
+            1000000001: ("O(2) + O(1)^999999999", "O(1) + O(0)^999999999"),
+        }
+        assert [c["name"] for c in report["checks"]] == moduli_checks(10**9, classes)
+        assert [c["value"] for c in report["checks"]] == [2 * 10**9, 0, 4 * 10**9 + 2, 2 * 10**9 + 2]
+
+    @pytest.mark.parametrize("n,c1a", [("1", "400"), ("1", "-198"), ("2", "400")])
+    def test_degree_over_the_sphere_limit_exit_2(self, n, c1a, tmp_path, capsys, monkeypatch):
+        from sjclab import indexlab
+
+        monkeypatch.setattr(indexlab, "build_dbar_sphere", lambda k, M: pytest.fail("built before the limit check"))
+        assert run(["moduli", "--n", n, "--c1a", c1a], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"--c1a {c1a} with --n {n}" in err and "above the limit of 200" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_higher_genus_checks_genus_zero_classes(self, tmp_path):
+        assert run(["moduli", "--n", "3", "--genus", "1", "--c1a", "5", "--dimx", "2"], tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        classes = {0: ("O(0)^3", "O(-1)^3"), 4: ("O(2) + O(1)^2", "O(1) + O(0)^2")}
+        assert [c["name"] for c in report["checks"]] == moduli_checks(3, classes)
+        assert report["dimensions"] == {
+            "relative_even": 10, "relative_odd": 10, "total_even": 10, "total_odd": 12,
+            "relative": "10|10", "total": "10|12",
+        }
+
+
+BOCHNER_VERDICTS = [
+    ("D10 verdict at genus 0, sigma 4, energy 0.125: kernel and cokernel of D10 on O(-1)", "bijective"),
+    ("D10 verdict at genus 0, sigma 4, energy 0.5: kernel and cokernel of D10 on O(3)", "surjective"),
+    ("D01 verdict at genus 0, sigma 4, energy 0.5: kernel and cokernel of D01 on O(3)", "injective"),
+    ("D10 verdict at genus 0, sigma 0, energy 0.3: kernel and cokernel of D10 on O(-1)", "bijective"),
+    ("D01 verdict at genus 0, sigma 0, energy 0.3: kernel and cokernel of D01 on O(-1)", "bijective"),
+    ("D01 verdict at genus 0, sigma -4, energy 0.125: kernel and cokernel of D01 on O(-1)", "bijective"),
+]
+
+
+class TestBochnerChecks:
+    @pytest.mark.parametrize("cutoff", [5, 12])
+    def test_verdicts_from_kernels(self, cutoff, tmp_path):
+        assert run(["bochner", "--cutoff", str(cutoff)], tmp_path) == 0
+        checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+        verdicts = [(c["name"], c["value"]) for c in checks if c["kind"] == "oracle" and "verdict" in c["name"]]
+        assert verdicts == BOCHNER_VERDICTS
+
+    def test_missing_sign_swap_fails(self, tmp_path, monkeypatch):
+        from sjclab import classify
+
+        monkeypatch.setattr(classify, "bochner_classify", lambda inp: classify._classify_nonneg_sigma(inp, abs(inp.sigma)))
+        assert run(["bochner"], tmp_path) == 1
+        failing = [c for c in json.loads((tmp_path / "report.json").read_text())["checks"] if not c["passed"]]
+        assert (BOCHNER_VERDICTS[-1][0], "oracle") in [(c["name"], c["kind"]) for c in failing]
+
+    def test_injectivity_words(self):
+        assert [suites._injectivity(k, c) for k, c in ((0, 0), (0, 2), (3, 0), (1, 1))] == [
+            "bijective", "injective", "surjective", "neither",
+        ]
+
+
+def test_no_check_passes_a_literal_true():
+    tree = ast.parse(Path(suites.__file__).read_text())
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_check"]
+    assert calls and not [n.lineno for n in calls if isinstance(n.args[1], ast.Constant)]
 
 
 TORUS_CHECKS = [
