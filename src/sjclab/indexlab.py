@@ -35,9 +35,14 @@ and its singular values are those of its blocks:
   block -2 pi i (k1 gamma^1 + k2 gamma^2) (x) I per mode; the chiral
   halves split mode by mode too.
 
-Blocks of one shape are stacked on a leading axis and go through LAPACK in
-one SVD call.  For a block-diagonal matrix the union of the block spectra
-is the global spectrum, so kernel and cokernel are the global ones.  No
+Blocks of one shape are stacked on a leading axis.  In the Jacobi bases
+every sphere block is a single diagonal, at offset cols - rows, up to
+roundoff: the build records the largest Frobenius norm of a block's part off
+that diagonal, and the singular values are read off the diagonal, each
+within that norm of a true one by Weyl's inequality.  Torus blocks of one
+shape go through LAPACK in one SVD call.  For a block-diagonal matrix the
+union of the block spectra is the global spectrum, so kernel and cokernel
+are the global ones.  No
 dense global matrix is assembled, and no block records where its
 coordinates sit in the global bases: the verdicts read only spectra and
 block shapes.
@@ -46,6 +51,7 @@ block shapes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +82,7 @@ class IndexLabError(ValueError):
     pass
 
 
-# -- dimension-count oracle ----------------------------------------------------
+# -- closed-form oracles -------------------------------------------------------
 
 
 def h_oracle(k: int) -> tuple[int, int]:
@@ -86,6 +92,17 @@ def h_oracle(k: int) -> tuple[int, int]:
     0 <= a <= k; by Serre duality h1 counts the sections of degree -k-2.
     """
     return max(k + 1, 0), max(-k - 1, 0)
+
+
+def sphere_spectrum(k: int, M: int) -> np.ndarray:
+    """Nonzero singular values of dbar on O(k) at cutoff M, descending, in closed form.
+
+    sigma_l = sqrt(l (l + k + 1) / 2) with multiplicity k + 2l + 1, for
+    l = max(1, -k)..M: the levels of the round Laplacian on the bundle that
+    the level-M box resolves.
+    """
+    levels = np.arange(M, max(1, -k) - 1, -1)
+    return np.repeat(np.sqrt(levels * (levels + k + 1) / 2), k + 2 * levels + 1)
 
 
 # -- block storage ----------------------------------------------------------------
@@ -104,13 +121,17 @@ class OperatorMatrix:
     blocks run down the diagonal in stack order.  ``shape`` is (codomain
     dimension, domain dimension).  ``orthonormality_defect`` is the largest
     entry of |Gram - I| of its bases, as far as they are computed (0.0 for
-    bases that are orthonormal by construction).
+    bases that are orthonormal by construction).  ``offdiagonal_norm`` is set
+    for an operator whose blocks are each a single diagonal at offset
+    cols - rows up to roundoff: the largest Frobenius norm of a block's part
+    off that diagonal.  It is None for any other operator.
     """
 
     stacks: list[np.ndarray]
     tag: str
     is_complex_linear: bool
     orthonormality_defect: float = 0.0
+    offdiagonal_norm: float | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -133,17 +154,22 @@ def adjoint_deviation(op: OperatorMatrix, other: OperatorMatrix) -> float:
 # -- sphere operators -------------------------------------------------------------
 
 
+@functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1] (Golub and Welsch 1969).
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1] (Golub and Welsch 1969), read-only.
 
     The nodes are the eigenvalues of the Jacobi matrix of the Legendre
     recurrence on [0, 1], the weights the squared first components of its
-    eigenvectors (the weight's mass is 1).
+    eigenvectors (the weight's mass is 1).  Cached per node count, so every
+    caller shares the two arrays.
     """
     j = np.arange(1.0, n)
     nodes, vectors = np.linalg.eigh(np.diag(np.full(n, 0.5)) + np.diag(j / (2 * np.sqrt(4 * j * j - 1)), -1))
     # mirrored pairs averaged: the rule is symmetric about 1/2, so t reversed stands for 1 - t
-    return (nodes + 1 - nodes[::-1]) / 2, (vectors[0] ** 2 + vectors[0, ::-1] ** 2) / 2
+    rule = (nodes + 1 - nodes[::-1]) / 2, (vectors[0] ** 2 + vectors[0, ::-1] ** 2) / 2
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _jacobi_recurrence(alpha: np.ndarray, beta: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +249,18 @@ def _sector_blocks(k: int, M: int, q, b0, top, nb, nd, nodes: tuple) -> tuple[np
     return vt @ image.swapaxes(1, 2), np.abs(gram).max(axis=(1, 2))[source].reshape(2, q.size)
 
 
+def _offdiagonal_norm(padded: np.ndarray, nb: np.ndarray, nd: np.ndarray) -> float:
+    """Largest Frobenius norm of a block's part off its diagonal at offset nb - nd, over a padded batch.
+
+    Block s is padded[s, :nd[s], :nb[s]]; the padding is left out.  The
+    diagonal is zeroed in a copy: the squared norm less the squared diagonal
+    would cancel catastrophically.
+    """
+    i, j = np.arange(padded.shape[1])[:, None], np.arange(padded.shape[2])
+    off = (i < nd[:, None, None]) & (j < nb[:, None, None]) & (j - i != (nb - nd)[:, None, None])
+    return float(np.linalg.norm(np.where(off, padded, 0.0), axis=(1, 2)).max())
+
+
 def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
     """Matrix of dbar on the degree-k bundle at level cutoff M, in orthonormal sector bases.
 
@@ -248,6 +286,12 @@ def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
     q = k + j share a shape), sectors by ascending charge within a stack.
     The sectors are built in batches of at most SPHERE_BATCH_VALUES basis
     values (or one sector), each batch padded to its largest block.
+
+    The image of p_j holds p_j and p_{j-1} only, and the codomain basis is
+    the domain's shifted by one exponent, so every block is a single
+    diagonal at offset cols - rows up to roundoff.  The largest Frobenius
+    norm of a block's part off it, measured on each batch before it is
+    scattered into the stacks, is the operator's ``offdiagonal_norm``.
     """
     if M > SPHERE_CUTOFF_LIMIT:
         raise IndexLabError(f"sphere cutoff {M} is above the limit of {SPHERE_CUTOFF_LIMIT}; lower the cutoff")
@@ -266,12 +310,13 @@ def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
     bounds = [0, *(np.flatnonzero(np.diff(nb * (M + 2) + nd)) + 1).tolist(), q.size]
     stacks = [np.empty((stop - start, nd[start], nb[start])) for start, stop in zip(bounds[:-1], bounds[1:])]
     stack_of = np.repeat(np.arange(len(stacks)), np.diff(bounds))
-    defects, first = [], 0
+    defects, first, offdiagonal = [], 0, 0.0
     while first < q.size:
         end = min(q.size, first + max(1, SPHERE_BATCH_VALUES // (2 * int(nb[first]) * t.size)))
         cut = slice(first, end)
         padded, err = _sector_blocks(k, M, q[cut], b0[cut], top[cut], nb[cut], nd[cut], nodes)
         defects.append(err)
+        offdiagonal = max(offdiagonal, _offdiagonal_norm(padded, nb[cut], nd[cut]))
         for g in range(stack_of[first], stack_of[end - 1] + 1):
             lo, hi = max(bounds[g], first), min(bounds[g + 1], end)
             _, rows, cols = stacks[g].shape
@@ -285,7 +330,11 @@ def build_dbar_sphere(k: int, M: int) -> OperatorMatrix:
             f"Gram defect {err[side, i]:.3g} exceeds {ORTHONORMALITY_LIMIT:.0e}"
         )
     return OperatorMatrix(
-        tag=f"dbar O({k})", is_complex_linear=True, stacks=stacks, orthonormality_defect=float(err[side, i])
+        tag=f"dbar O({k})",
+        is_complex_linear=True,
+        stacks=stacks,
+        orthonormality_defect=float(err[side, i]),
+        offdiagonal_norm=offdiagonal,
     )
 
 
@@ -301,14 +350,13 @@ def build_dirac10_sphere(target_degree_d: int, M: int) -> OperatorMatrix:
 
 
 def build_dirac01_sphere(k: int, M: int) -> OperatorMatrix:
-    """Antiholomorphic Dirac half: minus the adjoint of the dbar matrix, -W^T per block."""
+    """Antiholomorphic Dirac half: minus the adjoint of the dbar matrix, -W^T per block.
+
+    The diagonal at offset cols - rows of -W^T is that of W, so the
+    off-diagonal norm is dbar's.
+    """
     op = build_dbar_sphere(k, M)
-    return OperatorMatrix(
-        tag=f"D01 O({k})",
-        is_complex_linear=True,
-        stacks=[-_herm(s) for s in op.stacks],
-        orthonormality_defect=op.orthonormality_defect,
-    )
+    return dataclasses.replace(op, tag=f"D01 O({k})", stacks=[-_herm(s) for s in op.stacks])
 
 
 # -- torus operators -------------------------------------------------------------
@@ -409,6 +457,7 @@ class IndexReport:
     singular_values: np.ndarray
     basis_orthonormality_defect: float
     kept_margin: float | None  # smallest kept singular value / cut
+    offdiagonal_norm: float | None  # bound on |read - true| singular value; None after SVD
 
     @property
     def kernel_dim_real(self) -> int:
@@ -425,9 +474,20 @@ class IndexReport:
 
 
 def _singular_values(op: OperatorMatrix) -> np.ndarray:
-    """Singular values of all blocks, descending, zero-padded to min(shape): one SVD per block shape."""
-    pieces = [np.zeros(0)] + [np.linalg.svd(s, compute_uv=False).ravel() for s in op.stacks if s.size]
-    sv = np.sort(np.concatenate(pieces))[::-1]
+    """Singular values of all blocks, descending, zero-padded to min(shape).
+
+    An operator with an ``offdiagonal_norm`` epsilon has them read off its
+    block diagonals: a block is its diagonal D plus a part E with
+    ||E||_2 <= ||E||_F <= epsilon, D's singular values are |diagonal|, and
+    |sigma_i(D + E) - sigma_i(D)| <= ||E||_2 (Weyl's inequality, Golub and
+    Van Loan, Matrix Computations, Cor. 8.6.2).  Any other operator takes
+    one LAPACK SVD per block shape.
+    """
+    if op.offdiagonal_norm is None:
+        pieces = [np.linalg.svd(s, compute_uv=False).ravel() for s in op.stacks if s.size]
+    else:
+        pieces = [np.abs(np.diagonal(s, s.shape[2] - s.shape[1], 1, 2)).ravel() for s in op.stacks]
+    sv = np.sort(np.concatenate([np.zeros(0), *pieces]))[::-1]
     return np.concatenate([sv, np.zeros(min(op.shape) - sv.size)])
 
 
@@ -435,21 +495,28 @@ def numeric_index(op: OperatorMatrix, threshold: float = 1e-8) -> IndexReport:
     """Kernel/cokernel dimensions from singular values below a relative threshold.
 
     The report is conclusive when nothing is kept or the kept margin, the
-    smallest kept singular value over the cut, reaches GAP_REQUIREMENT.
+    smallest kept singular value over the cut, reaches GAP_REQUIREMENT, and,
+    for singular values read off the block diagonals, the off-diagonal norm
+    is at most the cut.  Each true singular value then lies within the cut
+    of a read one: the kept ones stay at or above (GAP_REQUIREMENT - 1) cut,
+    the dropped ones at or below 2 cut, so the kernel count is certified.
     """
     sv = _singular_values(op)
     ncod, ndom = op.shape
     cut = threshold * max(sv.max(initial=0.0), 1.0)
     kept = sv[sv > cut]
     kept_margin = float(kept.min() / cut) if kept.size else None
+    offdiagonal = op.offdiagonal_norm
     return IndexReport(
         tag=op.tag,
         kernel_dim=ndom - kept.size,
         cokernel_dim=ncod - kept.size,
         threshold=threshold,
-        conclusive=kept_margin is None or kept_margin >= GAP_REQUIREMENT,
+        conclusive=(kept_margin is None or kept_margin >= GAP_REQUIREMENT)
+        and bool(offdiagonal is None or offdiagonal <= cut),
         is_complex_linear=op.is_complex_linear,
         singular_values=sv,
         basis_orthonormality_defect=op.orthonormality_defect,
         kept_margin=kept_margin,
+        offdiagonal_norm=offdiagonal,
     )

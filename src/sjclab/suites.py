@@ -232,6 +232,12 @@ def _sigma_rows(sv: np.ndarray) -> list[str]:
     return ["index,sigma"] + [f"{i},{text}" for i, text in enumerate(_reprs(sv).tolist())]
 
 
+def _spectrum_deviation(sv: np.ndarray, exact: np.ndarray) -> float:
+    """max |sigma - sigma_exact| / max sigma_exact, both descending spectra zero-padded to a common length."""
+    n = max(sv.size, exact.size)
+    return float(np.abs(np.pad(sv, (0, n - sv.size)) - np.pad(exact, (0, n - exact.size))).max() / exact[0])
+
+
 def suite_index(
     surface: str, degree: int, cutoff: int, target_rank: int, threshold: float
 ) -> tuple[dict, dict]:
@@ -250,18 +256,20 @@ def suite_index(
                 f"(cutoff + 2 max(degree, 0)), which is above the limit of {il.SPHERE_CUTOFF_LIMIT}"
             )
         rep = il.numeric_index(il.build_dbar_sphere(degree, cutoff), threshold=threshold)
-        # (label, report, degree of the line bundle it is dbar on): the holomorphic
-        # Dirac half of a degree-d map is dbar on O(2d - 1)
-        entries = [(f"dbar on O({degree})", rep, degree)]
+        # (label, report, degree of the line bundle it is dbar on, cutoff): the
+        # holomorphic Dirac half of a degree-d map is dbar on O(2d - 1)
+        entries = [(f"dbar on O({degree})", rep, degree, cutoff)]
         if degree >= 1:
             d10 = il.numeric_index(il.build_dirac10_sphere(degree, basis_cutoff), threshold=threshold)
-            entries.append((f"the holomorphic Dirac half, degree {degree}", d10, 2 * degree - 1))
-        for label, r, bundle in entries:
+            entries.append((f"the holomorphic Dirac half, degree {degree}", d10, 2 * degree - 1, basis_cutoff))
+        for label, r, bundle, M in entries:
             h0, h1 = il.h_oracle(bundle)
             checks.append(
                 _check(f"kernel of {label}", r.kernel_dim == h0 and r.conclusive, r.kernel_dim, threshold, "oracle")
             )
             checks.append(_check(f"cokernel of {label}", r.cokernel_dim == h1, r.cokernel_dim, threshold, "oracle"))
+            dev = _spectrum_deviation(r.singular_values, il.sphere_spectrum(bundle, M))
+            checks.append(_check(f"spectrum of {label}", dev <= 1e-12, dev, 1e-12, "oracle"))
     else:
         if cutoff < il.TORUS_CUTOFF_MIN:
             raise ValueError(f"--cutoff must be >= {il.TORUS_CUTOFF_MIN} on the torus, got {cutoff}")

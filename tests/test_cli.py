@@ -543,7 +543,7 @@ class TestIndexLimits:
 def sphere_checks(degree):
     """Check names of a sphere ``index`` request: dbar on O(degree), then the holomorphic Dirac half of degree >= 1."""
     labels = [f"dbar on O({degree})"] + ([f"the holomorphic Dirac half, degree {degree}"] if degree >= 1 else [])
-    return [f"{side} of {label}" for label in labels for side in ("kernel", "cokernel")]
+    return [f"{side} of {label}" for label in labels for side in ("kernel", "cokernel", "spectrum")]
 
 
 class TestSphereIndexChecks:
@@ -572,11 +572,31 @@ class TestSphereIndexChecks:
         assert run(argv, tmp_path) == 1
         report = json.loads((tmp_path / "report.json").read_text())
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
-        assert failing == sphere_checks(degree)[2:]
+        assert failing == sphere_checks(degree)[3:]
+
+    def test_offdiagonal_entry_above_the_cut_fails_the_kernel(self, tmp_path, monkeypatch):
+        """One entry off a block's diagonal at twice the rank cut: the diagonal read no longer certifies the kernel."""
+        from sjclab import indexlab
+
+        blocks = indexlab._sector_blocks
+        cut = 1e-8 * indexlab.sphere_spectrum(0, 8)[0]
+
+        def injected(k, M, q, b0, top, nb, nd, nodes):
+            padded, err = blocks(k, M, q, b0, top, nb, nd, nodes)
+            padded[0, nd[0] - 1, 0] += 2 * cut
+            return padded, err
+
+        monkeypatch.setattr(indexlab, "_sector_blocks", injected)
+        assert run(["index", "--surface", "sphere", "--degree", "0", "--cutoff", "8"], tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["kernel of dbar on O(0)"]
+        rep = report["index_report"]
+        assert rep["kernel_dim"] == 1 and rep["kept_margin"] > 1e7
+        assert not rep["conclusive"] and rep["offdiagonal_norm"] == pytest.approx(2 * cut, rel=1e-6)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_dirac_half_on_the_untwisted_bundle_fails(self, degree, tmp_path, monkeypatch):
-        """D10 built as dbar on O(2d), missing the spinor twist: one holomorphic section too many."""
+        """D10 built as dbar on O(2d), missing the spinor twist: one holomorphic section too many, the wrong levels."""
         from sjclab import indexlab
 
         monkeypatch.setattr(indexlab, "build_dirac10_sphere", lambda d, M: indexlab.build_dbar_sphere(2 * d, M))
@@ -585,8 +605,9 @@ class TestSphereIndexChecks:
         report = json.loads((tmp_path / "report.json").read_text())
         by_name = {c["name"]: c for c in report["checks"]}
         failing = [name for name, c in by_name.items() if not c["passed"]]
-        assert failing == [f"kernel of the holomorphic Dirac half, degree {degree}"]
+        assert failing == [f"{side} of the holomorphic Dirac half, degree {degree}" for side in ("kernel", "spectrum")]
         assert by_name[failing[0]]["value"] == 2 * degree + 1
+        assert by_name[failing[1]]["value"] > 0.1
 
 
 def moduli_checks(n, classes):

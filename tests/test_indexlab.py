@@ -57,6 +57,12 @@ class TestOracles:
             h0, h1 = il.h_oracle(k)
             assert h0 - h1 == k + 1
 
+    def test_closed_form_spectrum(self):
+        # the library's closed form, which the index suite checks against, is this file's oracle
+        for k in range(-6, 9):
+            for M in (abs(k) + 2, abs(k) + 7, 40):
+                assert np.array_equal(il.sphere_spectrum(k, M), exact_spectrum(k, M))
+
     def test_exact_spectrum_counts_the_box(self):
         # rank = dim domain - h0 = dim codomain - h1
         for k in range(-6, 9):
@@ -165,6 +171,68 @@ class TestExactSpectrum:
         assert (rep.kernel_dim, rep.cokernel_dim) == il.h_oracle(k)[::-1]
 
 
+def offdiagonal_norm(stack):
+    """Largest Frobenius norm over the blocks of a stack of their entries off the diagonal at offset cols - rows."""
+    _, rows, cols = stack.shape
+    return np.linalg.norm(np.where(np.eye(rows, cols, cols - rows) == 0, stack, 0.0), axis=(1, 2)).max(initial=0.0)
+
+
+# degrees -6..8 at cutoffs up to 40, and the two largest operators at the cutoff limit
+DIAGONAL_CASES = [(k, M) for k in range(-6, 9) for M in sorted({abs(k) + 2, abs(k) + 5, 16, 40})] + [(0, 200), (198, 200)]
+
+
+class TestDiagonalRead:
+    @pytest.mark.parametrize("k,M", DIAGONAL_CASES)
+    def test_blocks_are_diagonals_read_as_their_svd(self, k, M):
+        # the part off the diagonal at offset cols - rows is roundoff, and |diagonal| is LAPACK's spectrum
+        smax = exact_spectrum(k, M)[0]
+        ops = [il.build_dbar_sphere(k, M)] + ([il.build_dirac01_sphere(k, M)] if M <= 40 else [])
+        for op in ops:
+            eps = max(offdiagonal_norm(s) for s in op.stacks)
+            assert op.offdiagonal_norm == pytest.approx(eps, rel=1e-12, abs=1e-300)
+            assert op.offdiagonal_norm <= 1e-11 * smax
+            svd = np.sort(np.concatenate([np.linalg.svd(s, compute_uv=False).ravel() for s in op.stacks]))[::-1]
+            rep = il.numeric_index(op)
+            assert np.abs(rep.singular_values[: svd.size] - svd).max() <= 1e-14 * smax
+            assert not rep.singular_values[svd.size :].any()
+            assert rep.offdiagonal_norm == op.offdiagonal_norm and rep.conclusive
+
+    def test_dirac01_keeps_the_dbar_norm(self):
+        assert il.build_dirac01_sphere(3, 20).offdiagonal_norm == il.build_dbar_sphere(3, 20).offdiagonal_norm
+
+    def test_torus_operators_carry_none(self):
+        full = il.build_dirac_torus(1, 6)
+        for op in (full, *il.torus_chiral_halves(full)):
+            assert op.offdiagonal_norm is None and il.numeric_index(op).offdiagonal_norm is None
+
+    @pytest.mark.parametrize("build", [il.build_dbar_sphere, il.build_dirac01_sphere, il.build_dirac10_sphere])
+    def test_sphere_index_takes_no_svd(self, build, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("LAPACK SVD called for a sphere operator")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert il.numeric_index(build(2, 12)).conclusive
+
+    @pytest.mark.parametrize("scale,conclusive", [(0.5, True), (2.0, False)])
+    def test_offdiagonal_entry_against_the_cut(self, scale, conclusive, monkeypatch):
+        # one entry off the diagonal of each batch's first block, at a multiple of the rank cut
+        k, M = 1, 12
+        cut = 1e-8 * exact_spectrum(k, M)[0]
+        blocks = il._sector_blocks
+
+        def injected(k, M, q, b0, top, nb, nd, nodes):
+            padded, err = blocks(k, M, q, b0, top, nb, nd, nodes)
+            padded[0, nd[0] - 1, 0] += scale * cut
+            return padded, err
+
+        clean = il.build_dbar_sphere(k, M)
+        monkeypatch.setattr(il, "_sector_blocks", injected)
+        rep = il.numeric_index(il.build_dbar_sphere(k, M))
+        assert rep.offdiagonal_norm == pytest.approx(np.hypot(scale * cut, clean.offdiagonal_norm), rel=1e-6)
+        assert (rep.kernel_dim, rep.cokernel_dim) == il.h_oracle(k)
+        assert rep.kept_margin >= il.GAP_REQUIREMENT and rep.conclusive is conclusive
+
+
 class TestSectorBases:
     @pytest.mark.parametrize("alpha,beta,size", [(0, 0, 12), (3, 0, 9), (0, 7, 20), (40, 2, 30), (25, 25, 50)])
     def test_orthonormal_under_a_finer_rule(self, alpha, beta, size):
@@ -210,6 +278,18 @@ class TestSectorBases:
             slope = P.fit(t, p[j], j, domain=[0, 1], window=[0, 1]).deriv()(t)
             rhs = j * ((j + beta) / (2 * j + alpha + beta) - t) * p[j] + (2 * j + alpha + beta + 1) * c[0, j] * p[j - 1]
             assert np.abs(t * (1 - t) * slope - rhs).max() <= 1e-9 * np.abs(p[j]).max()
+
+    def test_cached_rule_builds_identical_stacks(self, monkeypatch):
+        t, w = il._gauss_legendre(7)
+        assert il._gauss_legendre(7)[0] is t
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        cached = [il.build_dbar_sphere(k, M) for k, M in [(0, 8), (3, 20), (-5, 9)]]
+        monkeypatch.setattr(il, "_gauss_legendre", il._gauss_legendre.__wrapped__)
+        fresh = [il.build_dbar_sphere(k, M) for k, M in [(0, 8), (3, 20), (-5, 9)]]
+        for a, b in zip(cached, fresh):
+            assert all(np.array_equal(s, r) for s, r in zip(a.stacks, b.stacks, strict=True))
+            assert (a.orthonormality_defect, a.offdiagonal_norm) == (b.orthonormality_defect, b.offdiagonal_norm)
 
     def test_gauss_legendre_rule(self):
         for n in (1, 2, 7, 40):
@@ -357,6 +437,7 @@ class TestReports:
         # no rank-independent bookkeeping: the index ndom - ncod is a shape count
         assert not any("index" in key for key in d)
         assert d["basis_orthonormality_defect"] == rep.basis_orthonormality_defect
+        assert d["offdiagonal_norm"] == rep.offdiagonal_norm <= 1e-13
         assert "kept_margin" in d and not any(key.startswith("gram_") for key in d)
         assert "singular_gap_ratio" not in d
 

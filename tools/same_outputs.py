@@ -7,9 +7,12 @@ For each seed the requests of the benchmark workload are generated once, by
 checkout then runs every distinct request through its own
 ``sjclab.cli.main`` in a fresh interpreter (one per checkout and seed), on
 the same input paths and in the same output directory.  The exit code,
-stdout, stderr and the SHA-256 of every output file must agree.  Prints the
-counts and the first differing requests, each with the outputs it differs
-in (an output file by its name); exits 1 on any difference.
+stdout, stderr and the SHA-256 of every output file must agree.  Prints, per
+seed, the counts and the first differing requests, each with the outputs it
+differs in (an output file by its name); then, over all seeds, the
+differing requests by suite and by output, and whether every exit code and
+failing-check set (the names of the failing checks in ``report.json``)
+agrees.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -52,7 +56,14 @@ for argv in json.load(sys.stdin):
     files = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(work.iterdir())
     }
-    results.append({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files})
+    report = work / "report.json"
+    failing = (
+        sorted(c["name"] for c in json.loads(report.read_text())["checks"] if not c["passed"])
+        if report.is_file() else None
+    )
+    results.append(
+        {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files, "failing": failing}
+    )
 json.dump(results, sys.stdout)
 """
 
@@ -95,7 +106,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = ap.parse_args(argv)
     other = args.other.resolve()
-    total_diff = 0
+    distinct_by_suite, differ_by_suite, differ_by_output = Counter(), Counter(), Counter()
+    verdicts_differ = 0
     for seed in args.seeds:
         with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
             in_dir = Path(tmp) / "inputs"
@@ -117,8 +129,18 @@ def main(argv: list[str] | None = None) -> int:
         )
         for run, keys in diffs[:SHOWN]:
             print(f"  differs in {', '.join(keys)}: sjc {' '.join(run)}")
-        total_diff += len(diffs)
-    return 1 if total_diff else 0
+        distinct_by_suite.update(run[0] for run in runs)
+        differ_by_suite.update(run[0] for run, _ in diffs)
+        differ_by_output.update(key for _, keys in diffs for key in keys)
+        verdicts_differ += sum((a["exit"], a["failing"]) != (b["exit"], b["failing"]) for a, b in zip(mine, theirs))
+    total = sum(differ_by_suite.values())
+    print(f"{args.workload} seeds {' '.join(map(str, args.seeds))}: "
+          f"{total} of {sum(distinct_by_suite.values())} distinct requests differ")
+    print("  by suite: " + ", ".join(f"{suite} {differ_by_suite[suite]} of {n}" for suite, n in sorted(distinct_by_suite.items())))
+    print("  by output: " + (", ".join(f"{key} {n}" for key, n in sorted(differ_by_output.items())) or "none"))
+    print("  every exit code and failing-check set agrees" if not verdicts_differ else
+          f"  exit codes or failing-check sets differ in {verdicts_differ} requests")
+    return 1 if total else 0
 
 
 if __name__ == "__main__":
