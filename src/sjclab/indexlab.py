@@ -349,16 +349,6 @@ def build_dirac10_sphere(target_degree_d: int, M: int) -> OperatorMatrix:
     return op
 
 
-def build_dirac01_sphere(k: int, M: int) -> OperatorMatrix:
-    """Antiholomorphic Dirac half: minus the adjoint of the dbar matrix, -W^T per block.
-
-    The diagonal at offset cols - rows of -W^T is that of W, so the
-    off-diagonal norm is dbar's.
-    """
-    op = build_dbar_sphere(k, M)
-    return dataclasses.replace(op, tag=f"D01 O({k})", stacks=[-_herm(s) for s in op.stacks])
-
-
 # -- torus operators -------------------------------------------------------------
 
 

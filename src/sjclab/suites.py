@@ -238,6 +238,21 @@ def _spectrum_deviation(sv: np.ndarray, exact: np.ndarray) -> float:
     return float(np.abs(np.pad(sv, (0, n - sv.size)) - np.pad(exact, (0, n - exact.size))).max() / exact[0])
 
 
+def _line_bundle_checks(label: str, rep: il.IndexReport, k: int, M: int) -> list[dict]:
+    """The ``oracle`` checks of ``rep``, the report of dbar on O(k) at cutoff M.
+
+    Its kernel is h0 and its cokernel h1, each counted on a conclusive
+    report, and its singular values are the closed-form spectrum to 1e-12
+    of the largest.
+    """
+    h0, h1 = il.h_oracle(k)
+    dev = _spectrum_deviation(rep.singular_values, il.sphere_spectrum(k, M))
+    return [
+        _check(f"{side} of {label}", count == want and rep.conclusive, count, rep.threshold, "oracle")
+        for side, count, want in (("kernel", rep.kernel_dim, h0), ("cokernel", rep.cokernel_dim, h1))
+    ] + [_check(f"spectrum of {label}", dev <= 1e-12, dev, 1e-12, "oracle")]
+
+
 def suite_index(
     surface: str, degree: int, cutoff: int, target_rank: int, threshold: float
 ) -> tuple[dict, dict]:
@@ -256,20 +271,12 @@ def suite_index(
                 f"(cutoff + 2 max(degree, 0)), which is above the limit of {il.SPHERE_CUTOFF_LIMIT}"
             )
         rep = il.numeric_index(il.build_dbar_sphere(degree, cutoff), threshold=threshold)
-        # (label, report, degree of the line bundle it is dbar on, cutoff): the
-        # holomorphic Dirac half of a degree-d map is dbar on O(2d - 1)
-        entries = [(f"dbar on O({degree})", rep, degree, cutoff)]
-        if degree >= 1:
+        checks += _line_bundle_checks(f"dbar on O({degree})", rep, degree, cutoff)
+        if degree >= 1:  # the holomorphic Dirac half of a degree-d map is dbar on O(2d - 1)
             d10 = il.numeric_index(il.build_dirac10_sphere(degree, basis_cutoff), threshold=threshold)
-            entries.append((f"the holomorphic Dirac half, degree {degree}", d10, 2 * degree - 1, basis_cutoff))
-        for label, r, bundle, M in entries:
-            h0, h1 = il.h_oracle(bundle)
-            checks.append(
-                _check(f"kernel of {label}", r.kernel_dim == h0 and r.conclusive, r.kernel_dim, threshold, "oracle")
+            checks += _line_bundle_checks(
+                f"the holomorphic Dirac half, degree {degree}", d10, 2 * degree - 1, basis_cutoff
             )
-            checks.append(_check(f"cokernel of {label}", r.cokernel_dim == h1, r.cokernel_dim, threshold, "oracle"))
-            dev = _spectrum_deviation(r.singular_values, il.sphere_spectrum(bundle, M))
-            checks.append(_check(f"spectrum of {label}", dev <= 1e-12, dev, 1e-12, "oracle"))
     else:
         if cutoff < il.TORUS_CUTOFF_MIN:
             raise ValueError(f"--cutoff must be >= {il.TORUS_CUTOFF_MIN} on the torus, got {cutoff}")
@@ -329,7 +336,7 @@ def _injectivity(kernel: int, cokernel: int) -> str:
     return ("neither", "injective", "surjective", "bijective")[2 * (cokernel == 0) + (kernel == 0)]
 
 
-# (sigma, energy, half, bundle degree) of the genus-0 classifier rows whose half is built:
+# (sigma, energy, half, bundle degree) of the genus-0 classifier rows read off a built dbar:
 # D10 along a constant map is dbar on O(-1), along a degree-2 map to CP1 dbar on O(3)
 _BOCHNER_ROWS = (
     (4.0, 0.125, "D10", -1),
@@ -356,17 +363,6 @@ def suite_bochner(cutoff: int, seed: int) -> tuple[dict, dict]:
             swap_ok = False
     checks.append(_check("verdict swap under sigma negation", swap_ok, None, None, "identity"))
 
-    gap_sphere = il.numeric_index(il.build_dirac01_sphere(-1, cutoff))
-    sigma_sphere = float(gap_sphere.singular_values.min())
-    checks.append(
-        _check(
-            "sphere antiholomorphic-half spectral gap (flat target)",
-            sigma_sphere > 0.1 and gap_sphere.kernel_dim == 0,
-            sigma_sphere,
-            0.1,
-            "spectral",
-        )
-    )
     _, d01 = il.torus_chiral_halves(il.build_dirac_torus(1, 8))
     gap_torus = il.numeric_index(d01)
     sigma_torus = float(gap_torus.singular_values.min())
@@ -379,33 +375,20 @@ def suite_bochner(cutoff: int, seed: int) -> tuple[dict, dict]:
             "oracle",
         )
     )
-    neg = il.numeric_index(il.build_dbar_sphere(3, cutoff))
-    sv = neg.singular_values
-    nonzero_min = float(sv[sv > 1e-8 * sv.max()].min())
-    checks.append(
-        _check(
-            "positive-degree control: kernel 4, surjective with gap",
-            neg.kernel_dim == 4 and neg.cokernel_dim == 0 and nonzero_min > 0.1,
-            nonzero_min,
-            0.1,
-            "spectral",
-        )
-    )
-    # D01 = -D10^H swaps kernel and cokernel: (kernel, cokernel, conclusive) of each built half
-    halves = {
-        ("D01", -1): (gap_sphere.kernel_dim, gap_sphere.cokernel_dim, gap_sphere.conclusive),
-        ("D10", -1): (gap_sphere.cokernel_dim, gap_sphere.kernel_dim, gap_sphere.conclusive),
-        ("D10", 3): (neg.kernel_dim, neg.cokernel_dim, neg.conclusive),
-        ("D01", 3): (neg.cokernel_dim, neg.kernel_dim, neg.conclusive),
-    }
+    reports = {k: il.numeric_index(il.build_dbar_sphere(k, cutoff)) for k in (-1, 3)}
+    for k, rep in reports.items():
+        checks += _line_bundle_checks(f"dbar on O({k})", rep, k, cutoff)
     for sigma, energy, half, bundle in _BOCHNER_ROWS:
-        kernel, cokernel, conclusive = halves[half, bundle]
+        rep = reports[bundle]
+        # D10 is dbar on O(bundle); D01 = -D10^H swaps its kernel and cokernel
+        kernel, cokernel = (rep.kernel_dim, rep.cokernel_dim)[:: 1 if half == "D10" else -1]
         word = _injectivity(kernel, cokernel)
         verdict = getattr(clf.bochner_classify(clf.BochnerInput(0, sigma, 0.0, energy)), half)
         name = f"{half} verdict at genus 0, sigma {sigma:g}, energy {energy:g}: "
         name += f"kernel and cokernel of {half} on O({bundle})"
-        checks.append(_check(name, word == verdict and conclusive, word, None, "oracle"))
-    csvs = {"singular_values.csv": _sigma_rows(gap_sphere.singular_values)}
+        checks.append(_check(name, word == verdict and rep.conclusive, word, None, "oracle"))
+    # D01 on O(-1) has the singular values of dbar on O(-1)
+    csvs = {"singular_values.csv": _sigma_rows(reports[-1].singular_values)}
     return _report("bochner", {"cutoff": cutoff, "seed": seed}, checks), csvs
 
 
@@ -435,18 +418,19 @@ def suite_moduli(n: int, genus: int, c1a: int, dimx: int) -> tuple[dict, dict]:
             f"|degree| + 2 = {abs(degrees[-1]) + 2} is above the limit of {il.SPHERE_CUTOFF_LIMIT}"
         )
     reports = {k: il.numeric_index(il.build_dbar_sphere(k, abs(k) + 2)) for k in degrees}
+    # each summand's O(k), at the least cutoff |k| + 2, passes every line-bundle check
+    exact = {
+        k: all(c["passed"] for c in _line_bundle_checks(f"dbar on O({k})", rep, k, abs(k) + 2))
+        for k, rep in reports.items()
+    }
     checks = []
     for (c, parity), summands in sums.items():
         dims = clf.moduli_dimension(clf.ModuliDimQuery(n=n, genus=0, c1A=c))
         want = dims.relative_even if parity == "even" else dims.relative_odd
         index = sum(m * (reports[k].kernel_dim_real - reports[k].cokernel_dim_real) for k, m in summands)
-        exact = all(
-            (reports[k].kernel_dim, reports[k].cokernel_dim) == il.h_oracle(k) and reports[k].conclusive
-            for k, _ in summands
-        )
         bundle = " + ".join(f"O({k})" if m == 1 else f"O({k})^{m}" for k, m in summands)
         name = f"{parity} dimension at genus 0, c1A = {c}: index of dbar on {bundle}"
-        checks.append(_check(name, exact and index == want, index, 0, "oracle"))
+        checks.append(_check(name, all(exact[k] for k, _ in summands) and index == want, index, 0, "oracle"))
     report = _report("moduli", {"n": n, "genus": genus, "c1a": c1a, "dimx": dimx}, checks)
     report["dimensions"] = clf.moduli_dimension(clf.ModuliDimQuery(n, genus, c1a, dimx)).as_dict()
     return report, {}

@@ -8,11 +8,14 @@ loop.  ``dense_index`` takes one global SVD of the Cholesky-whitened matrix
 after rescaling both Grams to unit diagonal.  Those Grams reach condition
 1e14 by cutoff 22, so this engine agrees with the orthonormal sector bases
 of ``sjclab.indexlab`` only to about eps * cond; it serves at cutoffs <= 16.
-The torus operators are built mode by mode with ``np.kron``.
+The torus operators are built mode by mode with ``np.kron``.  ``dirac01``
+makes the antiholomorphic Dirac half of a sphere dbar operator out of its
+blocks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +62,16 @@ def dense_dirac01(k, M):
     """Minus the Gram adjoint Gd^-1 A^H Gc of dbar, with the two Grams swapped."""
     A, gd, gc = dense_dbar(k, M)
     return -np.linalg.solve(gd, A.conj().T @ gc), gc, gd
+
+
+def dirac01(op):
+    """The antiholomorphic Dirac half of a sphere dbar operator: minus its adjoint, -W^H per block.
+
+    The diagonal of -W^H at its offset cols - rows is minus the conjugate of
+    W's, so the off-diagonal norm is dbar's.
+    """
+    stacks = [-s.conj().swapaxes(-1, -2) for s in op.stacks]
+    return dataclasses.replace(op, tag=op.tag.replace("dbar", "D01"), stacks=stacks)
 
 
 def dense_torus(n, M):

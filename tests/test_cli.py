@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from fields_oracle import dense, gzeros, pack
+from indexlab_oracle import dirac01
 from input_writers import write_field_bundle, write_flat_map
-from sjclab import serialize, suites
+from sjclab import indexlab, serialize, suites
 from sjclab.cli import main
 from sjclab.fields import ComponentMap, Gravitino, max_abs
 from sjclab.patch import ReducedPatch
@@ -416,8 +417,6 @@ class TestIndexLimits:
         ],
     )
     def test_sphere_cutoff_over_limit_exit_2(self, argv, first, tmp_path, capsys, monkeypatch):
-        from sjclab import indexlab
-
         def no_rule(n):
             raise AssertionError("quadrature built before the limit check")
 
@@ -435,8 +434,6 @@ class TestIndexLimits:
 
     def test_sphere_basis_cutoff_checked_before_any_build(self, tmp_path, capsys, monkeypatch):
         # degree 1 at cutoff 199 builds its Dirac half at 201
-        from sjclab import indexlab
-
         builds = []
         monkeypatch.setattr(indexlab, "build_dbar_sphere", lambda k, M: builds.append((k, M)))
         assert run(["index", "--surface", "sphere", "--degree", "1", "--cutoff", "199"], tmp_path) == 2
@@ -448,12 +445,13 @@ class TestIndexLimits:
     def test_kept_value_near_the_cut_is_inconclusive(self, tmp_path):
         # sigma_1 = sqrt(3/2) lies 19x above the cut 0.01 sqrt(40): no zero mode sits
         # near it, but the kept margin is below 1e3; the Dirac half, dbar on O(1) at
-        # cutoff 10, keeps a margin of 15.8
+        # cutoff 10, keeps a margin of 15.8.  Neither count is certified, the
+        # cokernels no more than the kernels.
         argv = ["index", "--surface", "sphere", "--degree", "1", "--cutoff", "8", "--threshold", "0.01"]
         assert run(argv, tmp_path) == 1
         report = json.loads((tmp_path / "report.json").read_text())
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
-        assert failing == ["kernel of dbar on O(1)", "kernel of the holomorphic Dirac half, degree 1"]
+        assert failing == [name for name in sphere_checks(1) if not name.startswith("spectrum")]
         rep = report["index_report"]
         assert rep["kernel_dim"] == 2 and not rep["conclusive"]
         assert rep["kept_margin"] == pytest.approx(np.sqrt(1.5) / (0.01 * np.sqrt(40)), rel=1e-12)
@@ -479,8 +477,6 @@ class TestIndexLimits:
 
     @pytest.mark.parametrize("rank,cutoff", [(1, 100000), (1, 257), (2, 129)])
     def test_torus_cutoff_over_limit_exit_2(self, rank, cutoff, tmp_path, capsys, monkeypatch):
-        from sjclab import indexlab
-
         def no_modes(M):
             raise AssertionError("mode arrays allocated before the limit check")
 
@@ -494,8 +490,6 @@ class TestIndexLimits:
 
     @pytest.mark.parametrize("cutoff", [3, 0, -1])
     def test_torus_cutoff_below_minimum_exit_2(self, cutoff, tmp_path, capsys, monkeypatch):
-        from sjclab import indexlab
-
         def no_build(n_target, M):
             raise AssertionError("torus operator built before the cutoff check")
 
@@ -506,8 +500,6 @@ class TestIndexLimits:
 
     @pytest.mark.parametrize("degree,cutoff", [(5, 4), (5, 6), (-5, 6), (0, 1), (1, 0), (-1, -3)])
     def test_sphere_cutoff_below_minimum_exit_2(self, degree, cutoff, tmp_path, capsys, monkeypatch):
-        from sjclab import indexlab
-
         def no_build(k, M):
             raise AssertionError("sphere operator built before the cutoff check")
 
@@ -558,8 +550,6 @@ class TestSphereIndexChecks:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_zeroed_dirac_half_fails(self, degree, tmp_path, monkeypatch):
         """Every block of D10 zeroed: its kernel is its whole domain and its cokernel its whole codomain."""
-        from sjclab import indexlab
-
         build = indexlab.build_dirac10_sphere
 
         def zeroed(d, M):
@@ -575,9 +565,7 @@ class TestSphereIndexChecks:
         assert failing == sphere_checks(degree)[3:]
 
     def test_offdiagonal_entry_above_the_cut_fails_the_kernel(self, tmp_path, monkeypatch):
-        """One entry off a block's diagonal at twice the rank cut: the diagonal read no longer certifies the kernel."""
-        from sjclab import indexlab
-
+        """One entry off a block's diagonal at twice the rank cut: the diagonal read no longer certifies the counts."""
         blocks = indexlab._sector_blocks
         cut = 1e-8 * indexlab.sphere_spectrum(0, 8)[0]
 
@@ -589,7 +577,7 @@ class TestSphereIndexChecks:
         monkeypatch.setattr(indexlab, "_sector_blocks", injected)
         assert run(["index", "--surface", "sphere", "--degree", "0", "--cutoff", "8"], tmp_path) == 1
         report = json.loads((tmp_path / "report.json").read_text())
-        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["kernel of dbar on O(0)"]
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == sphere_checks(0)[:2]
         rep = report["index_report"]
         assert rep["kernel_dim"] == 1 and rep["kept_margin"] > 1e7
         assert not rep["conclusive"] and rep["offdiagonal_norm"] == pytest.approx(2 * cut, rel=1e-6)
@@ -597,8 +585,6 @@ class TestSphereIndexChecks:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_dirac_half_on_the_untwisted_bundle_fails(self, degree, tmp_path, monkeypatch):
         """D10 built as dbar on O(2d), missing the spinor twist: one holomorphic section too many, the wrong levels."""
-        from sjclab import indexlab
-
         monkeypatch.setattr(indexlab, "build_dirac10_sphere", lambda d, M: indexlab.build_dbar_sphere(2 * d, M))
         argv = ["index", "--surface", "sphere", "--degree", str(degree), "--cutoff", "8"]
         assert run(argv, tmp_path) == 1
@@ -659,8 +645,6 @@ class TestModuliChecks:
 
     @pytest.mark.parametrize("n,c1a", [("1", "400"), ("1", "-198"), ("2", "400")])
     def test_degree_over_the_sphere_limit_exit_2(self, n, c1a, tmp_path, capsys, monkeypatch):
-        from sjclab import indexlab
-
         monkeypatch.setattr(indexlab, "build_dbar_sphere", lambda k, M: pytest.fail("built before the limit check"))
         assert run(["moduli", "--n", n, "--c1a", c1a], tmp_path) == 2
         err = capsys.readouterr().err
@@ -704,10 +688,40 @@ class TestBochnerChecks:
         failing = [c for c in json.loads((tmp_path / "report.json").read_text())["checks"] if not c["passed"]]
         assert (BOCHNER_VERDICTS[-1][0], "oracle") in [(c["name"], c["kind"]) for c in failing]
 
+    @pytest.mark.parametrize("cutoff", [5, 10, 16, 200])
+    def test_singular_values_are_those_of_d01_on_o_minus_1(self, cutoff):
+        _, csvs = suites.run("bochner", {"cutoff": cutoff})
+        d01 = dirac01(indexlab.build_dbar_sphere(-1, cutoff))
+        assert csvs["singular_values.csv"] == suites._sigma_rows(indexlab.numeric_index(d01).singular_values)
+
     def test_injectivity_words(self):
         assert [suites._injectivity(k, c) for k, c in ((0, 0), (0, 2), (3, 0), (1, 1))] == [
             "bijective", "injective", "surjective", "neither",
         ]
+
+
+@pytest.mark.parametrize(
+    "argv,failing",
+    [
+        (["bochner"], ["spectrum of dbar on O(3)"]),
+        (["moduli", "--n", "2", "--c1a", "5"], ["even dimension at genus 0, c1A = 5: index of dbar on O(3) + O(2)"]),
+    ],
+    ids=["bochner", "moduli"],
+)
+def test_scaled_stack_of_o3_fails_the_spectrum(argv, failing, tmp_path, monkeypatch):
+    """One block stack of dbar on O(3) scaled by 1.01: kernel, cokernel and index stay, the spectrum does not."""
+    build = indexlab.build_dbar_sphere
+
+    def scaled(k, M):
+        op = build(k, M)
+        if k == 3:
+            op.stacks[0] = 1.01 * op.stacks[0]
+        return op
+
+    monkeypatch.setattr(indexlab, "build_dbar_sphere", scaled)
+    assert run(argv, tmp_path) == 1
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == failing
 
 
 def test_no_check_passes_a_literal_true():
@@ -740,8 +754,6 @@ class TestTorusIndexChecks:
         at cutoff >= 8, breaks D01 = -D10*.  A relation checked on a separate
         operator at cutoff 6 has no such mode and would still PASS.
         """
-        from sjclab import indexlab
-
         build = indexlab.build_dirac_torus
 
         def broken(n_target, M):
@@ -761,8 +773,6 @@ class TestTorusIndexChecks:
 
     def test_chiral_kernel_checks_fail_on_the_wrong_chirality(self, tmp_path, monkeypatch):
         """D01 projected onto the wrong chirality is zero: its kernel is its whole domain."""
-        from sjclab import indexlab
-
         halves = indexlab.torus_chiral_halves
 
         def wrong(full):
@@ -779,8 +789,6 @@ class TestTorusIndexChecks:
 
     def test_kernel_sum_fails_on_a_chirality_preserving_term(self, tmp_path, monkeypatch):
         """A multiple of i on the zero mode commutes with the chirality: the halves miss it, the full kernel not."""
-        from sjclab import indexlab
-
         build = indexlab.build_dirac_torus
 
         def shifted(n_target, M):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import indexlab_oracle
+from indexlab_oracle import dirac01
 from sjclab import indexlab as il
 
 
@@ -165,7 +166,7 @@ class TestExactSpectrum:
 
     @pytest.mark.parametrize("k,M", [(-1, 8), (-1, 40), (2, 30), (5, 84)])
     def test_dirac01_spectrum(self, k, M):
-        rep = il.numeric_index(il.build_dirac01_sphere(k, M))
+        rep = il.numeric_index(dirac01(il.build_dbar_sphere(k, M)))
         exact = exact_spectrum(k, M)
         assert np.abs(rep.singular_values[: exact.size] - exact).max() <= 1e-12 * exact[0]
         assert (rep.kernel_dim, rep.cokernel_dim) == il.h_oracle(k)[::-1]
@@ -186,7 +187,7 @@ class TestDiagonalRead:
     def test_blocks_are_diagonals_read_as_their_svd(self, k, M):
         # the part off the diagonal at offset cols - rows is roundoff, and |diagonal| is LAPACK's spectrum
         smax = exact_spectrum(k, M)[0]
-        ops = [il.build_dbar_sphere(k, M)] + ([il.build_dirac01_sphere(k, M)] if M <= 40 else [])
+        ops = [il.build_dbar_sphere(k, M)] + ([dirac01(il.build_dbar_sphere(k, M))] if M <= 40 else [])
         for op in ops:
             eps = max(offdiagonal_norm(s) for s in op.stacks)
             assert op.offdiagonal_norm == pytest.approx(eps, rel=1e-12, abs=1e-300)
@@ -198,14 +199,19 @@ class TestDiagonalRead:
             assert rep.offdiagonal_norm == op.offdiagonal_norm and rep.conclusive
 
     def test_dirac01_keeps_the_dbar_norm(self):
-        assert il.build_dirac01_sphere(3, 20).offdiagonal_norm == il.build_dbar_sphere(3, 20).offdiagonal_norm
+        d01 = dirac01(il.build_dbar_sphere(3, 20))
+        assert d01.offdiagonal_norm == il.build_dbar_sphere(3, 20).offdiagonal_norm
 
     def test_torus_operators_carry_none(self):
         full = il.build_dirac_torus(1, 6)
         for op in (full, *il.torus_chiral_halves(full)):
             assert op.offdiagonal_norm is None and il.numeric_index(op).offdiagonal_norm is None
 
-    @pytest.mark.parametrize("build", [il.build_dbar_sphere, il.build_dirac01_sphere, il.build_dirac10_sphere])
+    @pytest.mark.parametrize(
+        "build",
+        [il.build_dbar_sphere, lambda k, M: dirac01(il.build_dbar_sphere(k, M)), il.build_dirac10_sphere],
+        ids=["build_dbar_sphere", "dirac01", "build_dirac10_sphere"],
+    )
     def test_sphere_index_takes_no_svd(self, build, monkeypatch):
         def no_svd(*args, **kwargs):
             raise AssertionError("LAPACK SVD called for a sphere operator")
@@ -310,7 +316,7 @@ class TestSectorBases:
         rep = il.numeric_index(op)
         assert rep.basis_orthonormality_defect == op.orthonormality_defect
         assert 0.0 < op.orthonormality_defect <= 1e-13
-        d01 = il.build_dirac01_sphere(3, 20)
+        d01 = dirac01(il.build_dbar_sphere(3, 20))
         assert d01.orthonormality_defect == op.orthonormality_defect
         assert il.numeric_index(il.build_dirac_torus(1, 6)).basis_orthonormality_defect == 0.0
         for half in il.torus_chiral_halves(il.build_dirac_torus(1, 6)):
@@ -358,7 +364,7 @@ class TestAdjointRelation:
 
     @pytest.mark.parametrize("k,M", [(-4, 6), (-1, 6), (0, 8), (1, 6), (3, 12), (6, 30)])
     def test_sphere_dirac01_is_minus_the_transpose(self, k, M):
-        dbar, d01 = il.build_dbar_sphere(k, M), il.build_dirac01_sphere(k, M)
+        dbar, d01 = il.build_dbar_sphere(k, M), dirac01(il.build_dbar_sphere(k, M))
         assert d01.shape == dbar.shape[::-1] and d01.tag == f"D01 O({k})"
         for s, t in zip(dbar.stacks, d01.stacks, strict=True):
             assert np.array_equal(t, -s.conj().swapaxes(-1, -2))
@@ -373,7 +379,7 @@ class TestAdjointRelation:
 
 class TestBochnerGap:
     def test_sphere_flat_target_gap_matches_curvature_bound(self):
-        rep = il.numeric_index(il.build_dirac01_sphere(-1, 10))
+        rep = il.numeric_index(dirac01(il.build_dbar_sphere(-1, 10)))
         sigma_min = rep.singular_values.min()
         assert rep.kernel_dim == 0
         assert sigma_min > 0.1
@@ -383,7 +389,7 @@ class TestBochnerGap:
 
     def test_adjoint_half_has_identical_singular_values(self):
         a = il.numeric_index(il.build_dbar_sphere(-1, 8)).singular_values
-        b = il.numeric_index(il.build_dirac01_sphere(-1, 8)).singular_values
+        b = il.numeric_index(dirac01(il.build_dbar_sphere(-1, 8))).singular_values
         assert np.abs(a - b).max() <= 1e-13 * a.max()
 
     def test_torus_flat_target_zero_modes(self):
@@ -478,7 +484,7 @@ SPHERE_CASES = [(k, M) for k in range(-4, 7) for M in sorted({abs(k) + 2, abs(k)
 ORACLE_CASES = (
     [(f"dbar O({k}) M={M}", lambda k=k, M=M: il.build_dbar_sphere(k, M),
       lambda k=k, M=M: indexlab_oracle.dense_dbar(k, M)) for k, M in SPHERE_CASES]
-    + [(f"D01 O({k}) M={M}", lambda k=k, M=M: il.build_dirac01_sphere(k, M),
+    + [(f"D01 O({k}) M={M}", lambda k=k, M=M: dirac01(il.build_dbar_sphere(k, M)),
         lambda k=k, M=M: indexlab_oracle.dense_dirac01(k, M))
        for k, M in [(-3, 6), (-1, 8), (0, 10), (2, 8)]]
     + [(f"D10 d={d} M={M}", lambda d=d, M=M: il.build_dirac10_sphere(d, M),
