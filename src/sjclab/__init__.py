@@ -33,10 +33,7 @@ from .superfield import (
 )
 from .targets import AlmostKahlerModel, make_const_hsc, make_flat, make_fs_cp1, make_model
 from .classify import (
-    BochnerInput,
     BochnerVerdicts,
-    ModuliDimQuery,
-    ModuliDimensions,
     bochner_classify,
     moduli_dimension,
 )
@@ -54,8 +51,7 @@ __all__ = [
     "SuperField", "apply_D3", "apply_D4", "apply_Dbar", "apply_J",
     "components_from_complex", "flat_sjc_residual", "holomorphy_equivalence_check",
     "AlmostKahlerModel", "make_const_hsc", "make_flat", "make_fs_cp1", "make_model",
-    "BochnerInput", "BochnerVerdicts", "ModuliDimQuery", "ModuliDimensions",
-    "bochner_classify", "moduli_dimension",
+    "BochnerVerdicts", "bochner_classify", "moduli_dimension",
     "IndexReport", "OperatorMatrix", "build_dbar_sphere", "build_dirac10_sphere",
     "build_dirac_torus", "h_oracle", "numeric_index",
 ]

@@ -25,20 +25,6 @@ def normalized_scalar(p: int) -> float:
 
 
 @dataclass
-class BochnerInput:
-    genus: int
-    sigma: float
-    energy_min: float
-    energy_max: float
-
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
-        if self.energy_min < 0 or self.energy_max < self.energy_min:
-            raise ValueError("energy bounds must satisfy 0 <= min <= max")
-
-
-@dataclass
 class BochnerVerdicts:
     D10: str
     D01: str
@@ -47,10 +33,9 @@ class BochnerVerdicts:
     case: str = ""
 
 
-def _classify_nonneg_sigma(inp: BochnerInput, sigma: float) -> BochnerVerdicts:
-    """Verdicts for ``inp`` with the curvature sign made nonnegative: ``sigma`` = |inp.sigma|."""
-    p, s = inp.genus, normalized_scalar(inp.genus)
-    emin, emax = inp.energy_min, inp.energy_max
+def _classify_nonneg_sigma(p: int, sigma: float, emin: float, emax: float) -> BochnerVerdicts:
+    """Verdicts at genus ``p`` for a nonnegative curvature ``sigma``."""
+    s = normalized_scalar(p)
     if sigma == 0:
         if p == 0:
             return BochnerVerdicts(
@@ -90,11 +75,15 @@ def _classify_nonneg_sigma(inp: BochnerInput, sigma: float) -> BochnerVerdicts:
     )
 
 
-def bochner_classify(inp: BochnerInput) -> BochnerVerdicts:
-    """Verdicts for the two chiral halves; total and pure."""
-    if inp.sigma >= 0:
-        return _classify_nonneg_sigma(inp, inp.sigma)
-    v = _classify_nonneg_sigma(inp, -inp.sigma)
+def bochner_classify(genus: int, sigma: float, energy_min: float, energy_max: float) -> BochnerVerdicts:
+    """Verdicts for the two chiral halves; ValueError unless genus >= 0 and 0 <= energy_min <= energy_max."""
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
+    if energy_min < 0 or energy_max < energy_min:
+        raise ValueError("energy bounds must satisfy 0 <= min <= max")
+    if sigma >= 0:
+        return _classify_nonneg_sigma(genus, sigma, energy_min, energy_max)
+    v = _classify_nonneg_sigma(genus, -sigma, energy_min, energy_max)
     return BochnerVerdicts(
         D10=v.D01,
         D01=v.D10,
@@ -104,44 +93,9 @@ def bochner_classify(inp: BochnerInput) -> BochnerVerdicts:
     )
 
 
-@dataclass
-class ModuliDimQuery:
-    n: int
-    genus: int
-    c1A: int
-    dimX: int = 0
-
-    def __post_init__(self):
-        if self.n < 1 or self.genus < 0 or self.dimX < 0:
-            raise ValueError("need n >= 1, genus >= 0, dimX >= 0")
-
-
-@dataclass
-class ModuliDimensions:
-    relative_even: int
-    relative_odd: int
-    total_even: int
-    total_odd: int
-
-    def as_dict(self) -> dict:
-        return {
-            "relative_even": self.relative_even,
-            "relative_odd": self.relative_odd,
-            "total_even": self.total_even,
-            "total_odd": self.total_odd,
-            "relative": f"{self.relative_even}|{self.relative_odd}",
-            "total": f"{self.total_even}|{self.total_odd}",
-        }
-
-
-def moduli_dimension(q: ModuliDimQuery) -> ModuliDimensions:
-    """Relative dimension (even|odd) of the solution space, plus the
-    gravitino parameters in the odd total."""
-    even = 2 * q.n * (1 - q.genus) + 2 * q.c1A
-    odd = 2 * q.c1A
-    return ModuliDimensions(
-        relative_even=even,
-        relative_odd=odd,
-        total_even=even,
-        total_odd=odd + q.dimX,
-    )
+def moduli_dimension(n: int, genus: int, c1A: int) -> tuple[int, int]:
+    """Relative dimension (even, odd) of the solution space in a class with first Chern number c1A,
+    for a target of complex dimension n >= 1 and a source of genus >= 0."""
+    if n < 1 or genus < 0:
+        raise ValueError("need n >= 1, genus >= 0")
+    return 2 * n * (1 - genus) + 2 * c1A, 2 * c1A

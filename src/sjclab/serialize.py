@@ -6,9 +6,10 @@ A flat-map file (for ``sjc verify-flat``) is JSON:
      "components_z": ["x1 + (0+1j) * x2 + e3 * l1", ...]}
 
 listing the complex target components as superfield literal strings
-(grammar in ``sjclab.superfield``); ``L`` is a JSON integer in
-0..``FLAT_MAP_MAX_L``, and ``n`` is a JSON integer equal to the number of
-components, which must be at least one.
+(grammar in ``sjclab.superfield``); ``schema`` is the JSON integer 1 (not
+true or 1.0), ``L`` is a JSON integer in 0..``FLAT_MAP_MAX_L``, and ``n`` is
+a JSON integer equal to the number of components, which must be at least
+one.
 
 A field bundle (for ``sjc verify-components``) is a JSON header line
 followed by one text record per grid point:
@@ -17,7 +18,7 @@ followed by one text record per grid point:
 
 where each field block lists, for every base-monomial mask in increasing
 order, the real and imaginary parts of every component.  The header is a
-JSON object with ``"schema": 1``, integers M >= 4, L in
+JSON object with ``"schema"`` the JSON integer 1, integers M >= 4, L in
 0..``FLAT_MAP_MAX_L`` and dim >= 1, the affine part of phi as a dim x 2
 ``phi_linear`` of finite JSON numbers (not bools or strings), and a
 ``model`` object with a string ``kind``.  An optional ``lambda`` key says
@@ -25,11 +26,13 @@ how the conformal factor varies: ``"grid"``, or ``"flat"`` when every lam
 is exactly 1.0.  A bundle holds exactly M^2
 records, all of the same length; (i, j) are integers in [0, M), each pair
 occurring once, in any order; every value is finite and lam is positive.
-Any other input raises ValueError naming the defect.
+Any other input raises ValueError naming the defect; a malformed record is
+named by its 1-based number among the records.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 
@@ -52,13 +55,18 @@ FLAT_MAP_MAX_L = 64
 READ_CHUNK_VALUES = 1 << 17
 
 
+def _schema_is_1(payload) -> bool:
+    """True when ``payload`` is a JSON object whose ``schema`` is the JSON integer 1, not true or 1.0."""
+    return isinstance(payload, dict) and type(payload.get("schema")) is int and payload["schema"] == 1
+
+
 def read_flat_map(path) -> tuple[int, list[SuperField]]:
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except RecursionError:
             raise ValueError(f"flat map {path} nests JSON too deeply to parse") from None
-    if not isinstance(payload, dict) or payload.get("schema") != 1:
+    if not _schema_is_1(payload):
         raise ValueError("unsupported flat-map schema")
     if "L" not in payload:
         raise ValueError("flat map has no generator count L")
@@ -89,6 +97,24 @@ def _header_int(header: dict, key: str, low: int, high: int | None = None) -> in
     return value
 
 
+def _malformed_record(path, first: int, width: int, error: ValueError) -> ValueError:
+    """The error naming the first record, from record ``first`` (1-based) on, that is not
+    ``width`` numbers.  ``np.loadtxt`` counts rows within its own call, and blames the
+    record after a short or long one, so the records are parsed again one by one.  A byte
+    that is not UTF-8 is read as U+FFFD, so its token names the record too."""
+    with open(path, errors="replace") as fh:
+        fh.readline()
+        records = itertools.islice(filter(str.split, fh), first - 1, None)  # a blank line is no record
+        for number, line in enumerate(records, first):
+            try:
+                values = np.loadtxt([line], ndmin=2, comments=None)
+            except ValueError as exc:
+                return ValueError(f"malformed field bundle record {number}: {str(exc).replace(' at row 0,', ' at')}")
+            if values.shape[1] != width:
+                return ValueError(f"malformed field bundle record {number}: {values.shape[1]} values, expected {width}")
+    return ValueError(f"malformed field bundle record: {error}")
+
+
 def read_field_bundle(path):
     with open(path) as fh:
         try:
@@ -99,7 +125,7 @@ def read_field_bundle(path):
             raise ValueError(f"field bundle header of {path} nests JSON too deeply to parse") from None
         if not isinstance(header, dict):
             raise ValueError("field bundle header must be a JSON object")
-        if header.get("schema") != 1:
+        if not _schema_is_1(header):
             raise ValueError("unsupported field bundle schema")
         M = _header_int(header, "M", 4)
         L = _header_int(header, "L", 0, FLAT_MAP_MAX_L)
@@ -129,10 +155,10 @@ def read_field_bundle(path):
                 while (part := np.loadtxt(fh, ndmin=2, comments=None, max_rows=rows)).size:
                     parts.append(part)
         except ValueError as exc:
-            raise ValueError(f"malformed field bundle record: {exc}") from None
+            raise _malformed_record(path, 1 + sum(map(len, parts)), width, exc) from None
     for part, first in zip(parts, np.cumsum([1] + [len(part) for part in parts])):
-        if part.shape[1] != width:
-            raise ValueError(f"field bundle records have {part.shape[1]} values, expected {width}")
+        if part.shape[1] != width:  # every record of the part has this width
+            raise ValueError(f"malformed field bundle record {first}: {part.shape[1]} values, expected {width}")
         if not np.isfinite([part.min(), part.max()]).all():  # NaN propagates
             bad = ~np.isfinite(part).all(axis=1)
             raise ValueError(f"non-finite value in record {first + int(np.argmax(bad))}")

@@ -357,8 +357,8 @@ def suite_bochner(cutoff: int, seed: int) -> tuple[dict, dict]:
         sigma = float(rng.choice([-6.0, -4.0, -1.0, 1.0, 4.0, 6.0]))
         emin = float(rng.uniform(0, 0.5))
         emax = emin + float(rng.uniform(0, 0.5))
-        a = clf.bochner_classify(clf.BochnerInput(genus, sigma, emin, emax))
-        b = clf.bochner_classify(clf.BochnerInput(genus, -sigma, emin, emax))
+        a = clf.bochner_classify(genus, sigma, emin, emax)
+        b = clf.bochner_classify(genus, -sigma, emin, emax)
         if (a.D10, a.D01) != (b.D01, b.D10):
             swap_ok = False
     checks.append(_check("verdict swap under sigma negation", swap_ok, None, None, "identity"))
@@ -383,7 +383,7 @@ def suite_bochner(cutoff: int, seed: int) -> tuple[dict, dict]:
         # D10 is dbar on O(bundle); D01 = -D10^H swaps its kernel and cokernel
         kernel, cokernel = (rep.kernel_dim, rep.cokernel_dim)[:: 1 if half == "D10" else -1]
         word = _injectivity(kernel, cokernel)
-        verdict = getattr(clf.bochner_classify(clf.BochnerInput(0, sigma, 0.0, energy)), half)
+        verdict = getattr(clf.bochner_classify(0, sigma, 0.0, energy), half)
         name = f"{half} verdict at genus 0, sigma {sigma:g}, energy {energy:g}: "
         name += f"kernel and cokernel of {half} on O({bundle})"
         checks.append(_check(name, word == verdict and rep.conclusive, word, None, "oracle"))
@@ -402,7 +402,7 @@ def _splitting(n: int, c: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, m) for k, m in ((q + 1, r), (q, n - r)) if m)
 
 
-def suite_moduli(n: int, genus: int, c1a: int, dimx: int) -> tuple[dict, dict]:
+def suite_moduli(n: int, genus: int, c1a: int) -> tuple[dict, dict]:
     # At genus 0, u*TN splits as a sum of the O(a_i): D_phi is dbar on that sum and
     # the holomorphic Dirac half dbar on the sum of the O(a_i - 1).
     classes = sorted({0, n + 1, c1a} if genus == 0 else {0, n + 1})
@@ -425,14 +425,14 @@ def suite_moduli(n: int, genus: int, c1a: int, dimx: int) -> tuple[dict, dict]:
     }
     checks = []
     for (c, parity), summands in sums.items():
-        dims = clf.moduli_dimension(clf.ModuliDimQuery(n=n, genus=0, c1A=c))
-        want = dims.relative_even if parity == "even" else dims.relative_odd
+        want = dict(zip(("even", "odd"), clf.moduli_dimension(n, 0, c)))[parity]
         index = sum(m * (reports[k].kernel_dim_real - reports[k].cokernel_dim_real) for k, m in summands)
         bundle = " + ".join(f"O({k})" if m == 1 else f"O({k})^{m}" for k, m in summands)
         name = f"{parity} dimension at genus 0, c1A = {c}: index of dbar on {bundle}"
         checks.append(_check(name, all(exact[k] for k, _ in summands) and index == want, index, 0, "oracle"))
-    report = _report("moduli", {"n": n, "genus": genus, "c1a": c1a, "dimx": dimx}, checks)
-    report["dimensions"] = clf.moduli_dimension(clf.ModuliDimQuery(n, genus, c1a, dimx)).as_dict()
+    report = _report("moduli", {"n": n, "genus": genus, "c1a": c1a}, checks)
+    even, odd = clf.moduli_dimension(n, genus, c1a)
+    report["dimensions"] = {"relative_even": even, "relative_odd": odd, "relative": f"{even}|{odd}"}
     return report, {}
 
 
@@ -636,7 +636,6 @@ SUITES: dict[str, Suite] = {
         Param("--n", int, 2, "complex dimension of the target", at_least=1),
         Param("--genus", int, 0, "genus of the source surface", at_least=0),
         Param("--c1a", int, 3, "first Chern class paired with the curve class"),
-        Param("--dimx", int, 0, "gravitino parameters added to the odd total", at_least=0),
     )),
     "linearize": Suite(suite_linearize, "finite-difference linearization blocks", (
         Param("--grid", int, 32, "grid points per side", at_least=4, at_most=LINEARIZE_GRID_LIMIT),

@@ -12,7 +12,7 @@ import pytest
 from indexlab_oracle import dirac01
 from sjclab import components as C
 from sjclab import indexlab as il
-from sjclab.classify import BochnerInput, ModuliDimQuery, bochner_classify, moduli_dimension
+from sjclab.classify import bochner_classify, moduli_dimension
 from sjclab.energy import energy_identity_residual
 from sjclab.fields import ComponentMap, Gravitino, odd_masks
 from sjclab.fierz import (
@@ -192,11 +192,11 @@ def test_criterion_7_bochner_classifier_and_gap():
         sigma = 4.0 * sgn
         emax = 0.1 if below else 0.5
         emin = 0.05 if p == 1 else 0.0
-        v = bochner_classify(BochnerInput(p, sigma, emin, emax))
+        v = bochner_classify(p, sigma, emin, emax)
         if (v.D10, v.D01) != want:
             ok = False
     # the genus-zero bijectivity threshold flags the trivial class
-    v = bochner_classify(BochnerInput(0, 4.0, 0.0, 0.2))
+    v = bochner_classify(0, 4.0, 0.0, 0.2)
     ok = ok and v.implies_trivial_class and v.threshold == pytest.approx(0.25)
     gap = il.numeric_index(dirac01(il.build_dbar_sphere(-1, 10)))
     sigma_min = gap.singular_values.min()
@@ -210,12 +210,12 @@ def test_criterion_7_bochner_classifier_and_gap():
 def test_criterion_8_moduli_dimensions():
     ok = True
     for n in (1, 2, 3, 5):
-        d = moduli_dimension(ModuliDimQuery(n=n, genus=0, c1A=0, dimX=0))
-        ok = ok and (d.relative_even, d.relative_odd) == (2 * n, 0)
+        even, odd = moduli_dimension(n=n, genus=0, c1A=0)
+        ok = ok and (even, odd) == (2 * n, 0)
         for k in (0, 1, 2, 3):
             c1 = k * (n + 1)
-            d = moduli_dimension(ModuliDimQuery(n=n, genus=0, c1A=c1, dimX=0))
-            ok = ok and (d.relative_even, d.relative_odd) == (
+            even, odd = moduli_dimension(n=n, genus=0, c1A=c1)
+            ok = ok and (even, odd) == (
                 2 * n + 2 * k * (n + 1),
                 2 * k * (n + 1),
             )

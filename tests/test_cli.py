@@ -86,7 +86,8 @@ class TestSuitesViaCli:
     def test_moduli_suite(self, tmp_path):
         assert run(["moduli", "--n", "2", "--genus", "0", "--c1a", "3"], tmp_path) == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["dimensions"]["total"] == "10|6"
+        assert report["dimensions"] == {"relative_even": 10, "relative_odd": 6, "relative": "10|6"}
+        assert report["config"] == {"n": 2, "genus": 0, "c1a": 3}
 
     def test_linearize_suite(self, tmp_path):
         assert run(["linearize", "--grid", "16", "--model", "flat"], tmp_path) == 0
@@ -185,7 +186,7 @@ class TestSuiteTable:
 
     def test_run_fills_defaults(self):
         report, csvs = suites.run("moduli", {"c1a": 0})
-        assert report["config"] == {"n": 2, "genus": 0, "c1a": 0, "dimx": 0} and csvs == {}
+        assert report["config"] == {"n": 2, "genus": 0, "c1a": 0} and csvs == {}
 
     def test_run_checks_choices(self):
         with pytest.raises(ValueError, match="--surface must be one of sphere, torus, got plane"):
@@ -218,7 +219,6 @@ BAD_FLAGS = [
     (["flat", "--seed", "-1"], "--seed"),
     (["moduli", "--n", "0"], "--n"),
     (["moduli", "--genus", "-1"], "--genus"),
-    (["moduli", "--dimx", "-1"], "--dimx"),
 ]
 
 
@@ -620,8 +620,8 @@ class TestModuliChecks:
 
         formula = classify.moduli_dimension
 
-        def odd_is_c1a(q):
-            return dataclasses.replace(formula(q), relative_odd=q.c1A, total_odd=q.c1A + q.dimX)
+        def odd_is_c1a(n, genus, c1A):
+            return formula(n, genus, c1A)[0], c1A
 
         monkeypatch.setattr(classify, "moduli_dimension", odd_is_c1a)
         assert run(["moduli", "--n", "2", "--c1a", "3"], tmp_path) == 1
@@ -652,14 +652,19 @@ class TestModuliChecks:
         assert not (tmp_path / "report.json").exists()
 
     def test_higher_genus_checks_genus_zero_classes(self, tmp_path):
-        assert run(["moduli", "--n", "3", "--genus", "1", "--c1a", "5", "--dimx", "2"], tmp_path) == 0
+        assert run(["moduli", "--n", "3", "--genus", "1", "--c1a", "5"], tmp_path) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         classes = {0: ("O(0)^3", "O(-1)^3"), 4: ("O(2) + O(1)^2", "O(1) + O(0)^2")}
         assert [c["name"] for c in report["checks"]] == moduli_checks(3, classes)
-        assert report["dimensions"] == {
-            "relative_even": 10, "relative_odd": 10, "total_even": 10, "total_odd": 12,
-            "relative": "10|10", "total": "10|12",
-        }
+        assert report["dimensions"] == {"relative_even": 10, "relative_odd": 10, "relative": "10|10"}
+
+    def test_dimx_flag_is_gone(self, tmp_path, capsys):
+        # the gravitino count entered no check; the flag is unknown and exits 2 with argparse's usage error
+        with pytest.raises(SystemExit) as exc:
+            run(["moduli", "--dimx", "1"], tmp_path)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dimx 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 BOCHNER_VERDICTS = [
@@ -683,7 +688,9 @@ class TestBochnerChecks:
     def test_missing_sign_swap_fails(self, tmp_path, monkeypatch):
         from sjclab import classify
 
-        monkeypatch.setattr(classify, "bochner_classify", lambda inp: classify._classify_nonneg_sigma(inp, abs(inp.sigma)))
+        monkeypatch.setattr(
+            classify, "bochner_classify", lambda p, sigma, emin, emax: classify._classify_nonneg_sigma(p, abs(sigma), emin, emax)
+        )
         assert run(["bochner"], tmp_path) == 1
         failing = [c for c in json.loads((tmp_path / "report.json").read_text())["checks"] if not c["passed"]]
         assert (BOCHNER_VERDICTS[-1][0], "oracle") in [(c["name"], c["kind"]) for c in failing]
@@ -828,6 +835,15 @@ BAD_RECORDS = {
 }
 
 
+# record edits on the M 32, L 4 bundle: (0-based record, edit, the message after "record"); 700 is in the third chunk
+BAD_WIDE_RECORDS = {
+    "short-700": (699, lambda r: r[:-1], "700: 386 values, expected 387"),
+    "long-700": (699, lambda r: r + ["0.0"], "700: 388 values, expected 387"),
+    "token-700": (699, lambda r: _set(r, 10, "abc"), "700: could not convert string 'abc' to float64 at column 11"),
+    "short-first": (0, lambda r: r[:-1], "1: 386 values, expected 387"),
+}
+
+
 def _without(header, key):
     return {k: v for k, v in header.items() if k != key}
 
@@ -838,6 +854,8 @@ BAD_HEADERS = {
     "no-records": (lambda h, body: (h, ""), "error: field bundle has 0 of the M^2 = 64 grid records"),
     "huge-M": (lambda h, body: (dict(h, M=1 << 20), None), "error: field bundle has 64 of the M^2 = 1099511627776 grid"),
     "list": (lambda h, body: ([h], None), "error: field bundle header must be a JSON object"),
+    "bool-schema": (lambda h, body: (dict(h, schema=True), None), "error: unsupported field bundle schema"),
+    "float-schema": (lambda h, body: (dict(h, schema=1.0), None), "error: unsupported field bundle schema"),
     "small-M": (lambda h, body: (dict(h, M=3), None), "header needs M as a JSON integer >= 4, got 3"),
     "no-M": (lambda h, body: (_without(h, "M"), None), "header needs M as a JSON integer >= 4, got null"),
     "string-M": (lambda h, body: (dict(h, M="8"), None), 'header needs M as a JSON integer >= 4, got "8"'),
@@ -969,6 +987,38 @@ class TestBundleValidation:
         assert run(["verify-components", str(path)], tmp_path) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.fixture(scope="class")
+    def wide_records(self, tmp_path_factory):
+        # M 32, L 4, dim 2: 1024 records of 387 values, 338 of them per np.loadtxt call
+        L, M = 4, 32
+        path = tmp_path_factory.mktemp("wide") / "zero.txt"
+        write_field_bundle(path, ComponentMap.zero(L, M, 2), Gravitino.zero(L, M), ReducedPatch(M), {"kind": "flat", "n": 1})
+        header, *records = path.read_text().splitlines()
+        assert len(records[0].split()) == 387 and serialize.READ_CHUNK_VALUES // 387 < 699
+        return header, [r.split() for r in records]
+
+    @pytest.mark.parametrize("case", sorted(BAD_WIDE_RECORDS))
+    def test_bad_record_named_by_its_number_in_the_file(self, case, wide_records, tmp_path, capsys):
+        header, records = wide_records
+        k, edit, message = BAD_WIDE_RECORDS[case]
+        records = records[:k] + [edit(records[k])] + records[k + 1 :]
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join([header] + [" ".join(r) for r in records]) + "\n")
+        assert run(["verify-components", str(path)], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"error: malformed field bundle record {message}" in err and "row" not in err and "usecols" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_undecodable_byte_named_by_its_record(self, wide_records, tmp_path, capsys):
+        header, records = wide_records
+        lines = [" ".join(r).encode() for r in [[header]] + records]
+        lines[700] = " ".join(records[699][:10]).encode() + b" 0.\xff0 " + " ".join(records[699][11:]).encode()
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert run(["verify-components", str(path)], tmp_path) == 2
+        message = "error: malformed field bundle record 700: could not convert string '0.\ufffd0' to float64 at column 11"
+        assert message in capsys.readouterr().err
+
     @staticmethod
     def _generic_bundle(tmp_path):
         # generic doubles on a curved gauge, on several masks of every field
@@ -1053,10 +1103,12 @@ class TestFlatMapValidation:
         "payload,message",
         [
             ([1], "unsupported flat-map schema"),
+            ({"schema": True, "L": 2, "n": 1, "components_z": ["1.0 * x1 + (0+1j) * x2"]}, "unsupported flat-map schema"),
+            ({"schema": 1.0, "L": 2, "n": 1, "components_z": ["1.0 * x1 + (0+1j) * x2"]}, "unsupported flat-map schema"),
             ({"schema": 1, "L": 2, "n": 1, "components_z": [3]}, "literal strings"),
             ({"schema": 1, "L": 2, "n": 1}, "flat map has no components_z list"),
         ],
-        ids=["not-an-object", "non-string-component", "no-components"],
+        ids=["not-an-object", "bool-schema", "float-schema", "non-string-component", "no-components"],
     )
     def test_malformed_payload_exit_2(self, payload, message, tmp_path, capsys):
         path = tmp_path / "map.json"
